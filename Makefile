@@ -15,7 +15,8 @@ test:
 	$(GO) test ./...
 
 # Race-detect the packages with real concurrency: the server runtime, the
-# protocol layer it drives, the cluster fan-out, the fault-injection
+# protocol layer it drives (AbsorbParallel's per-worker accumulators live
+# across chunks; FuzzFoldEquivalence's seeds drive them), the cluster fan-out, the fault-injection
 # transport, the framed wire layer (its Conn carries cross-goroutine meter
 # and trace state), the job gateway (fair-share scheduler + worker
 # goroutines), the durability layer (journal append vs. compaction), and
@@ -61,6 +62,7 @@ fuzz-smoke:
 	done; \
 	$(GO) test -fuzz='^FuzzParseShardMapSpec$$' -fuzztime=$(FUZZTIME) ./internal/cluster/; \
 	$(GO) test -fuzz='^FuzzReadTable$$' -fuzztime=$(FUZZTIME) ./internal/database/; \
+	$(GO) test -run '^$$' -fuzz='^FuzzMultiExpAccEquivalence$$' -fuzztime=$(FUZZTIME) ./internal/mathx/; \
 	for t in FuzzParseCiphertext FuzzPrivateKeyUnmarshal FuzzReadBitStore FuzzEncryptCRTEquivalence; do \
 		$(GO) test -fuzz="^$$t$$" -fuzztime=$(FUZZTIME) ./internal/paillier/; \
 	done; \
@@ -78,9 +80,10 @@ cover:
 	@sh scripts/cover.sh $(COVER_FLOOR)
 
 # Server-fold ablation: one bounded pass of the naive-vs-bucket
-# multi-exponentiation benchmark (reference run in results/multiexp.txt).
+# multi-exponentiation benchmark, per-chunk one-shot folds vs one session
+# accumulator included (reference run in results/multiexp.txt).
 bench-fold:
-	$(GO) test -run '^$$' -bench '^BenchmarkFoldMultiExp$$' -benchtime 1x .
+	$(GO) test -run '^$$' -bench '^BenchmarkFoldMultiExp$$' -benchtime 1x -benchmem .
 
 # Client-encrypt ablation: the public-key encryption path vs. the key
 # owner's CRT path vs. a CRT-filled randomizer pool, every cell

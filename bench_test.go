@@ -10,6 +10,7 @@
 package privstats_bench
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -254,9 +255,12 @@ func BenchmarkChunkSize(b *testing.B) {
 
 // BenchmarkFoldMultiExp ablates the server's fold: the naive ScalarMul+Add
 // loop versus bucket multi-exponentiation (sequential, several window
-// widths, and parallel) across chunk sizes. Expected shape: the bucket fold
-// cuts per-row time by ≥3x at 4096 rows, with wider windows winning as the
-// chunk grows; reference numbers live in results/multiexp.txt.
+// widths, and parallel) across session lengths, and a one-shot fold per
+// 256- or 1024-row uplink chunk versus one accumulator for the session, with
+// allocations per row for those two. Expected shape: the bucket fold cuts
+// per-row time by ≥3x at 4096 rows, wider windows win as the session grows,
+// and session-acc beats chunk256-oneshot on time and allocates ≤1 per row;
+// reference numbers live in results/multiexp.txt.
 func BenchmarkFoldMultiExp(b *testing.B) {
 	cfg := benchConfig(b)
 	sizes := []int{256, 1024, 4096}
@@ -277,6 +281,9 @@ func BenchmarkFoldMultiExp(b *testing.B) {
 			}
 			for _, r := range rows {
 				b.ReportMetric(float64(r.PerRow()), "n"+itoa(r.Rows)+"-"+r.Variant+"-ns/row")
+				if r.Variant == "session-acc" || strings.HasSuffix(r.Variant, "-oneshot") {
+					b.ReportMetric(r.MallocsPerRow(), "n"+itoa(r.Rows)+"-"+r.Variant+"-allocs/row")
+				}
 			}
 			big := sizes[len(sizes)-1]
 			for _, r := range rows {

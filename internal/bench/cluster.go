@@ -111,6 +111,7 @@ func (c Config) clusterPoint(sk homomorphic.PrivateKey, table *database.Table, s
 			cancel()
 			<-m.done
 		}
+		members = nil
 	}
 	defer stopAll()
 
@@ -172,6 +173,10 @@ func (c Config) clusterPoint(sk homomorphic.PrivateKey, table *database.Table, s
 		return ClusterRow{}, fmt.Errorf("wrong sum %v, want %v", got, want)
 	}
 
+	// The runtimes record a session's phase timings after its reply is
+	// flushed, so the client can hold its answer before they exist: drain
+	// the runtimes first.
+	stopAll()
 	row := ClusterRow{Shards: k, Total: total}
 	for _, srv := range backendSrvs {
 		fold := time.Duration(srv.Metrics().AbsorbNanos.Snapshot().Sum)

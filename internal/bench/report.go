@@ -173,13 +173,14 @@ func WriteScalingTable(w io.Writer, n int, rows []ScalingRow) error {
 	return err
 }
 
-// WriteFoldTable renders the server-fold ablation: per chunk size, every
-// variant's total and per-row time plus its speedup over the naive loop.
+// WriteFoldTable renders the server-fold ablation: per session length, every
+// variant's total and per-row time, its speedup over the naive loop, and its
+// heap allocations per row.
 func WriteFoldTable(w io.Writer, rows []FoldRow) error {
 	title := "Server fold ablation: naive ScalarMul+Add vs. bucket multi-exponentiation"
 	fmt.Fprintf(w, "%s\n%s\n", title, strings.Repeat("-", len(title)))
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "rows\tvariant\ttotal\tper row\tspeedup")
+	fmt.Fprintln(tw, "rows\tvariant\ttotal\tper row\tspeedup\tallocs/row")
 	naive := map[int]time.Duration{}
 	for _, r := range rows {
 		if r.Variant == "naive" {
@@ -191,8 +192,10 @@ func WriteFoldTable(w io.Writer, rows []FoldRow) error {
 		if base, ok := naive[r.Rows]; ok && r.Time > 0 && r.Variant != "naive" {
 			speedup = fmt.Sprintf("%.2fx", float64(base)/float64(r.Time))
 		}
-		fmt.Fprintf(tw, "%d\t%s\t%s\t%s\t%s\n",
-			r.Rows, r.Variant, fmtDur(r.Time), fmtDur(r.PerRow()), speedup)
+		// Per-row times are a few µs: whole microseconds would hide the
+		// differences the table is for.
+		fmt.Fprintf(tw, "%d\t%s\t%s\t%.2fµs\t%s\t%.2f\n",
+			r.Rows, r.Variant, fmtDur(r.Time), float64(r.PerRow())/float64(time.Microsecond), speedup, r.MallocsPerRow())
 	}
 	if err := tw.Flush(); err != nil {
 		return err
@@ -203,13 +206,13 @@ func WriteFoldTable(w io.Writer, rows []FoldRow) error {
 
 // FoldCSV writes fold-ablation rows as CSV.
 func FoldCSV(w io.Writer, rows []FoldRow) error {
-	if _, err := fmt.Fprintln(w, "rows,variant,window,workers,total_ms,ns_per_row"); err != nil {
+	if _, err := fmt.Fprintln(w, "rows,variant,window,workers,total_ms,ns_per_row,mallocs_per_row"); err != nil {
 		return err
 	}
 	for _, r := range rows {
-		if _, err := fmt.Fprintf(w, "%d,%s,%d,%d,%.3f,%.0f\n",
+		if _, err := fmt.Fprintf(w, "%d,%s,%d,%d,%.3f,%.0f,%.2f\n",
 			r.Rows, r.Variant, r.Window, r.Workers,
-			float64(r.Time)/float64(time.Millisecond), float64(r.PerRow())); err != nil {
+			float64(r.Time)/float64(time.Millisecond), float64(r.PerRow()), r.MallocsPerRow()); err != nil {
 			return err
 		}
 	}

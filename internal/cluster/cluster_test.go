@@ -15,6 +15,7 @@ import (
 	"privstats/internal/paillier"
 	"privstats/internal/selectedsum"
 	"privstats/internal/server"
+	"privstats/internal/testutil"
 	"privstats/internal/wire"
 )
 
@@ -263,10 +264,11 @@ func TestClusterFailover(t *testing.T) {
 	if bs := cs.Backends[live]; bs.Sessions < 1 {
 		t.Errorf("live replica sessions = %d, want >= 1", bs.Sessions)
 	}
-	// The hosting runtime completed the session despite the mid-run death.
-	if srv.Metrics().SessionsCompleted.Value() != 1 {
-		t.Errorf("proxy completed = %d, want 1", srv.Metrics().SessionsCompleted.Value())
-	}
+	// The hosting runtime completed the session despite the mid-run death
+	// (it counts the completion after flushing the reply we already hold).
+	testutil.Eventually(t, 5*time.Second, "the proxy to count its completed session", func() bool {
+		return srv.Metrics().SessionsCompleted.Value() == 1
+	})
 
 	// A second query skips the dead primary without burning an attempt on
 	// it (health window is a minute): no new errors against it.

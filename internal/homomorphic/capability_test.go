@@ -5,9 +5,7 @@ import "testing"
 // foldingFake is fakeKey plus the MultiScalarFolder capability.
 type foldingFake struct{ fakeKey }
 
-func (foldingFake) FoldScalarMul([]Ciphertext, []uint64, int) (Ciphertext, error) {
-	return nil, nil
-}
+func (foldingFake) OpenFold(rows, columns int) ScalarFold { return nil }
 
 func TestWithoutMultiScalarFoldStripsCapability(t *testing.T) {
 	var pk PublicKey = foldingFake{}

@@ -68,20 +68,33 @@ type PrivateKey interface {
 }
 
 // MultiScalarFolder is an optional capability: schemes that can compute the
-// server fold Π cts[i]^{ks[i]} = E(Σ ks[i]·m_i) faster than the naive
+// server fold Π ct_i^{k_i} = E(Σ k_i·m_i) faster than the naive
 // ScalarMul+Add loop implement it (Paillier uses bucket
-// multi-exponentiation, see mathx.MultiExp). The protocol layer type-asserts
-// for it and falls back to the loop when absent, so schemes without a fast
-// path need no changes.
+// multi-exponentiation, see mathx.MultiExpAcc). The protocol layer
+// type-asserts for it and falls back to the loop when absent, so schemes
+// without a fast path need no changes.
 type MultiScalarFolder interface {
-	// FoldScalarMul returns an encryption of Σ ks[i]·m_i where m_i is the
-	// plaintext of cts[i]. Zero scalars contribute nothing and must be
-	// skipped. workers > 1 may split the fold across goroutines; the result
-	// must be identical at any worker count. If every scalar is zero the
-	// result is a (possibly deterministic) encryption of 0 — callers that
-	// return ciphertexts to untrusted peers must rerandomize, which the
-	// selected-sum protocol already does at finalize.
-	FoldScalarMul(cts []Ciphertext, ks []uint64, workers int) (Ciphertext, error)
+	// OpenFold starts a streaming fold of about rows ciphertexts against
+	// columns scalar columns at once. The fold's state lives until Sums, so
+	// fixed costs are paid per fold, not per batch of rows.
+	OpenFold(rows, columns int) ScalarFold
+}
+
+// ScalarFold is one streaming fold in progress. It is not safe for
+// concurrent use; a parallel server keeps one fold per goroutine and adds
+// their sums.
+type ScalarFold interface {
+	// Add decodes and validates one ciphertext exactly as
+	// PublicKey.ParseCiphertext does — once, whatever the column count and
+	// even when every scalar is zero — and folds ct^{ks[c]} into column c.
+	// len(ks) must equal the fold's column count. Zero scalars contribute
+	// nothing. After an error the fold's sums are undefined.
+	Add(ct []byte, ks []uint64) error
+	// Sums returns one encryption of Σ k·m per column. A column that only
+	// saw zero scalars yields a (possibly deterministic) encryption of 0 —
+	// callers that return ciphertexts to untrusted peers must rerandomize,
+	// which the selected-sum protocol already does at finalize.
+	Sums() []Ciphertext
 }
 
 // WithoutMultiScalarFold returns pk stripped of the MultiScalarFolder

@@ -12,26 +12,167 @@ import (
 // with short (machine-word) exponents. That is exactly the selected-sum
 // server's workload — every incoming ciphertext is a fresh base, every
 // database value a ≤64-bit exponent — where per-element square-and-multiply
-// costs ~1.5·bits multiplications per row. The bucket method instead pays,
-// per w-bit window of the exponents, one multiplication per row (bucket
-// accumulation) plus ~2^(w+1) multiplications to fold the buckets with the
-// running-sum trick, for a total of roughly
+// costs ~1.5·bits multiplications per row.
 //
-//	ceil(maxBits/w) · (count + 2^(w+1)) + maxBits
-//
-// multiplications: at count=4096 rows of 32-bit exponents this is ~5
-// multiplications per row against ~48 for the naive loop.
+// The method is a streaming accumulator (MultiExpAcc): each w-bit window of
+// the exponents owns 2^w−1 buckets, a row costs one in-place modular
+// multiplication per non-zero digit, and the running-sum combine of the
+// buckets plus the shift squarings are paid once, in Result, however the
+// rows were batched on their way in. MultiExp and MultiExpParallel are
+// one-shot wrappers over it.
 
 // MaxMultiExpWindow bounds the bucket window width: 2^16 buckets is already
 // megabytes of pointers and past the point of diminishing returns for any
-// realistic chunk size.
+// realistic row count.
 const MaxMultiExpWindow = 16
 
-// PickMultiExpWindow returns the window width minimizing the bucket-method
-// cost model above for the given operand count and maximum exponent bit
-// length. It is exported so benchmarks can sweep widths around the chosen
-// one.
+// maxFoldStateBytes caps the bucket state one accumulator may grow to when
+// it picks its own window, whatever the row count: beyond a few MiB the
+// buckets fall out of cache and a wider window stops paying.
+const maxFoldStateBytes = 4 << 20
+
+// modMul multiplies modulo one fixed modulus into scratch it owns, so the
+// steady state allocates nothing: big.Int.Mod allocates a quotient per call
+// and Mul a product whenever the destination aliases an operand.
+type modMul struct {
+	m       *big.Int
+	t, q, r big.Int
+	muls    int // multiplications performed; tests read it
+}
+
+// mul sets z = x·y mod m. x and y must be reduced; z may alias either.
+func (c *modMul) mul(z, x, y *big.Int) {
+	c.muls++
+	c.t.Mul(x, y)
+	// The remainder lands in scratch and is copied out: QuoRem sizes its
+	// remainder for the dividend, which would double every bucket.
+	c.q.QuoRem(&c.t, c.m, &c.r)
+	z.Set(&c.r)
+}
+
+// MultiExpAcc accumulates Π base^exp mod m over rows added one at a time.
+// It is not safe for concurrent use; parallel folds keep one accumulator per
+// goroutine and multiply the results.
+type MultiExpAcc struct {
+	mm modMul
+	w  uint
+	// windows[j][d-1] is the product of the bases whose j'th w-bit digit is
+	// d. A window's bucket array is allocated when its first non-zero digit
+	// appears, so 32-bit exponents never pay for the upper windows.
+	windows [][]*big.Int
+	reduced big.Int // a base outside [0, m), reduced
+}
+
+// NewMultiExpAcc returns an accumulator for about expectedRows rows. The
+// window width follows the cost model of PickMultiExpWindow for full 64-bit
+// exponents (the optimum barely moves with the exponent length) and is
+// capped so the bucket state stays within 4 MiB for any row count.
+func NewMultiExpAcc(m *big.Int, expectedRows int) (*MultiExpAcc, error) {
+	if m == nil || m.Sign() <= 0 {
+		return nil, ErrBadModulus
+	}
+	return newMultiExpAcc(m, autoWindow(m, expectedRows, 64)), nil
+}
+
+func newMultiExpAcc(m *big.Int, w uint) *MultiExpAcc {
+	return &MultiExpAcc{
+		mm:      modMul{m: m},
+		w:       w,
+		windows: make([][]*big.Int, (64+w-1)/w),
+	}
+}
+
+// Add multiplies base^exp into the product. base may be any integer (it is
+// reduced mod m); a zero exponent contributes nothing and costs nothing.
+func (a *MultiExpAcc) Add(base *big.Int, exp uint64) {
+	if exp == 0 {
+		return
+	}
+	if base.Sign() < 0 || base.Cmp(a.mm.m) >= 0 {
+		base = a.reduced.Mod(base, a.mm.m)
+	}
+	mask := uint64(1)<<a.w - 1
+	for j := 0; exp != 0; j, exp = j+1, exp>>a.w {
+		d := exp & mask
+		if d == 0 {
+			continue
+		}
+		win := a.windows[j]
+		if win == nil {
+			win = make([]*big.Int, mask)
+			a.windows[j] = win
+		}
+		if b := win[d-1]; b != nil {
+			a.mm.mul(b, b, base)
+		} else {
+			win[d-1] = new(big.Int).Set(base)
+		}
+	}
+}
+
+// Result returns the product of everything added so far, in [0, m). It
+// leaves the accumulator unchanged, so more rows may follow.
+func (a *MultiExpAcc) Result() *big.Int {
+	mm := &a.mm
+	result, running, winAcc := new(big.Int), new(big.Int), new(big.Int)
+	haveResult := false
+	for j := len(a.windows) - 1; j >= 0; j-- {
+		if haveResult {
+			// Shift the higher windows' product up by one window.
+			for s := uint(0); s < a.w; s++ {
+				mm.mul(result, result, result)
+			}
+		}
+		win := a.windows[j]
+		if win == nil {
+			continue
+		}
+		// Running-sum combine: winAcc = Π_d bucket[d]^d, scanning from the
+		// top bucket down — one multiplication per occupied bucket and one
+		// per digit below the highest occupied one.
+		haveRunning, haveAcc := false, false
+		for d := len(win); d >= 1; d-- {
+			if b := win[d-1]; b != nil {
+				if haveRunning {
+					mm.mul(running, running, b)
+				} else {
+					running.Set(b)
+					haveRunning = true
+				}
+			}
+			if !haveRunning {
+				continue
+			}
+			if haveAcc {
+				mm.mul(winAcc, winAcc, running)
+			} else {
+				winAcc.Set(running)
+				haveAcc = true
+			}
+		}
+		if haveResult {
+			mm.mul(result, result, winAcc)
+		} else {
+			result.Set(winAcc)
+			haveResult = true
+		}
+	}
+	if !haveResult {
+		// Nothing but zero exponents: the empty product, 1 mod m.
+		return result.Mod(One, a.mm.m)
+	}
+	return result
+}
+
+// PickMultiExpWindow returns the window width that minimizes the number of
+// modular multiplications the accumulator executes for count rows of
+// maxBits-bit exponents. It is exported so benchmarks can sweep widths
+// around the chosen one.
 func PickMultiExpWindow(count, maxBits int) uint {
+	return pickWindow(count, maxBits, MaxMultiExpWindow)
+}
+
+func pickWindow(count, maxBits int, widest uint) uint {
 	if count < 1 {
 		count = 1
 	}
@@ -39,14 +180,51 @@ func PickMultiExpWindow(count, maxBits int) uint {
 		maxBits = 1
 	}
 	best, bestCost := uint(1), int64(-1)
-	for w := uint(1); w <= MaxMultiExpWindow; w++ {
-		windows := int64((maxBits + int(w) - 1) / int(w))
-		cost := windows * (int64(count) + int64(2)<<w)
-		if bestCost < 0 || cost < bestCost {
+	for w := uint(1); w <= widest; w++ {
+		if cost := multiExpCost(int64(count), maxBits, int(w)); bestCost < 0 || cost < bestCost {
 			best, bestCost = w, cost
 		}
 	}
 	return best
+}
+
+// multiExpCost counts the accumulator's multiplications. A window of b bits
+// (w, or what is left of maxBits at the top) multiplies once per row whose
+// digit is non-zero, less one per occupied bucket (its first row is copied
+// in); the combine then pays one per occupied bucket and one per digit value,
+// so a window costs count·(1−2^−b) + 2^b. The shift squarings, w per window
+// below the top, are paid once.
+func multiExpCost(count int64, maxBits, w int) int64 {
+	windows := (maxBits + w - 1) / w
+	cost := int64(windows-1) * int64(w)
+	for j := 0; j < windows; j++ {
+		b := w
+		if j == windows-1 {
+			b = maxBits - w*(windows-1)
+		}
+		cost += count - count>>b + int64(1)<<b
+	}
+	return cost
+}
+
+// autoWindow is the model's pick, capped so that even full 64-bit exponents
+// keep the bucket state of one accumulator mod m within maxFoldStateBytes.
+func autoWindow(m *big.Int, count, maxBits int) uint {
+	widest := uint(1)
+	for w := uint(2); w <= MaxMultiExpWindow && bucketStateBytes(m, w) <= maxFoldStateBytes; w++ {
+		widest = w
+	}
+	return pickWindow(count, maxBits, widest)
+}
+
+// bucketStateBytes bounds the memory of an accumulator mod m at width w with
+// every bucket of every window occupied: a pointer, a big.Int header, and
+// the modulus' words plus the spare capacity big.Int.Set allocates.
+func bucketStateBytes(m *big.Int, w uint) int64 {
+	const wordBytes = bits.UintSize / 8
+	perBucket := int64(wordBytes + 4*wordBytes + (len(m.Bits())+4)*wordBytes)
+	windows := int64((64 + w - 1) / w)
+	return windows * (int64(1)<<w - 1) * perBucket
 }
 
 // MultiExp returns Π bases[i]^{exps[i]} mod m via bucket
@@ -55,174 +233,75 @@ func PickMultiExpWindow(count, maxBits int) uint {
 // (they are reduced mod m); m must be positive. Zero exponents contribute
 // nothing and are skipped for free.
 func MultiExp(bases []*big.Int, exps []uint64, m *big.Int, window uint) (*big.Int, error) {
-	w, maxBits, err := multiExpSetup(bases, exps, m, window)
-	if err != nil {
-		return nil, err
-	}
-	if maxBits == 0 {
-		// Every exponent is zero: the empty product, 1 mod m.
-		return new(big.Int).Mod(One, m), nil
-	}
-	windows := (maxBits + int(w) - 1) / int(w)
-	result := multiExpWindows(bases, exps, m, w, 0, windows)
-	return result.Mod(result, m), nil
+	return MultiExpParallel(bases, exps, m, window, 1)
 }
 
-// MultiExpParallel is MultiExp with the work split across workers
-// goroutines. The split dimension follows the larger extent: with more rows
-// than exponent windows (the common case) each worker computes a partial
-// product over a row slice; with more windows than rows (very few operands
-// with long exponents) each worker takes a window range and shifts its
-// partial into place. Both splits recombine with plain modular
+// MultiExpParallel is MultiExp with the rows split across workers
+// goroutines: each worker runs its own accumulator over a contiguous slice
+// of the rows and the partial products recombine with plain modular
 // multiplication, so the result is identical to MultiExp.
 func MultiExpParallel(bases []*big.Int, exps []uint64, m *big.Int, window uint, workers int) (*big.Int, error) {
-	w, maxBits, err := multiExpSetup(bases, exps, m, window)
+	maxBits, err := multiExpCheck(bases, exps, m, window)
 	if err != nil {
 		return nil, err
 	}
-	if maxBits == 0 {
-		return new(big.Int).Mod(One, m), nil
-	}
-	windows := (maxBits + int(w) - 1) / int(w)
 	count := len(bases)
-	if workers < 1 {
-		workers = 1
-	}
 	if workers > count {
 		workers = count
 	}
-	if workers <= 1 {
-		result := multiExpWindows(bases, exps, m, w, 0, windows)
-		return result.Mod(result, m), nil
+	if workers < 1 {
+		workers = 1
 	}
-
+	if window == 0 {
+		window = autoWindow(m, count/workers, maxBits)
+	}
+	fold := func(lo, hi int) *big.Int {
+		acc := newMultiExpAcc(m, window)
+		for i := lo; i < hi; i++ {
+			acc.Add(bases[i], exps[i])
+		}
+		return acc.Result()
+	}
+	if workers == 1 {
+		return fold(0, count), nil
+	}
 	partials := make([]*big.Int, workers)
 	var wg sync.WaitGroup
-	if count >= windows {
-		// Row split: each worker buckets a contiguous slice of the rows.
-		for k := 0; k < workers; k++ {
-			lo := k * count / workers
-			hi := (k + 1) * count / workers
-			wg.Add(1)
-			go func(k, lo, hi int) {
-				defer wg.Done()
-				partials[k] = multiExpWindows(bases[lo:hi], exps[lo:hi], m, w, 0, windows)
-			}(k, lo, hi)
-		}
-	} else {
-		// Window split: each worker folds a range of exponent windows and
-		// shifts its partial up by w·jLo squarings.
-		if workers > windows {
-			workers = windows
-			partials = partials[:workers]
-		}
-		for k := 0; k < workers; k++ {
-			jLo := k * windows / workers
-			jHi := (k + 1) * windows / workers
-			wg.Add(1)
-			go func(k, jLo, jHi int) {
-				defer wg.Done()
-				p := multiExpWindows(bases, exps, m, w, jLo, jHi)
-				for s := 0; s < jLo*int(w); s++ {
-					p.Mul(p, p)
-					p.Mod(p, m)
-				}
-				partials[k] = p
-			}(k, jLo, jHi)
-		}
+	for k := range partials {
+		wg.Add(1)
+		go func(k int) {
+			defer wg.Done()
+			partials[k] = fold(k*count/workers, (k+1)*count/workers)
+		}(k)
 	}
 	wg.Wait()
-	result := big.NewInt(1)
-	for _, p := range partials {
-		result.Mul(result, p)
-		result.Mod(result, m)
+	mm := modMul{m: m}
+	for _, p := range partials[1:] {
+		mm.mul(partials[0], partials[0], p)
 	}
-	return result, nil
+	return partials[0], nil
 }
 
-// multiExpSetup validates the operands and resolves the window width and
-// maximum exponent bit length.
-func multiExpSetup(bases []*big.Int, exps []uint64, m *big.Int, window uint) (uint, int, error) {
+// multiExpCheck validates the operands of a one-shot fold and returns the
+// longest exponent's bit length.
+func multiExpCheck(bases []*big.Int, exps []uint64, m *big.Int, window uint) (int, error) {
 	if m == nil || m.Sign() <= 0 {
-		return 0, 0, ErrBadModulus
+		return 0, ErrBadModulus
 	}
 	if len(bases) != len(exps) {
-		return 0, 0, fmt.Errorf("mathx: %d bases vs %d exponents", len(bases), len(exps))
+		return 0, fmt.Errorf("mathx: %d bases vs %d exponents", len(bases), len(exps))
 	}
 	if window > MaxMultiExpWindow {
-		return 0, 0, fmt.Errorf("mathx: multi-exp window must be in [0,%d], got %d", MaxMultiExpWindow, window)
+		return 0, fmt.Errorf("mathx: multi-exp window must be in [0,%d], got %d", MaxMultiExpWindow, window)
 	}
 	maxBits := 0
 	for i, b := range bases {
 		if b == nil {
-			return 0, 0, fmt.Errorf("mathx: base %d is nil", i)
+			return 0, fmt.Errorf("mathx: base %d is nil", i)
 		}
 		if n := bits.Len64(exps[i]); n > maxBits {
 			maxBits = n
 		}
 	}
-	if window == 0 {
-		window = PickMultiExpWindow(len(bases), maxBits)
-	}
-	return window, maxBits, nil
-}
-
-// multiExpWindows folds the w-bit exponent windows [jLo, jHi), returning
-//
-//	Π_i bases[i]^{D_i}  with  D_i = Σ_{j=jLo}^{jHi-1} d_{i,j}·2^{w·(j-jLo)}
-//
-// where d_{i,j} is the j'th w-bit digit of exps[i]. With jLo = 0 and jHi
-// covering every digit this is the full product; callers splitting the
-// window range shift the partial up by w·jLo squarings afterwards.
-func multiExpWindows(bases []*big.Int, exps []uint64, m *big.Int, w uint, jLo, jHi int) *big.Int {
-	mask := uint64(1)<<w - 1
-	buckets := make([]*big.Int, uint64(1)<<w)
-	result := big.NewInt(1)
-	running := new(big.Int)
-	winAcc := new(big.Int)
-	for j := jHi - 1; j >= jLo; j-- {
-		if result.Cmp(One) != 0 {
-			// Shift the higher windows' product up by one window.
-			for s := uint(0); s < w; s++ {
-				result.Mul(result, result)
-				result.Mod(result, m)
-			}
-		}
-		shift := uint(j) * w
-		used := false
-		for i, b := range bases {
-			d := (exps[i] >> shift) & mask
-			if d == 0 {
-				continue
-			}
-			used = true
-			if buckets[d] == nil {
-				buckets[d] = new(big.Int).Mod(b, m)
-			} else {
-				buckets[d].Mul(buckets[d], b)
-				buckets[d].Mod(buckets[d], m)
-			}
-		}
-		if !used {
-			continue
-		}
-		// Running-sum fold: winAcc = Π_d buckets[d]^d with ≤2·2^w
-		// multiplications, scanning from the top bucket down.
-		running.SetInt64(1)
-		winAcc.SetInt64(1)
-		for d := len(buckets) - 1; d >= 1; d-- {
-			if buckets[d] != nil {
-				running.Mul(running, buckets[d])
-				running.Mod(running, m)
-				buckets[d] = nil
-			}
-			if running.Cmp(One) != 0 {
-				winAcc.Mul(winAcc, running)
-				winAcc.Mod(winAcc, m)
-			}
-		}
-		result.Mul(result, winAcc)
-		result.Mod(result, m)
-	}
-	return result
+	return maxBits, nil
 }

@@ -69,10 +69,10 @@ func TestMultiExpParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestMultiExpWindowSplit forces the window-split parallel path: fewer rows
-// than exponent windows (2 rows of 64-bit exponents at window 2 = 32
-// windows).
-func TestMultiExpWindowSplit(t *testing.T) {
+// TestMultiExpParallelFewRows asks for more workers than rows (2 rows of
+// 64-bit exponents at window 2 = 32 windows): the worker count clamps to the
+// rows.
+func TestMultiExpParallelFewRows(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	m, _ := new(big.Int).SetString("e95e4a5f737059dc60dfc7ad95b3d8139515620f", 16)
 	bases, exps := randOperands(rng, 2, 100, ^uint64(0))
@@ -83,7 +83,7 @@ func TestMultiExpWindowSplit(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got.Cmp(want) != 0 {
-			t.Fatalf("window-split workers=%d = %v, want %v", workers, got, want)
+			t.Fatalf("few-rows workers=%d = %v, want %v", workers, got, want)
 		}
 	}
 }

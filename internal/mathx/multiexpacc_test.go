@@ -1,0 +1,190 @@
+package mathx
+
+import (
+	"encoding/binary"
+	"fmt"
+	"math/big"
+	"math/rand"
+	"testing"
+)
+
+// TestMultiExpAccStreaming feeds the same rows in one go and in pieces with
+// Result taken in between: Result leaves the accumulator usable.
+func TestMultiExpAccStreaming(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	m, _ := new(big.Int).SetString("e95e4a5f737059dc60dfc7ad95b3d8139515620f", 16)
+	bases, exps := randOperands(rng, 300, 200, ^uint64(0))
+	acc, err := NewMultiExpAcc(m, len(bases))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range bases {
+		acc.Add(bases[i], exps[i])
+		if i == 0 || i == 150 || i == len(bases)-1 {
+			if got, want := acc.Result(), naiveMultiExp(bases[:i+1], exps[:i+1], m); got.Cmp(want) != 0 {
+				t.Fatalf("after %d rows: %v, want %v", i+1, got, want)
+			}
+		}
+	}
+	if _, err := NewMultiExpAcc(big.NewInt(0), 1); err == nil {
+		t.Error("zero modulus should fail")
+	}
+}
+
+// FuzzMultiExpAccEquivalence: any chunking of any rows through the
+// accumulator, at the narrowest window, the widest the memory cap allows and
+// the automatic one, equals Π big.Int.Exp. The input drives row count,
+// chunk boundaries (1-row and empty chunks included), zero and full 64-bit
+// exponents, and bases at or above m.
+func FuzzMultiExpAccEquivalence(f *testing.F) {
+	f.Add([]byte{0})
+	f.Add([]byte{1, 0xff})
+	f.Add([]byte{40, 3, 0, 1, 0x80, 0x7f, 9, 9, 9})
+	f.Add([]byte{200, 0xde, 0xad, 0xbe, 0xef, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
+	m, _ := new(big.Int).SetString("e95e4a5f737059dc60dfc7ad95b3d8139515620f", 16)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			t.Skip()
+		}
+		byteAt := func(i int) byte { return data[i%len(data)] ^ byte(i*151) }
+		count := int(data[0])
+		bases := make([]*big.Int, count)
+		exps := make([]uint64, count)
+		for i := range bases {
+			var raw [8]byte
+			for k := range raw {
+				raw[k] = byteAt(1 + 9*i + k)
+			}
+			exps[i] = binary.LittleEndian.Uint64(raw[:])
+			bases[i] = new(big.Int).SetUint64(exps[i]*0x9e3779b97f4a7c15 + 1)
+			switch kind := byteAt(9 + 9*i); {
+			case kind < 48:
+				exps[i] = 0
+			case kind < 96:
+				exps[i] >>= 32
+			case kind < 128:
+				exps[i] = ^uint64(0)
+			case kind < 160:
+				bases[i].Add(bases[i], m) // above the modulus
+			case kind < 176:
+				bases[i].Set(m) // ≡ 0
+			case kind < 192:
+				bases[i].Neg(bases[i])
+			}
+		}
+		if data[0]&1 == 1 && len(data) > 1 && data[1] == 0 {
+			for i := range exps {
+				exps[i] = 0 // the all-zero vector
+			}
+		}
+		want := naiveMultiExp(bases, exps, m)
+		auto, err := NewMultiExpAcc(m, count)
+		if err != nil {
+			t.Fatal(err)
+		}
+		widest := autoWindow(m, 1<<40, 64)
+		for _, acc := range []*MultiExpAcc{newMultiExpAcc(m, 1), newMultiExpAcc(m, widest), auto} {
+			for lo, c := 0, 0; lo < count; c++ {
+				hi := min(count, lo+int(byteAt(2+c))%5) // chunks of 0–4 rows
+				for i := lo; i < hi; i++ {
+					acc.Add(bases[i], exps[i])
+				}
+				lo = hi
+			}
+			if got := acc.Result(); got.Cmp(want) != 0 {
+				t.Fatalf("count=%d w=%d: %v, want %v", count, acc.w, got, want)
+			}
+		}
+	})
+}
+
+// TestMultiExpAccAddDoesNotAllocate pins the steady state: once a row's
+// buckets exist, folding another row into them allocates nothing.
+func TestMultiExpAccAddDoesNotAllocate(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	m := new(big.Int).Lsh(One, 1024)
+	m.Sub(m, big.NewInt(105))
+	bases, exps := randOperands(rng, 64, 1024, ^uint64(0))
+	acc := newMultiExpAcc(m, 4)
+	for round := 0; round < 8; round++ { // occupy every bucket the rows touch
+		for i := range bases {
+			acc.Add(bases[i], exps[i])
+		}
+	}
+	i := 0
+	if allocs := testing.AllocsPerRun(200, func() {
+		acc.Add(bases[i%len(bases)], exps[i%len(exps)])
+		i++
+	}); allocs != 0 {
+		t.Errorf("steady-state Add allocates %v times per row, want 0", allocs)
+	}
+}
+
+// countedMuls runs an accumulator of width w over count pseudo-random
+// exponents of the given bit length and returns the multiplications it
+// executed. The count depends on the exponents' digits alone, so a one-word
+// modulus keeps it cheap.
+func countedMuls(count, expBits int, w uint) int {
+	m := big.NewInt(1_000_000_007)
+	acc := newMultiExpAcc(m, w)
+	base := big.NewInt(3)
+	x := uint64(0x2545f4914f6cdd1d)
+	for i := 0; i < count; i++ {
+		x ^= x << 13 // xorshift64
+		x ^= x >> 7
+		x ^= x << 17
+		acc.Add(base, x>>(64-uint(expBits)))
+	}
+	acc.Result()
+	return acc.mm.muls
+}
+
+// TestPickMultiExpWindowNearBest checks the cost model against what the
+// accumulator executes: the picked width costs at most 10 % more counted
+// multiplications than the best width in [1,12].
+func TestPickMultiExpWindowNearBest(t *testing.T) {
+	sizes := []int{128, 256, 1024, 10_000, 1_000_000}
+	if testing.Short() {
+		sizes = sizes[:4]
+	}
+	for _, count := range sizes {
+		for _, expBits := range []int{32, 64} {
+			t.Run(fmt.Sprintf("rows=%d/bits=%d", count, expBits), func(t *testing.T) {
+				t.Parallel()
+				best := -1
+				for w := uint(1); w <= 12; w++ {
+					if n := countedMuls(count, expBits, w); best < 0 || n < best {
+						best = n
+					}
+				}
+				picked := PickMultiExpWindow(count, expBits)
+				if got := countedMuls(count, expBits, picked); got*10 > best*11 {
+					t.Errorf("picked w=%d costs %d multiplications, best in [1,12] costs %d", picked, got, best)
+				}
+			})
+		}
+	}
+}
+
+// TestAutoWindowMemoryCap checks that an accumulator sized for 1e8 rows
+// keeps its worst-case bucket state within the cap at every Paillier modulus
+// size, and that the cap does not bite at the sizes sessions actually run.
+func TestAutoWindowMemoryCap(t *testing.T) {
+	for _, modBits := range []uint{1024, 2048, 4096, 8192} {
+		m := new(big.Int).Lsh(One, modBits)
+		m.Sub(m, One)
+		acc, err := NewMultiExpAcc(m, 100_000_000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := bucketStateBytes(m, acc.w); got > maxFoldStateBytes {
+			t.Errorf("%d-bit modulus: w=%d allows %d bytes of buckets, cap is %d", modBits, acc.w, got, maxFoldStateBytes)
+		}
+		if bucketStateBytes(m, acc.w+1) <= maxFoldStateBytes {
+			t.Errorf("%d-bit modulus: w=%d is narrower than the cap requires", modBits, acc.w)
+		}
+		if small, want := autoWindow(m, 1024, 64), PickMultiExpWindow(1024, 64); small != want {
+			t.Errorf("%d-bit modulus: cap changed the 1024-row window from %d to %d", modBits, want, small)
+		}
+	}
+}

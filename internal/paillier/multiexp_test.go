@@ -1,6 +1,7 @@
 package paillier
 
 import (
+	"errors"
 	"math/big"
 	"math/rand"
 	"testing"
@@ -106,5 +107,70 @@ func TestFoldScalarMulValidation(t *testing.T) {
 	// a channel for smuggling malformed ciphertexts past the checks.
 	if _, err := pk.FoldScalarMul([]*Ciphertext{bad}, []uint64{0}, 1); err == nil {
 		t.Error("out-of-range ciphertext with zero scalar should still fail")
+	}
+}
+
+// TestFoldStreamsColumns feeds encoded rows into a two-column Fold and
+// checks each column against FoldScalarMul over the same rows: the streaming
+// and one-shot forms produce the identical group element.
+func TestFoldStreamsColumns(t *testing.T) {
+	sk := testKey(t, 256)
+	pk := sk.Public()
+	cts, ks, _ := foldFixture(t, pk, 40, ^uint64(0), 21)
+	ones := make([]uint64, len(ks))
+	for i := range ones {
+		ones[i] = uint64(i % 2) // a column with zero scalars
+	}
+	f := pk.NewFold(len(cts), 2)
+	for i, ct := range cts {
+		if err := f.Add(ct.Bytes(), []uint64{ks[i], ones[i]}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for c, col := range [][]uint64{ks, ones} {
+		want, err := pk.FoldScalarMul(cts, col, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := f.Sums()[c]; got.c.Cmp(want.c) != 0 {
+			t.Errorf("column %d: streaming fold differs from FoldScalarMul", c)
+		}
+	}
+
+	// Validation is ParseCiphertext's, applied even when every scalar is 0.
+	if err := f.Add(cts[0].Bytes(), []uint64{1}); err == nil {
+		t.Error("scalar count mismatch should fail")
+	}
+	if err := f.Add(make([]byte, pk.CiphertextSize()), []uint64{0, 0}); !errors.Is(err, ErrCiphertextForm) {
+		t.Errorf("zero ciphertext under zero scalars: err = %v, want ErrCiphertextForm", err)
+	}
+	if err := f.Add(cts[0].Bytes()[1:], []uint64{1, 1}); !errors.Is(err, ErrCiphertextForm) {
+		t.Errorf("short ciphertext: err = %v, want ErrCiphertextForm", err)
+	}
+}
+
+// TestFoldAddDoesNotAllocate pins the per-row cost the streaming fold
+// exists for: once the buckets a row touches exist, decoding and folding
+// another row allocates nothing.
+func TestFoldAddDoesNotAllocate(t *testing.T) {
+	sk := testKey(t, 512)
+	pk := sk.Public()
+	cts, ks, _ := foldFixture(t, pk, 32, 0xff, 22)
+	rows := make([][]byte, len(cts))
+	for i, ct := range cts {
+		rows[i] = ct.Bytes()
+	}
+	f := pk.NewFold(1<<20, 1)
+	add := func(i int) {
+		if err := f.Add(rows[i%len(rows)], ks[i%len(ks):i%len(ks)+1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 4*len(rows); i++ {
+		add(i)
+	}
+	i := 0
+	if allocs := testing.AllocsPerRun(200, func() { add(i); i++ }); allocs != 0 {
+		t.Errorf("steady-state Fold.Add allocates %v times per row, want 0", allocs)
 	}
 }

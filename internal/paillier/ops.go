@@ -120,12 +120,62 @@ func (pk *PublicKey) WeightedSum(cts []*Ciphertext, weights []*big.Int) (*Cipher
 	return &Ciphertext{c: acc, byteLen: pk.byteLen}, nil
 }
 
-// FoldScalarMul returns E(Σ ks[i]·m_i) = Π cts[i]^{ks[i]} mod N² via bucket
-// multi-exponentiation (mathx.MultiExp) — the fast form of the server's
-// selected-sum fold. Zero scalars are skipped; workers > 1 splits the fold
-// across goroutines. When every scalar is zero the result is E(0) with unit
-// randomness, the multiplicative identity — fine as a fold accumulator, but
-// callers exposing it to a peer must rerandomize first.
+// Fold is a streaming server fold: rows arrive one encoded ciphertext at a
+// time, each is raised to one scalar per column, and the per-column products
+// Π ct_i^{k_i} mod N² = E(Σ k_i·m_i) come out at the end. The state is one
+// bucket multi-exponentiation accumulator per column (mathx.MultiExpAcc), so
+// the bucket combine and the shift squarings are paid once per fold however
+// the rows were chunked on the wire, and a row in steady state allocates
+// nothing. A Fold is not safe for concurrent use.
+type Fold struct {
+	pk   *PublicKey
+	accs []*mathx.MultiExpAcc
+	row  big.Int // the ciphertext being added, decoded into reused storage
+}
+
+// NewFold opens a fold sized for about rows rows against columns scalar
+// columns.
+func (pk *PublicKey) NewFold(rows, columns int) *Fold {
+	f := &Fold{pk: pk, accs: make([]*mathx.MultiExpAcc, columns)}
+	for c := range f.accs {
+		// N² is a valid modulus for any constructed key.
+		f.accs[c], _ = mathx.NewMultiExpAcc(pk.NSquared, rows)
+	}
+	return f
+}
+
+// Add decodes and validates one ciphertext as ParseCiphertext does and folds
+// ct^{ks[c]} into column c. The ciphertext is validated even when every
+// scalar is zero. After an error the fold must be abandoned.
+func (f *Fold) Add(ct []byte, ks []uint64) error {
+	if len(ks) != len(f.accs) {
+		return fmt.Errorf("paillier: %d scalars for a %d-column fold", len(ks), len(f.accs))
+	}
+	if err := f.pk.decodeCiphertext(&f.row, ct); err != nil {
+		return err
+	}
+	for c, k := range ks {
+		f.accs[c].Add(&f.row, k)
+	}
+	return nil
+}
+
+// Sums returns the per-column results. A column that saw only zero scalars
+// yields E(0) with unit randomness, the multiplicative identity — fine as a
+// fold accumulator, but callers exposing it to a peer must rerandomize first.
+func (f *Fold) Sums() []*Ciphertext {
+	sums := make([]*Ciphertext, len(f.accs))
+	for c, acc := range f.accs {
+		sums[c] = &Ciphertext{c: acc.Result(), byteLen: f.pk.byteLen}
+	}
+	return sums
+}
+
+// FoldScalarMul returns E(Σ ks[i]·m_i) = Π cts[i]^{ks[i]} mod N² for
+// ciphertexts already in memory: the one-shot form of Fold over the same
+// accumulator. Zero scalars are skipped; workers > 1 splits the rows across
+// goroutines. When every scalar is zero the result is E(0) with unit
+// randomness (see Fold.Sums).
 func (pk *PublicKey) FoldScalarMul(cts []*Ciphertext, ks []uint64, workers int) (*Ciphertext, error) {
 	if len(cts) != len(ks) {
 		return nil, fmt.Errorf("paillier: %d ciphertexts vs %d scalars", len(cts), len(ks))
@@ -142,13 +192,7 @@ func (pk *PublicKey) FoldScalarMul(cts []*Ciphertext, ks []uint64, workers int) 
 		bases = append(bases, ct.c)
 		exps = append(exps, ks[i])
 	}
-	var acc *big.Int
-	var err error
-	if workers > 1 {
-		acc, err = mathx.MultiExpParallel(bases, exps, pk.NSquared, 0, workers)
-	} else {
-		acc, err = mathx.MultiExp(bases, exps, pk.NSquared, 0)
-	}
+	acc, err := mathx.MultiExpParallel(bases, exps, pk.NSquared, 0, workers)
 	if err != nil {
 		return nil, fmt.Errorf("paillier: multi-exponentiation: %w", err)
 	}
@@ -158,15 +202,23 @@ func (pk *PublicKey) FoldScalarMul(cts []*Ciphertext, ks []uint64, workers int) 
 // ParseCiphertext decodes a fixed-width encoding produced by
 // Ciphertext.Bytes, rejecting out-of-range values.
 func (pk *PublicKey) ParseCiphertext(b []byte) (*Ciphertext, error) {
-	if len(b) != pk.byteLen {
-		return nil, fmt.Errorf("%w: got %d bytes, want %d", ErrCiphertextForm, len(b), pk.byteLen)
-	}
-	v := new(big.Int).SetBytes(b)
-	ct := &Ciphertext{c: v, byteLen: pk.byteLen}
-	if err := pk.checkCiphertext(ct); err != nil {
+	v := new(big.Int)
+	if err := pk.decodeCiphertext(v, b); err != nil {
 		return nil, err
 	}
-	return ct, nil
+	return &Ciphertext{c: v, byteLen: pk.byteLen}, nil
+}
+
+// decodeCiphertext sets v to the ciphertext encoded in b, rejecting a wrong
+// width and values outside (0, N²).
+func (pk *PublicKey) decodeCiphertext(v *big.Int, b []byte) error {
+	if len(b) != pk.byteLen {
+		return fmt.Errorf("%w: got %d bytes, want %d", ErrCiphertextForm, len(b), pk.byteLen)
+	}
+	if v.SetBytes(b); v.Sign() <= 0 || v.Cmp(pk.NSquared) >= 0 {
+		return fmt.Errorf("%w: value outside (0, N²)", ErrCiphertextForm)
+	}
+	return nil
 }
 
 // CiphertextSize returns the fixed wire width of one encoded ciphertext.

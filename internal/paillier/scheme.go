@@ -67,18 +67,23 @@ func (s Scheme) ScalarMul(c homomorphic.Ciphertext, k *big.Int) (homomorphic.Cip
 	return s.PK.ScalarMul(cc, k)
 }
 
-// FoldScalarMul implements homomorphic.MultiScalarFolder, the optional
+// OpenFold implements homomorphic.MultiScalarFolder, the optional
 // fast-fold capability the selected-sum server probes for.
-func (s Scheme) FoldScalarMul(cts []homomorphic.Ciphertext, ks []uint64, workers int) (homomorphic.Ciphertext, error) {
-	own := make([]*Ciphertext, len(cts))
-	for i, c := range cts {
-		cc, err := asPaillier(c)
-		if err != nil {
-			return nil, err
-		}
-		own[i] = cc
+func (s Scheme) OpenFold(rows, columns int) homomorphic.ScalarFold {
+	return schemeFold{s.PK.NewFold(rows, columns)}
+}
+
+// schemeFold adapts *Fold to homomorphic.ScalarFold.
+type schemeFold struct{ *Fold }
+
+// Sums implements homomorphic.ScalarFold.
+func (f schemeFold) Sums() []homomorphic.Ciphertext {
+	own := f.Fold.Sums()
+	sums := make([]homomorphic.Ciphertext, len(own))
+	for c, ct := range own {
+		sums[c] = ct
 	}
-	return s.PK.FoldScalarMul(own, ks, workers)
+	return sums
 }
 
 // Rerandomize implements homomorphic.PublicKey.

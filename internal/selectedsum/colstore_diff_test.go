@@ -1,11 +1,14 @@
 package selectedsum
 
 import (
+	"fmt"
+	"math/big"
 	"net"
 	"testing"
 
 	"privstats/internal/colstore"
 	"privstats/internal/database"
+	"privstats/internal/homomorphic"
 	"privstats/internal/wire"
 )
 
@@ -98,6 +101,79 @@ func TestColstoreMatchesTableOracle(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestChunkSizesAgree pins that how the uplink is chunked cannot change an
+// answer: the served three-column session returns the plaintext oracle's
+// sums at chunk lengths 1, 16, 100, 1024 and n, and so does the naive loop
+// (capability stripped) folding the same columns in one session.
+func TestChunkSizesAgree(t *testing.T) {
+	sk := testKey(t)
+	const n = 1100
+	table, err := database.Generate(n, database.DistUniform, 13)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := buildStore(t, table, 256)
+	sel, err := database.GenerateSelection(n, n/2, database.PatternRandom, 17)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantSum, err := table.SelectedSum(sel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantSq, err := table.SelectedSumOfSquares(sel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []*big.Int{wantSum, wantSq, big.NewInt(n / 2)}
+	check := func(what string, got []*big.Int) {
+		t.Helper()
+		for c := range want {
+			if got[c].Cmp(want[c]) != 0 {
+				t.Errorf("%s: column %d sum = %v, oracle %v", what, c, got[c], want[c])
+			}
+		}
+	}
+
+	for _, chunkRows := range foldChunkSizes(n) {
+		conn, errc := serveSourcePair(t, store)
+		sums, err := QueryColumns(conn, sk, sel, chunkRows, nil, wire.ColValue|wire.ColSquare|wire.ColOnes)
+		if err != nil {
+			t.Fatalf("chunk %d: QueryColumns: %v", chunkRows, err)
+		}
+		check(fmt.Sprintf("served, chunk %d", chunkRows), sums)
+		if err := <-errc; err != nil {
+			t.Errorf("chunk %d: ServeSource: %v", chunkRows, err)
+		}
+	}
+
+	pk := sk.PublicKey()
+	width := pk.CiphertextSize()
+	body, err := EncryptRange(Online{PK: pk}, sel, 0, n, width)
+	if err != nil {
+		t.Fatal(err)
+	}
+	columns := []database.Column{store.Column(), store.SquareColumn(), database.Ones(n)}
+	srv, err := newServerSession(homomorphic.WithoutMultiScalarFold(pk), columns, n, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Absorb(decodeChunk(t, body, 0, width)); err != nil {
+		t.Fatal(err)
+	}
+	cts, err := srv.finalize(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	naive := make([]*big.Int, len(cts))
+	for c, ct := range cts {
+		if naive[c], err = sk.Decrypt(ct); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("naive loop", naive)
 }
 
 // TestColstoreShardViewsMatchTableShards folds against block-straddling

@@ -1,11 +1,14 @@
 package selectedsum
 
 import (
+	"errors"
 	"math/big"
 	"strings"
 	"testing"
 
 	"privstats/internal/database"
+	"privstats/internal/homomorphic"
+	"privstats/internal/paillier"
 	"privstats/internal/wire"
 )
 
@@ -101,4 +104,69 @@ func mustKeyBytes(t *testing.T) []byte {
 		t.Fatal(err)
 	}
 	return b
+}
+
+// TestMultiColumnRejectionIdentical pins that decoding each uplink
+// ciphertext once per chunk rejects exactly what one session per column
+// rejected: a malformed or out-of-range ciphertext fails the chunk with the
+// same error on the streaming fold and on the naive loop, even on a row whose
+// scalar is zero in some column, and a session that failed mid-chunk refuses
+// to go on (its accumulators hold part of the chunk).
+func TestMultiColumnRejectionIdentical(t *testing.T) {
+	sk := testKey(t)
+	pk := sk.PublicKey()
+	const n, badRow = 20, 7
+	values := make([]uint32, n)
+	for i := range values {
+		values[i] = uint32(i + 1)
+	}
+	values[badRow] = 0 // value and square skip the row; ones does not
+	table := database.New(values)
+	sel, _ := database.NewSelection(n)
+	width := pk.CiphertextSize()
+	good, err := EncryptRange(Online{PK: pk}, sel, 0, n, width)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, tc := range []struct {
+		name string
+		fill byte
+	}{
+		{"zero", 0x00},
+		{"above N²", 0xff},
+	} {
+		bad := append([]byte{}, good...)
+		for i := badRow * width; i < (badRow+1)*width; i++ {
+			bad[i] = tc.fill
+		}
+		var messages []string
+		for _, columns := range [][]database.Column{
+			{table.Column(), table.SquareColumn(), database.Ones(n)},
+			{table.Column()}, // the bad row's only scalar is zero
+		} {
+			for _, key := range []homomorphic.PublicKey{pk, homomorphic.WithoutMultiScalarFold(pk)} {
+				srv, err := newServerSession(key, columns, n, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				err = srv.Absorb(decodeChunk(t, bad, 0, width))
+				if !errors.Is(err, paillier.ErrCiphertextForm) {
+					t.Fatalf("%s, %d columns: err = %v, want ErrCiphertextForm", tc.name, len(columns), err)
+				}
+				messages = append(messages, err.Error())
+				if err := srv.Absorb(decodeChunk(t, good, 0, width)); err == nil {
+					t.Errorf("%s: a session that failed mid-chunk accepted another chunk", tc.name)
+				}
+				if _, err := srv.finalize(nil); err == nil {
+					t.Errorf("%s: a session that failed mid-chunk finalized", tc.name)
+				}
+			}
+		}
+		for _, msg := range messages[1:] {
+			if msg != messages[0] {
+				t.Errorf("%s: rejection differs across paths: %q vs %q", tc.name, msg, messages[0])
+			}
+		}
+	}
 }

@@ -31,7 +31,8 @@ type PhaseTimings struct {
 	// Absorb is the homomorphic folding of all index chunks — the
 	// Π E(I_i)^{x_i} work that dominates Figure 1's server cost.
 	Absorb time.Duration
-	// Finalize is the final rerandomization plus encoding the response.
+	// Finalize is the streaming fold's bucket combine (paid once per
+	// session), the final rerandomization, and encoding the response.
 	Finalize time.Duration
 
 	// Trace, when non-nil, receives the same phases as spans plus the
@@ -132,12 +133,12 @@ func ServeSource(conn *wire.Conn, src database.Source, timings *PhaseTimings) er
 	cols := hello.EffectiveColumns()
 	// A non-zero RowOffset scopes the session to a shard of a larger
 	// logical database: this table serves rows [RowOffset,
-	// RowOffset+VectorLen) and index chunks keep their global offsets. One
-	// shard session per requested column: a multi-column session absorbs
-	// each uplink chunk into every fold and replies with one sum per
-	// column, in ascending bit order — the paper's variance trick (one
-	// uplink, several response ciphertexts) at the wire layer.
-	sessions := make([]*ServerSession, 0, cols.Count())
+	// RowOffset+VectorLen) and index chunks keep their global offsets. A
+	// multi-column session folds each uplink ciphertext — decoded and
+	// validated once — against every requested column and replies with one
+	// sum per column, in ascending bit order — the paper's variance trick
+	// (one uplink, several response ciphertexts) at the wire layer.
+	columns := make([]database.Column, 0, cols.Count())
 	valueCol := src.Column()
 	for _, col := range []struct {
 		bit  wire.ColumnSet
@@ -147,14 +148,13 @@ func ServeSource(conn *wire.Conn, src database.Source, timings *PhaseTimings) er
 		{wire.ColSquare, src.SquareColumn()},
 		{wire.ColOnes, database.Ones(valueCol.Len())},
 	} {
-		if !cols.Has(col.bit) {
-			continue
+		if cols.Has(col.bit) {
+			columns = append(columns, col.data)
 		}
-		srv, err := NewShardSession(pk, col.data, hello.VectorLen, hello.RowOffset)
-		if err != nil {
-			return fail(err)
-		}
-		sessions = append(sessions, srv)
+	}
+	srv, err := newServerSession(pk, columns, hello.VectorLen, hello.RowOffset)
+	if err != nil {
+		return fail(err)
 	}
 	timings.Hello = time.Since(helloStart)
 
@@ -204,11 +204,8 @@ func ServeSource(conn *wire.Conn, src database.Source, timings *PhaseTimings) er
 			if err != nil {
 				return fail(err)
 			}
-			// One uplink chunk feeds every requested fold.
-			for _, srv := range sessions {
-				if err := srv.Absorb(chunk); err != nil {
-					return fail(err)
-				}
+			if err := srv.Absorb(chunk); err != nil {
+				return fail(err)
 			}
 			timings.Absorb += time.Since(chunkStart)
 		case wire.MsgDone:
@@ -220,12 +217,12 @@ func ServeSource(conn *wire.Conn, src database.Source, timings *PhaseTimings) er
 					map[string]string{"chunks": strconv.Itoa(chunks)})
 			}
 			finStart := time.Now()
-			bodies := make([][]byte, len(sessions))
-			for i, srv := range sessions {
-				sumCt, err := srv.Finalize(nil)
-				if err != nil {
-					return fail(err)
-				}
+			sums, err := srv.finalize(nil)
+			if err != nil {
+				return fail(err)
+			}
+			bodies := make([][]byte, len(sums))
+			for i, sumCt := range sums {
 				bodies[i] = sumCt.Bytes()
 			}
 			timings.Finalize = time.Since(finStart)

@@ -11,9 +11,10 @@ import (
 // FuzzFoldEquivalence is the differential oracle for the server's two fold
 // paths: random workloads must decrypt to the same sum through the naive
 // ScalarMul+Add loop (capability stripped via WithoutMultiScalarFold) and
-// through the bucket multi-exponentiation fold, sequentially and at
-// AbsorbParallel worker counts 2 and 4. Row counts span both sides of
-// foldMinRows so the fuzzer exercises the threshold crossing.
+// through the streaming bucket fold, sequentially and at AbsorbParallel
+// worker counts 2 and 4, however the vector is chunked on its way in. Row
+// counts span both sides of foldMinRows so the fuzzer exercises the
+// threshold crossing.
 func FuzzFoldEquivalence(f *testing.F) {
 	f.Add([]byte{3})
 	f.Add([]byte{17, 0xff, 0x00, 0x80, 0x7f})
@@ -50,20 +51,23 @@ func FuzzFoldEquivalence(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		chunk := decodeChunk(t, body, 0, width)
 
-		run := func(key homomorphic.PublicKey, workers int) *big.Int {
+		run := func(key homomorphic.PublicKey, workers, chunkRows int) *big.Int {
 			srv, err := NewColumnSession(key, table.Column(), uint64(count))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if workers > 1 {
-				err = srv.AbsorbParallel(chunk, workers)
-			} else {
-				err = srv.Absorb(chunk)
-			}
-			if err != nil {
-				t.Fatal(err)
+			for lo := 0; lo < count; lo += chunkRows {
+				hi := min(count, lo+chunkRows)
+				chunk := decodeChunk(t, body[lo*width:hi*width], uint64(lo), width)
+				if workers > 1 {
+					err = srv.AbsorbParallel(chunk, workers)
+				} else {
+					err = srv.Absorb(chunk)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
 			}
 			ct, err := srv.Finalize(nil)
 			if err != nil {
@@ -76,14 +80,28 @@ func FuzzFoldEquivalence(f *testing.F) {
 			return m
 		}
 
-		naive := run(homomorphic.WithoutMultiScalarFold(pk), 1)
+		naive := run(homomorphic.WithoutMultiScalarFold(pk), 1, count)
 		if naive.Cmp(want) != 0 {
 			t.Fatalf("count=%d: naive fold decrypts to %v, direct sum is %v", count, naive, want)
 		}
-		for _, workers := range []int{1, 2, 4} {
-			if got := run(pk, workers); got.Cmp(naive) != 0 {
-				t.Fatalf("count=%d workers=%d: fast fold decrypts to %v, naive to %v", count, workers, got, naive)
+		for _, chunkRows := range foldChunkSizes(count) {
+			for _, workers := range []int{1, 2, 4} {
+				if got := run(pk, workers, chunkRows); got.Cmp(naive) != 0 {
+					t.Fatalf("count=%d chunk=%d workers=%d: fast fold decrypts to %v, naive to %v", count, chunkRows, workers, got, naive)
+				}
 			}
 		}
 	})
+}
+
+// foldChunkSizes returns the distinct chunk lengths among {1, 16, 100, 1024,
+// n} that chunk an n-row vector differently.
+func foldChunkSizes(n int) []int {
+	sizes := []int{n}
+	for _, c := range []int{1024, 100, 16, 1} {
+		if c < n {
+			sizes = append(sizes, c)
+		}
+	}
+	return sizes
 }

@@ -142,16 +142,39 @@ func appendCiphertext(dst []byte, ct homomorphic.Ciphertext, width int) ([]byte,
 }
 
 // ServerSession folds encrypted index chunks into the encrypted sum. It is
-// the server of Figure 1: stateless beyond the running partial product, and
+// the server of Figure 1: stateless beyond the running partial products, and
 // it never decrypts anything.
+//
+// One session folds the client's index vector against one or more columns
+// at once (value, square, ones): every uplink ciphertext is decoded and
+// validated once and feeds each column's accumulator. When the scheme
+// implements homomorphic.MultiScalarFolder (Paillier does) and the session is
+// long enough, the accumulators are streaming bucket folds that live until
+// Finalize; otherwise they are the per-row ScalarMul+Add loop — same result,
+// many more modular multiplications. Stripping the capability
+// (homomorphic.WithoutMultiScalarFold) forces the loop, which tests use as
+// the correctness oracle.
 type ServerSession struct {
-	pk     homomorphic.PublicKey
-	values database.Column
+	pk      homomorphic.PublicKey
+	columns []database.Column
+	folder  homomorphic.MultiScalarFolder // nil: the naive loop
 
-	acc  homomorphic.Ciphertext // nil until the first non-zero fold
-	base uint64                 // global row offset of values[0] (shard sessions)
-	next uint64                 // next expected vector offset (global coordinates)
+	// lanes[0] serves Absorb; AbsorbParallel adds one lane per extra worker.
+	// A lane is only ever touched by one goroutine at a time.
+	lanes []*foldLane
+
+	base uint64 // global row offset of row 0 of the columns (shard sessions)
+	next uint64 // next expected vector offset (global coordinates)
 	done bool
+	err  error // a row failed mid-chunk: the partial products are unusable
+}
+
+// foldLane is the fold state of one worker for the life of the session.
+type foldLane struct {
+	fold   homomorphic.ScalarFold   // the streaming fold, or nil on the naive path
+	accs   []homomorphic.Ciphertext // naive path: per-column product, nil until the first non-zero term
+	ks     []uint64                 // the current row's scalar in each column
+	scalar big.Int
 }
 
 // NewServerSession prepares a fold over the table's value column under the
@@ -179,203 +202,149 @@ func NewColumnSession(pk homomorphic.PublicKey, col database.Column, vectorLen u
 // shard sessions unmodified, which keeps the framing identical on every hop
 // and makes "the backend saw only its own row range" directly checkable.
 func NewShardSession(pk homomorphic.PublicKey, col database.Column, vectorLen, rowOffset uint64) (*ServerSession, error) {
-	if pk == nil {
-		return nil, errors.New("selectedsum: nil public key")
-	}
 	if col == nil {
 		return nil, errors.New("selectedsum: nil column")
 	}
-	if vectorLen != uint64(col.Len()) {
-		return nil, fmt.Errorf("%w: client announces %d, table has %d rows", ErrVectorLength, vectorLen, col.Len())
-	}
-	return &ServerSession{pk: pk, values: col, base: rowOffset, next: rowOffset}, nil
+	return newServerSession(pk, []database.Column{col}, vectorLen, rowOffset)
 }
 
-// foldMinRows is the chunk size below which the naive ScalarMul loop beats
-// the bucket multi-exponentiation: the bucket fold pays a per-window
-// 2^(w+1)-multiplication overhead that only amortizes across enough rows.
+// foldMinRows is the session length below which the naive ScalarMul loop
+// beats the bucket fold: the buckets' combine at finalize costs about
+// 2^w multiplications per exponent window, which only amortizes across
+// enough rows.
 const foldMinRows = 16
+
+// newServerSession folds one index vector against every column at once.
+func newServerSession(pk homomorphic.PublicKey, columns []database.Column, vectorLen, rowOffset uint64) (*ServerSession, error) {
+	if pk == nil {
+		return nil, errors.New("selectedsum: nil public key")
+	}
+	for _, col := range columns {
+		if vectorLen != uint64(col.Len()) {
+			return nil, fmt.Errorf("%w: client announces %d, table has %d rows", ErrVectorLength, vectorLen, col.Len())
+		}
+	}
+	s := &ServerSession{pk: pk, columns: columns, base: rowOffset, next: rowOffset}
+	if folder, ok := pk.(homomorphic.MultiScalarFolder); ok && vectorLen >= foldMinRows {
+		s.folder = folder
+	}
+	return s, nil
+}
+
+// rows is the session's vector length.
+func (s *ServerSession) rows() int { return s.columns[0].Len() }
+
+// newLane opens the fold state for a worker expected to see about rows rows.
+func (s *ServerSession) newLane(rows int) *foldLane {
+	l := &foldLane{ks: make([]uint64, len(s.columns))}
+	if s.folder != nil {
+		l.fold = s.folder.OpenFold(rows, len(s.columns))
+	} else {
+		l.accs = make([]homomorphic.Ciphertext, len(s.columns))
+	}
+	return l
+}
 
 // Absorb folds one index chunk. Chunks must arrive in order and without
 // gaps; each ciphertext is validated before use. The zero-valued rows are
 // skipped: E(I_i)^0 = E(0) contributes nothing, and the server knows x_i,
 // so the skip leaks nothing and saves an exponentiation.
 //
-// When the scheme implements homomorphic.MultiScalarFolder (Paillier does),
-// large chunks take the bucket multi-exponentiation path instead of the
-// per-row ScalarMul+Add loop — same result, a fraction of the modular
-// multiplications. Other schemes fall back to the loop transparently.
+// Rows go straight into the session's accumulators, so a chunk that fails
+// part-way (a malformed ciphertext) leaves them unusable: the session
+// refuses every later Absorb and Finalize.
 func (s *ServerSession) Absorb(chunk *wire.IndexChunk) error {
-	return s.absorb(chunk, 1)
+	return s.AbsorbParallel(chunk, 1)
 }
 
-// absorb is the shared implementation of Absorb (workers == 1) and the
-// fast path of AbsorbParallel.
-func (s *ServerSession) absorb(chunk *wire.IndexChunk, workers int) error {
-	if s.done {
-		return errors.New("selectedsum: absorb after finalize")
-	}
-	if chunk.Offset != s.next {
-		return fmt.Errorf("%w: got offset %d, want %d", ErrChunkOutOfOrder, chunk.Offset, s.next)
-	}
-	count := chunk.Count()
-	if chunk.Offset+uint64(count) > s.base+uint64(s.values.Len()) {
-		return fmt.Errorf("%w: chunk [%d,%d) exceeds rows [%d,%d)", ErrVectorLength, chunk.Offset, chunk.Offset+uint64(count), s.base, s.base+uint64(s.values.Len()))
-	}
-	if folder, ok := s.pk.(homomorphic.MultiScalarFolder); ok && count >= foldMinRows {
-		return s.absorbFold(chunk, folder, workers)
-	}
-	scalar := new(big.Int)
-	for i := 0; i < count; i++ {
-		ct, err := s.pk.ParseCiphertext(chunk.At(i))
-		if err != nil {
-			return fmt.Errorf("selectedsum: chunk ciphertext %d: %w", i, err)
-		}
-		x := s.values.At(int(chunk.Offset-s.base) + i)
-		if x == 0 {
-			continue
-		}
-		scalar.SetUint64(x)
-		term, err := s.pk.ScalarMul(ct, scalar)
-		if err != nil {
-			return fmt.Errorf("selectedsum: scaling index %d: %w", chunk.Offset+uint64(i), err)
-		}
-		if s.acc == nil {
-			s.acc = term
-			continue
-		}
-		s.acc, err = s.pk.Add(s.acc, term)
-		if err != nil {
-			return fmt.Errorf("selectedsum: folding index %d: %w", chunk.Offset+uint64(i), err)
-		}
-	}
-	s.next += uint64(count)
-	return nil
-}
-
-// absorbFold folds one validated chunk through the scheme's fast
-// multi-scalar capability. Every ciphertext is still parsed (and thereby
-// validated) exactly as on the naive path; the folder skips the zero-valued
-// rows itself.
-func (s *ServerSession) absorbFold(chunk *wire.IndexChunk, folder homomorphic.MultiScalarFolder, workers int) error {
-	count := chunk.Count()
-	cts := make([]homomorphic.Ciphertext, count)
-	ks := make([]uint64, count)
-	nonzero := 0
-	for i := 0; i < count; i++ {
-		ct, err := s.pk.ParseCiphertext(chunk.At(i))
-		if err != nil {
-			return fmt.Errorf("selectedsum: chunk ciphertext %d: %w", i, err)
-		}
-		cts[i] = ct
-		if x := s.values.At(int(chunk.Offset-s.base) + i); x != 0 {
-			ks[i] = x
-			nonzero++
-		}
-	}
-	if nonzero > 0 {
-		term, err := folder.FoldScalarMul(cts, ks, workers)
-		if err != nil {
-			return fmt.Errorf("selectedsum: folding chunk [%d,%d): %w", chunk.Offset, chunk.Offset+uint64(count), err)
-		}
-		if s.acc == nil {
-			s.acc = term
-		} else if s.acc, err = s.pk.Add(s.acc, term); err != nil {
-			return fmt.Errorf("selectedsum: folding chunk [%d,%d): %w", chunk.Offset, chunk.Offset+uint64(count), err)
-		}
-	}
-	s.next += uint64(count)
-	return nil
-}
-
-// AbsorbParallel is Absorb with the chunk's fold split across workers
+// AbsorbParallel is Absorb with the chunk's rows split across workers
 // goroutines. The fold is a product in a commutative group, so each worker
-// computes a partial product over a contiguous slice of the chunk and the
-// partials combine in any order. The paper names special-purpose hardware
-// as the way past the computation bottleneck; on a stock multicore host
-// this is the software equivalent for the server side.
+// folds a contiguous slice of every chunk into accumulators of its own,
+// which it keeps for the whole session; Finalize multiplies the workers'
+// results together. The paper names special-purpose hardware as the way
+// past the computation bottleneck; on a stock multicore host this is the
+// software equivalent for the server side.
 func (s *ServerSession) AbsorbParallel(chunk *wire.IndexChunk, workers int) error {
-	count := chunk.Count()
-	if workers <= 1 || count < 2*workers {
-		return s.Absorb(chunk)
-	}
-	if _, ok := s.pk.(homomorphic.MultiScalarFolder); ok && count >= foldMinRows {
-		// The fast fold parallelizes inside the multi-exponentiation
-		// (splitting the row range or the window range, whichever is
-		// larger), so the goroutine fan-out below would only add overhead.
-		return s.absorb(chunk, workers)
-	}
-	if s.done {
+	switch {
+	case s.done:
 		return errors.New("selectedsum: absorb after finalize")
-	}
-	if chunk.Offset != s.next {
+	case s.err != nil:
+		return fmt.Errorf("selectedsum: absorb after a failed chunk: %w", s.err)
+	case chunk.Offset != s.next:
 		return fmt.Errorf("%w: got offset %d, want %d", ErrChunkOutOfOrder, chunk.Offset, s.next)
 	}
-	if chunk.Offset+uint64(count) > s.base+uint64(s.values.Len()) {
-		return fmt.Errorf("%w: chunk [%d,%d) exceeds rows [%d,%d)", ErrVectorLength, chunk.Offset, chunk.Offset+uint64(count), s.base, s.base+uint64(s.values.Len()))
+	count := chunk.Count()
+	if end := s.base + uint64(s.rows()); chunk.Offset+uint64(count) > end {
+		return fmt.Errorf("%w: chunk [%d,%d) exceeds rows [%d,%d)", ErrVectorLength, chunk.Offset, chunk.Offset+uint64(count), s.base, end)
+	}
+	if workers < 1 || count < 2*workers {
+		workers = 1
+	}
+	for len(s.lanes) < workers {
+		s.lanes = append(s.lanes, s.newLane(s.rows()/workers))
 	}
 
-	partials := make([]homomorphic.Ciphertext, workers)
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * count / workers
-		hi := (w + 1) * count / workers
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			scalar := new(big.Int)
-			var acc homomorphic.Ciphertext
-			for i := lo; i < hi; i++ {
-				ct, err := s.pk.ParseCiphertext(chunk.At(i))
-				if err != nil {
-					errs[w] = fmt.Errorf("selectedsum: chunk ciphertext %d: %w", i, err)
-					return
-				}
-				x := s.values.At(int(chunk.Offset-s.base) + i)
-				if x == 0 {
-					continue
-				}
-				scalar.SetUint64(x)
-				term, err := s.pk.ScalarMul(ct, scalar)
-				if err != nil {
-					errs[w] = fmt.Errorf("selectedsum: scaling index %d: %w", chunk.Offset+uint64(i), err)
-					return
-				}
-				if acc == nil {
-					acc = term
-					continue
-				}
-				acc, err = s.pk.Add(acc, term)
-				if err != nil {
-					errs[w] = fmt.Errorf("selectedsum: folding index %d: %w", chunk.Offset+uint64(i), err)
-					return
-				}
+	if workers == 1 {
+		s.err = s.absorbRows(s.lanes[0], chunk, 0, count)
+	} else {
+		errs := make([]error, workers)
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				errs[w] = s.absorbRows(s.lanes[w], chunk, w*count/workers, (w+1)*count/workers)
+			}(w)
+		}
+		wg.Wait()
+		for _, err := range errs {
+			if err != nil {
+				s.err = err // the lowest failing row range speaks for the chunk
+				break
 			}
-			partials[w] = acc
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
 		}
 	}
-	for _, p := range partials {
-		if p == nil {
-			continue
-		}
-		if s.acc == nil {
-			s.acc = p
-			continue
-		}
-		var err error
-		s.acc, err = s.pk.Add(s.acc, p)
-		if err != nil {
-			return fmt.Errorf("selectedsum: combining partial products: %w", err)
-		}
+	if s.err != nil {
+		return s.err
 	}
 	s.next += uint64(count)
+	return nil
+}
+
+// absorbRows folds chunk rows [lo, hi) into one lane.
+func (s *ServerSession) absorbRows(l *foldLane, chunk *wire.IndexChunk, lo, hi int) error {
+	first := int(chunk.Offset - s.base)
+	for i := lo; i < hi; i++ {
+		for c, col := range s.columns {
+			l.ks[c] = col.At(first + i)
+		}
+		if l.fold != nil {
+			if err := l.fold.Add(chunk.At(i), l.ks); err != nil {
+				return fmt.Errorf("selectedsum: chunk ciphertext %d: %w", i, err)
+			}
+			continue
+		}
+		ct, err := s.pk.ParseCiphertext(chunk.At(i))
+		if err != nil {
+			return fmt.Errorf("selectedsum: chunk ciphertext %d: %w", i, err)
+		}
+		for c, x := range l.ks {
+			if x == 0 {
+				continue
+			}
+			term, err := s.pk.ScalarMul(ct, l.scalar.SetUint64(x))
+			if err != nil {
+				return fmt.Errorf("selectedsum: scaling index %d: %w", chunk.Offset+uint64(i), err)
+			}
+			if l.accs[c] == nil {
+				l.accs[c] = term
+				continue
+			}
+			if l.accs[c], err = s.pk.Add(l.accs[c], term); err != nil {
+				return fmt.Errorf("selectedsum: folding index %d: %w", chunk.Offset+uint64(i), err)
+			}
+		}
+	}
 	return nil
 }
 
@@ -383,19 +352,70 @@ func (s *ServerSession) AbsorbParallel(chunk *wire.IndexChunk, workers int) erro
 func (s *ServerSession) Absorbed() uint64 { return s.next - s.base }
 
 // Finalize checks the vector is complete and returns the rerandomized
-// encrypted sum. Optionally a blinding value can be added homomorphically —
-// the multi-client protocol passes the server's R_i here; single-client
-// runs pass nil.
+// encrypted sum of the session's (first) column. Optionally a blinding value
+// can be added homomorphically — the multi-client protocol passes the
+// server's R_i here; single-client runs pass nil.
 func (s *ServerSession) Finalize(blind *big.Int) (homomorphic.Ciphertext, error) {
-	if s.done {
-		return nil, errors.New("selectedsum: double finalize")
+	sums, err := s.finalize(blind)
+	if err != nil {
+		return nil, err
 	}
-	if s.next != s.base+uint64(s.values.Len()) {
-		return nil, fmt.Errorf("%w: folded %d of %d positions", ErrIncomplete, s.next-s.base, s.values.Len())
+	return sums[0], nil
+}
+
+// finalize returns one rerandomized (or blinded) sum per column. This is
+// where a streaming fold pays its deferred half: every lane combines its
+// buckets, once for the whole session, and the lanes' results add up.
+func (s *ServerSession) finalize(blind *big.Int) ([]homomorphic.Ciphertext, error) {
+	switch {
+	case s.done:
+		return nil, errors.New("selectedsum: double finalize")
+	case s.err != nil:
+		return nil, fmt.Errorf("selectedsum: finalize after a failed chunk: %w", s.err)
+	case s.next != s.base+uint64(s.rows()):
+		return nil, fmt.Errorf("%w: folded %d of %d positions", ErrIncomplete, s.next-s.base, s.rows())
 	}
 	s.done = true
 
-	acc := s.acc
+	laneSums := make([][]homomorphic.Ciphertext, len(s.lanes))
+	var wg sync.WaitGroup
+	for i, l := range s.lanes {
+		if l.fold == nil {
+			laneSums[i] = l.accs
+			continue
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			laneSums[i] = l.fold.Sums()
+		}()
+	}
+	wg.Wait()
+
+	sums := make([]homomorphic.Ciphertext, len(s.columns))
+	for c := range sums {
+		var acc homomorphic.Ciphertext
+		var err error
+		for _, lane := range laneSums {
+			if lane[c] == nil {
+				continue
+			}
+			if acc == nil {
+				acc = lane[c]
+			} else if acc, err = s.pk.Add(acc, lane[c]); err != nil {
+				return nil, fmt.Errorf("selectedsum: combining partial products: %w", err)
+			}
+		}
+		if sums[c], err = s.seal(acc, blind); err != nil {
+			return nil, err
+		}
+	}
+	return sums, nil
+}
+
+// seal turns a raw fold product (nil: nothing was folded) into what may
+// leave the server.
+func (s *ServerSession) seal(acc homomorphic.Ciphertext, blind *big.Int) (homomorphic.Ciphertext, error) {
 	if acc == nil {
 		// All rows were zero: the sum is zero regardless of the selection.
 		zero, err := s.pk.Encrypt(new(big.Int))

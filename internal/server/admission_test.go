@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"privstats/internal/selectedsum"
+	"privstats/internal/testutil"
 	"privstats/internal/wire"
 )
 
@@ -47,7 +48,7 @@ func TestAdmissionBurst16Against4Slots(t *testing.T) {
 		}
 		conns = append(conns, c)
 		n := int64(i + 1)
-		waitFor(t, 2*time.Second, "connection triage", func() bool { return triaged() == n })
+		testutil.Eventually(t, 2*time.Second, "connection triage", func() bool { return triaged() == n })
 	}
 
 	if got := m.SessionsStarted.Value(); got != slots {
@@ -122,7 +123,7 @@ func TestRejectedSlotNeverConsumed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, 2*time.Second, "slot occupied", func() bool {
+	testutil.Eventually(t, 2*time.Second, "slot occupied", func() bool {
 		return m.SessionsStarted.Value() == 1
 	})
 
@@ -140,7 +141,7 @@ func TestRejectedSlotNeverConsumed(t *testing.T) {
 
 	// Release the slot; the next client must get in and succeed.
 	hold.Close()
-	waitFor(t, 2*time.Second, "slot released", func() bool {
+	testutil.Eventually(t, 2*time.Second, "slot released", func() bool {
 		return m.ActiveSessions.Value() == 0
 	})
 	sum, err := query(t, addr, sk, sel, 0)

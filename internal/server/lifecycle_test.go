@@ -44,7 +44,7 @@ func TestIdleClientTimesOutAndReleasesSlot(t *testing.T) {
 		t.Errorf("frame = %#x %q, want timeout MsgError", byte(f.Type), f.Payload)
 	}
 
-	waitFor(t, 2*time.Second, "slot release after timeout", func() bool {
+	testutil.Eventually(t, 2*time.Second, "slot release after timeout", func() bool {
 		return m.ActiveSessions.Value() == 0
 	})
 	if got := m.SessionsFailed.Value(); got != 1 {
@@ -109,7 +109,7 @@ func TestGracefulShutdownDrainsInFlight(t *testing.T) {
 	if err := wc.Send(wire.MsgIndexChunk, chunk.Encode()); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, 2*time.Second, "session to start", func() bool {
+	testutil.Eventually(t, 2*time.Second, "session to start", func() bool {
 		return m.SessionsStarted.Value() == 1
 	})
 
@@ -121,7 +121,7 @@ func TestGracefulShutdownDrainsInFlight(t *testing.T) {
 		shutdownErr <- srv.Shutdown(ctx)
 	}()
 	// The listener closes promptly; new clients are refused.
-	waitFor(t, 2*time.Second, "listener to close", func() bool {
+	testutil.Eventually(t, 2*time.Second, "listener to close", func() bool {
 		c, err := net.DialTimeout("tcp", addr, 100*time.Millisecond)
 		if err != nil {
 			return true
@@ -191,7 +191,7 @@ func TestShutdownForceClosesAfterGrace(t *testing.T) {
 	}
 	defer stuck.Close()
 	m := srv.Metrics()
-	waitFor(t, 2*time.Second, "stuck session to start", func() bool {
+	testutil.Eventually(t, 2*time.Second, "stuck session to start", func() bool {
 		return m.SessionsStarted.Value() == 1
 	})
 
@@ -350,7 +350,7 @@ func TestSessionPanicIsIsolated(t *testing.T) {
 	if _, err := query(t, addr, sk, sel, 0); err == nil {
 		t.Error("first query should fail (server side panicked)")
 	}
-	waitFor(t, 2*time.Second, "panicked session cleanup", func() bool {
+	testutil.Eventually(t, 2*time.Second, "panicked session cleanup", func() bool {
 		return m.ActiveSessions.Value() == 0
 	})
 	if got := m.SessionPanics.Value(); got != 1 {

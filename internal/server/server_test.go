@@ -13,6 +13,7 @@ import (
 	"privstats/internal/homomorphic"
 	"privstats/internal/paillier"
 	"privstats/internal/selectedsum"
+	"privstats/internal/testutil"
 	"privstats/internal/wire"
 )
 
@@ -101,25 +102,12 @@ func query(t *testing.T, addr string, sk homomorphic.PrivateKey, sel *database.S
 	return selectedsum.Query(wire.NewConn(conn), sk, sel, chunk, nil)
 }
 
-// waitFor polls cond until it holds or the deadline passes.
-func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(d)
-	for time.Now().Before(deadline) {
-		if cond() {
-			return
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	t.Fatalf("timed out waiting for %s", what)
-}
-
 // reconcile asserts the session-counter invariant once the server is idle:
 // started = completed + failed, and nothing is left active.
 func reconcile(t *testing.T, srv *Server) {
 	t.Helper()
 	m := srv.Metrics()
-	waitFor(t, 5*time.Second, "active sessions to drain", func() bool {
+	testutil.Eventually(t, 5*time.Second, "active sessions to drain", func() bool {
 		return m.ActiveSessions.Value() == 0
 	})
 	started := m.SessionsStarted.Value()

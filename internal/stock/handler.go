@@ -32,10 +32,15 @@ func (h *Handler) ServeSession(conn *wire.Conn, timings *selectedsum.PhaseTiming
 	m.Sessions.Inc()
 
 	helloStart := time.Now()
-	k, err := h.hello(conn)
+	k, code, err := h.hello(conn)
 	timings.Hello = time.Since(helloStart)
 	if err != nil {
+		// Counted before the refusal goes out, so a client holding the
+		// reply can already see the count.
 		m.HelloRejects.Inc()
+		if code != wire.CodeNone {
+			_ = conn.SendErrorCode(code, err.Error())
+		}
 		return err
 	}
 
@@ -72,61 +77,50 @@ func (h *Handler) ServeSession(conn *wire.Conn, timings *selectedsum.PhaseTiming
 	}
 }
 
-// hello validates the opening message and admits the session's key.
-func (h *Handler) hello(conn *wire.Conn) (*keyStock, error) {
+// hello validates the opening message and admits the session's key. On
+// failure the code says how to refuse the peer; CodeNone means the transport
+// failed and there is no one to tell.
+func (h *Handler) hello(conn *wire.Conn) (*keyStock, wire.ErrorCode, error) {
 	f, err := conn.Recv()
 	if err != nil {
-		return nil, fmt.Errorf("stock: reading hello: %w", err)
+		return nil, wire.CodeNone, fmt.Errorf("stock: reading hello: %w", err)
 	}
 	if f.Type != wire.MsgStockHello {
-		err := fmt.Errorf("stock: expected stock hello, got %#x", byte(f.Type))
-		_ = conn.SendErrorCode(wire.CodeProtocol, err.Error())
-		return nil, err
+		return nil, wire.CodeProtocol, fmt.Errorf("stock: expected stock hello, got %#x", byte(f.Type))
 	}
 	hello, err := DecodeHello(f.Payload)
 	if err != nil {
-		_ = conn.SendErrorCode(wire.CodeProtocol, err.Error())
-		return nil, err
+		return nil, wire.CodeProtocol, err
 	}
 	if hello.Version != Version {
-		err := fmt.Errorf("stock: unsupported version %d", hello.Version)
-		_ = conn.SendErrorCode(wire.CodeProtocol, err.Error())
-		return nil, err
+		return nil, wire.CodeProtocol, fmt.Errorf("stock: unsupported version %d", hello.Version)
 	}
 	if hello.Scheme != paillier.SchemeID {
-		err := fmt.Errorf("stock: unsupported scheme %q", hello.Scheme)
-		_ = conn.SendErrorCode(wire.CodeProtocol, err.Error())
-		return nil, err
+		return nil, wire.CodeProtocol, fmt.Errorf("stock: unsupported scheme %q", hello.Scheme)
 	}
 	if !hello.CheckFingerprint() {
 		// A stale fingerprint means the client rotated its key (or the
 		// hello was corrupted en route): refuse outright rather than mint
 		// stock the client would reject.
-		err := errors.New("stock: hello fingerprint does not match key bytes")
-		_ = conn.SendErrorCode(wire.CodeProtocol, err.Error())
-		return nil, err
+		return nil, wire.CodeProtocol, errors.New("stock: hello fingerprint does not match key bytes")
 	}
 	var pk paillier.PublicKey
 	if err := pk.UnmarshalBinary(hello.PublicKey); err != nil {
-		err = fmt.Errorf("stock: parsing public key: %w", err)
-		_ = conn.SendErrorCode(wire.CodeProtocol, err.Error())
-		return nil, err
+		return nil, wire.CodeProtocol, fmt.Errorf("stock: parsing public key: %w", err)
 	}
 	k, err := h.Inv.Admit(&pk)
 	if err != nil {
-		code := wire.CodeProtocol
 		if errors.Is(err, ErrInventoryFull) {
-			code = wire.CodeBusy // transient: keys may be evicted/restarted
+			return nil, wire.CodeBusy, err // transient: keys may be evicted/restarted
 		}
-		_ = conn.SendErrorCode(code, err.Error())
-		return nil, err
+		return nil, wire.CodeProtocol, err
 	}
 	if hello.Flags&wire.HelloFlagFrameCRC != 0 {
 		conn.EnableCRC()
 	}
 	ack := HelloAck{Version: Version, Fingerprint: k.fp}
 	if err := conn.Send(wire.MsgStockHello, ack.Encode()); err != nil {
-		return nil, fmt.Errorf("stock: sending hello ack: %w", err)
+		return nil, wire.CodeNone, fmt.Errorf("stock: sending hello ack: %w", err)
 	}
-	return k, nil
+	return k, wire.CodeNone, nil
 }

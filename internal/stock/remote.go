@@ -196,51 +196,46 @@ func (s *RemoteSource) OnlineFallbacks() int {
 
 // Prime fetches until every local inventory reaches its target (the bench
 // and e2e setup path: a primed source proves OnlineFallbacks == 0 is
-// attainable). It returns the first fetch error, with whatever stock already
-// landed left in place.
+// attainable). The daemon never blocks a request — it replies with what is
+// on hand, which for a key it has only just admitted is nothing — so an
+// empty batch means "still minting": Prime waits, with capped backoff, and
+// asks again until ctx expires. A fetch error (daemon down) is returned at
+// once. Either way, whatever stock already landed is left in place.
 func (s *RemoteSource) Prime(ctx context.Context) error {
+	const minWait, maxWait = 2 * time.Millisecond, 250 * time.Millisecond
+	wait := minWait
 	for {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
 		zeros, ones := s.store.Depth()
-		needZ := s.cfg.TargetZeros - zeros
-		needO := s.cfg.TargetOnes - ones
-		needR := s.cfg.TargetRandomizers - s.rpool.Depth()
-		switch {
-		case needZ > 0:
-			if err := s.primeStep(KindZeroBits, needZ); err != nil {
-				return err
-			}
-		case needO > 0:
-			if err := s.primeStep(KindOneBits, needO); err != nil {
-				return err
-			}
-		case needR > 0:
-			if err := s.primeStep(KindRandomizers, needR); err != nil {
-				return err
-			}
-		default:
+		kind, need := KindZeroBits, s.cfg.TargetZeros-zeros
+		if need <= 0 {
+			kind, need = KindOneBits, s.cfg.TargetOnes-ones
+		}
+		if need <= 0 {
+			kind, need = KindRandomizers, s.cfg.TargetRandomizers-s.rpool.Depth()
+		}
+		if need <= 0 {
 			return nil
 		}
+		got, err := s.fetch(kind, min(need, s.cfg.Batch))
+		if err != nil {
+			return err
+		}
+		if got > 0 {
+			wait = minWait
+			continue
+		}
+		select {
+		case <-ctx.Done():
+			return fmt.Errorf("stock: daemon has no %v stock yet (%d still needed): %w", kind, need, ctx.Err())
+		case <-s.done:
+			return errors.New("stock: remote source closed while priming")
+		case <-time.After(wait):
+		}
+		wait = min(2*wait, maxWait)
 	}
-}
-
-// primeStep fetches one batch toward a deficit, failing when the daemon had
-// nothing (so Prime cannot spin on an empty inventory).
-func (s *RemoteSource) primeStep(kind Kind, need int) error {
-	count := need
-	if count > s.cfg.Batch {
-		count = s.cfg.Batch
-	}
-	got, err := s.fetch(kind, count)
-	if err != nil {
-		return err
-	}
-	if got == 0 {
-		return fmt.Errorf("stock: daemon has no %v stock yet (%d still needed)", kind, need)
-	}
-	return nil
 }
 
 // Close stops the refiller and closes the daemon session.

@@ -1,6 +1,7 @@
 // Package testutil holds test helpers shared across packages: the
-// goroutine-leak guard every lifecycle test should open with, and a minimal
-// Prometheus text-exposition parser for round-tripping /metrics output.
+// goroutine-leak guard every lifecycle test should open with, a poll-until
+// helper for state that settles after a reply, and a minimal Prometheus
+// text-exposition parser for round-tripping /metrics output.
 // Production code must not import this package.
 package testutil
 
@@ -39,6 +40,21 @@ func GuardGoroutines(t *testing.T) {
 		n := runtime.Stack(buf, true)
 		t.Errorf("goroutine leak: %d before, %d after settle window\n%s", before, now, buf[:n])
 	})
+}
+
+// Eventually polls cond until it holds or d elapses, failing the test on
+// timeout. Server runtimes bump their counters and record their timings
+// after the reply frame is flushed, so a test that reads them the instant
+// its client has the reply must wait for the event, not assume it.
+func Eventually(t testing.TB, d time.Duration, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(d)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
 }
 
 // ParseProm parses Prometheus 0.0.4 text exposition into a map keyed by the
