@@ -3,7 +3,6 @@ package metrics
 import (
 	"encoding/json"
 	"math"
-	"net/http/httptest"
 	"sync"
 	"testing"
 	"time"
@@ -135,28 +134,6 @@ func TestServerMetricsSnapshotReconciles(t *testing.T) {
 	}
 }
 
-func TestHandlerServesJSON(t *testing.T) {
-	var m ServerMetrics
-	m.SessionsStarted.Inc()
-	m.SessionsCompleted.Inc()
-
-	rec := httptest.NewRecorder()
-	m.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/stats", nil))
-	if rec.Code != 200 {
-		t.Fatalf("status = %d", rec.Code)
-	}
-	if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
-		t.Errorf("content-type = %q", ct)
-	}
-	var s Snapshot
-	if err := json.Unmarshal(rec.Body.Bytes(), &s); err != nil {
-		t.Fatalf("unmarshal: %v", err)
-	}
-	if s.Sessions.Started != 1 || s.Sessions.Completed != 1 {
-		t.Errorf("round-tripped snapshot = %+v", s.Sessions)
-	}
-}
-
 func TestSummaryMentionsCounts(t *testing.T) {
 	var m ServerMetrics
 	m.SessionsStarted.Add(4)
@@ -227,26 +204,5 @@ func TestClusterMetricsSnapshot(t *testing.T) {
 	// histograms elsewhere.
 	if _, err := json.Marshal(s); err != nil {
 		t.Fatalf("cluster snapshot does not marshal: %v", err)
-	}
-}
-
-func TestClusterStatsHandler(t *testing.T) {
-	var sm ServerMetrics
-	var cm ClusterMetrics
-	cm.Failovers.Inc()
-	rec := httptest.NewRecorder()
-	ClusterStatsHandler(&sm, &cm).ServeHTTP(rec, httptest.NewRequest("GET", "/stats", nil))
-	if rec.Code != 200 {
-		t.Fatalf("status %d", rec.Code)
-	}
-	var doc struct {
-		Server  Snapshot        `json:"server"`
-		Cluster ClusterSnapshot `json:"cluster"`
-	}
-	if err := json.Unmarshal(rec.Body.Bytes(), &doc); err != nil {
-		t.Fatalf("stats not valid JSON: %v", err)
-	}
-	if doc.Cluster.Failovers != 1 {
-		t.Fatalf("failovers not visible in /stats: %+v", doc.Cluster)
 	}
 }

@@ -3,10 +3,11 @@ package metrics
 import (
 	"bytes"
 	"fmt"
-	"io"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -19,7 +20,15 @@ import (
 // counters, fixed histogram observations, and a pinned clock. Everything the
 // exposition renders is a pure function of this fixture, which is what makes
 // the golden file stable.
-func promFixture() (*ServerMetrics, *ClusterMetrics, *JobMetrics, time.Time) {
+type fixture struct {
+	sm  *ServerMetrics
+	cm  *ClusterMetrics
+	jm  *JobMetrics
+	stm *StockMetrics
+	now time.Time
+}
+
+func promFixture() fixture {
 	t0 := time.Unix(1700000000, 0)
 	sm := &ServerMetrics{}
 	sm.StartClock(t0)
@@ -78,33 +87,53 @@ func promFixture() (*ServerMetrics, *ClusterMetrics, *JobMetrics, time.Time) {
 	jm.TornTail.Inc()
 	// beta.JobNanos left empty: renders as bare +Inf/sum/count.
 
-	return sm, cm, jm, t0.Add(90 * time.Second)
+	stm := &StockMetrics{}
+	stm.Sessions.Add(3)
+	stm.HelloRejects.Inc()
+	stm.Snapshots.Add(2)
+	stm.SnapshotErrors.Inc()
+	cafe := stm.Key("cafe")
+	cafe.DepthZeros.Set(100)
+	cafe.DepthOnes.Set(8)
+	cafe.DepthRandomizers.Set(5)
+	cafe.GeneratedBits.Add(108)
+	cafe.GeneratedRandomizers.Add(5)
+	cafe.ServedBits.Add(60)
+	cafe.ServedRandomizers.Add(2)
+	cafe.ServedBatches.Add(4)
+	cafe.RefillErrors.Inc()
+	cafe.FillNanos.Observe(1_000_000)
+	cafe.FillNanos.Observe(5_000_000)
+	stm.Key("aaaa000000000000").DepthZeros.Set(40)
+	// aaaa…'s FillNanos left empty, and it sorts before "cafe" although it
+	// was created second.
+
+	return fixture{sm, cm, jm, stm, t0.Add(90 * time.Second)}
 }
 
-func renderProm(t *testing.T, sm *ServerMetrics, cm *ClusterMetrics, jm *JobMetrics, now time.Time) string {
+func renderProm(t *testing.T, f fixture) string {
 	t.Helper()
 	var b bytes.Buffer
-	if err := WriteProm(&b, sm, now); err != nil {
+	if err := WriteProm(&b, f.sm, f.now); err != nil {
 		t.Fatal(err)
 	}
-	if err := WritePromCluster(&b, cm); err != nil {
+	if err := WritePromCluster(&b, f.cm); err != nil {
 		t.Fatal(err)
 	}
-	if err := WritePromJobs(&b, jm); err != nil {
+	if err := WritePromJobs(&b, f.jm); err != nil {
+		t.Fatal(err)
+	}
+	if err := WritePromStock(&b, f.stm); err != nil {
 		t.Fatal(err)
 	}
 	return b.String()
 }
 
-// TestPromGolden pins the exact exposition bytes: metric names, types, HELP
-// strings, label escaping, bucket bounds. These are a compatibility surface
-// for dashboards and alerts — if a rename or format change is intentional,
-// regenerate with UPDATE_GOLDEN=1 and review the diff like an API change.
-func TestPromGolden(t *testing.T) {
-	sm, cm, jm, now := promFixture()
-	got := renderProm(t, sm, cm, jm, now)
-
-	path := filepath.Join("testdata", "metrics.prom")
+// checkGolden compares got with testdata/<name>, rewriting the file first
+// when UPDATE_GOLDEN is set.
+func checkGolden(t *testing.T, name, got string) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
 	if os.Getenv("UPDATE_GOLDEN") != "" {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
@@ -118,8 +147,16 @@ func TestPromGolden(t *testing.T) {
 		t.Fatalf("reading golden (regenerate with UPDATE_GOLDEN=1): %v", err)
 	}
 	if got != string(want) {
-		t.Errorf("exposition drifted from golden file.\nIf intentional: UPDATE_GOLDEN=1 go test ./internal/metrics/ and review the diff.\n--- got ---\n%s\n--- want ---\n%s", got, want)
+		t.Errorf("%s drifted from golden file.\nIf intentional: UPDATE_GOLDEN=1 go test ./internal/metrics/ and review the diff.\n--- got ---\n%s\n--- want ---\n%s", name, got, want)
 	}
+}
+
+// TestPromGolden pins the exact exposition bytes: metric names, types, HELP
+// strings, label escaping, bucket bounds. These are a compatibility surface
+// for dashboards and alerts — if a rename or format change is intentional,
+// regenerate with UPDATE_GOLDEN=1 and review the diff like an API change.
+func TestPromGolden(t *testing.T) {
+	checkGolden(t, "metrics.prom", renderProm(t, promFixture()))
 }
 
 // TestPromRoundTrip re-reads the rendered text through the shared parser and
@@ -127,8 +164,9 @@ func TestPromGolden(t *testing.T) {
 // half of the format contract: what we write must be machine-readable and
 // numerically faithful.
 func TestPromRoundTrip(t *testing.T) {
-	sm, cm, jm, now := promFixture()
-	vals, err := testutil.ParseProm(renderProm(t, sm, cm, jm, now))
+	f := promFixture()
+	sm, cm, jm := f.sm, f.cm, f.jm
+	vals, err := testutil.ParseProm(renderProm(t, f))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,6 +206,21 @@ func TestPromRoundTrip(t *testing.T) {
 		`privstats_jobs_queued{tenant="acme"}`:                                         1,
 		`privstats_jobs_queued_peak{tenant="acme"}`:                                    1,
 		`privstats_jobs_queued{tenant="beta"}`:                                         0,
+		"privstats_stock_sessions_total":                                               3,
+		"privstats_stock_hello_rejects_total":                                          1,
+		"privstats_stock_snapshots_total":                                              2,
+		"privstats_stock_snapshot_errors_total":                                        1,
+		`privstats_stock_depth{key="cafe",kind="zeros"}`:                               100,
+		`privstats_stock_depth{key="cafe",kind="ones"}`:                                8,
+		`privstats_stock_depth{key="cafe",kind="randomizers"}`:                         5,
+		`privstats_stock_depth{key="aaaa000000000000",kind="zeros"}`:                   40,
+		`privstats_stock_generated_total{key="cafe",kind="bits"}`:                      108,
+		`privstats_stock_generated_total{key="cafe",kind="randomizers"}`:               5,
+		`privstats_stock_served_total{key="cafe",kind="bits"}`:                         60,
+		`privstats_stock_served_total{key="cafe",kind="randomizers"}`:                  2,
+		`privstats_stock_served_batches_total{key="cafe"}`:                             4,
+		`privstats_stock_served_batches_total{key="aaaa000000000000"}`:                 0,
+		`privstats_stock_refill_errors_total{key="cafe"}`:                              1,
 	}
 	for k, want := range checks {
 		got, ok := vals[k]
@@ -191,6 +244,7 @@ func TestPromRoundTrip(t *testing.T) {
 		`privstats_cluster_combine_seconds@`:       &cm.CombineNanos,
 		`privstats_job_seconds@tenant="acme"`:      &jm.Tenant("acme").JobNanos,
 		`privstats_job_seconds@tenant="beta"`:      &jm.Tenant("beta").JobNanos,
+		`privstats_stock_fill_seconds@key="cafe"`:  &f.stm.Key("cafe").FillNanos,
 	} {
 		fam, label, _ := strings.Cut(name, "@")
 		_, count, sum := h.Buckets()
@@ -249,57 +303,44 @@ func parseLe(t *testing.T, s string) float64 {
 	return f
 }
 
-// TestPromHandler checks the mounted endpoint: content type and that the body
-// parses. The nil-cluster form is what a plain backend mounts.
-func TestPromHandler(t *testing.T) {
-	sm, cm, _, _ := promFixture()
+// TestExpositionCompositions serves /metrics for every family composition a
+// daemon mounts and checks the content type, that the body parses, and which
+// families are (and are not) in it.
+func TestExpositionCompositions(t *testing.T) {
+	f := promFixture()
+	const (
+		server  = `privstats_sessions_total{state="started"}`
+		cluster = "privstats_cluster_queries_total"
+		jobs    = `privstats_jobs_total{tenant="acme",state="submitted"}`
+		stock   = "privstats_stock_sessions_total"
+	)
 	for _, tc := range []struct {
 		name string
-		cm   *ClusterMetrics
-	}{{"server-only", nil}, {"with-cluster", cm}} {
+		h    http.Handler
+		want []string
+	}{
+		{"server-only (sumserver)", PromHandler(f.sm, nil), []string{server}},
+		{"server+cluster (sumproxy)", PromHandler(f.sm, f.cm), []string{server, cluster}},
+		{"cluster+jobs (sumjobd)", PromHandlerJobs(nil, f.cm, f.jm), []string{cluster, jobs}},
+		{"server+cluster+jobs", PromHandlerJobs(f.sm, f.cm, f.jm), []string{server, cluster, jobs}},
+		{"server+stock (stockd)", PromHandlerStock(f.sm, f.stm), []string{server, stock}},
+	} {
 		t.Run(tc.name, func(t *testing.T) {
 			rr := httptest.NewRecorder()
-			PromHandler(sm, tc.cm).ServeHTTP(rr, httptest.NewRequest("GET", "/metrics", nil))
+			tc.h.ServeHTTP(rr, httptest.NewRequest("GET", "/metrics", nil))
 			if ct := rr.Header().Get("Content-Type"); ct != PromContentType {
 				t.Errorf("Content-Type = %q, want %q", ct, PromContentType)
 			}
-			body, _ := io.ReadAll(rr.Body)
-			vals, err := testutil.ParseProm(string(body))
+			vals, err := testutil.ParseProm(rr.Body.String())
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, ok := vals[`privstats_sessions_total{state="started"}`]; !ok {
-				t.Error("server families missing")
-			}
-			_, hasCluster := vals["privstats_cluster_queries_total"]
-			if hasCluster != (tc.cm != nil) {
-				t.Errorf("cluster families present=%v, want %v", hasCluster, tc.cm != nil)
+			for _, k := range []string{server, cluster, jobs, stock} {
+				_, got := vals[k]
+				if want := slices.Contains(tc.want, k); got != want {
+					t.Errorf("series %q present=%v, want %v", k, got, want)
+				}
 			}
 		})
-	}
-}
-
-// TestPromHandlerJobs checks the gateway-flavored endpoint: all three metric
-// groups present and parseable.
-func TestPromHandlerJobs(t *testing.T) {
-	sm, cm, jm, _ := promFixture()
-	rr := httptest.NewRecorder()
-	PromHandlerJobs(sm, cm, jm).ServeHTTP(rr, httptest.NewRequest("GET", "/metrics", nil))
-	if ct := rr.Header().Get("Content-Type"); ct != PromContentType {
-		t.Errorf("Content-Type = %q, want %q", ct, PromContentType)
-	}
-	body, _ := io.ReadAll(rr.Body)
-	vals, err := testutil.ParseProm(string(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, k := range []string{
-		`privstats_sessions_total{state="started"}`,
-		"privstats_cluster_queries_total",
-		`privstats_jobs_total{tenant="acme",state="submitted"}`,
-	} {
-		if _, ok := vals[k]; !ok {
-			t.Errorf("series %q missing from exposition", k)
-		}
 	}
 }

@@ -1,10 +1,6 @@
 package metrics
 
 import (
-	"bytes"
-	"encoding/json"
-	"net/http/httptest"
-	"strings"
 	"testing"
 	"time"
 )
@@ -54,77 +50,5 @@ func TestStockMetricsSnapshot(t *testing.T) {
 	s = m.Snapshot()
 	if len(s.Keys) != 2 || s.Keys[0].Key != "aaaa000000000000" {
 		t.Fatalf("keys not sorted: %+v", s.Keys)
-	}
-}
-
-func TestStockMetricsHandlerEmpty(t *testing.T) {
-	var m StockMetrics
-	rec := httptest.NewRecorder()
-	m.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/stats", nil))
-	if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
-		t.Fatalf("content type %q", ct)
-	}
-	var doc struct {
-		Keys []KeyStockSnapshot `json:"keys"`
-	}
-	if err := json.Unmarshal(rec.Body.Bytes(), &doc); err != nil {
-		t.Fatal(err)
-	}
-	if doc.Keys == nil {
-		t.Error("empty registry must render keys as [], not null")
-	}
-}
-
-func TestWritePromStock(t *testing.T) {
-	var m StockMetrics
-	m.Sessions.Add(3)
-	m.HelloRejects.Inc()
-	k := m.Key("cafe")
-	k.DepthZeros.Set(100)
-	k.DepthRandomizers.Set(5)
-	k.GeneratedRandomizers.Add(5)
-	k.ServedBits.Add(60)
-	k.RefillErrors.Inc()
-	k.FillNanos.ObserveDuration(time.Millisecond)
-
-	var b bytes.Buffer
-	if err := WritePromStock(&b, &m); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	for _, want := range []string{
-		"privstats_stock_sessions_total 3",
-		"privstats_stock_hello_rejects_total 1",
-		`privstats_stock_depth{key="cafe",kind="zeros"} 100`,
-		`privstats_stock_depth{key="cafe",kind="randomizers"} 5`,
-		`privstats_stock_generated_total{key="cafe",kind="randomizers"} 5`,
-		`privstats_stock_served_total{key="cafe",kind="bits"} 60`,
-		`privstats_stock_served_batches_total{key="cafe"} 0`,
-		`privstats_stock_refill_errors_total{key="cafe"} 1`,
-		"privstats_stock_fill_seconds_count",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("exposition missing %q", want)
-		}
-	}
-}
-
-func TestPromHandlerStock(t *testing.T) {
-	var sm ServerMetrics
-	sm.SessionsStarted.Inc()
-	var stm StockMetrics
-	stm.Sessions.Inc()
-
-	rec := httptest.NewRecorder()
-	PromHandlerStock(&sm, &stm).ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
-	body := rec.Body.String()
-	if !strings.Contains(body, "privstats_sessions_total") {
-		t.Error("server families missing")
-	}
-	if !strings.Contains(body, "privstats_stock_sessions_total") {
-		t.Error("stock families missing")
-	}
-	if ct := rec.Header().Get("Content-Type"); ct != PromContentType {
-		t.Errorf("content type %q", ct)
 	}
 }
