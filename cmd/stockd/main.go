@@ -31,7 +31,6 @@ import (
 	"flag"
 	"log"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"syscall"
@@ -112,28 +111,21 @@ func main() {
 		log.Fatalf("stockd: %v", err)
 	}
 
+	stats, err := server.ListenStats(*statsAddr, server.StatsMuxConfig{
+		Stats: metrics.StatsHandler(func() any { return inv.Metrics().Snapshot() }),
+		Prom:  metrics.Registry{srv.Metrics(), inv.Metrics()},
+		Pprof: *pprofFlag,
+	})
+	if err != nil {
+		log.Fatalf("stockd: -stats-addr: %v", err)
+	}
+
 	ln, err := net.Listen("tcp", *listen)
 	if err != nil {
 		log.Fatalf("stockd: listen: %v", err)
 	}
 	log.Printf("stock daemon on %s (targets %d/%d/%d, max-keys=%d, rate=%d/s)",
 		ln.Addr(), *targetZeros, *targetOnes, *targetRand, *maxKeys, *rate)
-
-	var stats *http.Server
-	if *statsAddr != "" {
-		mux := server.StatsMux(server.StatsMuxConfig{
-			Stats: inv.Metrics().Handler(),
-			Prom:  metrics.PromHandlerStock(srv.Metrics(), inv.Metrics()),
-			Pprof: *pprofFlag,
-		})
-		stats = &http.Server{Addr: *statsAddr, Handler: mux}
-		go func() {
-			log.Printf("stats endpoint on http://%s/stats (plus /metrics)", *statsAddr)
-			if err := stats.ListenAndServe(); err != nil && err != http.ErrServerClosed {
-				log.Printf("stockd: stats endpoint: %v", err)
-			}
-		}()
-	}
 
 	// SIGHUP gets the same drain-then-persist exit as SIGINT/SIGTERM: a
 	// hangup from a dying terminal or a supervisor reload must not skip the
@@ -157,9 +149,7 @@ func main() {
 	ctx, cancel := context.WithTimeout(context.Background(), *grace)
 	defer cancel()
 	_ = srv.Shutdown(ctx)
-	if stats != nil {
-		_ = stats.Shutdown(context.Background())
-	}
+	_ = stats.Shutdown(context.Background())
 	// Stop the refillers and persist surviving stock (the whole point of a
 	// graceful exit with -state-dir).
 	if err := inv.Close(); err != nil {

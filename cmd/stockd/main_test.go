@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"privstats/internal/stock"
+	"privstats/internal/testutil"
 )
 
 func TestBuildInventoryRejectsBadConfig(t *testing.T) {
@@ -31,4 +32,8 @@ func TestBuildInventoryDefaults(t *testing.T) {
 	if err := inv.Close(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+func TestStatsAddrInUseFailsStartup(t *testing.T) {
+	testutil.RequireStatsAddrInUseFails(t, "stockd", "stock daemon on", "-listen", "127.0.0.1:0")
 }

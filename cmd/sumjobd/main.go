@@ -30,8 +30,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"strings"
@@ -255,35 +253,35 @@ func main() {
 		log.Fatal(err)
 	}
 
-	ln, err := net.Listen("tcp", *listen)
-	if err != nil {
-		log.Fatalf("sumjobd: listen: %v", err)
+	// The gateway's one HTTP listener carries /jobs and the observability
+	// endpoints alike.
+	if *listen == "" {
+		log.Fatal("sumjobd: -listen must not be empty")
 	}
-
-	mux := server.StatsMux(server.StatsMuxConfig{
-		Stats:  g.Metrics().Handler(),
-		Prom:   metrics.PromHandlerJobs(nil, client.Metrics(), g.Metrics()),
+	httpSrv, err := server.ListenStats(*listen, server.StatsMuxConfig{
+		Stats:  metrics.StatsHandler(func() any { return g.Metrics().Snapshot() }),
+		Prom:   metrics.Registry{client.Metrics(), g.Metrics()},
 		Traces: recorder,
 		Jobs:   g.Handler(),
 		Pprof:  *pprofFlag,
 	})
-	httpSrv := &http.Server{Handler: mux}
+	if err != nil {
+		log.Fatalf("sumjobd: listen: %v", err)
+	}
+	log.Printf("job gateway on http://%s/jobs (%d rows, %d slots)", httpSrv.Addr(), *rows, *slots)
 
 	sigCtx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
-	go func() {
-		<-sigCtx.Done()
-		ctx, cancel := context.WithTimeout(context.Background(), *grace)
-		defer cancel()
-		log.Printf("shutdown requested; draining up to %v", *grace)
-		if err := httpSrv.Shutdown(ctx); err != nil {
-			log.Printf("sumjobd: forced shutdown after grace period: %v", err)
-		}
-	}()
-
-	log.Printf("job gateway on http://%s/jobs (%d rows, %d slots)", ln.Addr(), *rows, *slots)
-	if err := httpSrv.Serve(ln); err != nil && err != http.ErrServerClosed {
-		log.Fatalf("sumjobd: %v", err)
+	select {
+	case <-httpSrv.Done():
+		log.Fatal("sumjobd: HTTP listener stopped")
+	case <-sigCtx.Done():
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), *grace)
+	defer cancel()
+	log.Printf("shutdown requested; draining up to %v", *grace)
+	if err := httpSrv.Shutdown(ctx); err != nil {
+		log.Printf("sumjobd: forced shutdown after grace period: %v", err)
 	}
 	g.Close()
 	if remote != nil {

@@ -69,20 +69,6 @@ func buildAggregator(shardsSpec string, ccfg cluster.ClientConfig, acfg cluster.
 	return shards, client, agg, nil
 }
 
-// bindStats binds the metrics address up front, so a typo'd or already-bound
-// -stats-addr fails startup with a clear error instead of a log line from a
-// goroutine minutes later. Empty addr means the endpoint is off (nil, nil).
-func bindStats(addr string) (net.Listener, error) {
-	if addr == "" {
-		return nil, nil
-	}
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("sumproxy: cannot bind -stats-addr %s: %w", addr, err)
-	}
-	return ln, nil
-}
-
 func main() {
 	listen := flag.String("listen", ":7000", "address to accept client sessions on")
 	shardsSpec := flag.String("shards", "", "shard map: 'lo-hi=primary[|replica...];...' covering [0,n) (required)")
@@ -140,9 +126,19 @@ func main() {
 		log.Fatalf("sumproxy: %v", err)
 	}
 
-	statsLn, err := bindStats(*statsAddr)
+	stats, err := server.ListenStats(*statsAddr, server.StatsMuxConfig{
+		Stats: metrics.StatsHandler(func() any {
+			return metrics.ProxySnapshot{Server: srv.Metrics().Snapshot(time.Now()), Cluster: client.Metrics().Snapshot()}
+		}),
+		Prom:   metrics.Registry{srv.Metrics(), client.Metrics()},
+		Traces: recorder,
+		Pprof:  *pprofFlag,
+		Admin: map[string]http.Handler{
+			"/reshard": reshardHandler(agg.Epochs(), client.Metrics()),
+		},
+	})
 	if err != nil {
-		log.Fatal(err)
+		log.Fatalf("sumproxy: -stats-addr: %v", err)
 	}
 
 	ln, err := net.Listen("tcp", *listen)
@@ -151,26 +147,6 @@ func main() {
 	}
 	log.Printf("aggregating %d rows over %d shards on %s", shards.Rows(), shards.Len(), ln.Addr())
 	log.Printf("shard map: %s", shards)
-
-	var stats *http.Server
-	if statsLn != nil {
-		mux := server.StatsMux(server.StatsMuxConfig{
-			Stats:  metrics.ClusterStatsHandler(srv.Metrics(), client.Metrics()),
-			Prom:   metrics.PromHandler(srv.Metrics(), client.Metrics()),
-			Traces: recorder,
-			Pprof:  *pprofFlag,
-			Admin: map[string]http.Handler{
-				"/reshard": reshardHandler(agg.Epochs(), client.Metrics()),
-			},
-		})
-		stats = &http.Server{Handler: mux}
-		go func() {
-			log.Printf("stats endpoint on http://%s/stats (plus /metrics)", statsLn.Addr())
-			if err := stats.Serve(statsLn); err != nil && err != http.ErrServerClosed {
-				log.Printf("sumproxy: stats endpoint: %v", err)
-			}
-		}()
-	}
 
 	sigCtx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
@@ -191,8 +167,6 @@ func main() {
 	ctx, cancel := context.WithTimeout(context.Background(), *grace)
 	defer cancel()
 	_ = srv.Shutdown(ctx)
-	if stats != nil {
-		_ = stats.Shutdown(context.Background())
-	}
+	_ = stats.Shutdown(context.Background())
 	log.Printf("final: %s", srv.Metrics().Summary())
 }

@@ -2,11 +2,11 @@ package main
 
 import (
 	"errors"
-	"net"
 	"strings"
 	"testing"
 
 	"privstats/internal/cluster"
+	"privstats/internal/testutil"
 )
 
 func TestBuildAggregatorEmptySpec(t *testing.T) {
@@ -58,36 +58,6 @@ func TestBuildAggregatorRejectsBadSpecs(t *testing.T) {
 	}
 }
 
-func TestBindStatsOff(t *testing.T) {
-	ln, err := bindStats("")
-	if err != nil || ln != nil {
-		t.Fatalf("empty addr: ln=%v err=%v", ln, err)
-	}
-}
-
-func TestBindStatsUnreachable(t *testing.T) {
-	// A hostname that cannot resolve must fail at startup, not later.
-	if _, err := bindStats("no-such-host.invalid:0"); err == nil {
-		t.Fatal("bind on unresolvable host should fail")
-	}
-	// An already-bound port must also fail immediately.
-	taken, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer taken.Close()
-	if _, err := bindStats(taken.Addr().String()); err == nil {
-		t.Fatal("bind on taken port should fail")
-	}
-}
-
-func TestBindStatsOK(t *testing.T) {
-	ln, err := bindStats("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	if ln.Addr().String() == "" {
-		t.Error("no bound address")
-	}
+func TestStatsAddrInUseFailsStartup(t *testing.T) {
+	testutil.RequireStatsAddrInUseFails(t, "sumproxy", "aggregating 16 rows", "-listen", "127.0.0.1:0", "-shards", "0-16=127.0.0.1:1")
 }

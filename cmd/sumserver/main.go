@@ -24,7 +24,6 @@ import (
 	"fmt"
 	"log"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"strconv"
@@ -129,28 +128,21 @@ func main() {
 		log.Fatalf("sumserver: %v", err)
 	}
 
+	stats, err := server.ListenStats(*statsAddr, server.StatsMuxConfig{
+		Stats:  metrics.StatsHandler(func() any { return srv.Metrics().Snapshot(time.Now()) }),
+		Prom:   metrics.Registry{srv.Metrics()},
+		Traces: recorder,
+		Pprof:  *pprofFlag,
+	})
+	if err != nil {
+		log.Fatalf("sumserver: -stats-addr: %v", err)
+	}
+
 	ln, err := net.Listen("tcp", *listen)
 	if err != nil {
 		log.Fatalf("sumserver: listen: %v", err)
 	}
 	log.Printf("serving %d rows on %s (throttle=%q, max-sessions=%d)", src.Len(), ln.Addr(), *throttle, *maxSessions)
-
-	var stats *http.Server
-	if *statsAddr != "" {
-		mux := server.StatsMux(server.StatsMuxConfig{
-			Stats:  srv.Metrics().Handler(),
-			Prom:   metrics.PromHandler(srv.Metrics(), nil),
-			Traces: recorder,
-			Pprof:  *pprofFlag,
-		})
-		stats = &http.Server{Addr: *statsAddr, Handler: mux}
-		go func() {
-			log.Printf("stats endpoint on http://%s/stats (plus /metrics)", *statsAddr)
-			if err := stats.ListenAndServe(); err != nil && err != http.ErrServerClosed {
-				log.Printf("sumserver: stats endpoint: %v", err)
-			}
-		}()
-	}
 
 	// SIGINT/SIGTERM begin a graceful drain bounded by -grace.
 	sigCtx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -174,9 +166,7 @@ func main() {
 	ctx, cancel := context.WithTimeout(context.Background(), *grace)
 	defer cancel()
 	_ = srv.Shutdown(ctx)
-	if stats != nil {
-		_ = stats.Shutdown(context.Background())
-	}
+	_ = stats.Shutdown(context.Background())
 	log.Printf("final: %s", srv.Metrics().Summary())
 }
 

@@ -5,6 +5,8 @@ import (
 	"net"
 	"path/filepath"
 	"testing"
+
+	"privstats/internal/testutil"
 )
 
 func TestLoadTableGenerate(t *testing.T) {
@@ -65,4 +67,8 @@ func TestWrapConnThrottles(t *testing.T) {
 	if _, err := wrapConn(a, "carrier-pigeon"); err == nil {
 		t.Error("unknown throttle should fail")
 	}
+}
+
+func TestStatsAddrInUseFailsStartup(t *testing.T) {
+	testutil.RequireStatsAddrInUseFails(t, "sumserver", "serving 16 rows", "-listen", "127.0.0.1:0", "-generate", "16")
 }

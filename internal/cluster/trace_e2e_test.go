@@ -185,13 +185,15 @@ func TestTracePropagationEndToEnd(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	prr := httptest.NewRecorder()
-	metrics.PromHandler(srv.Metrics(), aggClient.Metrics()).ServeHTTP(prr, httptest.NewRequest("GET", "/metrics", nil))
+	metrics.Registry{srv.Metrics(), aggClient.Metrics()}.ServeHTTP(prr, httptest.NewRequest("GET", "/metrics", nil))
 	vals, err := testutil.ParseProm(prr.Body.String())
 	if err != nil {
 		t.Fatalf("scrape does not parse: %v", err)
 	}
 	srr := httptest.NewRecorder()
-	metrics.ClusterStatsHandler(srv.Metrics(), aggClient.Metrics()).ServeHTTP(srr, httptest.NewRequest("GET", "/stats", nil))
+	metrics.StatsHandler(func() any {
+		return metrics.ProxySnapshot{Server: srv.Metrics().Snapshot(time.Now()), Cluster: aggClient.Metrics().Snapshot()}
+	}).ServeHTTP(srr, httptest.NewRequest("GET", "/stats", nil))
 	var stats struct {
 		Server struct {
 			Sessions struct {

@@ -1,13 +1,5 @@
 package metrics
 
-import (
-	"encoding/json"
-	"net/http"
-	"sort"
-	"sync"
-	"time"
-)
-
 // Cluster-layer metrics: the aggregator fans each client session out to
 // sharded backends through the retrying cluster client, and these are the
 // counters that make that path operable — how often backends failed, how
@@ -66,23 +58,37 @@ type ClusterMetrics struct {
 	// phase.
 	CombineNanos Histogram
 
-	mu       sync.Mutex
-	backends map[string]*BackendMetrics
+	backends children[BackendMetrics]
 }
 
 // Backend returns (allocating on first use) the metrics bucket for addr.
-func (m *ClusterMetrics) Backend(addr string) *BackendMetrics {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.backends == nil {
-		m.backends = make(map[string]*BackendMetrics)
-	}
-	b := m.backends[addr]
-	if b == nil {
-		b = &BackendMetrics{}
-		m.backends[addr] = b
-	}
-	return b
+func (m *ClusterMetrics) Backend(addr string) *BackendMetrics { return m.backends.get(addr) }
+
+// Describe declares the fan-out path's series; the per-backend ones are
+// grouped by series, each in address order.
+func (m *ClusterMetrics) Describe(d *Desc) {
+	d.Counter("privstats_cluster_queries_total", "Logical fan-out queries.").Sample(m.Queries.Value())
+	d.Counter("privstats_cluster_retries_total", "Extra attempts on the same backend after a failure.").Sample(m.Retries.Value())
+	d.Counter("privstats_cluster_failovers_total", "Switches to a replica backend of the same shard.").Sample(m.Failovers.Value())
+	d.Counter("privstats_cluster_shard_failures_total", "Shards that exhausted every candidate backend.").Sample(m.ShardFailures.Value())
+	d.Counter("privstats_cluster_hedged_dials_total", "Secondary dials launched past the dial hedge delay.").Sample(m.HedgedDials.Value())
+	d.Counter("privstats_cluster_shard_hedges_total", "Hedged shard re-dispatches against stragglers.").Sample(m.ShardHedges.Value())
+	d.Counter("privstats_cluster_shard_hedge_wins_total", "Shard hedges that delivered the partial sum first.").Sample(m.ShardHedgeWins.Value())
+	d.Counter("privstats_cluster_corrupt_frames_total", "Frame CRC failures observed or reported by peers.").Sample(m.CorruptFrames.Value())
+	d.Counter("privstats_cluster_reshards_total", "Completed shard-map cut-overs.").Sample(m.Reshards.Value())
+	d.Gauge("privstats_cluster_shardmap_epoch", "Shard-map epoch most recently served.").Sample(m.Epoch.Value())
+	d.Histogram("privstats_cluster_combine_seconds", "Homomorphic combine + rerandomize time per query.").Sample(&m.CombineNanos)
+
+	sessions := d.Counter("privstats_cluster_backend_sessions_total", "Shard sessions attempted per backend.", "backend")
+	errs := d.Counter("privstats_cluster_backend_errors_total", "Failed shard attempts per backend.", "backend")
+	busy := d.Counter("privstats_cluster_backend_busy_total", "Busy (admission-control) rejections per backend.", "backend")
+	fanout := d.Histogram("privstats_cluster_backend_fanout_seconds", "Complete shard session latency per backend, successes only.", "backend")
+	m.backends.each(func(addr string, b *BackendMetrics) {
+		sessions.Sample(b.Sessions.Value(), addr)
+		errs.Sample(b.Errors.Value(), addr)
+		busy.Sample(b.Busy.Value(), addr)
+		fanout.Sample(&b.FanoutNanos, addr)
+	})
 }
 
 // BackendSnapshot is the JSON form of one backend's counters.
@@ -125,46 +131,20 @@ func (m *ClusterMetrics) Snapshot() ClusterSnapshot {
 		CombineNanos:   m.CombineNanos.Snapshot(),
 		Backends:       make(map[string]BackendSnapshot),
 	}
-	m.mu.Lock()
-	addrs := make([]string, 0, len(m.backends))
-	for a := range m.backends {
-		addrs = append(addrs, a)
-	}
-	sort.Strings(addrs)
-	buckets := make([]*BackendMetrics, len(addrs))
-	for i, a := range addrs {
-		buckets[i] = m.backends[a]
-	}
-	m.mu.Unlock()
-	for i, a := range addrs {
-		b := buckets[i]
-		s.Backends[a] = BackendSnapshot{
+	m.backends.each(func(addr string, b *BackendMetrics) {
+		s.Backends[addr] = BackendSnapshot{
 			Sessions:    b.Sessions.Value(),
 			Errors:      b.Errors.Value(),
 			Busy:        b.Busy.Value(),
 			FanoutNanos: b.FanoutNanos.Snapshot(),
 		}
-	}
+	})
 	return s
 }
 
-// combinedSnapshot is the /stats document of a cluster daemon: the hosting
-// server runtime's counters plus the fan-out path's.
-type combinedSnapshot struct {
+// ProxySnapshot is the /stats document of a cluster daemon (cmd/sumproxy):
+// the hosting server runtime's counters plus the fan-out path's.
+type ProxySnapshot struct {
 	Server  Snapshot        `json:"server"`
 	Cluster ClusterSnapshot `json:"cluster"`
-}
-
-// ClusterStatsHandler serves the merged server+cluster JSON snapshot —
-// what cmd/sumproxy mounts at /stats.
-func ClusterStatsHandler(sm *ServerMetrics, cm *ClusterMetrics) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		doc := combinedSnapshot{Server: sm.Snapshot(time.Now()), Cluster: cm.Snapshot()}
-		if err := enc.Encode(doc); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
-	})
 }

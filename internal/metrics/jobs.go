@@ -1,16 +1,5 @@
 package metrics
 
-import (
-	"bytes"
-	"encoding/json"
-	"fmt"
-	"io"
-	"net/http"
-	"sort"
-	"sync"
-	"time"
-)
-
 // Job-gateway metrics: one bundle of counters per tenant, so quota and
 // fair-share policy decisions stay attributable. Tenant names are operator
 // configuration (never analyst-supplied), so the label cardinality is
@@ -33,7 +22,7 @@ type TenantJobs struct {
 	JobNanos Histogram
 }
 
-// JobMetrics is the per-tenant registry. The zero value is ready to use.
+// JobMetrics is the gateway's family. The zero value is ready to use.
 type JobMetrics struct {
 	// Crash-recovery counters, gateway-wide (startup is before any tenant
 	// attribution exists): jobs rebuilt from the store journal, journal
@@ -42,39 +31,32 @@ type JobMetrics struct {
 	ReplayedBytes Counter
 	TornTail      Counter
 
-	mu      sync.Mutex
-	tenants map[string]*TenantJobs
+	tenants children[TenantJobs]
 }
 
 // Tenant returns (creating on first use) the named tenant's counters.
-func (m *JobMetrics) Tenant(name string) *TenantJobs {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.tenants == nil {
-		m.tenants = make(map[string]*TenantJobs)
-	}
-	t := m.tenants[name]
-	if t == nil {
-		t = &TenantJobs{}
-		m.tenants[name] = t
-	}
-	return t
-}
+func (m *JobMetrics) Tenant(name string) *TenantJobs { return m.tenants.get(name) }
 
-// sorted returns the tenants in stable name order for rendering.
-func (m *JobMetrics) sorted() (names []string, rows []*TenantJobs) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	names = make([]string, 0, len(m.tenants))
-	for n := range m.tenants {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	rows = make([]*TenantJobs, len(names))
-	for i, n := range names {
-		rows[i] = m.tenants[n]
-	}
-	return names, rows
+// Describe declares the gateway's series; the per-tenant ones list tenants
+// in name order, each tenant's job states together.
+func (m *JobMetrics) Describe(d *Desc) {
+	total := d.Counter("privstats_jobs_total", "Jobs per tenant by outcome; submitted = admitted + rejected.", "tenant", "state")
+	queued := d.Gauge("privstats_jobs_queued", "Admitted jobs waiting for or holding an execution slot.", "tenant")
+	peak := d.Gauge("privstats_jobs_queued_peak", "High-water mark of queued jobs per tenant.", "tenant")
+	seconds := d.Histogram("privstats_job_seconds", "Admitted-to-finished job latency per tenant.", "tenant")
+	m.tenants.each(func(name string, t *TenantJobs) {
+		total.Sample(t.Submitted.Value(), name, "submitted")
+		total.Sample(t.Admitted.Value(), name, "admitted")
+		total.Sample(t.Rejected.Value(), name, "rejected")
+		total.Sample(t.Completed.Value(), name, "completed")
+		total.Sample(t.Failed.Value(), name, "failed")
+		queued.Sample(t.Queued.Value(), name)
+		peak.Sample(t.Queued.Max(), name)
+		seconds.Sample(&t.JobNanos, name)
+	})
+	d.Counter("privstats_jobs_recovered_total", "Jobs rebuilt from the store journal at startup.").Sample(m.Recovered.Value())
+	d.Counter("privstats_jobs_replayed_bytes", "Store journal bytes replayed at startup.").Sample(m.ReplayedBytes.Value())
+	d.Counter("privstats_jobs_torn_tail_total", "Torn or corrupt journal tails dropped during replay.").Sample(m.TornTail.Value())
 }
 
 // TenantSnapshot is one tenant's row in the JSON jobs document.
@@ -91,14 +73,17 @@ type TenantSnapshot struct {
 	JobP99Milli float64 `json:"job_p99_ms"`
 }
 
+// JobsSnapshot is the JSON document the gateway's /stats serves.
+type JobsSnapshot struct {
+	Tenants []TenantSnapshot `json:"tenants"`
+}
+
 // Snapshot returns every tenant's counters in name order.
-func (m *JobMetrics) Snapshot() []TenantSnapshot {
-	names, rows := m.sorted()
-	out := make([]TenantSnapshot, len(names))
-	for i, t := range rows {
+func (m *JobMetrics) Snapshot() JobsSnapshot {
+	return JobsSnapshot{Tenants: rows(&m.tenants, func(name string, t *TenantJobs) TenantSnapshot {
 		h := t.JobNanos.Snapshot()
-		out[i] = TenantSnapshot{
-			Tenant:      names[i],
+		return TenantSnapshot{
+			Tenant:      name,
 			Submitted:   t.Submitted.Value(),
 			Admitted:    t.Admitted.Value(),
 			Rejected:    t.Rejected.Value(),
@@ -109,92 +94,5 @@ func (m *JobMetrics) Snapshot() []TenantSnapshot {
 			JobP50Milli: float64(h.P50) / 1e6,
 			JobP99Milli: float64(h.P99) / 1e6,
 		}
-	}
-	return out
-}
-
-// Handler serves the per-tenant job counters as JSON (the gateway's
-// /stats/jobs document).
-func (m *JobMetrics) Handler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		doc := struct {
-			Tenants []TenantSnapshot `json:"tenants"`
-		}{Tenants: m.Snapshot()}
-		if doc.Tenants == nil {
-			doc.Tenants = []TenantSnapshot{}
-		}
-		_ = enc.Encode(doc)
-	})
-}
-
-// WritePromJobs renders the per-tenant job families in exposition format,
-// appended after WriteProm on the gateway's /metrics.
-func WritePromJobs(w io.Writer, m *JobMetrics) error {
-	var b bytes.Buffer
-	names, rows := m.sorted()
-
-	promHeader(&b, "privstats_jobs_total", "counter", "Jobs per tenant by outcome; submitted = admitted + rejected.")
-	for i, n := range names {
-		t := rows[i]
-		for _, s := range []struct {
-			state string
-			v     int64
-		}{
-			{"submitted", t.Submitted.Value()},
-			{"admitted", t.Admitted.Value()},
-			{"rejected", t.Rejected.Value()},
-			{"completed", t.Completed.Value()},
-			{"failed", t.Failed.Value()},
-		} {
-			fmt.Fprintf(&b, "privstats_jobs_total{tenant=\"%s\",state=\"%s\"} %d\n", promEscape(n), s.state, s.v)
-		}
-	}
-
-	promHeader(&b, "privstats_jobs_queued", "gauge", "Admitted jobs waiting for or holding an execution slot.")
-	for i, n := range names {
-		fmt.Fprintf(&b, "privstats_jobs_queued{tenant=\"%s\"} %d\n", promEscape(n), rows[i].Queued.Value())
-	}
-	promHeader(&b, "privstats_jobs_queued_peak", "gauge", "High-water mark of queued jobs per tenant.")
-	for i, n := range names {
-		fmt.Fprintf(&b, "privstats_jobs_queued_peak{tenant=\"%s\"} %d\n", promEscape(n), rows[i].Queued.Max())
-	}
-
-	promHeader(&b, "privstats_job_seconds", "histogram", "Admitted-to-finished job latency per tenant.")
-	for i, n := range names {
-		writePromHist(&b, "privstats_job_seconds", `tenant="`+promEscape(n)+`",`, &rows[i].JobNanos)
-	}
-
-	promHeader(&b, "privstats_jobs_recovered_total", "counter", "Jobs rebuilt from the store journal at startup.")
-	fmt.Fprintf(&b, "privstats_jobs_recovered_total %d\n", m.Recovered.Value())
-	promHeader(&b, "privstats_jobs_replayed_bytes", "counter", "Store journal bytes replayed at startup.")
-	fmt.Fprintf(&b, "privstats_jobs_replayed_bytes %d\n", m.ReplayedBytes.Value())
-	promHeader(&b, "privstats_jobs_torn_tail_total", "counter", "Torn or corrupt journal tails dropped during replay.")
-	fmt.Fprintf(&b, "privstats_jobs_torn_tail_total %d\n", m.TornTail.Value())
-
-	_, err := w.Write(b.Bytes())
-	return err
-}
-
-// PromHandlerJobs serves /metrics for a job gateway: the server families
-// (when sm is non-nil), then the cluster families (when cm is non-nil), then
-// the per-tenant job families (when jm is non-nil). PromHandler stays as-is
-// for daemons without a job layer.
-func PromHandlerJobs(sm *ServerMetrics, cm *ClusterMetrics, jm *JobMetrics) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", PromContentType)
-		var b bytes.Buffer
-		if sm != nil {
-			_ = WriteProm(&b, sm, time.Now())
-		}
-		if cm != nil {
-			_ = WritePromCluster(&b, cm)
-		}
-		if jm != nil {
-			_ = WritePromJobs(&b, jm)
-		}
-		_, _ = w.Write(b.Bytes())
-	})
+	})}
 }

@@ -1,6 +1,7 @@
 // Package metrics provides the lightweight observability substrate for the
-// server runtime: lock-free counters and gauges, streaming histograms with
-// exponential buckets, and a JSON snapshot the -stats-addr endpoint serves.
+// daemons: lock-free counters and gauges, streaming histograms with
+// exponential buckets, and one registry (registry.go) through which every
+// family of them reaches the /metrics and /stats endpoints.
 //
 // The package deliberately has no external dependencies — the ROADMAP's
 // production target is a pure-stdlib system — and every primitive is safe
@@ -11,11 +12,9 @@
 package metrics
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 	"math/bits"
-	"net/http"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -111,6 +110,16 @@ func (h *Histogram) Observe(v int64) {
 
 // ObserveDuration records a duration in nanoseconds.
 func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(int64(d)) }
+
+// Buckets returns the raw power-of-two buckets with the total count and sum,
+// for renderers that need the distribution rather than the interpolated
+// quantile summary. Bucket 0 holds exactly the zero observations; bucket i>0
+// holds v in [2^(i-1), 2^i).
+func (h *Histogram) Buckets() (buckets [histBuckets]int64, count, sum int64) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.buckets, h.count, h.sum
+}
 
 // HistogramSnapshot is a point-in-time summary of a Histogram.
 type HistogramSnapshot struct {
@@ -227,7 +236,38 @@ func (m *ServerMetrics) StartClock(now time.Time) {
 	m.start.Do(func() { m.since.Store(now.UnixNano()) })
 }
 
-// Snapshot is the JSON document the /stats endpoint serves. The schema is
+// uptime is the seconds from StartClock to now; 0 before the clock started.
+func (m *ServerMetrics) uptime(now time.Time) float64 {
+	since := m.since.Load()
+	if since == 0 {
+		return 0
+	}
+	return now.Sub(time.Unix(0, since)).Seconds()
+}
+
+// Describe declares the server runtime's series.
+func (m *ServerMetrics) Describe(d *Desc) {
+	d.Gauge("privstats_uptime_seconds", "Seconds since the server runtime started.").Sample(m.uptime(d.Now))
+	d.Counter("privstats_sessions_total", "Sessions by terminal state; started = completed + failed + active.", "state").
+		Sample(m.SessionsStarted.Value(), "started").
+		Sample(m.SessionsCompleted.Value(), "completed").
+		Sample(m.SessionsFailed.Value(), "failed").
+		Sample(m.SessionsRejected.Value(), "rejected")
+	d.Gauge("privstats_active_sessions", "Sessions currently in flight.").Sample(m.ActiveSessions.Value())
+	d.Gauge("privstats_active_sessions_peak", "High-water mark of concurrent sessions.").Sample(m.ActiveSessions.Max())
+	d.Counter("privstats_transport_bytes_total", "Wire bytes over finished sessions, by direction.", "direction").
+		Sample(m.BytesIn.Value(), "in").
+		Sample(m.BytesOut.Value(), "out")
+	d.Counter("privstats_accept_errors_total", "Transient accept failures survived via backoff.").Sample(m.AcceptErrors.Value())
+	d.Counter("privstats_session_panics_total", "Sessions that panicked (isolated, counted failed).").Sample(m.SessionPanics.Value())
+	d.Histogram("privstats_phase_seconds", "Server-side compute time per protocol phase.", "phase").
+		Sample(&m.HelloNanos, "hello").
+		Sample(&m.AbsorbNanos, "absorb").
+		Sample(&m.FinalizeNanos, "finalize").
+		Sample(&m.SessionNanos, "session")
+}
+
+// Snapshot is the JSON document sumserver's /stats serves. The schema is
 // documented in DESIGN.md §8.
 type Snapshot struct {
 	UptimeSeconds float64 `json:"uptime_seconds"`
@@ -251,9 +291,7 @@ type Snapshot struct {
 // Snapshot captures the current state of every metric.
 func (m *ServerMetrics) Snapshot(now time.Time) Snapshot {
 	var s Snapshot
-	if since := m.since.Load(); since != 0 {
-		s.UptimeSeconds = now.Sub(time.Unix(0, since)).Seconds()
-	}
+	s.UptimeSeconds = m.uptime(now)
 	s.Sessions.Started = m.SessionsStarted.Value()
 	s.Sessions.Completed = m.SessionsCompleted.Value()
 	s.Sessions.Failed = m.SessionsFailed.Value()
@@ -284,17 +322,4 @@ func (m *ServerMetrics) Summary() string {
 		m.BytesIn.Value(), m.BytesOut.Value(),
 		time.Duration(sess.P50), time.Duration(sess.P99),
 	)
-}
-
-// Handler returns an http.Handler serving the JSON snapshot. Mounted by
-// cmd/sumserver at /stats when -stats-addr is set.
-func (m *ServerMetrics) Handler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(m.Snapshot(time.Now())); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
-	})
 }

@@ -111,19 +111,12 @@ func promFixture() fixture {
 	return fixture{sm, cm, jm, stm, t0.Add(90 * time.Second)}
 }
 
+func (f fixture) registry() Registry { return Registry{f.sm, f.cm, f.jm, f.stm} }
+
 func renderProm(t *testing.T, f fixture) string {
 	t.Helper()
 	var b bytes.Buffer
-	if err := WriteProm(&b, f.sm, f.now); err != nil {
-		t.Fatal(err)
-	}
-	if err := WritePromCluster(&b, f.cm); err != nil {
-		t.Fatal(err)
-	}
-	if err := WritePromJobs(&b, f.jm); err != nil {
-		t.Fatal(err)
-	}
-	if err := WritePromStock(&b, f.stm); err != nil {
+	if err := f.registry().WriteText(&b, f.now); err != nil {
 		t.Fatal(err)
 	}
 	return b.String()
@@ -319,11 +312,11 @@ func TestExpositionCompositions(t *testing.T) {
 		h    http.Handler
 		want []string
 	}{
-		{"server-only (sumserver)", PromHandler(f.sm, nil), []string{server}},
-		{"server+cluster (sumproxy)", PromHandler(f.sm, f.cm), []string{server, cluster}},
-		{"cluster+jobs (sumjobd)", PromHandlerJobs(nil, f.cm, f.jm), []string{cluster, jobs}},
-		{"server+cluster+jobs", PromHandlerJobs(f.sm, f.cm, f.jm), []string{server, cluster, jobs}},
-		{"server+stock (stockd)", PromHandlerStock(f.sm, f.stm), []string{server, stock}},
+		{"server-only (sumserver)", Registry{f.sm}, []string{server}},
+		{"server+cluster (sumproxy)", Registry{f.sm, f.cm}, []string{server, cluster}},
+		{"cluster+jobs (sumjobd)", Registry{f.cm, f.jm}, []string{cluster, jobs}},
+		{"server+cluster+jobs", Registry{f.sm, f.cm, f.jm}, []string{server, cluster, jobs}},
+		{"server+stock (stockd)", Registry{f.sm, f.stm}, []string{server, stock}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			rr := httptest.NewRecorder()

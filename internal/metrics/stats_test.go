@@ -4,12 +4,8 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
-	"regexp"
 	"testing"
 )
-
-// uptimeLine matches the one clock-dependent line of a /stats document.
-var uptimeLine = regexp.MustCompile(`"uptime_seconds": [^,\n]+`)
 
 // TestStatsGolden pins every daemon's /stats JSON document byte for byte —
 // key names, nesting, order, indentation, the trailing newline, and that an
@@ -20,18 +16,18 @@ func TestStatsGolden(t *testing.T) {
 	f := promFixture()
 	for _, tc := range []struct {
 		golden string
-		h      http.Handler
+		doc    func() any
 	}{
-		{"stats_server.json", f.sm.Handler()},
-		{"stats_proxy.json", ClusterStatsHandler(f.sm, f.cm)},
-		{"stats_jobs.json", f.jm.Handler()},
-		{"stats_jobs_empty.json", (&JobMetrics{}).Handler()},
-		{"stats_stock.json", f.stm.Handler()},
-		{"stats_stock_empty.json", (&StockMetrics{}).Handler()},
+		{"stats_server.json", func() any { return f.sm.Snapshot(f.now) }},
+		{"stats_proxy.json", func() any { return ProxySnapshot{f.sm.Snapshot(f.now), f.cm.Snapshot()} }},
+		{"stats_jobs.json", func() any { return f.jm.Snapshot() }},
+		{"stats_jobs_empty.json", func() any { return (&JobMetrics{}).Snapshot() }},
+		{"stats_stock.json", func() any { return f.stm.Snapshot() }},
+		{"stats_stock_empty.json", func() any { return (&StockMetrics{}).Snapshot() }},
 	} {
 		t.Run(tc.golden, func(t *testing.T) {
 			rr := httptest.NewRecorder()
-			tc.h.ServeHTTP(rr, httptest.NewRequest("GET", "/stats", nil))
+			StatsHandler(tc.doc).ServeHTTP(rr, httptest.NewRequest("GET", "/stats", nil))
 			if rr.Code != http.StatusOK {
 				t.Fatalf("status = %d", rr.Code)
 			}
@@ -41,10 +37,7 @@ func TestStatsGolden(t *testing.T) {
 			if !json.Valid(rr.Body.Bytes()) {
 				t.Fatalf("body is not valid JSON:\n%s", rr.Body)
 			}
-			// The handlers read the wall clock; pin the fixture's (90 s of
-			// uptime) so the document is a pure function of the fixture.
-			got := uptimeLine.ReplaceAllString(rr.Body.String(), `"uptime_seconds": 90`)
-			checkGolden(t, tc.golden, got)
+			checkGolden(t, tc.golden, rr.Body.String())
 		})
 	}
 }

@@ -1,16 +1,5 @@
 package metrics
 
-import (
-	"bytes"
-	"encoding/json"
-	"fmt"
-	"io"
-	"net/http"
-	"sort"
-	"sync"
-	"time"
-)
-
 // Stock-daemon metrics: one bundle of depth gauges and flow counters per
 // public-key inventory, so an operator can see at a glance whether the
 // refillers are keeping every key's stock above its clients' draw rate — the
@@ -47,10 +36,9 @@ type KeyStockMetrics struct {
 	FillNanos Histogram
 }
 
-// StockMetrics is the per-key registry. The zero value is ready to use.
+// StockMetrics is the stock daemon's family. The zero value is ready to use.
 type StockMetrics struct {
-	mu   sync.Mutex
-	keys map[string]*KeyStockMetrics
+	keys children[KeyStockMetrics]
 
 	// Sessions counts stock-protocol sessions served; HelloRejects counts
 	// sessions refused at the hello (bad key, inventory cap).
@@ -65,34 +53,34 @@ type StockMetrics struct {
 
 // Key returns (creating on first use) the named key's bundle. name is the
 // short fingerprint prefix the daemon labels inventories with.
-func (m *StockMetrics) Key(name string) *KeyStockMetrics {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.keys == nil {
-		m.keys = make(map[string]*KeyStockMetrics)
-	}
-	k := m.keys[name]
-	if k == nil {
-		k = &KeyStockMetrics{}
-		m.keys[name] = k
-	}
-	return k
-}
+func (m *StockMetrics) Key(name string) *KeyStockMetrics { return m.keys.get(name) }
 
-// sorted returns the keys in stable name order for rendering.
-func (m *StockMetrics) sorted() (names []string, rows []*KeyStockMetrics) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	names = make([]string, 0, len(m.keys))
-	for n := range m.keys {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	rows = make([]*KeyStockMetrics, len(names))
-	for i, n := range names {
-		rows[i] = m.keys[n]
-	}
-	return names, rows
+// Describe declares the stock daemon's series; the per-key ones list keys in
+// name order, each key's kinds together.
+func (m *StockMetrics) Describe(d *Desc) {
+	d.Counter("privstats_stock_sessions_total", "Stock protocol sessions served.").Sample(m.Sessions.Value())
+	d.Counter("privstats_stock_hello_rejects_total", "Stock sessions refused at the hello (bad key, inventory cap).").Sample(m.HelloRejects.Value())
+	d.Counter("privstats_stock_snapshots_total", "Crash-safe inventory snapshots written.").Sample(m.Snapshots.Value())
+	d.Counter("privstats_stock_snapshot_errors_total", "Inventory snapshot passes that failed.").Sample(m.SnapshotErrors.Value())
+
+	depth := d.Gauge("privstats_stock_depth", "Current inventory depth per key and kind.", "key", "kind")
+	generated := d.Counter("privstats_stock_generated_total", "Items produced by the background refillers (fill rate).", "key", "kind")
+	served := d.Counter("privstats_stock_served_total", "Items shipped to clients (draw rate).", "key", "kind")
+	batches := d.Counter("privstats_stock_served_batches_total", "Batch replies per key, including short and empty ones.", "key")
+	refillErrs := d.Counter("privstats_stock_refill_errors_total", "Background generation passes that failed.", "key")
+	fill := d.Histogram("privstats_stock_fill_seconds", "Refill-pass latency per key.", "key")
+	m.keys.each(func(name string, k *KeyStockMetrics) {
+		depth.Sample(k.DepthZeros.Value(), name, "zeros")
+		depth.Sample(k.DepthOnes.Value(), name, "ones")
+		depth.Sample(k.DepthRandomizers.Value(), name, "randomizers")
+		generated.Sample(k.GeneratedBits.Value(), name, "bits")
+		generated.Sample(k.GeneratedRandomizers.Value(), name, "randomizers")
+		served.Sample(k.ServedBits.Value(), name, "bits")
+		served.Sample(k.ServedRandomizers.Value(), name, "randomizers")
+		batches.Sample(k.ServedBatches.Value(), name)
+		refillErrs.Sample(k.RefillErrors.Value(), name)
+		fill.Sample(&k.FillNanos, name)
+	})
 }
 
 // KeyStockSnapshot is one key's row in the JSON stock document.
@@ -122,121 +110,27 @@ type StockSnapshot struct {
 
 // Snapshot returns every key's counters in name order.
 func (m *StockMetrics) Snapshot() StockSnapshot {
-	names, rows := m.sorted()
-	s := StockSnapshot{
+	return StockSnapshot{
 		Sessions:       m.Sessions.Value(),
 		HelloRejects:   m.HelloRejects.Value(),
 		Snapshots:      m.Snapshots.Value(),
 		SnapshotErrors: m.SnapshotErrors.Value(),
-		Keys:           make([]KeyStockSnapshot, len(names)),
+		Keys: rows(&m.keys, func(name string, k *KeyStockMetrics) KeyStockSnapshot {
+			h := k.FillNanos.Snapshot()
+			return KeyStockSnapshot{
+				Key:                  name,
+				DepthZeros:           k.DepthZeros.Value(),
+				DepthOnes:            k.DepthOnes.Value(),
+				DepthRandomizers:     k.DepthRandomizers.Value(),
+				GeneratedBits:        k.GeneratedBits.Value(),
+				GeneratedRandomizers: k.GeneratedRandomizers.Value(),
+				ServedBits:           k.ServedBits.Value(),
+				ServedRandomizers:    k.ServedRandomizers.Value(),
+				ServedBatches:        k.ServedBatches.Value(),
+				RefillErrors:         k.RefillErrors.Value(),
+				FillP50Milli:         float64(h.P50) / 1e6,
+				FillP99Milli:         float64(h.P99) / 1e6,
+			}
+		}),
 	}
-	for i, k := range rows {
-		h := k.FillNanos.Snapshot()
-		s.Keys[i] = KeyStockSnapshot{
-			Key:                  names[i],
-			DepthZeros:           k.DepthZeros.Value(),
-			DepthOnes:            k.DepthOnes.Value(),
-			DepthRandomizers:     k.DepthRandomizers.Value(),
-			GeneratedBits:        k.GeneratedBits.Value(),
-			GeneratedRandomizers: k.GeneratedRandomizers.Value(),
-			ServedBits:           k.ServedBits.Value(),
-			ServedRandomizers:    k.ServedRandomizers.Value(),
-			ServedBatches:        k.ServedBatches.Value(),
-			RefillErrors:         k.RefillErrors.Value(),
-			FillP50Milli:         float64(h.P50) / 1e6,
-			FillP99Milli:         float64(h.P99) / 1e6,
-		}
-	}
-	return s
-}
-
-// Handler serves the per-key stock counters as JSON (the daemon's /stats
-// document).
-func (m *StockMetrics) Handler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		doc := m.Snapshot()
-		if doc.Keys == nil {
-			doc.Keys = []KeyStockSnapshot{}
-		}
-		_ = enc.Encode(doc)
-	})
-}
-
-// WritePromStock renders the stock-daemon families in exposition format,
-// appended after WriteProm on the daemon's /metrics.
-func WritePromStock(w io.Writer, m *StockMetrics) error {
-	var b bytes.Buffer
-	names, rows := m.sorted()
-
-	promHeader(&b, "privstats_stock_sessions_total", "counter", "Stock protocol sessions served.")
-	fmt.Fprintf(&b, "privstats_stock_sessions_total %d\n", m.Sessions.Value())
-	promHeader(&b, "privstats_stock_hello_rejects_total", "counter", "Stock sessions refused at the hello (bad key, inventory cap).")
-	fmt.Fprintf(&b, "privstats_stock_hello_rejects_total %d\n", m.HelloRejects.Value())
-	promHeader(&b, "privstats_stock_snapshots_total", "counter", "Crash-safe inventory snapshots written.")
-	fmt.Fprintf(&b, "privstats_stock_snapshots_total %d\n", m.Snapshots.Value())
-	promHeader(&b, "privstats_stock_snapshot_errors_total", "counter", "Inventory snapshot passes that failed.")
-	fmt.Fprintf(&b, "privstats_stock_snapshot_errors_total %d\n", m.SnapshotErrors.Value())
-
-	promHeader(&b, "privstats_stock_depth", "gauge", "Current inventory depth per key and kind.")
-	for i, n := range names {
-		k := rows[i]
-		for _, d := range []struct {
-			kind string
-			v    int64
-		}{
-			{"zeros", k.DepthZeros.Value()},
-			{"ones", k.DepthOnes.Value()},
-			{"randomizers", k.DepthRandomizers.Value()},
-		} {
-			fmt.Fprintf(&b, "privstats_stock_depth{key=\"%s\",kind=\"%s\"} %d\n", promEscape(n), d.kind, d.v)
-		}
-	}
-
-	promHeader(&b, "privstats_stock_generated_total", "counter", "Items produced by the background refillers (fill rate).")
-	for i, n := range names {
-		k := rows[i]
-		fmt.Fprintf(&b, "privstats_stock_generated_total{key=\"%s\",kind=\"bits\"} %d\n", promEscape(n), k.GeneratedBits.Value())
-		fmt.Fprintf(&b, "privstats_stock_generated_total{key=\"%s\",kind=\"randomizers\"} %d\n", promEscape(n), k.GeneratedRandomizers.Value())
-	}
-	promHeader(&b, "privstats_stock_served_total", "counter", "Items shipped to clients (draw rate).")
-	for i, n := range names {
-		k := rows[i]
-		fmt.Fprintf(&b, "privstats_stock_served_total{key=\"%s\",kind=\"bits\"} %d\n", promEscape(n), k.ServedBits.Value())
-		fmt.Fprintf(&b, "privstats_stock_served_total{key=\"%s\",kind=\"randomizers\"} %d\n", promEscape(n), k.ServedRandomizers.Value())
-	}
-	promHeader(&b, "privstats_stock_served_batches_total", "counter", "Batch replies per key, including short and empty ones.")
-	for i, n := range names {
-		fmt.Fprintf(&b, "privstats_stock_served_batches_total{key=\"%s\"} %d\n", promEscape(n), rows[i].ServedBatches.Value())
-	}
-	promHeader(&b, "privstats_stock_refill_errors_total", "counter", "Background generation passes that failed.")
-	for i, n := range names {
-		fmt.Fprintf(&b, "privstats_stock_refill_errors_total{key=\"%s\"} %d\n", promEscape(n), rows[i].RefillErrors.Value())
-	}
-
-	promHeader(&b, "privstats_stock_fill_seconds", "histogram", "Refill-pass latency per key.")
-	for i, n := range names {
-		writePromHist(&b, "privstats_stock_fill_seconds", `key="`+promEscape(n)+`",`, &rows[i].FillNanos)
-	}
-
-	_, err := w.Write(b.Bytes())
-	return err
-}
-
-// PromHandlerStock serves /metrics for a stock daemon: the server runtime
-// families (when sm is non-nil) followed by the stock families.
-func PromHandlerStock(sm *ServerMetrics, stm *StockMetrics) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", PromContentType)
-		var b bytes.Buffer
-		if sm != nil {
-			_ = WriteProm(&b, sm, time.Now())
-		}
-		if stm != nil {
-			_ = WritePromStock(&b, stm)
-		}
-		_, _ = w.Write(b.Bytes())
-	})
 }

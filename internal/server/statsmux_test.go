@@ -1,9 +1,13 @@
 package server
 
 import (
+	"context"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"testing"
+	"time"
 
 	"privstats/internal/metrics"
 	"privstats/internal/trace"
@@ -19,8 +23,8 @@ func TestStatsMuxMounts(t *testing.T) {
 		w.Header().Set("X-Jobs-Path", r.URL.Path)
 	})
 	full := StatsMux(StatsMuxConfig{
-		Stats:  sm.Handler(),
-		Prom:   metrics.PromHandler(sm, nil),
+		Stats:  metrics.StatsHandler(func() any { return sm.Snapshot(time.Now()) }),
+		Prom:   metrics.Registry{sm},
 		Traces: trace.NewRecorder(4),
 		Jobs:   jobs,
 		Pprof:  true,
@@ -66,5 +70,55 @@ func TestStatsMuxMounts(t *testing.T) {
 		if got := rr.Header().Get("X-Jobs-Path"); got != want {
 			t.Errorf("GET %s reached jobs handler with path %q, want %q", path, got, want)
 		}
+	}
+}
+
+// TestListenStats pins the bind-before-serve contract every daemon's
+// -stats-addr relies on: off when empty, a start-up error (not a background
+// log line) when the address cannot be bound, and a live endpoint on the
+// resolved address otherwise, until Shutdown.
+func TestListenStats(t *testing.T) {
+	if s, err := ListenStats("", StatsMuxConfig{}); s != nil || err != nil {
+		t.Fatalf("empty addr: server=%v err=%v, want off", s, err)
+	}
+	if err := (*StatsServer)(nil).Shutdown(context.Background()); err != nil {
+		t.Errorf("Shutdown of an off endpoint: %v", err)
+	}
+
+	if _, err := ListenStats("no-such-host.invalid:0", StatsMuxConfig{}); err == nil {
+		t.Error("bind on an unresolvable host should fail")
+	}
+	taken, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer taken.Close()
+	if _, err := ListenStats(taken.Addr().String(), StatsMuxConfig{}); err == nil {
+		t.Error("bind on a taken port should fail")
+	}
+
+	s, err := ListenStats("127.0.0.1:0", StatsMuxConfig{Prom: metrics.Registry{&metrics.ServerMetrics{}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Get("http://" + s.Addr().String() + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _ = io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("GET /metrics = %d", resp.StatusCode)
+	}
+	if err := s.Shutdown(context.Background()); err != nil {
+		t.Errorf("Shutdown: %v", err)
+	}
+	select {
+	case <-s.Done():
+	default:
+		t.Error("Done not closed after Shutdown")
+	}
+	if _, err := http.Get("http://" + s.Addr().String() + "/metrics"); err == nil {
+		t.Error("endpoint still answering after Shutdown")
 	}
 }

@@ -3,10 +3,12 @@ package testutil
 import (
 	"bytes"
 	"fmt"
+	"net"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"strings"
 	"sync"
 	"syscall"
 	"testing"
@@ -118,6 +120,32 @@ func StartDaemon(t testing.TB, bin string, args ...string) *Daemon {
 		}
 	})
 	return d
+}
+
+// RequireStatsAddrInUseFails runs the real ./cmd/<name> binary with args plus
+// a -stats-addr that another listener already owns. The daemon must exit
+// non-zero naming the flag and the cause, and must not have logged
+// listeningLog (the line it prints once its session listener is open): a bad
+// stats address is a start-up error, not a log line from a daemon that then
+// serves on blind.
+func RequireStatsAddrInUseFails(t *testing.T, name, listeningLog string, args ...string) {
+	t.Helper()
+	taken, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("testutil: occupying a port: %v", err)
+	}
+	defer taken.Close()
+	d := StartDaemon(t, BuildBinary(t, name), append(args, "-stats-addr", taken.Addr().String())...)
+	if err := d.Wait(30 * time.Second); err == nil {
+		t.Fatalf("%s exited 0 with an unbindable -stats-addr\n%s", name, d.Output())
+	}
+	out := d.Output()
+	if !strings.Contains(out, name+": -stats-addr:") || !strings.Contains(out, "address already in use") {
+		t.Errorf("start-up error does not name the flag and the cause:\n%s", out)
+	}
+	if strings.Contains(out, listeningLog) {
+		t.Errorf("session listener opened before the stats address was bound:\n%s", out)
+	}
 }
 
 // Output returns everything the process has written so far.
