@@ -16,10 +16,6 @@ import (
 	"privstats/internal/testutil"
 )
 
-// promFixture builds metrics with fully deterministic contents: fixed
-// counters, fixed histogram observations, and a pinned clock. Everything the
-// exposition renders is a pure function of this fixture, which is what makes
-// the golden file stable.
 type fixture struct {
 	sm  *ServerMetrics
 	cm  *ClusterMetrics
@@ -28,6 +24,10 @@ type fixture struct {
 	now time.Time
 }
 
+// promFixture builds metrics with fully deterministic contents: fixed
+// counters, fixed histogram observations, and a pinned clock. Everything the
+// exposition and the /stats documents render is a pure function of this
+// fixture, which is what makes the golden files stable.
 func promFixture() fixture {
 	t0 := time.Unix(1700000000, 0)
 	sm := &ServerMetrics{}

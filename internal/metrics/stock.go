@@ -38,8 +38,6 @@ type KeyStockMetrics struct {
 
 // StockMetrics is the stock daemon's family. The zero value is ready to use.
 type StockMetrics struct {
-	keys children[KeyStockMetrics]
-
 	// Sessions counts stock-protocol sessions served; HelloRejects counts
 	// sessions refused at the hello (bad key, inventory cap).
 	Sessions     Counter
@@ -49,6 +47,8 @@ type StockMetrics struct {
 	// drain-triggered SaveAll passes); SnapshotErrors the ones that failed.
 	Snapshots      Counter
 	SnapshotErrors Counter
+
+	keys children[KeyStockMetrics]
 }
 
 // Key returns (creating on first use) the named key's bundle. name is the
