@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench-build fmt vet check chaos chaos-restart fuzz-smoke bench-fold bench-client cluster-demo colstore-demo cover
+.PHONY: all build test race bench-build bench-ab fmt vet check chaos chaos-restart fuzz-smoke bench-fold bench-client cluster-demo colstore-demo cover
 
 all: build
 
@@ -20,10 +20,11 @@ test:
 # transport, the framed wire layer (its Conn carries cross-goroutine meter
 # and trace state), the job gateway (fair-share scheduler + worker
 # goroutines), the durability layer (journal append vs. compaction), the
-# column store (streaming ingest vs. concurrent block reads), and the metrics
-# registry (scrapes vs. child creation and counter bumps).
+# column store (streaming ingest vs. concurrent block reads), the metrics
+# registry (scrapes vs. child creation and counter bumps), and Paillier (one
+# public key's N² reducer and pooled scratch under concurrent Add/AddPlain).
 race:
-	$(GO) test -race ./internal/server/ ./internal/selectedsum/ ./internal/cluster/ ./internal/faultnet/ ./internal/wire/ ./internal/jobs/ ./internal/stock/ ./internal/durable/ ./internal/colstore/ ./internal/metrics/
+	$(GO) test -race ./internal/server/ ./internal/selectedsum/ ./internal/cluster/ ./internal/faultnet/ ./internal/wire/ ./internal/jobs/ ./internal/stock/ ./internal/durable/ ./internal/colstore/ ./internal/metrics/ ./internal/paillier/
 
 # benchmark/ is a nested module that `go build ./...` never compiles, yet it
 # reads metric fields and accessors by name: vet it and compile its tests here
@@ -33,6 +34,16 @@ race:
 # runs it).
 bench-build:
 	cd benchmark && $(GO) vet ./... && $(GO) test -run '^$$' ./...
+
+# Interleaved A/B ledger: PAIRS (default 10) alternating pairs of the
+# benchmark on BASE and on HEAD, per-metric medians, quartiles, paired wins
+# and verdicts, written to BENCH_<PR>.json. `make bench-ab BASE=<ref>
+# [WORKLOADS="pooled-sharded small-sessions"]`; PAIRS, SEED, PR and OUT pass
+# through the environment (see scripts/bench_ab.sh). About 15 minutes per
+# workload at the defaults.
+bench-ab:
+	@test -n "$(BASE)" || { echo "usage: make bench-ab BASE=<ref> [WORKLOADS=...]"; exit 2; }
+	bash scripts/bench_ab.sh $(BASE) $(WORKLOADS)
 
 fmt:
 	@out=$$(gofmt -l .); \
@@ -72,7 +83,9 @@ fuzz-smoke:
 	done; \
 	$(GO) test -fuzz='^FuzzParseShardMapSpec$$' -fuzztime=$(FUZZTIME) ./internal/cluster/; \
 	$(GO) test -fuzz='^FuzzReadTable$$' -fuzztime=$(FUZZTIME) ./internal/database/; \
-	$(GO) test -run '^$$' -fuzz='^FuzzMultiExpAccEquivalence$$' -fuzztime=$(FUZZTIME) ./internal/mathx/; \
+	for t in FuzzMultiExpAccEquivalence FuzzReducerEquivalence; do \
+		$(GO) test -run '^$$' -fuzz="^$$t$$" -fuzztime=$(FUZZTIME) ./internal/mathx/; \
+	done; \
 	for t in FuzzParseCiphertext FuzzPrivateKeyUnmarshal FuzzReadBitStore FuzzEncryptCRTEquivalence; do \
 		$(GO) test -fuzz="^$$t$$" -fuzztime=$(FUZZTIME) ./internal/paillier/; \
 	done; \

@@ -266,6 +266,15 @@ func (c Config) Fig6() ([]ComponentRow, error) {
 	return c.runComponents(netsim.LongDistance, true, false, "fig6")
 }
 
+// fig4Options are the two protocol variants Figure 4 compares.
+func (c Config) fig4Options(batched bool) selectedsum.Options {
+	opts := selectedsum.Options{Link: netsim.ShortDistance}
+	if batched {
+		opts.ChunkSize, opts.Pipelined = c.ChunkSize, true
+	}
+	return opts
+}
+
 // Fig4 reproduces Figure 4: overall runtime with and without batching of
 // the index vector (batch size ChunkSize), short distance.
 func (c Config) Fig4() ([]ComparisonRow, error) {
@@ -282,13 +291,11 @@ func (c Config) Fig4() ([]ComparisonRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		plain, err := selectedsum.Run(sk, table, sel, selectedsum.Options{Link: netsim.ShortDistance})
+		plain, err := selectedsum.Run(sk, table, sel, c.fig4Options(false))
 		if err != nil {
 			return nil, err
 		}
-		batched, err := selectedsum.Run(sk, table, sel, selectedsum.Options{
-			Link: netsim.ShortDistance, ChunkSize: c.ChunkSize, Pipelined: true,
-		})
+		batched, err := selectedsum.Run(sk, table, sel, c.fig4Options(true))
 		if err != nil {
 			return nil, err
 		}

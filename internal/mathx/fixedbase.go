@@ -17,7 +17,7 @@ import (
 // the table replaces ~768 multiplications of square-and-multiply with ~86
 // table multiplications.
 type FixedBaseExp struct {
-	m       *big.Int
+	red     *Reducer
 	window  uint
 	maxBits int
 	// table[i][d] = g^(d << (window*i)) mod m for d in [0, 2^window).
@@ -28,8 +28,9 @@ type FixedBaseExp struct {
 // maxBits bits using the given window width (1..16; 6 is a good default for
 // 512-1024 bit exponents).
 func NewFixedBaseExp(base, m *big.Int, maxBits int, window uint) (*FixedBaseExp, error) {
-	if m == nil || m.Sign() <= 0 {
-		return nil, ErrBadModulus
+	red, err := NewReducer(m)
+	if err != nil {
+		return nil, err
 	}
 	if window < 1 || window > 16 {
 		return nil, fmt.Errorf("mathx: fixed-base window must be in [1,16], got %d", window)
@@ -40,31 +41,27 @@ func NewFixedBaseExp(base, m *big.Int, maxBits int, window uint) (*FixedBaseExp,
 	digits := (maxBits + int(window) - 1) / int(window)
 	radix := 1 << window
 	f := &FixedBaseExp{
-		m:       new(big.Int).Set(m),
+		red:     red,
 		window:  window,
 		maxBits: maxBits,
 		table:   make([][]*big.Int, digits),
 	}
+	s := GetScratch()
+	defer PutScratch(s)
 	// g_i = base^(2^(w·i)); row i holds g_i^d for all digits d.
 	gi := new(big.Int).Mod(base, m)
 	for i := 0; i < digits; i++ {
 		row := make([]*big.Int, radix)
 		row[0] = big.NewInt(1)
-		acc := big.NewInt(1)
-		for d := 1; d < radix; d++ {
-			acc = new(big.Int).Mul(acc, gi)
-			acc.Mod(acc, m)
-			row[d] = acc
-			acc = new(big.Int).Set(acc)
+		row[1] = new(big.Int).Set(gi)
+		for d := 2; d < radix; d++ {
+			row[d] = red.Mul(new(big.Int), row[d-1], gi, s)
 		}
 		f.table[i] = row
 		// Advance g_{i+1} = g_i^(2^w).
-		next := new(big.Int).Set(gi)
-		for s := uint(0); s < window; s++ {
-			next.Mul(next, next)
-			next.Mod(next, m)
+		for k := uint(0); k < window; k++ {
+			red.Mul(gi, gi, gi, s)
 		}
-		gi = next
 	}
 	return f, nil
 }
@@ -82,6 +79,8 @@ func (f *FixedBaseExp) Exp(e *big.Int) (*big.Int, error) {
 		return nil, fmt.Errorf("mathx: exponent has %d bits, table supports %d", e.BitLen(), f.maxBits)
 	}
 	result := big.NewInt(1)
+	s := GetScratch()
+	defer PutScratch(s)
 	mask := uint64(1<<f.window - 1)
 	// Walk the exponent window by window from the least significant end;
 	// row i already encodes the 2^(w·i) shift, so the product of the
@@ -93,8 +92,7 @@ func (f *FixedBaseExp) Exp(e *big.Int) (*big.Int, error) {
 		if d == 0 {
 			continue
 		}
-		result.Mul(result, f.table[i][d])
-		result.Mod(result, f.m)
+		f.red.Mul(result, result, f.table[i][d], s)
 	}
 	return result, nil
 }

@@ -192,3 +192,26 @@ func TestFixedBaseExpConcurrent(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestFixedBaseExpAllocatesOnlyTheResult: the window steps run on the
+// reducer with pooled scratch, so an exponentiation allocates its result (a
+// header that is grown once) and nothing per digit. The bound leaves room for
+// a scratch the pool dropped (a GC cycle; at random under -race), which costs
+// its three buffers once.
+func TestFixedBaseExpAllocatesOnlyTheResult(t *testing.T) {
+	m := new(big.Int).Lsh(One, 1024)
+	m.Sub(m, big.NewInt(105))
+	f, err := NewFixedBaseExp(big.NewInt(0xA5A5A5), m, 512, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := new(big.Int).Lsh(One, 512)
+	e.Sub(e, One) // every one of the 86 digits non-zero
+	if allocs := testing.AllocsPerRun(50, func() {
+		if _, err := f.Exp(e); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs > 8 {
+		t.Errorf("Exp allocates %v times for 86 window steps, want at most 8", allocs)
+	}
+}

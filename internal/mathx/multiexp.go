@@ -31,23 +31,19 @@ const MaxMultiExpWindow = 16
 // buckets fall out of cache and a wider window stops paying.
 const maxFoldStateBytes = 4 << 20
 
-// modMul multiplies modulo one fixed modulus into scratch it owns, so the
-// steady state allocates nothing: big.Int.Mod allocates a quotient per call
-// and Mul a product whenever the destination aliases an operand.
+// modMul is one goroutine's multiplier modulo a fixed modulus: the shared
+// Reducer plus scratch of its own, so the steady state allocates nothing and
+// takes no pool round trip per row.
 type modMul struct {
-	m       *big.Int
-	t, q, r big.Int
-	muls    int // multiplications performed; tests read it
+	red  *Reducer
+	s    Scratch
+	muls int // multiplications performed; tests read it
 }
 
 // mul sets z = x·y mod m. x and y must be reduced; z may alias either.
 func (c *modMul) mul(z, x, y *big.Int) {
 	c.muls++
-	c.t.Mul(x, y)
-	// The remainder lands in scratch and is copied out: QuoRem sizes its
-	// remainder for the dividend, which would double every bucket.
-	c.q.QuoRem(&c.t, c.m, &c.r)
-	z.Set(&c.r)
+	c.red.Mul(z, x, y, &c.s)
 }
 
 // MultiExpAcc accumulates Π base^exp mod m over rows added one at a time.
@@ -63,20 +59,27 @@ type MultiExpAcc struct {
 	reduced big.Int // a base outside [0, m), reduced
 }
 
+// NewMultiExpAcc returns an accumulator mod m for about expectedRows rows;
+// see Reducer.NewMultiExpAcc, which callers holding a Reducer use instead.
+func NewMultiExpAcc(m *big.Int, expectedRows int) (*MultiExpAcc, error) {
+	red, err := NewReducer(m)
+	if err != nil {
+		return nil, err
+	}
+	return red.NewMultiExpAcc(expectedRows), nil
+}
+
 // NewMultiExpAcc returns an accumulator for about expectedRows rows. The
 // window width follows the cost model of PickMultiExpWindow for full 64-bit
 // exponents (the optimum barely moves with the exponent length) and is
 // capped so the bucket state stays within 4 MiB for any row count.
-func NewMultiExpAcc(m *big.Int, expectedRows int) (*MultiExpAcc, error) {
-	if m == nil || m.Sign() <= 0 {
-		return nil, ErrBadModulus
-	}
-	return newMultiExpAcc(m, autoWindow(m, expectedRows, 64)), nil
+func (r *Reducer) NewMultiExpAcc(expectedRows int) *MultiExpAcc {
+	return r.newAcc(autoWindow(r.m, expectedRows, 64))
 }
 
-func newMultiExpAcc(m *big.Int, w uint) *MultiExpAcc {
+func (r *Reducer) newAcc(w uint) *MultiExpAcc {
 	return &MultiExpAcc{
-		mm:      modMul{m: m},
+		mm:      modMul{red: r},
 		w:       w,
 		windows: make([][]*big.Int, (64+w-1)/w),
 	}
@@ -88,8 +91,8 @@ func (a *MultiExpAcc) Add(base *big.Int, exp uint64) {
 	if exp == 0 {
 		return
 	}
-	if base.Sign() < 0 || base.Cmp(a.mm.m) >= 0 {
-		base = a.reduced.Mod(base, a.mm.m)
+	if m := a.mm.red.m; base.Sign() < 0 || base.Cmp(m) >= 0 {
+		base = a.reduced.Mod(base, m)
 	}
 	mask := uint64(1)<<a.w - 1
 	for j := 0; exp != 0; j, exp = j+1, exp>>a.w {
@@ -159,7 +162,7 @@ func (a *MultiExpAcc) Result() *big.Int {
 	}
 	if !haveResult {
 		// Nothing but zero exponents: the empty product, 1 mod m.
-		return result.Mod(One, a.mm.m)
+		return result.Mod(One, mm.red.m)
 	}
 	return result
 }
@@ -255,8 +258,12 @@ func MultiExpParallel(bases []*big.Int, exps []uint64, m *big.Int, window uint, 
 	if window == 0 {
 		window = autoWindow(m, count/workers, maxBits)
 	}
+	red, err := NewReducer(m)
+	if err != nil {
+		return nil, err
+	}
 	fold := func(lo, hi int) *big.Int {
-		acc := newMultiExpAcc(m, window)
+		acc := red.newAcc(window)
 		for i := lo; i < hi; i++ {
 			acc.Add(bases[i], exps[i])
 		}
@@ -275,7 +282,7 @@ func MultiExpParallel(bases []*big.Int, exps []uint64, m *big.Int, window uint, 
 		}(k)
 	}
 	wg.Wait()
-	mm := modMul{m: m}
+	mm := modMul{red: red}
 	for _, p := range partials[1:] {
 		mm.mul(partials[0], partials[0], p)
 	}

@@ -1,29 +1,21 @@
 package mathx
 
-import (
-	"math/big"
-	"sync"
-)
+import "sync"
 
-// scratchPool recycles big.Int values for the hot arithmetic paths. A
-// Paillier encryption's intermediate product grows to four times the key
-// size before reduction; without recycling, every encryption reallocates
-// that buffer, which dominates allocation churn at high session counts.
-var scratchPool = sync.Pool{New: func() any { return new(big.Int) }}
+// scratchPool recycles the working storage of Reducer.Mul for callers that
+// do not own a Scratch of their own — a public key shared by every session.
+// The pre-reduction product of a Paillier operation spans four key widths;
+// without recycling, every ciphertext addition and every pooled encryption
+// reallocates that buffer, which dominates allocation churn at high session
+// counts.
+var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}
 
-// GetScratch returns a big.Int for temporary use. The value carries
-// whatever magnitude its previous user left; callers must fully overwrite
-// it (Set, Mul into it, …) before reading.
-func GetScratch() *big.Int {
-	return scratchPool.Get().(*big.Int)
+// GetScratch returns a Scratch for temporary use.
+func GetScratch() *Scratch {
+	return scratchPool.Get().(*Scratch)
 }
 
-// PutScratch returns x to the pool. The caller must not retain any
-// reference to x (or aliases of its backing storage) after the call;
-// long-lived results should be copied out with new(big.Int).Set first.
-func PutScratch(x *big.Int) {
-	if x == nil {
-		return
-	}
-	scratchPool.Put(x)
+// PutScratch returns s to the pool. The caller must not use s afterwards.
+func PutScratch(s *Scratch) {
+	scratchPool.Put(s)
 }

@@ -66,9 +66,11 @@ func (pk *PublicKey) UnmarshalBinary(data []byte) error {
 	if n.BitLen() < MinModulusBits {
 		return fmt.Errorf("paillier: unmarshaled modulus too small (%d bits)", n.BitLen())
 	}
-	pk.N = n
-	pk.NSquared = new(big.Int).Mul(n, n)
-	pk.byteLen = (pk.NSquared.BitLen() + 7) / 8
+	fresh, err := newPublicKey(n)
+	if err != nil {
+		return err
+	}
+	*pk = fresh
 	return nil
 }
 

@@ -20,9 +20,7 @@ func (pk *PublicKey) Add(a, b *Ciphertext) (*Ciphertext, error) {
 	if err := pk.checkCiphertext(b); err != nil {
 		return nil, err
 	}
-	c := new(big.Int).Mul(a.c, b.c)
-	c.Mod(c, pk.NSquared)
-	return &Ciphertext{c: c, byteLen: pk.byteLen}, nil
+	return &Ciphertext{c: pk.mulN2(new(big.Int), a.c, b.c), byteLen: pk.byteLen}, nil
 }
 
 // AddPlain returns an encryption of m(ct)+k (mod N) without decrypting:
@@ -35,11 +33,9 @@ func (pk *PublicKey) AddPlain(ct *Ciphertext, k *big.Int) (*Ciphertext, error) {
 		return nil, errors.New("paillier: nil scalar")
 	}
 	km := new(big.Int).Mod(k, pk.N) // accept any integer, reduce into Z_N
-	gk := new(big.Int).Mul(km, pk.N)
+	gk := km.Mul(km, pk.N)
 	gk.Add(gk, mathx.One)
-	c := gk.Mul(gk, ct.c)
-	c.Mod(c, pk.NSquared)
-	return &Ciphertext{c: c, byteLen: pk.byteLen}, nil
+	return &Ciphertext{c: pk.mulN2(gk, gk, ct.c), byteLen: pk.byteLen}, nil
 }
 
 // ScalarMul returns an encryption of k·m(ct) (mod N): ct^k mod N².
@@ -100,7 +96,9 @@ func (pk *PublicKey) WeightedSum(cts []*Ciphertext, weights []*big.Int) (*Cipher
 		return nil, fmt.Errorf("paillier: %d ciphertexts vs %d weights", len(cts), len(weights))
 	}
 	acc := new(big.Int).Set(mathx.One) // E(0; r=1); rerandomized by the folds
-	tmp := new(big.Int)
+	tmp, term := new(big.Int), new(big.Int)
+	red, s := pk.reducer(), mathx.GetScratch()
+	defer mathx.PutScratch(s)
 	for i, ct := range cts {
 		if err := pk.checkCiphertext(ct); err != nil {
 			return nil, fmt.Errorf("paillier: ciphertext %d: %w", i, err)
@@ -113,9 +111,7 @@ func (pk *PublicKey) WeightedSum(cts []*Ciphertext, weights []*big.Int) (*Cipher
 			continue
 		}
 		wm := tmp.Mod(w, pk.N)
-		p := new(big.Int).Exp(ct.c, wm, pk.NSquared)
-		acc.Mul(acc, p)
-		acc.Mod(acc, pk.NSquared)
+		red.Mul(acc, acc, term.Exp(ct.c, wm, pk.NSquared), s)
 	}
 	return &Ciphertext{c: acc, byteLen: pk.byteLen}, nil
 }
@@ -137,9 +133,9 @@ type Fold struct {
 // columns.
 func (pk *PublicKey) NewFold(rows, columns int) *Fold {
 	f := &Fold{pk: pk, accs: make([]*mathx.MultiExpAcc, columns)}
+	red := pk.reducer()
 	for c := range f.accs {
-		// N² is a valid modulus for any constructed key.
-		f.accs[c], _ = mathx.NewMultiExpAcc(pk.NSquared, rows)
+		f.accs[c] = red.NewMultiExpAcc(rows)
 	}
 	return f
 }

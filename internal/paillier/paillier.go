@@ -49,6 +49,9 @@ type PublicKey struct {
 	NSquared *big.Int
 
 	byteLen int // ceil(bits(N²)/8), fixed wire width of a ciphertext
+	// n2 multiplies mod N² without dividing. Keys from KeyGen or an
+	// Unmarshal carry it; see reducer for the others.
+	n2 *mathx.Reducer
 }
 
 // PrivateKey holds the Paillier private parameters along with the
@@ -98,7 +101,10 @@ func KeyGen(r io.Reader, modulusBits int) (*PrivateKey, error) {
 // newPrivateKey derives all cached values from the prime factors.
 func newPrivateKey(p, q *big.Int) (*PrivateKey, error) {
 	n := new(big.Int).Mul(p, q)
-	n2 := new(big.Int).Mul(n, n)
+	pub, err := newPublicKey(n)
+	if err != nil {
+		return nil, err
+	}
 
 	pm1 := new(big.Int).Sub(p, mathx.One)
 	qm1 := new(big.Int).Sub(q, mathx.One)
@@ -124,23 +130,19 @@ func newPrivateKey(p, q *big.Int) (*PrivateKey, error) {
 	}
 
 	priv := &PrivateKey{
-		PublicKey: PublicKey{
-			N:        n,
-			NSquared: n2,
-			byteLen:  (n2.BitLen() + 7) / 8,
-		},
-		P:        p,
-		Q:        q,
-		Lambda:   lambda,
-		Mu:       mu,
-		pSquared: pSquared,
-		qSquared: qSquared,
-		pMinus1:  pm1,
-		qMinus1:  qm1,
-		crt:      crt,
-		crt2:     crt2,
-		nModPOrd: new(big.Int).Mod(n, new(big.Int).Mul(p, pm1)),
-		nModQOrd: new(big.Int).Mod(n, new(big.Int).Mul(q, qm1)),
+		PublicKey: pub,
+		P:         p,
+		Q:         q,
+		Lambda:    lambda,
+		Mu:        mu,
+		pSquared:  pSquared,
+		qSquared:  qSquared,
+		pMinus1:   pm1,
+		qMinus1:   qm1,
+		crt:       crt,
+		crt2:      crt2,
+		nModPOrd:  new(big.Int).Mod(n, new(big.Int).Mul(p, pm1)),
+		nModQOrd:  new(big.Int).Mod(n, new(big.Int).Mul(q, qm1)),
 	}
 
 	// h_x = L_x((n+1)^(x-1) mod x²)^-1 mod x. With g = n+1,
@@ -156,6 +158,36 @@ func newPrivateKey(p, q *big.Int) (*PrivateKey, error) {
 	}
 	priv.hp, priv.hq = hp, hq
 	return priv, nil
+}
+
+// newPublicKey derives the cached values of the public key with modulus n.
+func newPublicKey(n *big.Int) (PublicKey, error) {
+	n2 := new(big.Int).Mul(n, n)
+	red, err := mathx.NewReducer(n2)
+	if err != nil {
+		return PublicKey{}, fmt.Errorf("paillier: modulus: %w", err)
+	}
+	return PublicKey{N: n, NSquared: n2, byteLen: (n2.BitLen() + 7) / 8, n2: red}, nil
+}
+
+// reducer returns the N² kernel. A key built as a literal has none cached and
+// pays for a fresh one on every call.
+func (pk *PublicKey) reducer() *mathx.Reducer {
+	if pk.n2 != nil {
+		return pk.n2
+	}
+	red, _ := mathx.NewReducer(pk.NSquared) // N² > 0, or no operand passed validation against it
+	return red
+}
+
+// mulN2 sets z = x·y mod N² for x, y in [0, N²) and returns z, which may
+// alias either operand. It is safe for concurrent use: the reducer is
+// immutable and the working storage is drawn from a pool per call.
+func (pk *PublicKey) mulN2(z, x, y *big.Int) *big.Int {
+	s := mathx.GetScratch()
+	pk.reducer().Mul(z, x, y, s)
+	mathx.PutScratch(s)
+	return z
 }
 
 // decryptionConstant returns L_x(g^(x-1) mod x²)^-1 mod x for g = n+1.
@@ -262,20 +294,14 @@ func (pk *PublicKey) EncryptWithRandomizer(m, rn *big.Int) (*Ciphertext, error) 
 	return pk.assembleCiphertext(m, rn), nil
 }
 
-// assembleCiphertext computes (1 + m·N)·rn mod N². The pre-reduction
-// product spans up to four key widths; it is built in pooled scratch so the
-// wide buffer is recycled across encryptions instead of reallocated, and
-// only the reduced result is copied into the (immutable, long-lived)
-// ciphertext.
+// assembleCiphertext computes (1 + m·N)·rn mod N² for m in [0, N) and rn in
+// [0, N²). The pre-reduction product spans four key widths; it lives in the
+// kernel's pooled scratch, and only the reduced result lands in the
+// (immutable, long-lived) ciphertext.
 func (pk *PublicKey) assembleCiphertext(m, rn *big.Int) *Ciphertext {
-	t := mathx.GetScratch()
-	t.Mul(m, pk.N)
-	t.Add(t, mathx.One) // 1 + m·N < N² always, no reduction needed
-	t.Mul(t, rn)
-	t.Mod(t, pk.NSquared)
-	c := new(big.Int).Set(t)
-	mathx.PutScratch(t)
-	return &Ciphertext{c: c, byteLen: pk.byteLen}
+	c := new(big.Int).Mul(m, pk.N)
+	c.Add(c, mathx.One) // 1 + m·N < N² always, no reduction needed
+	return &Ciphertext{c: pk.mulN2(c, c, rn), byteLen: pk.byteLen}
 }
 
 func (pk *PublicKey) checkMessage(m *big.Int) error {
