@@ -244,7 +244,11 @@ func MultiExp(bases []*big.Int, exps []uint64, m *big.Int, window uint) (*big.In
 // of the rows and the partial products recombine with plain modular
 // multiplication, so the result is identical to MultiExp.
 func MultiExpParallel(bases []*big.Int, exps []uint64, m *big.Int, window uint, workers int) (*big.Int, error) {
-	maxBits, err := multiExpCheck(bases, exps, m, window)
+	red, err := NewReducer(m)
+	if err != nil {
+		return nil, err
+	}
+	maxBits, err := multiExpCheck(bases, exps, window)
 	if err != nil {
 		return nil, err
 	}
@@ -257,10 +261,6 @@ func MultiExpParallel(bases []*big.Int, exps []uint64, m *big.Int, window uint, 
 	}
 	if window == 0 {
 		window = autoWindow(m, count/workers, maxBits)
-	}
-	red, err := NewReducer(m)
-	if err != nil {
-		return nil, err
 	}
 	fold := func(lo, hi int) *big.Int {
 		acc := red.newAcc(window)
@@ -291,10 +291,7 @@ func MultiExpParallel(bases []*big.Int, exps []uint64, m *big.Int, window uint, 
 
 // multiExpCheck validates the operands of a one-shot fold and returns the
 // longest exponent's bit length.
-func multiExpCheck(bases []*big.Int, exps []uint64, m *big.Int, window uint) (int, error) {
-	if m == nil || m.Sign() <= 0 {
-		return 0, ErrBadModulus
-	}
+func multiExpCheck(bases []*big.Int, exps []uint64, window uint) (int, error) {
 	if len(bases) != len(exps) {
 		return 0, fmt.Errorf("mathx: %d bases vs %d exponents", len(bases), len(exps))
 	}

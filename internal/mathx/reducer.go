@@ -44,9 +44,6 @@ func NewReducer(m *big.Int) (*Reducer, error) {
 	return &Reducer{m: new(big.Int).Set(m), mu: mu, n: n}, nil
 }
 
-// Modulus returns the modulus. The caller must not modify it.
-func (r *Reducer) Modulus() *big.Int { return r.m }
-
 // Scratch is the working storage of Reducer.Mul: the double-width product
 // and the two Barrett products. The second of those multiplies a slice of
 // the first, and big.Int.Mul allocates a fresh destination whenever the
@@ -58,10 +55,10 @@ type Scratch struct {
 	t, qmu, qm big.Int
 }
 
-// Mul sets z = x·y mod m and returns z. z may alias x or y. The division-free path needs
-// x·y in [0, b^(2n)), which holds whenever both operands are reduced; any
-// other product (a negative or an oversized operand) falls back to
-// big.Int.Mod, which is correct but allocates and divides.
+// Mul sets z = x·y mod m and returns z. z may alias x or y. The division-free
+// path needs x·y in [0, b^(2n)), which holds whenever both operands are
+// reduced; any other product (a negative or an oversized operand) falls back
+// to big.Int.Mod, which is correct but allocates and divides.
 func (r *Reducer) Mul(z, x, y *big.Int, s *Scratch) *big.Int {
 	t := s.t.Mul(x, y)
 	tw := t.Bits()

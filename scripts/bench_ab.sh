@@ -70,6 +70,5 @@ for w in "${workloads[@]}"; do
     done
 done
 
-go run ./scripts/benchab -runs "$work/runs.jsonl" -out "$out" -pr "${pr:-dev}" \
-    -base "$base" -change "$change" -go "$(go env GOVERSION)"
+go run ./scripts/benchab -runs "$work/runs.jsonl" -out "$out" -pr "${pr:-dev}" -base "$base" -change "$change"
 echo "bench_ab.sh: wrote $out" >&2

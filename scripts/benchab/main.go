@@ -13,6 +13,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"runtime"
 	"sort"
@@ -98,11 +99,10 @@ func main() {
 		pr       = flag.String("pr", "", "PR the ledger belongs to")
 		base     = flag.String("base", "", "base commit")
 		change   = flag.String("change", "", "change commit")
-		goVer    = flag.String("go", runtime.Version(), "Go version the passes were built with")
 		list     = flag.Bool("list", false, "print the benchmark's workload names and exit")
 	)
 	flag.Parse()
-	if err := mainErr(*specPath, *runsPath, *outPath, *list, ledger{PR: *pr, Base: *base, Change: *change, Go: *goVer}); err != nil {
+	if err := mainErr(*specPath, *runsPath, *outPath, *list, ledger{PR: *pr, Base: *base, Change: *change}); err != nil {
 		fmt.Fprintln(os.Stderr, "benchab:", err)
 		os.Exit(1)
 	}
@@ -134,6 +134,7 @@ func mainErr(specPath, runsPath, outPath string, list bool, l ledger) error {
 	}
 	l.Host, _ = os.Hostname()
 	l.CPUs = runtime.NumCPU()
+	l.Go = runtime.Version() // bench_ab.sh builds the passes with the same toolchain it runs this with
 	l.Seconds = sp.RunSeconds
 	if l.Workloads, err = compare(sp, runs); err != nil {
 		return err
@@ -249,12 +250,12 @@ func judge(def metricDef, base, change []float64) metricReport {
 		if s.Median == 0 {
 			return 0
 		}
-		return abs((s.Q3 - s.Q1) / s.Median)
+		return math.Abs((s.Q3 - s.Q1) / s.Median)
 	}
 	switch {
 	case -sign*m.Delta > def.Bound:
 		m.Verdict = "worse"
-	case sign*diff > 0 && 10*m.Wins >= 9*len(base) && abs(diff) > m.Base.Q3-m.Base.Q1:
+	case sign*diff > 0 && 10*m.Wins >= 9*len(base) && math.Abs(diff) > m.Base.Q3-m.Base.Q1:
 		m.Verdict = "improved"
 	case spread(m.Base) > def.Bound || spread(m.Change) > def.Bound:
 		m.Verdict = "unresolved"
@@ -262,13 +263,6 @@ func judge(def metricDef, base, change []float64) metricReport {
 		m.Verdict = "ok"
 	}
 	return m
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }
 
 // statsOf returns the median and the quartiles as the benchmark's own
