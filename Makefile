@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench-build bench-ab fmt vet check chaos chaos-restart fuzz-smoke bench-fold bench-client cluster-demo colstore-demo cover
+.PHONY: all build test race flake bench-build bench-ab fmt vet check chaos chaos-restart fuzz-smoke bench-fold bench-client cluster-demo colstore-demo cover
 
 all: build
 
@@ -25,6 +25,18 @@ test:
 # public key's N² reducer and pooled scratch under concurrent Add/AddPlain).
 race:
 	$(GO) test -race ./internal/server/ ./internal/selectedsum/ ./internal/cluster/ ./internal/faultnet/ ./internal/wire/ ./internal/jobs/ ./internal/stock/ ./internal/durable/ ./internal/colstore/ ./internal/metrics/ ./internal/paillier/
+
+# Flake gate (ROADMAP item 0a), scoped to the protocol path — the framed wire
+# layer, the one server and client loop, the cluster fan-out and the server
+# runtime: ten repetitions with one and with two scheduler threads, then three
+# under the race detector. A test that only passes on a quiet host fails here,
+# and is fixed on counted events (testutil.Eventually), never on a longer
+# sleep or a retry.
+FLAKE_PKGS = ./internal/wire/ ./internal/selectedsum/ ./internal/cluster/ ./internal/server/
+flake:
+	GOMAXPROCS=1 $(GO) test -count=10 $(FLAKE_PKGS)
+	GOMAXPROCS=2 $(GO) test -count=10 $(FLAKE_PKGS)
+	$(GO) test -race -count=3 $(FLAKE_PKGS)
 
 # benchmark/ is a nested module that `go build ./...` never compiles, yet it
 # reads metric fields and accessors by name: vet it and compile its tests here

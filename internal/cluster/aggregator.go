@@ -26,7 +26,14 @@ var errAborted = errors.New("cluster: client session aborted")
 // NEVER as a partial sum — a sum over a subset of shards would both be
 // wrong and leak which rows were reachable, violating the privacy contract
 // (the client must learn exactly the selected total or nothing).
-var ErrShardUnavailable = errors.New("cluster: shard unavailable")
+var ErrShardUnavailable error = shardUnavailable{}
+
+type shardUnavailable struct{}
+
+func (shardUnavailable) Error() string { return "cluster: shard unavailable" }
+
+// ErrorCode makes the session loop report the verdict coded.
+func (shardUnavailable) ErrorCode() wire.ErrorCode { return wire.CodeShardUnavailable }
 
 // AggregatorConfig tunes the fan-out's failure policy. The zero value
 // disables both knobs (no per-shard deadline, no hedging).
@@ -98,13 +105,6 @@ func (a *Aggregator) Epochs() *Epochs { return a.epochs }
 
 var _ server.Handler = (*Aggregator)(nil)
 
-// shardChunk is one shard-local slice of a client index chunk, still in
-// global row coordinates.
-type shardChunk struct {
-	offset uint64
-	body   []byte
-}
-
 // shardBuffer hands a shard's chunk slices to its fan-out worker. It
 // retains everything so a failed backend attempt can be replayed against a
 // replica from the start: the first attempt streams through the buffer as
@@ -112,7 +112,7 @@ type shardChunk struct {
 type shardBuffer struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
-	chunks []shardChunk
+	chunks []*wire.IndexChunk // shard-local slices, still in global row coordinates
 	closed bool
 	abort  error
 	// done is closed when the upload completes — the hedge timer's start
@@ -126,7 +126,7 @@ func newShardBuffer() *shardBuffer {
 	return b
 }
 
-func (b *shardBuffer) append(c shardChunk) {
+func (b *shardBuffer) append(c *wire.IndexChunk) {
 	b.mu.Lock()
 	b.chunks = append(b.chunks, c)
 	b.mu.Unlock()
@@ -155,306 +155,197 @@ func (b *shardBuffer) abortWith(err error) {
 	b.cond.Broadcast()
 }
 
-// next returns chunk i, blocking until it exists. ok=false means the
+// next returns chunk i, blocking until it exists. A nil chunk means the
 // upload completed before chunk i (end of stream).
-func (b *shardBuffer) next(i int) (shardChunk, bool, error) {
+func (b *shardBuffer) next(i int) (*wire.IndexChunk, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	for {
 		if b.abort != nil {
-			return shardChunk{}, false, b.abort
+			return nil, b.abort
 		}
 		if i < len(b.chunks) {
-			return b.chunks[i], true, nil
+			return b.chunks[i], nil
 		}
 		if b.closed {
-			return shardChunk{}, false, nil
+			return nil, nil
 		}
 		b.cond.Wait()
 	}
 }
 
 // ServeSession implements server.Handler: one aggregated selected-sum
-// session. Phase timings map naturally: Hello is parse + fan-out setup,
-// Absorb is the split-and-forward work, Finalize is the homomorphic
-// combine + rerandomize.
+// session, run by the protocol's one server loop over a fan-out sink. Phase
+// timings map naturally: Hello is parse + fan-out setup, Absorb is the
+// split-and-forward work, Finalize is the homomorphic combine + rerandomize.
 func (a *Aggregator) ServeSession(conn *wire.Conn, timings *selectedsum.PhaseTimings) error {
-	if timings == nil {
-		timings = &selectedsum.PhaseTimings{}
-	}
 	a.m.Queries.Inc()
+	return selectedsum.ServeSink(conn, &fanout{a: a}, timings)
+}
 
-	// Pin this session to the shard-map epoch current now. Every row-range
-	// decision below — length validation, chunk splitting, fan-out, combine
-	// — uses this one map, even if a rebalance advances the register
-	// mid-session: mixing maps could double-count or drop rows.
-	epoch, smap := a.epochs.Current()
-	a.m.Epoch.Set(int64(epoch))
+// shardResult is one shard worker's verdict.
+type shardResult struct {
+	i   int
+	cts []homomorphic.Ciphertext
+	err error
+}
 
-	// fail mirrors selectedsum.ServeTimed's error path: report to the
-	// possibly-still-uploading client while draining its frames, so the
-	// explanation survives instead of being destroyed by a RST. The report
-	// carries the classified code so the client's retry policy can react
-	// without parsing prose.
-	fail := func(err error) error {
-		code := wire.ErrorCodeFor(err)
-		if errors.Is(err, ErrShardUnavailable) {
-			code = wire.CodeShardUnavailable
-		}
-		sent := make(chan struct{})
-		go func() {
-			defer close(sent)
-			_ = conn.SendErrorCode(code, err.Error())
-		}()
-		go func() {
-			for {
-				f, rerr := conn.Recv()
-				if rerr != nil || f.Type == wire.MsgDone || f.Type == wire.MsgError {
-					return
-				}
-			}
-		}()
-		<-sent
-		return err
-	}
+// fanout is the aggregator's selectedsum.Sink: it splits each client chunk
+// along shard boundaries into per-shard buffers that concurrent workers
+// stream to the backends, and combines the shards' encrypted partials.
+type fanout struct {
+	a     *Aggregator
+	hello *wire.Hello // the client's, the template of every shard hello
+	pk    homomorphic.PublicKey
+	tr    *trace.Trace
 
-	f, err := conn.Recv()
-	if err != nil {
-		return fmt.Errorf("cluster: reading hello: %w", err)
-	}
-	helloStart := time.Now()
-	if f.Type != wire.MsgHello {
-		return fail(fmt.Errorf("cluster: expected hello, got message type %#x", byte(f.Type)))
-	}
-	hello, err := wire.DecodeHello(f.Payload)
-	if err != nil {
-		return fail(err)
-	}
-	if hello.Version != wire.Version {
-		return fail(fmt.Errorf("cluster: unsupported protocol version %d", hello.Version))
-	}
-	if hello.Flags&wire.HelloFlagFrameCRC != 0 {
-		// Mirror the client's CRC opt-in on our replies; inbound frames
-		// carry self-describing trailers and are verified regardless.
-		conn.EnableCRC()
-	}
+	shards   []Shard
+	bufs     []*shardBuffer
+	cancel   context.CancelFunc
+	results  chan shardResult
+	pending  int
+	partials [][]homomorphic.Ciphertext
+}
+
+// Open pins the session to the shard-map epoch current at its hello. Every
+// row-range decision — length validation, chunk splitting, fan-out, combine
+// — uses this one map, even if a rebalance advances the register
+// mid-session: mixing maps could double-count or drop rows. It then starts
+// one worker per shard; the column set is forwarded verbatim to every
+// shard, each backend replies with one partial per column and the combine
+// runs column-wise.
+func (f *fanout) Open(hello *wire.Hello, pk homomorphic.PublicKey, tr *trace.Trace) error {
+	epoch, smap := f.a.epochs.Current()
+	f.a.m.Epoch.Set(int64(epoch))
 	if hello.RowOffset != 0 {
-		return fail(fmt.Errorf("cluster: aggregator serves the whole logical database, got row offset %d", hello.RowOffset))
+		return fmt.Errorf("cluster: aggregator serves the whole logical database, got row offset %d", hello.RowOffset)
 	}
 	if hello.VectorLen != uint64(smap.Rows()) {
-		return fail(fmt.Errorf("cluster: client announces %d rows, cluster serves %d", hello.VectorLen, smap.Rows()))
+		return fmt.Errorf("%w: client announces %d rows, cluster serves %d", selectedsum.ErrVectorLength, hello.VectorLen, smap.Rows())
 	}
-	pk, err := homomorphic.ParsePublicKey(hello.Scheme, hello.PublicKey)
-	if err != nil {
-		return fail(err)
-	}
-	if !hello.Columns.Valid() {
-		return fail(fmt.Errorf("cluster: unknown column bits in set %s", hello.Columns))
-	}
-	// The column set is forwarded verbatim to every shard; each backend
-	// replies with ncols partials and the combine runs column-wise.
-	ncols := hello.EffectiveColumns().Count()
-	width := pk.CiphertextSize()
-
-	// Trace the fan-out under the client's ID (zero = no trace): the
-	// aggregator's trace carries one span per shard dispatch with backend,
-	// attempt, and hedge annotations — the "why was THIS query slow"
-	// record. Only timings and topology are recorded, never ciphertexts.
-	tr := timings.Trace
-	tr.SetID(trace.ID(hello.TraceID))
+	// The fan-out is traced under the client's ID: one span per shard
+	// dispatch with backend, attempt, and hedge annotations — the "why was
+	// THIS query slow" record. Only timings and topology, never ciphertexts.
 	tr.SetRole("aggregator")
-	tr.Annotate("scheme", hello.Scheme)
-	tr.Annotate("rows", strconv.FormatUint(hello.VectorLen, 10))
 	tr.Annotate("shards", strconv.Itoa(smap.Len()))
 	tr.Annotate("epoch", strconv.FormatUint(epoch, 10))
 
 	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
+	f.hello, f.pk, f.tr, f.cancel = hello, pk, tr, cancel
+	f.shards = smap.Shards()
+	f.pending = len(f.shards)
+	f.bufs = make([]*shardBuffer, len(f.shards))
+	f.partials = make([][]homomorphic.Ciphertext, len(f.shards))
+	f.results = make(chan shardResult, len(f.shards))
+	for i := range f.shards {
+		f.bufs[i] = newShardBuffer()
+		go func() {
+			cts, err := f.queryShard(ctx, i)
+			f.results <- shardResult{i: i, cts: cts, err: err}
+		}()
+	}
+	return nil
+}
 
-	shards := smap.Shards()
-	type shardResult struct {
-		i    int
-		cts  []homomorphic.Ciphertext
-		addr string
-		err  error
+// Abort wakes every worker with the terminal verdict and cancels their
+// backend sessions.
+func (f *fanout) Abort() {
+	for _, b := range f.bufs {
+		b.abortWith(errAborted)
 	}
-	bufs := make([]*shardBuffer, len(shards))
-	results := make(chan shardResult, len(shards))
-	for i := range shards {
-		bufs[i] = newShardBuffer()
-		go func(i int) {
-			cts, addr, err := a.queryShard(ctx, i, shards[i], hello, pk, bufs[i], tr)
-			results <- shardResult{i: i, cts: cts, addr: addr, err: err}
-		}(i)
-	}
-	abortWorkers := func(err error) {
-		for _, b := range bufs {
-			b.abortWith(err)
-		}
-		cancel()
-	}
-	timings.Hello = time.Since(helloStart)
-	tr.Observe("hello", helloStart, timings.Hello, nil)
+	f.cancel()
+}
 
-	// shardErr labels and classifies a worker failure: an exhausted
-	// candidate list or a blown shard deadline means the shard (not the
-	// query) is the problem, and the client hears shard-unavailable.
-	shardErr := func(i int, err error) error {
-		var ex *ExhaustedError
-		if errors.As(err, &ex) || errors.Is(err, context.DeadlineExceeded) {
-			err = fmt.Errorf("%w: %v", ErrShardUnavailable, err)
-		}
-		return fmt.Errorf("cluster: shard %d [%d,%d): %w", i, shards[i].Lo, shards[i].Hi, err)
+// collect takes one worker result. A failure is labelled and classified: an
+// exhausted candidate list or a blown shard deadline means the shard (not
+// the query) is the problem, and the client hears shard-unavailable.
+func (f *fanout) collect(r shardResult) error {
+	f.pending--
+	if r.err == nil {
+		f.partials[r.i] = r.cts
+		return nil
 	}
-
-	// failed drains a worker failure noticed mid-upload without blocking.
-	pending := len(shards)
-	partials := make([][]homomorphic.Ciphertext, len(shards))
-	checkWorkers := func() error {
-		for {
-			select {
-			case r := <-results:
-				pending--
-				if r.err != nil {
-					return shardErr(r.i, r.err)
-				}
-				partials[r.i] = r.cts
-			default:
-				return nil
-			}
-		}
+	err := r.err
+	var ex *ExhaustedError
+	if errors.As(err, &ex) || errors.Is(err, context.DeadlineExceeded) {
+		err = fmt.Errorf("%w: %v", ErrShardUnavailable, err)
 	}
+	return fmt.Errorf("cluster: shard %d [%d,%d): %w", r.i, f.shards[r.i].Lo, f.shards[r.i].Hi, err)
+}
 
-	total := uint64(smap.Rows())
-	var next uint64
-	var splitFirst time.Time
-	chunksSeen := 0
-recvLoop:
+// poll collects the workers that have already finished, without blocking.
+func (f *fanout) poll() error {
 	for {
-		f, err := conn.Recv()
-		if err != nil {
-			abortWorkers(errAborted)
-			return fmt.Errorf("cluster: reading chunk: %w", err)
-		}
-		// Post-negotiation, every client frame is CRC-trailed; a plain one
-		// is a corrupted header and gets the (retryable) corruption
-		// verdict rather than a protocol rejection.
-		if conn.CRCEnabled() && !f.CRC {
-			abortWorkers(errAborted)
-			return fail(fmt.Errorf("cluster: plain frame type %#x in a CRC session: %w", byte(f.Type), wire.ErrFrameCorrupt))
-		}
-		switch f.Type {
-		case wire.MsgIndexChunk:
-			// A shard already known dead fails the session now, not after
-			// the client uploads the rest of the vector.
-			if err := checkWorkers(); err != nil {
-				abortWorkers(errAborted)
-				return fail(err)
+		select {
+		case r := <-f.results:
+			if err := f.collect(r); err != nil {
+				return err
 			}
-			splitStart := time.Now()
-			if chunksSeen == 0 {
-				splitFirst = splitStart
-			}
-			chunksSeen++
-			chunk, err := wire.DecodeIndexChunk(f.Payload, width)
-			if err != nil {
-				abortWorkers(errAborted)
-				return fail(err)
-			}
-			count := uint64(chunk.Count())
-			if chunk.Offset != next {
-				abortWorkers(errAborted)
-				return fail(fmt.Errorf("%w: got offset %d, want %d", selectedsum.ErrChunkOutOfOrder, chunk.Offset, next))
-			}
-			if next+count > total {
-				abortWorkers(errAborted)
-				return fail(fmt.Errorf("%w: chunk [%d,%d) exceeds %d rows", selectedsum.ErrVectorLength, next, next+count, total))
-			}
-			for i, s := range shards {
-				lo, hi := uint64(s.Lo), uint64(s.Hi)
-				if hi <= chunk.Offset || lo >= chunk.Offset+count {
-					continue
-				}
-				if lo < chunk.Offset {
-					lo = chunk.Offset
-				}
-				if hi > chunk.Offset+count {
-					hi = chunk.Offset + count
-				}
-				body := chunk.Ciphertexts[(lo-chunk.Offset)*uint64(width) : (hi-chunk.Offset)*uint64(width)]
-				bufs[i].append(shardChunk{offset: lo, body: body})
-			}
-			next += count
-			timings.Absorb += time.Since(splitStart)
-		case wire.MsgDone:
-			if next != total {
-				abortWorkers(errAborted)
-				return fail(fmt.Errorf("%w: folded %d of %d positions", selectedsum.ErrIncomplete, next, total))
-			}
-			if chunksSeen > 0 {
-				// Split is CPU time only (Recv waits excluded), so a
-				// trace's phase durations sum to at most the wall clock.
-				tr.Observe("split", splitFirst, timings.Absorb, map[string]string{"chunks": strconv.Itoa(chunksSeen)})
-			}
-			break recvLoop
-		case wire.MsgError:
-			abortWorkers(errAborted)
-			return wire.DecodeError(f.Payload)
 		default:
-			abortWorkers(errAborted)
-			return fail(fmt.Errorf("cluster: unexpected message type %#x mid-session", byte(f.Type)))
+			return nil
 		}
 	}
+}
 
-	for _, b := range bufs {
+// Absorb slices the chunk along shard boundaries. A shard already known
+// dead fails the session now, not after the client uploads the rest of the
+// vector.
+func (f *fanout) Absorb(chunk *wire.IndexChunk) error {
+	if err := f.poll(); err != nil {
+		return err
+	}
+	width := uint64(chunk.Width)
+	first, last := chunk.Offset, chunk.Offset+uint64(chunk.Count())
+	for i, s := range f.shards {
+		lo, hi := max(uint64(s.Lo), first), min(uint64(s.Hi), last)
+		if lo >= hi {
+			continue
+		}
+		f.bufs[i].append(&wire.IndexChunk{Offset: lo, Ciphertexts: chunk.Ciphertexts[(lo-first)*width : (hi-first)*width], Width: chunk.Width})
+	}
+	return nil
+}
+
+// Done ends every shard's upload and waits for the partials.
+func (f *fanout) Done() error {
+	for _, b := range f.bufs {
 		b.close()
 	}
-	var workerErr error
-	for pending > 0 {
-		r := <-results
-		pending--
-		if r.err != nil && workerErr == nil {
-			workerErr = shardErr(r.i, r.err)
-			abortWorkers(errAborted)
-		}
-		if r.err == nil {
-			partials[r.i] = r.cts
-		}
-	}
-	if workerErr != nil {
-		return fail(workerErr)
-	}
-
-	// Combine column-wise: Π_s partials[s][c] = E(Σ shard sums of column c)
-	// = E(total of column c), then rerandomize so each reply is unlinkable
-	// to the product the aggregator computed — the client must not be able
-	// to reconstruct per-shard partials even if it later compromises a
-	// backend. Replies go out in the same ascending-bit order the backends
-	// used, so the aggregator is column-order transparent.
-	finStart := time.Now()
-	replies := make([]homomorphic.Ciphertext, ncols)
-	for c := 0; c < ncols; c++ {
-		acc := partials[0][c]
-		for _, p := range partials[1:] {
-			acc, err = pk.Add(acc, p[c])
-			if err != nil {
-				return fail(fmt.Errorf("cluster: combining partials: %w", err))
-			}
-		}
-		if replies[c], err = pk.Rerandomize(acc); err != nil {
-			return fail(fmt.Errorf("cluster: rerandomizing total: %w", err))
-		}
-	}
-	timings.Finalize = time.Since(finStart)
-	tr.Observe("combine", finStart, timings.Finalize, nil)
-	a.m.CombineNanos.ObserveDuration(timings.Finalize)
-	for _, reply := range replies {
-		if err := conn.Send(wire.MsgSum, reply.Bytes()); err != nil {
-			return fmt.Errorf("cluster: sending sum: %w", err)
+	for f.pending > 0 {
+		if err := f.collect(<-f.results); err != nil {
+			return err
 		}
 	}
 	return nil
 }
+
+// Finish combines column-wise: Π_s partials[s][c] = E(Σ shard sums of column
+// c) = E(total of column c), then rerandomizes so each reply is unlinkable
+// to the product the aggregator computed — the client must not be able to
+// reconstruct per-shard partials even if it later compromises a backend.
+// Replies go out in the same ascending-bit order the backends used, so the
+// aggregator is column-order transparent.
+func (f *fanout) Finish() ([]homomorphic.Ciphertext, error) {
+	defer f.cancel()
+	start := time.Now()
+	replies := make([]homomorphic.Ciphertext, len(f.partials[0]))
+	var err error
+	for c := range replies {
+		acc := f.partials[0][c]
+		for _, p := range f.partials[1:] {
+			if acc, err = f.pk.Add(acc, p[c]); err != nil {
+				return nil, fmt.Errorf("cluster: combining partials: %w", err)
+			}
+		}
+		if replies[c], err = f.pk.Rerandomize(acc); err != nil {
+			return nil, fmt.Errorf("cluster: rerandomizing total: %w", err)
+		}
+	}
+	f.a.m.CombineNanos.ObserveDuration(time.Since(start))
+	return replies, nil
+}
+
+func (f *fanout) Spans() (absorb, finish string) { return "split", "combine" }
 
 // queryShard runs one shard's fan-out: per-shard deadline, the client
 // runtime's retry/failover inside each dispatch, and — when configured and
@@ -462,28 +353,28 @@ recvLoop:
 // if the primary is still silent HedgeAfter past upload completion. The
 // shard buffer retains everything and hands out chunks by index, so two
 // dispatches can replay it concurrently.
-func (a *Aggregator) queryShard(ctx context.Context, idx int, s Shard, clientHello *wire.Hello, pk homomorphic.PublicKey, buf *shardBuffer, tr *trace.Trace) ([]homomorphic.Ciphertext, string, error) {
+func (f *fanout) queryShard(ctx context.Context, idx int) ([]homomorphic.Ciphertext, error) {
+	a, s := f.a, f.shards[idx]
 	if a.cfg.ShardTimeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, a.cfg.ShardTimeout)
 		defer cancel()
 	}
 	if a.cfg.HedgeAfter <= 0 || len(s.Backends) < 2 {
-		return a.dispatchShard(ctx, idx, s, s.Backends, clientHello, pk, buf, tr, false)
+		return f.dispatchShard(ctx, idx, s.Backends, false)
 	}
 
 	rctx, rcancel := context.WithCancel(ctx)
 	defer rcancel()
 	type outcome struct {
 		cts   []homomorphic.Ciphertext
-		addr  string
 		err   error
 		hedge bool
 	}
 	outc := make(chan outcome, 2)
 	launch := func(backends []string, hedge bool) {
-		cts, addr, err := a.dispatchShard(rctx, idx, s, backends, clientHello, pk, buf, tr, hedge)
-		outc <- outcome{cts, addr, err, hedge}
+		cts, err := f.dispatchShard(rctx, idx, backends, hedge)
+		outc <- outcome{cts, err, hedge}
 	}
 	go launch(s.Backends, false)
 
@@ -493,7 +384,7 @@ func (a *Aggregator) queryShard(ctx context.Context, idx int, s Shard, clientHel
 	hedgec := make(chan struct{}, 1)
 	go func() {
 		select {
-		case <-buf.done:
+		case <-f.bufs[idx].done:
 		case <-rctx.Done():
 			return
 		}
@@ -525,11 +416,11 @@ func (a *Aggregator) queryShard(ctx context.Context, idx int, s Shard, clientHel
 						}
 					}(launched - received)
 				}
-				return o.cts, o.addr, nil
+				return o.cts, nil
 			}
 			lastErr = o.err
 			if received == launched {
-				return nil, "", lastErr
+				return nil, lastErr
 			}
 		case <-hedgec:
 			a.m.ShardHedges.Inc()
@@ -540,125 +431,38 @@ func (a *Aggregator) queryShard(ctx context.Context, idx int, s Shard, clientHel
 }
 
 // dispatchShard is one full shard session with the client runtime's retry
-// and failover policy. The attempt function replays the shard buffer from
-// the start; on the first attempt the buffer is still filling, so the
-// replay degenerates into streaming through — pipelined with the client
-// upload.
-func (a *Aggregator) dispatchShard(ctx context.Context, idx int, s Shard, backends []string, clientHello *wire.Hello, pk homomorphic.PublicKey, buf *shardBuffer, tr *trace.Trace, hedge bool) ([]homomorphic.Ciphertext, string, error) {
-	width := pk.CiphertextSize()
-	ncols := clientHello.EffectiveColumns().Count()
+// and failover policy. Each attempt runs the protocol's one client loop over
+// a replay of the shard buffer from the start; on the first attempt the
+// buffer is still filling, so the replay degenerates into streaming through
+// — pipelined with the client upload.
+func (f *fanout) dispatchShard(ctx context.Context, idx int, backends []string, hedge bool) ([]homomorphic.Ciphertext, error) {
+	s, buf := f.shards[idx], f.bufs[idx]
+	hello := wire.Hello{
+		Scheme:    f.hello.Scheme,
+		PublicKey: f.hello.PublicKey,
+		VectorLen: uint64(s.Rows()),
+		ChunkLen:  f.hello.ChunkLen,
+		RowOffset: uint64(s.Lo),
+		Columns:   f.hello.Columns,
+	}
 	var partials []homomorphic.Ciphertext
 	dispatchStart := time.Now()
 	var uploadDur, replyDur time.Duration
-	addr, st, err := a.client.DoStats(ctx, backends, func(sess *Session) error {
+	addr, st, err := f.a.client.DoStats(ctx, backends, func(sess *Session) error {
 		attemptStart := time.Now()
-		hello := wire.Hello{
-			Version:   wire.Version,
-			Scheme:    clientHello.Scheme,
-			PublicKey: clientHello.PublicKey,
-			VectorLen: uint64(s.Rows()),
-			ChunkLen:  clientHello.ChunkLen,
-			RowOffset: uint64(s.Lo),
-			TraceID:   clientHello.TraceID,
-			Columns:   clientHello.Columns,
-		}
-		if sess.Conn.CRCEnabled() {
-			// Ask the backend to trail its partial sum with a CRC too:
-			// without this the reply direction is unprotected and a
-			// flipped ciphertext byte would silently poison the total.
-			hello.Flags |= wire.HelloFlagFrameCRC
-		}
-		if err := sess.Conn.Send(wire.MsgHello, hello.Encode()); err != nil {
-			return err
-		}
-
-		// Watch for an early backend reply (busy rejection, protocol
-		// error) concurrently with the forwarding, mirroring the
-		// 100-continue pattern of selectedsum.QueryVector.
-		type response struct {
-			f   wire.Frame
-			err error
-		}
-		respc := make(chan response, 1)
-		go func() {
-			f, err := sess.Conn.Recv()
-			respc <- response{f, err}
-		}()
-		early := func() error {
-			select {
-			case r := <-respc:
-				switch {
-				case r.err != nil:
-					return fmt.Errorf("cluster: reading early backend reply: %w", r.err)
-				case r.f.Type == wire.MsgError:
-					return wire.DecodeError(r.f.Payload)
-				case sess.Conn.CRCEnabled() && !r.f.CRC:
-					// A plain frame of impossible type in a CRC session
-					// is a corrupted header: retryable, not protocol.
-					return fmt.Errorf("cluster: plain frame type %#x in a CRC session: %w", byte(r.f.Type), wire.ErrFrameCorrupt)
-				default:
-					return fmt.Errorf("cluster: unexpected backend message %#x mid-upload", byte(r.f.Type))
-				}
-			default:
-				return nil
+		sess.Conn.SetTraceID(f.hello.TraceID)
+		i := 0
+		var err error
+		partials, err = selectedsum.Upload(sess.Conn, hello, f.pk, func() (*wire.IndexChunk, error) {
+			c, err := buf.next(i)
+			i++
+			if c == nil && err == nil {
+				uploadDur = time.Since(attemptStart)
 			}
-		}
-
-		for i := 0; ; i++ {
-			c, ok, err := buf.next(i)
-			if err != nil {
-				return err
-			}
-			if !ok {
-				break
-			}
-			if err := early(); err != nil {
-				return err
-			}
-			chunk := wire.IndexChunk{Offset: c.offset, Ciphertexts: c.body, Width: width}
-			if err := sess.Conn.Send(wire.MsgIndexChunk, chunk.Encode()); err != nil {
-				return err
-			}
-		}
-		if err := sess.Conn.Send(wire.MsgDone, nil); err != nil {
-			return err
-		}
-		uploadDur = time.Since(attemptStart)
-		// One partial per requested column, first frame via the watcher,
-		// the rest read inline — they arrive strictly after it.
-		got := make([]homomorphic.Ciphertext, 0, ncols)
-		for i := 0; i < ncols; i++ {
-			var r response
-			if i == 0 {
-				r = <-respc
-			} else {
-				r.f, r.err = sess.Conn.Recv()
-			}
-			if r.err != nil {
-				return fmt.Errorf("cluster: reading partial sum %d/%d: %w", i+1, ncols, r.err)
-			}
-			switch r.f.Type {
-			case wire.MsgSum:
-				if sess.Conn.CRCEnabled() && !r.f.CRC {
-					return fmt.Errorf("cluster: plain frame type %#x in a CRC session: %w", byte(r.f.Type), wire.ErrFrameCorrupt)
-				}
-				ct, err := pk.ParseCiphertext(r.f.Payload)
-				if err != nil {
-					return fmt.Errorf("cluster: parsing partial sum: %w", err)
-				}
-				got = append(got, ct)
-			case wire.MsgError:
-				return wire.DecodeError(r.f.Payload)
-			default:
-				if sess.Conn.CRCEnabled() && !r.f.CRC {
-					return fmt.Errorf("cluster: plain frame type %#x in a CRC session: %w", byte(r.f.Type), wire.ErrFrameCorrupt)
-				}
-				return fmt.Errorf("cluster: expected partial sum, got message type %#x", byte(r.f.Type))
-			}
-		}
+			return c, err
+		})
 		replyDur = time.Since(attemptStart) - uploadDur
-		partials = got
-		return nil
+		return err
 	})
 
 	// One span per dispatch (a hedged shard gets two), annotated with the
@@ -690,10 +494,6 @@ func (a *Aggregator) dispatchShard(ctx context.Context, idx int, s Shard, backen
 	if err != nil {
 		attrs["error"] = err.Error()
 	}
-	tr.Observe("shard"+strconv.Itoa(idx), dispatchStart, time.Since(dispatchStart), attrs)
-
-	if err != nil {
-		return nil, "", err
-	}
-	return partials, addr, nil
+	f.tr.Observe("shard"+strconv.Itoa(idx), dispatchStart, time.Since(dispatchStart), attrs)
+	return partials, err
 }

@@ -544,20 +544,11 @@ func (c *Client) attempt(ctx context.Context, addr string, fn func(s *Session) e
 // supplies preprocessed bit encryptions; a retried attempt falls back to
 // online encryption for whatever the pool has already handed out.
 func (c *Client) Query(ctx context.Context, backends []string, sk homomorphic.PrivateKey, sel *database.Selection, chunkSize int, pool homomorphic.EncryptorPool) (*big.Int, error) {
-	c.m.Queries.Inc()
-	var sum *big.Int
-	_, err := c.Do(ctx, backends, func(s *Session) error {
-		got, err := selectedsum.Query(s.Conn, sk, sel, chunkSize, pool)
-		if err != nil {
-			return err
-		}
-		sum = got
-		return nil
-	})
+	sums, err := c.QueryColumns(ctx, backends, sk, QuerySpec{Sel: sel, ChunkSize: chunkSize, Pool: pool})
 	if err != nil {
 		return nil, err
 	}
-	return sum, nil
+	return sums[0], nil
 }
 
 // QuerySpec describes one multi-column query for QueryColumns.
@@ -583,7 +574,7 @@ func (c *Client) QueryColumns(ctx context.Context, backends []string, sk homomor
 	var sums []*big.Int
 	_, err := c.Do(ctx, backends, func(s *Session) error {
 		s.Conn.SetTraceID(spec.TraceID)
-		got, err := selectedsum.QueryColumns(s.Conn, sk, spec.Sel, spec.ChunkSize, spec.Pool, spec.Columns)
+		got, err := selectedsum.QueryVector(s.Conn, sk, selectedsum.SelectionSource(sk, spec.Sel, spec.Pool), spec.ChunkSize, spec.Columns)
 		if err != nil {
 			return err
 		}

@@ -171,28 +171,6 @@ func TestClusterSingleChunk(t *testing.T) {
 	}
 }
 
-// TestClusterRejectsWrongVectorLen: a client announcing the wrong logical
-// size gets a protocol error, not a hang or a wrong answer.
-func TestClusterRejectsWrongVectorLen(t *testing.T) {
-	sk := testKey(t)
-	table, _, _ := fixture(t, 24, 10, 9)
-	addr, _, _ := startCluster(t, table, 2)
-
-	badSel, err := database.GenerateSelection(10, 4, database.PatternRandom, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	_, err = selectedsum.Query(wire.NewConn(conn), sk, badSel, 0, nil)
-	if err == nil {
-		t.Fatal("wrong vector length accepted")
-	}
-}
-
 // dyingBackend accepts connections, reads a little, then drops them — a
 // backend killed mid-session. Returns its address and a stop func.
 func dyingBackend(t *testing.T) string {

@@ -86,7 +86,7 @@ func TestColstoreMatchesTableOracle(t *testing.T) {
 				t.Fatal(err)
 			}
 			conn, errc := serveSourcePair(t, store)
-			sums, err := QueryColumns(conn, sk, sel, 32, nil, wire.ColValue|wire.ColSquare)
+			sums, err := QueryVector(conn, sk, SelectionSource(sk, sel, nil), 32, wire.ColValue|wire.ColSquare)
 			if err != nil {
 				t.Fatalf("QueryColumns: %v", err)
 			}
@@ -139,7 +139,7 @@ func TestChunkSizesAgree(t *testing.T) {
 
 	for _, chunkRows := range foldChunkSizes(n) {
 		conn, errc := serveSourcePair(t, store)
-		sums, err := QueryColumns(conn, sk, sel, chunkRows, nil, wire.ColValue|wire.ColSquare|wire.ColOnes)
+		sums, err := QueryVector(conn, sk, SelectionSource(sk, sel, nil), chunkRows, wire.ColValue|wire.ColSquare|wire.ColOnes)
 		if err != nil {
 			t.Fatalf("chunk %d: QueryColumns: %v", chunkRows, err)
 		}
@@ -212,7 +212,7 @@ func TestColstoreShardViewsMatchTableShards(t *testing.T) {
 			t.Fatal(err)
 		}
 		conn, errc := serveSourcePair(t, view)
-		sums, err := QueryColumns(conn, sk, sel, 16, nil, wire.ColValue|wire.ColSquare)
+		sums, err := QueryVector(conn, sk, SelectionSource(sk, sel, nil), 16, wire.ColValue|wire.ColSquare)
 		if err != nil {
 			t.Fatalf("range [%d,%d): QueryColumns: %v", lo, hi, err)
 		}
@@ -271,7 +271,7 @@ func TestColstoreExtractedShardMatchesOracle(t *testing.T) {
 		t.Fatal(err)
 	}
 	conn, errc := serveSourcePair(t, ext)
-	sums, err := QueryColumns(conn, sk, sel, 0, nil, wire.ColValue|wire.ColSquare)
+	sums, err := QueryVector(conn, sk, SelectionSource(sk, sel, nil), 0, wire.ColValue|wire.ColSquare)
 	if err != nil {
 		t.Fatalf("QueryColumns: %v", err)
 	}

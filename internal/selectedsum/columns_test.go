@@ -25,7 +25,7 @@ func TestQueryColumnsEndToEnd(t *testing.T) {
 	wantCount := big.NewInt(int64(sel.Count()))
 
 	conn, errc := servePair(t, table)
-	sums, err := QueryColumns(conn, sk, sel, 10, nil, wire.ColValue|wire.ColSquare|wire.ColOnes)
+	sums, err := QueryVector(conn, sk, SelectionSource(sk, sel, nil), 10, wire.ColValue|wire.ColSquare|wire.ColOnes)
 	if err != nil {
 		t.Fatalf("QueryColumns: %v", err)
 	}
@@ -52,7 +52,7 @@ func TestQueryColumnsValueOnlyMatchesQuery(t *testing.T) {
 	conn, errc := servePair(t, table)
 
 	// A value-only column set degrades to the classic session.
-	sums, err := QueryColumns(conn, sk, sel, 0, nil, wire.ColValue)
+	sums, err := QueryVector(conn, sk, SelectionSource(sk, sel, nil), 0, wire.ColValue)
 	if err != nil {
 		t.Fatalf("QueryColumns: %v", err)
 	}

@@ -42,43 +42,111 @@ type PhaseTimings struct {
 	Trace *trace.Trace
 }
 
-// Serve answers exactly one selected-sum session on conn: it reads the
-// Hello, absorbs index chunks until MsgDone, and replies with the encrypted
-// sum. Protocol violations are reported to the peer via MsgError before
-// returning the error.
-func Serve(conn *wire.Conn, table *database.Table) error {
-	return ServeTimed(conn, table, nil)
+// Sink is the half of a server session that differs between deployments: a
+// backend folds the client's chunks into encrypted sums (ServeSource's
+// sink), the cluster aggregator splits them across its shards and combines
+// the shards' partials. Everything on the wire — hello validation, CRC
+// negotiation, chunk order, bounds and completeness, coded error reports,
+// phase timings and spans — is ServeSink's and happens once.
+type Sink interface {
+	// Open starts the session on a hello that passed every check that needs
+	// no data (frame type, version, key, column bits). It rejects a hello
+	// its data cannot serve (row count, row offset) and sets the role and
+	// any topology annotations on tr, which may be nil.
+	Open(hello *wire.Hello, pk homomorphic.PublicKey, tr *trace.Trace) error
+	// Absorb takes the next chunk: decoded, in order, and inside the rows
+	// the hello announced.
+	Absorb(chunk *wire.IndexChunk) error
+	// Done reports that the vector is complete. A sink that forwarded the
+	// chunks elsewhere waits here for the answers, so that the finish phase
+	// times the session's own work only.
+	Done() error
+	// Finish returns one reply ciphertext per requested column, in
+	// ascending column-bit order.
+	Finish() ([]homomorphic.Ciphertext, error)
+	// Abort releases whatever Open started when the session fails before
+	// Finish has returned its sums.
+	Abort()
+	// Spans names the absorb and finish phases in the session's trace.
+	Spans() (absorb, finish string)
 }
 
-// ServeTimed is Serve with per-phase timing capture: when timings is
-// non-nil it is filled in as the session progresses, so a caller observing
-// a failed session still sees the phases that completed.
-func ServeTimed(conn *wire.Conn, table *database.Table, timings *PhaseTimings) error {
-	if table == nil {
-		return errors.New("selectedsum: nil table")
+// sourceSink is the backend's sink: a ServerSession over a snapshot of the
+// source's columns.
+type sourceSink struct {
+	src database.Source
+	srv *ServerSession
+}
+
+// Open snapshots the requested columns and sizes the fold. A non-zero
+// RowOffset scopes the session to a shard of a larger logical database: the
+// source serves rows [RowOffset, RowOffset+VectorLen) and index chunks keep
+// their global offsets. A multi-column session folds each uplink ciphertext
+// — decoded and validated once — against every requested column and replies
+// with one sum per column, in ascending bit order — the paper's variance
+// trick (one uplink, several response ciphertexts) at the wire layer.
+func (s *sourceSink) Open(hello *wire.Hello, pk homomorphic.PublicKey, tr *trace.Trace) error {
+	cols := hello.EffectiveColumns()
+	columns := make([]database.Column, 0, cols.Count())
+	valueCol := s.src.Column()
+	for _, col := range []struct {
+		bit  wire.ColumnSet
+		data database.Column
+	}{
+		{wire.ColValue, valueCol},
+		{wire.ColSquare, s.src.SquareColumn()},
+		{wire.ColOnes, database.Ones(valueCol.Len())},
+	} {
+		if cols.Has(col.bit) {
+			columns = append(columns, col.data)
+		}
 	}
-	return ServeSource(conn, table, timings)
+	tr.SetRole("server")
+	var err error
+	s.srv, err = newServerSession(pk, columns, hello.VectorLen, hello.RowOffset)
+	return err
 }
 
-// ServeSource is ServeTimed over any database.Source — the in-memory Table
-// or a disk-backed column store serve byte-identical sessions. The source's
-// columns are snapshotted once at the hello, so a session folds against a
-// consistent row prefix even while the store ingests concurrently.
+func (s *sourceSink) Absorb(chunk *wire.IndexChunk) error       { return s.srv.Absorb(chunk) }
+func (s *sourceSink) Done() error                               { return nil }
+func (s *sourceSink) Finish() ([]homomorphic.Ciphertext, error) { return s.srv.finalize(nil) }
+func (s *sourceSink) Abort()                                    {}
+func (s *sourceSink) Spans() (absorb, finish string)            { return "absorb", "finalize" }
+
+// ServeSource answers exactly one selected-sum session on conn over any
+// database.Source — the in-memory Table or a disk-backed column store serve
+// byte-identical sessions. The source's columns are snapshotted once at the
+// hello, so a session folds against a consistent row prefix even while the
+// store ingests concurrently. When timings is non-nil it is filled in as the
+// session progresses, so a caller observing a failed session still sees the
+// phases that completed.
 func ServeSource(conn *wire.Conn, src database.Source, timings *PhaseTimings) error {
 	if src == nil {
 		return errors.New("selectedsum: nil source")
 	}
+	return ServeSink(conn, &sourceSink{src: src}, timings)
+}
+
+// ServeSink is the server side of the protocol, the only one: it reads the
+// hello, hands the sink every index chunk until MsgDone, and replies with
+// the sink's encrypted sums. Protocol violations are reported to the peer
+// via a coded MsgError before the error is returned.
+func ServeSink(conn *wire.Conn, sink Sink, timings *PhaseTimings) error {
 	if timings == nil {
 		timings = &PhaseTimings{}
 	}
+	abort := func() {} // nothing to release until the sink is open
 	// fail reports a protocol error to the peer. The client may still be
 	// streaming its index vector, and on an unbuffered transport
 	// (net.Pipe) writing the error against an in-flight chunk would
 	// deadlock — so the error is written concurrently while a drain
 	// goroutine keeps consuming the client's frames. The drain goroutine
 	// exits when the client stops sending (it blocks in Recv until the
-	// connection closes, which the caller does after Serve returns).
+	// connection closes, which the caller does after the session returns).
+	// The report carries a code so the client's retry policy can react
+	// without parsing prose.
 	fail := func(err error) error {
+		abort()
 		code := wire.ErrorCodeFor(err)
 		if code == wire.CodeNone {
 			// Everything the serve loop rejects that is not a transport
@@ -130,51 +198,31 @@ func ServeSource(conn *wire.Conn, src database.Source, timings *PhaseTimings) er
 	if !hello.Columns.Valid() {
 		return fail(fmt.Errorf("selectedsum: unknown column bits in set %s", hello.Columns))
 	}
-	cols := hello.EffectiveColumns()
-	// A non-zero RowOffset scopes the session to a shard of a larger
-	// logical database: this table serves rows [RowOffset,
-	// RowOffset+VectorLen) and index chunks keep their global offsets. A
-	// multi-column session folds each uplink ciphertext — decoded and
-	// validated once — against every requested column and replies with one
-	// sum per column, in ascending bit order — the paper's variance trick
-	// (one uplink, several response ciphertexts) at the wire layer.
-	columns := make([]database.Column, 0, cols.Count())
-	valueCol := src.Column()
-	for _, col := range []struct {
-		bit  wire.ColumnSet
-		data database.Column
-	}{
-		{wire.ColValue, valueCol},
-		{wire.ColSquare, src.SquareColumn()},
-		{wire.ColOnes, database.Ones(valueCol.Len())},
-	} {
-		if cols.Has(col.bit) {
-			columns = append(columns, col.data)
-		}
-	}
-	srv, err := newServerSession(pk, columns, hello.VectorLen, hello.RowOffset)
-	if err != nil {
+	tr := timings.Trace
+	if err := sink.Open(hello, pk, tr); err != nil {
 		return fail(err)
 	}
+	abort = sink.Abort
 	timings.Hello = time.Since(helloStart)
 
 	// Trace recording: the ID arrives in the hello trailer (zero = no
 	// trace requested, and the recorder drops ID-less traces). Only
 	// timings, counts, and topology are recorded — never chunk contents,
 	// the partial sum, or anything else under the client's key (§12).
-	tr := timings.Trace
 	tr.SetID(trace.ID(hello.TraceID))
-	tr.SetRole("server")
 	tr.Annotate("scheme", hello.Scheme)
 	tr.Annotate("rows", strconv.FormatUint(hello.VectorLen, 10))
 	if hello.RowOffset != 0 {
 		tr.Annotate("row_offset", strconv.FormatUint(hello.RowOffset, 10))
 	}
 	if hello.Columns != 0 {
-		tr.Annotate("columns", cols.String())
+		tr.Annotate("columns", hello.Columns.String())
 	}
 	tr.Observe("hello", helloStart, timings.Hello, nil)
 
+	absorbSpan, finishSpan := sink.Spans()
+	// Chunks keep global offsets, so the session covers [next, end).
+	next, end := hello.RowOffset, hello.RowOffset+hello.VectorLen
 	var absorbStart time.Time
 	chunks := 0
 	width := pk.CiphertextSize()
@@ -184,6 +232,7 @@ func ServeSource(conn *wire.Conn, src database.Source, timings *PhaseTimings) er
 			if errors.Is(err, wire.ErrFrameCorrupt) {
 				return fail(err)
 			}
+			abort()
 			return fmt.Errorf("selectedsum: reading chunk: %w", err)
 		}
 		// After CRC negotiation the client trails every frame; a plain
@@ -204,20 +253,35 @@ func ServeSource(conn *wire.Conn, src database.Source, timings *PhaseTimings) er
 			if err != nil {
 				return fail(err)
 			}
-			if err := srv.Absorb(chunk); err != nil {
+			count := uint64(chunk.Count())
+			switch {
+			case chunk.Offset != next:
+				return fail(fmt.Errorf("%w: got offset %d, want %d", ErrChunkOutOfOrder, chunk.Offset, next))
+			case count > end-next:
+				return fail(fmt.Errorf("%w: chunk [%d,%d) exceeds rows [%d,%d)", ErrVectorLength, next, next+count, hello.RowOffset, end))
+			}
+			if err := sink.Absorb(chunk); err != nil {
 				return fail(err)
 			}
+			next += count
 			timings.Absorb += time.Since(chunkStart)
 		case wire.MsgDone:
+			if next != end {
+				return fail(fmt.Errorf("%w: folded %d of %d positions", ErrIncomplete, next-hello.RowOffset, hello.VectorLen))
+			}
 			if chunks > 0 {
-				// One span for the whole fold: the duration is the compute
-				// time only (waiting in Recv excluded), the attrs carry the
-				// chunk count — per-chunk spans would bloat a long upload.
-				tr.Observe("absorb", absorbStart, timings.Absorb,
+				// One span for the whole phase: the duration is the compute
+				// time only (waiting in Recv excluded, so a trace's phases
+				// sum to at most the wall clock), the attrs carry the chunk
+				// count — per-chunk spans would bloat a long upload.
+				tr.Observe(absorbSpan, absorbStart, timings.Absorb,
 					map[string]string{"chunks": strconv.Itoa(chunks)})
 			}
+			if err := sink.Done(); err != nil {
+				return fail(err)
+			}
 			finStart := time.Now()
-			sums, err := srv.finalize(nil)
+			sums, err := sink.Finish()
 			if err != nil {
 				return fail(err)
 			}
@@ -226,7 +290,7 @@ func ServeSource(conn *wire.Conn, src database.Source, timings *PhaseTimings) er
 				bodies[i] = sumCt.Bytes()
 			}
 			timings.Finalize = time.Since(finStart)
-			tr.Observe("finalize", finStart, timings.Finalize, nil)
+			tr.Observe(finishSpan, finStart, timings.Finalize, nil)
 			for _, body := range bodies {
 				if err := conn.Send(wire.MsgSum, body); err != nil {
 					return fmt.Errorf("selectedsum: sending sum: %w", err)
@@ -234,6 +298,7 @@ func ServeSource(conn *wire.Conn, src database.Source, timings *PhaseTimings) er
 			}
 			return nil
 		case wire.MsgError:
+			abort()
 			return wire.DecodeError(f.Payload)
 		default:
 			return fail(fmt.Errorf("selectedsum: unexpected message type %#x mid-session", byte(f.Type)))
@@ -263,45 +328,117 @@ func (s selectionSource) EncryptAt(i int) (homomorphic.Ciphertext, error) {
 	return s.enc.EncryptBit(s.sel.Bit(i))
 }
 
+// SelectionSource is the base protocol's vector: the 0/1 selection,
+// encrypted bit by bit — from pool when it is non-nil (the §3.3
+// preprocessing), otherwise online by the best route sk offers. A nil key
+// yields a nil source, which QueryVector rejects.
+func SelectionSource(sk homomorphic.PrivateKey, sel *database.Selection, pool homomorphic.EncryptorPool) VectorSource {
+	if sk == nil {
+		return nil
+	}
+	enc := onlineEncryptor(sk, sk.PublicKey())
+	if pool != nil {
+		enc = Pooled{Pool: pool}
+	}
+	return selectionSource{sel: sel, enc: enc}
+}
+
 // Query runs the client side of one session over conn: it streams the
 // encrypted selection in chunks of chunkSize (0 = single chunk) and returns
 // the decrypted sum. pool, when non-nil, supplies preprocessed bit
 // encryptions.
 func Query(conn *wire.Conn, sk homomorphic.PrivateKey, sel *database.Selection, chunkSize int, pool homomorphic.EncryptorPool) (*big.Int, error) {
-	if sk == nil {
-		return nil, errors.New("selectedsum: nil private key")
+	sums, err := QueryVector(conn, sk, SelectionSource(sk, sel, pool), chunkSize, 0)
+	if err != nil {
+		return nil, err
 	}
-	enc := onlineEncryptor(sk, sk.PublicKey())
-	if pool != nil {
-		enc = Pooled{Pool: pool}
-	}
-	return QueryVector(conn, sk, selectionSource{sel: sel, enc: enc}, chunkSize)
+	return sums[0], nil
 }
 
-// QueryColumns runs one multi-column session: the encrypted selection is
-// uploaded once and the server folds it against every column in cols,
-// replying with one sum per set bit in ascending bit order. The returned
-// slice has cols.Count() decrypted sums in that same order. An empty (or
-// value-only) set degrades to the classic single-sum session, byte-identical
-// on the wire to a pre-columns client.
-func QueryColumns(conn *wire.Conn, sk homomorphic.PrivateKey, sel *database.Selection, chunkSize int, pool homomorphic.EncryptorPool, cols wire.ColumnSet) ([]*big.Int, error) {
+// QueryVector is the client call: it uploads an arbitrary encrypted vector
+// once — the 0/1 selection, or the weighted-sum generalization of the
+// paper's Section 2 ("integer weights in some larger range could be used");
+// the server is oblivious to the difference, it folds whatever ciphertexts
+// arrive — and the server folds it against every column in cols, replying
+// with one sum per set bit in ascending bit order. The returned slice has
+// that many decrypted sums in that same order. An empty (or value-only) set
+// is the classic single-sum session, byte-identical on the wire to a
+// pre-columns client.
+func QueryVector(conn *wire.Conn, sk homomorphic.PrivateKey, src VectorSource, chunkSize int, cols wire.ColumnSet) ([]*big.Int, error) {
 	if sk == nil {
 		return nil, errors.New("selectedsum: nil private key")
+	}
+	if src == nil {
+		return nil, errors.New("selectedsum: nil vector source")
 	}
 	if !cols.Valid() {
 		return nil, fmt.Errorf("selectedsum: unknown column bits in set %s", cols)
 	}
-	enc := onlineEncryptor(sk, sk.PublicKey())
-	if pool != nil {
-		enc = Pooled{Pool: pool}
+	pk := sk.PublicKey()
+	n := src.Len()
+	if chunkSize <= 0 || chunkSize > n {
+		chunkSize = n
 	}
-	return queryVector(conn, sk, selectionSource{sel: sel, enc: enc}, chunkSize, cols)
+	keyBytes, err := pk.MarshalBinary()
+	if err != nil {
+		return nil, fmt.Errorf("selectedsum: marshaling public key: %w", err)
+	}
+	hello := wire.Hello{
+		Scheme:    pk.SchemeName(),
+		PublicKey: keyBytes,
+		VectorLen: uint64(n),
+		ChunkLen:  uint32(chunkSize),
+		Columns:   cols,
+	}
+	// The vector is encrypted a chunk at a time, as the upload asks for it.
+	width := pk.CiphertextSize()
+	lo := 0
+	cts, err := Upload(conn, hello, pk, func() (*wire.IndexChunk, error) {
+		if lo >= n {
+			return nil, nil
+		}
+		hi := min(lo+chunkSize, n)
+		body := make([]byte, 0, (hi-lo)*width)
+		for i := lo; i < hi; i++ {
+			ct, err := src.EncryptAt(i)
+			if err != nil {
+				return nil, fmt.Errorf("selectedsum: encrypting entry %d: %w", i, err)
+			}
+			if body, err = appendCiphertext(body, ct, width); err != nil {
+				return nil, err
+			}
+		}
+		chunk := &wire.IndexChunk{Offset: uint64(lo), Ciphertexts: body, Width: width}
+		lo = hi
+		return chunk, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	sums := make([]*big.Int, len(cts))
+	for i, ct := range cts {
+		if sums[i], err = sk.Decrypt(ct); err != nil {
+			return nil, fmt.Errorf("selectedsum: decrypting sum: %w", err)
+		}
+	}
+	return sums, nil
 }
 
-// QueryVector is Query over an arbitrary encrypted-vector source — the
-// weighted-sum generalization of the paper's Section 2 ("integer weights in
-// some larger range could be used"). The server is oblivious to the
-// difference: it folds whatever ciphertexts arrive.
+// rejectGrace is how long an uploader whose write failed waits for the
+// peer's explanation before it reports the bare write error. A server that
+// turns a session away (busy, protocol error, idle timeout) sends its
+// MsgError and then hangs up, and server.DefaultRejectTimeout bounds that
+// send — so by the time the hang-up breaks a write here the explanation is
+// normally already in flight, and a fraction of that bound is enough.
+const rejectGrace = 200 * time.Millisecond
+
+// Upload is the client side of the protocol, the only one: it sends the
+// hello, streams the chunks next yields (a nil chunk ends the vector), sends
+// MsgDone, and returns the server's reply ciphertexts, one per requested
+// column. The caller describes the session in hello (scheme, key, rows, row
+// offset, chunk length, columns); Upload sets what the connection decides
+// (version, CRC flag, trace ID). Query encrypts the chunks as they are asked
+// for; the cluster aggregator replays a shard's slice of its client's.
 //
 // The response is watched concurrently with the upload (the 100-continue
 // pattern): a server that rejects the session early — busy, protocol error,
@@ -309,180 +446,117 @@ func QueryColumns(conn *wire.Conn, sk homomorphic.PrivateKey, sel *database.Sele
 // the client must read it then, not after n chunks. Without the watcher the
 // client only notices via a broken-pipe write error once the server hangs
 // up, and the RST that follows can destroy the unread explanation.
-func QueryVector(conn *wire.Conn, sk homomorphic.PrivateKey, src VectorSource, chunkSize int) (*big.Int, error) {
-	sums, err := queryVector(conn, sk, src, chunkSize, 0)
-	if err != nil {
-		return nil, err
-	}
-	return sums[0], nil
-}
-
-// queryVector is the shared client loop: upload once, collect one decrypted
-// sum per requested column (cols == 0 means the classic value-only session,
-// encoded without the columns trailer so old servers still parse).
-func queryVector(conn *wire.Conn, sk homomorphic.PrivateKey, src VectorSource, chunkSize int, cols wire.ColumnSet) ([]*big.Int, error) {
-	if sk == nil {
-		return nil, errors.New("selectedsum: nil private key")
-	}
-	if src == nil {
-		return nil, errors.New("selectedsum: nil vector source")
-	}
-	if cols == wire.ColValue {
-		// Value-only is the wire default; omit the trailer for interop.
-		cols = 0
-	}
-	pk := sk.PublicKey()
-	n := src.Len()
-	if chunkSize <= 0 || chunkSize > n {
-		chunkSize = n
-	}
-
-	keyBytes, err := pk.MarshalBinary()
-	if err != nil {
-		return nil, fmt.Errorf("selectedsum: marshaling public key: %w", err)
-	}
-	hello := wire.Hello{
-		Version:   wire.Version,
-		Scheme:    pk.SchemeName(),
-		PublicKey: keyBytes,
-		VectorLen: uint64(n),
-		ChunkLen:  uint32(chunkSize),
-		// An armed (non-zero) conn trace ID travels in the hello trailer;
-		// the zero default emits no trailer, so old servers still parse.
-		TraceID: conn.TraceID(),
-		Columns: cols,
-	}
+func Upload(conn *wire.Conn, hello wire.Hello, pk homomorphic.PublicKey, next func() (*wire.IndexChunk, error)) ([]homomorphic.Ciphertext, error) {
+	hello.Version = wire.Version
 	if conn.CRCEnabled() {
+		// Ask the server to trail its sums with a CRC too: without this the
+		// reply direction is unprotected and a flipped ciphertext byte would
+		// silently poison the result.
 		hello.Flags |= wire.HelloFlagFrameCRC
+	}
+	// An armed (non-zero) conn trace ID travels in the hello trailer; the
+	// zero default emits no trailer, so old servers still parse.
+	hello.TraceID = conn.TraceID()
+	if hello.Columns == wire.ColValue {
+		// Value-only is the wire default; omit the trailer for interop.
+		hello.Columns = 0
 	}
 	if err := conn.Send(wire.MsgHello, hello.Encode()); err != nil {
 		return nil, fmt.Errorf("selectedsum: sending hello: %w", err)
 	}
-	// The only frames the server sends are one sum ciphertext or one
-	// bounded error; cap the inbound declared length accordingly so a
-	// corrupted or malicious length header cannot trigger a giant
-	// allocation.
-	limit := pk.CiphertextSize()
-	if limit < wire.MaxErrorPayload {
-		limit = wire.MaxErrorPayload
-	}
-	conn.SetMaxFrame(limit + 64)
+	// The only frames the server sends are sum ciphertexts or one bounded
+	// error; cap the inbound declared length accordingly so a corrupted or
+	// malicious length header cannot trigger a giant allocation.
+	conn.SetMaxFrame(max(pk.CiphertextSize(), wire.MaxErrorPayload) + 64)
 
 	// The server's first frame (the first sum, or an early error) is read
 	// by a single background Recv; any further sums of a multi-column
 	// session arrive strictly after it and are read inline below.
-	type response struct {
+	type reply struct {
 		f   wire.Frame
 		err error
 	}
-	respc := make(chan response, 1)
+	first := make(chan reply, 1)
 	go func() {
 		f, err := conn.Recv()
-		respc <- response{f, err}
+		first <- reply{f, err}
 	}()
-	// early drains an already-arrived server frame mid-upload; any frame
-	// before our MsgDone means the session is over (only MsgError is
-	// expected, but anything else is fatal too).
-	early := func() error {
-		select {
-		case r := <-respc:
-			switch {
-			case r.err != nil:
-				return fmt.Errorf("selectedsum: reading early reply: %w", r.err)
-			case r.f.Type == wire.MsgError:
-				return wire.DecodeError(r.f.Payload)
-			case conn.CRCEnabled() && !r.f.CRC:
-				return fmt.Errorf("selectedsum: plain frame type %#x in a CRC session: %w", byte(r.f.Type), wire.ErrFrameCorrupt)
-			default:
-				return fmt.Errorf("selectedsum: unexpected message type %#x mid-upload", byte(r.f.Type))
-			}
-		default:
+	// sum is the one verdict on a reply frame: a sum's payload, or the error
+	// the frame carries or stands for.
+	sum := func(r reply) ([]byte, error) {
+		switch {
+		case r.err != nil:
+			return nil, fmt.Errorf("selectedsum: reading reply: %w", r.err)
+		case r.f.Type == wire.MsgError:
+			return nil, wire.DecodeError(r.f.Payload)
+		case conn.CRCEnabled() && !r.f.CRC:
+			// An impossible plain frame in a CRC session is a corrupted
+			// header: retryable, not protocol-fatal.
+			return nil, fmt.Errorf("selectedsum: plain frame type %#x in a CRC session: %w", byte(r.f.Type), wire.ErrFrameCorrupt)
+		case r.f.Type != wire.MsgSum:
+			return nil, fmt.Errorf("selectedsum: expected sum, got message type %#x", byte(r.f.Type))
+		}
+		return r.f.Payload, nil
+	}
+	// send writes one frame. A write that fails because the server hung up
+	// prefers the server's explanation, if one arrives promptly (it was
+	// usually sent well before the hang-up).
+	send := func(t wire.MsgType, payload []byte, what string) error {
+		err := conn.Send(t, payload)
+		if err == nil {
 			return nil
 		}
+		select {
+		case r := <-first:
+			if r.err == nil && r.f.Type == wire.MsgError {
+				return wire.DecodeError(r.f.Payload)
+			}
+		case <-time.After(rejectGrace):
+		}
+		return fmt.Errorf("selectedsum: sending %s: %w", what, err)
 	}
 
-	width := pk.CiphertextSize()
-	for lo := 0; lo < n; lo += chunkSize {
-		hi := lo + chunkSize
-		if hi > n {
-			hi = n
-		}
-		body := make([]byte, 0, (hi-lo)*width)
-		for i := lo; i < hi; i++ {
-			ct, err := src.EncryptAt(i)
-			if err != nil {
-				return nil, fmt.Errorf("selectedsum: encrypting entry %d: %w", i, err)
-			}
-			body, err = appendCiphertext(body, ct, width)
-			if err != nil {
-				return nil, err
-			}
-		}
-		if err := early(); err != nil {
+	for {
+		chunk, err := next()
+		if err != nil {
 			return nil, err
 		}
-		chunk := &wire.IndexChunk{Offset: uint64(lo), Ciphertexts: body, Width: width}
-		if err := conn.Send(wire.MsgIndexChunk, chunk.Encode()); err != nil {
-			// The write failed because the server hung up; prefer its
-			// explanation if one arrives promptly (it was usually sent
-			// well before the hangup).
-			select {
-			case r := <-respc:
-				if r.err == nil && r.f.Type == wire.MsgError {
-					return nil, wire.DecodeError(r.f.Payload)
-				}
-			case <-time.After(200 * time.Millisecond):
+		if chunk == nil {
+			break
+		}
+		// Any frame before our MsgDone means the session is over (only
+		// MsgError is expected, but anything else is fatal too).
+		select {
+		case r := <-first:
+			if _, err := sum(r); err != nil {
+				return nil, err
 			}
-			return nil, fmt.Errorf("selectedsum: sending chunk at %d: %w", lo, err)
+			return nil, errors.New("selectedsum: server sent a sum mid-upload")
+		default:
+		}
+		if err := send(wire.MsgIndexChunk, chunk.Encode(), "chunk"); err != nil {
+			return nil, err
 		}
 	}
-	if err := conn.Send(wire.MsgDone, nil); err != nil {
-		select {
-		case r := <-respc:
-			if r.err == nil && r.f.Type == wire.MsgError {
-				return nil, wire.DecodeError(r.f.Payload)
-			}
-		case <-time.After(200 * time.Millisecond):
-		}
-		return nil, fmt.Errorf("selectedsum: sending done: %w", err)
+	if err := send(wire.MsgDone, nil, "done"); err != nil {
+		return nil, err
 	}
 
-	want := cols.Count()
-	sums := make([]*big.Int, 0, want)
-	for i := 0; i < want; i++ {
-		var r response
+	cts := make([]homomorphic.Ciphertext, hello.EffectiveColumns().Count())
+	for i := range cts {
+		var r reply
 		if i == 0 {
-			r = <-respc
+			r = <-first
 		} else {
 			r.f, r.err = conn.Recv()
 		}
-		if r.err != nil {
-			return nil, fmt.Errorf("selectedsum: reading sum %d/%d: %w", i+1, want, r.err)
+		payload, err := sum(r)
+		if err != nil {
+			return nil, err
 		}
-		switch r.f.Type {
-		case wire.MsgSum:
-			if conn.CRCEnabled() && !r.f.CRC {
-				return nil, fmt.Errorf("selectedsum: plain frame type %#x in a CRC session: %w", byte(r.f.Type), wire.ErrFrameCorrupt)
-			}
-			ct, err := pk.ParseCiphertext(r.f.Payload)
-			if err != nil {
-				return nil, fmt.Errorf("selectedsum: parsing sum ciphertext: %w", err)
-			}
-			sum, err := sk.Decrypt(ct)
-			if err != nil {
-				return nil, fmt.Errorf("selectedsum: decrypting sum: %w", err)
-			}
-			sums = append(sums, sum)
-		case wire.MsgError:
-			return nil, wire.DecodeError(r.f.Payload)
-		default:
-			if conn.CRCEnabled() && !r.f.CRC {
-				// Impossible plain type in a CRC session: a corrupted header,
-				// classified retryable rather than protocol-fatal.
-				return nil, fmt.Errorf("selectedsum: plain frame type %#x in a CRC session: %w", byte(r.f.Type), wire.ErrFrameCorrupt)
-			}
-			return nil, fmt.Errorf("selectedsum: expected sum, got message type %#x", byte(r.f.Type))
+		if cts[i], err = pk.ParseCiphertext(payload); err != nil {
+			return nil, fmt.Errorf("selectedsum: parsing sum ciphertext: %w", err)
 		}
 	}
-	return sums, nil
+	return cts, nil
 }

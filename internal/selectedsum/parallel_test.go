@@ -20,7 +20,7 @@ func TestAbsorbParallelMatchesSequential(t *testing.T) {
 	chunk := decodeChunk(t, body, 0, width)
 
 	for _, workers := range []int{1, 2, 3, 8, 64} {
-		srv, err := NewServerSession(pk, table, 130)
+		srv, err := NewShardSession(pk, table.Column(), 130, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -56,7 +56,7 @@ func TestAbsorbParallelValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	srv, _ := NewServerSession(pk, table, 20)
+	srv, _ := NewShardSession(pk, table.Column(), 20, 0)
 	// Wrong offset.
 	if err := srv.AbsorbParallel(decodeChunk(t, body, 5, width), 4); !errors.Is(err, ErrChunkOutOfOrder) {
 		t.Errorf("offset error = %v", err)
@@ -70,7 +70,7 @@ func TestAbsorbParallelValidation(t *testing.T) {
 		t.Error("zero ciphertext should fail in a worker")
 	}
 	// After finalize.
-	srv2, _ := NewServerSession(pk, table, 20)
+	srv2, _ := NewShardSession(pk, table.Column(), 20, 0)
 	if err := srv2.AbsorbParallel(decodeChunk(t, body, 0, width), 4); err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestAbsorbParallelTinyChunkFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, _ := NewServerSession(pk, table, 3)
+	srv, _ := NewShardSession(pk, table.Column(), 3, 0)
 	if err := srv.AbsorbParallel(decodeChunk(t, body, 0, width), 16); err != nil {
 		t.Fatal(err)
 	}

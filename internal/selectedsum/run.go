@@ -113,7 +113,7 @@ func run(sk homomorphic.PrivateKey, table *database.Table, sel *database.Selecti
 		enc = Pooled{Pool: opts.Pool}
 	}
 
-	srv, err := NewServerSession(pk, table, uint64(n))
+	srv, err := NewShardSession(pk, table.Column(), uint64(n), 0)
 	if err != nil {
 		return nil, err
 	}

@@ -265,7 +265,7 @@ func TestResponseIsRerandomized(t *testing.T) {
 	table, sel, _ := fixture(t, 20, 10)
 
 	finalCt := func() []byte {
-		srv, err := NewServerSession(pk, table, uint64(table.Len()))
+		srv, err := NewShardSession(pk, table.Column(), uint64(table.Len()), 0)
 		if err != nil {
 			t.Fatal(err)
 		}

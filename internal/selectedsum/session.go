@@ -177,25 +177,13 @@ type foldLane struct {
 	scalar big.Int
 }
 
-// NewServerSession prepares a fold over the table's value column under the
-// client's public key. vectorLen must equal the table length — the client
-// must supply a bit for every row or the server would learn which rows the
-// query ignores.
-func NewServerSession(pk homomorphic.PublicKey, table *database.Table, vectorLen uint64) (*ServerSession, error) {
-	if table == nil {
-		return nil, errors.New("selectedsum: nil table")
-	}
-	return NewColumnSession(pk, table.Column(), vectorLen)
-}
-
-// NewColumnSession is NewServerSession over an arbitrary numeric column —
-// the stats layer folds the same encrypted index vector against the value
-// column and the square column to compute variances privately.
-func NewColumnSession(pk homomorphic.PublicKey, col database.Column, vectorLen uint64) (*ServerSession, error) {
-	return NewShardSession(pk, col, vectorLen, 0)
-}
-
-// NewShardSession is NewColumnSession for a shard of a larger logical
+// NewShardSession prepares a fold over one numeric column under the client's
+// public key — the value column, or the square column the stats layer folds
+// the same encrypted index vector against to compute variances privately.
+// vectorLen must equal the column length: the client must supply a bit for
+// every row or the server would learn which rows the query ignores.
+//
+// A non-zero rowOffset makes it the session of a shard of a larger logical
 // database: the column holds rows [rowOffset, rowOffset+vectorLen) of the
 // logical table, and incoming index chunks keep their global offsets — the
 // session translates. The cluster aggregator fans a client's chunks out to

@@ -28,13 +28,13 @@ func TestServerSessionValidation(t *testing.T) {
 	pk := sk.PublicKey()
 	table := database.New([]uint32{1, 2, 3})
 
-	if _, err := NewServerSession(nil, table, 3); err == nil {
+	if _, err := NewShardSession(nil, table.Column(), 3, 0); err == nil {
 		t.Error("nil key should fail")
 	}
-	if _, err := NewServerSession(pk, nil, 3); err == nil {
+	if _, err := NewShardSession(pk, nil, 3, 0); err == nil {
 		t.Error("nil table should fail")
 	}
-	if _, err := NewServerSession(pk, table, 4); !errors.Is(err, ErrVectorLength) {
+	if _, err := NewShardSession(pk, table.Column(), 4, 0); !errors.Is(err, ErrVectorLength) {
 		t.Errorf("length mismatch: err = %v", err)
 	}
 }
@@ -43,7 +43,7 @@ func TestServerSessionOutOfOrderChunk(t *testing.T) {
 	sk := testKey(t)
 	pk := sk.PublicKey()
 	table := database.New([]uint32{5, 6, 7, 8})
-	srv, err := NewServerSession(pk, table, 4)
+	srv, err := NewShardSession(pk, table.Column(), 4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestServerSessionOverlongChunk(t *testing.T) {
 	sk := testKey(t)
 	pk := sk.PublicKey()
 	table := database.New([]uint32{5, 6})
-	srv, _ := NewServerSession(pk, table, 2)
+	srv, _ := NewShardSession(pk, table.Column(), 2, 0)
 	sel, _ := database.NewSelection(3)
 	body, err := EncryptRange(Online{PK: pk}, sel, 0, 3, pk.CiphertextSize())
 	if err != nil {
@@ -89,7 +89,7 @@ func TestServerSessionMalformedCiphertext(t *testing.T) {
 	sk := testKey(t)
 	pk := sk.PublicKey()
 	table := database.New([]uint32{9})
-	srv, _ := NewServerSession(pk, table, 1)
+	srv, _ := NewShardSession(pk, table.Column(), 1, 0)
 	width := pk.CiphertextSize()
 	// All-zero bytes is not a valid ciphertext (0 ∉ (0, N²)).
 	if err := srv.Absorb(decodeChunk(t, make([]byte, width), 0, width)); err == nil {
@@ -101,7 +101,7 @@ func TestServerSessionIncompleteFinalize(t *testing.T) {
 	sk := testKey(t)
 	pk := sk.PublicKey()
 	table := database.New([]uint32{1, 2, 3})
-	srv, _ := NewServerSession(pk, table, 3)
+	srv, _ := NewShardSession(pk, table.Column(), 3, 0)
 	if _, err := srv.Finalize(nil); !errors.Is(err, ErrIncomplete) {
 		t.Errorf("err = %v, want ErrIncomplete", err)
 	}
@@ -111,7 +111,7 @@ func TestServerSessionLifecycle(t *testing.T) {
 	sk := testKey(t)
 	pk := sk.PublicKey()
 	table := database.New([]uint32{1, 2})
-	srv, _ := NewServerSession(pk, table, 2)
+	srv, _ := NewShardSession(pk, table.Column(), 2, 0)
 	sel, _ := database.NewSelection(2)
 	sel.Set(1)
 	width := pk.CiphertextSize()
@@ -147,7 +147,7 @@ func TestFinalizeWithBlinding(t *testing.T) {
 	sel.Set(0)
 	sel.Set(2) // true sum 40
 
-	srv, _ := NewServerSession(pk, table, 3)
+	srv, _ := NewShardSession(pk, table.Column(), 3, 0)
 	width := pk.CiphertextSize()
 	body, err := EncryptRange(Online{PK: pk}, sel, 0, 3, width)
 	if err != nil {

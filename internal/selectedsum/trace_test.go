@@ -22,7 +22,7 @@ func serveTimedPair(t *testing.T) (*wire.Conn, *PhaseTimings, chan error) {
 	timings := &PhaseTimings{Trace: trace.New("pipe")}
 	errc := make(chan error, 1)
 	go func() {
-		errc <- ServeTimed(serverConn, table, timings)
+		errc <- ServeSource(serverConn, table, timings)
 		serverConn.Close()
 	}()
 	t.Cleanup(func() { clientConn.Close() })
@@ -118,7 +118,7 @@ func TestNilTraceCostsNothing(t *testing.T) {
 	timings := &PhaseTimings{} // Trace nil
 	errc := make(chan error, 1)
 	go func() {
-		errc <- ServeTimed(serverConn, table, timings)
+		errc <- ServeSource(serverConn, table, timings)
 		serverConn.Close()
 	}()
 	defer clientConn.Close()

@@ -43,7 +43,10 @@ const (
 	// 64 keeps a stock host responsive under the paper's 1024-bit keys.
 	DefaultMaxSessions = 64
 	// DefaultRejectTimeout bounds the busy-reply exchange with an
-	// over-admission client.
+	// over-admission client. Its client-side counterpart is selectedsum's
+	// rejectGrace: how long an uploader whose write broke on the hang-up
+	// that follows waits for this reply before reporting the bare write
+	// error.
 	DefaultRejectTimeout = time.Second
 	// minAcceptBackoff and maxAcceptBackoff bound the retry delay after a
 	// transient Accept failure (e.g. EMFILE), doubling in between.

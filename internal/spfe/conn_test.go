@@ -31,14 +31,14 @@ func TestWeightedQueryOverWire(t *testing.T) {
 	defer clientConn.Close()
 	defer serverConn.Close()
 	errc := make(chan error, 1)
-	go func() { errc <- selectedsum.Serve(serverConn, table) }()
+	go func() { errc <- selectedsum.ServeSource(serverConn, table, nil) }()
 
-	sum, err := selectedsum.QueryVector(clientConn, sk, Source{PK: pk, W: w}, 2)
+	sums, err := selectedsum.QueryVector(clientConn, sk, Source{PK: pk, W: w}, 2, 0)
 	if err != nil {
 		t.Fatalf("QueryVector: %v", err)
 	}
-	if sum.Int64() != want {
-		t.Errorf("weighted sum over wire = %v, want %d", sum, want)
+	if sums[0].Int64() != want {
+		t.Errorf("weighted sum over wire = %v, want %d", sums[0], want)
 	}
 	if err := <-errc; err != nil {
 		t.Errorf("Serve: %v", err)
@@ -47,10 +47,10 @@ func TestWeightedQueryOverWire(t *testing.T) {
 
 func TestQueryVectorValidation(t *testing.T) {
 	sk := testKey(t)
-	if _, err := selectedsum.QueryVector(nil, sk, nil, 0); err == nil {
+	if _, err := selectedsum.QueryVector(nil, sk, nil, 0, 0); err == nil {
 		t.Error("nil source should fail")
 	}
-	if _, err := selectedsum.QueryVector(nil, nil, Source{}, 0); err == nil {
+	if _, err := selectedsum.QueryVector(nil, nil, Source{}, 0, 0); err == nil {
 		t.Error("nil key should fail")
 	}
 }

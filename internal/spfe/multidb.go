@@ -71,7 +71,7 @@ func MultiDatabaseSum(sk homomorphic.PrivateKey, tables []*database.Table, sel *
 	for s, t := range tables {
 		res.PerServerRows[s] = t.Len()
 		n := t.Len()
-		session, err := selectedsum.NewServerSession(pk, t, uint64(n))
+		session, err := selectedsum.NewShardSession(pk, t.Column(), uint64(n), 0)
 		if err != nil {
 			return nil, fmt.Errorf("spfe: server %d session: %w", s, err)
 		}

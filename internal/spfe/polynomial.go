@@ -95,7 +95,7 @@ func PolynomialSum(sk homomorphic.PrivateKey, col database.Column, sel *database
 		if err != nil {
 			return nil, err
 		}
-		s, err := selectedsum.NewColumnSession(pk, pc, uint64(n))
+		s, err := selectedsum.NewShardSession(pk, pc, uint64(n), 0)
 		if err != nil {
 			return nil, err
 		}

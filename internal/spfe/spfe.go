@@ -96,7 +96,7 @@ func encryptWeights(pk homomorphic.PublicKey, w *Weights, lo, hi, width int) ([]
 // Source adapts a weight vector to the transport client's
 // selectedsum.VectorSource, so weighted queries run over real connections:
 //
-//	sum, err := selectedsum.QueryVector(conn, sk, spfe.Source{PK: pk, W: w}, 100)
+//	sums, err := selectedsum.QueryVector(conn, sk, spfe.Source{PK: pk, W: w}, 100, 0)
 type Source struct {
 	PK homomorphic.PublicKey
 	W  *Weights
@@ -129,7 +129,7 @@ func WeightedSum(sk homomorphic.PrivateKey, col database.Column, w *Weights, chu
 	if chunkSize <= 0 || chunkSize > n {
 		chunkSize = n
 	}
-	session, err := selectedsum.NewColumnSession(pk, col, uint64(n))
+	session, err := selectedsum.NewShardSession(pk, col, uint64(n), 0)
 	if err != nil {
 		return nil, err
 	}

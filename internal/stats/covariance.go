@@ -58,7 +58,7 @@ func (a *Analyst) CovarianceQuery(x, y *database.Table, sel *database.Selection)
 	}
 	sessions := make([]*selectedsum.ServerSession, 3)
 	for i, col := range []database.Column{x.Column(), y.Column(), prod} {
-		s, err := selectedsum.NewColumnSession(pk, col, uint64(n))
+		s, err := selectedsum.NewShardSession(pk, col, uint64(n), 0)
 		if err != nil {
 			return nil, Cost{}, err
 		}

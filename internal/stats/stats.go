@@ -141,11 +141,11 @@ func (a *Analyst) MomentsQuery(table *database.Table, sel *database.Selection) (
 		return nil, Cost{}, fmt.Errorf("stats: plaintext space too small for Σx² over %d rows", n)
 	}
 
-	valSession, err := selectedsum.NewColumnSession(pk, table.Column(), uint64(n))
+	valSession, err := selectedsum.NewShardSession(pk, table.Column(), uint64(n), 0)
 	if err != nil {
 		return nil, Cost{}, err
 	}
-	sqSession, err := selectedsum.NewColumnSession(pk, table.SquareColumn(), uint64(n))
+	sqSession, err := selectedsum.NewShardSession(pk, table.SquareColumn(), uint64(n), 0)
 	if err != nil {
 		return nil, Cost{}, err
 	}

@@ -502,11 +502,17 @@ func (e *PeerError) Error() string {
 	return "wire: peer error: " + e.Msg
 }
 
-// ErrorCodeOf extracts the code from a (possibly wrapped) PeerError.
+// ErrorCode reports the code the peer sent.
+func (e *PeerError) ErrorCode() ErrorCode { return e.Code }
+
+// ErrorCodeOf extracts the code from a (possibly wrapped) PeerError — or
+// from any error in the chain that classifies itself with an ErrorCode
+// method, which is how a layer above the session loop (the aggregator's
+// shard-unavailable verdict) picks the code its failure is reported with.
 func ErrorCodeOf(err error) ErrorCode {
-	var pe *PeerError
-	if errors.As(err, &pe) {
-		return pe.Code
+	var coded interface{ ErrorCode() ErrorCode }
+	if errors.As(err, &coded) {
+		return coded.ErrorCode()
 	}
 	return CodeNone
 }
