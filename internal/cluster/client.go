@@ -572,14 +572,10 @@ type QuerySpec struct {
 func (c *Client) QueryColumns(ctx context.Context, backends []string, sk homomorphic.PrivateKey, spec QuerySpec) ([]*big.Int, error) {
 	c.m.Queries.Inc()
 	var sums []*big.Int
-	_, err := c.Do(ctx, backends, func(s *Session) error {
+	_, err := c.Do(ctx, backends, func(s *Session) (err error) {
 		s.Conn.SetTraceID(spec.TraceID)
-		got, err := selectedsum.QueryVector(s.Conn, sk, selectedsum.SelectionSource(sk, spec.Sel, spec.Pool), spec.ChunkSize, spec.Columns)
-		if err != nil {
-			return err
-		}
-		sums = got
-		return nil
+		sums, err = selectedsum.QueryVector(s.Conn, sk, selectedsum.SelectionSource(sk, spec.Sel, spec.Pool), spec.ChunkSize, spec.Columns)
+		return err
 	})
 	if err != nil {
 		return nil, err
