@@ -28,11 +28,11 @@ race:
 
 # Flake gate (ROADMAP item 0a), scoped to the protocol path — the framed wire
 # layer, the one server and client loop, the cluster fan-out and the server
-# runtime: ten repetitions with one and with two scheduler threads, then three
-# under the race detector. A test that only passes on a quiet host fails here,
+# runtime — and the job gateway on top of it: ten repetitions with one and
+# with two scheduler threads, then three under the race detector. A test that only passes on a quiet host fails here,
 # and is fixed on counted events (testutil.Eventually), never on a longer
 # sleep or a retry.
-FLAKE_PKGS = ./internal/wire/ ./internal/selectedsum/ ./internal/cluster/ ./internal/server/
+FLAKE_PKGS = ./internal/wire/ ./internal/selectedsum/ ./internal/cluster/ ./internal/server/ ./internal/jobs/
 flake:
 	GOMAXPROCS=1 $(GO) test -count=10 $(FLAKE_PKGS)
 	GOMAXPROCS=2 $(GO) test -count=10 $(FLAKE_PKGS)

@@ -559,6 +559,10 @@ type QuerySpec struct {
 	ChunkSize int
 	// Pool supplies preprocessed bit encryptions; nil encrypts online.
 	Pool homomorphic.EncryptorPool
+	// Weight, when non-nil, makes the upload slot-packed: selected row i is
+	// encrypted as Weight(i) in place of 1, so each fold replies
+	// Σ Weight(i)·x_i (selectedsum.PackedSelectionSource).
+	Weight func(row int) *big.Int
 	// Columns selects the server-side folds (zero means value only).
 	Columns wire.ColumnSet
 	// TraceID, when non-zero, tags every attempt of the query so one ID
@@ -571,10 +575,14 @@ type QuerySpec struct {
 // decrypted sum per column in spec.Columns (ascending bit order).
 func (c *Client) QueryColumns(ctx context.Context, backends []string, sk homomorphic.PrivateKey, spec QuerySpec) ([]*big.Int, error) {
 	c.m.Queries.Inc()
+	src := selectedsum.SelectionSource(sk, spec.Sel, spec.Pool)
+	if spec.Weight != nil {
+		src = selectedsum.PackedSelectionSource(sk, spec.Sel, spec.Weight, spec.Pool)
+	}
 	var sums []*big.Int
 	_, err := c.Do(ctx, backends, func(s *Session) (err error) {
 		s.Conn.SetTraceID(spec.TraceID)
-		sums, err = selectedsum.QueryVector(s.Conn, sk, selectedsum.SelectionSource(sk, spec.Sel, spec.Pool), spec.ChunkSize, spec.Columns)
+		sums, err = selectedsum.QueryVector(s.Conn, sk, src, spec.ChunkSize, spec.Columns)
 		return err
 	})
 	if err != nil {

@@ -134,6 +134,18 @@ func WithoutSelfEncrypt(sk PrivateKey) PrivateKey {
 // assertion for SelfEncryptor (or any other capability) fails.
 type basePrivOnly struct{ PrivateKey }
 
+// PlainAdder is an optional capability on PublicKey: schemes that can add a
+// known plaintext to a ciphertext for less than an encryption implement it
+// (Paillier multiplies by g^k = 1 + k·N, one modular multiplication). The
+// selected-sum client type-asserts for it to turn a pooled encryption of 0
+// into an encryption of any weight, and falls back to encrypting the weight
+// online when absent.
+type PlainAdder interface {
+	// AddPlain returns an encryption of m(c)+k under c's randomizer, so the
+	// result is as fresh as c is. k must lie in [0, PlaintextSpace()).
+	AddPlain(c Ciphertext, k *big.Int) (Ciphertext, error)
+}
+
 // FixedBased is implemented by public keys whose Encrypt runs through
 // lazily built fixed-base windowed tables (Damgård–Jurik, ElGamal).
 // WithoutFixedBase returns an equivalent key with the acceleration

@@ -11,7 +11,6 @@ import (
 	"privstats/internal/cluster"
 	"privstats/internal/homomorphic"
 	"privstats/internal/trace"
-	"privstats/internal/wire"
 )
 
 // Executor runs plans against a cluster (or single-server) endpoint through
@@ -72,17 +71,10 @@ func (e *Executor) Run(ctx context.Context, plan *Plan, id trace.ID) (res *Resul
 		e.Traces.Add(tr)
 	}()
 
-	// A variance fold needs the plaintext space to hold Σx² ≈ n·2⁶⁴; guard
-	// before querying so a too-small key fails loudly instead of wrapping
-	// mod N into a silently wrong statistic.
-	pk := e.Key.PublicKey()
-	for _, st := range plan.Steps {
-		if st.Columns.Has(wire.ColSquare) {
-			bound := new(big.Int).Lsh(big.NewInt(int64(st.Sel.Len())), 64)
-			if bound.Cmp(pk.PlaintextSpace()) >= 0 {
-				return nil, fmt.Errorf("jobs: plaintext space too small for Σx² over %d rows", st.Sel.Len())
-			}
-		}
+	// The gateway checked this at submit; a plan handed to Run by anyone
+	// else is checked here, before a query can wrap mod N.
+	if err := checkPlaintextBounds(plan, e.Key.PublicKey()); err != nil {
+		return nil, err
 	}
 
 	sums := make([][]*big.Int, len(plan.Steps))
@@ -92,6 +84,7 @@ func (e *Executor) Run(ctx context.Context, plan *Plan, id trace.ID) (res *Resul
 			Sel:       st.Sel,
 			ChunkSize: e.ChunkSize,
 			Pool:      e.Pool,
+			Weight:    st.Weight,
 			Columns:   st.Columns,
 			TraceID:   [16]byte(id),
 		})

@@ -5,6 +5,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"privstats/internal/testutil"
 )
 
 func TestFairSemaphoreInterleavesTenants(t *testing.T) {
@@ -60,13 +62,7 @@ func parkOne(t *testing.T, f *FairSemaphore, tenant string, weight int, ch chan 
 		}
 		ch <- tenant
 	}()
-	deadline := time.Now().Add(2 * time.Second)
-	for f.Queued() <= before {
-		if time.Now().After(deadline) {
-			t.Fatal("waiter never parked")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	testutil.Eventually(t, 10*time.Second, "the waiter to park", func() bool { return f.Queued() > before })
 }
 
 func TestFairSemaphoreWeights(t *testing.T) {
@@ -116,13 +112,7 @@ func TestFairSemaphoreCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	errc := make(chan error, 1)
 	go func() { errc <- f.Acquire(ctx, "b", 1) }()
-	deadline := time.Now().Add(2 * time.Second)
-	for f.Queued() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("waiter never parked")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	testutil.Eventually(t, 10*time.Second, "the waiter to park", func() bool { return f.Queued() > 0 })
 	cancel()
 	if err := <-errc; err != context.Canceled {
 		t.Fatalf("cancelled Acquire returned %v", err)

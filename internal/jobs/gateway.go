@@ -129,6 +129,7 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 	if err := cfg.Exec.validate(); err != nil {
 		return nil, err
 	}
+	cfg.Schema.PlaintextBits = cfg.Exec.Key.PublicKey().PlaintextSpace().BitLen()
 	set, err := newTenantSet(cfg.Tenants)
 	if err != nil {
 		return nil, err
@@ -218,7 +219,7 @@ func (g *Gateway) Submit(tenant string, spec *JobSpec) (Job, error) {
 		tm.Rejected.Inc()
 		return Job{}, badJob("spec", "missing")
 	}
-	plan, err := BuildPlan(spec, g.cfg.Schema)
+	plan, err := g.plan(spec)
 	if err != nil {
 		tm.Rejected.Inc()
 		return Job{}, err
@@ -278,6 +279,19 @@ func (g *Gateway) Submit(tenant string, spec *JobSpec) (Job, error) {
 		g.run(job, plan, id, ts.cfg.Weight, tm, admitted)
 	}()
 	return snapshot, nil
+}
+
+// plan maps spec onto queries and rejects, before anything is acknowledged or
+// journaled, a plan whose replies the executor's key cannot hold.
+func (g *Gateway) plan(spec *JobSpec) (*Plan, error) {
+	plan, err := BuildPlan(spec, g.cfg.Schema)
+	if err != nil {
+		return nil, err
+	}
+	if err := checkPlaintextBounds(plan, g.cfg.Exec.Key.PublicKey()); err != nil {
+		return nil, err
+	}
+	return plan, nil
 }
 
 // run is one job's worker: fair-share admission, execution, bookkeeping.

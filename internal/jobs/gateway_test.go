@@ -20,6 +20,7 @@ import (
 	"privstats/internal/homomorphic"
 	"privstats/internal/paillier"
 	"privstats/internal/server"
+	"privstats/internal/testutil"
 	"privstats/internal/trace"
 )
 
@@ -123,23 +124,18 @@ func oneTenant() []Tenant {
 	return []Tenant{{Name: "acme", Weight: 1, Rate: 1000, Burst: 1000, MaxQueued: 64}}
 }
 
-// waitJob polls until the job leaves the queue and returns its final state.
+// waitJob waits until the job reaches a final state and returns it.
 func waitJob(t *testing.T, g *Gateway, id string) Job {
 	t.Helper()
-	deadline := time.Now().Add(60 * time.Second)
-	for {
-		job, ok := g.Status(id)
-		if !ok {
+	var job Job
+	testutil.Eventually(t, 60*time.Second, "job "+id+" to finish", func() bool {
+		var ok bool
+		if job, ok = g.Status(id); !ok {
 			t.Fatalf("job %s vanished", id)
 		}
-		if job.State == StateDone || job.State == StateFailed {
-			return job
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("job %s stuck in %s", id, job.State)
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
+		return job.State == StateDone || job.State == StateFailed
+	})
+	return job
 }
 
 // TestGatewayEndToEnd is the headline acceptance test: JobSpecs for sum,
@@ -259,14 +255,10 @@ func TestGatewayEndToEnd(t *testing.T) {
 		"gateway": exec.Traces, "aggregator": aggRec,
 		"shard0": shardRecs[0], "shard1": shardRecs[1],
 	}
-	deadline := time.Now().Add(10 * time.Second)
 	for name, rec := range rings {
-		for len(rec.Find(id)) == 0 {
-			if time.Now().After(deadline) {
-				t.Fatalf("trace %s not visible in %s ring", varJob.ID, name)
-			}
-			time.Sleep(2 * time.Millisecond)
-		}
+		testutil.Eventually(t, 10*time.Second, "trace "+varJob.ID+" in the "+name+" ring", func() bool {
+			return len(rec.Find(id)) > 0
+		})
 	}
 
 	// Counters: all five jobs admitted and completed, none failed.
@@ -511,31 +503,24 @@ func TestGatewayHTTP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(60 * time.Second)
-	for {
+	var got Job
+	testutil.Eventually(t, 60*time.Second, "the job to finish over HTTP", func() bool {
 		resp, err := http.Get(ts.URL + "/" + job.ID)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var got Job
 		err = json.NewDecoder(resp.Body).Decode(&got)
 		resp.Body.Close()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got.State == StateFailed {
-			t.Fatalf("job failed: %s", got.Error)
-		}
-		if got.State == StateDone {
-			if got.Result.Sum != oracle.String() {
-				t.Fatalf("HTTP sum %s, oracle %s", got.Result.Sum, oracle)
-			}
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("job never finished")
-		}
-		time.Sleep(2 * time.Millisecond)
+		return got.State == StateDone || got.State == StateFailed
+	})
+	if got.State == StateFailed {
+		t.Fatalf("job failed: %s", got.Error)
+	}
+	if got.Result.Sum != oracle.String() {
+		t.Fatalf("HTTP sum %s, oracle %s", got.Result.Sum, oracle)
 	}
 
 	// Rejections map onto HTTP statuses.

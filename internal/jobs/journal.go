@@ -217,7 +217,7 @@ func (g *Gateway) openStore(dir string) error {
 			spec, perr := DecodeJobSpec(rj.spec)
 			var plan *Plan
 			if perr == nil {
-				plan, perr = BuildPlan(spec, g.cfg.Schema)
+				plan, perr = g.plan(spec)
 			}
 			if perr != nil {
 				interrupted++

@@ -3,29 +3,73 @@ package jobs
 import (
 	"fmt"
 	"math/big"
+	"math/bits"
 
 	"privstats/internal/database"
+	"privstats/internal/homomorphic"
 	"privstats/internal/wire"
 )
 
 // Step is one cluster query of a plan: fold the (secret) selection against
 // the requested column set in a single uplink.
 type Step struct {
-	// Label names the step in traces ("sum", "moments", "group3").
+	// Label names the step in traces ("sum", "moments", "groups0-3").
 	Label string
 	// Sel is the selection this step's uplink encrypts.
 	Sel *database.Selection
 	// Columns is the server-side fold set for the step.
 	Columns wire.ColumnSet
-	// Group is the group index for per-group steps, -1 otherwise.
+	// Group is the first group a group-by step carries, -1 otherwise.
 	Group int
+	// Slots is how many consecutive groups, from Group on, a group-by step
+	// packs into its one reply; 0 otherwise.
+	Slots int
+	// Weight, set on group-by steps, is what selected row i uploads in place
+	// of the bit 1: 2^(slot width · (row i's group − Group)). Callers must
+	// not modify the returned value.
+	Weight func(row int) *big.Int
+}
+
+// valueBits is the width of a table value (database.Table holds uint32s).
+const valueBits = 32
+
+// slotWidth is the bits the sum of up to rows values needs: rows is below
+// 2^bitlen(rows) and every value below 2^32, so a slot this wide never
+// carries into its neighbour.
+func slotWidth(rows int) int { return valueBits + bits.Len(uint(rows)) }
+
+// slotCapacity is how many slots of width bits one plaintext holds. Anything
+// below 2^(plaintextBits−1) is below the modulus, hence the −1. A plaintext
+// of unknown width, or narrower than a slot, plans one group per step;
+// checkPlaintextBounds is what rejects the second.
+func slotCapacity(plaintextBits, width int) int {
+	return max(1, (plaintextBits-1)/width)
+}
+
+// checkPlaintextBounds rejects a plan one of whose replies could exceed pk's
+// plaintext space and wrap mod N into a silently wrong statistic: Σx over a
+// step's rows fills one slot per group it carries (one for the ungrouped
+// ops), Σx² stays below rows·2⁶⁴.
+func checkPlaintextBounds(plan *Plan, pk homomorphic.PublicKey) error {
+	space := pk.PlaintextSpace()
+	for _, st := range plan.Steps {
+		rows, slots := st.Sel.Len(), max(st.Slots, 1)
+		if width := slotWidth(rows); slots*width > space.BitLen()-1 {
+			return badJob("key", "%d-bit plaintext space cannot hold %d sums of %d bits over %d rows",
+				space.BitLen(), slots, width, rows)
+		}
+		if st.Columns.Has(wire.ColSquare) && new(big.Int).Lsh(big.NewInt(int64(rows)), 64).Cmp(space) >= 0 {
+			return badJob("key", "%d-bit plaintext space cannot hold Σx² over %d rows", space.BitLen(), rows)
+		}
+	}
+	return nil
 }
 
 // Plan maps a validated JobSpec onto selected-sum queries plus a local
 // finishing computation. Every op costs the fewest uplinks its statistic
 // allows: sum/mean/variance/covariance are ONE query each (variance rides
-// the paper's one-round two-column fold), groupby is one query per
-// non-empty group.
+// the paper's one-round two-column fold), groupby packs as many groups'
+// sums into one query's reply as the key's plaintext holds.
 type Plan struct {
 	// Op echoes the spec's operation.
 	Op string
@@ -135,40 +179,55 @@ func BuildPlan(spec *JobSpec, schema Schema) (*Plan, error) {
 		}, nil
 
 	case OpGroupBy:
-		// One selected-sum query per non-empty group: the secret selection
-		// intersected with the (public) group labels. Counts are local
-		// knowledge — the gateway authored the selection — so only the sums
-		// touch the protocol, mirroring GroupByQuery's per-stratum
-		// semantics. Empty groups are filled in at finish time for free.
+		// The secret selection, every selected row weighted by its (public)
+		// group's slot: one reply plaintext carries the sums of up to
+		// capacity consecutive groups, so a group-by is one query whenever
+		// the key is wide enough, and ⌈G/capacity⌉ otherwise. Counts are
+		// local knowledge — the gateway authored the selection — so only
+		// the sums touch the protocol. A step with nothing selected is not
+		// sent: its groups are known to be empty.
 		p := spec.Params
-		groupSels := make([]*database.Selection, p.Groups)
+		width := slotWidth(schema.Rows)
+		capacity := slotCapacity(schema.PlaintextBits, width)
 		counts := make([]int, p.Groups)
-		for g := range groupSels {
-			gs, err := database.NewSelection(schema.Rows)
-			if err != nil {
+		stepSels := make([]*database.Selection, (p.Groups+capacity-1)/capacity)
+		for i := range stepSels {
+			if stepSels[i], err = database.NewSelection(schema.Rows); err != nil {
 				return nil, err
 			}
-			groupSels[g] = gs
 		}
 		for i, g := range p.Labels {
 			if sel.Bit(i) == 1 {
-				groupSels[g].Set(i)
 				counts[g]++
+				stepSels[g/capacity].Set(i)
 			}
 		}
+		// units[k] is the weight of slot k, shared by every step and never
+		// modified.
+		units := make([]*big.Int, min(capacity, p.Groups))
+		for k := range units {
+			units[k] = new(big.Int).Lsh(big.NewInt(1), uint(k*width))
+		}
+		labels := p.Labels
 		var steps []Step
-		stepGroup := make([]int, 0, p.Groups)
-		for g := 0; g < p.Groups; g++ {
-			if counts[g] == 0 {
+		for i, stepSel := range stepSels {
+			if stepSel.Count() == 0 {
 				continue
 			}
+			lo := i * capacity
+			hi := min(lo+capacity, p.Groups)
+			label := fmt.Sprintf("group%d", lo)
+			if hi-lo > 1 {
+				label = fmt.Sprintf("groups%d-%d", lo, hi-1)
+			}
 			steps = append(steps, Step{
-				Label:   fmt.Sprintf("group%d", g),
-				Sel:     groupSels[g],
+				Label:   label,
+				Sel:     stepSel,
 				Columns: wire.ColValue,
-				Group:   g,
+				Group:   lo,
+				Slots:   hi - lo,
+				Weight:  func(row int) *big.Int { return units[labels[row]-lo] },
 			})
-			stepGroup = append(stepGroup, g)
 		}
 		groups := p.Groups
 		return &Plan{
@@ -179,11 +238,30 @@ func BuildPlan(spec *JobSpec, schema Schema) (*Plan, error) {
 				for g := range res.Groups {
 					res.Groups[g] = GroupResult{Group: g, Count: counts[g], Sum: "0"}
 				}
-				for i, g := range stepGroup {
-					s := sums[i][0]
-					row := &res.Groups[g]
-					row.Sum = s.String()
-					row.Mean = new(big.Rat).SetFrac(s, big.NewInt(int64(counts[g]))).RatString()
+				mask := new(big.Int).Lsh(big.NewInt(1), uint(width))
+				mask.Sub(mask, big.NewInt(1))
+				for i, st := range steps {
+					// A reply wider than its slots, or with bits in the slot
+					// of a group nothing was selected from, is not the fold
+					// of this upload: fail rather than report a statistic.
+					packed := sums[i][0]
+					if packed.Sign() < 0 || packed.BitLen() > st.Slots*width {
+						return nil, fmt.Errorf("jobs: step %s: reply is %d bits wide, its %d slots of %d bits hold %d",
+							st.Label, packed.BitLen(), st.Slots, width, st.Slots*width)
+					}
+					for k := 0; k < st.Slots; k++ {
+						s := new(big.Int).Rsh(packed, uint(k*width))
+						s.And(s, mask)
+						row := &res.Groups[st.Group+k]
+						if row.Count == 0 {
+							if s.Sign() != 0 {
+								return nil, fmt.Errorf("jobs: step %s: slot of empty group %d holds a non-zero sum", st.Label, row.Group)
+							}
+							continue
+						}
+						row.Sum = s.String()
+						row.Mean = new(big.Rat).SetFrac(s, big.NewInt(int64(row.Count))).RatString()
+					}
 				}
 				return res, nil
 			},

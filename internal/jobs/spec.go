@@ -59,6 +59,11 @@ func badJob(field, format string, args ...any) error {
 type Schema struct {
 	Rows    int
 	Columns []string
+	// PlaintextBits is the bit length of the analyst key's plaintext space,
+	// which sets how many group-by sums share one reply. NewGateway derives
+	// it from the executor's key; zero means unknown and plans one group per
+	// query.
+	PlaintextBits int
 }
 
 // HasColumn reports whether name is a served column.
@@ -104,9 +109,9 @@ type GroupByParams struct {
 	Groups int `json:"groups"`
 }
 
-// MaxGroups bounds a groupby fan-out: each non-empty group costs one
-// cluster query, so the cap keeps one spec from launching an unbounded
-// query storm.
+// MaxGroups bounds a groupby fan-out: a key too narrow to pack groups costs
+// one cluster query per group, so the cap keeps one spec from launching an
+// unbounded query storm.
 const MaxGroups = 256
 
 // DecodeJobSpec parses a JSON JobSpec, rejecting unknown fields, trailing

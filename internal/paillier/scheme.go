@@ -20,6 +20,7 @@ type SchemeKey struct{ SK *PrivateKey }
 var (
 	_ homomorphic.PublicKey         = Scheme{}
 	_ homomorphic.MultiScalarFolder = Scheme{}
+	_ homomorphic.PlainAdder        = Scheme{}
 	_ homomorphic.PrivateKey        = SchemeKey{}
 	_ homomorphic.SelfEncryptor     = SchemeKey{}
 	_ homomorphic.Ciphertext        = (*Ciphertext)(nil)
@@ -65,6 +66,16 @@ func (s Scheme) ScalarMul(c homomorphic.Ciphertext, k *big.Int) (homomorphic.Cip
 		return nil, err
 	}
 	return s.PK.ScalarMul(cc, k)
+}
+
+// AddPlain implements homomorphic.PlainAdder, the optional capability the
+// selected-sum client probes for to weight a pooled encryption of 0.
+func (s Scheme) AddPlain(c homomorphic.Ciphertext, k *big.Int) (homomorphic.Ciphertext, error) {
+	cc, err := asPaillier(c)
+	if err != nil {
+		return nil, err
+	}
+	return s.PK.AddPlain(cc, k)
 }
 
 // OpenFold implements homomorphic.MultiScalarFolder, the optional

@@ -343,6 +343,78 @@ func SelectionSource(sk homomorphic.PrivateKey, sel *database.Selection, pool ho
 	return selectionSource{sel: sel, enc: enc}
 }
 
+// packedSource is a selection whose selected rows carry an integer weight in
+// place of the bit 1.
+type packedSource struct {
+	sel    *database.Selection
+	weight func(row int) *big.Int
+	// maxBits bounds a weight: anything wider may not be a plaintext.
+	maxBits int
+	// encrypt is the best online route the key offers.
+	encrypt func(m *big.Int) (homomorphic.Ciphertext, error)
+	// pool, when non-nil, supplies the encryptions of 0, and adder, when the
+	// key has the capability, turns one into an encryption of a weight.
+	pool  homomorphic.EncryptorPool
+	adder homomorphic.PlainAdder
+}
+
+func (s packedSource) Len() int { return s.sel.Len() }
+func (s packedSource) EncryptAt(i int) (homomorphic.Ciphertext, error) {
+	var w *big.Int
+	if s.sel.Bit(i) == 1 {
+		w = s.weight(i)
+		if w == nil || w.Sign() < 0 || w.BitLen() > s.maxBits {
+			return nil, fmt.Errorf("selectedsum: weight of row %d is outside the plaintext space", i)
+		}
+	}
+	switch {
+	case s.pool == nil:
+		if w == nil {
+			w = new(big.Int)
+		}
+		return s.encrypt(w)
+	case w == nil:
+		return s.pool.DrawBit(0)
+	case s.adder == nil:
+		return s.encrypt(w)
+	}
+	zero, err := s.pool.DrawBit(0)
+	if err != nil {
+		return nil, err
+	}
+	return s.adder.AddPlain(zero, w)
+}
+
+// PackedSelectionSource is the weighted form of SelectionSource (the paper's
+// §2: "integer weights in some larger range could be used"): selected row i
+// uploads E(weight(i)), every other row E(0). A caller that gives each group
+// of rows its own power of two reads one sum per group out of the single
+// decrypted reply. With a pool and a key that offers PlainAdder every entry
+// is a pooled encryption of 0, the selected ones shifted by one
+// multiplication; otherwise weights are encrypted online by the best route
+// sk offers, at the cost of a bit. The server folds the vector like any
+// other. A nil key yields a nil source, which QueryVector rejects.
+func PackedSelectionSource(sk homomorphic.PrivateKey, sel *database.Selection, weight func(row int) *big.Int, pool homomorphic.EncryptorPool) VectorSource {
+	if sk == nil {
+		return nil
+	}
+	pk := sk.PublicKey()
+	src := packedSource{
+		sel:     sel,
+		weight:  weight,
+		maxBits: pk.PlaintextSpace().BitLen() - 1,
+		encrypt: pk.Encrypt,
+		pool:    pool,
+	}
+	if se, ok := sk.(homomorphic.SelfEncryptor); ok {
+		src.encrypt = se.EncryptSelf
+	}
+	if pool != nil {
+		src.adder, _ = pk.(homomorphic.PlainAdder)
+	}
+	return src
+}
+
 // Query runs the client side of one session over conn: it streams the
 // encrypted selection in chunks of chunkSize (0 = single chunk) and returns
 // the decrypted sum. pool, when non-nil, supplies preprocessed bit

@@ -1,0 +1,101 @@
+package selectedsum
+
+import (
+	"math/big"
+	"testing"
+
+	"privstats/internal/homomorphic"
+	"privstats/internal/paillier"
+	"privstats/internal/wire"
+)
+
+// countingPool is a bit store that counts what is drawn from it.
+type countingPool struct {
+	homomorphic.EncryptorPool
+	drawn [2]int
+}
+
+func (p *countingPool) DrawBit(bit uint) (homomorphic.Ciphertext, error) {
+	p.drawn[bit&1]++
+	return p.EncryptorPool.DrawBit(bit)
+}
+
+// publicOnly is a key whose public half offers no optional capability, so a
+// packed source cannot shift a pooled zero and has to encrypt each weight.
+type publicOnly struct{ homomorphic.PrivateKey }
+
+func (k publicOnly) PublicKey() homomorphic.PublicKey {
+	return homomorphic.WithoutMultiScalarFold(k.PrivateKey.PublicKey())
+}
+
+// TestPackedSelectionSourceRoutes: selected row i uploads E(weight(i)) and the
+// unchanged server fold replies Σ weight(i)·x_i, whichever way the weights
+// were encrypted; the pooled route draws zeros only.
+func TestPackedSelectionSourceRoutes(t *testing.T) {
+	sk := testKey(t)
+	table, sel, _ := fixture(t, 70, 31)
+	// Three weights, by row: the slots a caller would pack three groups into.
+	units := []*big.Int{big.NewInt(1), new(big.Int).Lsh(big.NewInt(1), 40), new(big.Int).Lsh(big.NewInt(1), 80)}
+	weight := func(row int) *big.Int { return units[row%3] }
+	want := new(big.Int)
+	for _, i := range sel.Indices() {
+		want.Add(want, new(big.Int).Mul(weight(i), big.NewInt(int64(table.Value(i)))))
+	}
+
+	store := paillier.NewBitStoreOwner(sk.(paillier.SchemeKey).SK)
+	if err := store.Fill(2*table.Len(), 0); err != nil {
+		t.Fatal(err)
+	}
+	pool := &countingPool{EncryptorPool: paillier.SchemeBitStore{Store: store}}
+
+	for _, tc := range []struct {
+		name      string
+		key       homomorphic.PrivateKey
+		pool      homomorphic.EncryptorPool
+		wantZeros int
+	}{
+		{"pool+PlainAdder", sk, pool, table.Len()},
+		{"owner online", sk, nil, 0},
+		{"public online", homomorphic.WithoutSelfEncrypt(sk), nil, 0},
+		{"pool, no PlainAdder", publicOnly{sk}, pool, table.Len() - sel.Count()},
+	} {
+		pool.drawn = [2]int{}
+		conn, errc := servePair(t, table)
+		sums, err := QueryVector(conn, tc.key, PackedSelectionSource(tc.key, sel, weight, tc.pool), 16, wire.ColValue)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if serr := <-errc; serr != nil {
+			t.Fatalf("%s: serve: %v", tc.name, serr)
+		}
+		if sums[0].Cmp(want) != 0 {
+			t.Errorf("%s: packed sum %v, want %v", tc.name, sums[0], want)
+		}
+		if pool.drawn[0] != tc.wantZeros || pool.drawn[1] != 0 {
+			t.Errorf("%s: drew %d zeros and %d ones, want %d and 0", tc.name, pool.drawn[0], pool.drawn[1], tc.wantZeros)
+		}
+	}
+}
+
+// TestPackedSelectionSourceRejectsBadWeight: a weight that may not be a
+// plaintext fails the upload on every route instead of wrapping mod N.
+func TestPackedSelectionSourceRejectsBadWeight(t *testing.T) {
+	sk := testKey(t)
+	_, sel, _ := fixture(t, 8, 8)
+	store := paillier.NewBitStoreOwner(sk.(paillier.SchemeKey).SK)
+	if err := store.Fill(8, 0); err != nil {
+		t.Fatal(err)
+	}
+	wide := new(big.Int).Lsh(big.NewInt(1), uint(sk.PublicKey().PlaintextSpace().BitLen()))
+	for name, w := range map[string]*big.Int{"nil": nil, "negative": big.NewInt(-1), "wide": wide} {
+		for _, pool := range []homomorphic.EncryptorPool{nil, paillier.SchemeBitStore{Store: store}} {
+			src := PackedSelectionSource(sk, sel, func(int) *big.Int { return w }, pool)
+			if _, err := src.EncryptAt(0); err == nil {
+				t.Errorf("%s weight (pool %v) was encrypted", name, pool != nil)
+			}
+		}
+	}
+	if PackedSelectionSource(nil, sel, func(int) *big.Int { return big.NewInt(1) }, nil) != nil {
+		t.Error("nil key yielded a source")
+	}
+}
