@@ -34,7 +34,8 @@ var (
 // ErrNotInvertible is returned when a modular inverse does not exist.
 var ErrNotInvertible = errors.New("mathx: element is not invertible")
 
-// ErrBadModulus is returned when a modulus is nil, zero, or negative.
+// ErrBadModulus is returned when a modulus is nil, zero, or negative, and
+// wrapped by the bucket fold, whose kernel needs an odd one, for an even one.
 var ErrBadModulus = errors.New("mathx: modulus must be a positive integer")
 
 // RandInt returns a uniform random integer in [0, max). It panics if

@@ -1,0 +1,72 @@
+package mathx
+
+import (
+	"math/big"
+	"math/bits"
+)
+
+// This file is the chain kernel of a Reducer: Montgomery multiplication on
+// fixed-length limb slices, built from math/big's assembly addMulVVW (see
+// arith_linkname.go). With R = b^n, montMul(x, y) = x·y·R⁻¹ mod m costs two
+// n×n word products where Reducer.Mul costs three, but every product drags a
+// factor R⁻¹ along, so it only pays where multiplications chain and the stray
+// factors can be cancelled in one go: the bucket fold (MultiExpAcc).
+
+// Words returns the length of the modulus in machine words. Every limb slice
+// the chain kernel takes or returns has exactly this length.
+func (r *Reducer) Words() int { return r.n }
+
+// Limbs stores x, which must be in [0, m), into dst as Words() little-endian
+// words and returns them; dst is reused when it is large enough.
+func (r *Reducer) Limbs(dst []big.Word, x *big.Int) []big.Word {
+	if cap(dst) < r.n {
+		dst = make([]big.Word, r.n)
+	}
+	dst = dst[:r.n]
+	clear(dst[copy(dst, x.Bits()):])
+	return dst
+}
+
+// montConstants derives the chain kernel's constants for an odd modulus:
+// m as exactly n words, k0 = −m⁻¹ mod b, and rr = R² mod m (the Montgomery
+// form of R). r2 is b^(2n) mod m.
+func (r *Reducer) montConstants(r2 *big.Int) {
+	r.mw = r.Limbs(nil, r.m)
+	// Newton's iteration doubles the valid low bits of the inverse each
+	// round; m·m ≡ 1 mod 8 starts it at three.
+	inv := r.mw[0]
+	for valid := 3; valid < bits.UintSize; valid *= 2 {
+		inv *= 2 - r.mw[0]*inv
+	}
+	r.k0 = -inv
+	r.rr = r.Limbs(nil, r2)
+}
+
+// montMul sets z = x·y·R⁻¹ mod m, as some representative in [0, R): the
+// result is not reduced below m, and need not be — x and y may be any values
+// in [0, R), so results chain. x, y and z have n words, t is 2n words of
+// scratch; z may alias x or y. The loop is math/big's nat.montgomery.
+func (r *Reducer) montMul(z, x, y, t []big.Word) {
+	n := r.n
+	clear(t[:n])
+	var c big.Word
+	for i := 0; i < n; i++ {
+		c2 := addMulVVW(t[i:n+i], x, y[i])
+		c3 := addMulVVW(t[i:n+i], r.mw, t[i]*r.k0)
+		cx := c + c2
+		cy := cx + c3
+		t[n+i] = cy
+		if cx < c2 || cy < c3 {
+			c = 1
+		} else {
+			c = 0
+		}
+	}
+	// The sum is below R + m: a carry out of 2n words means it is in
+	// [R, R + m), and taking m off brings it back under R.
+	if c != 0 {
+		subVV(z, t[n:], r.mw)
+	} else {
+		copy(z, t[n:])
+	}
+}

@@ -26,37 +26,43 @@ import (
 // realistic row count.
 const MaxMultiExpWindow = 16
 
+// MultiExpMinRows is the fold length from which the accumulator, at the width
+// it picks and with Result's fixed part counted, executes fewer
+// multiplications than square-and-multiply per row; shorter folds are better
+// served by the per-row loop. TestMultiExpMinRowsIsTheCrossover pins it to
+// the counts (table in EXPERIMENTS.md).
+const MultiExpMinRows = 4
+
 // maxFoldStateBytes caps the bucket state one accumulator may grow to when
 // it picks its own window, whatever the row count: beyond a few MiB the
 // buckets fall out of cache and a wider window stops paying.
 const maxFoldStateBytes = 4 << 20
 
-// modMul is one goroutine's multiplier modulo a fixed modulus: the shared
-// Reducer plus scratch of its own, so the steady state allocates nothing and
-// takes no pool round trip per row.
-type modMul struct {
-	red  *Reducer
-	s    Scratch
-	muls int // multiplications performed; tests read it
-}
-
-// mul sets z = x·y mod m. x and y must be reduced; z may alias either.
-func (c *modMul) mul(z, x, y *big.Int) {
-	c.muls++
-	c.red.Mul(z, x, y, &c.s)
-}
-
 // MultiExpAcc accumulates Π base^exp mod m over rows added one at a time.
 // It is not safe for concurrent use; parallel folds keep one accumulator per
 // goroutine and multiply the results.
+//
+// Buckets are n-word limb slices multiplied by Reducer.montMul, and a base
+// goes in as it arrives, unconverted: read as a Montgomery form it stands for
+// base/R, so after rows with exponents x_i the buckets combine to the
+// Montgomery form of Π base_i^{x_i} · R^(−Σx_i). The accumulator sums the
+// exponents as it goes and Result multiplies the one factor R^(Σx_i) back in.
+// Σx_i runs over every row added, whatever a row's base encrypts, so neither
+// the factor nor the time it takes says anything about a client's selection.
 type MultiExpAcc struct {
-	mm modMul
-	w  uint
-	// windows[j][d-1] is the product of the bases whose j'th w-bit digit is
-	// d. A window's bucket array is allocated when its first non-zero digit
-	// appears, so 32-bit exponents never pay for the upper windows.
-	windows [][]*big.Int
-	reduced big.Int // a base outside [0, m), reduced
+	red *Reducer
+	w   uint
+	// windows[j][d-1] is the montMul product of the bases whose j'th w-bit
+	// digit is d, nil while no row has landed there. A window's bucket array
+	// is allocated when its first non-zero digit appears, so 32-bit
+	// exponents never pay for the upper windows.
+	windows [][][]big.Word
+	expLo   uint64 // Σ exp over the rows added, low and high halves
+	expHi   uint64
+	t       []big.Word // montMul's 2n words of scratch
+	row     []big.Word // the base of Add, as limbs
+	reduced big.Int    // a base outside [0, m), reduced
+	muls    int        // multiplications performed; tests read it
 }
 
 // NewMultiExpAcc returns an accumulator mod m for about expectedRows rows;
@@ -66,23 +72,37 @@ func NewMultiExpAcc(m *big.Int, expectedRows int) (*MultiExpAcc, error) {
 	if err != nil {
 		return nil, err
 	}
-	return red.NewMultiExpAcc(expectedRows), nil
+	return red.NewMultiExpAcc(expectedRows)
 }
 
-// NewMultiExpAcc returns an accumulator for about expectedRows rows. The
-// window width follows the cost model of PickMultiExpWindow for full 64-bit
-// exponents (the optimum barely moves with the exponent length) and is
-// capped so the bucket state stays within 4 MiB for any row count.
-func (r *Reducer) NewMultiExpAcc(expectedRows int) *MultiExpAcc {
-	return r.newAcc(autoWindow(r.m, expectedRows, 64))
+// NewMultiExpAcc returns an accumulator for about expectedRows rows, or
+// ErrBadModulus when the modulus is even. The window width follows the cost
+// model of PickMultiExpWindow for full 64-bit exponents (the optimum barely
+// moves with the exponent length) and is capped so the bucket state stays
+// within 4 MiB for any row count.
+func (r *Reducer) NewMultiExpAcc(expectedRows int) (*MultiExpAcc, error) {
+	if r.mw == nil {
+		return nil, errEvenModulus
+	}
+	return r.newAcc(autoWindow(r.m, expectedRows, 64)), nil
 }
 
+var errEvenModulus = fmt.Errorf("mathx: the bucket fold needs an odd modulus: %w", ErrBadModulus)
+
+// newAcc opens an accumulator of window width w; the modulus must be odd.
 func (r *Reducer) newAcc(w uint) *MultiExpAcc {
 	return &MultiExpAcc{
-		mm:      modMul{red: r},
+		red:     r,
 		w:       w,
-		windows: make([][]*big.Int, (64+w-1)/w),
+		windows: make([][][]big.Word, (64+w-1)/w),
+		t:       make([]big.Word, 2*r.n),
 	}
+}
+
+// mul sets z = x·y·R⁻¹ mod m; z may alias either operand.
+func (a *MultiExpAcc) mul(z, x, y []big.Word) {
+	a.muls++
+	a.red.montMul(z, x, y, a.t)
 }
 
 // Add multiplies base^exp into the product. base may be any integer (it is
@@ -91,9 +111,24 @@ func (a *MultiExpAcc) Add(base *big.Int, exp uint64) {
 	if exp == 0 {
 		return
 	}
-	if m := a.mm.red.m; base.Sign() < 0 || base.Cmp(m) >= 0 {
+	if m := a.red.m; base.Sign() < 0 || base.Cmp(m) >= 0 {
 		base = a.reduced.Mod(base, m)
 	}
+	a.row = a.red.Limbs(a.row, base)
+	a.AddLimbs(a.row, exp)
+}
+
+// AddLimbs is Add for a base already in [0, m) and laid out by
+// Reducer.Limbs: the form in which one decoded ciphertext feeds several
+// accumulators. A row costs one multiplication per non-zero digit of exp
+// that lands in an occupied bucket, and nothing else.
+func (a *MultiExpAcc) AddLimbs(base []big.Word, exp uint64) {
+	if len(base) != a.red.n {
+		panic("mathx: MultiExpAcc.AddLimbs: base is not Reducer.Words() long")
+	}
+	var carry uint64
+	a.expLo, carry = bits.Add64(a.expLo, exp, 0)
+	a.expHi += carry
 	mask := uint64(1)<<a.w - 1
 	for j := 0; exp != 0; j, exp = j+1, exp>>a.w {
 		d := exp & mask
@@ -102,13 +137,13 @@ func (a *MultiExpAcc) Add(base *big.Int, exp uint64) {
 		}
 		win := a.windows[j]
 		if win == nil {
-			win = make([]*big.Int, mask)
+			win = make([][]big.Word, mask)
 			a.windows[j] = win
 		}
 		if b := win[d-1]; b != nil {
-			a.mm.mul(b, b, base)
+			a.mul(b, b, base)
 		} else {
-			win[d-1] = new(big.Int).Set(base)
+			win[d-1] = append(make([]big.Word, 0, len(base)), base...)
 		}
 	}
 }
@@ -116,14 +151,16 @@ func (a *MultiExpAcc) Add(base *big.Int, exp uint64) {
 // Result returns the product of everything added so far, in [0, m). It
 // leaves the accumulator unchanged, so more rows may follow.
 func (a *MultiExpAcc) Result() *big.Int {
-	mm := &a.mm
-	result, running, winAcc := new(big.Int), new(big.Int), new(big.Int)
+	n := a.red.n
+	result := make([]big.Word, n)
+	tmp := make([]big.Word, 2*n)
+	running, winAcc := tmp[:n], tmp[n:]
 	haveResult := false
 	for j := len(a.windows) - 1; j >= 0; j-- {
 		if haveResult {
 			// Shift the higher windows' product up by one window.
 			for s := uint(0); s < a.w; s++ {
-				mm.mul(result, result, result)
+				a.mul(result, result, result)
 			}
 		}
 		win := a.windows[j]
@@ -137,9 +174,9 @@ func (a *MultiExpAcc) Result() *big.Int {
 		for d := len(win); d >= 1; d-- {
 			if b := win[d-1]; b != nil {
 				if haveRunning {
-					mm.mul(running, running, b)
+					a.mul(running, running, b)
 				} else {
-					running.Set(b)
+					copy(running, b)
 					haveRunning = true
 				}
 			}
@@ -147,24 +184,52 @@ func (a *MultiExpAcc) Result() *big.Int {
 				continue
 			}
 			if haveAcc {
-				mm.mul(winAcc, winAcc, running)
+				a.mul(winAcc, winAcc, running)
 			} else {
-				winAcc.Set(running)
+				copy(winAcc, running)
 				haveAcc = true
 			}
 		}
 		if haveResult {
-			mm.mul(result, result, winAcc)
+			a.mul(result, result, winAcc)
 		} else {
-			result.Set(winAcc)
+			copy(result, winAcc)
 			haveResult = true
 		}
 	}
 	if !haveResult {
 		// Nothing but zero exponents: the empty product, 1 mod m.
-		return result.Mod(One, mm.red.m)
+		return new(big.Int).Mod(One, a.red.m)
 	}
-	return result
+	// result is the Montgomery form of the product over R^Σexp. Multiply by
+	// the Montgomery form of R^Σexp — R^(Σexp+1), by square and multiply
+	// from rr down the bits of the 128-bit sum — and convert out with one
+	// multiplication by 1.
+	rr, factor, one := a.red.rr, running, winAcc
+	copy(factor, rr)
+	top := bits.Len64(a.expLo)
+	if a.expHi != 0 {
+		top = 64 + bits.Len64(a.expHi)
+	}
+	for i := top - 2; i >= 0; i-- {
+		a.mul(factor, factor, factor)
+		word, off := a.expLo, i
+		if i >= 64 {
+			word, off = a.expHi, i-64
+		}
+		if word>>off&1 == 1 {
+			a.mul(factor, factor, rr)
+		}
+	}
+	a.mul(result, result, factor)
+	clear(one)
+	one[0] = 1
+	a.mul(result, result, one)
+	// Converting out leaves a value in [0, m]: canonical but for m itself.
+	if subVV(tmp[:n], result, a.red.mw) == 0 {
+		copy(result, tmp[:n])
+	}
+	return new(big.Int).SetBits(result)
 }
 
 // PickMultiExpWindow returns the window width that minimizes the number of
@@ -196,7 +261,10 @@ func pickWindow(count, maxBits int, widest uint) uint {
 // digit is non-zero, less one per occupied bucket (its first row is copied
 // in); the combine then pays one per occupied bucket and one per digit value,
 // so a window costs count·(1−2^−b) + 2^b. The shift squarings, w per window
-// below the top, are paid once.
+// below the top, are paid once. So is the part of Result no width changes:
+// square and multiply for R^Σexp, 1.5 multiplications per bit of a sum about
+// log₂ count bits longer than the exponents, then the multiplication by it
+// and the conversion out.
 func multiExpCost(count int64, maxBits, w int) int64 {
 	windows := (maxBits + w - 1) / w
 	cost := int64(windows-1) * int64(w)
@@ -207,7 +275,8 @@ func multiExpCost(count int64, maxBits, w int) int64 {
 		}
 		cost += count - count>>b + int64(1)<<b
 	}
-	return cost
+	sumBits := maxBits + bits.Len64(uint64(count)) - 1
+	return cost + int64(3*sumBits/2+2)
 }
 
 // autoWindow is the model's pick, capped so that even full 64-bit exponents
@@ -221,11 +290,11 @@ func autoWindow(m *big.Int, count, maxBits int) uint {
 }
 
 // bucketStateBytes bounds the memory of an accumulator mod m at width w with
-// every bucket of every window occupied: a pointer, a big.Int header, and
-// the modulus' words plus the spare capacity big.Int.Set allocates.
+// every bucket of every window occupied: a slice header and the modulus'
+// words.
 func bucketStateBytes(m *big.Int, w uint) int64 {
 	const wordBytes = bits.UintSize / 8
-	perBucket := int64(wordBytes + 4*wordBytes + (len(m.Bits())+4)*wordBytes)
+	perBucket := int64((3 + len(m.Bits())) * wordBytes)
 	windows := int64((64 + w - 1) / w)
 	return windows * (int64(1)<<w - 1) * perBucket
 }
@@ -233,8 +302,8 @@ func bucketStateBytes(m *big.Int, w uint) int64 {
 // MultiExp returns Π bases[i]^{exps[i]} mod m via bucket
 // multi-exponentiation. window selects the bucket width in bits; 0 picks
 // the cost-model optimum for the operand count. Bases may be any integers
-// (they are reduced mod m); m must be positive. Zero exponents contribute
-// nothing and are skipped for free.
+// (they are reduced mod m); m must be positive and odd. Zero exponents
+// contribute nothing and are skipped for free.
 func MultiExp(bases []*big.Int, exps []uint64, m *big.Int, window uint) (*big.Int, error) {
 	return MultiExpParallel(bases, exps, m, window, 1)
 }
@@ -247,6 +316,9 @@ func MultiExpParallel(bases []*big.Int, exps []uint64, m *big.Int, window uint, 
 	red, err := NewReducer(m)
 	if err != nil {
 		return nil, err
+	}
+	if red.mw == nil {
+		return nil, errEvenModulus
 	}
 	maxBits, err := multiExpCheck(bases, exps, window)
 	if err != nil {
@@ -282,9 +354,9 @@ func MultiExpParallel(bases []*big.Int, exps []uint64, m *big.Int, window uint, 
 		}(k)
 	}
 	wg.Wait()
-	mm := modMul{red: red}
+	var s Scratch
 	for _, p := range partials[1:] {
-		mm.mul(partials[0], partials[0], p)
+		red.Mul(partials[0], partials[0], p, &s)
 	}
 	return partials[0], nil
 }

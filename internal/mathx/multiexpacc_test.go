@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/big"
+	"math/bits"
 	"math/rand"
 	"testing"
 )
@@ -120,32 +121,58 @@ func TestMultiExpAccAddDoesNotAllocate(t *testing.T) {
 	}
 }
 
-// countedMuls runs an accumulator of width w over count pseudo-random
-// exponents of the given bit length and returns the multiplications it
-// executed. The count depends on the exponents' digits alone, so a one-word
-// modulus keeps it cheap.
+// testExps is the exponent stream of the counting tests: count xorshift64
+// values of the given bit length.
+func testExps(count, expBits int) []uint64 {
+	exps := make([]uint64, count)
+	x := uint64(0x2545f4914f6cdd1d)
+	for i := range exps {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		exps[i] = x >> (64 - uint(expBits))
+	}
+	return exps
+}
+
+// countedMuls runs an accumulator of width w over testExps and returns the
+// multiplications it executed, Result's fixed part included. The count
+// depends on the exponents' digits alone, so a one-word modulus keeps it
+// cheap.
 func countedMuls(count, expBits int, w uint) int {
 	m := big.NewInt(1_000_000_007)
 	acc := newMultiExpAcc(m, w)
 	base := big.NewInt(3)
-	x := uint64(0x2545f4914f6cdd1d)
-	for i := 0; i < count; i++ {
-		x ^= x << 13 // xorshift64
-		x ^= x >> 7
-		x ^= x << 17
-		acc.Add(base, x>>(64-uint(expBits)))
+	for _, e := range testExps(count, expBits) {
+		acc.Add(base, e)
 	}
 	acc.Result()
-	return acc.mm.muls
+	return acc.muls
+}
+
+// naiveMuls counts the multiplications of the per-row loop the bucket fold
+// replaces over the same exponents: square and multiply for each term, one
+// more to fold it in.
+func naiveMuls(count, expBits int) int {
+	n := -1 // the first term is copied, not multiplied in
+	for _, e := range testExps(count, expBits) {
+		if e != 0 {
+			n += bits.Len64(e) - 1 + bits.OnesCount64(e) - 1 + 1
+		}
+	}
+	return n
 }
 
 // TestPickMultiExpWindowNearBest checks the cost model against what the
 // accumulator executes: the picked width costs at most 10 % more counted
-// multiplications than the best width in [1,12].
+// multiplications than the best width in [1,12], from 16-row sessions up,
+// and from 32 rows the model's total — Result's fixed part included — is
+// within 6 % of the count (below that most buckets are empty and the model's
+// 2^b per window overshoots).
 func TestPickMultiExpWindowNearBest(t *testing.T) {
-	sizes := []int{128, 256, 1024, 10_000, 1_000_000}
+	sizes := []int{16, 32, 64, 128, 256, 1024, 10_000, 1_000_000}
 	if testing.Short() {
-		sizes = sizes[:4]
+		sizes = sizes[:7]
 	}
 	for _, count := range sizes {
 		for _, expBits := range []int{32, 64} {
@@ -158,11 +185,36 @@ func TestPickMultiExpWindowNearBest(t *testing.T) {
 					}
 				}
 				picked := PickMultiExpWindow(count, expBits)
-				if got := countedMuls(count, expBits, picked); got*10 > best*11 {
+				got := countedMuls(count, expBits, picked)
+				if got*10 > best*11 {
 					t.Errorf("picked w=%d costs %d multiplications, best in [1,12] costs %d", picked, got, best)
+				}
+				if model := int(multiExpCost(int64(count), expBits, int(picked))); count >= 32 && (model*100 > got*106 || model*100 < got*94) {
+					t.Errorf("model says %d multiplications at w=%d, the accumulator executed %d", model, picked, got)
 				}
 			})
 		}
+	}
+}
+
+// TestMultiExpMinRowsIsTheCrossover pins MultiExpMinRows to the counts: from
+// there up the bucket fold at the width a session picks executes fewer
+// multiplications than the per-row loop, for 32- and 64-bit values; one row
+// lower it does not for at least one of them.
+func TestMultiExpMinRowsIsTheCrossover(t *testing.T) {
+	wins := func(rows, expBits int) bool {
+		return countedMuls(rows, expBits, PickMultiExpWindow(rows, 64)) < naiveMuls(rows, expBits)
+	}
+	for rows := MultiExpMinRows; rows <= 4*MultiExpMinRows; rows++ {
+		for _, expBits := range []int{32, 64} {
+			if !wins(rows, expBits) {
+				t.Errorf("%d rows of %d-bit values: bucket fold %d multiplications, per-row loop %d", rows, expBits,
+					countedMuls(rows, expBits, PickMultiExpWindow(rows, 64)), naiveMuls(rows, expBits))
+			}
+		}
+	}
+	if below := MultiExpMinRows - 1; wins(below, 32) && wins(below, 64) {
+		t.Errorf("the bucket fold already wins at %d rows: MultiExpMinRows is too high", below)
 	}
 }
 

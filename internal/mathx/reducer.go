@@ -5,25 +5,33 @@ import (
 	"math/bits"
 )
 
-// Reducer multiplies modulo one fixed modulus without dividing: Barrett
-// reduction (HAC 14.42) in radix b = 2^W, W the machine word size, composed
-// from big.Int.Mul so every limb operation stays in math/big's assembly
-// multiply. For a modulus m of n words, with µ = ⌊b^(2n)/m⌋ computed once,
-// a product t < b^(2n) reduces as
+// Reducer multiplies modulo one fixed modulus without dividing. It holds two
+// kernels, one per call shape, both composed from math/big's assembly
+// multiply.
+//
+// A single product — a ciphertext addition, the encrypt assembly, a lane
+// combine — goes through Mul: Barrett reduction (HAC 14.42) in radix b = 2^W,
+// W the machine word size, on operands in their ordinary representation. For
+// a modulus m of n words, with µ = ⌊b^(2n)/m⌋ computed once, a product
+// t < b^(2n) reduces as
 //
 //	q = ((t ≫ W(n−1))·µ) ≫ W(n+1)
 //	r = t − q·m
 //
 // and q undershoots ⌊t/m⌋ by at most two, so at most two subtractions of m
 // finish the job. Both shifts are whole words, taken as slices of the
-// products' limbs: nothing is copied. big.Int.QuoRem, which this replaces,
-// is a pure-Go quotient-word-at-a-time loop several times the cost of the
-// two extra multiplications.
+// products' limbs: nothing is copied. That is three n×n products per
+// multiplication and no conversion on the way in or out.
 //
-// Unlike a Montgomery engine the operands keep their ordinary representation:
-// the server fold sees every ciphertext once, for about 3.5 multiplications,
-// so a conversion into and out of Montgomery form per row would cost what the
-// cheaper reduction saves.
+// A chain of products — the bucket fold, the only place the stack chains
+// them — goes through montMul (montgomery.go): two n×n products per
+// multiplication, each leaving a factor R⁻¹ = b^(−n) behind. A fold never adds
+// or compares, it only multiplies, so nothing is converted into Montgomery
+// form: a wire ciphertext c is taken as the Montgomery form of c/R, the
+// product Π c_i^{x_i} comes out short by R^(Σx_i), and the server, which
+// knows every x_i, puts that one factor back at the end (MultiExpAcc.Result).
+// Montgomery reduction needs an odd modulus; for an even one the chain
+// constants are absent and NewMultiExpAcc refuses.
 //
 // A Reducer is immutable and safe for concurrent use; each concurrent caller
 // brings its own Scratch.
@@ -31,17 +39,26 @@ type Reducer struct {
 	m  *big.Int
 	mu *big.Int // ⌊b^(2n)/m⌋
 	n  int      // words in m
+
+	// The chain kernel's constants; mw is nil for an even modulus.
+	mw []big.Word // m, as exactly n words
+	rr []big.Word // R² mod m, the Montgomery form of R
+	k0 big.Word   // −m⁻¹ mod b
 }
 
-// NewReducer precomputes µ for the positive modulus m.
+// NewReducer precomputes both kernels' constants for the positive modulus m.
 func NewReducer(m *big.Int) (*Reducer, error) {
 	if m == nil || m.Sign() <= 0 {
 		return nil, ErrBadModulus
 	}
 	n := len(m.Bits())
-	mu := new(big.Int).Lsh(One, uint(2*n*bits.UintSize))
-	mu.Quo(mu, m)
-	return &Reducer{m: new(big.Int).Set(m), mu: mu, n: n}, nil
+	r := &Reducer{m: new(big.Int).Set(m), n: n}
+	r2 := new(big.Int)
+	r.mu, _ = new(big.Int).QuoRem(new(big.Int).Lsh(One, uint(2*n*bits.UintSize)), m, r2)
+	if m.Bit(0) == 1 {
+		r.montConstants(r2)
+	}
+	return r, nil
 }
 
 // Scratch is the working storage of Reducer.Mul: the double-width product

@@ -5,7 +5,9 @@ import (
 	"math/big"
 	"math/bits"
 	"math/rand"
+	"sort"
 	"testing"
+	"time"
 )
 
 // newMultiExpAcc opens an accumulator of a fixed window width mod m > 0.
@@ -200,44 +202,54 @@ func TestReducerMulDoesNotAllocate(t *testing.T) {
 }
 
 // BenchmarkModMul is the kernel table of EXPERIMENTS.md: one modular
-// multiplication of reduced operands by big.Int.Mul + QuoRem (the kernel
-// this package used before the Reducer), by the Reducer, and by math/big's
-// internal Montgomery multiply, which is only reachable through Exp and is
-// therefore inferred from one exponentiation: a 4-bit fixed window costs
-// five multiplications per four exponent bits plus a 16-entry table.
+// multiplication of reduced operands by big.Int.Mul + QuoRem (the kernel this
+// package used before the Reducer), by Reducer.Mul (Barrett, the single-product
+// kernel) and by Reducer.montMul (Montgomery, the chain kernel). Sequential
+// cells swing by 2× on a shared host, so the three kernels run round-robin,
+// b.N rounds of 200 dependent multiplications each, and every kernel reports
+// the minimum and the first quartile of its rounds, in ns per multiplication.
+// Run with a fixed round count: -benchtime 400x.
 func BenchmarkModMul(b *testing.B) {
+	const chain = 200
 	rng := rand.New(rand.NewSource(8))
 	for _, words := range []int{16, 32, 64} {
 		m := new(big.Int).Lsh(One, uint(words*64))
 		m.Rand(rng, m).SetBit(m, words*64-1, 1).SetBit(m, 0, 1)
 		x, y := new(big.Int).Rand(rng, m), new(big.Int).Rand(rng, m)
-		b.Run(fmt.Sprintf("words=%d/MulQuoRem", words), func(b *testing.B) {
-			var t, q, r big.Int
-			z := new(big.Int).Set(x)
-			for i := 0; i < b.N; i++ {
+		red, _ := NewReducer(m)
+		var t, q, r big.Int
+		var s Scratch
+		z := new(big.Int)
+		zl, yl, tl := red.Limbs(nil, x), red.Limbs(nil, y), make([]big.Word, 2*red.Words())
+		kernels := []struct {
+			name string
+			mul  func()
+		}{
+			{"MulQuoRem", func() {
 				t.Mul(z, y)
 				q.QuoRem(&t, m, &r)
 				z.Set(&r)
-			}
-		})
-		b.Run(fmt.Sprintf("words=%d/Barrett", words), func(b *testing.B) {
-			red, _ := NewReducer(m)
-			var s Scratch
-			z := new(big.Int).Set(x)
+			}},
+			{"Barrett", func() { red.Mul(z, z, y, &s) }},
+			{"Montgomery", func() { red.montMul(zl, zl, yl, tl) }},
+		}
+		b.Run(fmt.Sprintf("words=%d", words), func(b *testing.B) {
+			rounds := make([][]float64, len(kernels))
 			for i := 0; i < b.N; i++ {
-				red.Mul(z, z, y, &s)
+				for k, kern := range kernels {
+					z.Set(x)
+					start := time.Now()
+					for j := 0; j < chain; j++ {
+						kern.mul()
+					}
+					rounds[k] = append(rounds[k], float64(time.Since(start).Nanoseconds())/chain)
+				}
 			}
-		})
-		b.Run(fmt.Sprintf("words=%d/ExpImplied", words), func(b *testing.B) {
-			e := new(big.Int).Rand(rng, m)
-			e.SetBit(e, words*64-1, 1)
-			muls := float64(words*64)*5/4 + 16
-			z := new(big.Int)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				z.Exp(x, e, m)
+			for k, kern := range kernels {
+				sort.Float64s(rounds[k])
+				b.ReportMetric(rounds[k][0], kern.name+"-min-ns")
+				b.ReportMetric(rounds[k][len(rounds[k])/4], kern.name+"-q1-ns")
 			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/muls, "ns/modmul")
 		})
 	}
 }

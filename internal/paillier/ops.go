@@ -124,18 +124,24 @@ func (pk *PublicKey) WeightedSum(cts []*Ciphertext, weights []*big.Int) (*Cipher
 // the rows were chunked on the wire, and a row in steady state allocates
 // nothing. A Fold is not safe for concurrent use.
 type Fold struct {
-	pk   *PublicKey
-	accs []*mathx.MultiExpAcc
-	row  big.Int // the ciphertext being added, decoded into reused storage
+	pk    *PublicKey
+	red   *mathx.Reducer
+	accs  []*mathx.MultiExpAcc
+	row   big.Int    // the ciphertext being added, decoded into reused storage
+	limbs []big.Word // row in the accumulators' layout, shared by every column
 }
 
 // NewFold opens a fold sized for about rows rows against columns scalar
-// columns.
+// columns. It panics on a key whose N is even: KeyGen and UnmarshalBinary
+// never produce one, so only a hand-written literal can get here with it.
 func (pk *PublicKey) NewFold(rows, columns int) *Fold {
-	f := &Fold{pk: pk, accs: make([]*mathx.MultiExpAcc, columns)}
-	red := pk.reducer()
+	f := &Fold{pk: pk, red: pk.reducer(), accs: make([]*mathx.MultiExpAcc, columns)}
 	for c := range f.accs {
-		f.accs[c] = red.NewMultiExpAcc(rows)
+		acc, err := f.red.NewMultiExpAcc(rows)
+		if err != nil {
+			panic(fmt.Sprintf("paillier: fold mod N²: %v", err))
+		}
+		f.accs[c] = acc
 	}
 	return f
 }
@@ -150,8 +156,9 @@ func (f *Fold) Add(ct []byte, ks []uint64) error {
 	if err := f.pk.decodeCiphertext(&f.row, ct); err != nil {
 		return err
 	}
+	f.limbs = f.red.Limbs(f.limbs, &f.row)
 	for c, k := range ks {
-		f.accs[c].Add(&f.row, k)
+		f.accs[c].AddLimbs(f.limbs, k)
 	}
 	return nil
 }

@@ -162,6 +162,9 @@ func newPrivateKey(p, q *big.Int) (*PrivateKey, error) {
 
 // newPublicKey derives the cached values of the public key with modulus n.
 func newPublicKey(n *big.Int) (PublicKey, error) {
+	if n.Bit(0) == 0 {
+		return PublicKey{}, errors.New("paillier: modulus is even, not a product of two odd primes")
+	}
 	n2 := new(big.Int).Mul(n, n)
 	red, err := mathx.NewReducer(n2)
 	if err != nil {

@@ -24,6 +24,7 @@ import (
 
 	"privstats/internal/database"
 	"privstats/internal/homomorphic"
+	"privstats/internal/mathx"
 	"privstats/internal/wire"
 )
 
@@ -197,10 +198,9 @@ func NewShardSession(pk homomorphic.PublicKey, col database.Column, vectorLen, r
 }
 
 // foldMinRows is the session length below which the naive ScalarMul loop
-// beats the bucket fold: the buckets' combine at finalize costs about
-// 2^w multiplications per exponent window, which only amortizes across
-// enough rows.
-const foldMinRows = 16
+// executes fewer multiplications than the bucket fold, whose shift squarings
+// and Result only amortize across enough rows.
+const foldMinRows = mathx.MultiExpMinRows
 
 // newServerSession folds one index vector against every column at once.
 func newServerSession(pk homomorphic.PublicKey, columns []database.Column, vectorLen, rowOffset uint64) (*ServerSession, error) {
