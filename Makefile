@@ -28,11 +28,12 @@ race:
 
 # Flake gate (ROADMAP item 0a), scoped to the protocol path — the framed wire
 # layer, the one server and client loop, the cluster fan-out and the server
-# runtime — and the job gateway on top of it: ten repetitions with one and
-# with two scheduler threads, then three under the race detector. A test that only passes on a quiet host fails here,
+# runtime — the job gateway on top of it, and the arithmetic under it (the
+# fold kernel and Paillier): ten repetitions with one and with two scheduler
+# threads, then three under the race detector. A test that only passes on a quiet host fails here,
 # and is fixed on counted events (testutil.Eventually), never on a longer
 # sleep or a retry.
-FLAKE_PKGS = ./internal/wire/ ./internal/selectedsum/ ./internal/cluster/ ./internal/server/ ./internal/jobs/
+FLAKE_PKGS = ./internal/wire/ ./internal/selectedsum/ ./internal/cluster/ ./internal/server/ ./internal/jobs/ ./internal/mathx/ ./internal/paillier/
 flake:
 	GOMAXPROCS=1 $(GO) test -count=10 $(FLAKE_PKGS)
 	GOMAXPROCS=2 $(GO) test -count=10 $(FLAKE_PKGS)
@@ -95,7 +96,7 @@ fuzz-smoke:
 	done; \
 	$(GO) test -fuzz='^FuzzParseShardMapSpec$$' -fuzztime=$(FUZZTIME) ./internal/cluster/; \
 	$(GO) test -fuzz='^FuzzReadTable$$' -fuzztime=$(FUZZTIME) ./internal/database/; \
-	for t in FuzzMultiExpAccEquivalence FuzzReducerEquivalence; do \
+	for t in FuzzMultiExpAccEquivalence FuzzReducerEquivalence FuzzMontMulEquivalence; do \
 		$(GO) test -run '^$$' -fuzz="^$$t$$" -fuzztime=$(FUZZTIME) ./internal/mathx/; \
 	done; \
 	for t in FuzzParseCiphertext FuzzPrivateKeyUnmarshal FuzzReadBitStore FuzzEncryptCRTEquivalence; do \

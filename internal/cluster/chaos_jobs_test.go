@@ -134,20 +134,15 @@ func chaosJobGateway(t *testing.T, addr string, rows int) *jobs.Gateway {
 
 func chaosWaitJob(t *testing.T, g *jobs.Gateway, id string) jobs.Job {
 	t.Helper()
-	deadline := time.Now().Add(60 * time.Second)
-	for {
-		job, ok := g.Status(id)
-		if !ok {
+	var job jobs.Job
+	testutil.Eventually(t, 60*time.Second, "job "+id+" to finish", func() bool {
+		var ok bool
+		if job, ok = g.Status(id); !ok {
 			t.Fatalf("job %s vanished", id)
 		}
-		if job.State == jobs.StateDone || job.State == jobs.StateFailed {
-			return job
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("job %s stuck in %s", id, job.State)
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
+		return job.State == jobs.StateDone || job.State == jobs.StateFailed
+	})
+	return job
 }
 
 // TestChaosJobShardKill: every connection to shard 1 is reset at a random

@@ -16,19 +16,24 @@ import (
 // exactly the workload this table serves. For a 512-bit exponent and w = 6
 // the table replaces ~768 multiplications of square-and-multiply with ~86
 // table multiplications.
+//
+// An exponentiation is a chain of products, so it runs on the Reducer's chain
+// kernel: the table holds Montgomery forms, Exp multiplies them with montMul
+// and converts the product out once.
 type FixedBaseExp struct {
 	red     *Reducer
 	window  uint
 	maxBits int
-	// table[i][d] = g^(d << (window*i)) mod m for d in [0, 2^window).
-	table [][]*big.Int
+	// table[i][d-1] is the Montgomery form of g^(d << (window*i)) mod m for
+	// d in [1, 2^window).
+	table [][][]big.Word
 }
 
-// NewFixedBaseExp precomputes powers of base modulo m for exponents of up to
-// maxBits bits using the given window width (1..16; 6 is a good default for
-// 512-1024 bit exponents).
+// NewFixedBaseExp precomputes powers of base modulo the odd modulus m for
+// exponents of up to maxBits bits using the given window width (1..16; 6 is
+// a good default for 512-1024 bit exponents).
 func NewFixedBaseExp(base, m *big.Int, maxBits int, window uint) (*FixedBaseExp, error) {
-	red, err := NewReducer(m)
+	red, err := newOddReducer(m)
 	if err != nil {
 		return nil, err
 	}
@@ -39,28 +44,32 @@ func NewFixedBaseExp(base, m *big.Int, maxBits int, window uint) (*FixedBaseExp,
 		return nil, fmt.Errorf("mathx: fixed-base maxBits must be positive, got %d", maxBits)
 	}
 	digits := (maxBits + int(window) - 1) / int(window)
-	radix := 1 << window
+	entries := 1<<window - 1
 	f := &FixedBaseExp{
 		red:     red,
 		window:  window,
 		maxBits: maxBits,
-		table:   make([][]*big.Int, digits),
+		table:   make([][][]big.Word, digits),
 	}
-	s := GetScratch()
-	defer PutScratch(s)
-	// g_i = base^(2^(w·i)); row i holds g_i^d for all digits d.
-	gi := new(big.Int).Mod(base, m)
+	n := red.n
+	t := make([]big.Word, 2*n)
+	// g_i = base^(2^(w·i)) in Montgomery form; row i holds g_i^d for all
+	// non-zero digits d.
+	gi := red.Limbs(nil, new(big.Int).Mod(base, m))
+	red.montMul(gi, gi, red.rr, t)
 	for i := 0; i < digits; i++ {
-		row := make([]*big.Int, radix)
-		row[0] = big.NewInt(1)
-		row[1] = new(big.Int).Set(gi)
-		for d := 2; d < radix; d++ {
-			row[d] = red.Mul(new(big.Int), row[d-1], gi, s)
+		slab := make([]big.Word, entries*n)
+		row := make([][]big.Word, entries)
+		row[0] = slab[:n]
+		copy(row[0], gi)
+		for d := 1; d < entries; d++ {
+			row[d] = slab[d*n : (d+1)*n]
+			red.montMul(row[d], row[d-1], gi, t)
 		}
 		f.table[i] = row
 		// Advance g_{i+1} = g_i^(2^w).
 		for k := uint(0); k < window; k++ {
-			red.Mul(gi, gi, gi, s)
+			red.montMul(gi, gi, gi, t)
 		}
 	}
 	return f, nil
@@ -78,9 +87,9 @@ func (f *FixedBaseExp) Exp(e *big.Int) (*big.Int, error) {
 	if e.BitLen() > f.maxBits {
 		return nil, fmt.Errorf("mathx: exponent has %d bits, table supports %d", e.BitLen(), f.maxBits)
 	}
-	result := big.NewInt(1)
-	s := GetScratch()
-	defer PutScratch(s)
+	n := f.red.n
+	result, t := make([]big.Word, n), make([]big.Word, 2*n)
+	have := false
 	mask := uint64(1<<f.window - 1)
 	// Walk the exponent window by window from the least significant end;
 	// row i already encodes the 2^(w·i) shift, so the product of the
@@ -92,9 +101,17 @@ func (f *FixedBaseExp) Exp(e *big.Int) (*big.Int, error) {
 		if d == 0 {
 			continue
 		}
-		f.red.Mul(result, result, f.table[i][d], s)
+		if have {
+			f.red.montMul(result, result, f.table[i][d-1], t)
+		} else {
+			copy(result, f.table[i][d-1])
+			have = true
+		}
 	}
-	return result, nil
+	if !have {
+		return new(big.Int).Mod(One, f.red.m), nil
+	}
+	return f.red.montOut(result, t), nil
 }
 
 // extractWindow returns the w-bit digit starting at bit position pos of the

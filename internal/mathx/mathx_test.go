@@ -2,6 +2,7 @@ package mathx
 
 import (
 	"crypto/rand"
+	"errors"
 	"math/big"
 	"testing"
 	"testing/quick"
@@ -337,6 +338,9 @@ func TestFixedBaseExpRejectsBadParams(t *testing.T) {
 	}
 	if _, err := NewFixedBaseExp(Two, Zero, 16, 4); err == nil {
 		t.Error("zero modulus should fail")
+	}
+	if _, err := NewFixedBaseExp(Three, big.NewInt(96), 16, 4); !errors.Is(err, ErrBadModulus) {
+		t.Errorf("even modulus: err = %v, want ErrBadModulus", err)
 	}
 }
 

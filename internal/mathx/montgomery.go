@@ -28,10 +28,11 @@ func (r *Reducer) Limbs(dst []big.Word, x *big.Int) []big.Word {
 }
 
 // montConstants derives the chain kernel's constants for an odd modulus:
-// m as exactly n words, k0 = −m⁻¹ mod b, and rr = R² mod m (the Montgomery
-// form of R). r2 is b^(2n) mod m.
+// m as exactly n words, k0 = −m⁻¹ mod b, rr = R² mod m (the Montgomery form
+// of R) and the integer 1. r2 is b^(2n) mod m.
 func (r *Reducer) montConstants(r2 *big.Int) {
 	r.mw = r.Limbs(nil, r.m)
+	r.one = r.Limbs(nil, One)
 	// Newton's iteration doubles the valid low bits of the inverse each
 	// round; m·m ≡ 1 mod 8 starts it at three.
 	inv := r.mw[0]
@@ -69,4 +70,16 @@ func (r *Reducer) montMul(z, x, y, t []big.Word) {
 	} else {
 		copy(z, t[n:])
 	}
+}
+
+// montOut converts x out of Montgomery form in place — one montMul by 1 —
+// and returns it as the canonical residue in [0, m), sharing x's storage.
+// t is 2n words of scratch.
+func (r *Reducer) montOut(x, t []big.Word) *big.Int {
+	r.montMul(x, x, r.one, t)
+	// x + k·m with k < R, over R: at most m, and m itself only for x ≡ 0.
+	if subVV(t[:r.n], x, r.mw) == 0 {
+		copy(x, t[:r.n])
+	}
+	return new(big.Int).SetBits(x)
 }

@@ -87,7 +87,16 @@ func (r *Reducer) NewMultiExpAcc(expectedRows int) (*MultiExpAcc, error) {
 	return r.newAcc(autoWindow(r.m, expectedRows, 64)), nil
 }
 
-var errEvenModulus = fmt.Errorf("mathx: the bucket fold needs an odd modulus: %w", ErrBadModulus)
+var errEvenModulus = fmt.Errorf("mathx: Montgomery multiplication needs an odd modulus: %w", ErrBadModulus)
+
+// newOddReducer is NewReducer for the callers of the chain kernel.
+func newOddReducer(m *big.Int) (*Reducer, error) {
+	red, err := NewReducer(m)
+	if err == nil && red.mw == nil {
+		err = errEvenModulus
+	}
+	return red, err
+}
 
 // newAcc opens an accumulator of window width w; the modulus must be odd.
 func (r *Reducer) newAcc(w uint) *MultiExpAcc {
@@ -203,9 +212,8 @@ func (a *MultiExpAcc) Result() *big.Int {
 	}
 	// result is the Montgomery form of the product over R^Σexp. Multiply by
 	// the Montgomery form of R^Σexp — R^(Σexp+1), by square and multiply
-	// from rr down the bits of the 128-bit sum — and convert out with one
-	// multiplication by 1.
-	rr, factor, one := a.red.rr, running, winAcc
+	// from rr down the bits of the 128-bit sum — and convert out.
+	rr, factor := a.red.rr, running
 	copy(factor, rr)
 	top := bits.Len64(a.expLo)
 	if a.expHi != 0 {
@@ -222,14 +230,8 @@ func (a *MultiExpAcc) Result() *big.Int {
 		}
 	}
 	a.mul(result, result, factor)
-	clear(one)
-	one[0] = 1
-	a.mul(result, result, one)
-	// Converting out leaves a value in [0, m]: canonical but for m itself.
-	if subVV(tmp[:n], result, a.red.mw) == 0 {
-		copy(result, tmp[:n])
-	}
-	return new(big.Int).SetBits(result)
+	a.muls++ // montOut's
+	return a.red.montOut(result, a.t)
 }
 
 // PickMultiExpWindow returns the window width that minimizes the number of
@@ -313,12 +315,9 @@ func MultiExp(bases []*big.Int, exps []uint64, m *big.Int, window uint) (*big.In
 // of the rows and the partial products recombine with plain modular
 // multiplication, so the result is identical to MultiExp.
 func MultiExpParallel(bases []*big.Int, exps []uint64, m *big.Int, window uint, workers int) (*big.Int, error) {
-	red, err := NewReducer(m)
+	red, err := newOddReducer(m)
 	if err != nil {
 		return nil, err
-	}
-	if red.mw == nil {
-		return nil, errEvenModulus
 	}
 	maxBits, err := multiExpCheck(bases, exps, window)
 	if err != nil {

@@ -41,9 +41,10 @@ type Reducer struct {
 	n  int      // words in m
 
 	// The chain kernel's constants; mw is nil for an even modulus.
-	mw []big.Word // m, as exactly n words
-	rr []big.Word // R² mod m, the Montgomery form of R
-	k0 big.Word   // −m⁻¹ mod b
+	mw  []big.Word // m, as exactly n words
+	rr  []big.Word // R² mod m, the Montgomery form of R
+	one []big.Word // 1, as n words: a montMul by it converts out
+	k0  big.Word   // −m⁻¹ mod b
 }
 
 // NewReducer precomputes both kernels' constants for the positive modulus m.

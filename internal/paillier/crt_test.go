@@ -9,6 +9,8 @@ import (
 	"math/big"
 	"testing"
 	"time"
+
+	"privstats/internal/testutil"
 )
 
 // Tests for the key owner's CRT encryption path: exactness against the
@@ -275,21 +277,15 @@ func TestFillParallelContextCancelKeepsPartials(t *testing.T) {
 	done := make(chan error, 1)
 	go func() { done <- store.FillParallelContext(ctx, zeros, ones, 4) }()
 
-	deadline := time.After(30 * time.Second)
-	for {
-		z, o := store.Depth()
-		if z+o > 0 {
-			break
-		}
+	testutil.Eventually(t, 30*time.Second, "the first published stock", func() bool {
 		select {
-		case <-deadline:
-			t.Fatal("no stock published within 30s")
 		case err := <-done:
 			t.Fatalf("fill finished before any stock was observed: %v", err)
 		default:
-			time.Sleep(time.Millisecond)
 		}
-	}
+		z, o := store.Depth()
+		return z+o > 0
+	})
 	cancel()
 	err := <-done
 	if !errors.Is(err, context.Canceled) {

@@ -435,6 +435,13 @@ func TestKeyUnmarshalRejectsCorruption(t *testing.T) {
 	if err := pk.UnmarshalBinary(append(append([]byte{}, pub...), 0)); err == nil {
 		t.Error("trailing bytes should fail")
 	}
+	// An even N is no product of two odd primes, and the fold kernel could
+	// not work mod its square: the key must not get as far as a session.
+	even := append([]byte{}, pub...)
+	even[len(even)-1] &^= 1
+	if err := pk.UnmarshalBinary(even); err == nil {
+		t.Error("an even modulus should fail")
+	}
 
 	var sk2 PrivateKey
 	if err := sk2.UnmarshalBinary(priv[:8]); err == nil {

@@ -10,6 +10,8 @@ import (
 	"path/filepath"
 	"testing"
 	"time"
+
+	"privstats/internal/testutil"
 )
 
 func TestFillContextCancelledBeforeStart(t *testing.T) {
@@ -48,27 +50,27 @@ func TestFillContextPublishesChunks(t *testing.T) {
 	go func() { done <- store.FillContext(ctx, want, 0) }()
 
 	// Wait for the first chunk, then cancel mid-fill.
-	deadline := time.After(10 * time.Second)
-	for {
-		if z, _ := store.Depth(); z > 0 {
-			break
-		}
+	finished := false
+	testutil.Eventually(t, 10*time.Second, "the first chunk of the fill", func() bool {
 		select {
-		case <-deadline:
-			t.Fatal("no stock visible while fill in flight")
 		case err := <-done:
 			if err != nil {
 				t.Fatal(err)
 			}
-			// The fill finished before we observed a partial chunk — the
-			// machine is fast, not wrong. Depth must be complete.
-			if z, _ := store.Depth(); z != want {
-				t.Fatalf("finished fill left %d zeros, want %d", z, want)
-			}
-			return
+			finished = true
+			return true
 		default:
-			time.Sleep(100 * time.Microsecond)
 		}
+		z, _ := store.Depth()
+		return z > 0
+	})
+	if finished {
+		// The fill finished before we observed a partial chunk — the
+		// machine is fast, not wrong. Depth must be complete.
+		if z, _ := store.Depth(); z != want {
+			t.Fatalf("finished fill left %d zeros, want %d", z, want)
+		}
+		return
 	}
 	cancel()
 	err := <-done
