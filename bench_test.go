@@ -10,7 +10,6 @@
 package privstats_bench
 
 import (
-	"strings"
 	"testing"
 	"time"
 
@@ -194,44 +193,6 @@ func BenchmarkYaoComparison(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationSchemes reproduces experiment E9a: the identical
-// workload over Paillier, Damgård–Jurik (s=2), and exponential ElGamal —
-// the implementation-constant comparison motivated by the paper's
-// Java-vs-C++ observation.
-func BenchmarkAblationSchemes(b *testing.B) {
-	cfg := benchConfig(b)
-	cfg.Sizes = []int{cfg.Sizes[0]}
-	for i := 0; i < b.N; i++ {
-		rows, err := cfg.SchemeAblation()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == b.N-1 {
-			for _, r := range rows {
-				b.ReportMetric(float64(r.Client+r.Server+r.Decrypt)/float64(time.Millisecond), r.Variant+"-ms")
-			}
-		}
-	}
-}
-
-// BenchmarkAblationDecrypt reproduces experiment E9b: CRT versus textbook
-// Paillier decryption.
-func BenchmarkAblationDecrypt(b *testing.B) {
-	cfg := benchConfig(b)
-	cfg.KeyBits = 512
-	for i := 0; i < b.N; i++ {
-		d, err := cfg.DecryptComparison(50)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == b.N-1 {
-			b.ReportMetric(float64(d.CRT)/float64(d.Iterations)/float64(time.Microsecond), "crt-us-per-op")
-			b.ReportMetric(float64(d.Naive)/float64(d.Iterations)/float64(time.Microsecond), "naive-us-per-op")
-			b.ReportMetric(float64(d.Naive)/float64(d.CRT), "crt-speedup-x")
-		}
-	}
-}
-
 // BenchmarkChunkSize reproduces experiment E10: sensitivity of the batched
 // protocol to the chunk size (paper §3.2: "the optimal chunk size will
 // depend on the relative communication and computation speeds").
@@ -248,48 +209,6 @@ func BenchmarkChunkSize(b *testing.B) {
 			for _, r := range rows {
 				b.ReportMetric(float64(r.Total)/float64(time.Millisecond),
 					"chunk"+itoa(r.ChunkSize)+"-ms")
-			}
-		}
-	}
-}
-
-// BenchmarkFoldMultiExp ablates the server's fold: the naive ScalarMul+Add
-// loop versus bucket multi-exponentiation (sequential, several window
-// widths, and parallel) across session lengths, and a one-shot fold per
-// 256- or 1024-row uplink chunk versus one accumulator for the session, with
-// allocations per row for those two. Expected shape: the bucket fold cuts
-// per-row time by ≥3x at 4096 rows, wider windows win as the session grows,
-// and session-acc beats chunk256-oneshot on time and allocates ≤1 per row;
-// reference numbers live in results/multiexp.txt.
-func BenchmarkFoldMultiExp(b *testing.B) {
-	cfg := benchConfig(b)
-	sizes := []int{256, 1024, 4096}
-	if testing.Short() {
-		sizes = []int{256}
-	}
-	for i := 0; i < b.N; i++ {
-		rows, err := cfg.FoldAblation(sizes, []uint{4, 6, 8}, 4)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == b.N-1 {
-			naive := map[int]time.Duration{}
-			for _, r := range rows {
-				if r.Variant == "naive" {
-					naive[r.Rows] = r.Time
-				}
-			}
-			for _, r := range rows {
-				b.ReportMetric(float64(r.PerRow()), "n"+itoa(r.Rows)+"-"+r.Variant+"-ns/row")
-				if r.Variant == "session-acc" || strings.HasSuffix(r.Variant, "-oneshot") {
-					b.ReportMetric(r.MallocsPerRow(), "n"+itoa(r.Rows)+"-"+r.Variant+"-allocs/row")
-				}
-			}
-			big := sizes[len(sizes)-1]
-			for _, r := range rows {
-				if r.Rows == big && r.Variant == "bucket-auto" {
-					b.ReportMetric(float64(naive[big])/float64(r.Time), "speedup-x")
-				}
 			}
 		}
 	}

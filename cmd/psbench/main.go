@@ -1,5 +1,6 @@
-// Command psbench regenerates the paper's evaluation: every figure of
-// Section 3 plus the Section 2 general-SMC comparison and the ablations
+// Command psbench regenerates the paper's evaluation on the virtual clock:
+// every figure of Section 3, the §3.2 chunk-size sweep, and the Section 2
+// comparisons with general SMC (Yao) and the trivial protocols, as
 // catalogued in DESIGN.md §4.
 //
 // Usage:
@@ -20,12 +21,11 @@ import (
 	"strings"
 
 	"privstats/internal/bench"
-	"privstats/internal/colstore"
 	"privstats/internal/netsim"
 )
 
 func main() {
-	fig := flag.String("fig", "all", "which experiment: 2,3,4,5,6,7,9,yao,ablate,chunk,scaling,colstore,cluster,preproc,fold,client,baseline or all")
+	fig := flag.String("fig", "all", "which experiment: 2,3,4,5,6,7,9,yao,chunk,baseline or all")
 	full := flag.Bool("full", false, "use the paper's full 1k-100k sweep (minutes per figure)")
 	keyBits := flag.Int("bits", 512, "Paillier key size (the paper uses 512)")
 	clients := flag.Int("clients", 3, "client count for figure 9")
@@ -131,87 +131,12 @@ func run(cfg bench.Config, fig, csvDir string, chart bool) error {
 			}
 			return bench.WriteYaoTable(out, rows)
 		}},
-		{"ablate", func() error {
-			rows, err := cfg.SchemeAblation()
-			if err != nil {
-				return err
-			}
-			if err := bench.WriteAblationTable(out, cfg.Sizes[0], rows); err != nil {
-				return err
-			}
-			d, err := cfg.DecryptComparison(200)
-			if err != nil {
-				return err
-			}
-			return bench.WriteDecryptTable(out, d)
-		}},
 		{"chunk", func() error {
 			rows, err := cfg.ChunkSweep(nil, netsim.ShortDistance)
 			if err != nil {
 				return err
 			}
 			return bench.WriteChunkTable(out, cfg.Sizes[len(cfg.Sizes)-1], netsim.ShortDistance.Name, rows)
-		}},
-		{"scaling", func() error {
-			rows, err := cfg.ServerScaling(8)
-			if err != nil {
-				return err
-			}
-			return bench.WriteScalingTable(out, cfg.Sizes[len(cfg.Sizes)-1], rows)
-		}},
-		{"colstore", func() error {
-			rows, err := cfg.ColstoreSweep(colstore.DefaultBlockRows)
-			if err != nil {
-				return err
-			}
-			if err := bench.WriteColstoreTable(out, colstore.DefaultBlockRows, rows); err != nil {
-				return err
-			}
-			return writeCSV("colstore.csv", func(w *os.File) error { return bench.ColstoreCSV(w, rows) })
-		}},
-		{"cluster", func() error {
-			rows, err := cfg.ClusterSweep(nil)
-			if err != nil {
-				return err
-			}
-			if err := bench.WriteClusterTable(out, cfg.Sizes[len(cfg.Sizes)-1], rows); err != nil {
-				return err
-			}
-			return writeCSV("cluster.csv", func(w *os.File) error { return bench.ClusterCSV(w, rows) })
-		}},
-		{"fold", func() error {
-			rows, err := cfg.FoldAblation(nil, nil, 4)
-			if err != nil {
-				return err
-			}
-			if err := bench.WriteFoldTable(out, rows); err != nil {
-				return err
-			}
-			return writeCSV("fold.csv", func(w *os.File) error { return bench.FoldCSV(w, rows) })
-		}},
-		{"client", func() error {
-			rows, err := cfg.ClientEncryptAblation(nil)
-			if err != nil {
-				return err
-			}
-			if err := bench.WriteClientEncryptTable(out, rows); err != nil {
-				return err
-			}
-			return writeCSV("client-encrypt.csv", func(w *os.File) error { return bench.ClientEncryptCSV(w, rows) })
-		}},
-		{"preproc", func() error {
-			rows, err := cfg.PreprocessDrain(64, 16)
-			if err != nil {
-				return err
-			}
-			if err := bench.WritePreprocTable(out, rows); err != nil {
-				return err
-			}
-			srows, err := cfg.PreprocessService()
-			if err != nil {
-				return err
-			}
-			return bench.WritePreprocServiceTable(out, srows)
 		}},
 		{"baseline", func() error {
 			rows, err := cfg.Baselines(netsim.ShortDistance)

@@ -174,7 +174,7 @@ func (r ComparisonRow) Speedup() float64 {
 // runComponents executes the single-client protocol for every sweep size
 // and returns component rows. pool-building (preprocessing) happens per
 // size when preprocess is true, and its offline cost is recorded.
-func (c Config) runComponents(link netsim.Link, preprocess, pipelined bool, label string) ([]ComponentRow, error) {
+func (c Config) runComponents(link netsim.Link, preprocess bool, label string) ([]ComponentRow, error) {
 	if err := c.validate(); err != nil {
 		return nil, err
 	}
@@ -189,10 +189,6 @@ func (c Config) runComponents(link netsim.Link, preprocess, pipelined bool, labe
 			return nil, err
 		}
 		opts := selectedsum.Options{Link: link}
-		if pipelined {
-			opts.ChunkSize = c.ChunkSize
-			opts.Pipelined = true
-		}
 		var preprocessTime time.Duration
 		var store *paillier.BitStore
 		if preprocess {
@@ -246,31 +242,31 @@ func (c Config) runComponents(link netsim.Link, preprocess, pipelined bool, labe
 // Fig2 reproduces Figure 2: runtime components without optimizations over
 // the short-distance (cluster switch) environment.
 func (c Config) Fig2() ([]ComponentRow, error) {
-	return c.runComponents(netsim.ShortDistance, false, false, "fig2")
+	return c.runComponents(netsim.ShortDistance, false, "fig2")
 }
 
 // Fig3 reproduces Figure 3: the same experiment over the long-distance
 // 56 Kbps dial-up environment.
 func (c Config) Fig3() ([]ComponentRow, error) {
-	return c.runComponents(netsim.LongDistance, false, false, "fig3")
+	return c.runComponents(netsim.LongDistance, false, "fig3")
 }
 
 // Fig5 reproduces Figure 5: components after preprocessing the index
 // vector, short distance.
 func (c Config) Fig5() ([]ComponentRow, error) {
-	return c.runComponents(netsim.ShortDistance, true, false, "fig5")
+	return c.runComponents(netsim.ShortDistance, true, "fig5")
 }
 
 // Fig6 reproduces Figure 6: components after preprocessing, long distance.
 func (c Config) Fig6() ([]ComponentRow, error) {
-	return c.runComponents(netsim.LongDistance, true, false, "fig6")
+	return c.runComponents(netsim.LongDistance, true, "fig6")
 }
 
 // fig4Options are the two protocol variants Figure 4 compares.
 func (c Config) fig4Options(batched bool) selectedsum.Options {
 	opts := selectedsum.Options{Link: netsim.ShortDistance}
 	if batched {
-		opts.ChunkSize, opts.Pipelined = c.ChunkSize, true
+		opts.ChunkSize = c.ChunkSize
 	}
 	return opts
 }
@@ -334,7 +330,6 @@ func (c Config) Fig7() ([]ComparisonRow, error) {
 		combined, err := selectedsum.Run(sk, table, sel, selectedsum.Options{
 			Link:      netsim.ShortDistance,
 			ChunkSize: c.ChunkSize,
-			Pipelined: true,
 			Pool:      paillier.SchemeBitStore{Store: store},
 		})
 		if err != nil {

@@ -1,26 +1,17 @@
 package bench
 
 import (
-	"crypto/rand"
 	"fmt"
-	"math/big"
 	"time"
 
-	"privstats/internal/crypto/dj"
-	"privstats/internal/crypto/elgamal"
-	"privstats/internal/database"
-	"privstats/internal/homomorphic"
-	"privstats/internal/mathx"
 	"privstats/internal/netsim"
-	"privstats/internal/paillier"
 	"privstats/internal/selectedsum"
 	"privstats/internal/yao"
 )
 
 // The experiments beyond the paper's numbered figures: the Section 2
-// general-SMC (Fairplay/Yao) comparison, the implementation-constant
-// ablations motivated by the paper's Java-vs-C++ remark, and the §3.2
-// chunk-size sensitivity the paper discusses but does not plot.
+// general-SMC (Fairplay/Yao) comparison and the §3.2 chunk-size sensitivity
+// the paper discusses but does not plot.
 
 // YaoRow compares our protocol against the Yao cost model at one size.
 type YaoRow struct {
@@ -119,145 +110,6 @@ func measureOT(count int) (time.Duration, error) {
 	return time.Since(start) / time.Duration(count), nil
 }
 
-// AblationRow is one variant's cost for the fixed-size ablation.
-type AblationRow struct {
-	Variant string
-	// Client, Server, Decrypt are per-run totals at the ablation size.
-	Client, Server, Decrypt time.Duration
-	// Bytes is total protocol traffic.
-	Bytes int64
-}
-
-// SchemeAblation runs the identical selected-sum workload over Paillier,
-// Damgård–Jurik (s=2) and exponential ElGamal. It quantifies what the
-// paper's choice of cryptosystem buys — the Go analogue of its Java-vs-C++
-// implementation-constant remark. The size is fixed at Sizes[0]; ElGamal
-// decryption is BSGS-bounded, so values come from the small distribution.
-func (c Config) SchemeAblation() ([]AblationRow, error) {
-	if err := c.validate(); err != nil {
-		return nil, err
-	}
-	n := c.Sizes[0]
-	table, err := smallTable(n, c.Seed)
-	if err != nil {
-		return nil, err
-	}
-	sel, err := smallSelection(n, int(float64(n)*c.SelectFraction), c.Seed)
-	if err != nil {
-		return nil, err
-	}
-
-	type scheme struct {
-		name string
-		key  func() (homomorphic.PrivateKey, error)
-	}
-	schemes := []scheme{
-		{"paillier-" + fmt.Sprint(c.KeyBits), func() (homomorphic.PrivateKey, error) {
-			sk, err := paillier.KeyGen(rand.Reader, c.KeyBits)
-			if err != nil {
-				return nil, err
-			}
-			return paillier.SchemeKey{SK: sk}, nil
-		}},
-		{"damgard-jurik-s2-" + fmt.Sprint(c.KeyBits), func() (homomorphic.PrivateKey, error) {
-			sk, err := dj.KeyGen(rand.Reader, c.KeyBits, 2)
-			if err != nil {
-				return nil, err
-			}
-			return dj.PrivKey{SK: sk}, nil
-		}},
-		{"exp-elgamal-" + fmt.Sprint(c.KeyBits), func() (homomorphic.PrivateKey, error) {
-			// Subgroup order: 160 bits at production sizes, scaled down
-			// with the modulus for small test keys. Sum bound: n small
-			// values < n·1000.
-			qBits := 160
-			if c.KeyBits < qBits+16 {
-				qBits = c.KeyBits / 2
-			}
-			sk, err := elgamal.KeyGen(rand.Reader, c.KeyBits, qBits, uint64(n)*1000)
-			if err != nil {
-				return nil, err
-			}
-			return elgamal.PrivKey{SK: sk}, nil
-		}},
-	}
-
-	rows := make([]AblationRow, 0, len(schemes))
-	var want *big.Int
-	for _, s := range schemes {
-		sk, err := s.key()
-		if err != nil {
-			return nil, fmt.Errorf("bench: %s keygen: %w", s.name, err)
-		}
-		res, err := selectedsum.Run(sk, table, sel, selectedsum.Options{Link: netsim.ShortDistance})
-		if err != nil {
-			return nil, fmt.Errorf("bench: %s run: %w", s.name, err)
-		}
-		if want == nil {
-			want = res.Sum
-		} else if res.Sum.Cmp(want) != 0 {
-			return nil, fmt.Errorf("bench: %s disagrees: %v vs %v", s.name, res.Sum, want)
-		}
-		rows = append(rows, AblationRow{
-			Variant: s.name,
-			Client:  res.Timings.ClientEncrypt,
-			Server:  res.Timings.ServerCompute,
-			Decrypt: res.Timings.ClientDecrypt,
-			Bytes:   res.BytesUp + res.BytesDown,
-		})
-		c.progressf("ablation %s client=%v server=%v\n", s.name,
-			res.Timings.ClientEncrypt.Round(time.Millisecond), res.Timings.ServerCompute.Round(time.Millisecond))
-	}
-	return rows, nil
-}
-
-// DecryptAblation measures CRT versus textbook Paillier decryption — the
-// kind of implementation constant behind the paper's "Java was around five
-// times slower than C++" observation.
-type DecryptAblation struct {
-	KeyBits    int
-	CRT, Naive time.Duration
-	Iterations int
-}
-
-// DecryptComparison times both decryption paths over the same ciphertexts.
-func (c Config) DecryptComparison(iterations int) (*DecryptAblation, error) {
-	if iterations < 1 {
-		return nil, fmt.Errorf("bench: iterations %d must be positive", iterations)
-	}
-	_, rawSK, err := c.newKey()
-	if err != nil {
-		return nil, err
-	}
-	cts := make([]*paillier.Ciphertext, iterations)
-	for i := range cts {
-		m, err := mathx.RandInt(rand.Reader, rawSK.N)
-		if err != nil {
-			return nil, err
-		}
-		ct, err := rawSK.Public().Encrypt(m)
-		if err != nil {
-			return nil, err
-		}
-		cts[i] = ct
-	}
-	start := time.Now()
-	for _, ct := range cts {
-		if _, err := rawSK.Decrypt(ct); err != nil {
-			return nil, err
-		}
-	}
-	crt := time.Since(start)
-	start = time.Now()
-	for _, ct := range cts {
-		if _, err := rawSK.DecryptNaive(ct); err != nil {
-			return nil, err
-		}
-	}
-	naive := time.Since(start)
-	return &DecryptAblation{KeyBits: c.KeyBits, CRT: crt, Naive: naive, Iterations: iterations}, nil
-}
-
 // ChunkRow is one point of the chunk-size sensitivity sweep.
 type ChunkRow struct {
 	ChunkSize int
@@ -293,7 +145,7 @@ func (c Config) ChunkSweep(chunkSizes []int, link netsim.Link) ([]ChunkRow, erro
 			return nil, fmt.Errorf("bench: chunk size %d must be positive", cs)
 		}
 		res, err := selectedsum.Run(sk, table, sel, selectedsum.Options{
-			Link: link, ChunkSize: cs, Pipelined: true,
+			Link: link, ChunkSize: cs,
 		})
 		if err != nil {
 			return nil, err
@@ -302,156 +154,4 @@ func (c Config) ChunkSweep(chunkSizes []int, link netsim.Link) ([]ChunkRow, erro
 		c.progressf("chunk=%d total=%v\n", cs, res.Timings.Total.Round(time.Millisecond))
 	}
 	return rows, nil
-}
-
-// ScalingRow is one point of the server-parallelism ablation.
-type ScalingRow struct {
-	Workers int
-	// ServerCompute is the wall-clock fold time with that worker count.
-	ServerCompute time.Duration
-}
-
-// ServerScaling measures the server's fold time at Sizes[0] as the fold is
-// split across 1..maxWorkers goroutines — the software analogue of the
-// "special-purpose cryptographic hardware" the paper's future work proposes
-// for the computation bottleneck.
-func (c Config) ServerScaling(maxWorkers int) ([]ScalingRow, error) {
-	if err := c.validate(); err != nil {
-		return nil, err
-	}
-	if maxWorkers < 1 {
-		return nil, fmt.Errorf("bench: max workers %d must be positive", maxWorkers)
-	}
-	sk, _, err := c.newKey()
-	if err != nil {
-		return nil, err
-	}
-	// Use the largest sweep size: at small n the fold lasts tens of
-	// milliseconds and goroutine overhead hides the parallel speedup.
-	n := c.Sizes[len(c.Sizes)-1]
-	table, sel, err := c.workload(n)
-	if err != nil {
-		return nil, err
-	}
-	want, err := table.SelectedSum(sel)
-	if err != nil {
-		return nil, err
-	}
-	var rows []ScalingRow
-	for workers := 1; workers <= maxWorkers; workers *= 2 {
-		res, err := selectedsum.Run(sk, table, sel, selectedsum.Options{
-			Link:          netsim.ShortDistance,
-			ServerWorkers: workers,
-		})
-		if err != nil {
-			return nil, err
-		}
-		if res.Sum.Cmp(want) != 0 {
-			return nil, fmt.Errorf("bench: scaling workers=%d: wrong sum", workers)
-		}
-		rows = append(rows, ScalingRow{Workers: workers, ServerCompute: res.Timings.ServerCompute})
-		c.progressf("scaling workers=%d server=%v\n", workers, res.Timings.ServerCompute.Round(time.Millisecond))
-	}
-	return rows, nil
-}
-
-// PreprocRow reports one preprocessing pool's behavior when draws overrun
-// its stock: the pooled phase cost, the online-fallback phase cost, and the
-// fallback counter the pool recorded.
-type PreprocRow struct {
-	Pool      string
-	Stocked   int
-	Draws     int
-	Fallbacks int
-	// PooledTime covers the first Stocked draws, OnlineTime the overrun.
-	PooledTime, OnlineTime time.Duration
-}
-
-// PreprocessDrain stocks both §3.3 pools (BitStore and RandomizerPool) with
-// `stock` entries, then performs stock+overrun draws from each, separating
-// the pooled-phase cost from the online-fallback cost. It demonstrates that
-// the pools' OnlineFallbacks counters observe exactly the overrun — the
-// signal that a §3.3 experiment exhausted its preprocessing.
-func (c Config) PreprocessDrain(stock, overrun int) ([]PreprocRow, error) {
-	if err := c.validate(); err != nil {
-		return nil, err
-	}
-	if stock < 0 || overrun < 0 {
-		return nil, fmt.Errorf("bench: negative preprocess drain (%d, %d)", stock, overrun)
-	}
-	_, rawSK, err := c.newKey()
-	if err != nil {
-		return nil, err
-	}
-	pk := rawSK.Public()
-
-	store := paillier.NewBitStore(pk)
-	if err := store.Fill(0, stock); err != nil {
-		return nil, err
-	}
-	drawBits := func(count int) (time.Duration, error) {
-		start := time.Now()
-		for i := 0; i < count; i++ {
-			if _, err := store.DrawBit(1); err != nil {
-				return 0, err
-			}
-		}
-		return time.Since(start), nil
-	}
-	bitPooled, err := drawBits(stock)
-	if err != nil {
-		return nil, err
-	}
-	bitOnline, err := drawBits(overrun)
-	if err != nil {
-		return nil, err
-	}
-
-	pool := paillier.NewRandomizerPool(pk)
-	if err := pool.Fill(stock); err != nil {
-		return nil, err
-	}
-	one := big.NewInt(1)
-	drawRandomizers := func(count int) (time.Duration, error) {
-		start := time.Now()
-		for i := 0; i < count; i++ {
-			if _, err := pool.Encrypt(one); err != nil {
-				return 0, err
-			}
-		}
-		return time.Since(start), nil
-	}
-	rndPooled, err := drawRandomizers(stock)
-	if err != nil {
-		return nil, err
-	}
-	rndOnline, err := drawRandomizers(overrun)
-	if err != nil {
-		return nil, err
-	}
-
-	rows := []PreprocRow{
-		{Pool: "bit-store", Stocked: stock, Draws: stock + overrun,
-			Fallbacks: store.OnlineFallbacks(), PooledTime: bitPooled, OnlineTime: bitOnline},
-		{Pool: "randomizer-pool", Stocked: stock, Draws: stock + overrun,
-			Fallbacks: pool.OnlineFallbacks(), PooledTime: rndPooled, OnlineTime: rndOnline},
-	}
-	for _, r := range rows {
-		if r.Fallbacks != overrun {
-			return nil, fmt.Errorf("bench: %s counted %d fallbacks, expected %d", r.Pool, r.Fallbacks, overrun)
-		}
-		c.progressf("preproc %s pooled=%v online=%v fallbacks=%d\n", r.Pool,
-			r.PooledTime.Round(time.Microsecond), r.OnlineTime.Round(time.Microsecond), r.Fallbacks)
-	}
-	return rows, nil
-}
-
-// smallTable and smallSelection build the small-value workload the ElGamal
-// ablation needs (its BSGS decryption bounds the sum).
-func smallTable(n int, seed int64) (*database.Table, error) {
-	return database.Generate(n, database.DistSmall, seed)
-}
-
-func smallSelection(n, m int, seed int64) (*database.Selection, error) {
-	return database.GenerateSelection(n, m, database.PatternRandom, seed)
 }

@@ -90,23 +90,6 @@ func WriteYaoTable(w io.Writer, rows []YaoRow) error {
 	return err
 }
 
-// WriteAblationTable renders the cryptosystem ablation.
-func WriteAblationTable(w io.Writer, n int, rows []AblationRow) error {
-	title := fmt.Sprintf("Cryptosystem ablation, n=%d (identical workload, small values)", n)
-	fmt.Fprintf(w, "%s\n%s\n", title, strings.Repeat("-", len(title)))
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "scheme\tclient encrypt\tserver compute\tclient decrypt\twire bytes")
-	for _, r := range rows {
-		fmt.Fprintf(tw, "%s\t%s\t%s\t%s\t%d\n",
-			r.Variant, fmtDur(r.Client), fmtDur(r.Server), fmtDur(r.Decrypt), r.Bytes)
-	}
-	if err := tw.Flush(); err != nil {
-		return err
-	}
-	_, err := fmt.Fprintln(w)
-	return err
-}
-
 // WriteChunkTable renders the chunk-size sensitivity sweep.
 func WriteChunkTable(w io.Writer, n int, link string, rows []ChunkRow) error {
 	title := fmt.Sprintf("Chunk-size sensitivity, n=%d, %s", n, link)
@@ -134,152 +117,6 @@ func WriteBaselineTable(w io.Writer, link string, rows []BaselineRow) error {
 		fmt.Fprintf(tw, "%d\t%s\t%s\t%s\t%d\t%d\t%d\n",
 			r.N, fmtDur(r.Private), fmtDur(r.SendIdx), fmtDur(r.Download),
 			r.PrivateBytes, r.SendIdxBytes, r.DownloadBytes)
-	}
-	if err := tw.Flush(); err != nil {
-		return err
-	}
-	_, err := fmt.Fprintln(w)
-	return err
-}
-
-// WriteDecryptTable renders the CRT-vs-naive decryption ablation.
-func WriteDecryptTable(w io.Writer, d *DecryptAblation) error {
-	title := fmt.Sprintf("Paillier decryption ablation, %d-bit keys, %d decryptions", d.KeyBits, d.Iterations)
-	fmt.Fprintf(w, "%s\n%s\n", title, strings.Repeat("-", len(title)))
-	speedup := float64(d.Naive) / float64(d.CRT)
-	_, err := fmt.Fprintf(w, "CRT: %s   textbook: %s   speedup: %.2fx\n\n",
-		fmtDur(d.CRT), fmtDur(d.Naive), speedup)
-	return err
-}
-
-// WriteScalingTable renders the server-parallelism ablation.
-func WriteScalingTable(w io.Writer, n int, rows []ScalingRow) error {
-	title := fmt.Sprintf("Server fold parallelism, n=%d", n)
-	fmt.Fprintf(w, "%s\n%s\n", title, strings.Repeat("-", len(title)))
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "workers\tserver compute\tspeedup")
-	base := time.Duration(0)
-	for i, r := range rows {
-		if i == 0 {
-			base = r.ServerCompute
-		}
-		speedup := float64(base) / float64(r.ServerCompute)
-		fmt.Fprintf(tw, "%d\t%s\t%.2fx\n", r.Workers, fmtDur(r.ServerCompute), speedup)
-	}
-	if err := tw.Flush(); err != nil {
-		return err
-	}
-	_, err := fmt.Fprintln(w)
-	return err
-}
-
-// WriteFoldTable renders the server-fold ablation: per session length, every
-// variant's total and per-row time, its speedup over the naive loop, and its
-// heap allocations per row.
-func WriteFoldTable(w io.Writer, rows []FoldRow) error {
-	title := "Server fold ablation: naive ScalarMul+Add vs. bucket multi-exponentiation"
-	fmt.Fprintf(w, "%s\n%s\n", title, strings.Repeat("-", len(title)))
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "rows\tvariant\ttotal\tper row\tspeedup\tallocs/row")
-	naive := map[int]time.Duration{}
-	for _, r := range rows {
-		if r.Variant == "naive" {
-			naive[r.Rows] = r.Time
-		}
-	}
-	for _, r := range rows {
-		speedup := "-"
-		if base, ok := naive[r.Rows]; ok && r.Time > 0 && r.Variant != "naive" {
-			speedup = fmt.Sprintf("%.2fx", float64(base)/float64(r.Time))
-		}
-		// Per-row times are a few µs: whole microseconds would hide the
-		// differences the table is for.
-		fmt.Fprintf(tw, "%d\t%s\t%s\t%.2fµs\t%s\t%.2f\n",
-			r.Rows, r.Variant, fmtDur(r.Time), float64(r.PerRow())/float64(time.Microsecond), speedup, r.MallocsPerRow())
-	}
-	if err := tw.Flush(); err != nil {
-		return err
-	}
-	_, err := fmt.Fprintln(w)
-	return err
-}
-
-// FoldCSV writes fold-ablation rows as CSV.
-func FoldCSV(w io.Writer, rows []FoldRow) error {
-	if _, err := fmt.Fprintln(w, "rows,variant,window,workers,total_ms,ns_per_row,mallocs_per_row"); err != nil {
-		return err
-	}
-	for _, r := range rows {
-		if _, err := fmt.Fprintf(w, "%d,%s,%d,%d,%.3f,%.0f,%.2f\n",
-			r.Rows, r.Variant, r.Window, r.Workers,
-			float64(r.Time)/float64(time.Millisecond), float64(r.PerRow()), r.MallocsPerRow()); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// WriteClientEncryptTable renders the client-encrypt ablation: per count,
-// every variant's total and per-encryption time plus its speedup over the
-// public-key path.
-func WriteClientEncryptTable(w io.Writer, rows []ClientEncryptRow) error {
-	title := "Client encrypt ablation: public-key path vs. owner CRT vs. CRT-filled pool"
-	fmt.Fprintf(w, "%s\n%s\n", title, strings.Repeat("-", len(title)))
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "count\tvariant\ttotal\tper enc\tspeedup")
-	naive := map[int]time.Duration{}
-	for _, r := range rows {
-		if r.Variant == "naive" {
-			naive[r.Count] = r.Time
-		}
-	}
-	for _, r := range rows {
-		speedup := "-"
-		if base, ok := naive[r.Count]; ok && r.Time > 0 && r.Variant != "naive" {
-			speedup = fmt.Sprintf("%.2fx", float64(base)/float64(r.Time))
-		}
-		fmt.Fprintf(tw, "%d\t%s\t%s\t%s\t%s\n",
-			r.Count, r.Variant, fmtDur(r.Time), fmtDur(r.PerOp()), speedup)
-	}
-	if err := tw.Flush(); err != nil {
-		return err
-	}
-	_, err := fmt.Fprintln(w)
-	return err
-}
-
-// ClientEncryptCSV writes client-encrypt ablation rows as CSV.
-func ClientEncryptCSV(w io.Writer, rows []ClientEncryptRow) error {
-	if _, err := fmt.Fprintln(w, "count,variant,total_ms,ns_per_enc"); err != nil {
-		return err
-	}
-	for _, r := range rows {
-		if _, err := fmt.Fprintf(w, "%d,%s,%.3f,%.0f\n",
-			r.Count, r.Variant,
-			float64(r.Time)/float64(time.Millisecond), float64(r.PerOp())); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// WritePreprocTable renders the preprocessing drain-and-overrun ablation.
-func WritePreprocTable(w io.Writer, rows []PreprocRow) error {
-	title := "Preprocessing pools under overrun (§3.3): pooled vs. online draw cost"
-	fmt.Fprintf(w, "%s\n%s\n", title, strings.Repeat("-", len(title)))
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "pool\tstocked\tdraws\tfallbacks\tpooled phase\tonline phase\tper-draw pooled\tper-draw online")
-	for _, r := range rows {
-		perPooled, perOnline := time.Duration(0), time.Duration(0)
-		if r.Stocked > 0 {
-			perPooled = r.PooledTime / time.Duration(r.Stocked)
-		}
-		if r.Fallbacks > 0 {
-			perOnline = r.OnlineTime / time.Duration(r.Fallbacks)
-		}
-		fmt.Fprintf(tw, "%s\t%d\t%d\t%d\t%s\t%s\t%s\t%s\n",
-			r.Pool, r.Stocked, r.Draws, r.Fallbacks,
-			fmtDur(r.PooledTime), fmtDur(r.OnlineTime), fmtDur(perPooled), fmtDur(perOnline))
 	}
 	if err := tw.Flush(); err != nil {
 		return err
@@ -317,23 +154,4 @@ func ComparisonCSV(w io.Writer, rows []ComparisonRow) error {
 		}
 	}
 	return nil
-}
-
-// WritePreprocServiceTable renders the preprocessing-as-a-service
-// comparison: online encryption with and without a stockd feed.
-func WritePreprocServiceTable(w io.Writer, rows []PreprocServiceRow) error {
-	title := "Preprocessing as a service (§3.3): client online encryption, stockd-fed vs. online"
-	fmt.Fprintf(w, "%s\n%s\n", title, strings.Repeat("-", len(title)))
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "n\tonline encrypt\tstockd-fed encrypt\treduction\tprime (offline)\tfallbacks")
-	for _, r := range rows {
-		fmt.Fprintf(tw, "%d\t%s\t%s\t%.1f%%\t%s\t%d\n",
-			r.N, fmtDur(r.BaselineEncrypt), fmtDur(r.StockedEncrypt),
-			r.ReductionPct, fmtDur(r.Prime), r.Fallbacks)
-	}
-	if err := tw.Flush(); err != nil {
-		return err
-	}
-	_, err := fmt.Fprintln(w)
-	return err
 }

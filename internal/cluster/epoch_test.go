@@ -356,17 +356,15 @@ func TestEpochPinningEndToEnd(t *testing.T) {
 	// Every session ran under exactly one epoch: its trace names that epoch
 	// and fans out to exactly that epoch's shard count.
 	sawEpoch := map[string]int{}
-	deadline := time.Now().Add(2 * time.Second)
 	for _, id := range ids {
 		if id == (trace.ID{}) {
 			continue
 		}
 		var snaps []trace.Snapshot
-		for len(snaps) == 0 && time.Now().Before(deadline) {
-			if snaps = aggRec.Find(id); len(snaps) == 0 {
-				time.Sleep(5 * time.Millisecond)
-			}
-		}
+		testutil.Eventually(t, 2*time.Second, "the session's trace", func() bool {
+			snaps = aggRec.Find(id)
+			return len(snaps) > 0
+		})
 		if len(snaps) != 1 {
 			t.Fatalf("trace %s: %d snapshots in the ring", id, len(snaps))
 		}

@@ -28,8 +28,10 @@ import (
 // at the bottom is the counterpart contract: those traces (and the logs)
 // carry timings and topology only, never ciphertext or selection material.
 
-// startTracedCluster is startCluster with a trace recorder on every node.
-func startTracedCluster(t *testing.T, table *database.Table, k int, logf func(string, ...any)) (string, *server.Server, *Client, *trace.Recorder, []*trace.Recorder) {
+// startTracedCluster is startCluster with a trace recorder on every node. It
+// returns the aggregator's address, runtime, fan-out client and recorder,
+// then the shards' recorders and runtimes.
+func startTracedCluster(t *testing.T, table *database.Table, k int, logf func(string, ...any)) (string, *server.Server, *Client, *trace.Recorder, []*trace.Recorder, []*server.Server) {
 	t.Helper()
 	ranges := make([]Shard, k)
 	lo := 0
@@ -42,17 +44,18 @@ func startTracedCluster(t *testing.T, table *database.Table, k int, logf func(st
 		lo += rows
 	}
 	shardRecs := make([]*trace.Recorder, k)
+	shardSrvs := make([]*server.Server, k)
 	for i, r := range ranges {
 		shardTable, err := table.Shard(r.Lo, r.Hi)
 		if err != nil {
 			t.Fatal(err)
 		}
 		shardRecs[i] = trace.NewRecorder(8)
-		srv, err := server.New(shardTable, server.Config{Logf: logf, Traces: shardRecs[i]})
+		shardSrvs[i], err = server.New(shardTable, server.Config{Logf: logf, Traces: shardRecs[i]})
 		if err != nil {
 			t.Fatal(err)
 		}
-		ranges[i].Backends = []string{serveOn(t, srv)}
+		ranges[i].Backends = []string{serveOn(t, shardSrvs[i])}
 	}
 	sm, err := NewShardMap(ranges)
 	if err != nil {
@@ -68,7 +71,7 @@ func startTracedCluster(t *testing.T, table *database.Table, k int, logf func(st
 	if err != nil {
 		t.Fatal(err)
 	}
-	return serveOn(t, srv), srv, client, aggRec, shardRecs
+	return serveOn(t, srv), srv, client, aggRec, shardRecs, shardSrvs
 }
 
 // spanSum adds up the named (sequential, compute-only) phase spans of a
@@ -90,7 +93,7 @@ func TestTracePropagationEndToEnd(t *testing.T) {
 	sk := testKey(t)
 	const k = 2
 	table, sel, want := fixture(t, 48, 20, 71)
-	addr, srv, aggClient, aggRec, shardRecs := startTracedCluster(t, table, k, discardLogf)
+	addr, srv, aggClient, aggRec, shardRecs, _ := startTracedCluster(t, table, k, discardLogf)
 
 	id := trace.NewID()
 	cl := NewClient(ClientConfig{Retries: 1, Backoff: 5 * time.Millisecond})
@@ -113,9 +116,9 @@ func TestTracePropagationEndToEnd(t *testing.T) {
 		t.Errorf("sum = %v, want %v", sum, want)
 	}
 
-	// The aggregator finishes its trace after replying, so give the rings a
-	// settle window before asserting.
-	waitRings := func() bool {
+	// The aggregator finishes its trace after replying, so wait for the
+	// trace to land in every ring before asserting.
+	testutil.Eventually(t, 2*time.Second, "the trace in every ring", func() bool {
 		if len(aggRec.Find(id)) != 1 {
 			return false
 		}
@@ -125,15 +128,7 @@ func TestTracePropagationEndToEnd(t *testing.T) {
 			}
 		}
 		return true
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for !waitRings() {
-		if time.Now().After(deadline) {
-			t.Fatalf("trace %s not present in every ring: agg=%d shards=%d,%d",
-				id, len(aggRec.Find(id)), len(shardRecs[0].Find(id)), len(shardRecs[1].Find(id)))
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	})
 
 	agg := aggRec.Find(id)[0]
 	if agg.Role != "aggregator" {
@@ -181,9 +176,9 @@ func TestTracePropagationEndToEnd(t *testing.T) {
 
 	// /metrics and /stats must tell the same story: scrape both off the
 	// proxy's metric sets and compare the shared counters.
-	for time.Now().Before(deadline) && srv.Metrics().SessionsCompleted.Value() == 0 {
-		time.Sleep(5 * time.Millisecond)
-	}
+	testutil.Eventually(t, 2*time.Second, "the aggregator to count its session", func() bool {
+		return srv.Metrics().SessionsCompleted.Value() > 0
+	})
 	prr := httptest.NewRecorder()
 	metrics.Registry{srv.Metrics(), aggClient.Metrics()}.ServeHTTP(prr, httptest.NewRequest("GET", "/metrics", nil))
 	vals, err := testutil.ParseProm(prr.Body.String())
@@ -239,7 +234,7 @@ func TestUntracedQueryLeavesRingsEmpty(t *testing.T) {
 	testutil.GuardGoroutines(t)
 	sk := testKey(t)
 	table, sel, want := fixture(t, 30, 12, 73)
-	addr, _, _, aggRec, shardRecs := startTracedCluster(t, table, 2, discardLogf)
+	addr, aggSrv, _, aggRec, shardRecs, shardSrvs := startTracedCluster(t, table, 2, discardLogf)
 
 	cl := NewClient(ClientConfig{Retries: 1, Backoff: 5 * time.Millisecond})
 	got, err := cl.Query(context.Background(), []string{addr}, sk, sel, 7, nil)
@@ -249,8 +244,17 @@ func TestUntracedQueryLeavesRingsEmpty(t *testing.T) {
 	if got.Cmp(want) != 0 {
 		t.Errorf("sum = %v, want %v", got, want)
 	}
-	// Settle: session teardown (where Add happens) races the client reply.
-	time.Sleep(50 * time.Millisecond)
+	// A runtime hands a session's trace to its ring before it counts the
+	// session complete, and both happen after the reply: once every runtime
+	// has counted its session, any trace it was going to keep is in a ring.
+	testutil.Eventually(t, 2*time.Second, "every runtime to count its session", func() bool {
+		for _, s := range append([]*server.Server{aggSrv}, shardSrvs...) {
+			if s.Metrics().SessionsCompleted.Value() == 0 {
+				return false
+			}
+		}
+		return true
+	})
 	if n := aggRec.Len(); n != 0 {
 		t.Errorf("aggregator ring holds %d traces from an untraced query", n)
 	}
@@ -306,7 +310,7 @@ func TestTracesAndLogsCarryNoCiphertext(t *testing.T) {
 		fmt.Fprintf(&logBuf, format+"\n", args...)
 		logMu.Unlock()
 	}
-	addr, _, _, aggRec, shardRecs := startTracedCluster(t, table, 2, logf)
+	addr, _, _, aggRec, shardRecs, _ := startTracedCluster(t, table, 2, logf)
 
 	var tapMu sync.Mutex
 	var up, down bytes.Buffer
@@ -332,10 +336,9 @@ func TestTracesAndLogsCarryNoCiphertext(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(2 * time.Second)
-	for len(aggRec.Find(id)) == 0 && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
+	testutil.Eventually(t, 2*time.Second, "the aggregator's trace", func() bool {
+		return len(aggRec.Find(id)) > 0
+	})
 
 	// Collect every observability surface: all trace JSON plus the logs.
 	var surfaces []byte

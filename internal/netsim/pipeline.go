@@ -26,7 +26,6 @@ type Pipeline struct {
 	encDone time.Duration
 	txDone  time.Duration
 	srvDone time.Duration
-	chunks  int
 }
 
 // NewPipeline starts an empty schedule over the given link.
@@ -54,15 +53,8 @@ func (p *Pipeline) AddChunk(enc time.Duration, wireBytes int64, srv time.Duratio
 		arrive = p.srvDone
 	}
 	p.srvDone = arrive + srv
-	p.chunks++
 	return nil
 }
-
-// Chunks reports how many chunks have been scheduled.
-func (p *Pipeline) Chunks() int { return p.chunks }
-
-// ClientBusy returns the total client encryption time scheduled so far.
-func (p *Pipeline) ClientBusy() time.Duration { return p.encDone }
 
 // Makespan returns the time at which the server finishes its last chunk.
 func (p *Pipeline) Makespan() time.Duration { return p.srvDone }
@@ -72,20 +64,4 @@ func (p *Pipeline) Makespan() time.Duration { return p.srvDone }
 // end-to-end online time.
 func (p *Pipeline) Finish(respBytes int64, decrypt time.Duration) time.Duration {
 	return p.srvDone + p.link.OneWayTime(respBytes) + decrypt
-}
-
-// SequentialTime returns the non-pipelined baseline for the same chunks:
-// all encryption, then all serialization plus one latency, then all server
-// work. This is what the unbatched protocol costs, and the quantity
-// Figure 4 compares against.
-type SequentialTally struct {
-	Enc       time.Duration
-	WireBytes int64
-	Srv       time.Duration
-}
-
-// Total returns the sequential makespan over the link, excluding the
-// response leg (add link.OneWayTime(respBytes)+decrypt just as Finish does).
-func (s SequentialTally) Total(link Link) time.Duration {
-	return s.Enc + link.OneWayTime(s.WireBytes) + s.Srv
 }

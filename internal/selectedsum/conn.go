@@ -15,9 +15,9 @@ import (
 
 // This file is the transport-facing form of the protocol: an actual
 // client/server exchange over a framed connection (TCP in the cmd tools,
-// net.Pipe in tests, optionally wrapped in a netsim.Throttle). The
-// in-process Run in run.go is the measurement engine; this is the deployable
-// one. Both share ServerSession and BitEncryptor, so they cannot drift.
+// net.Pipe in tests and in Run, optionally wrapped in a netsim.Throttle).
+// It is the only implementation of the exchange: Run in run.go measures the
+// paper's figures by driving these two loops, not a copy of them.
 
 // PhaseTimings records the server-side compute cost of one session, broken
 // into the protocol's phases. Durations cover the server's own work only —

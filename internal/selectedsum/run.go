@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math/big"
+	"net"
+	"sync"
 	"time"
 
 	"privstats/internal/database"
@@ -15,30 +17,23 @@ import (
 // Options selects a protocol variant, mirroring the paper's experiments:
 //
 //   - zero Options (plus a Link): the direct implementation of Figures 2/3;
-//   - ChunkSize + Pipelined: the §3.2 batching optimization (Figure 4);
+//   - ChunkSize: the §3.2 batching optimization (Figure 4);
 //   - Pool set: the §3.3 preprocessing optimization (Figures 5/6);
-//   - all of them: the §3.4 combination (Figure 7).
+//   - both: the §3.4 combination (Figure 7).
 type Options struct {
 	// Link is the communication environment; communication time is derived
 	// from exact wire byte counts through this model (see internal/netsim).
 	Link netsim.Link
 
-	// ChunkSize is the number of index encryptions per wire chunk.
-	// 0 sends the whole vector as one chunk (the unbatched protocol).
+	// ChunkSize is the number of index encryptions per wire chunk. 0 sends
+	// the whole vector as one chunk, and the run's components add up end to
+	// end (the unbatched protocol); a positive size overlaps client
+	// encryption, transfer, and server folding chunk by chunk (§3.2).
 	ChunkSize int
-
-	// Pipelined overlaps client encryption, transfer, and server folding
-	// chunk by chunk (§3.2). Requires ChunkSize > 0 to have any effect.
-	Pipelined bool
 
 	// Pool, when non-nil, supplies preprocessed index-bit encryptions
 	// (§3.3); when nil the client encrypts online.
 	Pool homomorphic.EncryptorPool
-
-	// ServerWorkers splits the server's fold across this many goroutines
-	// (0 or 1 = sequential). A software stand-in for the special-purpose
-	// hardware the paper's future work proposes for the compute bottleneck.
-	ServerWorkers int
 }
 
 // Timings are the four runtime components the paper's figures break out.
@@ -54,10 +49,10 @@ type Timings struct {
 	Communication time.Duration
 	// ClientDecrypt is the single final decryption.
 	ClientDecrypt time.Duration
-	// Total is the end-to-end online time. For pipelined runs it is the
-	// pipeline makespan plus the tail (finalize, response, decrypt), which
-	// is less than the sum of the components — exactly the gain Figure 4
-	// measures. For sequential runs, Total == Sum().
+	// Total is the end-to-end online time. For chunked runs it is the
+	// pipeline makespan plus the reply and its decryption, which is less
+	// than the sum of the components — exactly the gain Figure 4 measures.
+	// For unchunked runs, Total == Sum().
 	Total time.Duration
 }
 
@@ -79,10 +74,11 @@ type Result struct {
 	Chunks int
 }
 
-// Run executes one full protocol round in process: real cryptography and
-// real measured compute, with communication time derived from the exact
-// wire sizes through opts.Link. This is the engine behind every
-// single-client experiment in the bench harness.
+// Run executes one full protocol round in process on the deployable engine:
+// Upload against ServeSink over net.Pipe, with real cryptography and
+// measured compute, and communication time derived from the bytes the
+// client's connection metered, through opts.Link. This is the engine behind
+// every single-client experiment in the bench harness.
 func Run(sk homomorphic.PrivateKey, table *database.Table, sel *database.Selection, opts Options) (*Result, error) {
 	return run(sk, table, sel, opts, nil)
 }
@@ -102,135 +98,149 @@ func run(sk homomorphic.PrivateKey, table *database.Table, sel *database.Selecti
 	}
 	pk := sk.PublicKey()
 	n := table.Len()
-
 	chunkSize := opts.ChunkSize
 	if chunkSize <= 0 || chunkSize > n {
 		chunkSize = n
 	}
-
 	enc := onlineEncryptor(sk, pk)
 	if opts.Pool != nil {
 		enc = Pooled{Pool: opts.Pool}
 	}
-
-	srv, err := NewShardSession(pk, table.Column(), uint64(n), 0)
+	keyBytes, err := pk.MarshalBinary()
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("selectedsum: marshaling public key: %w", err)
+	}
+	hello := wire.Hello{
+		Scheme:    pk.SchemeName(),
+		PublicKey: keyBytes,
+		VectorLen: uint64(n),
+		ChunkLen:  uint32(chunkSize),
 	}
 
-	// The Hello carries the public key; its size is charged to the uplink.
-	helloSize, err := helloWireSize(pk, uint64(n), uint32(chunkSize))
-	if err != nil {
-		return nil, err
-	}
+	var clock stopwatch
+	sink := &clockedSink{sourceSink: sourceSink{src: table}, clock: &clock, blind: blind}
+	a, b := net.Pipe()
+	client, server := wire.NewConn(a), wire.NewConn(b)
+	served := make(chan error, 1)
+	go func() {
+		served <- ServeSink(server, sink, nil)
+		server.Close()
+	}()
 
-	res := &Result{BytesUp: int64(helloSize)}
+	// The per-chunk records come from outside the engine: the encryption is
+	// timed inside the chunk source, the bytes are the client meter's count
+	// each time the source is asked for the next chunk.
 	width := pk.CiphertextSize()
-
-	var pipe *netsim.Pipeline
-	if opts.Pipelined {
-		pipe, err = netsim.NewPipeline(opts.Link)
-		if err != nil {
-			return nil, err
+	var encs []time.Duration
+	var sent []int64
+	lo := 0
+	cts, err := Upload(client, hello, pk, func() (*wire.IndexChunk, error) {
+		out, _, _, _ := client.Meter.Snapshot()
+		sent = append(sent, out)
+		if lo >= n {
+			return nil, nil
 		}
-		// The hello travels before the first chunk; model it as a chunk
-		// with no compute on either end.
-		if err := pipe.AddChunk(0, int64(helloSize), 0); err != nil {
-			return nil, err
-		}
-	}
-
-	var t Timings
-	for lo := 0; lo < n; lo += chunkSize {
-		hi := lo + chunkSize
-		if hi > n {
-			hi = n
-		}
-
-		encStart := time.Now()
-		body, err := EncryptRange(enc, sel, lo, hi, width)
+		hi := min(lo+chunkSize, n)
+		var body []byte
+		var err error
+		encs = append(encs, clock.time(func() { body, err = EncryptRange(enc, sel, lo, hi, width) }))
 		if err != nil {
 			return nil, err
 		}
 		chunk := &wire.IndexChunk{Offset: uint64(lo), Ciphertexts: body, Width: width}
-		payload := chunk.Encode()
-		encDur := time.Since(encStart)
-		t.ClientEncrypt += encDur
-
-		wireBytes := int64(wire.FrameOverhead + len(payload))
-		res.BytesUp += wireBytes
-		res.Chunks++
-
-		srvStart := time.Now()
-		decoded, err := wire.DecodeIndexChunk(payload, width)
-		if err != nil {
-			return nil, err
-		}
-		if opts.ServerWorkers > 1 {
-			err = srv.AbsorbParallel(decoded, opts.ServerWorkers)
-		} else {
-			err = srv.Absorb(decoded)
-		}
-		if err != nil {
-			return nil, err
-		}
-		srvDur := time.Since(srvStart)
-		t.ServerCompute += srvDur
-
-		if pipe != nil {
-			if err := pipe.AddChunk(encDur, wireBytes, srvDur); err != nil {
-				return nil, err
-			}
-		}
+		lo = hi
+		return chunk, nil
+	})
+	client.Close()
+	if srvErr := <-served; err == nil && srvErr != nil {
+		err = srvErr
 	}
-
-	finStart := time.Now()
-	sumCt, err := srv.Finalize(blind)
 	if err != nil {
 		return nil, err
 	}
-	finalizeDur := time.Since(finStart)
-	t.ServerCompute += finalizeDur
-
-	respBytes := int64(wire.FrameOverhead + width)
-	res.BytesDown = respBytes
 
 	decStart := time.Now()
-	sum, err := sk.Decrypt(sumCt)
+	sum, err := sk.Decrypt(cts[0])
 	if err != nil {
 		return nil, fmt.Errorf("selectedsum: decrypting sum: %w", err)
 	}
-	t.ClientDecrypt = time.Since(decStart)
-
-	// Communication time from the link model: uplink stream + response leg.
-	t.Communication = opts.Link.OneWayTime(res.BytesUp) + opts.Link.OneWayTime(respBytes)
-	if pipe != nil {
-		// Per-chunk encrypt/transfer/fold already overlap inside the
-		// makespan; only the finalize, response leg, and decryption are
-		// serial tail work.
-		t.Total = pipe.Makespan() + finalizeDur + opts.Link.OneWayTime(respBytes) + t.ClientDecrypt
-	} else {
-		t.Total = t.Sum()
+	up, down, _, _ := client.Meter.Snapshot()
+	t := Timings{
+		ClientDecrypt: time.Since(decStart),
+		Communication: opts.Link.OneWayTime(up) + opts.Link.OneWayTime(down),
 	}
-
-	res.Sum = sum
-	res.Timings = t
-	return res, nil
+	for _, d := range encs {
+		t.ClientEncrypt += d
+	}
+	for _, d := range sink.work {
+		t.ServerCompute += d
+	}
+	t.Total = t.Sum()
+	if opts.ChunkSize > 0 {
+		if t.Total, err = pipelined(opts.Link, append(sent, up), encs, sink.work, down, t.ClientDecrypt); err != nil {
+			return nil, err
+		}
+	}
+	return &Result{Sum: sum, Timings: t, BytesUp: up, BytesDown: down, Chunks: len(encs)}, nil
 }
 
-// helloWireSize computes the exact wire size of the session Hello for the
-// given key without sending it.
-func helloWireSize(pk homomorphic.PublicKey, vectorLen uint64, chunkLen uint32) (int, error) {
-	keyBytes, err := pk.MarshalBinary()
+// pipelined lays a chunked run on the link's clock (§3.2). Every uplink
+// frame is a netsim.Pipeline stage: the hello with no compute on either
+// end, chunk i with its encryption and its fold, and the done frame with
+// the server's finalize. marks[j] is the uplink byte count once frame j is
+// sent, enc has one record per chunk, srv one per chunk plus the finalize.
+func pipelined(link netsim.Link, marks []int64, enc, srv []time.Duration, replyBytes int64, decrypt time.Duration) (time.Duration, error) {
+	pipe, err := netsim.NewPipeline(link)
 	if err != nil {
-		return 0, fmt.Errorf("selectedsum: marshaling public key: %w", err)
+		return 0, err
 	}
-	h := wire.Hello{
-		Version:   wire.Version,
-		Scheme:    pk.SchemeName(),
-		PublicKey: keyBytes,
-		VectorLen: vectorLen,
-		ChunkLen:  chunkLen,
+	prev := int64(0)
+	for j, mark := range marks {
+		var e, s time.Duration
+		if j > 0 {
+			s = srv[j-1]
+		}
+		if j > 0 && j <= len(enc) {
+			e = enc[j-1]
+		}
+		if err := pipe.AddChunk(e, mark-prev, s); err != nil {
+			return 0, err
+		}
+		prev = mark
 	}
-	return wire.FrameOverhead + len(h.Encode()), nil
+	return pipe.Finish(replyBytes, decrypt), nil
+}
+
+// stopwatch times sections of work that must not overlap. Run's client and
+// server share one process, so a chunk's encryption and the previous
+// chunk's fold would otherwise contend for the same cores; one lock keeps
+// each measured section to its own work, as on the paper's two hosts.
+type stopwatch struct{ mu sync.Mutex }
+
+func (w *stopwatch) time(f func()) time.Duration {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	start := time.Now()
+	f()
+	return time.Since(start)
+}
+
+// clockedSink is the backend's sink with Run's clock on it: it records the
+// server's compute per uplink frame — each chunk's fold, then the finalize —
+// and finishes with the multi-client blind when there is one.
+type clockedSink struct {
+	sourceSink
+	clock *stopwatch
+	blind *big.Int
+	work  []time.Duration
+}
+
+func (s *clockedSink) Absorb(chunk *wire.IndexChunk) (err error) {
+	s.work = append(s.work, s.clock.time(func() { err = s.srv.Absorb(chunk) }))
+	return err
+}
+
+func (s *clockedSink) Finish() (sums []homomorphic.Ciphertext, err error) {
+	s.work = append(s.work, s.clock.time(func() { sums, err = s.srv.finalize(s.blind) }))
+	return sums, err
 }

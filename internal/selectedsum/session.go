@@ -20,7 +20,6 @@ import (
 	"errors"
 	"fmt"
 	"math/big"
-	"sync"
 
 	"privstats/internal/database"
 	"privstats/internal/homomorphic"
@@ -160,22 +159,18 @@ type ServerSession struct {
 	columns []database.Column
 	folder  homomorphic.MultiScalarFolder // nil: the naive loop
 
-	// lanes[0] serves Absorb; AbsorbParallel adds one lane per extra worker.
-	// A lane is only ever touched by one goroutine at a time.
-	lanes []*foldLane
+	// The fold state, opened by the first Absorb: the streaming fold, or on
+	// the naive path one product per column (nil until its first non-zero
+	// term).
+	fold   homomorphic.ScalarFold
+	accs   []homomorphic.Ciphertext
+	ks     []uint64 // the current row's scalar in each column
+	scalar big.Int
 
 	base uint64 // global row offset of row 0 of the columns (shard sessions)
 	next uint64 // next expected vector offset (global coordinates)
 	done bool
 	err  error // a row failed mid-chunk: the partial products are unusable
-}
-
-// foldLane is the fold state of one worker for the life of the session.
-type foldLane struct {
-	fold   homomorphic.ScalarFold   // the streaming fold, or nil on the naive path
-	accs   []homomorphic.Ciphertext // naive path: per-column product, nil until the first non-zero term
-	ks     []uint64                 // the current row's scalar in each column
-	scalar big.Int
 }
 
 // NewShardSession prepares a fold over one numeric column under the client's
@@ -222,17 +217,6 @@ func newServerSession(pk homomorphic.PublicKey, columns []database.Column, vecto
 // rows is the session's vector length.
 func (s *ServerSession) rows() int { return s.columns[0].Len() }
 
-// newLane opens the fold state for a worker expected to see about rows rows.
-func (s *ServerSession) newLane(rows int) *foldLane {
-	l := &foldLane{ks: make([]uint64, len(s.columns))}
-	if s.folder != nil {
-		l.fold = s.folder.OpenFold(rows, len(s.columns))
-	} else {
-		l.accs = make([]homomorphic.Ciphertext, len(s.columns))
-	}
-	return l
-}
-
 // Absorb folds one index chunk. Chunks must arrive in order and without
 // gaps; each ciphertext is validated before use. The zero-valued rows are
 // skipped: E(I_i)^0 = E(0) contributes nothing, and the server knows x_i,
@@ -242,17 +226,6 @@ func (s *ServerSession) newLane(rows int) *foldLane {
 // part-way (a malformed ciphertext) leaves them unusable: the session
 // refuses every later Absorb and Finalize.
 func (s *ServerSession) Absorb(chunk *wire.IndexChunk) error {
-	return s.AbsorbParallel(chunk, 1)
-}
-
-// AbsorbParallel is Absorb with the chunk's rows split across workers
-// goroutines. The fold is a product in a commutative group, so each worker
-// folds a contiguous slice of every chunk into accumulators of its own,
-// which it keeps for the whole session; Finalize multiplies the workers'
-// results together. The paper names special-purpose hardware as the way
-// past the computation bottleneck; on a stock multicore host this is the
-// software equivalent for the server side.
-func (s *ServerSession) AbsorbParallel(chunk *wire.IndexChunk, workers int) error {
 	switch {
 	case s.done:
 		return errors.New("selectedsum: absorb after finalize")
@@ -265,49 +238,30 @@ func (s *ServerSession) AbsorbParallel(chunk *wire.IndexChunk, workers int) erro
 	if end := s.base + uint64(s.rows()); chunk.Offset+uint64(count) > end {
 		return fmt.Errorf("%w: chunk [%d,%d) exceeds rows [%d,%d)", ErrVectorLength, chunk.Offset, chunk.Offset+uint64(count), s.base, end)
 	}
-	if workers < 1 || count < 2*workers {
-		workers = 1
-	}
-	for len(s.lanes) < workers {
-		s.lanes = append(s.lanes, s.newLane(s.rows()/workers))
-	}
-
-	if workers == 1 {
-		s.err = s.absorbRows(s.lanes[0], chunk, 0, count)
-	} else {
-		errs := make([]error, workers)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				errs[w] = s.absorbRows(s.lanes[w], chunk, w*count/workers, (w+1)*count/workers)
-			}(w)
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				s.err = err // the lowest failing row range speaks for the chunk
-				break
-			}
+	if s.ks == nil {
+		s.ks = make([]uint64, len(s.columns))
+		if s.folder != nil {
+			s.fold = s.folder.OpenFold(s.rows(), len(s.columns))
+		} else {
+			s.accs = make([]homomorphic.Ciphertext, len(s.columns))
 		}
 	}
-	if s.err != nil {
+	if s.err = s.absorbRows(chunk); s.err != nil {
 		return s.err
 	}
 	s.next += uint64(count)
 	return nil
 }
 
-// absorbRows folds chunk rows [lo, hi) into one lane.
-func (s *ServerSession) absorbRows(l *foldLane, chunk *wire.IndexChunk, lo, hi int) error {
+// absorbRows folds every row of chunk.
+func (s *ServerSession) absorbRows(chunk *wire.IndexChunk) error {
 	first := int(chunk.Offset - s.base)
-	for i := lo; i < hi; i++ {
+	for i := range chunk.Count() {
 		for c, col := range s.columns {
-			l.ks[c] = col.At(first + i)
+			s.ks[c] = col.At(first + i)
 		}
-		if l.fold != nil {
-			if err := l.fold.Add(chunk.At(i), l.ks); err != nil {
+		if s.fold != nil {
+			if err := s.fold.Add(chunk.At(i), s.ks); err != nil {
 				return fmt.Errorf("selectedsum: chunk ciphertext %d: %w", i, err)
 			}
 			continue
@@ -316,19 +270,19 @@ func (s *ServerSession) absorbRows(l *foldLane, chunk *wire.IndexChunk, lo, hi i
 		if err != nil {
 			return fmt.Errorf("selectedsum: chunk ciphertext %d: %w", i, err)
 		}
-		for c, x := range l.ks {
+		for c, x := range s.ks {
 			if x == 0 {
 				continue
 			}
-			term, err := s.pk.ScalarMul(ct, l.scalar.SetUint64(x))
+			term, err := s.pk.ScalarMul(ct, s.scalar.SetUint64(x))
 			if err != nil {
 				return fmt.Errorf("selectedsum: scaling index %d: %w", chunk.Offset+uint64(i), err)
 			}
-			if l.accs[c] == nil {
-				l.accs[c] = term
+			if s.accs[c] == nil {
+				s.accs[c] = term
 				continue
 			}
-			if l.accs[c], err = s.pk.Add(l.accs[c], term); err != nil {
+			if s.accs[c], err = s.pk.Add(s.accs[c], term); err != nil {
 				return fmt.Errorf("selectedsum: folding index %d: %w", chunk.Offset+uint64(i), err)
 			}
 		}
@@ -352,8 +306,8 @@ func (s *ServerSession) Finalize(blind *big.Int) (homomorphic.Ciphertext, error)
 }
 
 // finalize returns one rerandomized (or blinded) sum per column. This is
-// where a streaming fold pays its deferred half: every lane combines its
-// buckets, once for the whole session, and the lanes' results add up.
+// where a streaming fold pays its deferred half: its buckets combine, once
+// for the whole session.
 func (s *ServerSession) finalize(blind *big.Int) ([]homomorphic.Ciphertext, error) {
 	switch {
 	case s.done:
@@ -365,35 +319,17 @@ func (s *ServerSession) finalize(blind *big.Int) ([]homomorphic.Ciphertext, erro
 	}
 	s.done = true
 
-	laneSums := make([][]homomorphic.Ciphertext, len(s.lanes))
-	var wg sync.WaitGroup
-	for i, l := range s.lanes {
-		if l.fold == nil {
-			laneSums[i] = l.accs
-			continue
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			laneSums[i] = l.fold.Sums()
-		}()
+	raw := s.accs
+	if s.fold != nil {
+		raw = s.fold.Sums()
 	}
-	wg.Wait()
-
 	sums := make([]homomorphic.Ciphertext, len(s.columns))
 	for c := range sums {
-		var acc homomorphic.Ciphertext
-		var err error
-		for _, lane := range laneSums {
-			if lane[c] == nil {
-				continue
-			}
-			if acc == nil {
-				acc = lane[c]
-			} else if acc, err = s.pk.Add(acc, lane[c]); err != nil {
-				return nil, fmt.Errorf("selectedsum: combining partial products: %w", err)
-			}
+		var acc homomorphic.Ciphertext // nil: no row was absorbed
+		if raw != nil {
+			acc = raw[c]
 		}
+		var err error
 		if sums[c], err = s.seal(acc, blind); err != nil {
 			return nil, err
 		}

@@ -215,14 +215,6 @@ func TestAbsorbErrorReportsGlobalIndex(t *testing.T) {
 		t.Errorf("Absorb scaling error %q does not name global index %s", err, wantIdx)
 	}
 
-	srv, err = NewShardSession(scalarMulFailKey{pk}, table.Column(), 8, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.AbsorbParallel(chunk, 2); err == nil || !strings.Contains(err.Error(), wantIdx) {
-		t.Errorf("AbsorbParallel scaling error %q does not name global index %s", err, wantIdx)
-	}
-
 	// The Add path fails on the second nonzero row (i=5): the first becomes
 	// the accumulator, the second triggers the fold error.
 	wantIdx = strconv.FormatUint(base+5, 10)

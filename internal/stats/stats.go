@@ -72,7 +72,6 @@ func (a *Analyst) options() selectedsum.Options {
 	return selectedsum.Options{
 		Link:      a.link,
 		ChunkSize: a.chunkSize,
-		Pipelined: a.chunkSize > 0,
 		Pool:      a.pool,
 	}
 }
