@@ -2,9 +2,11 @@ package database
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math/big"
 	"path/filepath"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -354,6 +356,20 @@ func TestReadTableRejectsCorruption(t *testing.T) {
 		if _, err := ReadTable(bytes.NewReader(good[:cut])); !errors.Is(err, ErrCorruptTable) {
 			t.Errorf("truncation at %d: err = %v", cut, err)
 		}
+	}
+	// A header claiming 2^31 rows with none behind it (FuzzReadTable found
+	// the like): rejected without allocating for the claim.
+	huge := append([]byte{}, good[:16]...)
+	binary.BigEndian.PutUint64(huge[8:], 1<<31)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadTable(bytes.NewReader(huge))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrCorruptTable) {
+		t.Errorf("empty 2^31-row table: err = %v", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Errorf("empty 2^31-row table allocated %d bytes", grew)
 	}
 }
 

@@ -85,13 +85,15 @@ func ReadTable(r io.Reader) (*Table, error) {
 		return nil, fmt.Errorf("%w: absurd row count %d", ErrCorruptTable, count)
 	}
 
-	values := make([]uint32, count)
+	// The count is unverified until the checksum: grow the rows as they
+	// arrive, so a 16-byte header cannot claim gigabytes up front.
+	values := make([]uint32, 0, min(count, 1<<16))
 	buf := make([]byte, 4)
-	for i := range values {
+	for i := uint64(0); i < count; i++ {
 		if _, err := io.ReadFull(tr, buf); err != nil {
 			return nil, fmt.Errorf("%w: row %d: %v", ErrCorruptTable, i, err)
 		}
-		values[i] = binary.BigEndian.Uint32(buf)
+		values = append(values, binary.BigEndian.Uint32(buf))
 	}
 
 	wantSum := crc.Sum32()
