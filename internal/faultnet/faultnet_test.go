@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"privstats/internal/netsim"
+	"privstats/internal/testutil"
 )
 
 // pipePair returns two ends of a loopback TCP connection (net.Pipe has no
@@ -391,15 +392,18 @@ func TestListenerConnStatsReconcile(t *testing.T) {
 		}
 		c.Close()
 	}
-	// Let server goroutines observe their resets.
-	time.Sleep(50 * time.Millisecond)
-	agg := fl.Stats()
-	var sum StatsSnapshot
-	for _, s := range fl.ConnStats() {
-		sum = sum.Add(s)
-	}
-	sum.Refusals += agg.Refusals // refusals are listener-level, not per-conn
-	if sum != agg {
-		t.Errorf("per-conn sum %+v != aggregate %+v", sum, agg)
+	// The server goroutines observe their resets on their own schedule; wait
+	// until the per-conn counts have caught up with the aggregate.
+	var sum, agg StatsSnapshot
+	testutil.Eventually(t, 5*time.Second, "per-conn stats to sum to the aggregate", func() bool {
+		agg = fl.Stats()
+		sum = StatsSnapshot{Refusals: agg.Refusals} // refusals are listener-level, not per-conn
+		for _, s := range fl.ConnStats() {
+			sum = sum.Add(s)
+		}
+		return sum == agg
+	})
+	if agg.Total() == 0 {
+		t.Errorf("no fault injected: aggregate %+v", agg)
 	}
 }

@@ -28,7 +28,9 @@ type PublicKey interface {
 	SchemeName() string
 
 	// Encrypt returns a fresh randomized encryption of m.
-	// m must lie in [0, PlaintextSpace()).
+	// m must lie in [0, PlaintextSpace()). Encrypt only reads m and is safe
+	// for concurrent use: the client encrypts a chunk on several goroutines
+	// at once, which may share one plaintext value.
 	Encrypt(m *big.Int) (Ciphertext, error)
 
 	// Add returns an encryption of the sum of the two plaintexts.
@@ -118,7 +120,8 @@ type baseKeyOnly struct{ PublicKey }
 // changes.
 type SelfEncryptor interface {
 	// EncryptSelf returns a fresh randomized encryption of m, identically
-	// distributed to PublicKey().Encrypt(m).
+	// distributed to PublicKey().Encrypt(m). Like Encrypt, it only reads m
+	// and is safe for concurrent use.
 	EncryptSelf(m *big.Int) (Ciphertext, error)
 }
 
@@ -142,7 +145,8 @@ type basePrivOnly struct{ PrivateKey }
 // online when absent.
 type PlainAdder interface {
 	// AddPlain returns an encryption of m(c)+k under c's randomizer, so the
-	// result is as fresh as c is. k must lie in [0, PlaintextSpace()).
+	// result is as fresh as c is. k must lie in [0, PlaintextSpace()). Like
+	// Encrypt, it only reads k and is safe for concurrent use.
 	AddPlain(c Ciphertext, k *big.Int) (Ciphertext, error)
 }
 

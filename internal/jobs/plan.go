@@ -25,8 +25,9 @@ type Step struct {
 	// packs into its one reply; 0 otherwise.
 	Slots int
 	// Weight, set on group-by steps, is what selected row i uploads in place
-	// of the bit 1: 2^(slot width · (row i's group − Group)). Callers must
-	// not modify the returned value.
+	// of the bit 1: 2^(slot width · (row i's group − Group)). The values are
+	// shared between rows and the client's encryption workers call it at
+	// once, so callers must not modify the returned value.
 	Weight func(row int) *big.Int
 }
 

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/big"
+	"runtime"
 	"strconv"
 	"time"
 
@@ -313,7 +314,10 @@ func ServeSink(conn *wire.Conn, sink Sink, timings *PhaseTimings) error {
 type VectorSource interface {
 	// Len is the vector length n (must match the server's table).
 	Len() int
-	// EncryptAt returns a fresh encryption of entry i.
+	// EncryptAt returns a fresh encryption of entry i. QueryVector calls it
+	// from several goroutines at once, each on distinct rows, so it must be
+	// safe for that, as an EncryptorPool is; whatever it shares across rows
+	// (the selection, a weight, a key) it may only read.
 	EncryptAt(i int) (homomorphic.Ciphertext, error)
 }
 
@@ -393,7 +397,9 @@ func (s packedSource) EncryptAt(i int) (homomorphic.Ciphertext, error) {
 // is a pooled encryption of 0, the selected ones shifted by one
 // multiplication; otherwise weights are encrypted online by the best route
 // sk offers, at the cost of a bit. The server folds the vector like any
-// other. A nil key yields a nil source, which QueryVector rejects.
+// other. weight is called from QueryVector's workers at once, and what it
+// returns is only ever read, so it may hand out shared values. A nil key
+// yields a nil source, which QueryVector rejects.
 func PackedSelectionSource(sk homomorphic.PrivateKey, sel *database.Selection, weight func(row int) *big.Int, pool homomorphic.EncryptorPool) VectorSource {
 	if sk == nil {
 		return nil
@@ -462,23 +468,21 @@ func QueryVector(conn *wire.Conn, sk homomorphic.PrivateKey, src VectorSource, c
 		ChunkLen:  uint32(chunkSize),
 		Columns:   cols,
 	}
-	// The vector is encrypted a chunk at a time, as the upload asks for it.
+	// The vector is encrypted a chunk at a time, as the upload asks for it,
+	// each chunk on every core (the paper's §3.5 "k parties each encrypt
+	// n/k", inside one client): nothing is encrypted, or drawn from a pool,
+	// ahead of the chunk that needs it, and no worker outlives the chunk.
 	width := pk.CiphertextSize()
+	workers := runtime.GOMAXPROCS(0)
 	lo := 0
 	cts, err := Upload(conn, hello, pk, func() (*wire.IndexChunk, error) {
 		if lo >= n {
 			return nil, nil
 		}
 		hi := min(lo+chunkSize, n)
-		body := make([]byte, 0, (hi-lo)*width)
-		for i := lo; i < hi; i++ {
-			ct, err := src.EncryptAt(i)
-			if err != nil {
-				return nil, fmt.Errorf("selectedsum: encrypting entry %d: %w", i, err)
-			}
-			if body, err = appendCiphertext(body, ct, width); err != nil {
-				return nil, err
-			}
+		body, err := encryptRows(src, lo, hi, width, workers)
+		if err != nil {
+			return nil, err
 		}
 		chunk := &wire.IndexChunk{Offset: uint64(lo), Ciphertexts: body, Width: width}
 		lo = hi

@@ -2,6 +2,7 @@ package selectedsum
 
 import (
 	"math/big"
+	"sync/atomic"
 	"testing"
 
 	"privstats/internal/homomorphic"
@@ -9,14 +10,15 @@ import (
 	"privstats/internal/wire"
 )
 
-// countingPool is a bit store that counts what is drawn from it.
+// countingPool is a bit store that counts what is drawn from it. Like every
+// pool it may be drawn from by several encryption workers at once.
 type countingPool struct {
 	homomorphic.EncryptorPool
-	drawn [2]int
+	drawn [2]atomic.Int64
 }
 
 func (p *countingPool) DrawBit(bit uint) (homomorphic.Ciphertext, error) {
-	p.drawn[bit&1]++
+	p.drawn[bit&1].Add(1)
 	return p.EncryptorPool.DrawBit(bit)
 }
 
@@ -59,7 +61,8 @@ func TestPackedSelectionSourceRoutes(t *testing.T) {
 		{"public online", homomorphic.WithoutSelfEncrypt(sk), nil, 0},
 		{"pool, no PlainAdder", publicOnly{sk}, pool, table.Len() - sel.Count()},
 	} {
-		pool.drawn = [2]int{}
+		pool.drawn[0].Store(0)
+		pool.drawn[1].Store(0)
 		conn, errc := servePair(t, table)
 		sums, err := QueryVector(conn, tc.key, PackedSelectionSource(tc.key, sel, weight, tc.pool), 16, wire.ColValue)
 		if err != nil {
@@ -71,8 +74,8 @@ func TestPackedSelectionSourceRoutes(t *testing.T) {
 		if sums[0].Cmp(want) != 0 {
 			t.Errorf("%s: packed sum %v, want %v", tc.name, sums[0], want)
 		}
-		if pool.drawn[0] != tc.wantZeros || pool.drawn[1] != 0 {
-			t.Errorf("%s: drew %d zeros and %d ones, want %d and 0", tc.name, pool.drawn[0], pool.drawn[1], tc.wantZeros)
+		if zeros, ones := pool.drawn[0].Load(), pool.drawn[1].Load(); zeros != int64(tc.wantZeros) || ones != 0 {
+			t.Errorf("%s: drew %d zeros and %d ones, want %d and 0", tc.name, zeros, ones, tc.wantZeros)
 		}
 	}
 }

@@ -20,6 +20,7 @@ import (
 	"errors"
 	"fmt"
 	"math/big"
+	"sync"
 
 	"privstats/internal/database"
 	"privstats/internal/homomorphic"
@@ -100,23 +101,68 @@ func (p Pooled) EncryptBit(bit uint) (homomorphic.Ciphertext, error) {
 // EncryptRange encrypts the selection bits for positions [lo, hi) and
 // returns their concatenated wire encodings. This is the client's per-chunk
 // work; its duration is what the benchmarks report as client encryption
-// time.
+// time. It runs on the calling goroutine alone: the paper's figures time one
+// client's encryption as one CPU component.
 func EncryptRange(enc BitEncryptor, sel *database.Selection, lo, hi, width int) ([]byte, error) {
 	if lo < 0 || hi < lo || hi > sel.Len() {
 		return nil, fmt.Errorf("selectedsum: bad range [%d,%d) over %d", lo, hi, sel.Len())
 	}
-	out := make([]byte, 0, (hi-lo)*width)
-	for i := lo; i < hi; i++ {
-		ct, err := enc.EncryptBit(sel.Bit(i))
-		if err != nil {
-			return nil, fmt.Errorf("selectedsum: encrypting index %d: %w", i, err)
+	return encryptRows(selectionSource{sel: sel, enc: enc}, lo, hi, width, 1)
+}
+
+// encryptMinRows is the fewest rows encryptRows hands one worker. An
+// encryption costs tens of microseconds, a goroutine about one, so the grain
+// only keeps a tiny chunk from fanning out into workers that each do a row
+// or two.
+const encryptMinRows = 16
+
+// encryptRows encrypts entries [lo, hi) of src and returns their
+// fixed-width encodings, concatenated in row order. Up to workers
+// goroutines share the range, each a contiguous sub-range of at least
+// encryptMinRows rows that it encodes straight into its own region of the
+// one body, so the bytes are laid out exactly as a single loop lays them
+// out. Every worker has returned when encryptRows does; the error is the
+// lowest failing row's.
+func encryptRows(src VectorSource, lo, hi, width, workers int) ([]byte, error) {
+	body := make([]byte, (hi-lo)*width)
+	// encode fills rows [a, b). Its slice is capped at the region's end, so
+	// a ciphertext of the wrong width reallocates instead of writing into a
+	// neighbour's region, and appendCiphertext reports it.
+	encode := func(a, b int) error {
+		out := body[(a-lo)*width : (a-lo)*width : (b-lo)*width]
+		for i := a; i < b; i++ {
+			ct, err := src.EncryptAt(i)
+			if err != nil {
+				return fmt.Errorf("selectedsum: encrypting entry %d: %w", i, err)
+			}
+			if out, err = appendCiphertext(out, ct, width); err != nil {
+				return err
+			}
 		}
-		out, err = appendCiphertext(out, ct, width)
+		return nil
+	}
+	workers = max(min(workers, (hi-lo)/encryptMinRows), 1)
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
+	for w := range workers {
+		a, b := lo+(hi-lo)*w/workers, lo+(hi-lo)*(w+1)/workers
+		if w == workers-1 {
+			errs[w] = encode(a, b) // the last sub-range runs on the caller
+			break
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[w] = encode(a, b)
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
 		if err != nil {
 			return nil, err
 		}
 	}
-	return out, nil
+	return body, nil
 }
 
 // byteAppender is the optional allocation-relief capability on ciphertexts:

@@ -105,7 +105,8 @@ type Source struct {
 // Len implements selectedsum.VectorSource.
 func (s Source) Len() int { return s.W.Len() }
 
-// EncryptAt implements selectedsum.VectorSource.
+// EncryptAt implements selectedsum.VectorSource. It only reads the weights,
+// so concurrent calls are safe.
 func (s Source) EncryptAt(i int) (homomorphic.Ciphertext, error) {
 	v := s.W.At(i)
 	if v.Cmp(s.PK.PlaintextSpace()) >= 0 {

@@ -16,17 +16,21 @@ import (
 	"math"
 	"os"
 	"runtime"
+	"slices"
 	"sort"
+	"strings"
 	"text/tabwriter"
 )
 
 // spec is the part of BENCHMARK.json the comparison needs.
 type spec struct {
-	RunSeconds int `json:"run_seconds"`
-	Workloads  []struct {
-		Name string `json:"name"`
-	} `json:"workloads"`
-	EndToEnd []metricDef `json:"end_to_end"`
+	RunSeconds int           `json:"run_seconds"`
+	Workloads  []workloadDef `json:"workloads"`
+	EndToEnd   []metricDef   `json:"end_to_end"`
+}
+
+type workloadDef struct {
+	Name string `json:"name"`
 }
 
 type metricDef struct {
@@ -88,6 +92,7 @@ type ledger struct {
 	Base      string           `json:"base"`
 	Change    string           `json:"change"`
 	Seconds   int              `json:"seconds"`
+	Claim     string           `json:"claim,omitempty"` // metric@workload the change claims to improve
 	Workloads []workloadReport `json:"workloads"`
 }
 
@@ -99,10 +104,11 @@ func main() {
 		pr       = flag.String("pr", "", "PR the ledger belongs to")
 		base     = flag.String("base", "", "base commit")
 		change   = flag.String("change", "", "change commit")
-		list     = flag.Bool("list", false, "print the benchmark's workload names and exit")
+		claim    = flag.String("claim", "", "metric@workload the change claims to improve, reported first in the verdict")
+		list     = flag.Bool("list", false, "check -claim against the benchmark, print its workload names and exit")
 	)
 	flag.Parse()
-	if err := mainErr(*specPath, *runsPath, *outPath, *list, ledger{PR: *pr, Base: *base, Change: *change}); err != nil {
+	if err := mainErr(*specPath, *runsPath, *outPath, *list, ledger{PR: *pr, Base: *base, Change: *change, Claim: *claim}); err != nil {
 		fmt.Fprintln(os.Stderr, "benchab:", err)
 		os.Exit(1)
 	}
@@ -116,6 +122,9 @@ func mainErr(specPath, runsPath, outPath string, list bool, l ledger) error {
 	}
 	if err := json.Unmarshal(data, &sp); err != nil {
 		return fmt.Errorf("%s: %w", specPath, err)
+	}
+	if err := checkClaim(sp, l.Claim); err != nil {
+		return err
 	}
 	if list {
 		for _, w := range sp.Workloads {
@@ -140,6 +149,7 @@ func mainErr(specPath, runsPath, outPath string, list bool, l ledger) error {
 		return err
 	}
 	printTable(os.Stdout, l)
+	printVerdict(os.Stdout, l)
 	out, err := json.MarshalIndent(l, "", " ")
 	if err != nil {
 		return err
@@ -308,4 +318,67 @@ func printTable(out io.Writer, l ledger) {
 		fmt.Fprintf(out, "%s: failed ops base %d/%d, change %d/%d%s\n", w.Name,
 			w.Failed["base"], w.Attempted["base"], w.Failed["change"], w.Attempted["change"], note)
 	}
+}
+
+// checkClaim accepts an empty claim or one that names a metric and a
+// workload of the benchmark, so a mistyped claim fails before the passes
+// run rather than after.
+func checkClaim(sp spec, claim string) error {
+	if claim == "" {
+		return nil
+	}
+	metric, workload, ok := strings.Cut(claim, "@")
+	okMetric := slices.ContainsFunc(sp.EndToEnd, func(d metricDef) bool { return d.Name == metric })
+	okWorkload := slices.Contains(sp.Workloads, workloadDef{workload})
+	if !ok || !okMetric || !okWorkload {
+		return fmt.Errorf("claim %q is not end-to-end-metric@workload of the benchmark", claim)
+	}
+	return nil
+}
+
+// printVerdict writes the paragraph a ledger is summed up by: the claimed
+// metric's medians with their quartiles, its delta and its paired wins, then
+// every metric judged worse or unresolved, then the failed-op counts.
+func printVerdict(out io.Writer, l ledger) {
+	var b strings.Builder
+	fmt.Fprintf(&b, "Verdict (base %.7s, change %.7s).", l.Base, l.Change)
+	if l.Claim != "" {
+		metric, workload, _ := strings.Cut(l.Claim, "@")
+		claimed := false
+		for _, w := range l.Workloads {
+			for _, m := range w.Metrics {
+				if w.Name != workload || m.Name != metric {
+					continue
+				}
+				claimed = true
+				fmt.Fprintf(&b, " Claimed %s on %s: %.4g [%.4g, %.4g] → %.4g [%.4g, %.4g] %s, %+.1f %%, won %d/%d pairs, %s.",
+					m.Name, w.Name, m.Base.Median, m.Base.Q1, m.Base.Q3, m.Change.Median, m.Change.Q1, m.Change.Q3,
+					m.Unit, 100*m.Delta, m.Wins, len(m.Base.Values), m.Verdict)
+			}
+		}
+		if !claimed {
+			fmt.Fprintf(&b, " Claimed %s: not measured.", l.Claim)
+		}
+	}
+	var flagged []string
+	for _, w := range l.Workloads {
+		for _, m := range w.Metrics {
+			if m.Verdict == "worse" || m.Verdict == "unresolved" {
+				flagged = append(flagged, fmt.Sprintf("%s %s %s (%+.1f %%, bound %.1f %%, won %d/%d)",
+					w.Name, m.Name, m.Verdict, 100*m.Delta, 100*m.Bound, m.Wins, len(m.Base.Values)))
+			}
+		}
+	}
+	if len(flagged) == 0 {
+		b.WriteString(" No metric is worse or unresolved.")
+	} else {
+		fmt.Fprintf(&b, " Worse or unresolved: %s.", strings.Join(flagged, "; "))
+	}
+	var failed []string
+	for _, w := range l.Workloads {
+		failed = append(failed, fmt.Sprintf("%s %d/%d base, %d/%d change", w.Name,
+			w.Failed["base"], w.Attempted["base"], w.Failed["change"], w.Attempted["change"]))
+	}
+	fmt.Fprintf(&b, " Failed ops: %s.", strings.Join(failed, "; "))
+	fmt.Fprintln(out, b.String())
 }

@@ -62,9 +62,7 @@ func TestJudge(t *testing.T) {
 
 func TestCompareRejectsUnpairedRuns(t *testing.T) {
 	var sp spec
-	sp.Workloads = append(sp.Workloads, struct {
-		Name string `json:"name"`
-	}{"pooled-sharded"})
+	sp.Workloads = append(sp.Workloads, workloadDef{"pooled-sharded"})
 	sp.EndToEnd = []metricDef{{Name: "cpu_ms_per_krow", Better: "lower", Bound: 0.25}}
 	const line = `{"workload":"pooled-sharded","pair":%PAIR%,"seed":7,"side":"%SIDE%","first":true,"result":{"attempted":9,"failed":%FAILED%,"metrics":{"cpu_ms_per_krow":{"value":5,"unit":"ms"}}}}`
 	mk := func(pair, side, failed string) string {
@@ -83,5 +81,67 @@ func TestCompareRejectsUnpairedRuns(t *testing.T) {
 	}
 	if w := reports[0]; !w.MoreFailing || w.Failed["change"] != 1 || w.Attempted["base"] != 9 || len(w.Metrics) != 1 {
 		t.Errorf("report = %+v", w)
+	}
+}
+
+// TestPrintVerdict: the paragraph leads with the claimed metric's medians,
+// quartiles, delta and paired wins, names every worse metric and no ok one,
+// and ends with the failed-op counts.
+func TestPrintVerdict(t *testing.T) {
+	latency := metricDef{Name: "latency_p50_s", Unit: "s", Better: "lower", Bound: 0.25}
+	cpu := metricDef{Name: "cpu_ms_per_krow", Unit: "ms", Better: "lower", Bound: 0.25}
+	base := []float64{10, 10, 10, 10, 10, 10, 10, 10, 10, 10}
+	scaled := func(f float64) []float64 {
+		out := make([]float64, len(base))
+		for i, v := range base {
+			out[i] = v * f
+		}
+		return out
+	}
+	l := ledger{
+		Base: "0123456789abcdef", Change: "fedcba9876543210", Claim: "latency_p50_s@online-direct",
+		Workloads: []workloadReport{
+			{
+				Name:      "online-direct",
+				Attempted: map[string]int{"base": 80, "change": 130},
+				Failed:    map[string]int{"base": 0, "change": 0},
+				Metrics:   []metricReport{judge(latency, base, scaled(0.6)), judge(cpu, base, scaled(1.3))},
+			},
+			{
+				Name:      "pooled-sharded",
+				Attempted: map[string]int{"base": 900, "change": 910},
+				Failed:    map[string]int{"base": 1, "change": 0},
+				Metrics:   []metricReport{judge(cpu, base, base)},
+			},
+		},
+	}
+	var out strings.Builder
+	printVerdict(&out, l)
+	got := out.String()
+	for _, want := range []string{
+		"Verdict (base 0123456, change fedcba9).",
+		"Claimed latency_p50_s on online-direct: 10 [10, 10] → 6 [6, 6] s, -40.0 %, won 10/10 pairs, improved.",
+		"Worse or unresolved: online-direct cpu_ms_per_krow worse (+30.0 %, bound 25.0 %, won 0/10).",
+		"Failed ops: online-direct 0/80 base, 0/130 change; pooled-sharded 1/900 base, 0/910 change.",
+	} {
+		if !strings.Contains(got, want) {
+			t.Errorf("verdict lacks %q:\n%s", want, got)
+		}
+	}
+	if strings.Contains(got, "pooled-sharded cpu_ms_per_krow") {
+		t.Errorf("an ok metric is listed:\n%s", got)
+	}
+	if strings.Count(got, "\n") != 1 {
+		t.Errorf("verdict is not one paragraph:\n%s", got)
+	}
+
+	var sp spec
+	sp.Workloads = []workloadDef{{"online-direct"}}
+	sp.EndToEnd = []metricDef{latency}
+	for claim, ok := range map[string]bool{"": true, "latency_p50_s@online-direct": true,
+		"latency_p50_s": false, "latency_p50_s@jobs-mixed": false, "rows_per_s@online-direct": false} {
+		if err := checkClaim(sp, claim); (err == nil) != ok {
+			t.Errorf("checkClaim(%q) = %v", claim, err)
+		}
 	}
 }
