@@ -30,12 +30,12 @@ race:
 # layer, the one server and client loop, the cluster fan-out and the server
 # runtime — the job gateway on top of it, the arithmetic under it (the fold
 # kernel and Paillier), the paper's figures measured on it (the bench
-# harness and the netsim clock), and the fault-injection transport the chaos
-# tests drive it through: ten repetitions with one and with two
-# scheduler threads, then three under the race detector. A test that only
-# passes on a quiet host fails here, and is fixed on counted events
-# (testutil.Eventually), never on a longer sleep or a retry.
-FLAKE_PKGS = ./internal/wire/ ./internal/selectedsum/ ./internal/cluster/ ./internal/server/ ./internal/jobs/ ./internal/mathx/ ./internal/paillier/ ./internal/bench/ ./internal/netsim/ ./internal/faultnet/
+# harness and the netsim clock), the fault-injection transport the chaos
+# tests drive it through, and the preprocessing stock: ten repetitions with
+# one and with two scheduler threads, then three under the race detector. A
+# test that only passes on a quiet host fails here, and is fixed on counted
+# events (testutil.Eventually), never on a longer sleep or a retry.
+FLAKE_PKGS = ./internal/wire/ ./internal/selectedsum/ ./internal/cluster/ ./internal/server/ ./internal/jobs/ ./internal/mathx/ ./internal/paillier/ ./internal/bench/ ./internal/netsim/ ./internal/faultnet/ ./internal/stock/
 flake:
 	GOMAXPROCS=1 $(GO) test -count=10 $(FLAKE_PKGS)
 	GOMAXPROCS=2 $(GO) test -count=10 $(FLAKE_PKGS)
@@ -53,9 +53,10 @@ bench-build:
 # Interleaved A/B ledger: PAIRS (default 10) alternating pairs of the
 # benchmark on BASE and on HEAD, per-metric medians, quartiles, paired wins
 # and verdicts, written to BENCH_<PR>.json. `make bench-ab BASE=<ref>
-# [WORKLOADS="pooled-sharded small-sessions"]`; PAIRS, SEED, PR, OUT and
-# CLAIM=<metric>@<workload> pass through the environment (see
-# scripts/bench_ab.sh). About 15 minutes per workload at the defaults.
+# [WORKLOADS="pooled-sharded small-sessions"]`; PAIRS, SEED, PR, OUT,
+# CLAIM=<metric>@<workload> and TRACE=1 (a traced pass per side per pair, for
+# the per-layer rows) pass through the environment (see scripts/bench_ab.sh).
+# About 15 minutes per workload at the defaults, twice that with TRACE=1.
 bench-ab:
 	@test -n "$(BASE)" || { echo "usage: make bench-ab BASE=<ref> [WORKLOADS=...]"; exit 2; }
 	bash scripts/bench_ab.sh $(BASE) $(WORKLOADS)

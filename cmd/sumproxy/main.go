@@ -2,7 +2,8 @@
 // selected-sum protocol: it fronts a set of sumserver shards that each hold
 // a contiguous row range of one logical table, fans every client's
 // encrypted index vector out to them, and homomorphically combines the
-// partial sums into the single rerandomized ciphertext the client sees.
+// shards' rerandomized partial sums into the single ciphertext the client
+// sees.
 //
 // The aggregator is untrusted for privacy — it only ever handles
 // ciphertexts under the client's key (see DESIGN.md §9) — so running it on

@@ -177,7 +177,7 @@ func (b *shardBuffer) next(i int) (*wire.IndexChunk, error) {
 // ServeSession implements server.Handler: one aggregated selected-sum
 // session, run by the protocol's one server loop over a fan-out sink. Phase
 // timings map naturally: Hello is parse + fan-out setup, Absorb is the
-// split-and-forward work, Finalize is the homomorphic combine + rerandomize.
+// split-and-forward work, Finalize is the homomorphic combine.
 func (a *Aggregator) ServeSession(conn *wire.Conn, timings *selectedsum.PhaseTimings) error {
 	a.m.Queries.Inc()
 	return selectedsum.ServeSink(conn, &fanout{a: a}, timings)
@@ -320,26 +320,26 @@ func (f *fanout) Done() error {
 }
 
 // Finish combines column-wise: Π_s partials[s][c] = E(Σ shard sums of column
-// c) = E(total of column c), then rerandomizes so each reply is unlinkable
-// to the product the aggregator computed — the client must not be able to
-// reconstruct per-shard partials even if it later compromises a backend.
-// Replies go out in the same ascending-bit order the backends used, so the
-// aggregator is column-order transparent.
+// c) = E(total of column c), k−1 multiplications and nothing else. Every
+// partial is a shard's sealed reply, rerandomized with a fresh r^N the
+// aggregator never sees, so their product is already a fresh encryption of
+// the total: one honest shard makes its randomness uniform, and a second
+// rerandomization here would add no privacy (DESIGN.md §6, §9). Replies go
+// out in the same ascending-bit order the backends used, so the aggregator
+// is column-order transparent.
 func (f *fanout) Finish() ([]homomorphic.Ciphertext, error) {
 	defer f.cancel()
 	start := time.Now()
 	replies := make([]homomorphic.Ciphertext, len(f.partials[0]))
-	var err error
 	for c := range replies {
 		acc := f.partials[0][c]
 		for _, p := range f.partials[1:] {
+			var err error
 			if acc, err = f.pk.Add(acc, p[c]); err != nil {
 				return nil, fmt.Errorf("cluster: combining partials: %w", err)
 			}
 		}
-		if replies[c], err = f.pk.Rerandomize(acc); err != nil {
-			return nil, fmt.Errorf("cluster: rerandomizing total: %w", err)
-		}
+		replies[c] = acc
 	}
 	f.a.m.CombineNanos.ObserveDuration(time.Since(start))
 	return replies, nil

@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"crypto/rand"
+	"fmt"
 	"math/big"
 	"net"
 	"sync"
@@ -326,40 +327,66 @@ func startTap(t *testing.T, target string, rec *recorder) string {
 	return ln.Addr().String()
 }
 
-// TestClusterPrivacyInvariants checks, on the wire, the three properties
-// the trust argument rests on: each backend receives only ciphertexts
-// covering its own row range; the aggregator's reply is rerandomized (it
-// differs from the raw homomorphic product of the partials); and the
-// client observes exactly one ciphertext — no per-shard partials.
+// RawFold is Π ct_i^{x_i}: what a server that did not rerandomize would
+// send. It is exported for the wiretap tests of package cluster_test.
+func RawFold(t *testing.T, pk homomorphic.PublicKey, cts [][]byte, values func(i int) uint32) homomorphic.Ciphertext {
+	t.Helper()
+	var acc homomorphic.Ciphertext
+	for i, raw := range cts {
+		ct, err := pk.ParseCiphertext(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		term, err := pk.ScalarMul(ct, big.NewInt(int64(values(i))))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if acc == nil {
+			acc = term
+		} else if acc, err = pk.Add(acc, term); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return acc
+}
+
+// TestClusterPrivacyInvariants records one session on every hop and checks
+// the properties the trust argument rests on: each backend receives only
+// ciphertexts covering its own row range; no reply on any hop is the raw
+// product of the client's ciphertexts, because each shard's partial is
+// rerandomized; the aggregator adds no randomness of its own, so the reply
+// is exactly the product of the partials (the one partial for k = 1); and
+// the client observes exactly one ciphertext — no per-shard partials.
 func TestClusterPrivacyInvariants(t *testing.T) {
+	for _, k := range []int{1, 2} {
+		t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) { checkPrivacyInvariants(t, k) })
+	}
+}
+
+func checkPrivacyInvariants(t *testing.T, k int) {
 	sk := testKey(t)
 	pk := sk.PublicKey()
 	width := pk.CiphertextSize()
 	table, sel, want := fixture(t, 36, 15, 77)
-	half := table.Len() / 2
 
-	shard0, err := table.Shard(0, half)
+	shards := make([]Shard, k)
+	recs := make([]*recorder, k)
+	for i := range shards {
+		lo, hi := i*table.Len()/k, (i+1)*table.Len()/k
+		sub, err := table.Shard(lo, hi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs[i] = &recorder{}
+		shards[i] = Shard{Lo: lo, Hi: hi, Backends: []string{startTap(t, startBackend(t, sub), recs[i])}}
+	}
+	sm, err := NewShardMap(shards)
 	if err != nil {
 		t.Fatal(err)
 	}
-	shard1, err := table.Shard(half, table.Len())
-	if err != nil {
-		t.Fatal(err)
-	}
-	recs := []*recorder{{}, {}}
-	tap0 := startTap(t, startBackend(t, shard0), recs[0])
-	tap1 := startTap(t, startBackend(t, shard1), recs[1])
-	sm, err := NewShardMap([]Shard{
-		{Lo: 0, Hi: half, Backends: []string{tap0}},
-		{Lo: half, Hi: table.Len(), Backends: []string{tap1}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	client := NewClient(ClientConfig{})
-	addr, _ := startProxy(t, sm, client)
-
-	conn, err := net.Dial("tcp", addr)
+	addr, _ := startProxy(t, sm, NewClient(ClientConfig{}))
+	front := &recorder{}
+	conn, err := net.Dial("tcp", startTap(t, addr, front))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,20 +400,24 @@ func TestClusterPrivacyInvariants(t *testing.T) {
 		t.Fatalf("sum = %v, want %v", got, want)
 	}
 
-	// Invariant 3: the client saw exactly one inbound frame — the sum.
+	// The client saw exactly one inbound frame — the sum.
 	_, _, _, framesIn := wc.Meter.Snapshot()
 	if framesIn != 1 {
 		t.Errorf("client received %d frames, want exactly 1 (the sum)", framesIn)
 	}
+	_, down := front.snapshot()
+	if len(down) != 1 || down[0].Type != wire.MsgSum {
+		t.Fatalf("the tap saw %d reply frames, want one sum", len(down))
+	}
+	reply := down[0].Payload
 
-	// Invariant 1: each backend saw a hello scoped to its own range and
-	// chunks covering exactly [Lo, Hi) — nothing outside it.
-	bounds := [][2]uint64{{0, uint64(half)}, {uint64(half), uint64(table.Len())}}
+	// Each backend saw a hello scoped to its own range and chunks covering
+	// exactly [Lo, Hi), and sent one partial: fresh, not the raw fold of the
+	// slice it received, yet decrypting to its shard's sum.
 	var partials []homomorphic.Ciphertext
 	for i, rec := range recs {
 		up, down := rec.snapshot()
-		lo, hi := bounds[i][0], bounds[i][1]
-		var covered uint64
+		lo, hi := uint64(shards[i].Lo), uint64(shards[i].Hi)
 		for _, f := range up {
 			switch f.Type {
 			case wire.MsgHello:
@@ -402,96 +433,79 @@ func TestClusterPrivacyInvariants(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				end := c.Offset + uint64(c.Count())
-				if c.Offset < lo || end > hi {
+				if end := c.Offset + uint64(c.Count()); c.Offset < lo || end > hi {
 					t.Errorf("backend %d received chunk [%d,%d) outside its range [%d,%d)", i, c.Offset, end, lo, hi)
 				}
-				covered += uint64(c.Count())
 			}
 		}
-		if covered != hi-lo {
-			t.Errorf("backend %d received %d ciphertexts, want %d", i, covered, hi-lo)
+		received := chunkCiphertexts(t, rec, width)
+		if uint64(len(received)) != hi-lo {
+			t.Fatalf("backend %d received %d ciphertexts, want %d", i, len(received), hi-lo)
 		}
-		sums := 0
-		for _, f := range down {
-			if f.Type == wire.MsgSum {
-				sums++
-				ct, err := pk.ParseCiphertext(f.Payload)
-				if err != nil {
-					t.Fatal(err)
-				}
-				partials = append(partials, ct)
-			}
+		if len(down) != 1 || down[0].Type != wire.MsgSum {
+			t.Fatalf("backend %d sent %d frames, want one sum", i, len(down))
 		}
-		if sums != 1 {
-			t.Errorf("backend %d sent %d sums, want 1", i, sums)
+		partial, err := pk.ParseCiphertext(down[0].Payload)
+		if err != nil {
+			t.Fatal(err)
 		}
+		raw := RawFold(t, pk, received, func(j int) uint32 { return table.Value(int(lo) + j) })
+		if string(partial.Bytes()) == string(raw.Bytes()) {
+			t.Errorf("backend %d replied with the raw fold of the ciphertexts it received", i)
+		}
+		subSel, err := sel.Slice(int(lo), int(hi))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sub, err := table.Shard(int(lo), int(hi))
+		if err != nil {
+			t.Fatal(err)
+		}
+		shardSum, err := sub.SelectedSum(subSel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if dec, err := sk.Decrypt(partial); err != nil || dec.Cmp(shardSum) != 0 {
+			t.Errorf("backend %d partial decrypts to %v (err %v), want %v", i, dec, err, shardSum)
+		}
+		partials = append(partials, partial)
 	}
 
-	// Invariant 2: the reply is not the raw homomorphic product of the
-	// partials the aggregator received (rerandomization happened), while
-	// still decrypting to the same total.
-	if len(partials) == 2 {
-		product, err := pk.Add(partials[0], partials[1])
-		if err != nil {
+	// The aggregator multiplied the partials and added nothing.
+	product := partials[0]
+	for _, p := range partials[1:] {
+		if product, err = pk.Add(product, p); err != nil {
 			t.Fatal(err)
 		}
-		reply := queryRawReply(t, addr, sk, sel)
-		if string(reply) == string(product.Bytes()) {
-			t.Error("aggregator reply equals the raw homomorphic product: not rerandomized")
-		}
-		ct, err := pk.ParseCiphertext(reply)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dec, err := sk.Decrypt(ct)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if dec.Cmp(want) != 0 {
-			t.Errorf("rerandomized reply decrypts to %v, want %v", dec, want)
-		}
+	}
+	if string(reply) != string(product.Bytes()) {
+		t.Error("aggregator reply is not the product of the shard partials")
+	}
+	raw := RawFold(t, pk, chunkCiphertexts(t, front, width), func(j int) uint32 { return table.Value(j) })
+	if string(reply) == string(raw.Bytes()) {
+		t.Error("aggregator reply is the raw fold of the client's ciphertexts")
 	}
 }
 
-// queryRawReply runs a session and returns the reply ciphertext bytes.
-func queryRawReply(t *testing.T, addr string, sk homomorphic.PrivateKey, sel *database.Selection) []byte {
+// chunkCiphertexts returns every ciphertext of the chunks rec forwarded
+// upstream, in order.
+func chunkCiphertexts(t *testing.T, rec *recorder, width int) [][]byte {
 	t.Helper()
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
+	up, _ := rec.snapshot()
+	var cts [][]byte
+	for _, f := range up {
+		if f.Type != wire.MsgIndexChunk {
+			continue
+		}
+		c, err := wire.DecodeIndexChunk(f.Payload, width)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j := range c.Count() {
+			cts = append(cts, c.At(j))
+		}
 	}
-	defer conn.Close()
-	wc := wire.NewConn(conn)
-	pk := sk.PublicKey()
-	keyBytes, err := pk.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := sel.Len()
-	hello := wire.Hello{Version: wire.Version, Scheme: pk.SchemeName(), PublicKey: keyBytes, VectorLen: uint64(n), ChunkLen: 0}
-	if err := wc.Send(wire.MsgHello, hello.Encode()); err != nil {
-		t.Fatal(err)
-	}
-	body, err := selectedsum.EncryptRange(selectedsum.Online{PK: pk}, sel, 0, n, pk.CiphertextSize())
-	if err != nil {
-		t.Fatal(err)
-	}
-	chunk := wire.IndexChunk{Offset: 0, Ciphertexts: body, Width: pk.CiphertextSize()}
-	if err := wc.Send(wire.MsgIndexChunk, chunk.Encode()); err != nil {
-		t.Fatal(err)
-	}
-	if err := wc.Send(wire.MsgDone, nil); err != nil {
-		t.Fatal(err)
-	}
-	f, err := wc.Recv()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.Type != wire.MsgSum {
-		t.Fatalf("expected sum, got %#x", byte(f.Type))
-	}
-	return f.Payload
+	return cts
 }
 
 // TestShardSessionGlobalOffsets exercises the selectedsum shard session

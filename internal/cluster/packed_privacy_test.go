@@ -18,7 +18,6 @@ import (
 
 	"privstats/internal/cluster"
 	"privstats/internal/database"
-	"privstats/internal/homomorphic"
 	"privstats/internal/jobs"
 	"privstats/internal/metrics"
 	"privstats/internal/paillier"
@@ -142,28 +141,6 @@ func (s *tapSet) sessions(t *testing.T, width int) []session {
 		out = append(out, ses)
 	}
 	return out
-}
-
-// rawFold is Π ct_i^{x_i}: what a server that did not rerandomize would send.
-func rawFold(t *testing.T, pk homomorphic.PublicKey, cts [][]byte, values func(i int) uint32) homomorphic.Ciphertext {
-	t.Helper()
-	var acc homomorphic.Ciphertext
-	for i, raw := range cts {
-		ct, err := pk.ParseCiphertext(raw)
-		if err != nil {
-			t.Fatal(err)
-		}
-		term, err := pk.ScalarMul(ct, big.NewInt(int64(values(i))))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if acc == nil {
-			acc = term
-		} else if acc, err = pk.Add(acc, term); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return acc
 }
 
 func TestPackedGroupByWiretapPrivacy(t *testing.T) {
@@ -329,7 +306,7 @@ func TestPackedGroupByWiretapPrivacy(t *testing.T) {
 		if len(ses.sums) != 1 {
 			t.Fatalf("%s: %d reply frames, want 1", name, len(ses.sums))
 		}
-		raw := rawFold(t, pk, ses.ciphertexts, values)
+		raw := cluster.RawFold(t, pk, ses.ciphertexts, values)
 		if bytes.Equal(ses.sums[0], raw.Bytes()) {
 			t.Errorf("%s: the reply is the raw product of the uploaded ciphertexts", name)
 		}

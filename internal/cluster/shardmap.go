@@ -10,8 +10,10 @@
 // ciphertexts under the client's key — it cannot learn the selection, the
 // per-shard partials, or the total. Backends see exactly the slice of the
 // encrypted index vector covering their own rows, which is precisely what
-// they would see as standalone servers of a smaller database. The client
-// receives a single rerandomized ciphertext and cannot tell how many
+// they would see as standalone servers of a smaller database. Each shard
+// rerandomizes its own partial, and the aggregator multiplies them: the
+// client receives a single ciphertext that is a fresh encryption of the
+// total, distributed alike for one shard or many, so it cannot tell how many
 // shards (or which) served it. This is the paper's "multiple distributed
 // databases" extension (§2) made operational.
 package cluster

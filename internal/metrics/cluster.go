@@ -54,8 +54,8 @@ type ClusterMetrics struct {
 	// under — the live-resharding observability signal (queries in flight
 	// during a cut-over finish under the epoch they pinned).
 	Epoch Gauge
-	// CombineNanos is the aggregator's homomorphic combine + rerandomize
-	// phase.
+	// CombineNanos is the aggregator's combine phase: the homomorphic
+	// product of the shard partials.
 	CombineNanos Histogram
 
 	backends children[BackendMetrics]
@@ -77,7 +77,7 @@ func (m *ClusterMetrics) Describe(d *Desc) {
 	d.Counter("privstats_cluster_corrupt_frames_total", "Frame CRC failures observed or reported by peers.").Sample(m.CorruptFrames.Value())
 	d.Counter("privstats_cluster_reshards_total", "Completed shard-map cut-overs.").Sample(m.Reshards.Value())
 	d.Gauge("privstats_cluster_shardmap_epoch", "Shard-map epoch most recently served.").Sample(m.Epoch.Value())
-	d.Histogram("privstats_cluster_combine_seconds", "Homomorphic combine + rerandomize time per query.").Sample(&m.CombineNanos)
+	d.Histogram("privstats_cluster_combine_seconds", "Homomorphic combine time per query (the product of the shard partials).").Sample(&m.CombineNanos)
 
 	sessions := d.Counter("privstats_cluster_backend_sessions_total", "Shard sessions attempted per backend.", "backend")
 	errs := d.Counter("privstats_cluster_backend_errors_total", "Failed shard attempts per backend.", "backend")

@@ -1,6 +1,7 @@
 package paillier
 
 import (
+	"crypto/rand"
 	"errors"
 	"fmt"
 	"math/big"
@@ -78,13 +79,24 @@ func (pk *PublicKey) Sub(a, b *Ciphertext) (*Ciphertext, error) {
 }
 
 // Rerandomize returns a fresh encryption of the same plaintext,
-// statistically unlinkable to ct: ct · E(0) mod N².
+// statistically unlinkable to ct: ct · r^N mod N² for a uniform unit r, the
+// same product as ct · E(0; r) without encrypting the zero.
 func (pk *PublicKey) Rerandomize(ct *Ciphertext) (*Ciphertext, error) {
-	zero, err := pk.Encrypt(mathx.Zero)
-	if err != nil {
+	if err := pk.checkCiphertext(ct); err != nil {
 		return nil, err
 	}
-	return pk.Add(ct, zero)
+	r, err := mathx.RandUnit(rand.Reader, pk.N)
+	if err != nil {
+		return nil, fmt.Errorf("paillier: sampling rerandomization: %w", err)
+	}
+	return pk.rerandomizeWithNonce(ct, r), nil
+}
+
+// rerandomizeWithNonce is ct · r^N mod N² for a ct already validated and a
+// unit r of Z*_N.
+func (pk *PublicKey) rerandomizeWithNonce(ct *Ciphertext, r *big.Int) *Ciphertext {
+	rn := new(big.Int).Exp(r, pk.N, pk.NSquared)
+	return &Ciphertext{c: pk.mulN2(rn, rn, ct.c), byteLen: pk.byteLen}
 }
 
 // WeightedSum folds a ciphertext vector against a plaintext weight vector:

@@ -1,7 +1,9 @@
 package paillier
 
 import (
+	"bytes"
 	"crypto/rand"
+	"errors"
 	"math/big"
 	"sync"
 	"testing"
@@ -280,6 +282,37 @@ func TestRerandomizePreservesPlaintextAndUnlinks(t *testing.T) {
 	got, err := sk.Decrypt(fresh)
 	if err != nil || got.Int64() != 77 {
 		t.Errorf("rerandomized decrypts to %v (err %v), want 77", got, err)
+	}
+	if _, err := pk.Rerandomize(&Ciphertext{c: new(big.Int).Set(pk.NSquared), byteLen: ct.byteLen}); !errors.Is(err, ErrCiphertextForm) {
+		t.Errorf("rerandomizing N² = %v, want ErrCiphertextForm", err)
+	}
+}
+
+// TestRerandomizeIsAddOfEncryptedZero pins the direct ct · r^N to the product
+// it replaces: for a fixed nonce, the bytes of ct · E(0; r).
+func TestRerandomizeIsAddOfEncryptedZero(t *testing.T) {
+	sk := testKey(t, 256)
+	pk := sk.Public()
+	for i, m := range []int64{0, 1, 77, 1 << 40} {
+		ct, err := pk.Encrypt(big.NewInt(m))
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := mathx.RandUnit(rand.Reader, pk.N)
+		if err != nil {
+			t.Fatal(err)
+		}
+		zero, err := pk.EncryptWithNonce(mathx.Zero, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := pk.Add(ct, zero)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := pk.rerandomizeWithNonce(ct, r); !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Errorf("case %d: ct·r^N differs from Add(ct, E(0; r))", i)
+		}
 	}
 }
 

@@ -12,8 +12,10 @@
 // rerandomizes the final product before returning it. The raw product's
 // randomness is Π r_i^{x_i}, a function of the database values under
 // randomness the client chose — for small databases the client could
-// brute-force values out of it. Rerandomization (one extra encryption of 0,
-// constant cost) restores the database-privacy claim. See Finalize.
+// brute-force values out of it. Rerandomization (one extra r^N per server,
+// constant cost) restores the database-privacy claim. See Finalize. A cluster
+// aggregator multiplies its shards' rerandomized replies and adds none of its
+// own: a product of fresh encryptions is already one.
 package selectedsum
 
 import (
@@ -384,25 +386,30 @@ func (s *ServerSession) finalize(blind *big.Int) ([]homomorphic.Ciphertext, erro
 }
 
 // seal turns a raw fold product (nil: nothing was folded) into what may
-// leave the server.
+// leave the server: a fresh encryption, whose randomness is one r^N drawn
+// here.
 func (s *ServerSession) seal(acc homomorphic.Ciphertext, blind *big.Int) (homomorphic.Ciphertext, error) {
-	if acc == nil {
-		// All rows were zero: the sum is zero regardless of the selection.
-		zero, err := s.pk.Encrypt(new(big.Int))
-		if err != nil {
-			return nil, fmt.Errorf("selectedsum: encrypting empty sum: %w", err)
-		}
-		acc = zero
-	}
 	if blind != nil {
 		bl := new(big.Int).Mod(blind, s.pk.PlaintextSpace())
 		blCt, err := s.pk.Encrypt(bl)
 		if err != nil {
 			return nil, fmt.Errorf("selectedsum: encrypting blinding: %w", err)
 		}
+		if acc == nil {
+			return blCt, nil
+		}
 		// The blinding encryption is fresh, so it doubles as the
 		// rerandomization.
 		return s.pk.Add(acc, blCt)
+	}
+	if acc == nil {
+		// All rows were zero: the sum is zero regardless of the selection,
+		// and a fresh E(0) is already rerandomized.
+		zero, err := s.pk.Encrypt(new(big.Int))
+		if err != nil {
+			return nil, fmt.Errorf("selectedsum: encrypting empty sum: %w", err)
+		}
+		return zero, nil
 	}
 	// Rerandomize so the response's randomness is independent of the
 	// database values (see the package comment).

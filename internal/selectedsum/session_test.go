@@ -170,6 +170,54 @@ func TestFinalizeWithBlinding(t *testing.T) {
 	}
 }
 
+// TestEmptyFoldSeal: a session too short for the bucket fold over an
+// all-zero column folds nothing, so its reply is one fresh encryption of 0,
+// or of the blind. Two such sessions must still not answer alike.
+func TestEmptyFoldSeal(t *testing.T) {
+	sk := testKey(t)
+	pk := sk.PublicKey()
+	const rows = foldMinRows - 1
+	table := database.New(make([]uint32, rows))
+	sel, _ := database.NewSelection(rows)
+	sel.Set(0)
+	width := pk.CiphertextSize()
+	for _, blind := range []*big.Int{nil, big.NewInt(12345)} {
+		var replies [2][]byte
+		for i := range replies {
+			srv, err := NewShardSession(pk, table.Column(), rows, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, err := EncryptRange(Online{PK: pk}, sel, 0, rows, width)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := srv.Absorb(decodeChunk(t, body, 0, width)); err != nil {
+				t.Fatal(err)
+			}
+			ct, err := srv.Finalize(blind)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := sk.Decrypt(ct)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := new(big.Int)
+			if blind != nil {
+				want.Set(blind)
+			}
+			if got.Cmp(want) != 0 {
+				t.Errorf("blind %v: empty fold decrypts to %v, want %v", blind, got, want)
+			}
+			replies[i] = ct.Bytes()
+		}
+		if string(replies[0]) == string(replies[1]) {
+			t.Errorf("blind %v: two empty folds replied with the same ciphertext", blind)
+		}
+	}
+}
+
 // scalarMulFailKey delegates to a real key but fails every ScalarMul,
 // forcing the per-row error path. Embedding the interface (not a concrete
 // type) promotes only the base method set, so the session's

@@ -5,6 +5,7 @@ import (
 	"crypto/rand"
 	"encoding/hex"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
@@ -12,6 +13,7 @@ import (
 	"time"
 
 	"privstats/internal/paillier"
+	"privstats/internal/testutil"
 )
 
 func discardLogf(string, ...any) {}
@@ -40,19 +42,13 @@ func testKeys(t testing.TB) (*paillier.PrivateKey, *paillier.PrivateKey) {
 	return sharedSK, otherSK
 }
 
-// waitForDepths polls until pk's inventories reach (zeros, ones, rands).
+// waitForDepths waits until pk's inventories reach (zeros, ones, rands).
 func waitForDepths(t *testing.T, inv *Inventory, pk *paillier.PublicKey, zeros, ones, rands int) {
 	t.Helper()
-	deadline := time.Now().Add(20 * time.Second)
-	for time.Now().Before(deadline) {
+	testutil.Eventually(t, 20*time.Second, fmt.Sprintf("stock depths (%d,%d,%d)", zeros, ones, rands), func() bool {
 		z, o, r, ok := inv.Depths(pk)
-		if ok && z >= zeros && o >= ones && r >= rands {
-			return
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	z, o, r, _ := inv.Depths(pk)
-	t.Fatalf("inventory stuck at (%d,%d,%d), want (%d,%d,%d)", z, o, r, zeros, ones, rands)
+		return ok && z >= zeros && o >= ones && r >= rands
+	})
 }
 
 func TestNewInventoryValidates(t *testing.T) {
@@ -275,11 +271,15 @@ func TestInventoryCloseCancelsLongRefill(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := inv.Admit(sk.Public()); err != nil {
+	k, err := inv.Admit(sk.Public())
+	if err != nil {
 		t.Fatal(err)
 	}
-	// Let the refiller get going, then close while mid-fill.
-	time.Sleep(50 * time.Millisecond)
+	// Once the refiller has landed its first slice, it is mid-fill: waiting
+	// on the rate limiter for the next. Close then.
+	testutil.Eventually(t, 10*time.Second, "the refiller's first slice", func() bool {
+		return k.km.GeneratedBits.Value() > 0
+	})
 	done := make(chan error, 1)
 	go func() { done <- inv.Close() }()
 	select {

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"privstats/internal/testutil"
 )
 
 func TestNewInventoryValidatesSnapshotKnobs(t *testing.T) {
@@ -48,13 +50,9 @@ func TestInventorySnapshotsOnInterval(t *testing.T) {
 
 	// Without any Close, a snapshot pass lands within a few intervals and
 	// leaves the full file set (including the public key) behind.
-	deadline := time.Now().Add(10 * time.Second)
-	for inv.Metrics().Snapshot().Snapshots == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("no snapshot written within deadline")
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
+	testutil.Eventually(t, 10*time.Second, "a periodic snapshot", func() bool {
+		return inv.Metrics().Snapshots.Value() > 0
+	})
 	abandon(inv) // crash: no graceful persist
 
 	entries, err := os.ReadDir(dir)
@@ -111,21 +109,18 @@ func TestInventorySnapshotOnDrainDelta(t *testing.T) {
 	}
 	waitForDepths(t, inv, sk.Public(), 8, 2, 0)
 
-	// Serving fewer items than the delta must not trigger a snapshot...
+	// Serving fewer items than the delta must not trigger a snapshot: take
+	// counts the two items toward the delta and sends no wake, and only a
+	// wake or the hour-long interval runs the snapshotter.
 	inv.take(k, &Request{Kind: KindZeroBits, Count: 2})
-	time.Sleep(50 * time.Millisecond)
-	if n := inv.Metrics().Snapshot().Snapshots; n != 0 {
-		t.Fatalf("snapshot after %d drained items (delta 3): %d passes", 2, n)
+	if d, woken, n := inv.drained.Load(), len(inv.snapWake), inv.Metrics().Snapshots.Value(); d != 2 || woken != 0 || n != 0 {
+		t.Fatalf("after 2 drained items (delta 3): %d counted, %d wakes pending, %d snapshots; want 2, 0, 0", d, woken, n)
 	}
 	// ...but crossing it wakes the snapshotter promptly.
 	inv.take(k, &Request{Kind: KindZeroBits, Count: 2})
-	deadline := time.Now().Add(10 * time.Second)
-	for inv.Metrics().Snapshot().Snapshots == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("drain delta crossed but no snapshot")
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
+	testutil.Eventually(t, 10*time.Second, "the drain-delta snapshot", func() bool {
+		return inv.Metrics().Snapshots.Value() > 0
+	})
 }
 
 func TestRestoreAllCountsStaleFiles(t *testing.T) {

@@ -12,12 +12,18 @@
 # BENCHMARK.json) runs PAIRS (default 10) pairs of
 #   benchmark/run.sh --workload W --seed S --seconds <run_seconds> --trace 0
 # with seed S = SEED + pair on both sides and the side that goes first
-# alternating. scripts/benchab summarises: medians, quartiles, paired wins and
-# a verdict per metric against its BENCHMARK.json bound, written with every
-# raw value to BENCH_<PR>.json (OUT overrides the path; PR defaults to
-# "dev"), then prints the verdict paragraph: the
-# claimed metric first when CLAIM=<metric>@<workload> names one, every metric
-# judged worse or unresolved, and the failed-op counts.
+# alternating. With TRACE=1, each pair's two end-to-end passes are followed by
+# one --trace 1 pass per side, in the same order and with the same seed.
+# scripts/benchab summarises: medians, quartiles, paired wins and a verdict
+# per metric against its BENCHMARK.json bound, and with TRACE=1 the same for
+# every per-layer metric both sides report (in a per_layer section, judged in
+# the direction BENCHMARK.json declares), written with every raw value to
+# BENCH_<PR>.json (OUT overrides the path; PR defaults to "dev"), then prints
+# the verdict paragraph: the claimed metric first when
+# CLAIM=<metric>@<workload> names one, every metric judged worse or
+# unresolved, every per-layer metric that moved, and the failed-op counts.
+# A traced pass takes about as long as an end-to-end one, so TRACE=1 doubles
+# the run.
 #
 # The checkouts come from `git archive`, not `git worktree add`: a worktree
 # registers itself in .git and an interrupted run leaves it there.
@@ -30,6 +36,8 @@ cd "$repo"
 
 pairs="${PAIRS:-10}"
 seed="${SEED:-20040830}"
+trace="${TRACE:-0}"
+case "$trace" in 0 | 1) ;; *) echo "bench_ab.sh: TRACE must be 0 or 1" >&2; exit 2 ;; esac
 claim="${CLAIM:-}"
 pr="${PR:-dev}"
 out="${OUT:-BENCH_${pr}.json}"
@@ -56,13 +64,14 @@ for side in base change; do
     git archive "$commit" | tar -x -C "$work/$side"
 done
 
-# pass <side> <workload> <pair> <seed> <first>: one pass, one line in the runs file.
+# pass <side> <workload> <pair> <seed> <first> <trace>: one pass, one line in
+# the runs file.
 pass() {
     local result
-    result="$(bash "$work/$1/benchmark/run.sh" --workload "$2" --seed "$4" --seconds "$seconds" --trace 0 \
+    result="$(bash "$work/$1/benchmark/run.sh" --workload "$2" --seed "$4" --seconds "$seconds" --trace "$6" \
         2>"$work/last.err" | tail -n 1)" || { cat "$work/last.err" >&2; exit 1; }
-    printf '{"workload":"%s","pair":%d,"seed":%d,"side":"%s","first":%s,"result":%s}\n' \
-        "$2" "$3" "$4" "$1" "$5" "$result" >>"$work/runs.jsonl"
+    printf '{"workload":"%s","pair":%d,"seed":%d,"side":"%s","first":%s,"trace":%d,"result":%s}\n' \
+        "$2" "$3" "$4" "$1" "$5" "$6" "$result" >>"$work/runs.jsonl"
 }
 
 for w in "${workloads[@]}"; do
@@ -70,8 +79,12 @@ for w in "${workloads[@]}"; do
         first=base second=change
         if ((p % 2)); then first=change second=base; fi
         echo "bench_ab.sh: $w pair $((p + 1))/$pairs, $first first" >&2
-        pass "$first" "$w" "$p" "$((seed + p))" true
-        pass "$second" "$w" "$p" "$((seed + p))" false
+        pass "$first" "$w" "$p" "$((seed + p))" true 0
+        pass "$second" "$w" "$p" "$((seed + p))" false 0
+        if ((trace)); then
+            pass "$first" "$w" "$p" "$((seed + p))" true 1
+            pass "$second" "$w" "$p" "$((seed + p))" false 1
+        fi
     done
 done
 

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -143,5 +144,68 @@ func TestPrintVerdict(t *testing.T) {
 		if err := checkClaim(sp, claim); (err == nil) != ok {
 			t.Errorf("checkClaim(%q) = %v", claim, err)
 		}
+	}
+}
+
+// TestComparePerLayer: traced passes pair up on their own, every per-layer
+// metric both sides reported is judged in its declared direction, one that
+// moved in every pair is reported and named in the verdict, and a flat one
+// is reported but not named.
+func TestComparePerLayer(t *testing.T) {
+	var sp spec
+	sp.Workloads = []workloadDef{{"small-sessions"}}
+	sp.EndToEnd = []metricDef{{Name: "cpu_ms_per_krow", Better: "lower", Bound: 0.25}}
+	sp.PerLayer = []metricDef{
+		{Name: "cluster.combine_us", Unit: "us", Better: "lower"},
+		{Name: "paillier.rerandomize_us", Unit: "us", Better: "lower"},
+		{Name: "stock.refill_items_per_s", Unit: "1/s", Better: "higher"}, // no traced pass reports it
+	}
+	var lines strings.Builder
+	for p := 0; p < 10; p++ {
+		for _, side := range []string{"base", "change"} {
+			combine := 300 + float64(p)
+			if side == "change" {
+				combine = 3 + float64(p)/10
+			}
+			fmt.Fprintf(&lines, `{"workload":"small-sessions","pair":%d,"seed":%d,"side":%q,"first":true,"trace":0,"result":{"attempted":9,"failed":0,"metrics":{"cpu_ms_per_krow":{"value":10}}}}`+"\n", p, p, side)
+			fmt.Fprintf(&lines, `{"workload":"small-sessions","pair":%d,"seed":%d,"side":%q,"first":true,"trace":1,"result":{"attempted":5,"failed":0,"metrics":{"cluster.combine_us":{"value":%g},"paillier.rerandomize_us":{"value":%g}}}}`+"\n",
+				p, p, side, combine, 250+float64(p%3))
+		}
+	}
+	runs, err := readRuns(strings.NewReader(lines.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	reports, err := compare(sp, runs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := reports[0]
+	if w.Attempted["base"] != 90 || len(w.Metrics) != 1 || w.Metrics[0].Verdict != "ok" {
+		t.Errorf("end-to-end report took traced passes in: %+v", w)
+	}
+	if len(w.PerLayer) != 2 {
+		t.Fatalf("per-layer rows = %+v, want combine and rerandomize only", w.PerLayer)
+	}
+	if m := w.PerLayer[0]; m.Name != "cluster.combine_us" || m.Verdict != "improved" || m.Wins != 10 || m.Change.Median >= 10 {
+		t.Errorf("moved row = %+v", m)
+	}
+	if m := w.PerLayer[1]; m.Name != "paillier.rerandomize_us" || m.Verdict != "flat" || m.Ties != 10 {
+		t.Errorf("flat row = %+v", m)
+	}
+	if worse := judgeLayer(sp.PerLayer[0], w.PerLayer[0].Change.Values, w.PerLayer[0].Base.Values); worse.Verdict != "worse" || worse.Losses != 10 {
+		t.Errorf("the reverse move = %q with %d losses, want worse with 10", worse.Verdict, worse.Losses)
+	}
+
+	var out strings.Builder
+	printVerdict(&out, ledger{Workloads: reports})
+	if got := out.String(); !strings.Contains(got, "Per-layer moves: small-sessions cluster.combine_us improved (-98.9 %, won 10/10)") ||
+		strings.Contains(got, "rerandomize_us") {
+		t.Errorf("verdict does not name exactly the moved row:\n%s", got)
+	}
+
+	// A traced pass without its partner is as unpaired as an end-to-end one.
+	if _, err := compare(sp, runs[:len(runs)-1]); err == nil {
+		t.Error("a traced pair without its change side was accepted")
 	}
 }
