@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test race flake bench-build bench-ab fmt vet check chaos chaos-restart fuzz-smoke cluster-demo colstore-demo cover
+.PHONY: all build test race flake bench-build bench-ab fmt vet check-386 check chaos chaos-restart fuzz-smoke cluster-demo colstore-demo cover
 
 all: build
 
@@ -70,7 +70,15 @@ fmt:
 vet:
 	$(GO) vet ./...
 
-check: fmt vet build test race bench-build
+# The 32-bit build: big.Word is 32 bits there, so the word-wise code in mathx
+# (FillBytes, the fold kernel) and everything encoding through it runs on
+# other widths than on amd64. Vet the whole tree, test the arithmetic and the
+# frame codec.
+check-386:
+	GOARCH=386 $(GO) vet ./...
+	GOARCH=386 $(GO) test ./internal/mathx/ ./internal/paillier/ ./internal/wire/
+
+check: fmt vet build test race bench-build check-386
 	@echo "check: all clean"
 
 # Chaos suite: the loopback cluster under seeded faultnet plans (resets,
@@ -94,7 +102,7 @@ chaos-restart:
 FUZZTIME ?= 5s
 fuzz-smoke:
 	@set -e; \
-	for t in FuzzReadFrame FuzzDecodeErrorPayload FuzzDecodeHello FuzzDecodeIndexChunk; do \
+	for t in FuzzReadFrame FuzzRecvReused FuzzDecodeErrorPayload FuzzDecodeHello FuzzDecodeIndexChunk; do \
 		$(GO) test -fuzz="^$$t$$" -fuzztime=$(FUZZTIME) ./internal/wire/; \
 	done; \
 	$(GO) test -fuzz='^FuzzParseShardMapSpec$$' -fuzztime=$(FUZZTIME) ./internal/cluster/; \

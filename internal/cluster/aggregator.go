@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -287,13 +288,16 @@ func (f *fanout) poll() error {
 	}
 }
 
-// Absorb slices the chunk along shard boundaries. A shard already known
-// dead fails the session now, not after the client uploads the rest of the
-// vector.
+// Absorb slices the chunk along shard boundaries. The chunk's bytes are the
+// session's receive buffer, so they are copied once, here: the shard buffers
+// keep their slices for a failover replay long after Absorb returns. A shard
+// already known dead fails the session now, not after the client uploads the
+// rest of the vector.
 func (f *fanout) Absorb(chunk *wire.IndexChunk) error {
 	if err := f.poll(); err != nil {
 		return err
 	}
+	cts := bytes.Clone(chunk.Ciphertexts)
 	width := uint64(chunk.Width)
 	first, last := chunk.Offset, chunk.Offset+uint64(chunk.Count())
 	for i, s := range f.shards {
@@ -301,7 +305,7 @@ func (f *fanout) Absorb(chunk *wire.IndexChunk) error {
 		if lo >= hi {
 			continue
 		}
-		f.bufs[i].append(&wire.IndexChunk{Offset: lo, Ciphertexts: chunk.Ciphertexts[(lo-first)*width : (hi-first)*width], Width: chunk.Width})
+		f.bufs[i].append(&wire.IndexChunk{Offset: lo, Ciphertexts: cts[(lo-first)*width : (hi-first)*width], Width: chunk.Width})
 	}
 	return nil
 }

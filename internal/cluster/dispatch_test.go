@@ -159,3 +159,71 @@ func TestBusyShardMidUploadFailsOver(t *testing.T) {
 		t.Errorf("failovers = %d, want 1", cs.Failovers)
 	}
 }
+
+// TestFailoverAtDoneReplaysChunks: a shard's primary takes every chunk and
+// then hangs up at MsgDone, so the replica is served entirely from the
+// aggregator's replay, after the client's whole upload has passed through the
+// session's one receive buffer. The sum is exact only because the fan-out
+// copied each chunk out of that buffer: slices of it would all show the last
+// chunk's bytes by now.
+func TestFailoverAtDoneReplaysChunks(t *testing.T) {
+	sk := testKey(t)
+	const n, chunk, half = 40, 8, 20
+	table, sel, want := fixture(t, n, 17, 97)
+	shard0, err := table.Shard(0, half)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shard1, err := table.Shard(half, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	rows := make(chan uint64, 1)
+	client := NewClient(ClientConfig{
+		Retries:    2,
+		Backoff:    time.Millisecond,
+		ProbeAfter: time.Minute,
+		Dial: pipeDialer("quits-at-done", func(conn net.Conn) {
+			defer conn.Close()
+			c := wire.NewConn(conn)
+			width := sk.PublicKey().CiphertextSize()
+			got := uint64(0)
+			for {
+				f, err := c.Recv()
+				if err != nil {
+					return
+				}
+				switch f.Type {
+				case wire.MsgIndexChunk:
+					got += uint64((len(f.Payload) - 8) / width)
+				case wire.MsgDone:
+					rows <- got
+					return // every chunk is in; hang up instead of replying
+				}
+			}
+		}),
+	})
+	sm, err := NewShardMap([]Shard{
+		{Lo: 0, Hi: half, Backends: []string{startBackend(t, shard0)}},
+		{Lo: half, Hi: n, Backends: []string{"quits-at-done", startBackend(t, shard1)}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr, _ := startProxy(t, sm, client)
+
+	got, err := NewClient(ClientConfig{Retries: -1}).Query(context.Background(), []string{addr}, sk, sel, chunk, nil)
+	if err != nil {
+		t.Fatalf("query did not survive the primary quitting at done: %v", err)
+	}
+	if r := <-rows; r != n-half {
+		t.Fatalf("the primary saw %d rows before quitting, want all %d of its shard", r, n-half)
+	}
+	if got.Cmp(want) != 0 {
+		t.Errorf("sum = %v, want %v: the replay did not resend the client's chunks", got, want)
+	}
+	if fo := client.Metrics().Snapshot().Failovers; fo != 1 {
+		t.Errorf("failovers = %d, want 1", fo)
+	}
+}

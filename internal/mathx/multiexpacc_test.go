@@ -3,6 +3,7 @@ package mathx
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"math/big"
 	"math/bits"
 	"math/rand"
@@ -83,7 +84,7 @@ func FuzzMultiExpAccEquivalence(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		widest := autoWindow(m, 1<<40, 64)
+		widest := autoWindow(m, math.MaxInt, 64)
 		for _, acc := range []*MultiExpAcc{newMultiExpAcc(m, 1), newMultiExpAcc(m, widest), auto} {
 			for lo, c := 0, 0; lo < count; c++ {
 				hi := min(count, lo+int(byteAt(2+c))%5) // chunks of 0–4 rows

@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"io"
 	"math/big"
+	"slices"
 
 	"privstats/internal/mathx"
 )
@@ -221,7 +222,7 @@ func (ct *Ciphertext) Value() *big.Int { return new(big.Int).Set(ct.c) }
 
 // Bytes returns the fixed-width big-endian encoding of the ciphertext.
 func (ct *Ciphertext) Bytes() []byte {
-	return ct.c.FillBytes(make([]byte, ct.byteLen))
+	return mathx.FillBytes(make([]byte, ct.byteLen), ct.c)
 }
 
 // AppendBytes appends the fixed-width encoding of ct to dst and returns the
@@ -230,13 +231,8 @@ func (ct *Ciphertext) Bytes() []byte {
 // fresh allocation per Bytes call.
 func (ct *Ciphertext) AppendBytes(dst []byte) []byte {
 	n := len(dst)
-	if cap(dst) < n+ct.byteLen {
-		grown := make([]byte, n, n+ct.byteLen)
-		copy(grown, dst)
-		dst = grown
-	}
-	dst = dst[:n+ct.byteLen]
-	ct.c.FillBytes(dst[n:])
+	dst = slices.Grow(dst, ct.byteLen)[:n+ct.byteLen]
+	mathx.FillBytes(dst[n:], ct.c)
 	return dst
 }
 

@@ -12,6 +12,7 @@ import (
 	"os"
 
 	"privstats/internal/durable"
+	"privstats/internal/mathx"
 )
 
 // Persistence for the preprocessed bit store — the paper's PDA scenario:
@@ -238,7 +239,7 @@ func (p *RandomizerPool) WriteTo(w io.Writer) (int64, error) {
 	}
 	buf := make([]byte, width)
 	for _, rn := range stock {
-		rn.FillBytes(buf)
+		mathx.FillBytes(buf, rn)
 		n, err := mw.Write(buf)
 		written += int64(n)
 		if err != nil {

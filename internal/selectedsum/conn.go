@@ -56,7 +56,9 @@ type Sink interface {
 	// any topology annotations on tr, which may be nil.
 	Open(hello *wire.Hello, pk homomorphic.PublicKey, tr *trace.Trace) error
 	// Absorb takes the next chunk: decoded, in order, and inside the rows
-	// the hello announced.
+	// the hello announced. The chunk's bytes are valid until Absorb returns:
+	// the next chunk is read into the same buffer, so a sink that keeps
+	// ciphertexts past the call copies them.
 	Absorb(chunk *wire.IndexChunk) error
 	// Done reports that the vector is complete. A sink that forwarded the
 	// chunks elsewhere waits here for the answers, so that the finish phase
@@ -228,7 +230,9 @@ func ServeSink(conn *wire.Conn, sink Sink, timings *PhaseTimings) error {
 	chunks := 0
 	width := pk.CiphertextSize()
 	for {
-		f, err := conn.Recv()
+		// The chunk payload is the connection's reused buffer: the sink must
+		// be done with the chunk's bytes when Absorb returns.
+		f, err := conn.RecvReused()
 		if err != nil {
 			if errors.Is(err, wire.ErrFrameCorrupt) {
 				return fail(err)
@@ -472,15 +476,19 @@ func QueryVector(conn *wire.Conn, sk homomorphic.PrivateKey, src VectorSource, c
 	// each chunk on every core (the paper's §3.5 "k parties each encrypt
 	// n/k", inside one client): nothing is encrypted, or drawn from a pool,
 	// ahead of the chunk that needs it, and no worker outlives the chunk.
+	// Every chunk is encoded into the one body: Upload has written a chunk
+	// before it asks for the next.
 	width := pk.CiphertextSize()
 	workers := runtime.GOMAXPROCS(0)
 	lo := 0
+	var body []byte
 	cts, err := Upload(conn, hello, pk, func() (*wire.IndexChunk, error) {
 		if lo >= n {
 			return nil, nil
 		}
 		hi := min(lo+chunkSize, n)
-		body, err := encryptRows(src, lo, hi, width, workers)
+		var err error
+		body, err = encryptRows(body, src, lo, hi, width, workers)
 		if err != nil {
 			return nil, err
 		}
@@ -574,11 +582,10 @@ func Upload(conn *wire.Conn, hello wire.Hello, pk homomorphic.PublicKey, next fu
 		}
 		return r.f.Payload, nil
 	}
-	// send writes one frame. A write that fails because the server hung up
-	// prefers the server's explanation, if one arrives promptly (it was
-	// usually sent well before the hang-up).
-	send := func(t wire.MsgType, payload []byte, what string) error {
-		err := conn.Send(t, payload)
+	// sent is the verdict on one frame write. A write that fails because the
+	// server hung up prefers the server's explanation, if one arrives
+	// promptly (it was usually sent well before the hang-up).
+	sent := func(err error, what string) error {
 		if err == nil {
 			return nil
 		}
@@ -610,11 +617,11 @@ func Upload(conn *wire.Conn, hello wire.Hello, pk homomorphic.PublicKey, next fu
 			return nil, errors.New("selectedsum: server sent a sum mid-upload")
 		default:
 		}
-		if err := send(wire.MsgIndexChunk, chunk.Encode(), "chunk"); err != nil {
+		if err := sent(conn.SendChunk(chunk), "chunk"); err != nil {
 			return nil, err
 		}
 	}
-	if err := send(wire.MsgDone, nil, "done"); err != nil {
+	if err := sent(conn.Send(wire.MsgDone, nil), "done"); err != nil {
 		return nil, err
 	}
 

@@ -296,7 +296,7 @@ func TestEncryptRowsWorkers(t *testing.T) {
 		{4 * encryptMinRows, 1, []int{0}},
 	} {
 		src := &gateSource{VectorSource: SelectionSource(sk, sel, nil), want: len(tc.starts), open: make(chan struct{}), calls: map[int]int{}}
-		body, err := encryptRows(src, lo, lo+tc.rows, width, tc.workers)
+		body, err := encryptRows(nil, src, lo, lo+tc.rows, width, tc.workers)
 		if err != nil {
 			t.Fatalf("%d rows, %d workers: %v", tc.rows, tc.workers, err)
 		}
@@ -322,7 +322,7 @@ func TestEncryptRowsWorkers(t *testing.T) {
 			t.Errorf("%d rows, %d workers: %d rows encrypted, want %d", tc.rows, tc.workers, len(src.calls), tc.rows)
 		}
 	}
-	if _, err := encryptRows(failAt{SelectionSource(sk, sel, nil), map[int]bool{40: true}}, 0, 64, width, 4); err == nil || !strings.Contains(err.Error(), "entry 40") {
+	if _, err := encryptRows(nil, failAt{SelectionSource(sk, sel, nil), map[int]bool{40: true}}, 0, 64, width, 4); err == nil || !strings.Contains(err.Error(), "entry 40") {
 		t.Errorf("failing row: err = %v", err)
 	}
 }

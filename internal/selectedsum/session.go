@@ -22,6 +22,7 @@ import (
 	"errors"
 	"fmt"
 	"math/big"
+	"slices"
 	"sync"
 
 	"privstats/internal/database"
@@ -109,7 +110,7 @@ func EncryptRange(enc BitEncryptor, sel *database.Selection, lo, hi, width int) 
 	if lo < 0 || hi < lo || hi > sel.Len() {
 		return nil, fmt.Errorf("selectedsum: bad range [%d,%d) over %d", lo, hi, sel.Len())
 	}
-	return encryptRows(selectionSource{sel: sel, enc: enc}, lo, hi, width, 1)
+	return encryptRows(nil, selectionSource{sel: sel, enc: enc}, lo, hi, width, 1)
 }
 
 // encryptMinRows is the fewest rows encryptRows hands one worker. An
@@ -119,14 +120,14 @@ func EncryptRange(enc BitEncryptor, sel *database.Selection, lo, hi, width int) 
 const encryptMinRows = 16
 
 // encryptRows encrypts entries [lo, hi) of src and returns their
-// fixed-width encodings, concatenated in row order. Up to workers
-// goroutines share the range, each a contiguous sub-range of at least
-// encryptMinRows rows that it encodes straight into its own region of the
-// one body, so the bytes are laid out exactly as a single loop lays them
-// out. Every worker has returned when encryptRows does; the error is the
-// lowest failing row's.
-func encryptRows(src VectorSource, lo, hi, width, workers int) ([]byte, error) {
-	body := make([]byte, (hi-lo)*width)
+// fixed-width encodings, concatenated in row order, in dst's storage when it
+// is large enough. Up to workers goroutines share the range, each a
+// contiguous sub-range of at least encryptMinRows rows that it encodes
+// straight into its own region of the one body, so the bytes are laid out
+// exactly as a single loop lays them out. Every worker has returned when
+// encryptRows does; the error is the lowest failing row's.
+func encryptRows(dst []byte, src VectorSource, lo, hi, width, workers int) ([]byte, error) {
+	body := slices.Grow(dst[:0], (hi-lo)*width)[:(hi-lo)*width]
 	// encode fills rows [a, b). Its slice is capped at the region's end, so
 	// a ciphertext of the wrong width reallocates instead of writing into a
 	// neighbour's region, and appendCiphertext reports it.

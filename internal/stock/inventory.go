@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"privstats/internal/durable"
+	"privstats/internal/mathx"
 	"privstats/internal/metrics"
 	"privstats/internal/paillier"
 )
@@ -534,7 +535,7 @@ func (i *Inventory) take(k *keyStock, req *Request) *Batch {
 		cts := k.bits.Take(uint(req.Kind), int(req.Count))
 		items := make([]byte, 0, len(cts)*width)
 		for _, ct := range cts {
-			items = append(items, ct.Bytes()...)
+			items = ct.AppendBytes(items)
 		}
 		batch.Items = items
 		k.km.ServedBits.Add(int64(len(cts)))
@@ -543,7 +544,7 @@ func (i *Inventory) take(k *keyStock, req *Request) *Batch {
 		rns := k.rand.Take(int(req.Count))
 		items := make([]byte, len(rns)*width)
 		for j, rn := range rns {
-			rn.FillBytes(items[j*width : (j+1)*width])
+			mathx.FillBytes(items[j*width:(j+1)*width], rn)
 		}
 		batch.Items = items
 		k.km.ServedRandomizers.Add(int64(len(rns)))

@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"errors"
+	"io"
 	"testing"
 )
 
@@ -42,6 +43,50 @@ func FuzzReadFrame(f *testing.F) {
 		}
 		if wn != n || !bytes.Equal(buf.Bytes(), data[:n]) {
 			t.Fatal("re-encoded frame differs from consumed bytes")
+		}
+	})
+}
+
+// FuzzRecvReused is differential: a stream read frame by frame through
+// ReadFrame and through a connection's reused buffer (RecvReused) gives the
+// same types, CRC flags, payloads, byte counts and errors. A frame shorter
+// than the one before it must show none of the longer frame's bytes.
+func FuzzRecvReused(f *testing.F) {
+	var stream bytes.Buffer
+	_, _ = WriteFrame(&stream, MsgIndexChunk, bytes.Repeat([]byte{0xee}, 300))
+	_, _ = WriteFrameCRC(&stream, MsgIndexChunk, []byte("short after long"))
+	_, _ = WriteFrame(&stream, MsgDone, nil)
+	_, _ = WriteFrameCRC(&stream, MsgSum, bytes.Repeat([]byte{0x11}, 400))
+	_, _ = WriteFrame(&stream, MsgError, []byte("x"))
+	good := stream.Bytes()
+	f.Add(good)
+	corrupt := bytes.Clone(good)
+	corrupt[5+300+5+3] ^= 0x40 // inside the CRC frame's payload
+	f.Add(corrupt)
+	f.Add(good[:len(good)-3])
+	f.Fuzz(func(t *testing.T, data []byte) {
+		fresh := bytes.NewReader(data)
+		conn := NewConn(struct {
+			io.Reader
+			io.Writer
+		}{bytes.NewReader(data), io.Discard})
+		total := 0
+		for i := 0; ; i++ {
+			want, n, wantErr := ReadFrame(fresh)
+			got, gotErr := conn.RecvReused()
+			if (wantErr == nil) != (gotErr == nil) || wantErr != nil && wantErr.Error() != gotErr.Error() {
+				t.Fatalf("frame %d: ReadFrame error %v, RecvReused error %v", i, wantErr, gotErr)
+			}
+			if wantErr != nil {
+				return
+			}
+			if got.Type != want.Type || got.CRC != want.CRC || !bytes.Equal(got.Payload, want.Payload) {
+				t.Fatalf("frame %d: RecvReused gave %#x crc=%v %q, ReadFrame %#x crc=%v %q", i, got.Type, got.CRC, got.Payload, want.Type, want.CRC, want.Payload)
+			}
+			total += n
+			if _, in, _, _ := conn.Meter.Snapshot(); in != int64(total) {
+				t.Fatalf("frame %d: metered %d bytes in, ReadFrame consumed %d", i, in, total)
+			}
 		}
 	})
 }

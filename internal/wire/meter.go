@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"encoding/binary"
 	"io"
 	"sync"
 	"sync/atomic"
@@ -85,6 +86,11 @@ type Conn struct {
 
 	wmu sync.Mutex // serialize frame writes
 	rmu sync.Mutex // serialize frame reads
+
+	// rbuf, under rmu, is the payload buffer RecvReused reads into. It
+	// belongs to this connection alone, so whatever it holds is this
+	// session's.
+	rbuf []byte
 }
 
 // NewConn wraps rw in a framed, metered connection. If rw also implements
@@ -136,16 +142,23 @@ func (c *Conn) TraceID() [16]byte {
 
 // Send writes one frame.
 func (c *Conn) Send(t MsgType, payload []byte) error {
+	return c.send(t, nil, payload)
+}
+
+// SendChunk writes one MsgIndexChunk frame: the chunk's offset, then its
+// ciphertexts straight from chunk.Ciphertexts, never joined into one payload.
+// The bytes on the wire are those of Send(MsgIndexChunk, chunk.Encode()).
+func (c *Conn) SendChunk(chunk *IndexChunk) error {
+	var offset [8]byte
+	binary.BigEndian.PutUint64(offset[:], chunk.Offset)
+	return c.send(MsgIndexChunk, offset[:], chunk.Ciphertexts)
+}
+
+func (c *Conn) send(t MsgType, head, body []byte) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
 	c.beforeSend()
-	var n int
-	var err error
-	if c.crc.Load() {
-		n, err = WriteFrameCRC(c.w, t, payload)
-	} else {
-		n, err = WriteFrame(c.w, t, payload)
-	}
+	n, err := writeFrame(c.w, t, head, body, c.crc.Load())
 	if err != nil {
 		return err
 	}
@@ -153,14 +166,34 @@ func (c *Conn) Send(t MsgType, payload []byte) error {
 	return nil
 }
 
-// Recv reads one frame.
+// Recv reads one frame into a fresh payload, which the caller may keep.
 func (c *Conn) Recv() (Frame, error) {
+	return c.recv(false)
+}
+
+// RecvReused reads one frame into a payload buffer the connection keeps for
+// the next RecvReused, which overwrites it: the payload is valid until then.
+// The buffer grows to the largest frame received and is never shared with
+// another connection. A server's chunk loop uses it so that a session of
+// equal-sized chunks allocates one payload, not one per chunk.
+func (c *Conn) RecvReused() (Frame, error) {
+	return c.recv(true)
+}
+
+func (c *Conn) recv(reuse bool) (Frame, error) {
 	c.rmu.Lock()
 	defer c.rmu.Unlock()
 	c.beforeRecv()
-	f, n, err := ReadFrameLimit(c.r, int(c.maxFrame.Load()))
+	var buf []byte
+	if reuse {
+		buf = c.rbuf
+	}
+	f, n, err := readFrameInto(c.r, int(c.maxFrame.Load()), buf)
 	if err != nil {
 		return Frame{}, err
+	}
+	if reuse && cap(f.Payload) > cap(c.rbuf) {
+		c.rbuf = f.Payload
 	}
 	c.Meter.AddIn(n)
 	return f, nil

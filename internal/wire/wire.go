@@ -103,58 +103,56 @@ type Frame struct {
 
 // WriteFrame writes one frame to w and returns the number of bytes written.
 func WriteFrame(w io.Writer, t MsgType, payload []byte) (int, error) {
-	if byte(t)&frameFlagCRC != 0 {
-		return 0, fmt.Errorf("%w: type %#x uses the reserved CRC flag bit", ErrBadMessage, byte(t))
-	}
-	if len(payload) > MaxFrame {
-		return 0, fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, len(payload))
-	}
-	var hdr [5]byte
-	hdr[0] = byte(t)
-	binary.BigEndian.PutUint32(hdr[1:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return 0, fmt.Errorf("wire: writing frame header: %w", err)
-	}
-	// Skip zero-length writes: net.Pipe synchronizes even empty Writes
-	// with a Read, so writing an empty payload would deadlock against a
-	// peer that (correctly) never issues a zero-byte read.
-	if len(payload) > 0 {
-		if _, err := w.Write(payload); err != nil {
-			return len(hdr), fmt.Errorf("wire: writing frame payload: %w", err)
-		}
-	}
-	return len(hdr) + len(payload), nil
+	return writeFrame(w, t, nil, payload, false)
 }
 
 // WriteFrameCRC writes one frame with a CRC32 trailer (the frameFlagCRC
 // bit set on the type byte, a 4-byte checksum over header and payload
 // appended). It returns the number of bytes written.
 func WriteFrameCRC(w io.Writer, t MsgType, payload []byte) (int, error) {
+	return writeFrame(w, t, nil, payload, true)
+}
+
+// writeFrame is the one frame writer: it writes a frame whose payload is head
+// followed by body, without joining them, so a chunk's ciphertexts go out from
+// wherever they already are. The header and head share one write, the body
+// takes a second, and a CRC trailer, when crc is set, a third.
+func writeFrame(w io.Writer, t MsgType, head, body []byte, crc bool) (int, error) {
 	if byte(t)&frameFlagCRC != 0 {
 		return 0, fmt.Errorf("%w: type %#x uses the reserved CRC flag bit", ErrBadMessage, byte(t))
 	}
-	if len(payload) > MaxFrame {
-		return 0, fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, len(payload))
+	n := len(head) + len(body)
+	if n > MaxFrame {
+		return 0, fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, n)
 	}
-	var hdr [5]byte
-	hdr[0] = byte(t) | frameFlagCRC
-	binary.BigEndian.PutUint32(hdr[1:], uint32(len(payload)))
-	sum := crc32.ChecksumIEEE(hdr[:])
-	sum = crc32.Update(sum, crc32.IEEETable, payload)
-	var trailer [crcTrailerSize]byte
-	binary.BigEndian.PutUint32(trailer[:], sum)
-	if _, err := w.Write(hdr[:]); err != nil {
+	pre := make([]byte, 5, 5+len(head))
+	pre[0] = byte(t)
+	if crc {
+		pre[0] |= frameFlagCRC
+	}
+	binary.BigEndian.PutUint32(pre[1:], uint32(n))
+	pre = append(pre, head...)
+	if _, err := w.Write(pre); err != nil {
 		return 0, fmt.Errorf("wire: writing frame header: %w", err)
 	}
-	if len(payload) > 0 {
-		if _, err := w.Write(payload); err != nil {
-			return len(hdr), fmt.Errorf("wire: writing frame payload: %w", err)
+	// Skip zero-length writes: net.Pipe synchronizes even empty Writes
+	// with a Read, so writing an empty payload would deadlock against a
+	// peer that (correctly) never issues a zero-byte read.
+	if len(body) > 0 {
+		if _, err := w.Write(body); err != nil {
+			return len(pre), fmt.Errorf("wire: writing frame payload: %w", err)
 		}
 	}
-	if _, err := w.Write(trailer[:]); err != nil {
-		return len(hdr) + len(payload), fmt.Errorf("wire: writing frame trailer: %w", err)
+	if !crc {
+		return len(pre) + len(body), nil
 	}
-	return len(hdr) + len(payload) + crcTrailerSize, nil
+	sum := crc32.Update(crc32.ChecksumIEEE(pre), crc32.IEEETable, body)
+	var trailer [crcTrailerSize]byte
+	binary.BigEndian.PutUint32(trailer[:], sum)
+	if _, err := w.Write(trailer[:]); err != nil {
+		return len(pre) + len(body), fmt.Errorf("wire: writing frame trailer: %w", err)
+	}
+	return len(pre) + len(body) + crcTrailerSize, nil
 }
 
 // ReadFrame reads one frame from r. It validates the declared length before
@@ -169,6 +167,14 @@ func ReadFrame(r io.Reader) (Frame, int, error) {
 // one partial — use it to reject a hostile or corrupt declared length far
 // below the global bound, before allocating.
 func ReadFrameLimit(r io.Reader, limit int) (Frame, int, error) {
+	return readFrameInto(r, limit, nil)
+}
+
+// readFrameInto is ReadFrameLimit reading the payload into buf when it has
+// the capacity, and into a fresh allocation of exactly the payload otherwise.
+// The payload is buf[:n] in the first case, so it lives only as long as the
+// caller leaves buf alone.
+func readFrameInto(r io.Reader, limit int, buf []byte) (Frame, int, error) {
 	if limit <= 0 || limit > MaxFrame {
 		limit = MaxFrame
 	}
@@ -180,7 +186,11 @@ func ReadFrameLimit(r io.Reader, limit int) (Frame, int, error) {
 	if n > uint32(limit) {
 		return Frame{}, len(hdr), fmt.Errorf("%w: declared %d bytes (limit %d)", ErrFrameTooLarge, n, limit)
 	}
-	payload := make([]byte, n)
+	payload := buf[:0]
+	if buf == nil || uint32(cap(buf)) < n {
+		payload = make([]byte, n)
+	}
+	payload = payload[:n]
 	if _, err := io.ReadFull(r, payload); err != nil {
 		return Frame{}, len(hdr), fmt.Errorf("wire: reading frame payload: %w", err)
 	}
