@@ -163,9 +163,23 @@ func TestFig4BatchingReducesTotal(t *testing.T) {
 }
 
 func TestFig5PreprocessingShiftsBottleneck(t *testing.T) {
-	rows, err := testConfig().Fig5()
-	if err != nil {
-		t.Fatal(err)
+	// Each component is a fraction of a millisecond here, and a preemption on
+	// a busy two-core host stalls one timed section by milliseconds: compare
+	// each component's fastest of three runs.
+	var rows []ComponentRow
+	for run := 0; run < 3; run++ {
+		got, err := testConfig().Fig5()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rows == nil {
+			rows = got
+			continue
+		}
+		for i, r := range got {
+			rows[i].ServerCompute = min(rows[i].ServerCompute, r.ServerCompute)
+			rows[i].ClientEncrypt = min(rows[i].ClientEncrypt, r.ClientEncrypt)
+		}
 	}
 	for _, r := range rows {
 		// After preprocessing the client's online time collapses; the
