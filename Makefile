@@ -21,10 +21,11 @@ test:
 # and trace state), the job gateway (fair-share scheduler + worker
 # goroutines), the durability layer (journal append vs. compaction), the
 # column store (streaming ingest vs. concurrent block reads), the metrics
-# registry (scrapes vs. child creation and counter bumps), and Paillier (one
-# public key's N² reducer and pooled scratch under concurrent Add/AddPlain).
+# registry (scrapes vs. child creation and counter bumps), Paillier (one
+# public key's N² reducer and pooled scratch under concurrent Add/AddPlain),
+# and the fold kernel (a chunk's exponent windows folded on several lanes).
 race:
-	$(GO) test -race ./internal/server/ ./internal/selectedsum/ ./internal/cluster/ ./internal/faultnet/ ./internal/wire/ ./internal/jobs/ ./internal/stock/ ./internal/durable/ ./internal/colstore/ ./internal/metrics/ ./internal/paillier/
+	$(GO) test -race ./internal/server/ ./internal/selectedsum/ ./internal/cluster/ ./internal/faultnet/ ./internal/wire/ ./internal/jobs/ ./internal/stock/ ./internal/durable/ ./internal/colstore/ ./internal/metrics/ ./internal/paillier/ ./internal/mathx/
 
 # Flake gate (ROADMAP item 0a), scoped to the protocol path — the framed wire
 # layer, the one server and client loop, the cluster fan-out and the server

@@ -72,7 +72,7 @@ func TestCiphertextOpsMatchDivision(t *testing.T) {
 				t.Errorf("%d bits, %s key: EncryptWithRandomizer differs from Mul+Mod", bits, name)
 			}
 			if name == "literal" {
-				if sums := pk.NewFold(32, 1).Sums(); sums[0].c.Cmp(mathx.One) != 0 {
+				if sums := pk.NewFold(32, 1).Sums(1); sums[0].c.Cmp(mathx.One) != 0 {
 					t.Errorf("%d bits: empty fold under a literal key is %v, want 1", bits, sums[0].c)
 				}
 			}

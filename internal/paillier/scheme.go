@@ -88,8 +88,8 @@ func (s Scheme) OpenFold(rows, columns int) homomorphic.ScalarFold {
 type schemeFold struct{ *Fold }
 
 // Sums implements homomorphic.ScalarFold.
-func (f schemeFold) Sums() []homomorphic.Ciphertext {
-	own := f.Fold.Sums()
+func (f schemeFold) Sums(lanes int) []homomorphic.Ciphertext {
+	own := f.Fold.Sums(lanes)
 	sums := make([]homomorphic.Ciphertext, len(own))
 	for c, ct := range own {
 		sums[c] = ct

@@ -77,8 +77,9 @@ type Sink interface {
 // sourceSink is the backend's sink: a ServerSession over a snapshot of the
 // source's columns.
 type sourceSink struct {
-	src database.Source
-	srv *ServerSession
+	src     database.Source
+	srv     *ServerSession
+	oneLane bool // fold on the calling goroutine alone, as Run's one-CPU server does
 }
 
 // Open snapshots the requested columns and sizes the fold. A non-zero
@@ -106,7 +107,9 @@ func (s *sourceSink) Open(hello *wire.Hello, pk homomorphic.PublicKey, tr *trace
 	}
 	tr.SetRole("server")
 	var err error
-	s.srv, err = newServerSession(pk, columns, hello.VectorLen, hello.RowOffset)
+	if s.srv, err = newServerSession(pk, columns, hello.VectorLen, hello.RowOffset); err == nil && s.oneLane {
+		s.srv.lanes = 1
+	}
 	return err
 }
 
