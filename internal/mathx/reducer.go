@@ -30,7 +30,7 @@ import (
 // or compares, it only multiplies, so nothing is converted into Montgomery
 // form: a wire ciphertext c is taken as the Montgomery form of c/R, the
 // product Π c_i^{x_i} comes out short by R^(Σx_i), and the server, which
-// knows every x_i, puts that one factor back at the end (MultiExpAcc.Result).
+// knows every x_i, puts that one factor back at the end (Results).
 // Montgomery reduction needs an odd modulus; for an even one the chain
 // constants are absent and NewMultiExpAcc refuses.
 //
