@@ -136,8 +136,10 @@ func TestServeSinkChunkBuffer(t *testing.T) {
 	sk := testKey(t)
 	pk := sk.PublicKey()
 	width := pk.CiphertextSize()
-	const rows, runs = 256, 20
-	n := rows * (runs + 2) // a first chunk, AllocsPerRun's warm-up, the runs
+	// The fold holds chunks until it has a batch of 1 024 rows, so it opens
+	// its buckets on the fourth chunk: warm chunks come before the runs.
+	const rows, runs, warm = 256, 20, 4
+	n := rows * (warm + runs + 1) // the warm chunks, AllocsPerRun's warm-up, the runs
 	ones := make([]uint32, n)
 	for i := range ones {
 		ones[i] = 1 // one bucket for the whole fold: it allocates in the first chunk only
@@ -176,7 +178,9 @@ func TestServeSinkChunkBuffer(t *testing.T) {
 		<-sink.absorbed
 		chunk.Offset += rows
 	}
-	send() // opens the fold and sizes the receive buffer
+	for range warm { // open the fold, size the receive buffer, fold a first batch
+		send()
+	}
 	mallocs, bytes := allocsPerRun(t, runs, send)
 	if err := client.Send(wire.MsgDone, nil); err != nil {
 		t.Fatal(err)
