@@ -108,7 +108,7 @@ fuzz-smoke:
 	done; \
 	$(GO) test -fuzz='^FuzzParseShardMapSpec$$' -fuzztime=$(FUZZTIME) ./internal/cluster/; \
 	$(GO) test -fuzz='^FuzzReadTable$$' -fuzztime=$(FUZZTIME) ./internal/database/; \
-	for t in FuzzMultiExpAccEquivalence FuzzReducerEquivalence FuzzMontMulEquivalence; do \
+	for t in FuzzMultiExpAccEquivalence FuzzReducerEquivalence FuzzMontMulEquivalence FuzzReducerExp; do \
 		$(GO) test -run '^$$' -fuzz="^$$t$$" -fuzztime=$(FUZZTIME) ./internal/mathx/; \
 	done; \
 	for t in FuzzParseCiphertext FuzzPrivateKeyUnmarshal FuzzReadBitStore FuzzEncryptCRTEquivalence; do \

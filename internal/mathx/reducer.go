@@ -104,3 +104,15 @@ func (r *Reducer) Mul(z, x, y *big.Int, s *Scratch) *big.Int {
 	// bucket or ciphertext, and must not inherit the product's double width.
 	return z.Set(t)
 }
+
+// Exp sets z = x^e mod m and returns z: exactly what z.Exp(x, e, m) returns,
+// for every x and every e ≥ 0. On amd64 with BMI2 and ADX, for an odd m of
+// exactly 8 words (the p² and q² of a 512-bit Paillier key) and x ≥ 0, it runs
+// on montMul8, a Montgomery multiply held in registers (mont8_amd64.s); every
+// other case is big.Int.Exp itself, which is also the kernel's test oracle.
+func (r *Reducer) Exp(z, x, e *big.Int) *big.Int {
+	if w := r.exp8(z, x, e); w != nil {
+		return w
+	}
+	return z.Exp(x, e, r.m)
+}

@@ -10,9 +10,10 @@ import (
 )
 
 // Microbenchmarks for the key owner's CRT encryption path against the public
-// r^N route, across key sizes. bench.ClientEncryptAblation is the
-// decrypt-verified protocol-level version of the same comparison; these pin
-// the raw primitive costs.
+// r^N route, across key sizes: BenchmarkEncryptCRT against
+// BenchmarkEncryptPublic for a whole encryption, BenchmarkFreshRandomizerCRT
+// for the z^p shortcut alone. At 512 bits the owner path runs on mathx's
+// register-resident kernel where the CPU has one (see crt.go for the figures).
 
 var benchKeys = map[int]*PrivateKey{}
 

@@ -18,20 +18,27 @@ import (
 // valid encryption of zero), the nonce-unit validation, and the pool
 // integration (owner fills, fallback counting, parallel-fill cancellation).
 
+// crtKeyBits are the key sizes the owner-path tests run at: 128 bits, and
+// 512 bits — the paper's key, whose 8-word p² and q² take the
+// register-resident exponentiation kernel on amd64.
+var crtKeyBits = []int{128, 512}
+
 func TestRandomizerCRTMatchesDirectExp(t *testing.T) {
-	sk := testKey(t, 128)
-	for i := 0; i < 20; i++ {
-		r, err := randomNonce(sk.Public())
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := new(big.Int).Exp(r, sk.N, sk.NSquared)
-		got, err := sk.RandomizerCRT(r)
-		if err != nil {
-			t.Fatalf("RandomizerCRT: %v", err)
-		}
-		if got.Cmp(want) != 0 {
-			t.Fatalf("RandomizerCRT(%v) = %v, want %v", r, got, want)
+	for _, bits := range crtKeyBits {
+		sk := testKey(t, bits)
+		for i := 0; i < 20; i++ {
+			r, err := randomNonce(sk.Public())
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := new(big.Int).Exp(r, sk.N, sk.NSquared)
+			got, err := sk.RandomizerCRT(r)
+			if err != nil {
+				t.Fatalf("RandomizerCRT: %v", err)
+			}
+			if got.Cmp(want) != 0 {
+				t.Fatalf("%d-bit key: RandomizerCRT(%v) = %v, want %v", bits, r, got, want)
+			}
 		}
 	}
 }
@@ -63,31 +70,33 @@ func TestEncryptWithNonceCRTMatchesPublicPath(t *testing.T) {
 }
 
 func TestEncryptCRTRoundTrip(t *testing.T) {
-	sk := testKey(t, 128)
-	msgs := []*big.Int{
-		big.NewInt(0), big.NewInt(1), big.NewInt(1 << 30),
-		new(big.Int).Sub(sk.N, big.NewInt(1)),
-	}
-	for _, m := range msgs {
-		ct, err := sk.EncryptCRT(m)
-		if err != nil {
-			t.Fatalf("EncryptCRT(%v): %v", m, err)
+	for _, bits := range crtKeyBits {
+		sk := testKey(t, bits)
+		msgs := []*big.Int{
+			big.NewInt(0), big.NewInt(1), big.NewInt(1 << 30),
+			new(big.Int).Sub(sk.N, big.NewInt(1)),
 		}
-		for name, dec := range map[string]func(*Ciphertext) (*big.Int, error){
-			"crt":   sk.Decrypt,
-			"naive": sk.DecryptNaive,
-		} {
-			got, err := dec(ct)
+		for _, m := range msgs {
+			ct, err := sk.EncryptCRT(m)
 			if err != nil {
-				t.Fatalf("%s decrypt of EncryptCRT(%v): %v", name, m, err)
+				t.Fatalf("%d-bit key: EncryptCRT(%v): %v", bits, m, err)
 			}
-			if got.Cmp(m) != 0 {
-				t.Fatalf("%s decrypt = %v, want %v", name, got, m)
+			for name, dec := range map[string]func(*Ciphertext) (*big.Int, error){
+				"crt":   sk.Decrypt,
+				"naive": sk.DecryptNaive,
+			} {
+				got, err := dec(ct)
+				if err != nil {
+					t.Fatalf("%d-bit key: %s decrypt of EncryptCRT(%v): %v", bits, name, m, err)
+				}
+				if got.Cmp(m) != 0 {
+					t.Fatalf("%d-bit key: %s decrypt = %v, want %v", bits, name, got, m)
+				}
 			}
 		}
-	}
-	if _, err := sk.EncryptCRT(sk.N); err == nil {
-		t.Fatal("EncryptCRT accepted out-of-range message")
+		if _, err := sk.EncryptCRT(sk.N); err == nil {
+			t.Fatalf("%d-bit key: EncryptCRT accepted out-of-range message", bits)
+		}
 	}
 }
 

@@ -124,37 +124,48 @@ func FuzzReadBitStore(f *testing.F) {
 // encryption path must produce the byte-identical ciphertext to the public
 // path, and both must decrypt back to m — the differential gate for the
 // client-encrypt fast path. Out-of-range inputs must be rejected by both
-// paths symmetrically.
+// paths symmetrically. Every input runs under two keys: a 128-bit one, and a
+// 512-bit one whose p² and q² are 8 words, the shape on which the owner's
+// exponentiations take mathx's register-resident kernel.
 func FuzzEncryptCRTEquivalence(f *testing.F) {
-	sk, err := KeyGen(rand.Reader, 128)
-	if err != nil {
-		f.Fatal(err)
+	var keys []*PrivateKey
+	for _, bits := range []int{128, 512} {
+		sk, err := KeyGen(rand.Reader, bits)
+		if err != nil {
+			f.Fatal(err)
+		}
+		keys = append(keys, sk)
 	}
-	pk := sk.Public()
 	f.Add([]byte{0}, []byte{2})
 	f.Add([]byte{1}, []byte{3})
-	f.Add(new(big.Int).Sub(pk.N, bigOne()).Bytes(), new(big.Int).Sub(pk.N, bigOne()).Bytes())
-	f.Add(sk.P.Bytes(), sk.P.Bytes()) // message fine, nonce shares a factor
+	for _, sk := range keys {
+		nMinus1 := new(big.Int).Sub(sk.N, bigOne()).Bytes()
+		f.Add(nMinus1, nMinus1)
+		f.Add(sk.P.Bytes(), sk.P.Bytes()) // message fine, nonce shares a factor
+	}
 	f.Fuzz(func(t *testing.T, mRaw, rRaw []byte) {
 		m := new(big.Int).SetBytes(mRaw)
 		r := new(big.Int).SetBytes(rRaw)
-		want, errPub := pk.EncryptWithNonce(m, r)
-		got, errCRT := sk.EncryptWithNonceCRT(m, r)
-		if (errPub == nil) != (errCRT == nil) {
-			t.Fatalf("path disagreement: public err=%v, crt err=%v", errPub, errCRT)
-		}
-		if errPub != nil {
-			return
-		}
-		if !bytes.Equal(want.Bytes(), got.Bytes()) {
-			t.Fatal("CRT and public encryption paths produced different ciphertexts")
-		}
-		back, err := sk.Decrypt(got)
-		if err != nil {
-			t.Fatalf("decrypting CRT ciphertext: %v", err)
-		}
-		if back.Cmp(m) != 0 {
-			t.Fatalf("round trip: got %v, want %v", back, m)
+		for _, sk := range keys {
+			pk := sk.Public()
+			want, errPub := pk.EncryptWithNonce(m, r)
+			got, errCRT := sk.EncryptWithNonceCRT(m, r)
+			if (errPub == nil) != (errCRT == nil) {
+				t.Fatalf("%d-bit key: path disagreement: public err=%v, crt err=%v", pk.N.BitLen(), errPub, errCRT)
+			}
+			if errPub != nil {
+				continue
+			}
+			if !bytes.Equal(want.Bytes(), got.Bytes()) {
+				t.Fatalf("%d-bit key: CRT and public encryption paths produced different ciphertexts", pk.N.BitLen())
+			}
+			back, err := sk.Decrypt(got)
+			if err != nil {
+				t.Fatalf("%d-bit key: decrypting CRT ciphertext: %v", pk.N.BitLen(), err)
+			}
+			if back.Cmp(m) != 0 {
+				t.Fatalf("%d-bit key: round trip: got %v, want %v", pk.N.BitLen(), back, m)
+			}
 		}
 	})
 }

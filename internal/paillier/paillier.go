@@ -81,6 +81,10 @@ type PrivateKey struct {
 	// p·(p-1) and q·(q-1) of Z*_{p²} and Z*_{q²}. See crt.go.
 	crt2               *mathx.CRT
 	nModPOrd, nModQOrd *big.Int
+
+	// p2 and q2 exponentiate mod p² and q²: every owner exponentiation,
+	// decryption's and encryption's, goes through them (mathx.Reducer.Exp).
+	p2, q2 *mathx.Reducer
 }
 
 // KeyGen generates a Paillier key pair whose modulus N has exactly
@@ -129,6 +133,14 @@ func newPrivateKey(p, q *big.Int) (*PrivateKey, error) {
 	if err != nil {
 		return nil, fmt.Errorf("paillier: building CRT² state: %w", err)
 	}
+	p2, err := mathx.NewReducer(pSquared)
+	if err != nil {
+		return nil, fmt.Errorf("paillier: p²: %w", err)
+	}
+	q2, err := mathx.NewReducer(qSquared)
+	if err != nil {
+		return nil, fmt.Errorf("paillier: q²: %w", err)
+	}
 
 	priv := &PrivateKey{
 		PublicKey: pub,
@@ -138,6 +150,8 @@ func newPrivateKey(p, q *big.Int) (*PrivateKey, error) {
 		Mu:        mu,
 		pSquared:  pSquared,
 		qSquared:  qSquared,
+		p2:        p2,
+		q2:        q2,
 		pMinus1:   pm1,
 		qMinus1:   qm1,
 		crt:       crt,
@@ -328,7 +342,7 @@ func (sk *PrivateKey) Decrypt(ct *Ciphertext) (*big.Int, error) {
 	}
 	// m_p = L_p(c^(p-1) mod p²)·h_p mod p
 	cp := new(big.Int).Mod(ct.c, sk.pSquared)
-	cp.Exp(cp, sk.pMinus1, sk.pSquared)
+	sk.p2.Exp(cp, cp, sk.pMinus1)
 	lp, err := lFunc(cp, sk.P)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrKeyMismatch, err)
@@ -337,7 +351,7 @@ func (sk *PrivateKey) Decrypt(ct *Ciphertext) (*big.Int, error) {
 	mp.Mod(mp, sk.P)
 
 	cq := new(big.Int).Mod(ct.c, sk.qSquared)
-	cq.Exp(cq, sk.qMinus1, sk.qSquared)
+	sk.q2.Exp(cq, cq, sk.qMinus1)
 	lq, err := lFunc(cq, sk.Q)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrKeyMismatch, err)
