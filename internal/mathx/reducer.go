@@ -34,6 +34,10 @@ import (
 // Montgomery reduction needs an odd modulus; for an even one the chain
 // constants are absent and NewMultiExpAcc refuses.
 //
+// A whole exponentiation goes through Exp: on amd64 with BMI2 and ADX and an
+// odd 8-word modulus, a third kernel holds each multiplication in registers
+// (mont8_amd64.s); otherwise it is big.Int.Exp.
+//
 // A Reducer is immutable and safe for concurrent use; each concurrent caller
 // brings its own Scratch.
 type Reducer struct {
