@@ -5,6 +5,7 @@ import (
 	"math/big"
 	"math/bits"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -12,8 +13,15 @@ import (
 // included) and operands anywhere in [0, R) — 0, 1, m−1, residues, and
 // unreduced values in [m, R) — montMul(x, y)·R ≡ x·y (mod m) by Mul + Mod,
 // the result stays n words, and aliasing the destination changes nothing.
+// At 8 and 16 words, where montMul is one call into a register kernel, every
+// result must also equal montMulVVW's word for word, and the fold on the
+// addMulVVW path is checked the same way with the kernels forced off.
 func FuzzMontMulEquivalence(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0, 0, 0})
+	f.Add([]byte{7, 63, 2, 4, 4, 5})  // 2^512 − 1
+	f.Add([]byte{15, 63, 2, 3, 4, 6}) // 2^1024 − 1, x unreduced
+	f.Add([]byte{15, 20, 4, 3, 3, 7}) // a 16-word modulus, both unreduced
+	f.Add([]byte{15, 63, 5, 4, 2, 8}) // R − 1 times m − 1
 	f.Add([]byte{15, 63, 1, 2, 3, 1})
 	f.Add([]byte{31, 7, 2, 4, 4, 9})
 	f.Add([]byte{69, 1, 0, 3, 2, 200})
@@ -30,55 +38,69 @@ func FuzzMontMulEquivalence(f *testing.F) {
 		rng := rand.New(rand.NewSource(seed))
 		m := fuzzModulus(rng, data[0], data[1], data[2])
 		m.SetBit(m, 0, 1) // 2^k becomes 2^k + 1, 2 becomes 3
-		red, err := NewReducer(m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		n := red.Words()
-		bigR := new(big.Int).Lsh(One, uint(n*bits.UintSize))
-		operand := func(kind byte) *big.Int {
-			switch kind % 6 {
-			case 0:
-				return new(big.Int)
-			case 1:
-				return big.NewInt(1)
-			case 2:
-				return new(big.Int).Sub(m, One)
-			case 3: // unreduced: anywhere in [m, R)
-				x := new(big.Int).Sub(bigR, m)
-				return x.Rand(rng, x).Add(x, m)
-			case 4:
-				return new(big.Int).Sub(bigR, One)
-			default:
-				return new(big.Int).Rand(rng, m)
+		for _, on := range []bool{true, false} {
+			noKernel = !on
+			red, err := NewReducer(m)
+			noKernel = false
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		x, y := operand(data[3]), operand(data[4])
-		limbs := func(v *big.Int) []big.Word { // any v in [0, R)
-			l := make([]big.Word, n)
-			copy(l, v.Bits())
-			return l
-		}
-		scratch := make([]big.Word, 2*n)
-		for _, alias := range []string{"none", "x", "y", "square"} {
-			xl, yl, z := limbs(x), limbs(y), make([]big.Word, n)
-			bx, by := x, y
-			switch alias {
-			case "x":
-				z = xl
-			case "y":
-				z = yl
-			case "square":
-				z, yl, by = xl, xl, x
-			}
-			want := mulModRef(bx, by, m)
-			red.montMul(z, xl, yl, scratch)
-			got := new(big.Int).SetBits(append([]big.Word(nil), z...))
-			if back := mulModRef(got, bigR, m); back.Cmp(want) != 0 {
-				t.Fatalf("alias=%s m=%x x=%x y=%x: montMul = %x, times R = %x, want %x", alias, m, x, y, got, back, want)
-			}
+			montMulEquivalence(t, rng, data, m, red)
 		}
 	})
+}
+
+// montMulEquivalence is FuzzMontMulEquivalence's check on one Reducer.
+func montMulEquivalence(t *testing.T, rng *rand.Rand, data []byte, m *big.Int, red *Reducer) {
+	n := red.Words()
+	bigR := new(big.Int).Lsh(One, uint(n*bits.UintSize))
+	operand := func(kind byte) *big.Int {
+		switch kind % 6 {
+		case 0:
+			return new(big.Int)
+		case 1:
+			return big.NewInt(1)
+		case 2:
+			return new(big.Int).Sub(m, One)
+		case 3: // unreduced: anywhere in [m, R)
+			x := new(big.Int).Sub(bigR, m)
+			return x.Rand(rng, x).Add(x, m)
+		case 4:
+			return new(big.Int).Sub(bigR, One)
+		default:
+			return new(big.Int).Rand(rng, m)
+		}
+	}
+	x, y := operand(data[3]), operand(data[4])
+	limbs := func(v *big.Int) []big.Word { // any v in [0, R)
+		l := make([]big.Word, n)
+		copy(l, v.Bits())
+		return l
+	}
+	scratch := make([]big.Word, 2*n)
+	for _, alias := range []string{"none", "x", "y", "square"} {
+		xl, yl, z := limbs(x), limbs(y), make([]big.Word, n)
+		bx, by := x, y
+		switch alias {
+		case "x":
+			z = xl
+		case "y":
+			z = yl
+		case "square":
+			z, yl, by = xl, xl, x
+		}
+		want := mulModRef(bx, by, m)
+		vvw := make([]big.Word, n)
+		red.montMulVVW(vvw, xl, yl, scratch)
+		red.montMul(z, xl, yl, scratch)
+		got := new(big.Int).SetBits(append([]big.Word(nil), z...))
+		if back := mulModRef(got, bigR, m); back.Cmp(want) != 0 {
+			t.Fatalf("alias=%s m=%x x=%x y=%x: montMul = %x, times R = %x, want %x", alias, m, x, y, got, back, want)
+		}
+		if !slices.Equal(z, vvw) {
+			t.Fatalf("alias=%s m=%x x=%x y=%x kernel=%d: montMul = %x, montMulVVW = %x", alias, m, x, y, red.kw, z, vvw)
+		}
+	}
 }
 
 // TestMultiExpAccExponentSumCarries folds rows whose exponents sum past

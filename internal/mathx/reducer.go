@@ -34,9 +34,10 @@ import (
 // Montgomery reduction needs an odd modulus; for an even one the chain
 // constants are absent and NewMultiExpAcc refuses.
 //
-// A whole exponentiation goes through Exp: on amd64 with BMI2 and ADX and an
-// odd 8-word modulus, a third kernel holds each multiplication in registers
-// (mont8_amd64.s); otherwise it is big.Int.Exp.
+// On amd64 with BMI2 and ADX, for an odd modulus of exactly 8 or 16 words,
+// montMul is one call into a register kernel (mont8_amd64.s, mont16_amd64.s)
+// with the same result bit for bit, and a whole exponentiation, Exp, walks a
+// fixed window over that kernel; otherwise Exp is big.Int.Exp.
 //
 // A Reducer is immutable and safe for concurrent use; each concurrent caller
 // brings its own Scratch.
@@ -50,7 +51,13 @@ type Reducer struct {
 	rr  []big.Word // R² mod m, the Montgomery form of R
 	one []big.Word // 1, as n words: a montMul by it converts out
 	k0  big.Word   // −m⁻¹ mod b
+	kw  int        // the register kernel's width, n; 0 where there is none
 }
+
+// noKernel keeps Reducers built while it is set off the register kernels, on
+// any CPU, so that tests run the addMulVVW montMul and big.Int.Exp on hosts
+// that have the kernels. Only tests set it.
+var noKernel bool
 
 // NewReducer precomputes both kernels' constants for the positive modulus m.
 func NewReducer(m *big.Int) (*Reducer, error) {
@@ -110,13 +117,72 @@ func (r *Reducer) Mul(z, x, y *big.Int, s *Scratch) *big.Int {
 }
 
 // Exp sets z = x^e mod m and returns z: exactly what z.Exp(x, e, m) returns,
-// for every x and every e ≥ 0. On amd64 with BMI2 and ADX, for an odd m of
-// exactly 8 words (the p² and q² of a 512-bit Paillier key) and x ≥ 0, it runs
-// on montMul8, a Montgomery multiply held in registers (mont8_amd64.s); every
-// other case is big.Int.Exp itself, which is also the kernel's test oracle.
+// for every x and every e ≥ 0. Where the Reducer has a register kernel (an
+// odd 8- or 16-word m on amd64 with BMI2 and ADX: the p² and q² of a 512- or
+// 1024-bit Paillier key, the N² of a 512-bit one) and x ≥ 0, it is a 4-bit
+// fixed window over that kernel; every other case is big.Int.Exp itself,
+// which is also the kernel's test oracle.
 func (r *Reducer) Exp(z, x, e *big.Int) *big.Int {
-	if w := r.exp8(z, x, e); w != nil {
+	if w := r.expKernel(z, x, e); w != nil {
 		return w
 	}
 	return z.Exp(x, e, r.m)
+}
+
+// expKernel is Exp on the register kernel, in Montgomery form throughout, with
+// the table and accumulator on the stack. It returns nil, leaving z untouched,
+// unless the Reducer has a kernel and x and e are non-negative.
+func (r *Reducer) expKernel(z, x, e *big.Int) *big.Int {
+	if r.kw == 0 || x.Sign() < 0 || e.Sign() < 0 {
+		return nil
+	}
+	n := r.n
+	if x.Cmp(r.m) >= 0 {
+		x = new(big.Int).Mod(x, r.m)
+	}
+	var xw [16]big.Word
+	copy(xw[:], x.Bits())
+
+	// pow[d] is x^d in Montgomery form; pow[0] = R mod m is the form of 1.
+	var pow [16][16]big.Word
+	r.kmul(&pow[0][0], &r.one[0], &r.rr[0])
+	r.kmul(&pow[1][0], &xw[0], &r.rr[0])
+	for d := 2; d < len(pow); d += 2 {
+		r.kmul(&pow[d][0], &pow[d/2][0], &pow[d/2][0])
+		r.kmul(&pow[d+1][0], &pow[d][0], &pow[1][0])
+	}
+
+	// As math/big's expNNMontgomery: every digit, zero ones included, costs
+	// four squarings and one table multiplication.
+	acc := pow[0]
+	a := &acc[0]
+	ew := e.Bits()
+	for i := len(ew) - 1; i >= 0; i-- {
+		w := ew[i]
+		for j := 0; j < bits.UintSize; j += 4 {
+			if i != len(ew)-1 || j != 0 {
+				r.kmul(a, a, a)
+				r.kmul(a, a, a)
+				r.kmul(a, a, a)
+				r.kmul(a, a, a)
+			}
+			r.kmul(a, a, &pow[w>>(bits.UintSize-4)][0])
+			w <<= 4
+		}
+	}
+	// Out of Montgomery form: (acc + q·m)/R ≤ m, and m itself only for a base
+	// ≡ 0, where the answer is 0.
+	r.kmul(a, a, &r.one[0])
+	var t [16]big.Word
+	if subVV(t[:n], acc[:n], r.mw) == 0 {
+		acc = t
+	}
+
+	zw := z.Bits()
+	if cap(zw) < n {
+		zw = make([]big.Word, n)
+	}
+	zw = zw[:n]
+	copy(zw, acc[:n])
+	return z.SetBits(zw)
 }

@@ -239,15 +239,17 @@ func TestReducerMulDoesNotAllocate(t *testing.T) {
 // BenchmarkModMul is the kernel table of EXPERIMENTS.md: one modular
 // multiplication of reduced operands by big.Int.Mul + QuoRem (the kernel this
 // package used before the Reducer), by Reducer.Mul (Barrett, the single-product
-// kernel) and by Reducer.montMul (Montgomery, the chain kernel). Sequential
-// cells swing by 2× on a shared host, so the three kernels run round-robin,
+// kernel), by Reducer.montMulVVW (Montgomery, the chain kernel composed from
+// addMulVVW) and, at 8 and 16 words on a CPU that has it, by the register
+// kernel montMul runs on there. Sequential cells swing by 2× on a shared host,
+// so the kernels run round-robin,
 // b.N rounds of 200 dependent multiplications each, and every kernel reports
 // the minimum and the first quartile of its rounds, in ns per multiplication.
 // Run with a fixed round count: -benchtime 400x.
 func BenchmarkModMul(b *testing.B) {
 	const chain = 200
 	rng := rand.New(rand.NewSource(8))
-	for _, words := range []int{16, 32, 64} {
+	for _, words := range []int{8, 16, 32, 64} {
 		m := new(big.Int).Lsh(One, uint(words*64))
 		m.Rand(rng, m).SetBit(m, words*64-1, 1).SetBit(m, 0, 1)
 		x, y := new(big.Int).Rand(rng, m), new(big.Int).Rand(rng, m)
@@ -266,7 +268,13 @@ func BenchmarkModMul(b *testing.B) {
 				z.Set(&r)
 			}},
 			{"Barrett", func() { red.Mul(z, z, y, &s) }},
-			{"Montgomery", func() { red.montMul(zl, zl, yl, tl) }},
+			{"Montgomery", func() { red.montMulVVW(zl, zl, yl, tl) }},
+		}
+		if red.kw != 0 {
+			kernels = append(kernels, struct {
+				name string
+				mul  func()
+			}{"Kernel", func() { red.kmul(&zl[0], &zl[0], &yl[0]) }})
 		}
 		b.Run(fmt.Sprintf("words=%d", words), func(b *testing.B) {
 			rounds := make([][]float64, len(kernels))

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"privstats/internal/mathx"
 	"privstats/internal/testutil"
 )
 
@@ -38,6 +39,59 @@ func TestRandomizerCRTMatchesDirectExp(t *testing.T) {
 			}
 			if got.Cmp(want) != 0 {
 				t.Fatalf("%d-bit key: RandomizerCRT(%v) = %v, want %v", bits, r, got, want)
+			}
+		}
+	}
+}
+
+// TestPublicRandomizersMatchDirectExp: the three public r^N sites — public
+// encryption, the seal and a pool refill without the key — return the bytes
+// big.Int.Exp gives, at both key sizes; at 512 bits N² is 16 words, where
+// they run on mathx's register kernel.
+func TestPublicRandomizersMatchDirectExp(t *testing.T) {
+	for _, bits := range crtKeyBits {
+		sk := testKey(t, bits)
+		pk := sk.Public()
+		seed := make([]byte, 1<<16)
+		if _, err := rand.Read(seed); err != nil {
+			t.Fatal(err)
+		}
+		pool := NewRandomizerPool(pk)
+		pool.rnd = bytes.NewReader(seed)
+		drawn := bytes.NewReader(seed)
+		for i := 0; i < 20; i++ {
+			m, err := randomMessage(pk)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r, err := randomNonce(pk)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rn := new(big.Int).Exp(r, sk.N, sk.NSquared)
+			gm := new(big.Int).Mul(m, sk.N)
+			want := gm.Add(gm, bigOne()).Mul(gm, rn).Mod(gm, sk.NSquared)
+			ct, err := pk.EncryptWithNonce(m, r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ct.c.Cmp(want) != 0 {
+				t.Fatalf("%d-bit key: EncryptWithNonce = %v, want %v", bits, ct.c, want)
+			}
+			want.Mul(want, rn).Mod(want, sk.NSquared)
+			if got := pk.rerandomizeWithNonce(ct, r); got.c.Cmp(want) != 0 {
+				t.Fatalf("%d-bit key: rerandomizeWithNonce = %v, want %v", bits, got.c, want)
+			}
+			got, err := pool.newRandomizer()
+			if err != nil {
+				t.Fatal(err)
+			}
+			r, err = mathx.RandUnit(drawn, pk.N)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := new(big.Int).Exp(r, sk.N, sk.NSquared); got.Cmp(want) != 0 {
+				t.Fatalf("%d-bit key: pool refill = %v, want %v", bits, got, want)
 			}
 		}
 	}

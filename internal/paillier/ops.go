@@ -96,7 +96,7 @@ func (pk *PublicKey) Rerandomize(ct *Ciphertext) (*Ciphertext, error) {
 // rerandomizeWithNonce is ct · r^N mod N² for a ct already validated and a
 // unit r of Z*_N.
 func (pk *PublicKey) rerandomizeWithNonce(ct *Ciphertext, r *big.Int) *Ciphertext {
-	rn := new(big.Int).Exp(r, pk.N, pk.NSquared)
+	rn := pk.reducer().Exp(new(big.Int), r, pk.N)
 	return &Ciphertext{c: pk.mulN2(rn, rn, ct.c), byteLen: pk.byteLen}
 }
 

@@ -275,7 +275,7 @@ func (pk *PublicKey) EncryptWithNonce(m, r *big.Int) (*Ciphertext, error) {
 	if err := pk.checkNonce(r); err != nil {
 		return nil, err
 	}
-	rn := new(big.Int).Exp(r, pk.N, pk.NSquared)
+	rn := pk.reducer().Exp(new(big.Int), r, pk.N)
 	return pk.assembleCiphertext(m, rn), nil
 }
 

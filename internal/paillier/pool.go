@@ -80,7 +80,7 @@ func (p *RandomizerPool) newRandomizer() (*big.Int, error) {
 	if err != nil {
 		return nil, err
 	}
-	return new(big.Int).Exp(r, p.pk.N, p.pk.NSquared), nil
+	return p.pk.reducer().Exp(new(big.Int), r, p.pk.N), nil
 }
 
 // Fill precomputes count randomizers. It may be called repeatedly (e.g. from

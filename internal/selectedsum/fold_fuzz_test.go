@@ -1,11 +1,13 @@
 package selectedsum
 
 import (
+	"crypto/rand"
 	"math/big"
 	"testing"
 
 	"privstats/internal/database"
 	"privstats/internal/homomorphic"
+	"privstats/internal/paillier"
 )
 
 // FuzzFoldEquivalence is the differential oracle for the server's two fold
@@ -14,12 +16,18 @@ import (
 // through the streaming bucket fold, however the vector is chunked on its way
 // in and on however many lanes (1, 2, 3, 4 or 7) the fold runs. Row counts
 // span both sides of foldMinRows so the fuzzer exercises the threshold
-// crossing.
+// crossing. Every input runs under two keys: the 256-bit test key, whose N²
+// is 8 words, and a 512-bit one, whose 16-word N² is the fold on mathx's
+// 16-word register kernel.
 func FuzzFoldEquivalence(f *testing.F) {
 	f.Add([]byte{3})
 	f.Add([]byte{17, 0xff, 0x00, 0x80, 0x7f})
 	f.Add([]byte{63, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13})
 	f.Add([]byte{16, 0xde, 0xad, 0xbe, 0xef, 0xff, 0xff, 0xff, 0xff})
+	sk512, err := paillier.KeyGen(rand.Reader, 512)
+	if err != nil {
+		f.Fatal(err)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			t.Skip()
@@ -44,49 +52,58 @@ func FuzzFoldEquivalence(f *testing.F) {
 			}
 		}
 		table := database.New(values)
-		sk := testKey(t)
-		pk := sk.PublicKey()
-		width := pk.CiphertextSize()
-		body, err := EncryptRange(Online{PK: pk}, sel, 0, count, width)
+		for _, sk := range []homomorphic.PrivateKey{testKey(t), paillier.SchemeKey{SK: sk512}} {
+			foldEquivalence(t, sk, table, sel, want)
+		}
+	})
+}
+
+// foldEquivalence is FuzzFoldEquivalence's check under one key: the naive
+// fold decrypts to want, and the bucket fold to the naive fold's sum, for
+// every chunking and lane count.
+func foldEquivalence(t *testing.T, sk homomorphic.PrivateKey, table *database.Table, sel *database.Selection, want *big.Int) {
+	count := sel.Len()
+	pk := sk.PublicKey()
+	width := pk.CiphertextSize()
+	body, err := EncryptRange(Online{PK: pk}, sel, 0, count, width)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	run := func(key homomorphic.PublicKey, chunkRows, lanes int) *big.Int {
+		srv, err := NewShardSession(key, table.Column(), uint64(count), 0)
 		if err != nil {
 			t.Fatal(err)
 		}
+		srv.lanes = lanes
+		for lo := 0; lo < count; lo += chunkRows {
+			hi := min(count, lo+chunkRows)
+			if err := srv.Absorb(decodeChunk(t, body[lo*width:hi*width], uint64(lo), width)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ct, err := srv.Finalize(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := sk.Decrypt(ct)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
 
-		run := func(key homomorphic.PublicKey, chunkRows, lanes int) *big.Int {
-			srv, err := NewShardSession(key, table.Column(), uint64(count), 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			srv.lanes = lanes
-			for lo := 0; lo < count; lo += chunkRows {
-				hi := min(count, lo+chunkRows)
-				if err := srv.Absorb(decodeChunk(t, body[lo*width:hi*width], uint64(lo), width)); err != nil {
-					t.Fatal(err)
-				}
-			}
-			ct, err := srv.Finalize(nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			m, err := sk.Decrypt(ct)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return m
-		}
-
-		naive := run(homomorphic.WithoutMultiScalarFold(pk), count, 1)
-		if naive.Cmp(want) != 0 {
-			t.Fatalf("count=%d: naive fold decrypts to %v, direct sum is %v", count, naive, want)
-		}
-		for _, chunkRows := range foldChunkSizes(count) {
-			for _, lanes := range []int{1, 2, 3, 4, 7} {
-				if got := run(pk, chunkRows, lanes); got.Cmp(naive) != 0 {
-					t.Fatalf("count=%d chunk=%d lanes=%d: fast fold decrypts to %v, naive to %v", count, chunkRows, lanes, got, naive)
-				}
+	naive := run(homomorphic.WithoutMultiScalarFold(pk), count, 1)
+	if naive.Cmp(want) != 0 {
+		t.Fatalf("count=%d: naive fold decrypts to %v, direct sum is %v", count, naive, want)
+	}
+	for _, chunkRows := range foldChunkSizes(count) {
+		for _, lanes := range []int{1, 2, 3, 4, 7} {
+			if got := run(pk, chunkRows, lanes); got.Cmp(naive) != 0 {
+				t.Fatalf("count=%d chunk=%d lanes=%d: fast fold decrypts to %v, naive to %v", count, chunkRows, lanes, got, naive)
 			}
 		}
-	})
+	}
 }
 
 // foldChunkSizes returns the distinct chunk lengths among {1, 16, 100, 1024,
