@@ -4,10 +4,12 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
 	"privstats/internal/cluster"
+	"privstats/internal/homomorphic"
 )
 
 // writeTenants drops a tenant config file into the test's temp dir.
@@ -216,5 +218,13 @@ func TestBuildGatewayRejectsBadStockTargets(t *testing.T) {
 	cfg.stockZeros = -1
 	if _, _, _, _, err := buildGateway(cfg); err == nil {
 		t.Fatal("negative stock target accepted")
+	}
+}
+
+// TestAcceptsOnlyPaillier pins the schemes a hello may name: Paillier alone,
+// so a hello naming any other scheme is refused as unknown.
+func TestAcceptsOnlyPaillier(t *testing.T) {
+	if got := homomorphic.Schemes(); !slices.Equal(got, []string{"paillier"}) {
+		t.Fatalf("registered schemes = %v, want [paillier]", got)
 	}
 }

@@ -2,10 +2,12 @@ package main
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 
 	"privstats/internal/cluster"
+	"privstats/internal/homomorphic"
 	"privstats/internal/testutil"
 )
 
@@ -60,4 +62,12 @@ func TestBuildAggregatorRejectsBadSpecs(t *testing.T) {
 
 func TestStatsAddrInUseFailsStartup(t *testing.T) {
 	testutil.RequireStatsAddrInUseFails(t, "sumproxy", "aggregating 16 rows", "-listen", "127.0.0.1:0", "-shards", "0-16=127.0.0.1:1")
+}
+
+// TestAcceptsOnlyPaillier pins the schemes a hello may name: Paillier alone,
+// so a hello naming any other scheme is refused as unknown.
+func TestAcceptsOnlyPaillier(t *testing.T) {
+	if got := homomorphic.Schemes(); !slices.Equal(got, []string{"paillier"}) {
+		t.Fatalf("registered schemes = %v, want [paillier]", got)
+	}
 }

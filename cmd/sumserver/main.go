@@ -39,9 +39,7 @@ import (
 	"privstats/internal/trace"
 	"privstats/internal/wire"
 
-	// Accepted cryptosystems register themselves with the scheme registry.
-	_ "privstats/internal/crypto/dj"
-	_ "privstats/internal/crypto/elgamal"
+	// Paillier, the one accepted scheme, registers itself with the registry.
 	_ "privstats/internal/paillier"
 )
 

@@ -4,8 +4,10 @@ import (
 	"errors"
 	"net"
 	"path/filepath"
+	"slices"
 	"testing"
 
+	"privstats/internal/homomorphic"
 	"privstats/internal/testutil"
 )
 
@@ -71,4 +73,12 @@ func TestWrapConnThrottles(t *testing.T) {
 
 func TestStatsAddrInUseFailsStartup(t *testing.T) {
 	testutil.RequireStatsAddrInUseFails(t, "sumserver", "serving 16 rows", "-listen", "127.0.0.1:0", "-generate", "16")
+}
+
+// TestAcceptsOnlyPaillier pins the schemes a hello may name: Paillier alone,
+// so a hello naming any other scheme is refused as unknown.
+func TestAcceptsOnlyPaillier(t *testing.T) {
+	if got := homomorphic.Schemes(); !slices.Equal(got, []string{"paillier"}) {
+		t.Fatalf("registered schemes = %v, want [paillier]", got)
+	}
 }

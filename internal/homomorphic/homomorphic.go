@@ -4,8 +4,7 @@
 // The paper's protocol needs exactly the properties stated in its Section 2:
 // semantically secure encryption where E(a)·E(b) = E(a+b) and E(a)^c =
 // E(a·c). The Paillier cryptosystem (internal/paillier) is the instantiation
-// the paper uses; Damgård–Jurik and exponential ElGamal (internal/crypto/…)
-// implement the same interface and are used for ablation benchmarks.
+// the paper uses, and the one scheme that implements this interface.
 package homomorphic
 
 import "math/big"
@@ -155,24 +154,6 @@ type PlainAdder interface {
 	// result is as fresh as c is. k must lie in [0, PlaintextSpace()). Like
 	// Encrypt, it only reads k and is safe for concurrent use.
 	AddPlain(c Ciphertext, k *big.Int) (Ciphertext, error)
-}
-
-// FixedBased is implemented by public keys whose Encrypt runs through
-// lazily built fixed-base windowed tables (Damgård–Jurik, ElGamal).
-// WithoutFixedBase returns an equivalent key with the acceleration
-// stripped — the naive oracle for differential tests.
-type FixedBased interface {
-	WithoutFixedBase() PublicKey
-}
-
-// WithoutFixedBase strips the fixed-base acceleration from pk when the
-// scheme supports stripping, and otherwise strips every optional capability
-// the generic way.
-func WithoutFixedBase(pk PublicKey) PublicKey {
-	if f, ok := pk.(FixedBased); ok {
-		return f.WithoutFixedBase()
-	}
-	return baseKeyOnly{pk}
 }
 
 // EncryptorPool is implemented by schemes that can hand out precomputed

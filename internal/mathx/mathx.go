@@ -80,21 +80,6 @@ func RandUnit(r io.Reader, n *big.Int) (*big.Int, error) {
 	return nil, errors.New("mathx: could not sample a unit after 1000 attempts (modulus is overly smooth)")
 }
 
-// RandBits returns a uniform random integer with exactly bits bits, i.e. in
-// [2^(bits-1), 2^bits). bits must be at least 2.
-func RandBits(r io.Reader, bits int) (*big.Int, error) {
-	if bits < 2 {
-		return nil, fmt.Errorf("mathx: RandBits needs bits >= 2, got %d", bits)
-	}
-	// Sample bits-1 random bits and set the top bit.
-	limit := new(big.Int).Lsh(One, uint(bits-1))
-	v, err := RandInt(r, limit)
-	if err != nil {
-		return nil, err
-	}
-	return v.Or(v, limit), nil
-}
-
 // ModInverse returns a^-1 mod n, or ErrNotInvertible if gcd(a, n) != 1.
 func ModInverse(a, n *big.Int) (*big.Int, error) {
 	if n == nil || n.Sign() <= 0 {

@@ -55,21 +55,6 @@ func TestRandUnitRejectsTrivialModulus(t *testing.T) {
 	}
 }
 
-func TestRandBits(t *testing.T) {
-	for _, bits := range []int{2, 8, 64, 512} {
-		v, err := RandBits(rand.Reader, bits)
-		if err != nil {
-			t.Fatalf("RandBits(%d): %v", bits, err)
-		}
-		if v.BitLen() != bits {
-			t.Errorf("RandBits(%d) returned %d-bit value", bits, v.BitLen())
-		}
-	}
-	if _, err := RandBits(rand.Reader, 1); err == nil {
-		t.Error("RandBits(1) should fail")
-	}
-}
-
 func TestModInverse(t *testing.T) {
 	n := big.NewInt(101) // prime
 	for a := int64(1); a < 101; a++ {
