@@ -247,18 +247,14 @@ func TestRestartChaosMigration(t *testing.T) {
 
 			// Convergence: with the final map posted and every serving
 			// backend alive, queries must go back to exact — and stay there.
-			deadline := time.Now().Add(60 * time.Second)
-			for {
-				if err := query(); err == nil {
-					break
-				} else if !classifiedQueryErr(err) {
+			logOnFailure(t, proxy)
+			testutil.Eventually(t, 60*time.Second, "the cluster to converge to exact answers", func() bool {
+				err := query()
+				if err != nil && !classifiedQueryErr(err) {
 					t.Fatalf("unclassified failure during convergence: %v", err)
 				}
-				if time.Now().After(deadline) {
-					t.Fatalf("cluster did not converge to exact answers\nproxy:\n%s", proxy.Output())
-				}
-				time.Sleep(20 * time.Millisecond)
-			}
+				return err == nil
+			})
 			for i := 0; i < 2; i++ {
 				if err := query(); err != nil {
 					t.Fatalf("post-convergence query %d: %v", i, err)

@@ -90,6 +90,16 @@ func getJob(t *testing.T, base, id string) (jobStatus, bool) {
 	return job, true
 }
 
+// logOnFailure logs d's output if the test fails, for the waits whose
+// timeout message cannot carry it.
+func logOnFailure(t *testing.T, d *testutil.Daemon) {
+	t.Cleanup(func() {
+		if t.Failed() {
+			t.Logf("daemon output:\n%s", d.Output())
+		}
+	})
+}
+
 // TestRestartChaosSumjobd is the headline durability test: N jobs are
 // submitted to a real sumjobd process over a live backend, the process is
 // SIGKILLed at a seeded random point, and a restart on the same -store must
@@ -205,23 +215,18 @@ func TestRestartChaosSumjobd(t *testing.T) {
 			// Restart on the same store. Every submitted job must reach a
 			// terminal state: done-and-exact or failed-and-classified.
 			d2, base2 := startJobd(t, store)
+			logOnFailure(t, d2)
 			deadline := time.Now().Add(90 * time.Second)
 			for _, w := range wants {
 				var job jobStatus
-				for {
+				testutil.Eventually(t, time.Until(deadline), "job "+w.id+" to finish after restart", func() bool {
 					var ok bool
 					job, ok = getJob(t, base2, w.id)
 					if !ok {
 						t.Fatalf("job %s lost across the crash", w.id)
 					}
-					if job.State == "done" || job.State == "failed" {
-						break
-					}
-					if time.Now().After(deadline) {
-						t.Fatalf("job %s stuck in %s after restart\n%s", w.id, job.State, d2.Output())
-					}
-					time.Sleep(5 * time.Millisecond)
-				}
+					return job.State == "done" || job.State == "failed"
+				})
 				switch job.State {
 				case "done":
 					if job.Result == nil {
@@ -303,22 +308,15 @@ func TestRestartChaosStockd(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		t.Cleanup(func() { rs.Close() })
 		// A freshly (re)started daemon may not have refilled yet; priming
 		// against a still-warming daemon is expected to fail and retry.
-		deadline := time.Now().Add(30 * time.Second)
-		for {
+		testutil.Eventually(t, 30*time.Second, "priming from stockd", func() bool {
 			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-			err := rs.Prime(ctx)
-			cancel()
-			if err == nil {
-				return rs
-			}
-			if time.Now().After(deadline) {
-				rs.Close()
-				t.Fatalf("priming from stockd: %v", err)
-			}
-			time.Sleep(20 * time.Millisecond)
-		}
+			defer cancel()
+			return rs.Prime(ctx) == nil
+		})
+		return rs
 	}
 
 	runs := chaosRuns(t)
@@ -336,19 +334,15 @@ func TestRestartChaosStockd(t *testing.T) {
 			// a seeded random point — possibly mid-snapshot, which the atomic
 			// rename must make invisible.
 			bitsPath := filepath.Join(dir, label+".bits")
-			waitDeadline := time.Now().Add(15 * time.Second)
-			for {
-				if st, err := paillier.LoadBitStore(bitsPath, pk); err == nil {
-					z, o := st.Depth()
-					if z+o > 0 {
-						break
-					}
+			logOnFailure(t, d)
+			testutil.Eventually(t, 15*time.Second, "a usable snapshot", func() bool {
+				st, err := paillier.LoadBitStore(bitsPath, pk)
+				if err != nil {
+					return false
 				}
-				if time.Now().After(waitDeadline) {
-					t.Fatalf("no usable snapshot appeared\n%s", d.Output())
-				}
-				time.Sleep(5 * time.Millisecond)
-			}
+				z, o := st.Depth()
+				return z+o > 0
+			})
 			time.Sleep(time.Duration(rng.Intn(60)) * time.Millisecond)
 			d.Kill()
 
