@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test race flake bench-build bench-ab fmt vet check-386 check chaos chaos-restart fuzz-smoke cluster-demo colstore-demo cover
+.PHONY: all build test race flake bench-build bench-ab help-diff fmt vet check-386 check chaos chaos-restart fuzz-smoke cluster-demo colstore-demo cover
 
 all: build
 
@@ -61,6 +61,13 @@ bench-build:
 bench-ab:
 	@test -n "$(BASE)" || { echo "usage: make bench-ab BASE=<ref> [WORKLOADS=...]"; exit 2; }
 	bash scripts/bench_ab.sh $(BASE) $(WORKLOADS)
+
+# Flag surface: every cmd/ binary's -h output at BASE and at HEAD, diffed with
+# the binary path masked. `make help-diff BASE=<ref>`; a change that must keep
+# the command lines as they are shows "identical" for each binary.
+help-diff:
+	@test -n "$(BASE)" || { echo "usage: make help-diff BASE=<ref>"; exit 2; }
+	bash scripts/help_diff.sh $(BASE)
 
 fmt:
 	@out=$$(gofmt -l .); \
