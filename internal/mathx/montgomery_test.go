@@ -13,9 +13,9 @@ import (
 // included) and operands anywhere in [0, R) — 0, 1, m−1, residues, and
 // unreduced values in [m, R) — montMul(x, y)·R ≡ x·y (mod m) by Mul + Mod,
 // the result stays n words, and aliasing the destination changes nothing.
-// At 8 and 16 words, where montMul is one call into a register kernel, every
-// result must also equal montMulVVW's word for word, and the fold on the
-// addMulVVW path is checked the same way with the kernels forced off.
+// At 8, 16 and 32 words, where montMul is one call into a register kernel,
+// every result must also equal montMulVVW's word for word, and the fold on
+// the addMulVVW path is checked the same way with the kernels forced off.
 func FuzzMontMulEquivalence(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0, 0, 0})
 	f.Add([]byte{7, 63, 2, 4, 4, 5})  // 2^512 − 1
@@ -23,7 +23,7 @@ func FuzzMontMulEquivalence(f *testing.F) {
 	f.Add([]byte{15, 20, 4, 3, 3, 7}) // a 16-word modulus, both unreduced
 	f.Add([]byte{15, 63, 5, 4, 2, 8}) // R − 1 times m − 1
 	f.Add([]byte{15, 63, 1, 2, 3, 1})
-	f.Add([]byte{31, 7, 2, 4, 4, 9})
+	f.Add([]byte{31, 7, 2, 4, 4, 9}) // a 32-word modulus, on montMul32
 	f.Add([]byte{69, 1, 0, 3, 2, 200})
 	f.Add([]byte{1, 0, 5, 1, 4, 3})
 	f.Add([]byte{39, 30, 3, 4, 5, 77})

@@ -42,8 +42,9 @@ func TestMultiExpAccStreaming(t *testing.T) {
 // every lane count executes exactly the one-lane multiplications. The input
 // drives row count, chunk boundaries (1-row and empty chunks included), zero
 // and full 64-bit exponents, and bases at or above m. Every input runs mod a
-// 3-word m and mod a 16-word one, the 512-bit key's N², which folds on the
-// 16-word register kernel where the CPU has it.
+// 3-word m, mod a 16-word one (the shape of a 512-bit key's N²) and mod a
+// 32-word one (a 1024-bit key's N²), which fold on the 16- and 32-word
+// register kernels where the CPU has them.
 func FuzzMultiExpAccEquivalence(f *testing.F) {
 	f.Add([]byte{0})
 	f.Add([]byte{1, 0xff})
@@ -51,11 +52,12 @@ func FuzzMultiExpAccEquivalence(f *testing.F) {
 	f.Add([]byte{200, 0xde, 0xad, 0xbe, 0xef, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
 	m3, _ := new(big.Int).SetString("e95e4a5f737059dc60dfc7ad95b3d8139515620f", 16)
 	m16 := new(big.Int).Sub(new(big.Int).Lsh(One, 1024), big.NewInt(105))
+	m32 := new(big.Int).Sub(new(big.Int).Lsh(One, 2048), big.NewInt(159))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			t.Skip()
 		}
-		for _, m := range []*big.Int{m3, m16} {
+		for _, m := range []*big.Int{m3, m16, m32} {
 			multiExpAccEquivalence(t, data, m)
 		}
 	})
@@ -275,13 +277,13 @@ func TestAutoWindowMemoryCap(t *testing.T) {
 	}
 }
 
-// TestMultiExpAccKernelOnAndOff is one fold round trip mod an 8- and a
-// 16-word modulus with the register kernels on and forced off: both equal
+// TestMultiExpAccKernelOnAndOff is one fold round trip mod an 8-, a 16- and
+// a 32-word modulus with the register kernels on and forced off: both equal
 // Π big.Int.Exp, with the same multiplication count and, bucket for bucket,
 // the same words — the kernel changes the speed of the fold and nothing else.
 func TestMultiExpAccKernelOnAndOff(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
-	for _, bitLen := range []int{512, 1024} {
+	for _, bitLen := range []int{512, 1024, 2048} {
 		m := new(big.Int).Rand(rng, new(big.Int).Lsh(One, uint(bitLen)))
 		m.SetBit(m, bitLen-1, 1).SetBit(m, 0, 1)
 		bases, exps := randOperands(rng, 300, bitLen, ^uint64(0))

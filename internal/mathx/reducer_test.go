@@ -240,9 +240,10 @@ func TestReducerMulDoesNotAllocate(t *testing.T) {
 // multiplication of reduced operands by big.Int.Mul + QuoRem (the kernel this
 // package used before the Reducer), by Reducer.Mul (Barrett, the single-product
 // kernel), by Reducer.montMulVVW (Montgomery, the chain kernel composed from
-// addMulVVW) and, at 8 and 16 words on a CPU that has it, by the register
-// kernel montMul runs on there. Sequential cells swing by 2× on a shared host,
-// so the kernels run round-robin,
+// addMulVVW) and, at 8, 16 and 32 words on a CPU that has it, by the register
+// kernel montMul runs on there (montMul8, montMul16, montMul32; the 32-word
+// cell is a 1024-bit key's N²). Sequential cells swing by 2× on a shared
+// host, so the kernels run round-robin,
 // b.N rounds of 200 dependent multiplications each, and every kernel reports
 // the minimum and the first quartile of its rounds, in ns per multiplication.
 // Run with a fixed round count: -benchtime 400x.

@@ -16,15 +16,21 @@ import (
 // through the streaming bucket fold, however the vector is chunked on its way
 // in and on however many lanes (1, 2, 3, 4 or 7) the fold runs. Row counts
 // span both sides of foldMinRows so the fuzzer exercises the threshold
-// crossing. Every input runs under two keys: the 256-bit test key, whose N²
-// is 8 words, and a 512-bit one, whose 16-word N² is the fold on mathx's
-// 16-word register kernel.
+// crossing. Every input runs under three keys: the 256-bit test key, whose N²
+// is 8 words, a 512-bit one, whose 16-word N² is the fold on mathx's 16-word
+// register kernel, and a 1024-bit one, whose 32-word N² is the fold on the
+// 32-word kernel. The naive fold's ScalarMul is big.Int.Exp under every key,
+// so the oracle never runs on a register kernel.
 func FuzzFoldEquivalence(f *testing.F) {
 	f.Add([]byte{3})
 	f.Add([]byte{17, 0xff, 0x00, 0x80, 0x7f})
 	f.Add([]byte{63, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13})
 	f.Add([]byte{16, 0xde, 0xad, 0xbe, 0xef, 0xff, 0xff, 0xff, 0xff})
 	sk512, err := paillier.KeyGen(rand.Reader, 512)
+	if err != nil {
+		f.Fatal(err)
+	}
+	sk1024, err := paillier.KeyGen(rand.Reader, 1024)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -52,7 +58,8 @@ func FuzzFoldEquivalence(f *testing.F) {
 			}
 		}
 		table := database.New(values)
-		for _, sk := range []homomorphic.PrivateKey{testKey(t), paillier.SchemeKey{SK: sk512}} {
+		keys := []homomorphic.PrivateKey{testKey(t), paillier.SchemeKey{SK: sk512}, paillier.SchemeKey{SK: sk1024}}
+		for _, sk := range keys {
 			foldEquivalence(t, sk, table, sel, want)
 		}
 	})
