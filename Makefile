@@ -24,23 +24,20 @@ test:
 # registry (scrapes vs. child creation and counter bumps), Paillier (one
 # public key's N² reducer and pooled scratch under concurrent Add/AddPlain),
 # and the fold kernel (a chunk's exponent windows folded on several lanes).
+RACE_PKGS = ./internal/server/ ./internal/selectedsum/ ./internal/cluster/ ./internal/faultnet/ ./internal/wire/ ./internal/jobs/ ./internal/stock/ ./internal/durable/ ./internal/colstore/ ./internal/metrics/ ./internal/paillier/ ./internal/mathx/
 race:
-	$(GO) test -race ./internal/server/ ./internal/selectedsum/ ./internal/cluster/ ./internal/faultnet/ ./internal/wire/ ./internal/jobs/ ./internal/stock/ ./internal/durable/ ./internal/colstore/ ./internal/metrics/ ./internal/paillier/ ./internal/mathx/
+	$(GO) test -race $(RACE_PKGS)
 
-# Flake gate (ROADMAP item 0a), scoped to the protocol path — the framed wire
-# layer, the one server and client loop, the cluster fan-out and the server
-# runtime — the job gateway on top of it, the arithmetic under it (the fold
-# kernel and Paillier), the paper's figures measured on it (the bench
-# harness and the netsim clock), the fault-injection transport the chaos
-# tests drive it through, and the preprocessing stock: ten repetitions with
-# one and with two scheduler threads, then three under the race detector. A
-# test that only passes on a quiet host fails here, and is fixed on counted
-# events (testutil.Eventually), never on a longer sleep or a retry.
-FLAKE_PKGS = ./internal/wire/ ./internal/selectedsum/ ./internal/cluster/ ./internal/server/ ./internal/jobs/ ./internal/mathx/ ./internal/paillier/ ./internal/bench/ ./internal/netsim/ ./internal/faultnet/ ./internal/stock/
+# Flake gate (ROADMAP item 0): the whole suite twenty times with one and with
+# two scheduler threads, then the race target's packages five times under the
+# race detector. A test that only passes on a quiet host fails here, and is
+# fixed on counted events (testutil.Eventually), never on a longer sleep or a
+# retry.
+FLAKE_PKGS = ./...
 flake:
-	GOMAXPROCS=1 $(GO) test -count=10 $(FLAKE_PKGS)
-	GOMAXPROCS=2 $(GO) test -count=10 $(FLAKE_PKGS)
-	$(GO) test -race -count=3 $(FLAKE_PKGS)
+	GOMAXPROCS=1 $(GO) test -count=20 $(FLAKE_PKGS)
+	GOMAXPROCS=2 $(GO) test -count=20 $(FLAKE_PKGS)
+	$(GO) test -race -count=5 $(RACE_PKGS)
 
 # benchmark/ is a nested module that `go build ./...` never compiles, yet it
 # reads metric fields and accessors by name: vet it and compile its tests here
