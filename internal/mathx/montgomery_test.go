@@ -39,9 +39,9 @@ func FuzzMontMulEquivalence(f *testing.F) {
 		m := fuzzModulus(rng, data[0], data[1], data[2])
 		m.SetBit(m, 0, 1) // 2^k becomes 2^k + 1, 2 becomes 3
 		for _, on := range []bool{true, false} {
-			noKernel = !on
+			noKernel.Store(!on)
 			red, err := NewReducer(m)
-			noKernel = false
+			noKernel.Store(false)
 			if err != nil {
 				t.Fatal(err)
 			}

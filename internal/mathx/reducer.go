@@ -3,6 +3,7 @@ package mathx
 import (
 	"math/big"
 	"math/bits"
+	"sync/atomic"
 )
 
 // Reducer multiplies modulo one fixed modulus without dividing. It holds two
@@ -38,7 +39,9 @@ import (
 // words, montMul is one call into a register kernel (mont8_amd64.s,
 // mont16_amd64.s, mont32_amd64.s) with the same result bit for bit, and a
 // whole exponentiation, Exp, walks a fixed window over that kernel; otherwise
-// Exp is big.Int.Exp.
+// Exp is big.Int.Exp. On amd64 with AVX512F and IFMA, for an odd modulus of
+// at most 512 bits, ExpEach walks the same window over eight bases at once on
+// the lane kernel (lanes.go); otherwise it is Exp per element.
 //
 // A Reducer is immutable and safe for concurrent use; each concurrent caller
 // brings its own Scratch.
@@ -53,15 +56,28 @@ type Reducer struct {
 	one []big.Word // 1, as n words: a montMul by it converts out
 	k0  big.Word   // −m⁻¹ mod b
 	kw  int        // the register kernel's width, n; 0 where there is none
+
+	lane *laneConsts // the lane kernel's constants; nil where there is none
 }
 
 // maxKernelWords is the widest register kernel's width.
 const maxKernelWords = 32
 
-// noKernel keeps Reducers built while it is set off the register kernels, on
-// any CPU, so that tests run the addMulVVW montMul and big.Int.Exp on hosts
-// that have the kernels. Only tests set it.
-var noKernel bool
+// noKernel keeps Reducers built while it is set off the register and lane
+// kernels, on any CPU, so that tests run the addMulVVW montMul, big.Int.Exp
+// and ExpEach's per-element Exp on hosts that have the kernels. Only tests set
+// it: this package's directly, other packages' through ForceFallback.
+var noKernel atomic.Bool
+
+// ForceFallback keeps every Reducer built from now until restore is called off
+// the register and lane kernels, as if the CPU had neither, and returns the
+// function that puts back the previous setting. It is a hook for tests in
+// other packages, which must run their kernel callers both ways on a CPU that
+// has the kernels; Reducers built earlier keep their kernels.
+func ForceFallback() (restore func()) {
+	was := noKernel.Swap(true)
+	return func() { noKernel.Store(was) }
+}
 
 // NewReducer precomputes both kernels' constants for the positive modulus m.
 func NewReducer(m *big.Int) (*Reducer, error) {
@@ -74,6 +90,9 @@ func NewReducer(m *big.Int) (*Reducer, error) {
 	r.mu, _ = new(big.Int).QuoRem(new(big.Int).Lsh(One, uint(2*n*bits.UintSize)), m, r2)
 	if m.Bit(0) == 1 {
 		r.montConstants(r2)
+		if hasIFMA && !noKernel.Load() && m.BitLen() <= laneBits {
+			r.lane = newLaneConsts(m)
+		}
 	}
 	return r, nil
 }

@@ -23,6 +23,7 @@ import (
 	"io"
 	"math/big"
 	"slices"
+	"sync"
 
 	"privstats/internal/mathx"
 )
@@ -83,8 +84,13 @@ type PrivateKey struct {
 	nModPOrd, nModQOrd *big.Int
 
 	// p2 and q2 exponentiate mod p² and q²: every owner exponentiation,
-	// decryption's and encryption's, goes through them (mathx.Reducer.Exp).
+	// decryption's and encryption's, goes through them (mathx.Reducer.Exp
+	// and ExpEach).
 	p2, q2 *mathx.Reducer
+
+	// fresh holds FreshRandomizerCRT's refills, one *randomizerBatch per P
+	// (crt.go). It is a pointer because UnmarshalBinary copies the struct.
+	fresh *sync.Pool
 }
 
 // KeyGen generates a Paillier key pair whose modulus N has exactly
@@ -158,6 +164,7 @@ func newPrivateKey(p, q *big.Int) (*PrivateKey, error) {
 		crt2:      crt2,
 		nModPOrd:  new(big.Int).Mod(n, new(big.Int).Mul(p, pm1)),
 		nModQOrd:  new(big.Int).Mod(n, new(big.Int).Mul(q, qm1)),
+		fresh:     &sync.Pool{New: func() any { return new(randomizerBatch) }},
 	}
 
 	// h_x = L_x((n+1)^(x-1) mod x²)^-1 mod x. With g = n+1,
