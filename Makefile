@@ -1,10 +1,10 @@
 # privstats build/verify targets. `make check` is the PR gate: formatting,
-# vet, the full test suite, and race-detector runs on the concurrency-heavy
-# runtime packages.
+# vet, the full test suite, the examples, and race-detector runs on the
+# concurrency-heavy runtime packages.
 
 GO ?= go
 
-.PHONY: all build test race flake bench-build bench-ab help-diff fmt vet check-386 check chaos chaos-restart fuzz-smoke cluster-demo colstore-demo cover
+.PHONY: all build test examples race flake bench-build bench-ab help-diff fmt vet check-386 check chaos chaos-restart fuzz-smoke cluster-demo colstore-demo cover
 
 all: build
 
@@ -13,6 +13,14 @@ build:
 
 test:
 	$(GO) test ./...
+
+# Run every example end to end. Each one checks its result against a
+# plaintext oracle and exits non-zero on a mismatch.
+EXAMPLES = cluster medicalsurvey multiclient portfolio quickstart wireless
+examples:
+	@set -e; for e in $(EXAMPLES); do \
+		echo "examples/$$e"; $(GO) run ./examples/$$e > /dev/null; \
+	done
 
 # Race-detect the packages with real concurrency: the server runtime, the
 # protocol layer it drives (Run plays both ends of a session on two
@@ -83,7 +91,7 @@ check-386:
 	GOARCH=386 $(GO) vet ./...
 	GOARCH=386 $(GO) test ./internal/mathx/ ./internal/paillier/ ./internal/wire/
 
-check: fmt vet build test race bench-build check-386
+check: fmt vet build test examples race bench-build check-386
 	@echo "check: all clean"
 
 # Chaos suite: the loopback cluster under seeded faultnet plans (resets,

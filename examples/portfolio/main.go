@@ -4,15 +4,16 @@
 // a weighted sum, which in turn could be used for a weighted average").
 //
 // A data vendor holds per-asset risk scores. A fund wants its portfolio's
-// total risk exposure Σ w_i·r_i, where the weights w_i — its holdings — are
-// the fund's most sensitive secret. The vendor sees only Paillier
-// ciphertexts; the fund learns only the aggregate.
+// total risk exposure Σ w_i·r_i and its holdings-weighted mean risk
+// Σ w_i·r_i / Σ w_i, where the weights w_i — its holdings — are the fund's
+// most sensitive secret. The fund uploads E(w_i) for every asset once
+// (selectedsum.PackedSelectionSource); the vendor folds that one vector
+// against its score column and its constant-1 column and replies with both
+// sums. The vendor sees only Paillier ciphertexts; the fund learns only the
+// two aggregates.
 //
-// The second act spreads the assets over three vendors (the paper: the
-// protocol "can easily be extended to work for multiple distributed
-// databases"): encrypted partial sums chain server-to-server, so the fund
-// receives one ciphertext and no vendor learns another vendor's
-// contribution.
+// The same query over several vendors, each serving a shard of the assets
+// behind one aggregator, is examples/cluster.
 //
 // Run it:
 //
@@ -25,10 +26,12 @@ import (
 	"log"
 	"math/big"
 	mrand "math/rand"
+	"net"
 
 	"privstats/internal/database"
 	"privstats/internal/paillier"
-	"privstats/internal/spfe"
+	"privstats/internal/selectedsum"
+	"privstats/internal/wire"
 )
 
 func main() {
@@ -42,20 +45,18 @@ func main() {
 	}
 	vendor := database.New(scores)
 
-	// The fund's secret holdings: a sparse weight vector (shares held).
+	// The fund's secret holdings: a sparse weight vector (shares held). The
+	// held positions are the selection; each carries its share count.
+	held, err := database.NewSelection(assets)
+	if err != nil {
+		log.Fatal(err)
+	}
 	weights := make([]*big.Int, assets)
-	held := 0
 	for i := range weights {
 		if rng.Intn(40) == 0 { // ~2.5% of assets held
 			weights[i] = big.NewInt(int64(1 + rng.Intn(10_000)))
-			held++
-		} else {
-			weights[i] = big.NewInt(0)
+			held.Set(i)
 		}
-	}
-	w, err := spfe.NewWeights(weights)
-	if err != nil {
-		log.Fatal(err)
 	}
 
 	key, err := paillier.KeyGen(rand.Reader, 512)
@@ -64,62 +65,41 @@ func main() {
 	}
 	sk := paillier.SchemeKey{SK: key}
 
-	// Act 1: one vendor, private weighted exposure.
-	exposure, err := spfe.WeightedSum(sk, vendor.Column(), w, 500)
+	// One session over an in-process pipe: the vendor serves its table, the
+	// fund uploads its weighted vector and asks for two folds.
+	a, b := net.Pipe()
+	fund, server := wire.NewConn(a), wire.NewConn(b)
+	served := make(chan error, 1)
+	go func() {
+		served <- selectedsum.ServeSource(server, vendor, nil)
+		server.Close()
+	}()
+	vec := selectedsum.PackedSelectionSource(sk, held, func(i int) *big.Int { return weights[i] }, nil)
+	sums, err := selectedsum.QueryVector(fund, sk, vec, 500, wire.ColValue|wire.ColOnes)
+	fund.Close()
 	if err != nil {
 		log.Fatal(err)
 	}
-	avg, err := spfe.WeightedAverage(sk, vendor.Column(), w, 500)
-	if err != nil {
+	if err := <-served; err != nil {
 		log.Fatal(err)
 	}
+	exposure, totalWeight := sums[0], sums[1]
+	avg := new(big.Rat).SetFrac(exposure, totalWeight)
 	avgF, _ := avg.Float64()
-	fmt.Printf("assets: %d, privately held positions: %d\n", assets, held)
+	fmt.Printf("assets: %d, privately held positions: %d\n", assets, held.Count())
 	fmt.Printf("total risk exposure Σ w·r: %v\n", exposure)
 	fmt.Printf("holdings-weighted mean risk: %.2f bp\n", avgF)
 
 	// Oracle check (possible only because this example owns both sides).
-	want := new(big.Int)
-	for i, wi := range weights {
-		want.Add(want, new(big.Int).Mul(wi, big.NewInt(int64(scores[i]))))
+	wantExposure, wantWeight := new(big.Int), new(big.Int)
+	for _, i := range held.Indices() {
+		wantExposure.Add(wantExposure, new(big.Int).Mul(weights[i], big.NewInt(int64(scores[i]))))
+		wantWeight.Add(wantWeight, weights[i])
 	}
-	if exposure.Cmp(want) != 0 {
-		log.Fatalf("exposure %v != oracle %v", exposure, want)
+	wantAvg := new(big.Rat).SetFrac(wantExposure, wantWeight)
+	if exposure.Cmp(wantExposure) != 0 || avg.Cmp(wantAvg) != 0 {
+		log.Fatalf("oracle mismatch: exposure %v mean %s, want %v mean %s",
+			exposure, avg.RatString(), wantExposure, wantAvg.RatString())
 	}
-	fmt.Println("oracle check ✓")
-
-	// Act 2: the same assets split across three vendors; a plain 0/1 cohort
-	// (the fund's watchlist) summed across all of them with chained
-	// encrypted partials.
-	t1, err := vendor.Shard(0, assets/3)
-	if err != nil {
-		log.Fatal(err)
-	}
-	t2, err := vendor.Shard(assets/3, 2*assets/3)
-	if err != nil {
-		log.Fatal(err)
-	}
-	t3, err := vendor.Shard(2*assets/3, assets)
-	if err != nil {
-		log.Fatal(err)
-	}
-	watchlist, err := database.GenerateSelection(assets, 300, database.PatternRandom, 17)
-	if err != nil {
-		log.Fatal(err)
-	}
-	res, err := spfe.MultiDatabaseSum(sk, []*database.Table{t1, t2, t3}, watchlist, 500)
-	if err != nil {
-		log.Fatal(err)
-	}
-	wantWL, err := vendor.SelectedSum(watchlist)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("\nwatchlist risk across %d vendors (%v rows each): %v\n",
-		len(res.PerServerRows), res.PerServerRows, res.Sum)
-	fmt.Printf("uplink %d bytes, inter-vendor chain %d bytes\n", res.BytesUp, res.ChainBytes)
-	if res.Sum.Cmp(wantWL) != 0 {
-		log.Fatalf("multi-vendor sum %v != oracle %v", res.Sum, wantWL)
-	}
-	fmt.Println("oracle check ✓")
+	fmt.Println("oracle check: weighted sum and weighted mean exact ✓")
 }

@@ -95,21 +95,6 @@ type Source interface {
 
 var _ Source = (*Table)(nil)
 
-// ProductColumn returns the element-wise product of two equal-length value
-// columns: row i is a[i]·b[i], exact in uint64 since both factors are
-// 32-bit. The private-covariance statistic folds the client's encrypted
-// index vector against it to learn Σ x_i·y_i.
-func ProductColumn(a, b *Table) (Column, error) {
-	if a.Len() != b.Len() {
-		return nil, fmt.Errorf("database: product of %d-row and %d-row tables", a.Len(), b.Len())
-	}
-	prod := make([]uint64, a.Len())
-	for i := range prod {
-		prod[i] = uint64(a.values[i]) * uint64(b.values[i])
-	}
-	return squareColumn{sq: prod}, nil
-}
-
 // SquareColumn returns the column of squared values.
 func (t *Table) SquareColumn() Column { return squareColumn{sq: t.Squares()} }
 

@@ -5,12 +5,16 @@ import (
 	"errors"
 	"fmt"
 	"math/big"
+	"net"
 	"strconv"
 	"time"
 
 	"privstats/internal/cluster"
+	"privstats/internal/database"
 	"privstats/internal/homomorphic"
+	"privstats/internal/selectedsum"
 	"privstats/internal/trace"
+	"privstats/internal/wire"
 )
 
 // Executor runs plans against a cluster (or single-server) endpoint through
@@ -51,9 +55,8 @@ func (e *Executor) validate() error {
 	return nil
 }
 
-// Run executes the plan's steps in order, tagging every query with id, and
-// finishes the result locally. A failed step fails the whole job — never a
-// partial result, mirroring the aggregator's all-or-nothing contract.
+// Run executes the plan's steps against the cluster through RunPlan, tagging
+// every query with id and recording one span per step.
 func (e *Executor) Run(ctx context.Context, plan *Plan, id trace.ID) (res *Result, err error) {
 	if err := e.validate(); err != nil {
 		return nil, err
@@ -71,16 +74,9 @@ func (e *Executor) Run(ctx context.Context, plan *Plan, id trace.ID) (res *Resul
 		e.Traces.Add(tr)
 	}()
 
-	// The gateway checked this at submit; a plan handed to Run by anyone
-	// else is checked here, before a query can wrap mod N.
-	if err := checkPlaintextBounds(plan, e.Key.PublicKey()); err != nil {
-		return nil, err
-	}
-
-	sums := make([][]*big.Int, len(plan.Steps))
-	for i, st := range plan.Steps {
+	return RunPlan(ctx, plan, e.Key.PublicKey(), func(ctx context.Context, st Step) ([]*big.Int, error) {
 		start := time.Now()
-		got, qerr := e.Client.QueryColumns(ctx, e.Backends, e.Key, cluster.QuerySpec{
+		got, err := e.Client.QueryColumns(ctx, e.Backends, e.Key, cluster.QuerySpec{
 			Sel:       st.Sel,
 			ChunkSize: e.ChunkSize,
 			Pool:      e.Pool,
@@ -92,12 +88,39 @@ func (e *Executor) Run(ctx context.Context, plan *Plan, id trace.ID) (res *Resul
 			"columns":  st.Columns.String(),
 			"selected": strconv.Itoa(st.Sel.Count()),
 		}
-		if qerr != nil {
-			attrs["error"] = qerr.Error()
+		if err != nil {
+			attrs["error"] = err.Error()
 		}
 		tr.Observe(st.Label, start, time.Since(start), attrs)
-		if qerr != nil {
-			return nil, fmt.Errorf("jobs: step %s: %w", st.Label, qerr)
+		return got, err
+	})
+}
+
+// StepRunner answers one step of a plan: it uploads the step's selection
+// (weighted by st.Weight when set), has it folded against st.Columns, and
+// returns the decrypted sums, one per column in ascending bit order.
+type StepRunner func(ctx context.Context, st Step) ([]*big.Int, error)
+
+// RunPlan executes plan's steps in order through query and finishes the
+// result locally. pk is the key the steps' uploads are encrypted under: a
+// plan whose replies could exceed its plaintext space is refused before any
+// query, since the reply would wrap mod N into a silently wrong statistic. A
+// failed step fails the whole job — never a partial result, mirroring the
+// aggregator's all-or-nothing contract.
+func RunPlan(ctx context.Context, plan *Plan, pk homomorphic.PublicKey, query StepRunner) (*Result, error) {
+	if plan == nil {
+		return nil, errors.New("jobs: nil plan")
+	}
+	// The gateway checked this at submit; a plan handed over by anyone else
+	// is checked here.
+	if err := checkPlaintextBounds(plan, pk); err != nil {
+		return nil, err
+	}
+	sums := make([][]*big.Int, len(plan.Steps))
+	for i, st := range plan.Steps {
+		got, err := query(ctx, st)
+		if err != nil {
+			return nil, fmt.Errorf("jobs: step %s: %w", st.Label, err)
 		}
 		sums[i] = got
 		if plan.Checkpoint != nil {
@@ -105,4 +128,37 @@ func (e *Executor) Run(ctx context.Context, plan *Plan, id trace.ID) (res *Resul
 		}
 	}
 	return plan.finish(sums)
+}
+
+// InProcess is a StepRunner that answers every step in this process on the
+// deployable engine: selectedsum.QueryVector under sk against
+// selectedsum.ServeSource over src, joined by net.Pipe — the shape
+// selectedsum.Run times. Each step is one session and one chunk, encrypted
+// by the best online route sk offers; ctx is checked before each session.
+func InProcess(sk homomorphic.PrivateKey, src database.Source) StepRunner {
+	return func(ctx context.Context, st Step) ([]*big.Int, error) {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		vec := selectedsum.SelectionSource(sk, st.Sel, nil)
+		if st.Weight != nil {
+			vec = selectedsum.PackedSelectionSource(sk, st.Sel, st.Weight, nil)
+		}
+		a, b := net.Pipe()
+		client, server := wire.NewConn(a), wire.NewConn(b)
+		served := make(chan error, 1)
+		go func() {
+			served <- selectedsum.ServeSource(server, src, nil)
+			server.Close()
+		}()
+		sums, err := selectedsum.QueryVector(client, sk, vec, 0, st.Columns)
+		client.Close()
+		if srvErr := <-served; err == nil && srvErr != nil {
+			err = srvErr
+		}
+		if err != nil {
+			return nil, err
+		}
+		return sums, nil
+	}
 }

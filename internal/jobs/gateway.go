@@ -297,7 +297,16 @@ func (g *Gateway) plan(spec *JobSpec) (*Plan, error) {
 // run is one job's worker: fair-share admission, execution, bookkeeping.
 func (g *Gateway) run(job *Job, plan *Plan, id trace.ID, weight int, tm *metrics.TenantJobs, admitted time.Time) {
 	finish := func(res *Result, err error) {
+		// The counters move before the final state is published, so a
+		// caller that has seen the job finish also sees it counted.
 		now := g.now()
+		tm.Queued.Dec()
+		tm.JobNanos.ObserveDuration(now.Sub(admitted))
+		if err != nil {
+			tm.Failed.Inc()
+		} else {
+			tm.Completed.Inc()
+		}
 		g.mu.Lock()
 		job.Finished = now
 		if err != nil {
@@ -312,13 +321,8 @@ func (g *Gateway) run(job *Job, plan *Plan, id trace.ID, weight int, tm *metrics
 		rec := finishedRec{ID: job.ID, Finished: now, Result: job.Result, Error: job.Error}
 		g.mu.Unlock()
 		g.journalAppend(recFinished, rec)
-		tm.Queued.Dec()
-		tm.JobNanos.ObserveDuration(now.Sub(admitted))
 		if err != nil {
-			tm.Failed.Inc()
 			g.logf("jobs: %s (%s/%s) failed: %v", job.ID, job.Tenant, job.Op, err)
-		} else {
-			tm.Completed.Inc()
 		}
 	}
 

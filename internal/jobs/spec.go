@@ -1,8 +1,9 @@
 // Package jobs is the declarative stats-job gateway: a JSON JobSpec names a
 // statistic (the paper's "means, variances, and weighted averages" made
-// concrete), Validate checks it against the served table's schema, Plan maps
-// it onto one or more multi-column selected-sum queries, and Execute runs
-// the plan against the cluster client under one trace ID. A tenant layer —
+// concrete), Validate checks it against the served table's schema, BuildPlan
+// maps it onto one or more multi-column selected-sum queries, and RunPlan
+// runs the plan's steps through a StepRunner: Executor.Run's cluster client
+// under one trace ID, or InProcess's session over a pipe. A tenant layer —
 // token-bucket submission quotas plus weighted fair-share admission to the
 // execution slots — keeps one saturating analyst from starving the rest.
 //

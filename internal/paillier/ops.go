@@ -102,8 +102,7 @@ func (pk *PublicKey) rerandomizeWithNonce(ct *Ciphertext, r *big.Int) *Ciphertex
 
 // WeightedSum folds a ciphertext vector against a plaintext weight vector:
 // Π cts[i]^weights[i] = E(Σ weights[i]·m_i). It is the single-shot form of
-// the server's selected-sum loop, used by the SPFE layer for weighted
-// statistics. Vectors must have equal length.
+// the server's selected-sum loop. Vectors must have equal length.
 func (pk *PublicKey) WeightedSum(cts []*Ciphertext, weights []*big.Int) (*Ciphertext, error) {
 	if len(cts) != len(weights) {
 		return nil, fmt.Errorf("paillier: %d ciphertexts vs %d weights", len(cts), len(weights))

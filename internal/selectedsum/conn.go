@@ -315,9 +315,9 @@ func ServeSink(conn *wire.Conn, sink Sink, timings *PhaseTimings) error {
 }
 
 // VectorSource yields the client's encrypted protocol vector entry by
-// entry. The 0/1 selection of the base protocol and the integer weight
-// vectors of the SPFE extensions both implement it, so the same transport
-// client serves both.
+// entry. The base protocol's 0/1 selection (SelectionSource) and its
+// weighted form (PackedSelectionSource) both implement it, so the same
+// transport client serves both.
 type VectorSource interface {
 	// Len is the vector length n (must match the server's table).
 	Len() int
