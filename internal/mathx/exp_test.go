@@ -197,8 +197,10 @@ func TestMontGenerated(t *testing.T) {
 // and the seal's and public encryption's r^N mod N² of a 512-bit key (a
 // 16-word modulus, a 512-bit exponent) and of a 1024-bit key (a 32-word
 // modulus, a 1024-bit exponent). p2x8 is eight z^p mod p² of a 512-bit key,
-// the batch FreshRandomizerCRT refills: one ExpEach (the lane kernel, where
-// the CPU has it) against eight Exps; ns/op is per eight.
+// the batch FreshRandomizerCRT refills, and rNx8 eight r^N mod N² of a
+// 512-bit key, the batch of the seal and public encryption: one ExpEach (the
+// ten- or twenty-limb lane kernel, where the CPU has it) against eight Exps;
+// ns/op is per eight.
 func BenchmarkReducerExp(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	for _, shape := range []struct {
@@ -220,24 +222,29 @@ func BenchmarkReducerExp(b *testing.B) {
 			}
 		})
 	}
-	m, e := benchShape(rng, 512, 256)
-	r, _ := NewReducer(m)
-	xs, zs := make([]*big.Int, laneCount), make([]*big.Int, laneCount)
-	for i := range xs {
-		xs[i], zs[i] = new(big.Int).Rand(rng, m), new(big.Int)
-	}
-	b.Run("p2x8/ExpEach", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			r.ExpEach(zs, xs, e)
+	for _, shape := range []struct {
+		name           string
+		modBits, eBits int
+	}{{"p2x8", 512, 256}, {"rNx8", 1024, 512}} {
+		m, e := benchShape(rng, shape.modBits, shape.eBits)
+		r, _ := NewReducer(m)
+		xs, zs := make([]*big.Int, laneCount), make([]*big.Int, laneCount)
+		for i := range xs {
+			xs[i], zs[i] = new(big.Int).Rand(rng, m), new(big.Int)
 		}
-	})
-	b.Run("p2x8/Exp", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for j, x := range xs {
-				r.Exp(zs[j], x, e)
+		b.Run(shape.name+"/ExpEach", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				r.ExpEach(zs, xs, e)
 			}
-		}
-	})
+		})
+		b.Run(shape.name+"/Exp", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				for j, x := range xs {
+					r.Exp(zs[j], x, e)
+				}
+			}
+		})
+	}
 }
 
 // benchShape returns a random odd modulus of exactly modBits bits and an

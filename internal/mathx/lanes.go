@@ -8,36 +8,45 @@ import (
 // The lane kernel runs eight exponentiations that share a modulus and an
 // exponent side by side, one per 64-bit lane of a ZMM register: the shape of
 // a Paillier key owner's randomizers, many independent z^p mod p² at once
-// (Drucker and Gueron's multi-buffer AVX512-IFMA exponentiation). laneMul
-// (lanes_amd64.s, generated by gen_lanes.go) is an almost-Montgomery multiply
-// in radix 2^52, ten limbs per lane, R = 2^520; it needs inputs below 2m and
-// returns a result below 2m, so a modulus of at most 512 bits keeps 4m < R.
+// (Drucker and Gueron's multi-buffer AVX512-IFMA exponentiation). laneMul10
+// and laneMul20 (lanes10_amd64.s and lanes20_amd64.s, generated by
+// gen_lanes.go) are almost-Montgomery multiplies in radix 2^52, ten or twenty
+// limbs per lane, R = 2^520 or 2^1040; they need inputs below 2m and return a
+// result below 2m, so a modulus of at most 512 or 1024 bits keeps 4m < R. Ten
+// limbs take a 512-bit key's p² and q²; twenty take its N² and a 1024-bit
+// key's p² and q².
 const (
-	laneCount = 8   // lanes in a ZMM register
-	laneLimbs = 10  // radix-2^52 limbs per lane
-	laneBits  = 512 // the widest modulus the lanes take
-	limbBits  = 52
-	limbMask  = 1<<limbBits - 1
+	laneCount    = 8    // lanes in a ZMM register
+	laneMaxLimbs = 20   // radix-2^52 limbs per lane, at most
+	laneBits     = 1024 // the widest modulus the lanes take
+	limbBits     = 52
+	limbMask     = 1<<limbBits - 1
 )
 
 // laneNum is eight residues in radix 2^52, limb-major: [j][l] is limb j of
-// lane l, so row j is one ZMM register.
-type laneNum [laneLimbs][laneCount]uint64
+// lane l, so row j is one ZMM register. A ten-limb kernel reads and writes
+// only rows 0–9, whose values are then below 2^520.
+type laneNum [laneMaxLimbs][laneCount]uint64
 
 // laneConsts are a Reducer's lane-kernel constants, every laneNum the same
 // value in all eight lanes.
 type laneConsts struct {
-	m   [laneLimbs]uint64
-	k0  uint64  // −m⁻¹ mod 2^52
-	rr  laneNum // R² mod m: a laneMul by it converts into Montgomery form
-	r1  laneNum // R mod m, the Montgomery form of 1
-	one laneNum // 1: a laneMul by it converts out
+	limbs int // 10 or 20: the kernel's width
+	m     [laneMaxLimbs]uint64
+	k0    uint64  // −m⁻¹ mod 2^52
+	rr    laneNum // R² mod m: a mul by it converts into Montgomery form
+	r1    laneNum // R mod m, the Montgomery form of 1
+	one   laneNum // 1: a mul by it converts out
 }
 
 // newLaneConsts returns the lane constants for an odd m of at most laneBits
-// bits.
+// bits, on the narrowest kernel that takes it: ten limbs up to 512 bits,
+// twenty above.
 func newLaneConsts(m *big.Int) *laneConsts {
-	c := new(laneConsts)
+	c := &laneConsts{limbs: 10}
+	if m.BitLen() > 512 {
+		c.limbs = 20
+	}
 	mw := m.Bits()
 	for j := range c.m {
 		c.m[j] = limbAt(mw, limbBits*j)
@@ -45,9 +54,9 @@ func newLaneConsts(m *big.Int) *laneConsts {
 	b := new(big.Int).Lsh(One, limbBits)
 	inv := new(big.Int).ModInverse(new(big.Int).Mod(m, b), b)
 	c.k0 = new(big.Int).Sub(b, inv).Uint64() & limbMask
-	rr := new(big.Int).Lsh(One, 2*limbBits*laneLimbs)
+	rr := new(big.Int).Lsh(One, uint(2*limbBits*c.limbs))
 	rr.Mod(rr, m)
-	r1 := new(big.Int).Lsh(One, limbBits*laneLimbs)
+	r1 := new(big.Int).Lsh(One, uint(limbBits*c.limbs))
 	r1.Mod(r1, m)
 	for l := 0; l < laneCount; l++ {
 		c.rr.set(l, rr.Bits())
@@ -55,6 +64,17 @@ func newLaneConsts(m *big.Int) *laneConsts {
 		c.one.set(l, One.Bits())
 	}
 	return c
+}
+
+// mul sets z = x·y·R⁻¹ lane by lane on the Reducer's kernel, as laneMul10
+// and laneMul20 do. The calls are direct so that the operands, which live on
+// ExpEach's stack, do not escape.
+func (c *laneConsts) mul(z, x, y *laneNum) {
+	if c.limbs == 10 {
+		laneMul10(z, x, y, &c.m, c.k0)
+	} else {
+		laneMul20(z, x, y, &c.m, c.k0)
+	}
 }
 
 // limbAt returns the 52 bits of xw starting at bit off.
@@ -71,7 +91,7 @@ func limbAt(xw []big.Word, off int) uint64 {
 	return v & limbMask
 }
 
-// set puts x < 2^520, given as its words, into lane l.
+// set puts x < 2^1040, given as its words, into lane l.
 func (a *laneNum) set(l int, xw []big.Word) {
 	for j := range a {
 		a[j][l] = limbAt(xw, limbBits*j)
@@ -84,7 +104,7 @@ func (a *laneNum) get(l int, zw []big.Word) {
 		var w big.Word
 		for got := 0; got < bits.UintSize; {
 			j, s := (k*bits.UintSize+got)/limbBits, (k*bits.UintSize+got)%limbBits
-			if j >= laneLimbs {
+			if j >= laneMaxLimbs {
 				break
 			}
 			w |= big.Word(a[j][l]>>s) << got
@@ -94,8 +114,8 @@ func (a *laneNum) get(l int, zw []big.Word) {
 	}
 }
 
-// Lanes returns how many exponentiations ExpEach runs at once: 8 where the
-// lane kernel applies (an odd modulus of at most 512 bits, on amd64 with
+// Lanes returns how many exponentiations ExpEach runs at once: 8 where a
+// lane kernel applies (an odd modulus of at most 1024 bits, on amd64 with
 // AVX512F and IFMA and the OS saving ZMM state), else 1.
 func (r *Reducer) Lanes() int {
 	if r.lane != nil {
@@ -105,9 +125,10 @@ func (r *Reducer) Lanes() int {
 }
 
 // ExpEach sets z[i] = x[i]^e mod m for every i: exactly what
-// z[i].Exp(x[i], e, m) returns. Where the Reducer has the lane kernel and
+// z[i].Exp(x[i], e, m) returns. Where the Reducer has a lane kernel and
 // e ≥ 0 it walks Exp's fixed 4-bit window over eight bases at a time, one per
-// lane; otherwise it is Exp per element. z and x have the same length, every
+// lane, except for a last group too short to pay for the lanes (lanesPay);
+// otherwise it is Exp per element. z and x have the same length, every
 // z[i] is non-nil, and z[i] may be x[i] but no other x[j]. Bases in [0, m)
 // cost no allocation beyond growing a z[i] to m's words.
 func (r *Reducer) ExpEach(z, x []*big.Int, e *big.Int) {
@@ -122,7 +143,29 @@ func (r *Reducer) ExpEach(z, x []*big.Int, e *big.Int) {
 	}
 	for i := 0; i < len(x); i += laneCount {
 		j := min(i+laneCount, len(x))
+		if j-i < r.lanesPay() {
+			for k := i; k < j; k++ {
+				r.Exp(z[k], x[k], e)
+			}
+			continue
+		}
 		r.expLanes(z[i:j], x[i:j], e)
+	}
+}
+
+// lanesPay is the fewest bases a lane call must carry to cost less than Exp
+// on each. The lanes always run all eight: on an Intel Xeon with
+// AVX512-IFMA, eight cost about 1.6 register-kernel Exps at ten limbs
+// (BenchmarkReducerExp/p2x8) and 2.4 at twenty (rNx8). Without a register
+// kernel Exp is big.Int.Exp, which the lanes beat from one base.
+func (r *Reducer) lanesPay() int {
+	switch {
+	case r.kw == 0:
+		return 1
+	case r.lane.limbs == 10:
+		return 2
+	default:
+		return 3
 	}
 }
 
@@ -141,10 +184,10 @@ func (r *Reducer) expLanes(z, x []*big.Int, e *big.Int) {
 		pow[1].set(l, xl.Bits())
 	}
 	pow[0] = c.r1
-	laneMul(&pow[1], &pow[1], &c.rr, &c.m, c.k0)
+	c.mul(&pow[1], &pow[1], &c.rr)
 	for d := 2; d < len(pow); d += 2 {
-		laneMul(&pow[d], &pow[d/2], &pow[d/2], &c.m, c.k0)
-		laneMul(&pow[d+1], &pow[d], &pow[1], &c.m, c.k0)
+		c.mul(&pow[d], &pow[d/2], &pow[d/2])
+		c.mul(&pow[d+1], &pow[d], &pow[1])
 	}
 
 	acc := pow[0]
@@ -153,18 +196,18 @@ func (r *Reducer) expLanes(z, x []*big.Int, e *big.Int) {
 		w := ew[i]
 		for j := 0; j < bits.UintSize; j += 4 {
 			if i != len(ew)-1 || j != 0 {
-				laneMul(&acc, &acc, &acc, &c.m, c.k0)
-				laneMul(&acc, &acc, &acc, &c.m, c.k0)
-				laneMul(&acc, &acc, &acc, &c.m, c.k0)
-				laneMul(&acc, &acc, &acc, &c.m, c.k0)
+				c.mul(&acc, &acc, &acc)
+				c.mul(&acc, &acc, &acc)
+				c.mul(&acc, &acc, &acc)
+				c.mul(&acc, &acc, &acc)
 			}
-			laneMul(&acc, &acc, &pow[w>>(bits.UintSize-4)], &c.m, c.k0)
+			c.mul(&acc, &acc, &pow[w>>(bits.UintSize-4)])
 			w <<= 4
 		}
 	}
 	// Out of Montgomery form: (acc + Q·m)/R ≤ m, and m itself only for a
 	// base ≡ 0, where the answer is 0.
-	laneMul(&acc, &acc, &c.one, &c.m, c.k0)
+	c.mul(&acc, &acc, &c.one)
 	for l, zl := range z {
 		zw := zl.Bits()
 		if cap(zw) < r.n {

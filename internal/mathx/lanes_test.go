@@ -2,6 +2,7 @@ package mathx
 
 import (
 	"bytes"
+	crand "crypto/rand"
 	"math/big"
 	"math/rand"
 	"os"
@@ -9,23 +10,29 @@ import (
 	"testing"
 )
 
-// laneModuli are ExpEach's shapes: odd moduli of at most 512 bits, which the
-// lane kernel takes where the CPU has it (all-ones limbs, a low modulus whose
-// top limbs are zero, and a random odd 300-bit value), and the moduli it never
-// takes: an even one and an odd one over 512 bits, a 16-word one (Exp's
-// register kernel, per element) among them.
+// laneModuli are ExpEach's shapes: odd moduli of at most 1024 bits, which a
+// lane kernel takes where the CPU has it (ten limbs up to 512 bits: all-ones
+// limbs, a low modulus whose top limbs are zero, and a random odd 300-bit
+// value; twenty above: 2^513−1 just past the ten-limb kernel, all-ones and
+// near-top 1024-bit values, and a random odd 800-bit value), and the moduli
+// they never take: an even one and an odd one over 1024 bits.
 func laneModuli() map[string]*big.Int {
 	top := new(big.Int).Lsh(One, 512)
-	rnd := new(big.Int).Rand(rand.New(rand.NewSource(34)), new(big.Int).Lsh(One, 300))
+	rng := rand.New(rand.NewSource(34))
+	rnd := new(big.Int).Rand(rng, new(big.Int).Lsh(One, 300))
+	rnd800 := new(big.Int).Rand(rng, new(big.Int).Lsh(One, 800))
 	return map[string]*big.Int{
 		"2^512-1":    new(big.Int).Sub(top, One),
 		"2^512-569":  new(big.Int).Sub(top, big.NewInt(569)),
 		"2^448+1":    new(big.Int).Add(new(big.Int).Lsh(One, 448), One),
 		"odd300":     rnd.SetBit(rnd, 299, 1).SetBit(rnd, 0, 1),
 		"3":          big.NewInt(3),
-		"even":       new(big.Int).Sub(top, big.NewInt(2)),
 		"2^513-1":    new(big.Int).Sub(new(big.Int).Lsh(top, 1), One),
+		"odd800":     rnd800.SetBit(rnd800, 799, 1).SetBit(rnd800, 0, 1),
 		"2^1024-105": new(big.Int).Sub(new(big.Int).Lsh(One, 1024), big.NewInt(105)),
+		"2^1024-1":   new(big.Int).Sub(new(big.Int).Lsh(One, 1024), One),
+		"even":       new(big.Int).Sub(top, big.NewInt(2)),
+		"2^1025-1":   new(big.Int).Sub(new(big.Int).Lsh(One, 1025), One),
 	}
 }
 
@@ -45,9 +52,65 @@ func laneBases(m, x *big.Int, count int) []*big.Int {
 }
 
 // wantLanes reports whether a Reducer for m built with the kernels on should
-// have the lane kernel.
+// have a lane kernel.
 func wantLanes(m *big.Int, on bool) bool {
 	return on && hasIFMA && m.Bit(0) == 1 && m.BitLen() <= laneBits
+}
+
+// TestNewReducerLaneWidth: NewReducer puts an odd modulus of at most 512 bits
+// on the ten-limb lanes, one of at most 1024 bits (a 512-bit key's N² among
+// them) on the twenty-limb lanes, and every other modulus, or any modulus
+// under ForceFallback, on one lane.
+func TestNewReducerLaneWidth(t *testing.T) {
+	p, q, err := GeneratePrimePair(crand.Reader, 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := new(big.Int).Mul(p, q)
+	mods := laneModuli()
+	cases := []struct {
+		name     string
+		m        *big.Int
+		fallback bool
+		limbs    int // 0: one lane
+	}{
+		{"2^512-569", mods["2^512-569"], false, 10},
+		{"2^1024-105", mods["2^1024-105"], false, 20},
+		{"2^1024-1", mods["2^1024-1"], false, 20},
+		{"2^513-1", mods["2^513-1"], false, 20},
+		{"N² of a 512-bit key", new(big.Int).Mul(n, n), false, 20},
+		{"2^1025-1", mods["2^1025-1"], false, 0},
+		{"even", mods["even"], false, 0},
+		{"2^512-569 under ForceFallback", mods["2^512-569"], true, 0},
+	}
+	if !hasIFMA {
+		t.Log("no lane kernel on this CPU: every modulus is on one lane")
+	}
+	for _, c := range cases {
+		restore := func() {}
+		if c.fallback {
+			restore = ForceFallback()
+		}
+		r, err := NewReducer(c.m)
+		restore()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := c.limbs
+		if !hasIFMA {
+			want = 0
+		}
+		got := 0
+		if r.lane != nil {
+			got = r.lane.limbs
+		}
+		if got != want {
+			t.Errorf("%s (%d bits): %d limbs per lane, want %d", c.name, c.m.BitLen(), got, want)
+		}
+		if wantN := map[bool]int{true: laneCount, false: 1}[want != 0]; r.Lanes() != wantN {
+			t.Errorf("%s: Lanes() = %d, want %d", c.name, r.Lanes(), wantN)
+		}
+	}
 }
 
 // expEachCheck runs ExpEach over xs mod m, into fresh destinations and in
@@ -96,7 +159,7 @@ func FuzzReducerExpEach(f *testing.F) {
 			t.Skip()
 		}
 		// The lanes' shape is rare among arbitrary bytes: also try the odd
-		// modulus of at most 512 bits that shares m's low bits.
+		// modulus of at most 1024 bits that shares m's low bits.
 		mk := new(big.Int).Mod(m, new(big.Int).Lsh(One, laneBits))
 		mods := []*big.Int{m, mk.SetBit(mk, 0, 1)}
 		e := new(big.Int).SetBytes(eRaw)
@@ -158,13 +221,13 @@ func TestLaneMulContract(t *testing.T) {
 	if !hasIFMA {
 		t.Skip("no lane kernel on this CPU")
 	}
-	bigR := new(big.Int).Lsh(One, limbBits*laneLimbs)
 	rng := rand.New(rand.NewSource(52))
 	for name, m := range laneModuli() {
 		if !wantLanes(m, true) {
 			continue
 		}
 		c := newLaneConsts(m)
+		bigR := new(big.Int).Lsh(One, uint(limbBits*c.limbs))
 		inv := new(big.Int).ModInverse(new(big.Int).Mod(bigR, m), m)
 		twoM := new(big.Int).Lsh(m, 1)
 		for round := 0; round < 20; round++ {
@@ -180,7 +243,7 @@ func TestLaneMulContract(t *testing.T) {
 				x.set(l, xs[l].Bits())
 				y.set(l, ys[l].Bits())
 			}
-			laneMul(&z, &x, &y, &c.m, c.k0)
+			c.mul(&z, &x, &y)
 			for l := range xs {
 				for j := range z {
 					if z[j][l] > limbMask {
@@ -201,13 +264,13 @@ func TestLaneMulContract(t *testing.T) {
 // laneValue reads lane l of a as an integer, limb by limb.
 func laneValue(a *laneNum, l int) *big.Int {
 	v := new(big.Int)
-	for j := laneLimbs - 1; j >= 0; j-- {
+	for j := laneMaxLimbs - 1; j >= 0; j-- {
 		v.Lsh(v, limbBits).Add(v, new(big.Int).SetUint64(a[j][l]))
 	}
 	return v
 }
 
-// TestLaneLimbsRoundTrip: set and get move a value below 2^512 into a lane
+// TestLaneLimbsRoundTrip: set and get move a value below 2^1024 into a lane
 // and back unchanged, on every word size, and leave the other lanes alone.
 func TestLaneLimbsRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
@@ -231,38 +294,43 @@ func TestLaneLimbsRoundTrip(t *testing.T) {
 	}
 }
 
-// TestExpEachDoesNotAllocate: on the lane kernel, bases in [0, m) and
+// TestExpEachDoesNotAllocate: on either lane kernel, bases in [0, m) and
 // destinations that already have m's words cost ExpEach no allocation.
 func TestExpEachDoesNotAllocate(t *testing.T) {
 	if !hasIFMA {
 		t.Skip("no lane kernel on this CPU")
 	}
-	m := laneModuli()["2^512-569"]
-	r, _ := NewReducer(m)
-	rng := rand.New(rand.NewSource(8))
-	xs, z := make([]*big.Int, 11), make([]*big.Int, 11)
-	for i := range xs {
-		xs[i] = new(big.Int).Rand(rng, m)
-		z[i] = new(big.Int).Set(m)
-	}
-	e := new(big.Int).Rsh(m, 256)
-	if n := testing.AllocsPerRun(10, func() { r.ExpEach(z, xs, e) }); n != 0 {
-		t.Fatalf("ExpEach allocated %v times per call", n)
+	for _, name := range []string{"2^512-569", "2^1024-105"} {
+		m := laneModuli()[name]
+		r, _ := NewReducer(m)
+		rng := rand.New(rand.NewSource(8))
+		xs, z := make([]*big.Int, 11), make([]*big.Int, 11)
+		for i := range xs {
+			xs[i] = new(big.Int).Rand(rng, m)
+			z[i] = new(big.Int).Set(m)
+		}
+		e := new(big.Int).Rsh(m, uint(m.BitLen()/2))
+		if n := testing.AllocsPerRun(10, func() { r.ExpEach(z, xs, e) }); n != 0 {
+			t.Fatalf("%s: ExpEach allocated %v times per call", name, n)
+		}
 	}
 }
 
-// TestLaneKernelGenerated: the committed lanes_amd64.s is exactly
-// gen_lanes.go's output.
+// TestLaneKernelGenerated: the committed lanes10_amd64.s and lanes20_amd64.s
+// are exactly gen_lanes.go's output at ten and twenty limbs.
 func TestLaneKernelGenerated(t *testing.T) {
-	out, err := exec.Command("go", "run", "gen_lanes.go").Output()
-	if err != nil {
-		t.Fatalf("go run gen_lanes.go: %v", err)
-	}
-	committed, err := os.ReadFile("lanes_amd64.s")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(out, committed) {
-		t.Fatal("lanes_amd64.s differs from gen_lanes.go's output: run go generate ./internal/mathx/")
+	for _, limbs := range []string{"10", "20"} {
+		out, err := exec.Command("go", "run", "gen_lanes.go", "-limbs", limbs).Output()
+		if err != nil {
+			t.Fatalf("go run gen_lanes.go -limbs %s: %v", limbs, err)
+		}
+		file := "lanes" + limbs + "_amd64.s"
+		committed, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(out, committed) {
+			t.Fatalf("%s differs from gen_lanes.go's output: run go generate ./internal/mathx/", file)
+		}
 	}
 }

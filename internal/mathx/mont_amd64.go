@@ -5,7 +5,8 @@ import "math/big"
 //go:generate go run gen_mont.go -words 8 -out mont8_amd64.s
 //go:generate go run gen_mont.go -words 16 -out mont16_amd64.s
 //go:generate go run gen_mont.go -words 32 -out mont32_amd64.s
-//go:generate go run gen_lanes.go -out lanes_amd64.s
+//go:generate go run gen_lanes.go -limbs 10 -out lanes10_amd64.s
+//go:generate go run gen_lanes.go -limbs 20 -out lanes20_amd64.s
 
 // hasADX reports whether the CPU has MULX (BMI2) and ADCX/ADOX (ADX), the
 // instructions the register kernels are written in: CPUID leaf 7, EBX bits 8
@@ -21,7 +22,7 @@ var hasADX = func() bool {
 // hasIFMA reports whether the CPU has AVX512F and AVX512IFMA (CPUID leaf 7,
 // EBX bits 16 and 21) and the OS saves the ZMM state across context switches
 // (leaf 1 ECX bit 27, OSXSAVE, then XCR0 bits 1, 2, 5, 6 and 7 set): what the
-// lane kernel, laneMul, runs on.
+// lane kernels, laneMul10 and laneMul20, run on.
 var hasIFMA = func() bool {
 	if maxLeaf, _, _, _ := cpuid(0, 0); maxLeaf < 7 {
 		return false
@@ -38,14 +39,20 @@ func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 // xgetbv0 returns the low word of XCR0; it needs OSXSAVE.
 func xgetbv0() (eax uint32)
 
-// laneMul sets each lane of z to the almost-Montgomery product x·y·R⁻¹ mod m
-// of the same lanes of x and y, R = 2^520, for an odd m < 2^512 held as ten
-// radix-2^52 limbs and k0 = −m⁻¹ mod 2^52: with every limb of x and y below
-// 2^52 and x, y < 2m, the result is below 2m and its limbs below 2^52. z may
-// alias x or y. It needs hasIFMA (lanes_amd64.s, from gen_lanes.go).
+// laneMul10 and laneMul20 set each lane of z to the almost-Montgomery product
+// x·y·R⁻¹ mod m of the same lanes of x and y, for an odd m held as ten or
+// twenty radix-2^52 limbs, m < 2^512 and R = 2^520 or m < 2^1024 and
+// R = 2^1040, and k0 = −m⁻¹ mod 2^52: with every limb of x and y below 2^52
+// and x, y < 2m, the result is below 2m and its limbs below 2^52. They read
+// and write only the first ten or twenty rows of each laneNum. z may alias x
+// or y. They need hasIFMA (lanes10_amd64.s and lanes20_amd64.s, from
+// gen_lanes.go).
 //
 //go:noescape
-func laneMul(z, x, y *laneNum, m *[laneLimbs]uint64, k0 uint64)
+func laneMul10(z, x, y *laneNum, m *[laneMaxLimbs]uint64, k0 uint64)
+
+//go:noescape
+func laneMul20(z, x, y *laneNum, m *[laneMaxLimbs]uint64, k0 uint64)
 
 // montMul8, montMul16 and montMul32 set z = x·y·R⁻¹ mod m for an odd m of
 // 8, 16 or 32 words, R = b^words, and k0 = −m⁻¹ mod b, as Reducer.montMul

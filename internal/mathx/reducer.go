@@ -40,8 +40,10 @@ import (
 // mont16_amd64.s, mont32_amd64.s) with the same result bit for bit, and a
 // whole exponentiation, Exp, walks a fixed window over that kernel; otherwise
 // Exp is big.Int.Exp. On amd64 with AVX512F and IFMA, for an odd modulus of
-// at most 512 bits, ExpEach walks the same window over eight bases at once on
-// the lane kernel (lanes.go); otherwise it is Exp per element.
+// at most 1024 bits, ExpEach walks the same window over eight bases at once on
+// a lane kernel (lanes.go): ten radix-2^52 limbs per lane up to 512 bits (a
+// 512-bit key's p² and q²), twenty up to 1024 (its N², a 1024-bit key's p²
+// and q²); otherwise it is Exp per element.
 //
 // A Reducer is immutable and safe for concurrent use; each concurrent caller
 // brings its own Scratch.

@@ -52,17 +52,19 @@ import (
 // computes them in batches: a refill samples Reducer.Lanes() pairs (zp, zq)
 // and raises them with one Reducer.ExpEach per side, which on amd64 with
 // AVX512-IFMA runs eight exponentiations at once, one per 64-bit lane of a
-// ZMM register. Each batch lives in a sync.Pool, one per P, and each
-// randomizer in it is handed out once. On a 2-vCPU Intel Xeon with
-// AVX512-IFMA, BenchmarkEncryptCRT takes ~15 µs per encryption (~68 µs
-// without the lanes) against BenchmarkEncryptPublic's ~0.25 ms, and
-// BenchmarkFreshRandomizerCRT ~13.5 µs (~61 µs without the lanes). The
+// ZMM register (ten radix-2^52 limbs per lane for a 512-bit key's p², twenty
+// for a 1024-bit key's). Each randomizer of a batch is handed out once
+// (randomizers.go). On a 2-vCPU Intel Xeon with AVX512-IFMA,
+// BenchmarkEncryptCRT takes ~15 µs per encryption (~68 µs without the lanes)
+// and BenchmarkFreshRandomizerCRT ~13.5 µs (~61 µs without the lanes). The
 // online cost collapses further once these randomizers come out of an
 // owner-filled pool. The CRT arithmetic is pinned bit-exact by
-// FuzzEncryptCRTEquivalence, at a 128-bit and a 512-bit key.
+// FuzzEncryptCRTEquivalence, at a 128-, a 512- and a 1024-bit key.
 //
 // The stock daemon cannot take any of these paths: it holds only public
-// keys (DESIGN.md §16), so its fills stay on the r^N route.
+// keys (DESIGN.md §16), so its fills raise r^N mod N² without the
+// factorization. They too run eight at a time: N² of a 512-bit key has 1024
+// bits, which mathx's twenty-limb lanes take (randomizers.go).
 
 // RandomizerCRT computes the exact randomizer r^N mod N² through the
 // factorization: separately mod p² and q² with the exponent reduced mod the
@@ -83,30 +85,15 @@ func (sk *PrivateKey) RandomizerCRT(r *big.Int) (*big.Int, error) {
 // residues of Z*_{N²} — the exact distribution of r^N for uniform r ∈ Z*_N —
 // via the half-width z^p shortcut (see the package comment above). This is
 // the fast path behind EncryptCRT and the owner-filled randomizer pool. It
-// hands out each randomizer of a refill once: a caller owns the batch it got
-// from the pool until it puts it back, so no two callers see the same one.
+// hands out each randomizer of a refill once (randomizers.go).
 func (sk *PrivateKey) FreshRandomizerCRT() (*big.Int, error) {
-	b := sk.fresh.Get().(*randomizerBatch)
-	defer sk.fresh.Put(b)
-	if len(*b) == 0 {
-		if err := sk.refillRandomizers(b); err != nil {
-			return nil, err
-		}
-	}
-	last := len(*b) - 1
-	rn := (*b)[last]
-	(*b)[last] = nil
-	*b = (*b)[:last]
-	return rn, nil
+	return sk.fresh.next()
 }
 
-// randomizerBatch is the rest of a refill: randomizers not yet handed out.
-type randomizerBatch []*big.Int
-
-// refillRandomizers appends p2.Lanes() fresh randomizers to b, all of whose
+// refillRandomizers returns p2.Lanes() fresh randomizers, all of whose
 // exponentiations run side by side: one ExpEach mod p² and one mod q², eight
 // lanes each where the lane kernel applies, else one randomizer.
-func (sk *PrivateKey) refillRandomizers(b *randomizerBatch) error {
+func (sk *PrivateKey) refillRandomizers() ([]*big.Int, error) {
 	// z uniform over Z*_N is, through the CRT isomorphism
 	// Z*_N ≅ Z*_p × Z*_q, the same as independent zp uniform over [1,p)
 	// and zq uniform over [1,q): the factors are prime, so every nonzero
@@ -117,10 +104,10 @@ func (sk *PrivateKey) refillRandomizers(b *randomizerBatch) error {
 	for i := range zp {
 		var err error
 		if zp[i], err = rand.Int(rand.Reader, sk.pMinus1); err != nil {
-			return fmt.Errorf("paillier: sampling encryption randomness: %w", err)
+			return nil, fmt.Errorf("paillier: sampling encryption randomness: %w", err)
 		}
 		if zq[i], err = rand.Int(rand.Reader, sk.qMinus1); err != nil {
-			return fmt.Errorf("paillier: sampling encryption randomness: %w", err)
+			return nil, fmt.Errorf("paillier: sampling encryption randomness: %w", err)
 		}
 		zp[i].Add(zp[i], mathx.One)
 		zq[i].Add(zq[i], mathx.One)
@@ -128,9 +115,9 @@ func (sk *PrivateKey) refillRandomizers(b *randomizerBatch) error {
 	sk.p2.ExpEach(zp, zp, sk.P)
 	sk.q2.ExpEach(zq, zq, sk.Q)
 	for i := range zp {
-		*b = append(*b, sk.crt2.Combine(zp[i], zq[i]))
+		zp[i] = sk.crt2.Combine(zp[i], zq[i])
 	}
-	return nil
+	return zp, nil
 }
 
 // EncryptCRT returns a randomized encryption of m computed through the

@@ -44,10 +44,11 @@ func TestRandomizerCRTMatchesDirectExp(t *testing.T) {
 	}
 }
 
-// TestPublicRandomizersMatchDirectExp: the three public r^N sites — public
-// encryption, the seal and a pool refill without the key — return the bytes
-// big.Int.Exp gives, at both key sizes; at 512 bits N² is 16 words, where
-// they run on mathx's register kernel.
+// TestPublicRandomizersMatchDirectExp: the three public r^N sites given
+// their nonces — encryption and the seal with the caller's nonce, and a pool
+// refill without the key — return the bytes big.Int.Exp gives, at both key
+// sizes; at 512 bits N² is 16 words, where the first two run on mathx's
+// register kernel and the refill on its twenty-limb lanes.
 func TestPublicRandomizersMatchDirectExp(t *testing.T) {
 	for _, bits := range crtKeyBits {
 		sk := testKey(t, bits)
@@ -82,16 +83,20 @@ func TestPublicRandomizersMatchDirectExp(t *testing.T) {
 			if got := pk.rerandomizeWithNonce(ct, r); got.c.Cmp(want) != 0 {
 				t.Fatalf("%d-bit key: rerandomizeWithNonce = %v, want %v", bits, got.c, want)
 			}
-			got, err := pool.newRandomizer()
+		}
+		// A refill reads its nonces in order and raises them with one
+		// ExpEach: 20 is two groups of eight lanes and a partial one.
+		got, err := pool.newRandomizers(20)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, rn := range got {
+			r, err := mathx.RandUnit(drawn, pk.N)
 			if err != nil {
 				t.Fatal(err)
 			}
-			r, err = mathx.RandUnit(drawn, pk.N)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if want := new(big.Int).Exp(r, sk.N, sk.NSquared); got.Cmp(want) != 0 {
-				t.Fatalf("%d-bit key: pool refill = %v, want %v", bits, got, want)
+			if want := new(big.Int).Exp(r, sk.N, sk.NSquared); rn.Cmp(want) != 0 {
+				t.Fatalf("%d-bit key: pool refill %d = %v, want %v", bits, i, rn, want)
 			}
 		}
 	}

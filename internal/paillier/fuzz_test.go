@@ -124,12 +124,14 @@ func FuzzReadBitStore(f *testing.F) {
 // encryption path must produce the byte-identical ciphertext to the public
 // path, and both must decrypt back to m — the differential gate for the
 // client-encrypt fast path. Out-of-range inputs must be rejected by both
-// paths symmetrically. Every input runs under two keys: a 128-bit one, and a
+// paths symmetrically. Every input runs under three keys: a 128-bit one, a
 // 512-bit one whose p² and q² are 8 words, the shape on which the owner's
-// exponentiations take mathx's register-resident kernel.
+// exponentiations take mathx's register-resident kernel, and a 1024-bit one,
+// whose p² and q² take mathx's twenty-limb lanes in the batched EncryptCRT,
+// which must decrypt back to m too.
 func FuzzEncryptCRTEquivalence(f *testing.F) {
 	var keys []*PrivateKey
-	for _, bits := range []int{128, 512} {
+	for _, bits := range []int{128, 512, 1024} {
 		sk, err := KeyGen(rand.Reader, bits)
 		if err != nil {
 			f.Fatal(err)
@@ -165,6 +167,13 @@ func FuzzEncryptCRTEquivalence(f *testing.F) {
 			}
 			if back.Cmp(m) != 0 {
 				t.Fatalf("%d-bit key: round trip: got %v, want %v", pk.N.BitLen(), back, m)
+			}
+			fresh, err := sk.EncryptCRT(m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if back, err := sk.Decrypt(fresh); err != nil || back.Cmp(m) != 0 {
+				t.Fatalf("%d-bit key: EncryptCRT round trip: got %v, %v, want %v", pk.N.BitLen(), back, err, m)
 			}
 		}
 	})

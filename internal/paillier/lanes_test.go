@@ -8,12 +8,15 @@ import (
 	"privstats/internal/mathx"
 )
 
-// Tests for FreshRandomizerCRT's batched refills, each run on a 512-bit key
-// (whose p² and q² take mathx's lane kernel where the CPU has AVX512-IFMA) with
+// Tests for the batched refills of FreshRandomizerCRT and of the public
+// route, each run on a 512-bit key (whose p² and q² take mathx's ten-limb lane
+// kernel and whose N² its twenty-limb one where the CPU has AVX512-IFMA) with
 // the kernels on and forced off through mathx.ForceFallback.
 
 // laneModes runs f twice on the cached 512-bit key's factors: once with a key
-// built with the kernels on, once with one built with them forced off.
+// built with the kernels on, once with one built with them forced off. The
+// fallback key builds its own modulus table entry, which it keeps, and the
+// table forgets it at once, so no later key of this N inherits it.
 func laneModes(t *testing.T, f func(t *testing.T, sk *PrivateKey)) {
 	base := testKey(t, 512)
 	for _, on := range []bool{true, false} {
@@ -24,15 +27,19 @@ func laneModes(t *testing.T, f func(t *testing.T, sk *PrivateKey)) {
 		t.Run(name, func(t *testing.T) {
 			restore := func() {}
 			if !on {
+				forgetModuli()
 				restore = mathx.ForceFallback()
 			}
 			sk, err := newPrivateKey(base.P, base.Q)
 			restore()
+			if !on {
+				forgetModuli()
+			}
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !on && sk.p2.Lanes() != 1 {
-				t.Fatalf("p².Lanes() = %d with the kernels forced off, want 1", sk.p2.Lanes())
+			if !on && (sk.p2.Lanes() != 1 || sk.n2.Lanes() != 1) {
+				t.Fatalf("p².Lanes() = %d, N².Lanes() = %d with the kernels forced off, want 1", sk.p2.Lanes(), sk.n2.Lanes())
 			}
 			if on && sk.p2.Lanes() == 1 {
 				t.Log("no lane kernel on this CPU: refills hold one randomizer")
@@ -81,8 +88,8 @@ func TestEncryptCRTRoundTripLanes(t *testing.T) {
 // out without touching the ones it returned.
 func TestRefillRandomizersDistinct(t *testing.T) {
 	laneModes(t, func(t *testing.T, sk *PrivateKey) {
-		var b randomizerBatch
-		if err := sk.refillRandomizers(&b); err != nil {
+		b, err := sk.refillRandomizers()
+		if err != nil {
 			t.Fatal(err)
 		}
 		if len(b) != sk.p2.Lanes() {
@@ -135,8 +142,8 @@ func TestOwnerPoolRefillLanes(t *testing.T) {
 }
 
 // TestFreshRandomizerCRTConcurrentDistinct: goroutines drawing at once from
-// one key's batches never receive the same randomizer (run it under -race:
-// a batch is one caller's between its pop and its put back).
+// one key's batch never receive the same randomizer (run it under -race: the
+// batch is popped under its lock and refilled outside it).
 func TestFreshRandomizerCRTConcurrentDistinct(t *testing.T) {
 	laneModes(t, func(t *testing.T, sk *PrivateKey) {
 		const workers, draws = 4, 24

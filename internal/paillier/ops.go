@@ -1,7 +1,6 @@
 package paillier
 
 import (
-	"crypto/rand"
 	"errors"
 	"fmt"
 	"math/big"
@@ -81,16 +80,17 @@ func (pk *PublicKey) Sub(a, b *Ciphertext) (*Ciphertext, error) {
 
 // Rerandomize returns a fresh encryption of the same plaintext,
 // statistically unlinkable to ct: ct · r^N mod N² for a uniform unit r, the
-// same product as ct · E(0; r) without encrypting the zero.
+// same product as ct · E(0; r) without encrypting the zero. The r^N comes
+// from the key's batch, as Encrypt's does.
 func (pk *PublicKey) Rerandomize(ct *Ciphertext) (*Ciphertext, error) {
 	if err := pk.checkCiphertext(ct); err != nil {
 		return nil, err
 	}
-	r, err := mathx.RandUnit(rand.Reader, pk.N)
+	rn, err := pk.randomizer()
 	if err != nil {
 		return nil, fmt.Errorf("paillier: sampling rerandomization: %w", err)
 	}
-	return pk.rerandomizeWithNonce(ct, r), nil
+	return &Ciphertext{c: pk.mulN2(rn, rn, ct.c), byteLen: pk.byteLen}, nil
 }
 
 // rerandomizeWithNonce is ct · r^N mod N² for a ct already validated and a

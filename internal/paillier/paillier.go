@@ -23,7 +23,6 @@ import (
 	"io"
 	"math/big"
 	"slices"
-	"sync"
 
 	"privstats/internal/mathx"
 )
@@ -51,9 +50,12 @@ type PublicKey struct {
 	NSquared *big.Int
 
 	byteLen int // ceil(bits(N²)/8), fixed wire width of a ciphertext
-	// n2 multiplies mod N² without dividing. Keys from KeyGen or an
-	// Unmarshal carry it; see reducer for the others.
-	n2 *mathx.Reducer
+	// n2 multiplies mod N² without dividing, and batch hands out r^N mod N²
+	// for Encrypt and Rerandomize. Keys from KeyGen or an Unmarshal share
+	// both with every key of their N (randomizers.go); see reducer and
+	// randomizer for the others.
+	n2    *mathx.Reducer
+	batch *randomizers
 }
 
 // PrivateKey holds the Paillier private parameters along with the
@@ -88,9 +90,9 @@ type PrivateKey struct {
 	// and ExpEach).
 	p2, q2 *mathx.Reducer
 
-	// fresh holds FreshRandomizerCRT's refills, one *randomizerBatch per P
-	// (crt.go). It is a pointer because UnmarshalBinary copies the struct.
-	fresh *sync.Pool
+	// fresh holds FreshRandomizerCRT's refills (crt.go). It is a pointer
+	// because UnmarshalBinary copies the struct.
+	fresh *randomizers
 }
 
 // KeyGen generates a Paillier key pair whose modulus N has exactly
@@ -164,8 +166,8 @@ func newPrivateKey(p, q *big.Int) (*PrivateKey, error) {
 		crt2:      crt2,
 		nModPOrd:  new(big.Int).Mod(n, new(big.Int).Mul(p, pm1)),
 		nModQOrd:  new(big.Int).Mod(n, new(big.Int).Mul(q, qm1)),
-		fresh:     &sync.Pool{New: func() any { return new(randomizerBatch) }},
 	}
+	priv.fresh = &randomizers{refill: priv.refillRandomizers}
 
 	// h_x = L_x((n+1)^(x-1) mod x²)^-1 mod x. With g = n+1,
 	// (1+n)^(x-1) mod x² = 1 + (x-1)·n mod x², so
@@ -188,11 +190,11 @@ func newPublicKey(n *big.Int) (PublicKey, error) {
 		return PublicKey{}, errors.New("paillier: modulus is even, not a product of two odd primes")
 	}
 	n2 := new(big.Int).Mul(n, n)
-	red, err := mathx.NewReducer(n2)
+	mod, err := lookupModulus(n, n2)
 	if err != nil {
 		return PublicKey{}, fmt.Errorf("paillier: modulus: %w", err)
 	}
-	return PublicKey{N: n, NSquared: n2, byteLen: (n2.BitLen() + 7) / 8, n2: red}, nil
+	return PublicKey{N: n, NSquared: n2, byteLen: (n2.BitLen() + 7) / 8, n2: mod.n2, batch: &mod.rns}, nil
 }
 
 // reducer returns the N² kernel. A key built as a literal has none cached and
@@ -203,6 +205,20 @@ func (pk *PublicKey) reducer() *mathx.Reducer {
 	}
 	red, _ := mathx.NewReducer(pk.NSquared) // N² > 0, or no operand passed validation against it
 	return red
+}
+
+// randomizer returns r^N mod N² for a fresh uniform unit r of Z*_N, no
+// caller's but this one's: the next of the key's batch, or for a key built as
+// a literal, one exponentiation.
+func (pk *PublicKey) randomizer() (*big.Int, error) {
+	if pk.batch != nil {
+		return pk.batch.next()
+	}
+	r, err := mathx.RandUnit(rand.Reader, pk.N)
+	if err != nil {
+		return nil, err
+	}
+	return pk.reducer().Exp(new(big.Int), r, pk.N), nil
 }
 
 // mulN2 sets z = x·y mod N² for x, y in [0, N²) and returns z, which may
@@ -262,13 +278,18 @@ func (ct *Ciphertext) String() string {
 	return fmt.Sprintf("paillier.Ciphertext(%d bits)", ct.c.BitLen())
 }
 
-// Encrypt returns a randomized encryption of m, which must be in [0, N).
+// Encrypt returns a randomized encryption of m, which must be in [0, N):
+// (1 + m·N)·r^N mod N² for a fresh uniform unit r, whose r^N comes from the
+// key's batch.
 func (pk *PublicKey) Encrypt(m *big.Int) (*Ciphertext, error) {
-	r, err := mathx.RandUnit(rand.Reader, pk.N)
+	if err := pk.checkMessage(m); err != nil {
+		return nil, err
+	}
+	rn, err := pk.randomizer()
 	if err != nil {
 		return nil, fmt.Errorf("paillier: sampling encryption randomness: %w", err)
 	}
-	return pk.EncryptWithNonce(m, r)
+	return pk.assembleCiphertext(m, rn), nil
 }
 
 // EncryptWithNonce encrypts m with caller-supplied randomness r ∈ Z*_N.

@@ -58,7 +58,8 @@ func NewRandomizerPool(pk *PublicKey) *RandomizerPool {
 // fallbacks run through sk's CRT encryption path (~4x cheaper at 512-bit
 // keys). This is the client-local pool of the -preprocess path; pools built
 // from a bare public key (stock daemon, remote prefetch) use
-// NewRandomizerPool and keep the r^N route.
+// NewRandomizerPool and raise r^N mod N² without the factorization, still
+// eight per ExpEach where mathx's lanes take N².
 func NewRandomizerPoolOwner(sk *PrivateKey) *RandomizerPool {
 	return &RandomizerPool{pk: sk.Public(), sk: sk}
 }
@@ -71,16 +72,27 @@ func (p *RandomizerPool) reader() io.Reader {
 	return rand.Reader
 }
 
-// newRandomizer generates one fresh randomizer, CRT-fast for owners.
-func (p *RandomizerPool) newRandomizer() (*big.Int, error) {
+// newRandomizers generates count fresh randomizers: CRT-fast for owners,
+// else count nonces read from the pool's reader and raised with one ExpEach
+// mod N², Lanes() exponentiations at a time.
+func (p *RandomizerPool) newRandomizers(count int) ([]*big.Int, error) {
+	rns := make([]*big.Int, count)
+	var err error
 	if p.sk != nil && p.rnd == nil {
-		return p.sk.FreshRandomizerCRT()
+		for i := range rns {
+			if rns[i], err = p.sk.FreshRandomizerCRT(); err != nil {
+				return nil, err
+			}
+		}
+		return rns, nil
 	}
-	r, err := mathx.RandUnit(p.reader(), p.pk.N)
-	if err != nil {
-		return nil, err
+	for i := range rns {
+		if rns[i], err = mathx.RandUnit(p.reader(), p.pk.N); err != nil {
+			return nil, err
+		}
 	}
-	return p.pk.reducer().Exp(new(big.Int), r, p.pk.N), nil
+	p.pk.reducer().ExpEach(rns, rns, p.pk.N)
+	return rns, nil
 }
 
 // Fill precomputes count randomizers. It may be called repeatedly (e.g. from
@@ -106,13 +118,9 @@ func (p *RandomizerPool) FillContext(ctx context.Context, count int) error {
 		if n > fillChunk {
 			n = fillChunk
 		}
-		fresh := make([]*big.Int, 0, n)
-		for i := 0; i < n; i++ {
-			rn, err := p.newRandomizer()
-			if err != nil {
-				return fmt.Errorf("paillier: filling randomizer pool: %w", err)
-			}
-			fresh = append(fresh, rn)
+		fresh, err := p.newRandomizers(n)
+		if err != nil {
+			return fmt.Errorf("paillier: filling randomizer pool: %w", err)
 		}
 		p.mu.Lock()
 		p.stock = append(p.stock, fresh...)
@@ -181,7 +189,7 @@ func (p *RandomizerPool) Draw() (*big.Int, error) {
 		return rn, nil
 	}
 	p.mu.Unlock()
-	rn, err := p.newRandomizer()
+	rns, err := p.newRandomizers(1)
 	if err != nil {
 		// Nothing was served: a failed online computation must not count
 		// as a fallback, or the SLO metric stockd and the bench harness
@@ -191,7 +199,7 @@ func (p *RandomizerPool) Draw() (*big.Int, error) {
 	p.mu.Lock()
 	p.onlineFallbacks++
 	p.mu.Unlock()
-	return rn, nil
+	return rns[0], nil
 }
 
 // OnlineFallbacks reports how many draws were served by online computation.

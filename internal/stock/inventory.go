@@ -199,8 +199,9 @@ func (i *Inventory) Admit(pk *paillier.PublicKey) (*keyStock, error) {
 		pk:    pk,
 		// The daemon preprocesses for foreign keys and never sees a private
 		// key, so it cannot take the owner constructors' CRT fast path
-		// (which needs the factorization of N): its fills stay on the
-		// public r^N route by design. See DESIGN.md §16.
+		// (which needs the factorization of N): its fills raise r^N mod N²
+		// without it, eight per ExpEach where mathx's lanes take N². See
+		// DESIGN.md §16.
 		bits: paillier.NewBitStore(pk),
 		rand: paillier.NewRandomizerPool(pk),
 		km:   i.m.Key(label),
