@@ -127,10 +127,10 @@ func lookupModulus(n, n2 *big.Int) (*modulus, error) {
 		return won, nil
 	}
 	if len(moduli.byN) >= moduliCap {
-		var oldest string
+		oldest, oldestUsed := "", moduli.clock
 		for k, v := range moduli.byN {
-			if oldest == "" || v.used < moduli.byN[oldest].used {
-				oldest = k
+			if v.used < oldestUsed {
+				oldest, oldestUsed = k, v.used
 			}
 		}
 		delete(moduli.byN, oldest)

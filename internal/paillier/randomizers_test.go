@@ -173,25 +173,3 @@ func TestPublicBatchLanes(t *testing.T) {
 		}
 	})
 }
-
-// TestLiteralKeyKeepsOneAtATime: a key built as a literal has no table entry
-// and still encrypts and seals, one exponentiation per call.
-func TestLiteralKeyKeepsOneAtATime(t *testing.T) {
-	sk := testKey(t, 256)
-	pk := &PublicKey{N: sk.N, NSquared: sk.NSquared, byteLen: sk.byteLen}
-	for i := int64(0); i < 3; i++ {
-		ct, err := pk.Encrypt(big.NewInt(i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ct, err = pk.Rerandomize(ct); err != nil {
-			t.Fatal(err)
-		}
-		if m, err := sk.Decrypt(ct); err != nil || m.Int64() != i {
-			t.Fatalf("literal key: E(%d) decrypts to %v, %v", i, m, err)
-		}
-	}
-	if pk.batch != nil {
-		t.Fatal("a literal key gained a batch")
-	}
-}

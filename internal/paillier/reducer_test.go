@@ -18,7 +18,9 @@ func mulModN2(pk *PublicKey, x, y *big.Int) *big.Int {
 
 // TestCiphertextOpsMatchDivision: Add, AddPlain and the assembled encryption
 // are bit-identical to Mul followed by Mod at every key size the stack runs,
-// whether the key came from KeyGen, from the wire, or from a literal.
+// whether the key came from KeyGen, from the wire, or from a literal; and
+// each key's encryptions and seals decrypt, a literal's without the modulus
+// table's batch.
 func TestCiphertextOpsMatchDivision(t *testing.T) {
 	for _, bits := range []int{64, 256, 512, 1024} {
 		sk := testKey(t, bits)
@@ -42,6 +44,16 @@ func TestCiphertextOpsMatchDivision(t *testing.T) {
 			b, err := pk.Encrypt(new(big.Int).Sub(pk.N, mathx.One))
 			if err != nil {
 				t.Fatal(err)
+			}
+			sealed, err := pk.Rerandomize(a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if m, err := sk.Decrypt(sealed); err != nil || m.Int64() != 41 {
+				t.Errorf("%d bits, %s key: E(41) sealed decrypts to %v, %v", bits, name, m, err)
+			}
+			if (pk.batch == nil) != (name == "literal") {
+				t.Errorf("%d bits, %s key: batch = %p", bits, name, pk.batch)
 			}
 			sum, err := pk.Add(a, b)
 			if err != nil {
