@@ -7,7 +7,7 @@ import (
 
 // The lane kernel runs eight exponentiations that share a modulus and an
 // exponent side by side, one per 64-bit lane of a ZMM register: the shape of
-// a Paillier key owner's randomizers, many independent z^p mod p² at once
+// Paillier's randomizers, many independent z^p mod p² or r^N mod N² at once
 // (Drucker and Gueron's multi-buffer AVX512-IFMA exponentiation). laneMul10
 // and laneMul20 (lanes10_amd64.s and lanes20_amd64.s, generated by
 // gen_lanes.go) are almost-Montgomery multiplies in radix 2^52, ten or twenty
@@ -39,14 +39,10 @@ type laneConsts struct {
 	one   laneNum // 1: a mul by it converts out
 }
 
-// newLaneConsts returns the lane constants for an odd m of at most laneBits
-// bits, on the narrowest kernel that takes it: ten limbs up to 512 bits,
-// twenty above.
-func newLaneConsts(m *big.Int) *laneConsts {
-	c := &laneConsts{limbs: 10}
-	if m.BitLen() > 512 {
-		c.limbs = 20
-	}
+// newLaneConsts returns the lane constants for an odd m on the kernel of
+// limbs limbs, 10 for m < 2^512 or 20 for m < 2^1024.
+func newLaneConsts(m *big.Int, limbs int) *laneConsts {
+	c := &laneConsts{limbs: limbs}
 	mw := m.Bits()
 	for j := range c.m {
 		c.m[j] = limbAt(mw, limbBits*j)
@@ -118,10 +114,17 @@ func (a *laneNum) get(l int, zw []big.Word) {
 // lane kernel applies (an odd modulus of at most 1024 bits, on amd64 with
 // AVX512F and IFMA and the OS saving ZMM state), else 1.
 func (r *Reducer) Lanes() int {
-	if r.lane != nil {
+	if r.laneLimbs != 0 {
 		return laneCount
 	}
 	return 1
+}
+
+// lanes returns the Reducer's lane constants, building them on first use;
+// the Reducer must have a lane kernel.
+func (r *Reducer) lanes() *laneConsts {
+	r.laneOnce.Do(func() { r.lane = newLaneConsts(r.m, r.laneLimbs) })
+	return r.lane
 }
 
 // ExpEach sets z[i] = x[i]^e mod m for every i: exactly what
@@ -135,7 +138,7 @@ func (r *Reducer) ExpEach(z, x []*big.Int, e *big.Int) {
 	if len(z) != len(x) {
 		panic("mathx: ExpEach with len(z) != len(x)")
 	}
-	if r.lane == nil || e.Sign() < 0 {
+	if r.laneLimbs == 0 || e.Sign() < 0 {
 		for i := range x {
 			r.Exp(z[i], x[i], e)
 		}
@@ -162,7 +165,7 @@ func (r *Reducer) lanesPay() int {
 	switch {
 	case r.kw == 0:
 		return 1
-	case r.lane.limbs == 10:
+	case r.laneLimbs == 10:
 		return 2
 	default:
 		return 3
@@ -174,7 +177,7 @@ func (r *Reducer) lanesPay() int {
 // ones included, costs four squarings and one table multiplication, and the
 // digits are e's, shared by every lane, so the table row is the same for all.
 func (r *Reducer) expLanes(z, x []*big.Int, e *big.Int) {
-	c := r.lane
+	c := r.lanes()
 	// pow[d] is x^d in Montgomery form, lane by lane.
 	var pow [16]laneNum
 	for l, xl := range x {

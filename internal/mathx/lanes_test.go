@@ -100,11 +100,7 @@ func TestNewReducerLaneWidth(t *testing.T) {
 		if !hasIFMA {
 			want = 0
 		}
-		got := 0
-		if r.lane != nil {
-			got = r.lane.limbs
-		}
-		if got != want {
+		if got := r.laneLimbs; got != want {
 			t.Errorf("%s (%d bits): %d limbs per lane, want %d", c.name, c.m.BitLen(), got, want)
 		}
 		if wantN := map[bool]int{true: laneCount, false: 1}[want != 0]; r.Lanes() != wantN {
@@ -226,7 +222,11 @@ func TestLaneMulContract(t *testing.T) {
 		if !wantLanes(m, true) {
 			continue
 		}
-		c := newLaneConsts(m)
+		r, err := NewReducer(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := r.lanes()
 		bigR := new(big.Int).Lsh(One, uint(limbBits*c.limbs))
 		inv := new(big.Int).ModInverse(new(big.Int).Mod(bigR, m), m)
 		twoM := new(big.Int).Lsh(m, 1)

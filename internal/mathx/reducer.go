@@ -3,6 +3,7 @@ package mathx
 import (
 	"math/big"
 	"math/bits"
+	"sync"
 	"sync/atomic"
 )
 
@@ -59,7 +60,12 @@ type Reducer struct {
 	k0  big.Word   // −m⁻¹ mod b
 	kw  int        // the register kernel's width, n; 0 where there is none
 
-	lane *laneConsts // the lane kernel's constants; nil where there is none
+	// The lane kernel's width, 10 or 20 limbs, or 0 where none takes m; its
+	// constants are built by the first ExpEach, so that Reducers that never
+	// run one (a one-shot fold's) do not pay for them.
+	laneLimbs int
+	laneOnce  sync.Once
+	lane      *laneConsts
 }
 
 // maxKernelWords is the widest register kernel's width.
@@ -93,7 +99,10 @@ func NewReducer(m *big.Int) (*Reducer, error) {
 	if m.Bit(0) == 1 {
 		r.montConstants(r2)
 		if hasIFMA && !noKernel.Load() && m.BitLen() <= laneBits {
-			r.lane = newLaneConsts(m)
+			r.laneLimbs = 10
+			if m.BitLen() > 512 {
+				r.laneLimbs = 20
+			}
 		}
 	}
 	return r, nil
