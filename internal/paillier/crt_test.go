@@ -337,8 +337,12 @@ func TestOwnerPoolAndStoreUseCRTAndStayCorrect(t *testing.T) {
 // mid-run must stop the workers at the next chunk boundary while keeping
 // everything already published.
 func TestFillParallelContextCancelKeepsPartials(t *testing.T) {
-	sk := testKey(t, 256)
-	store := NewBitStore(sk.Public()) // public path: slow enough to cancel mid-fill
+	// The public path at a 512-bit key, ≈ 50 µs per encryption with its r^N
+	// batched on the lanes: 4 000 of them take long enough to cancel
+	// mid-fill on one core. A 256-bit key's ≈ 5 µs can finish the whole
+	// fill before the first poll.
+	sk := testKey(t, 512)
+	store := NewBitStore(sk.Public())
 	const zeros, ones = 2000, 2000
 
 	ctx, cancel := context.WithCancel(context.Background())
