@@ -49,8 +49,9 @@ import (
 //
 // Fresh randomizers are independent, and all of a key's z^p mod p² share one
 // modulus and one exponent (and likewise mod q²), so FreshRandomizerCRT
-// computes them in batches: a refill samples Reducer.Lanes() pairs (zp, zq)
-// and raises them with one Reducer.ExpEach per side, which on amd64 with
+// computes them in batches: a refill samples up to Reducer.Lanes() pairs
+// (zp, zq), as many as the batch has handed out (randomizers.go), and raises
+// them with one Reducer.ExpEach per side, which on amd64 with
 // AVX512-IFMA runs eight exponentiations at once, one per 64-bit lane of a
 // ZMM register (ten radix-2^52 limbs per lane for a 512-bit key's p², twenty
 // for a 1024-bit key's). Each randomizer of a batch is handed out once
@@ -90,17 +91,16 @@ func (sk *PrivateKey) FreshRandomizerCRT() (*big.Int, error) {
 	return sk.fresh.next()
 }
 
-// refillRandomizers returns p2.Lanes() fresh randomizers, all of whose
-// exponentiations run side by side: one ExpEach mod p² and one mod q², eight
-// lanes each where the lane kernel applies, else one randomizer.
-func (sk *PrivateKey) refillRandomizers() ([]*big.Int, error) {
+// refillRandomizers returns count fresh randomizers, all of whose
+// exponentiations run side by side: one ExpEach mod p² and one mod q², up to
+// eight lanes each where the lane kernel applies.
+func (sk *PrivateKey) refillRandomizers(count int) ([]*big.Int, error) {
 	// z uniform over Z*_N is, through the CRT isomorphism
 	// Z*_N ≅ Z*_p × Z*_q, the same as independent zp uniform over [1,p)
 	// and zq uniform over [1,q): the factors are prime, so every nonzero
 	// residue is a unit and the rejection-sampling gcd loop a uniform
 	// unit mod N would need disappears.
-	k := sk.p2.Lanes()
-	zp, zq := make([]*big.Int, k), make([]*big.Int, k)
+	zp, zq := make([]*big.Int, count), make([]*big.Int, count)
 	for i := range zp {
 		var err error
 		if zp[i], err = rand.Int(rand.Reader, sk.pMinus1); err != nil {

@@ -55,8 +55,9 @@ func inSubgroup(sk *PrivateKey, rn *big.Int) bool {
 	return new(big.Int).Exp(rn, sk.Lambda, sk.NSquared).Cmp(mathx.One) == 0
 }
 
-// TestEncryptCRTRoundTripLanes: over three refills, every EncryptCRT
-// decrypts to its message and every fresh randomizer is an N-th residue.
+// TestEncryptCRTRoundTripLanes: over three full batches' worth of draws,
+// every EncryptCRT decrypts to its message and every fresh randomizer is an
+// N-th residue.
 func TestEncryptCRTRoundTripLanes(t *testing.T) {
 	laneModes(t, func(t *testing.T, sk *PrivateKey) {
 		for i := 0; i < 3*sk.p2.Lanes()+1; i++ {
@@ -83,12 +84,12 @@ func TestEncryptCRTRoundTripLanes(t *testing.T) {
 	})
 }
 
-// TestRefillRandomizersDistinct: one refill holds p².Lanes() randomizers,
+// TestRefillRandomizersDistinct: a full refill holds p².Lanes() randomizers,
 // pairwise distinct and all N-th residues, and FreshRandomizerCRT hands them
 // out without touching the ones it returned.
 func TestRefillRandomizersDistinct(t *testing.T) {
 	laneModes(t, func(t *testing.T, sk *PrivateKey) {
-		b, err := sk.refillRandomizers()
+		b, err := sk.refillRandomizers(sk.p2.Lanes())
 		if err != nil {
 			t.Fatal(err)
 		}

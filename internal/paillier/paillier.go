@@ -167,7 +167,7 @@ func newPrivateKey(p, q *big.Int) (*PrivateKey, error) {
 		nModPOrd:  new(big.Int).Mod(n, new(big.Int).Mul(p, pm1)),
 		nModQOrd:  new(big.Int).Mod(n, new(big.Int).Mul(q, qm1)),
 	}
-	priv.fresh = &randomizers{refill: priv.refillRandomizers}
+	priv.fresh = &randomizers{refill: priv.refillRandomizers, width: p2.Lanes()}
 
 	// h_x = L_x((n+1)^(x-1) mod x²)^-1 mod x. With g = n+1,
 	// (1+n)^(x-1) mod x² = 1 + (x-1)·n mod x², so
@@ -214,11 +214,11 @@ func (pk *PublicKey) randomizer() (*big.Int, error) {
 	if pk.batch != nil {
 		return pk.batch.next()
 	}
-	r, err := mathx.RandUnit(rand.Reader, pk.N)
+	rns, err := raiseUnits(pk.reducer(), rand.Reader, pk.N, 1)
 	if err != nil {
 		return nil, err
 	}
-	return pk.reducer().Exp(new(big.Int), r, pk.N), nil
+	return rns[0], nil
 }
 
 // mulN2 sets z = x·y mod N² for x, y in [0, N²) and returns z, which may

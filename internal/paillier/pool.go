@@ -76,9 +76,9 @@ func (p *RandomizerPool) reader() io.Reader {
 // else count nonces read from the pool's reader and raised with one ExpEach
 // mod N², Lanes() exponentiations at a time.
 func (p *RandomizerPool) newRandomizers(count int) ([]*big.Int, error) {
-	rns := make([]*big.Int, count)
-	var err error
 	if p.sk != nil && p.rnd == nil {
+		rns := make([]*big.Int, count)
+		var err error
 		for i := range rns {
 			if rns[i], err = p.sk.FreshRandomizerCRT(); err != nil {
 				return nil, err
@@ -86,13 +86,7 @@ func (p *RandomizerPool) newRandomizers(count int) ([]*big.Int, error) {
 		}
 		return rns, nil
 	}
-	for i := range rns {
-		if rns[i], err = mathx.RandUnit(p.reader(), p.pk.N); err != nil {
-			return nil, err
-		}
-	}
-	p.pk.reducer().ExpEach(rns, rns, p.pk.N)
-	return rns, nil
+	return raiseUnits(p.pk.reducer(), p.reader(), p.pk.N, count)
 }
 
 // Fill precomputes count randomizers. It may be called repeatedly (e.g. from

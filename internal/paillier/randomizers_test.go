@@ -3,6 +3,7 @@ package paillier
 import (
 	"crypto/rand"
 	"math/big"
+	"slices"
 	"sync"
 	"testing"
 
@@ -137,12 +138,16 @@ func TestModulusTableBounded(t *testing.T) {
 	}
 }
 
-// TestPublicBatchLanes: the public route's refill holds N²'s Lanes() r^N,
-// pairwise distinct N-th residues, with the kernels on and forced off; on
-// the lanes a 512-bit key's N² takes eight at a time.
+// TestPublicBatchLanes: the public route's batch is as wide as N²'s Lanes(),
+// and a full refill holds that many r^N, pairwise distinct N-th residues,
+// with the kernels on and forced off; on the lanes a 512-bit key's N² takes
+// eight at a time.
 func TestPublicBatchLanes(t *testing.T) {
 	laneModes(t, func(t *testing.T, sk *PrivateKey) {
-		rns, err := sk.batch.refill()
+		if sk.batch.width != sk.n2.Lanes() {
+			t.Fatalf("the public batch is %d wide, N².Lanes() = %d", sk.batch.width, sk.n2.Lanes())
+		}
+		rns, err := sk.batch.refill(sk.batch.width)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -172,4 +177,102 @@ func TestPublicBatchLanes(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestRefillSizeFollowsDemand: a batch's refills raise as many randomizers
+// as it has handed out, at least one and at most its width, and it hands out
+// each one once.
+func TestRefillSizeFollowsDemand(t *testing.T) {
+	var (
+		sizes []int
+		made  int64
+	)
+	rs := randomizers{width: 8, refill: func(count int) ([]*big.Int, error) {
+		sizes = append(sizes, count)
+		out := make([]*big.Int, count)
+		for i := range out {
+			made++
+			out[i] = big.NewInt(made)
+		}
+		return out, nil
+	}}
+	seen := map[int64]bool{}
+	for i := 0; i < 24; i++ {
+		rn, err := rs.next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if seen[rn.Int64()] {
+			t.Fatalf("draw %d returned %v twice", i+1, rn)
+		}
+		seen[rn.Int64()] = true
+	}
+	if want := []int{1, 1, 2, 4, 8, 8}; !slices.Equal(sizes, want) {
+		t.Fatalf("refill sizes over 24 draws = %v, want %v", sizes, want)
+	}
+}
+
+// TestNewModulusSealsOnce: the first seal under a modulus the table has not
+// seen raises one r^N and leaves none unused, so a session that brings a new
+// key and seals once costs one exponentiation, not a lane group.
+func TestNewModulusSealsOnce(t *testing.T) {
+	sk, err := KeyGen(rand.Reader, 512) // a modulus no other test draws from
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, _ := sk.Public().MarshalBinary()
+	forgetModuli()
+	var pk PublicKey
+	if err := pk.UnmarshalBinary(raw); err != nil {
+		t.Fatal(err)
+	}
+	ct, err := pk.Rerandomize(&Ciphertext{c: big.NewInt(1), byteLen: pk.byteLen})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m, err := sk.Decrypt(ct); err != nil || m.Sign() != 0 {
+		t.Fatalf("a seal of E(0; 1) decrypts to %v, %v", m, err)
+	}
+	pk.batch.mu.Lock()
+	left := len(pk.batch.batch)
+	pk.batch.mu.Unlock()
+	if left != 0 {
+		t.Fatalf("the first seal under a new modulus left %d r^N unused, want 0", left)
+	}
+}
+
+// BenchmarkSeal times one seal (Rerandomize) under a 512-bit key parsed from
+// its bytes, as a session parses its hello. "repeated" parses one key every
+// time, so its table entry stays warm. "fresh" cycles through moduliCap+1
+// keys, so every parse misses the table (the key's entry was dropped since
+// its last parse) and the seal is the new entry's first draw: a deployment
+// that sees a new key per session.
+func BenchmarkSeal(b *testing.B) {
+	keys := make([][]byte, moduliCap+1)
+	for i := range keys {
+		sk, err := KeyGen(rand.Reader, 512)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if keys[i], err = sk.Public().MarshalBinary(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for _, c := range []struct {
+		name string
+		keys [][]byte
+	}{{"repeated", keys[:1]}, {"fresh", keys}} {
+		b.Run(c.name, func(b *testing.B) {
+			forgetModuli()
+			for i := 0; i < b.N; i++ {
+				var pk PublicKey
+				if err := pk.UnmarshalBinary(c.keys[i%len(c.keys)]); err != nil {
+					b.Fatal(err)
+				}
+				if _, err := pk.Rerandomize(&Ciphertext{c: big.NewInt(1), byteLen: pk.byteLen}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
