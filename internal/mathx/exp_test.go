@@ -2,6 +2,7 @@ package mathx
 
 import (
 	"bytes"
+	"fmt"
 	"math/big"
 	"math/rand"
 	"os"
@@ -196,11 +197,12 @@ func TestMontGenerated(t *testing.T) {
 // exponent) and of a 1024-bit key (a 16-word modulus, a 512-bit exponent),
 // and the seal's and public encryption's r^N mod N² of a 512-bit key (a
 // 16-word modulus, a 512-bit exponent) and of a 1024-bit key (a 32-word
-// modulus, a 1024-bit exponent). p2x8 is eight z^p mod p² of a 512-bit key,
-// the batch FreshRandomizerCRT refills, and rNx8 eight r^N mod N² of a
-// 512-bit key, the batch of the seal and public encryption: one ExpEach (the
-// ten- or twenty-limb lane kernel, where the CPU has it) against eight Exps;
-// ns/op is per eight.
+// modulus, a 1024-bit exponent). p2xK is K z^p mod p² of a 512-bit key (K = 8
+// is the batch FreshRandomizerCRT refills) and rNxK K r^N mod N² of a 512-bit
+// key (the batch of the seal and public encryption): one lane call (the ten-
+// or twenty-limb lane kernel, where the CPU has it) against K Exps; ns/op is
+// per K. The lanes always run all eight, so K = 1, 2, 3 are the short groups
+// that place ExpEach's lanesPay.
 func BenchmarkReducerExp(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	for _, shape := range []struct {
@@ -225,25 +227,31 @@ func BenchmarkReducerExp(b *testing.B) {
 	for _, shape := range []struct {
 		name           string
 		modBits, eBits int
-	}{{"p2x8", 512, 256}, {"rNx8", 1024, 512}} {
+	}{{"p2", 512, 256}, {"rN", 1024, 512}} {
 		m, e := benchShape(rng, shape.modBits, shape.eBits)
 		r, _ := NewReducer(m)
-		xs, zs := make([]*big.Int, laneCount), make([]*big.Int, laneCount)
-		for i := range xs {
-			xs[i], zs[i] = new(big.Int).Rand(rng, m), new(big.Int)
-		}
-		b.Run(shape.name+"/ExpEach", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				r.ExpEach(zs, xs, e)
+		for _, k := range []int{1, 2, 3, laneCount} {
+			xs, zs := make([]*big.Int, k), make([]*big.Int, k)
+			for i := range xs {
+				xs[i], zs[i] = new(big.Int).Rand(rng, m), new(big.Int)
 			}
-		})
-		b.Run(shape.name+"/Exp", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				for j, x := range xs {
-					r.Exp(zs[j], x, e)
+			name := fmt.Sprintf("%sx%d", shape.name, k)
+			b.Run(name+"/lanes", func(b *testing.B) {
+				if r.Lanes() == 1 {
+					b.Skip("no lane kernel for this modulus on this CPU")
 				}
-			}
-		})
+				for i := 0; i < b.N; i++ {
+					r.expLanes(zs, xs, e)
+				}
+			})
+			b.Run(name+"/Exp", func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					for j, x := range xs {
+						r.Exp(zs[j], x, e)
+					}
+				}
+			})
+		}
 	}
 }
 

@@ -157,10 +157,13 @@ func (r *Reducer) ExpEach(z, x []*big.Int, e *big.Int) {
 }
 
 // lanesPay is the fewest bases a lane call must carry to cost less than Exp
-// on each. The lanes always run all eight: on an Intel Xeon with
-// AVX512-IFMA, eight cost about 1.6 register-kernel Exps at ten limbs
-// (BenchmarkReducerExp/p2x8) and 2.4 at twenty (rNx8). Without a register
-// kernel Exp is big.Int.Exp, which the lanes beat from one base.
+// on each. A lane call costs the same for one base as for eight: on a 2-vCPU
+// Intel Xeon with AVX512-IFMA, BenchmarkReducerExp's short groups read, in
+// medians of eight runs, ≈ 43 µs per lane call against ≈ 31 µs per Exp at
+// ten limbs (p2x1..3), so two bases pay; and ≈ 440 µs against ≈ 250 µs at
+// twenty (rNx1..3), where two bases are a wash (≈ 470 against ≈ 450 µs)
+// and three pay (≈ 445 against ≈ 750 µs). Without a register kernel Exp is
+// big.Int.Exp (≈ 500 µs at rN's width), which the lanes beat from one base.
 func (r *Reducer) lanesPay() int {
 	switch {
 	case r.kw == 0:

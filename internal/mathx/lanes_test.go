@@ -154,10 +154,14 @@ func FuzzReducerExpEach(f *testing.F) {
 		if m.Sign() == 0 || len(eRaw) > 80 {
 			t.Skip()
 		}
-		// The lanes' shape is rare among arbitrary bytes: also try the odd
-		// modulus of at most 1024 bits that shares m's low bits.
-		mk := new(big.Int).Mod(m, new(big.Int).Lsh(One, laneBits))
-		mods := []*big.Int{m, mk.SetBit(mk, 0, 1)}
+		// The lanes' shapes are rare among arbitrary bytes: also try the
+		// odd moduli of at most 512 and at most 1024 bits (ten and twenty
+		// limbs) that share m's low bits.
+		mods := []*big.Int{m}
+		for _, bits := range []uint{512, laneBits} {
+			mk := new(big.Int).Mod(m, new(big.Int).Lsh(One, bits))
+			mods = append(mods, mk.SetBit(mk, 0, 1))
+		}
 		e := new(big.Int).SetBytes(eRaw)
 		x := new(big.Int).SetBytes(xRaw)
 		for _, m := range mods {
