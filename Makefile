@@ -129,7 +129,8 @@ fuzz-smoke:
 	$(GO) test -fuzz='^FuzzFoldEquivalence$$' -fuzztime=$(FUZZTIME) ./internal/selectedsum/; \
 	$(GO) test -fuzz='^FuzzDecodeJobSpec$$' -fuzztime=$(FUZZTIME) ./internal/jobs/; \
 	$(GO) test -fuzz='^FuzzReplayJournal$$' -fuzztime=$(FUZZTIME) ./internal/durable/; \
-	$(GO) test -fuzz='^FuzzReadBlock$$' -fuzztime=$(FUZZTIME) ./internal/colstore/
+	$(GO) test -fuzz='^FuzzReadBlock$$' -fuzztime=$(FUZZTIME) ./internal/colstore/; \
+	$(GO) test -fuzz='^FuzzStockProtocol$$' -fuzztime=$(FUZZTIME) ./internal/stock/
 
 # Coverage gate: profile ./internal/..., print per-package percentages, and
 # fail if the total drops below the committed floor. The floor is the

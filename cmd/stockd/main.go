@@ -1,10 +1,10 @@
 // Command stockd runs preprocessing as a service: a daemon that keeps
-// per-public-key inventories of pre-encrypted 0/1 bits and precomputed r^N
-// randomizers at target depths, and streams batches of them to clients over
-// the stock wire protocol. Clients (sumclient -stock, sumjobd -stock)
-// prefetch from it instead of paying the paper's §3.3 online encryption
-// cost; when stockd is down they silently fall back to online encryption,
-// so a stock outage costs latency, never correctness.
+// per-public-key inventories of pre-encrypted 0/1 bits at target depths, and
+// streams batches of them to clients over the stock wire protocol. Clients
+// (sumclient -stock, sumjobd -stock) prefetch from it instead of paying the
+// paper's §3.3 online encryption cost; when stockd is down they silently
+// fall back to online encryption, so a stock outage costs latency, never
+// correctness.
 //
 // stockd holds no secrets: it sees only public keys and mints encryptions of
 // the constants 0 and 1 under them. It learns nothing about any client's
@@ -69,7 +69,6 @@ func main() {
 	listen := flag.String("listen", ":7005", "address to serve stock sessions on")
 	targetZeros := flag.Int("target-zeros", 4096, "per-key inventory depth of encrypted 0 bits")
 	targetOnes := flag.Int("target-ones", 512, "per-key inventory depth of encrypted 1 bits")
-	targetRand := flag.Int("target-randomizers", 0, "per-key inventory depth of precomputed r^N randomizers")
 	maxKeys := flag.Int("max-keys", stock.DefaultMaxKeys, "public keys admitted before hellos get a busy error")
 	rate := flag.Int("rate", 0, "cap stock generation at this many items/second across all keys (0 = unlimited)")
 	stateDir := flag.String("state-dir", "", "persist inventories here on shutdown and restore on admission (empty = off)")
@@ -84,7 +83,7 @@ func main() {
 	flag.Parse()
 
 	inv, err := buildInventory(stockdConfig{
-		targets:       stock.Targets{Zeros: *targetZeros, Ones: *targetOnes, Randomizers: *targetRand},
+		targets:       stock.Targets{Zeros: *targetZeros, Ones: *targetOnes},
 		maxKeys:       *maxKeys,
 		rate:          *rate,
 		stateDir:      *stateDir,
@@ -124,8 +123,8 @@ func main() {
 	if err != nil {
 		log.Fatalf("stockd: listen: %v", err)
 	}
-	log.Printf("stock daemon on %s (targets %d/%d/%d, max-keys=%d, rate=%d/s)",
-		ln.Addr(), *targetZeros, *targetOnes, *targetRand, *maxKeys, *rate)
+	log.Printf("stock daemon on %s (targets %d/%d, max-keys=%d, rate=%d/s)",
+		ln.Addr(), *targetZeros, *targetOnes, *maxKeys, *rate)
 
 	// SIGHUP gets the same drain-then-persist exit as SIGINT/SIGTERM: a
 	// hangup from a dying terminal or a supervisor reload must not skip the

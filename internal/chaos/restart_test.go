@@ -352,14 +352,10 @@ func TestRestartChaosStockd(t *testing.T) {
 				t.Fatalf("snapshot unreadable after SIGKILL: %v", err)
 			}
 			z, o := st.Depth()
-			var rnds int
-			if pool, err := paillier.LoadRandomizerPool(filepath.Join(dir, label+".rnd"), pk); err == nil {
-				rnds = pool.Depth()
-			}
 
 			d2, addr2 := start(t, dir)
-			line := d2.WaitLog(`stock: recovery: (keys_restored=\S+ \S+ \S+ \S+)`, 15*time.Second)
-			want := fmt.Sprintf("keys_restored=1 bits_loaded=%d randomizers_loaded=%d stale_discarded=0", z+o, rnds)
+			line := d2.WaitLog(`stock: recovery: (keys_restored=\S+ \S+ \S+)`, 15*time.Second)
+			want := fmt.Sprintf("keys_restored=1 bits_loaded=%d stale_discarded=0", z+o)
 			if line != want {
 				t.Fatalf("recovery summary = %q, want %q", line, want)
 			}

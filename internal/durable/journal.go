@@ -2,7 +2,7 @@
 // small append-only, CRC-framed write-ahead journal for state that must
 // survive a SIGKILL, and an atomic-rename snapshot helper for state that is
 // cheap to rewrite whole. It follows the same envelope discipline as the
-// PSBS/PSRP store files in internal/paillier (magic, version, CRC-32 IEEE):
+// PSBS store files in internal/paillier (magic, version, CRC-32 IEEE):
 // a reader can always tell a file that was never ours from one of ours that
 // a crash tore mid-write.
 //

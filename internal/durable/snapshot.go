@@ -12,7 +12,7 @@ import (
 // rename, then fsyncs the directory: a crash at any point leaves either the
 // old complete file or the new complete file at path, never a truncated
 // hybrid. This is the snapshot discipline behind every persisted store in
-// the repo (PSBS/PSRP stock files, compacted job journals).
+// the repo (PSBS stock files, compacted job journals).
 func WriteFileAtomic(path string, write func(w io.Writer) error) error {
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)

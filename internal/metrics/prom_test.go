@@ -95,11 +95,8 @@ func promFixture() fixture {
 	cafe := stm.Key("cafe")
 	cafe.DepthZeros.Set(100)
 	cafe.DepthOnes.Set(8)
-	cafe.DepthRandomizers.Set(5)
 	cafe.GeneratedBits.Add(108)
-	cafe.GeneratedRandomizers.Add(5)
 	cafe.ServedBits.Add(60)
-	cafe.ServedRandomizers.Add(2)
 	cafe.ServedBatches.Add(4)
 	cafe.RefillErrors.Inc()
 	cafe.FillNanos.Observe(1_000_000)
@@ -205,12 +202,9 @@ func TestPromRoundTrip(t *testing.T) {
 		"privstats_stock_snapshot_errors_total":                                        1,
 		`privstats_stock_depth{key="cafe",kind="zeros"}`:                               100,
 		`privstats_stock_depth{key="cafe",kind="ones"}`:                                8,
-		`privstats_stock_depth{key="cafe",kind="randomizers"}`:                         5,
 		`privstats_stock_depth{key="aaaa000000000000",kind="zeros"}`:                   40,
 		`privstats_stock_generated_total{key="cafe",kind="bits"}`:                      108,
-		`privstats_stock_generated_total{key="cafe",kind="randomizers"}`:               5,
 		`privstats_stock_served_total{key="cafe",kind="bits"}`:                         60,
-		`privstats_stock_served_total{key="cafe",kind="randomizers"}`:                  2,
 		`privstats_stock_served_batches_total{key="cafe"}`:                             4,
 		`privstats_stock_served_batches_total{key="aaaa000000000000"}`:                 0,
 		`privstats_stock_refill_errors_total{key="cafe"}`:                              1,

@@ -9,21 +9,17 @@ package metrics
 
 // KeyStockMetrics holds one inventory's gauges and counters.
 type KeyStockMetrics struct {
-	// DepthZeros/DepthOnes/DepthRandomizers track the current stock levels
-	// (Set by the refiller after every pass and by the serving path after
-	// every batch). Their Max() is the high-water fill.
-	DepthZeros       Gauge
-	DepthOnes        Gauge
-	DepthRandomizers Gauge
+	// DepthZeros/DepthOnes track the current stock levels (Set by the
+	// refiller after every pass and by the serving path after every batch).
+	// Their Max() is the high-water fill.
+	DepthZeros Gauge
+	DepthOnes  Gauge
 
-	// GeneratedBits / GeneratedRandomizers count items produced by the
-	// background refillers; ServedBits / ServedRandomizers count items
-	// shipped to clients. fill rate and draw rate are these counters'
-	// derivatives.
-	GeneratedBits        Counter
-	GeneratedRandomizers Counter
-	ServedBits           Counter
-	ServedRandomizers    Counter
+	// GeneratedBits counts items produced by the background refillers;
+	// ServedBits counts items shipped to clients. fill rate and draw rate
+	// are these counters' derivatives.
+	GeneratedBits Counter
+	ServedBits    Counter
 
 	// ServedBatches counts batch replies (including short and empty ones —
 	// the daemon never blocks a client waiting for stock).
@@ -72,11 +68,8 @@ func (m *StockMetrics) Describe(d *Desc) {
 	m.keys.each(func(name string, k *KeyStockMetrics) {
 		depth.Sample(k.DepthZeros.Value(), name, "zeros")
 		depth.Sample(k.DepthOnes.Value(), name, "ones")
-		depth.Sample(k.DepthRandomizers.Value(), name, "randomizers")
 		generated.Sample(k.GeneratedBits.Value(), name, "bits")
-		generated.Sample(k.GeneratedRandomizers.Value(), name, "randomizers")
 		served.Sample(k.ServedBits.Value(), name, "bits")
-		served.Sample(k.ServedRandomizers.Value(), name, "randomizers")
 		batches.Sample(k.ServedBatches.Value(), name)
 		refillErrs.Sample(k.RefillErrors.Value(), name)
 		fill.Sample(&k.FillNanos, name)
@@ -85,18 +78,15 @@ func (m *StockMetrics) Describe(d *Desc) {
 
 // KeyStockSnapshot is one key's row in the JSON stock document.
 type KeyStockSnapshot struct {
-	Key                  string  `json:"key"`
-	DepthZeros           int64   `json:"depth_zeros"`
-	DepthOnes            int64   `json:"depth_ones"`
-	DepthRandomizers     int64   `json:"depth_randomizers"`
-	GeneratedBits        int64   `json:"generated_bits"`
-	GeneratedRandomizers int64   `json:"generated_randomizers"`
-	ServedBits           int64   `json:"served_bits"`
-	ServedRandomizers    int64   `json:"served_randomizers"`
-	ServedBatches        int64   `json:"served_batches"`
-	RefillErrors         int64   `json:"refill_errors"`
-	FillP50Milli         float64 `json:"fill_p50_ms"`
-	FillP99Milli         float64 `json:"fill_p99_ms"`
+	Key           string  `json:"key"`
+	DepthZeros    int64   `json:"depth_zeros"`
+	DepthOnes     int64   `json:"depth_ones"`
+	GeneratedBits int64   `json:"generated_bits"`
+	ServedBits    int64   `json:"served_bits"`
+	ServedBatches int64   `json:"served_batches"`
+	RefillErrors  int64   `json:"refill_errors"`
+	FillP50Milli  float64 `json:"fill_p50_ms"`
+	FillP99Milli  float64 `json:"fill_p99_ms"`
 }
 
 // StockSnapshot is the JSON document the daemon's /stats serves.
@@ -118,18 +108,15 @@ func (m *StockMetrics) Snapshot() StockSnapshot {
 		Keys: rows(&m.keys, func(name string, k *KeyStockMetrics) KeyStockSnapshot {
 			h := k.FillNanos.Snapshot()
 			return KeyStockSnapshot{
-				Key:                  name,
-				DepthZeros:           k.DepthZeros.Value(),
-				DepthOnes:            k.DepthOnes.Value(),
-				DepthRandomizers:     k.DepthRandomizers.Value(),
-				GeneratedBits:        k.GeneratedBits.Value(),
-				GeneratedRandomizers: k.GeneratedRandomizers.Value(),
-				ServedBits:           k.ServedBits.Value(),
-				ServedRandomizers:    k.ServedRandomizers.Value(),
-				ServedBatches:        k.ServedBatches.Value(),
-				RefillErrors:         k.RefillErrors.Value(),
-				FillP50Milli:         float64(h.P50) / 1e6,
-				FillP99Milli:         float64(h.P99) / 1e6,
+				Key:           name,
+				DepthZeros:    k.DepthZeros.Value(),
+				DepthOnes:     k.DepthOnes.Value(),
+				GeneratedBits: k.GeneratedBits.Value(),
+				ServedBits:    k.ServedBits.Value(),
+				ServedBatches: k.ServedBatches.Value(),
+				RefillErrors:  k.RefillErrors.Value(),
+				FillP50Milli:  float64(h.P50) / 1e6,
+				FillP99Milli:  float64(h.P99) / 1e6,
 			}
 		}),
 	}

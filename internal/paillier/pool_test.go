@@ -8,63 +8,6 @@ import (
 	"privstats/internal/mathx"
 )
 
-func TestRandomizerPoolEncrypt(t *testing.T) {
-	sk := testKey(t, 128)
-	pk := sk.Public()
-	pool := NewRandomizerPool(pk)
-	if err := pool.Fill(10); err != nil {
-		t.Fatal(err)
-	}
-	if pool.Len() != 10 {
-		t.Fatalf("pool len = %d, want 10", pool.Len())
-	}
-	if pool.OnlineFallbacks() != 0 {
-		t.Fatalf("fresh pool fallbacks = %d, want 0", pool.OnlineFallbacks())
-	}
-	for i := int64(0); i < 12; i++ { // 10 pooled + 2 online fallbacks
-		ct, err := pool.Encrypt(big.NewInt(i))
-		if err != nil {
-			t.Fatalf("pool encrypt %d: %v", i, err)
-		}
-		got, err := sk.Decrypt(ct)
-		if err != nil || got.Int64() != i {
-			t.Fatalf("pooled encryption of %d decrypts to %v (err %v)", i, got, err)
-		}
-	}
-	if pool.Len() != 0 {
-		t.Errorf("pool should be drained, has %d", pool.Len())
-	}
-	if pool.OnlineFallbacks() != 2 {
-		t.Errorf("fallbacks = %d, want 2", pool.OnlineFallbacks())
-	}
-}
-
-func TestRandomizerPoolRejectsNegativeFill(t *testing.T) {
-	pool := NewRandomizerPool(testKey(t, 128).Public())
-	if err := pool.Fill(-1); err == nil {
-		t.Error("Fill(-1) should fail")
-	}
-}
-
-func TestRandomizerPoolUniqueDraws(t *testing.T) {
-	pool := NewRandomizerPool(testKey(t, 128).Public())
-	if err := pool.Fill(20); err != nil {
-		t.Fatal(err)
-	}
-	seen := map[string]bool{}
-	for i := 0; i < 20; i++ {
-		rn, err := pool.Draw()
-		if err != nil {
-			t.Fatal(err)
-		}
-		k := rn.String()
-		if seen[k] {
-			t.Fatal("pool returned the same randomizer twice")
-		}
-		seen[k] = true
-	}
-}
-
 func TestBitStoreDrawAndFallback(t *testing.T) {
 	sk := testKey(t, 128)
 	store := NewBitStore(sk.Public())
@@ -175,21 +118,6 @@ func BenchmarkEncryptOnline(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := pk.Encrypt(m); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkEncryptPooled(b *testing.B) {
-	pk := testKey(b, 512).Public()
-	pool := NewRandomizerPool(pk)
-	if err := pool.Fill(b.N); err != nil {
-		b.Fatal(err)
-	}
-	m := big.NewInt(1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := pool.Encrypt(m); err != nil {
 			b.Fatal(err)
 		}
 	}

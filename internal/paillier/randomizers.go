@@ -90,7 +90,8 @@ func (rs *randomizers) next() (*big.Int, error) {
 }
 
 // raiseUnits returns count randomizers r^N mod N² for units r of Z*_N read
-// from rd, raised with one ExpEach on red, the Reducer of N².
+// from rd, raised with one ExpEach on red, the Reducer of N². Its callers are
+// a table entry's refill (lookupModulus) and a literal key's randomizer.
 func raiseUnits(red *mathx.Reducer, rd io.Reader, n *big.Int, count int) ([]*big.Int, error) {
 	rs := make([]*big.Int, count)
 	for i := range rs {

@@ -8,11 +8,9 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math/big"
 	"os"
 
 	"privstats/internal/durable"
-	"privstats/internal/mathx"
 )
 
 // Persistence for the preprocessed bit store — the paper's PDA scenario:
@@ -35,11 +33,6 @@ import (
 const (
 	storeMagic   = "PSBS"
 	storeVersion = 1
-
-	// randMagic marks a persisted RandomizerPool. Same header discipline as
-	// the bit store — version, key fingerprint, width, count, CRC — but the
-	// body is r^N values rather than whole ciphertexts.
-	randMagic = "PSRP"
 )
 
 // maxStock bounds the counts a store header may declare, rejecting absurd
@@ -53,7 +46,10 @@ var ErrStoreKeyMismatch = errors.New("paillier: bit store belongs to a different
 // ErrCorruptStore is returned when a store file fails validation.
 var ErrCorruptStore = errors.New("paillier: corrupt bit store file")
 
-func keyFingerprint(pk *PublicKey) ([32]byte, error) {
+// KeyFingerprint returns the SHA-256 of the public key's canonical encoding
+// — the identity that binds persisted stores and stock-daemon inventories to
+// one key, so material for a rotated key is rejected rather than replayed.
+func KeyFingerprint(pk *PublicKey) ([32]byte, error) {
 	raw, err := pk.MarshalBinary()
 	if err != nil {
 		return [32]byte{}, err
@@ -61,15 +57,10 @@ func keyFingerprint(pk *PublicKey) ([32]byte, error) {
 	return sha256.Sum256(raw), nil
 }
 
-// KeyFingerprint returns the SHA-256 of the public key's canonical encoding
-// — the identity that binds persisted stores and stock-daemon inventories to
-// one key, so material for a rotated key is rejected rather than replayed.
-func KeyFingerprint(pk *PublicKey) ([32]byte, error) { return keyFingerprint(pk) }
-
 // WriteTo streams the store's current stock to w. The store is not drained;
 // callers typically persist right after Fill.
 func (s *BitStore) WriteTo(w io.Writer) (int64, error) {
-	fp, err := keyFingerprint(s.pk)
+	fp, err := KeyFingerprint(s.pk)
 	if err != nil {
 		return 0, err
 	}
@@ -116,7 +107,7 @@ func (s *BitStore) WriteTo(w io.Writer) (int64, error) {
 // ReadBitStore loads a store previously written with WriteTo, validating
 // the key binding, every ciphertext, and the checksum.
 func ReadBitStore(r io.Reader, pk *PublicKey) (*BitStore, error) {
-	fp, err := keyFingerprint(pk)
+	fp, err := KeyFingerprint(pk)
 	if err != nil {
 		return nil, err
 	}
@@ -180,19 +171,14 @@ func ReadBitStore(r io.Reader, pk *PublicKey) (*BitStore, error) {
 	return store, nil
 }
 
-// SaveFile writes the store to path atomically.
+// SaveFile writes the store to path atomically: through a temp file renamed
+// into place, with fsync on both the file and its directory, so a crash
+// mid-write never leaves a truncated store behind.
 func (s *BitStore) SaveFile(path string) error {
-	return saveFileAtomic(path, func(w io.Writer) error {
+	return durable.WriteFileAtomic(path, func(w io.Writer) error {
 		_, err := s.WriteTo(w)
 		return err
 	})
-}
-
-// saveFileAtomic writes via a temp file and renames into place (with fsync
-// on both the file and its directory), so a crash mid-write never leaves a
-// truncated store behind — the shared durable.WriteFileAtomic discipline.
-func saveFileAtomic(path string, write func(io.Writer) error) error {
-	return durable.WriteFileAtomic(path, write)
 }
 
 // LoadBitStore reads a store saved by SaveFile.
@@ -207,130 +193,4 @@ func LoadBitStore(path string, pk *PublicKey) (*BitStore, error) {
 		return nil, fmt.Errorf("paillier: reading %s: %w", path, err)
 	}
 	return store, nil
-}
-
-// WriteTo streams the pool's current stock to w in the "PSRP" format: the
-// PSBS header discipline (magic, version, key fingerprint, width, count)
-// over fixed-width r^N values, closed by a CRC-32 trailer.
-func (p *RandomizerPool) WriteTo(w io.Writer) (int64, error) {
-	fp, err := keyFingerprint(p.pk)
-	if err != nil {
-		return 0, err
-	}
-	p.mu.Lock()
-	stock := append([]*big.Int(nil), p.stock...)
-	p.mu.Unlock()
-
-	crc := crc32.NewIEEE()
-	mw := io.MultiWriter(w, crc)
-	var written int64
-
-	width := p.pk.CiphertextSize() // r^N lives in [1, N²), same width
-	hdr := make([]byte, 0, 64)
-	hdr = append(hdr, randMagic...)
-	hdr = binary.BigEndian.AppendUint32(hdr, storeVersion)
-	hdr = append(hdr, fp[:]...)
-	hdr = binary.BigEndian.AppendUint32(hdr, uint32(width))
-	hdr = binary.BigEndian.AppendUint64(hdr, uint64(len(stock)))
-	n, err := mw.Write(hdr)
-	written += int64(n)
-	if err != nil {
-		return written, fmt.Errorf("paillier: writing randomizer header: %w", err)
-	}
-	buf := make([]byte, width)
-	for _, rn := range stock {
-		mathx.FillBytes(buf, rn)
-		n, err := mw.Write(buf)
-		written += int64(n)
-		if err != nil {
-			return written, fmt.Errorf("paillier: writing randomizer body: %w", err)
-		}
-	}
-	var sum [4]byte
-	binary.BigEndian.PutUint32(sum[:], crc.Sum32())
-	n, err = w.Write(sum[:])
-	written += int64(n)
-	if err != nil {
-		return written, fmt.Errorf("paillier: writing randomizer checksum: %w", err)
-	}
-	return written, nil
-}
-
-// ReadRandomizerPool loads a pool previously written with WriteTo,
-// validating the key binding, every value's range, and the checksum.
-func ReadRandomizerPool(r io.Reader, pk *PublicKey) (*RandomizerPool, error) {
-	fp, err := keyFingerprint(pk)
-	if err != nil {
-		return nil, err
-	}
-	crc := crc32.NewIEEE()
-	tr := io.TeeReader(r, crc)
-
-	hdr := make([]byte, 4+4+32+4+8)
-	if _, err := io.ReadFull(tr, hdr); err != nil {
-		return nil, fmt.Errorf("%w: header: %v", ErrCorruptStore, err)
-	}
-	if string(hdr[:4]) != randMagic {
-		return nil, fmt.Errorf("%w: bad magic %q", ErrCorruptStore, hdr[:4])
-	}
-	if v := binary.BigEndian.Uint32(hdr[4:]); v != storeVersion {
-		return nil, fmt.Errorf("%w: unsupported version %d", ErrCorruptStore, v)
-	}
-	var gotFP [32]byte
-	copy(gotFP[:], hdr[8:40])
-	if gotFP != fp {
-		return nil, ErrStoreKeyMismatch
-	}
-	width := binary.BigEndian.Uint32(hdr[40:])
-	if int(width) != pk.CiphertextSize() {
-		return nil, fmt.Errorf("%w: width %d, key needs %d", ErrCorruptStore, width, pk.CiphertextSize())
-	}
-	count := binary.BigEndian.Uint64(hdr[44:])
-	if count > maxStock {
-		return nil, fmt.Errorf("%w: absurd stock count %d", ErrCorruptStore, count)
-	}
-
-	pool := NewRandomizerPool(pk)
-	buf := make([]byte, width)
-	for i := uint64(0); i < count; i++ {
-		if _, err := io.ReadFull(tr, buf); err != nil {
-			return nil, fmt.Errorf("%w: randomizer %d: %v", ErrCorruptStore, i, err)
-		}
-		rn := new(big.Int).SetBytes(buf)
-		if rn.Sign() < 1 || rn.Cmp(pk.NSquared) >= 0 {
-			return nil, fmt.Errorf("%w: randomizer %d outside [1, N²)", ErrCorruptStore, i)
-		}
-		pool.stock = append(pool.stock, rn)
-	}
-
-	wantSum := crc.Sum32()
-	if _, err := io.ReadFull(r, buf[:4]); err != nil {
-		return nil, fmt.Errorf("%w: checksum: %v", ErrCorruptStore, err)
-	}
-	if got := binary.BigEndian.Uint32(buf[:4]); got != wantSum {
-		return nil, fmt.Errorf("%w: checksum mismatch", ErrCorruptStore)
-	}
-	return pool, nil
-}
-
-// SaveFile writes the pool to path atomically.
-func (p *RandomizerPool) SaveFile(path string) error {
-	return saveFileAtomic(path, func(w io.Writer) error {
-		_, err := p.WriteTo(w)
-		return err
-	})
-}
-
-// LoadRandomizerPool reads a pool saved by SaveFile.
-func LoadRandomizerPool(path string, pk *PublicKey) (*RandomizerPool, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("paillier: opening %s: %w", path, err)
-	}
-	defer f.Close()
-	pool, err := ReadRandomizerPool(bufio.NewReader(f), pk)
-	if err != nil {
-		return nil, fmt.Errorf("paillier: reading %s: %w", path, err)
-	}
-	return pool, nil
 }

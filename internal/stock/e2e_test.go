@@ -49,18 +49,17 @@ func startStockd(t *testing.T, cfg InventoryConfig) (string, *Inventory, *server
 func TestRemoteSourcePrimeAndDraw(t *testing.T) {
 	sk, _ := testKeys(t)
 	addr, _, _ := startStockd(t, InventoryConfig{
-		Targets: Targets{Zeros: 64, Ones: 16, Randomizers: 8},
+		Targets: Targets{Zeros: 64, Ones: 16},
 	})
 
 	src, err := NewRemoteSource(RemoteSourceConfig{
-		Addr:              addr,
-		Key:               sk.Public(),
-		TargetZeros:       32,
-		TargetOnes:        8,
-		TargetRandomizers: 4,
-		Batch:             16,
-		UseCRC:            true,
-		Logf:              discardLogf,
+		Addr:        addr,
+		Key:         sk.Public(),
+		TargetZeros: 32,
+		TargetOnes:  8,
+		Batch:       16,
+		UseCRC:      true,
+		Logf:        discardLogf,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -72,9 +71,9 @@ func TestRemoteSourcePrimeAndDraw(t *testing.T) {
 	if err := src.Prime(ctx); err != nil {
 		t.Fatal(err)
 	}
-	z, o, r := src.Depth()
-	if z < 32 || o < 8 || r < 4 {
-		t.Fatalf("primed depths = (%d,%d,%d)", z, o, r)
+	z, o := src.Depth()
+	if z < 32 || o < 8 {
+		t.Fatalf("primed depths = (%d,%d)", z, o)
 	}
 
 	// Every prefetched item is genuine daemon-minted stock under our key.
@@ -96,9 +95,6 @@ func TestRemoteSourcePrimeAndDraw(t *testing.T) {
 		if v, err := skk.Decrypt(ct); err != nil || v.Int64() != 1 {
 			t.Fatalf("prefetched E(1) decrypts to %v (err %v)", v, err)
 		}
-	}
-	if _, err := src.Randomizer(); err != nil {
-		t.Fatal(err)
 	}
 	if n := src.OnlineFallbacks(); n != 0 {
 		t.Fatalf("%d online fallbacks while stocked", n)
@@ -261,6 +257,69 @@ func TestHandlerRejectsBadHellos(t *testing.T) {
 	}
 }
 
+// TestHandlerRefusesRetiredKind: a request for kind 2, the r^N randomizers
+// an older daemon also stocked, fails DecodeRequest like any unknown kind and
+// is refused with [protocol]; the next session on the same daemon is served.
+func TestHandlerRefusesRetiredKind(t *testing.T) {
+	sk, _ := testKeys(t)
+	pk := sk.Public()
+	addr, _, _ := startStockd(t, InventoryConfig{Targets: Targets{Zeros: 4}})
+
+	keyBytes, err := pk.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp, err := paillier.KeyFingerprint(pk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn := rawStockConn(t, addr)
+	hello := Hello{Version: Version, Scheme: paillier.SchemeID, PublicKey: keyBytes, Fingerprint: fp}
+	if err := conn.Send(wire.MsgStockHello, hello.Encode()); err != nil {
+		t.Fatal(err)
+	}
+	if f, err := conn.Recv(); err != nil || f.Type != wire.MsgStockHello {
+		t.Fatalf("hello ack: frame %v, err %v", f, err)
+	}
+	if err := conn.Send(wire.MsgStockRequest, (&Request{Kind: 2, Count: 1}).Encode()); err != nil {
+		t.Fatal(err)
+	}
+	f, err := conn.Recv()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f.Type != wire.MsgError {
+		t.Fatalf("kind-2 request answered with frame %#x, want MsgError", byte(f.Type))
+	}
+	if perr := wire.DecodeError(f.Payload); wire.ErrorCodeOf(perr) != wire.CodeProtocol {
+		t.Fatalf("kind-2 request refused with %v, want [protocol]", perr)
+	}
+
+	src, err := NewRemoteSource(RemoteSourceConfig{Addr: addr, Key: pk, TargetZeros: 4, Logf: discardLogf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer src.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := src.Prime(ctx); err != nil {
+		t.Fatalf("next session after the refusal: %v", err)
+	}
+	skk := paillier.SchemeKey{SK: sk}
+	for i := 0; i < 4; i++ {
+		ct, err := src.DrawBit(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v, err := skk.Decrypt(ct); err != nil || v.Sign() != 0 {
+			t.Fatalf("E(0) served after the refusal decrypts to %v (err %v)", v, err)
+		}
+	}
+	if n := src.OnlineFallbacks(); n != 0 {
+		t.Fatalf("%d online fallbacks after the refusal", n)
+	}
+}
+
 // TestEndToEndStockedQuery is the ISSUE's e2e acceptance check: a live
 // cluster (sumserver-equivalent backend) plus a live stockd; the client
 // primes a RemoteSource, runs the real protocol, and gets the exact sum
@@ -353,7 +412,7 @@ func TestEndToEndStockedQuery(t *testing.T) {
 	if err := stockSrv.Close(); err != nil {
 		t.Fatal(err)
 	}
-	z, o, _ := src.Depth()
+	z, o := src.Depth()
 	for i := 0; i < z; i++ {
 		if _, err := src.DrawBit(0); err != nil {
 			t.Fatal(err)

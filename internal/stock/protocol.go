@@ -1,7 +1,6 @@
 // Package stock implements preprocessing-as-a-service: the paper's §3.3
-// optimization (pre-encrypted 0/1 bits and precomputed r^N randomizers)
-// promoted from per-process pools into a standalone stock-generation daemon
-// plus a prefetching client.
+// optimization (pre-encrypted 0/1 bits) promoted from a per-process store
+// into a standalone stock-generation daemon plus a prefetching client.
 //
 // The trust model is the reason this split is safe: stock is public-key-only
 // material. The daemon sees a public key and mints encryptions of the
@@ -41,16 +40,14 @@ const Version = 1
 // Kind names one stock inventory.
 type Kind uint8
 
-// Stock kinds. KindZeroBits and KindOneBits deliberately equal the bit value
-// they carry.
+// Stock kinds. Each deliberately equals the bit value it carries.
 const (
-	KindZeroBits    Kind = 0
-	KindOneBits     Kind = 1
-	KindRandomizers Kind = 2
+	KindZeroBits Kind = 0
+	KindOneBits  Kind = 1
 )
 
 // Valid reports whether k names a known stock kind.
-func (k Kind) Valid() bool { return k <= KindRandomizers }
+func (k Kind) Valid() bool { return k <= KindOneBits }
 
 // String names the kind for logs and errors.
 func (k Kind) String() string {
@@ -59,8 +56,6 @@ func (k Kind) String() string {
 		return "zero-bits"
 	case KindOneBits:
 		return "one-bits"
-	case KindRandomizers:
-		return "randomizers"
 	}
 	return fmt.Sprintf("unknown(%d)", uint8(k))
 }
@@ -194,9 +189,8 @@ func DecodeRequest(b []byte) (*Request, error) {
 // Batch is the daemon's reply to one Request: Count() fixed-width items.
 type Batch struct {
 	Kind Kind
-	// Items is Count() encodings of Width bytes each, back to back. Bits are
-	// canonical ciphertext encodings; randomizers are big-endian r^N values
-	// zero-padded to Width.
+	// Items is Count() canonical ciphertext encodings of Width bytes each,
+	// back to back.
 	Items []byte
 	Width int
 }

@@ -3,6 +3,7 @@ package stock
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"strings"
 	"testing"
 
@@ -74,7 +75,7 @@ func TestHelloAckRoundTrip(t *testing.T) {
 }
 
 func TestRequestRoundTrip(t *testing.T) {
-	for _, k := range []Kind{KindZeroBits, KindOneBits, KindRandomizers} {
+	for _, k := range []Kind{KindZeroBits, KindOneBits} {
 		r := Request{Kind: k, Count: 17}
 		back, err := DecodeRequest(r.Encode())
 		if err != nil {
@@ -88,6 +89,7 @@ func TestRequestRoundTrip(t *testing.T) {
 		"empty":        {},
 		"short":        {0, 0, 0, 1},
 		"long":         {0, 0, 0, 0, 1, 0},
+		"retired kind": (&Request{Kind: 2, Count: 1}).Encode(),
 		"unknown kind": (&Request{Kind: 9, Count: 1}).Encode(),
 		"zero count":   (&Request{Kind: 0, Count: 0}).Encode(),
 		"over cap":     (&Request{Kind: 0, Count: MaxBatchItems + 1}).Encode(),
@@ -144,13 +146,55 @@ func TestDecodeBatchRejectsMalformed(t *testing.T) {
 
 func TestKindString(t *testing.T) {
 	for k, want := range map[Kind]string{
-		KindZeroBits: "zero-bits", KindOneBits: "one-bits", KindRandomizers: "randomizers",
+		KindZeroBits: "zero-bits", KindOneBits: "one-bits",
 	} {
 		if k.String() != want || !k.Valid() {
 			t.Errorf("kind %d: %q valid=%v", k, k.String(), k.Valid())
 		}
 	}
-	if Kind(3).Valid() || !strings.Contains(Kind(3).String(), "unknown") {
-		t.Error("kind 3 must be invalid")
+	if Kind(2).Valid() || !strings.Contains(Kind(2).String(), "unknown") {
+		t.Error("kind 2 must be invalid")
 	}
+}
+
+// FuzzStockProtocol feeds arbitrary bytes to the three decoders that parse
+// frames straight off the network. Whatever a decoder accepts re-encodes to
+// exactly the bytes it was given, and no kind but the two bit kinds gets
+// through.
+func FuzzStockProtocol(f *testing.F) {
+	key := []byte("not-a-real-key-but-bytes-suffice")
+	f.Add((&Hello{Version: Version, Scheme: paillier.SchemeID, PublicKey: key, Fingerprint: sha256.Sum256(key), Flags: 0x80000001}).Encode())
+	f.Add((&HelloAck{Version: Version, Fingerprint: sha256.Sum256(key)}).Encode())
+	for _, k := range []Kind{KindZeroBits, KindOneBits, 2, 9} {
+		f.Add((&Request{Kind: k, Count: 17}).Encode())
+		f.Add((&Batch{Kind: k, Width: 4, Items: []byte{1, 2, 3, 4, 5, 6, 7, 8}}).Encode())
+	}
+	f.Add((&Batch{Kind: KindZeroBits, Width: 4}).Encode())
+	f.Fuzz(func(t *testing.T, b []byte) {
+		if h, err := DecodeHello(b); err == nil && !bytes.Equal(h.Encode(), b) {
+			t.Fatalf("hello %x re-encodes as %x", b, h.Encode())
+		}
+		if r, err := DecodeRequest(b); err == nil {
+			if r.Kind > KindOneBits {
+				t.Fatalf("request %x accepted with kind %d", b, r.Kind)
+			}
+			if !bytes.Equal(r.Encode(), b) {
+				t.Fatalf("request %x re-encodes as %x", b, r.Encode())
+			}
+		}
+		// A session takes the batch width from its key; the width the
+		// payload declares is the one a batch can be accepted at.
+		if len(b) < 5 {
+			return
+		}
+		width := int(binary.BigEndian.Uint32(b[1:]))
+		if bt, err := DecodeBatch(b, width); err == nil {
+			if bt.Kind > KindOneBits {
+				t.Fatalf("batch %x accepted with kind %d", b, bt.Kind)
+			}
+			if !bytes.Equal(bt.Encode(), b) {
+				t.Fatalf("batch %x re-encodes as %x", b, bt.Encode())
+			}
+		}
+	})
 }

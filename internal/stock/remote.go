@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"log"
-	"math/big"
 	"net"
 	"sync"
 	"time"
@@ -38,9 +37,9 @@ type RemoteSourceConfig struct {
 	Addr string
 	// Key is the client's public key; the daemon mints stock under it.
 	Key *paillier.PublicKey
-	// TargetZeros/TargetOnes/TargetRandomizers are the local depths the
-	// prefetcher keeps stocked. At least one must be positive.
-	TargetZeros, TargetOnes, TargetRandomizers int
+	// TargetZeros/TargetOnes are the local depths the prefetcher keeps
+	// stocked. At least one must be positive.
+	TargetZeros, TargetOnes int
 	// LowWater triggers a background refill when a bit inventory drops to
 	// it; zero means a quarter of that inventory's target.
 	LowWater int
@@ -59,14 +58,13 @@ type RemoteSourceConfig struct {
 }
 
 // RemoteSource implements homomorphic.EncryptorPool by prefetching batches
-// of daemon-minted stock into a local BitStore (and RandomizerPool), with
-// low-watermark background refill. When the daemon is unreachable, draws
-// fall back to online encryption — counted by the local store's
-// OnlineFallbacks, never blocking and never wrong.
+// of daemon-minted stock into a local BitStore, with low-watermark
+// background refill. When the daemon is unreachable, draws fall back to
+// online encryption — counted by the local store's OnlineFallbacks, never
+// blocking and never wrong.
 type RemoteSource struct {
 	cfg   RemoteSourceConfig
 	store *paillier.BitStore
-	rpool *paillier.RandomizerPool
 
 	// connMu serializes fetches (single-flight) and guards conn/downUntil.
 	connMu    sync.Mutex
@@ -92,11 +90,10 @@ func NewRemoteSource(cfg RemoteSourceConfig) (*RemoteSource, error) {
 	if cfg.Key == nil {
 		return nil, errors.New("stock: remote source needs a public key")
 	}
-	if cfg.TargetZeros < 0 || cfg.TargetOnes < 0 || cfg.TargetRandomizers < 0 {
-		return nil, fmt.Errorf("stock: negative remote targets (%d, %d, %d)",
-			cfg.TargetZeros, cfg.TargetOnes, cfg.TargetRandomizers)
+	if cfg.TargetZeros < 0 || cfg.TargetOnes < 0 {
+		return nil, fmt.Errorf("stock: negative remote targets (%d, %d)", cfg.TargetZeros, cfg.TargetOnes)
 	}
-	if cfg.TargetZeros == 0 && cfg.TargetOnes == 0 && cfg.TargetRandomizers == 0 {
+	if cfg.TargetZeros == 0 && cfg.TargetOnes == 0 {
 		return nil, errors.New("stock: all remote targets zero")
 	}
 	if cfg.LowWater < 0 {
@@ -123,7 +120,6 @@ func NewRemoteSource(cfg RemoteSourceConfig) (*RemoteSource, error) {
 	s := &RemoteSource{
 		cfg:      cfg,
 		store:    paillier.NewBitStore(cfg.Key),
-		rpool:    paillier.NewRandomizerPool(cfg.Key),
 		refillCh: make(chan struct{}, 1),
 		done:     make(chan struct{}),
 		logf:     cfg.Logf,
@@ -169,30 +165,12 @@ func (s *RemoteSource) DrawBit(bit uint) (homomorphic.Ciphertext, error) {
 // Remaining implements homomorphic.EncryptorPool.
 func (s *RemoteSource) Remaining(bit uint) int { return s.store.Remaining(bit) }
 
-// Randomizer draws one precomputed r^N (fetching/falling back like DrawBit).
-func (s *RemoteSource) Randomizer() (*big.Int, error) {
-	switch rem := s.rpool.Depth(); {
-	case rem == 0 && s.cfg.TargetRandomizers > 0:
-		if _, err := s.fetchRandomizers(); err != nil && !errors.Is(err, ErrDaemonDown) {
-			s.logf("stock: fetch randomizers: %v", err)
-		}
-	case rem <= s.lowWater(s.cfg.TargetRandomizers):
-		s.triggerRefill()
-	}
-	return s.rpool.Draw()
-}
-
 // Depth reports the local stock levels.
-func (s *RemoteSource) Depth() (zeros, ones, randomizers int) {
-	zeros, ones = s.store.Depth()
-	return zeros, ones, s.rpool.Depth()
-}
+func (s *RemoteSource) Depth() (zeros, ones int) { return s.store.Depth() }
 
-// OnlineFallbacks reports draws served by online computation across both
-// local pools — the steady-state SLO is zero.
-func (s *RemoteSource) OnlineFallbacks() int {
-	return s.store.OnlineFallbacks() + s.rpool.OnlineFallbacks()
-}
+// OnlineFallbacks reports draws served by online encryption — the
+// steady-state SLO is zero.
+func (s *RemoteSource) OnlineFallbacks() int { return s.store.OnlineFallbacks() }
 
 // Prime fetches until every local inventory reaches its target (the bench
 // and e2e setup path: a primed source proves OnlineFallbacks == 0 is
@@ -212,9 +190,6 @@ func (s *RemoteSource) Prime(ctx context.Context) error {
 		kind, need := KindZeroBits, s.cfg.TargetZeros-zeros
 		if need <= 0 {
 			kind, need = KindOneBits, s.cfg.TargetOnes-ones
-		}
-		if need <= 0 {
-			kind, need = KindRandomizers, s.cfg.TargetRandomizers-s.rpool.Depth()
 		}
 		if need <= 0 {
 			return nil
@@ -286,7 +261,6 @@ func (s *RemoteSource) topUp() {
 		zeros, ones := s.store.Depth()
 		needZ := s.cfg.TargetZeros - zeros
 		needO := s.cfg.TargetOnes - ones
-		needR := s.cfg.TargetRandomizers - s.rpool.Depth()
 		var (
 			got int
 			err error
@@ -296,8 +270,6 @@ func (s *RemoteSource) topUp() {
 			got, err = s.fetchBits(0)
 		case needO > 0:
 			got, err = s.fetchBits(1)
-		case needR > 0:
-			got, err = s.fetchRandomizers()
 		default:
 			return
 		}
@@ -309,10 +281,6 @@ func (s *RemoteSource) topUp() {
 
 func (s *RemoteSource) fetchBits(bit uint) (int, error) {
 	return s.fetch(Kind(bit), s.cfg.Batch)
-}
-
-func (s *RemoteSource) fetchRandomizers() (int, error) {
-	return s.fetch(KindRandomizers, s.cfg.Batch)
 }
 
 // fetch performs one request/batch exchange with the daemon, single-flight,
@@ -363,27 +331,16 @@ func (s *RemoteSource) fetchLocked(kind Kind, count int) (int, error) {
 		return 0, fmt.Errorf("stock: asked for %v, daemon sent %v", kind, batch.Kind)
 	}
 	n := batch.Count()
-	switch kind {
-	case KindZeroBits, KindOneBits:
-		cts := make([]*paillier.Ciphertext, n)
-		for i := 0; i < n; i++ {
-			ct, err := s.cfg.Key.ParseCiphertext(batch.At(i))
-			if err != nil {
-				return 0, fmt.Errorf("stock: daemon sent invalid ciphertext: %w", err)
-			}
-			cts[i] = ct
+	cts := make([]*paillier.Ciphertext, n)
+	for i := 0; i < n; i++ {
+		ct, err := s.cfg.Key.ParseCiphertext(batch.At(i))
+		if err != nil {
+			return 0, fmt.Errorf("stock: daemon sent invalid ciphertext: %w", err)
 		}
-		if err := s.store.AddStock(uint(kind), cts); err != nil {
-			return 0, err
-		}
-	case KindRandomizers:
-		rns := make([]*big.Int, n)
-		for i := 0; i < n; i++ {
-			rns[i] = new(big.Int).SetBytes(batch.At(i))
-		}
-		if err := s.rpool.AddStock(rns); err != nil {
-			return 0, fmt.Errorf("stock: daemon sent invalid randomizer: %w", err)
-		}
+		cts[i] = ct
+	}
+	if err := s.store.AddStock(uint(kind), cts); err != nil {
+		return 0, err
 	}
 	return n, nil
 }

@@ -34,7 +34,7 @@ func TestInventorySnapshotsOnInterval(t *testing.T) {
 	sk, _ := testKeys(t)
 	dir := t.TempDir()
 	cfg := InventoryConfig{
-		Targets:       Targets{Zeros: 6, Ones: 3, Randomizers: 2},
+		Targets:       Targets{Zeros: 6, Ones: 3},
 		StateDir:      dir,
 		SnapshotEvery: 20 * time.Millisecond,
 		Logf:          discardLogf,
@@ -46,7 +46,7 @@ func TestInventorySnapshotsOnInterval(t *testing.T) {
 	if _, err := inv.Admit(sk.Public()); err != nil {
 		t.Fatal(err)
 	}
-	waitForDepths(t, inv, sk.Public(), 6, 3, 2)
+	waitForDepths(t, inv, sk.Public(), 6, 3)
 
 	// Without any Close, a snapshot pass lands within a few intervals and
 	// leaves the full file set (including the public key) behind.
@@ -63,7 +63,7 @@ func TestInventorySnapshotsOnInterval(t *testing.T) {
 	for _, e := range entries {
 		exts[filepath.Ext(e.Name())] = true
 	}
-	for _, ext := range []string{".bits", ".rnd", ".pk"} {
+	for _, ext := range []string{".bits", ".pk"} {
 		if !exts[ext] {
 			t.Errorf("snapshot left no %s file (have %v)", ext, entries)
 		}
@@ -83,9 +83,9 @@ func TestInventorySnapshotsOnInterval(t *testing.T) {
 	if summary.Keys != 1 || summary.Bits == 0 || summary.Stale != 0 {
 		t.Errorf("summary = %+v, want 1 key, >0 bits, 0 stale", summary)
 	}
-	z, o, r, ok := inv2.Depths(sk.Public())
+	z, o, _, ok := inv2.Depths(sk.Public())
 	if !ok || z == 0 {
-		t.Errorf("depths after RestoreAll = (%d,%d,%d) ok=%v", z, o, r, ok)
+		t.Errorf("depths after RestoreAll = (%d,%d) ok=%v", z, o, ok)
 	}
 }
 
@@ -107,7 +107,7 @@ func TestInventorySnapshotOnDrainDelta(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitForDepths(t, inv, sk.Public(), 8, 2, 0)
+	waitForDepths(t, inv, sk.Public(), 8, 2)
 
 	// Serving fewer items than the delta must not trigger a snapshot: take
 	// counts the two items toward the delta and sends no wake, and only a
@@ -127,7 +127,7 @@ func TestRestoreAllCountsStaleFiles(t *testing.T) {
 	sk, _ := testKeys(t)
 	dir := t.TempDir()
 	cfg := InventoryConfig{
-		Targets:  Targets{Zeros: 4, Ones: 2, Randomizers: 1},
+		Targets:  Targets{Zeros: 4, Ones: 2},
 		StateDir: dir,
 		Logf:     discardLogf,
 	}
@@ -138,7 +138,7 @@ func TestRestoreAllCountsStaleFiles(t *testing.T) {
 	if _, err := inv.Admit(sk.Public()); err != nil {
 		t.Fatal(err)
 	}
-	waitForDepths(t, inv, sk.Public(), 4, 2, 1)
+	waitForDepths(t, inv, sk.Public(), 4, 2)
 	if err := inv.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -164,11 +164,11 @@ func TestRestoreAllCountsStaleFiles(t *testing.T) {
 	if summary.Keys != 1 || summary.Stale != 1 {
 		t.Errorf("summary = %+v, want 1 key and 1 stale", summary)
 	}
-	if summary.Bits != 6 || summary.Randomizers != 1 {
-		t.Errorf("summary = %+v, want 6 bits and 1 randomizer", summary)
+	if summary.Bits != 6 {
+		t.Errorf("summary = %+v, want 6 bits", summary)
 	}
 	// The summary renders as the structured one-liner the daemon logs.
-	want := "keys_restored=1 bits_loaded=6 randomizers_loaded=1 stale_discarded=1"
+	want := "keys_restored=1 bits_loaded=6 stale_discarded=1"
 	if got := summary.String(); got != want {
 		t.Errorf("String() = %q, want %q", got, want)
 	}
