@@ -299,7 +299,12 @@ func TestGatewayFairShare(t *testing.T) {
 	spec := func() *JobSpec { return &JobSpec{Op: OpSum, Selection: SelectionSpec{All: true}} }
 
 	// The hog floods five submissions: its queue cap admits two, rejects
-	// three with the [quota] code.
+	// three with the [quota] code. The cap counts unfinished jobs, so the
+	// test holds the only slot until the flood is over: a hog job that
+	// finished between two submissions would free a place in the queue.
+	if err := g.sem.Acquire(context.Background(), "test", 1); err != nil {
+		t.Fatal(err)
+	}
 	var hogJobs []string
 	rejected := 0
 	for i := 0; i < 5; i++ {
@@ -317,6 +322,7 @@ func TestGatewayFairShare(t *testing.T) {
 		}
 		hogJobs = append(hogJobs, job.ID)
 	}
+	g.sem.Release()
 	if rejected != 3 {
 		t.Fatalf("hog rejected %d of 5, want 3 (cap 2)", rejected)
 	}
