@@ -31,8 +31,9 @@ examples:
 # column store (streaming ingest vs. concurrent block reads), the metrics
 # registry (scrapes vs. child creation and counter bumps), Paillier (one
 # public key's N² reducer and pooled scratch under concurrent Add/AddPlain),
-# and the fold kernel (a chunk's exponent windows folded on several lanes).
-RACE_PKGS = ./internal/server/ ./internal/selectedsum/ ./internal/cluster/ ./internal/faultnet/ ./internal/wire/ ./internal/jobs/ ./internal/stock/ ./internal/durable/ ./internal/colstore/ ./internal/metrics/ ./internal/paillier/ ./internal/mathx/
+# the fold kernel (a chunk's exponent windows folded on several lanes), and
+# the daemon lifecycle (the serve goroutine against the drain).
+RACE_PKGS = ./internal/daemon/ ./internal/server/ ./internal/selectedsum/ ./internal/cluster/ ./internal/faultnet/ ./internal/wire/ ./internal/jobs/ ./internal/stock/ ./internal/durable/ ./internal/colstore/ ./internal/metrics/ ./internal/paillier/ ./internal/mathx/
 race:
 	$(GO) test -race $(RACE_PKGS)
 

@@ -27,15 +27,12 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"log"
 	"net"
-	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
+	"privstats/internal/daemon"
 	"privstats/internal/metrics"
 	"privstats/internal/server"
 	"privstats/internal/stock"
@@ -67,29 +64,22 @@ func buildInventory(cfg stockdConfig) (*stock.Inventory, error) {
 
 func main() {
 	listen := flag.String("listen", ":7005", "address to serve stock sessions on")
-	targetZeros := flag.Int("target-zeros", 4096, "per-key inventory depth of encrypted 0 bits")
-	targetOnes := flag.Int("target-ones", 512, "per-key inventory depth of encrypted 1 bits")
-	maxKeys := flag.Int("max-keys", stock.DefaultMaxKeys, "public keys admitted before hellos get a busy error")
-	rate := flag.Int("rate", 0, "cap stock generation at this many items/second across all keys (0 = unlimited)")
-	stateDir := flag.String("state-dir", "", "persist inventories here on shutdown and restore on admission (empty = off)")
-	snapshotEvery := flag.Duration("snapshot-every", 0, "also snapshot inventories to -state-dir at this interval, so a kill loses at most one interval of stock (0 = only on graceful exit)")
-	snapshotDelta := flag.Int("snapshot-delta", 0, "snapshot early once this many items were served since the last one (0 = interval only)")
-	maxSessions := flag.Int("max-sessions", server.DefaultMaxSessions, "max concurrent sessions; overflow connections get a busy error")
-	idleTimeout := flag.Duration("idle-timeout", 2*time.Minute, "fail a session whose client sends nothing for this long (0 = never)")
-	grace := flag.Duration("grace", 30*time.Second, "drain window for in-flight sessions on SIGINT/SIGTERM")
-	statsAddr := flag.String("stats-addr", "", "serve inventory depths as JSON on http://<addr>/stats plus Prometheus /metrics (empty = off)")
-	logEvery := flag.Duration("log-every", time.Minute, "interval for the periodic metrics log line (0 = off)")
-	pprofFlag := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ on -stats-addr")
+	var cfg stockdConfig
+	flag.IntVar(&cfg.targets.Zeros, "target-zeros", 4096, "per-key inventory depth of encrypted 0 bits")
+	flag.IntVar(&cfg.targets.Ones, "target-ones", 512, "per-key inventory depth of encrypted 1 bits")
+	flag.IntVar(&cfg.maxKeys, "max-keys", stock.DefaultMaxKeys, "public keys admitted before hellos get a busy error")
+	flag.IntVar(&cfg.rate, "rate", 0, "cap stock generation at this many items/second across all keys (0 = unlimited)")
+	flag.StringVar(&cfg.stateDir, "state-dir", "", "persist inventories here on shutdown and restore on admission (empty = off)")
+	flag.DurationVar(&cfg.snapshotEvery, "snapshot-every", 0, "also snapshot inventories to -state-dir at this interval, so a kill loses at most one interval of stock (0 = only on graceful exit)")
+	flag.IntVar(&cfg.snapshotDelta, "snapshot-delta", 0, "snapshot early once this many items were served since the last one (0 = interval only)")
+	var d daemon.Serving
+	d.Register(flag.CommandLine)
+	flag.IntVar(&d.MaxSessions, "max-sessions", server.DefaultMaxSessions, "max concurrent sessions; overflow connections get a busy error")
+	flag.DurationVar(&d.IdleTimeout, "idle-timeout", 2*time.Minute, "fail a session whose client sends nothing for this long (0 = never)")
+	flag.StringVar(&d.StatsAddr, "stats-addr", "", "serve inventory depths as JSON on http://<addr>/stats plus Prometheus /metrics (empty = off)")
 	flag.Parse()
 
-	inv, err := buildInventory(stockdConfig{
-		targets:       stock.Targets{Zeros: *targetZeros, Ones: *targetOnes},
-		maxKeys:       *maxKeys,
-		rate:          *rate,
-		stateDir:      *stateDir,
-		snapshotEvery: *snapshotEvery,
-		snapshotDelta: *snapshotDelta,
-	})
+	inv, err := buildInventory(cfg)
 	if err != nil {
 		log.Fatalf("stockd: %v", err)
 	}
@@ -101,58 +91,23 @@ func main() {
 	}
 	log.Printf("stock: recovery: %s", summary)
 
-	srv, err := server.NewHandler(&stock.Handler{Inv: inv}, server.Config{
-		MaxSessions: *maxSessions,
-		IdleTimeout: *idleTimeout,
-		LogEvery:    *logEvery,
-	})
+	srv, err := server.NewHandler(&stock.Handler{Inv: inv}, d.Config())
 	if err != nil {
 		log.Fatalf("stockd: %v", err)
 	}
-
-	stats, err := server.ListenStats(*statsAddr, server.StatsMuxConfig{
+	err = d.Run(context.Background(), "stockd", *listen, srv, server.StatsMuxConfig{
 		Stats: metrics.StatsHandler(func() any { return inv.Metrics().Snapshot() }),
 		Prom:  metrics.Registry{srv.Metrics(), inv.Metrics()},
-		Pprof: *pprofFlag,
+	}, func(addr net.Addr) {
+		log.Printf("stock daemon on %s (targets %d/%d, max-keys=%d, rate=%d/s)",
+			addr, cfg.targets.Zeros, cfg.targets.Ones, cfg.maxKeys, cfg.rate)
 	})
 	if err != nil {
-		log.Fatalf("stockd: -stats-addr: %v", err)
-	}
-
-	ln, err := net.Listen("tcp", *listen)
-	if err != nil {
-		log.Fatalf("stockd: listen: %v", err)
-	}
-	log.Printf("stock daemon on %s (targets %d/%d, max-keys=%d, rate=%d/s)",
-		ln.Addr(), *targetZeros, *targetOnes, *maxKeys, *rate)
-
-	// SIGHUP gets the same drain-then-persist exit as SIGINT/SIGTERM: a
-	// hangup from a dying terminal or a supervisor reload must not skip the
-	// stock persist.
-	sigCtx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM, syscall.SIGHUP)
-	defer stopSignals()
-	go func() {
-		<-sigCtx.Done()
-		ctx, cancel := context.WithTimeout(context.Background(), *grace)
-		defer cancel()
-		log.Printf("shutdown requested; draining up to %v", *grace)
-		if err := srv.Shutdown(ctx); err != nil {
-			log.Printf("stockd: forced shutdown after grace period: %v", err)
-		}
-	}()
-
-	err = srv.Serve(ln)
-	if err != nil && !errors.Is(err, server.ErrServerClosed) {
 		log.Fatalf("stockd: %v", err)
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), *grace)
-	defer cancel()
-	_ = srv.Shutdown(ctx)
-	_ = stats.Shutdown(context.Background())
 	// Stop the refillers and persist surviving stock (the whole point of a
 	// graceful exit with -state-dir).
 	if err := inv.Close(); err != nil {
 		log.Printf("stockd: persisting inventories: %v", err)
 	}
-	log.Printf("final: %s", srv.Metrics().Summary())
 }

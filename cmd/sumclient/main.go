@@ -28,7 +28,6 @@ package main
 import (
 	"bytes"
 	"context"
-	"crypto/rand"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -43,6 +42,7 @@ import (
 	"time"
 
 	"privstats/internal/cluster"
+	"privstats/internal/daemon"
 	"privstats/internal/database"
 	"privstats/internal/homomorphic"
 	"privstats/internal/jobs"
@@ -86,12 +86,12 @@ func main() {
 	chunk := flag.Int("chunk", 0, "batch the index vector in chunks of this size (0 = single chunk)")
 	preprocess := flag.Bool("preprocess", false, "precompute all index-bit encryptions before connecting (paper §3.3)")
 	storePath := flag.String("store", "", "load preprocessed encryptions from this file (from keygen -store; requires -key)")
-	stockAddr := flag.String("stock", "", "prefetch preprocessed encryptions from a stockd daemon at this address")
-	timeout := flag.Duration("timeout", cluster.DefaultIOTimeout, "dial and per-frame IO deadline (0 = runtime default)")
-	retries := flag.Int("retries", cluster.DefaultRetries, "extra attempts after the first, spread across the -server list")
-	backoff := flag.Duration("backoff", cluster.DefaultBackoff, "base sleep before a retry, doubled each attempt and jittered")
-	dialHedge := flag.Duration("dial-hedge-after", 0, "launch a second dial if the first is still pending after this delay (0 = off)")
-	useCRC := flag.Bool("crc", false, "request CRC32 frame trailers (old servers degrade to plain frames)")
+	var b daemon.Backend
+	b.Register(flag.CommandLine)
+	b.RegisterStock(flag.CommandLine)
+	flag.DurationVar(&b.Timeout, "timeout", cluster.DefaultIOTimeout, "dial and per-frame IO deadline (0 = runtime default)")
+	flag.IntVar(&b.Retries, "retries", cluster.DefaultRetries, "extra attempts after the first, spread across the -server list")
+	flag.BoolVar(&b.CRC, "crc", false, "request CRC32 frame trailers (old servers degrade to plain frames)")
 	traceReq := flag.Bool("trace", false, "tag the session with a trace ID and print it; servers with -trace-ring expose the phases at /traces?id=")
 	jobdURL := flag.String("jobd", "", "submit to a sumjobd gateway at this base URL instead of running the protocol directly")
 	tenant := flag.String("tenant", "", "tenant name for -jobd submissions (the X-Tenant header)")
@@ -99,7 +99,7 @@ func main() {
 	pollEvery := flag.Duration("poll", 200*time.Millisecond, "status poll interval for -jobd submissions")
 	flag.Parse()
 
-	if err := validateStockFlags(*stockAddr, *preprocess, *storePath, *jobdURL); err != nil {
+	if err := validateStockFlags(b.Stock, *preprocess, *storePath, *jobdURL); err != nil {
 		fmt.Fprintf(os.Stderr, "sumclient: %v\n", err)
 		flag.Usage()
 		os.Exit(2)
@@ -117,24 +117,22 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	rt := cluster.ClientConfig{
-		DialTimeout:    *timeout,
-		IOTimeout:      *timeout,
-		Retries:        *retries,
-		Backoff:        *backoff,
-		DialHedgeAfter: *dialHedge,
-		UseCRC:         *useCRC,
-	}
-	if err := run(*server, *n, *selectFrac, *indices, *seed, *keyPath, *keyBits, *chunk, *preprocess, *storePath, *stockAddr, rt, *traceReq); err != nil {
+	if err := run(*server, *n, *selectFrac, *indices, *seed, *keyPath, *keyBits, *chunk, *preprocess, *storePath, b, *traceReq); err != nil {
 		log.Fatalf("sumclient: %v", err)
 	}
 }
 
-func run(server string, n int, selectFrac float64, indices string, seed int64, keyPath string, keyBits, chunk int, preprocess bool, storePath, stockAddr string, rt cluster.ClientConfig, traceReq bool) error {
-	sk, rawSK, err := loadKey(keyPath, keyBits)
+func run(server string, n int, selectFrac float64, indices string, seed int64, keyPath string, keyBits, chunk int, preprocess bool, storePath string, b daemon.Backend, traceReq bool) error {
+	start := time.Now()
+	rawSK, err := daemon.LoadKey(keyPath, keyBits)
 	if err != nil {
 		return err
 	}
+	if keyPath == "" {
+		fmt.Printf("generated %d-bit key in %v (use keygen + -key to reuse one)\n",
+			keyBits, time.Since(start).Round(time.Millisecond))
+	}
+	sk := paillier.SchemeKey{SK: rawSK}
 
 	sel, err := buildSelection(n, selectFrac, indices, seed)
 	if err != nil {
@@ -144,17 +142,9 @@ func run(server string, n int, selectFrac float64, indices string, seed int64, k
 
 	var pool homomorphic.EncryptorPool
 	var remote *stock.RemoteSource
-	if stockAddr != "" {
+	if b.Stock != "" {
 		ones := sel.Count()
-		remote, err = stock.NewRemoteSource(stock.RemoteSourceConfig{
-			Addr:        stockAddr,
-			Key:         rawSK.Public(),
-			TargetZeros: n - ones,
-			TargetOnes:  ones,
-			DialTimeout: rt.DialTimeout,
-			IOTimeout:   rt.IOTimeout,
-			UseCRC:      rt.UseCRC,
-		})
+		remote, err = b.RemoteSource(rawSK.Public(), n-ones, ones)
 		if err != nil {
 			return err
 		}
@@ -169,7 +159,7 @@ func run(server string, n int, selectFrac float64, indices string, seed int64, k
 			fmt.Printf("stock prefetch incomplete (%v); missing bits will be encrypted online\n", err)
 		} else {
 			fmt.Printf("stock prefetch: %v for %d encryptions from %s\n",
-				time.Since(start).Round(time.Millisecond), n, stockAddr)
+				time.Since(start).Round(time.Millisecond), n, b.Stock)
 		}
 		pool = remote
 	} else if storePath != "" {
@@ -194,8 +184,8 @@ func run(server string, n int, selectFrac float64, indices string, seed int64, k
 		pool = paillier.SchemeBitStore{Store: store}
 	}
 
-	backends := splitAddrs(server)
-	client := cluster.NewClient(rt)
+	backends := daemon.SplitAddrs(server)
+	client := cluster.NewClient(b.Config())
 
 	var traceID trace.ID
 	if traceReq {
@@ -205,7 +195,7 @@ func run(server string, n int, selectFrac float64, indices string, seed int64, k
 
 	var sum *big.Int
 	var out, in int64
-	start := time.Now()
+	start = time.Now()
 	served, err := client.Do(context.Background(), backends, func(s *cluster.Session) error {
 		if traceReq {
 			// Arm the ID on the connection so QueryVector's hello carries
@@ -313,39 +303,6 @@ func runJob(baseURL, tenant, spec string, pollEvery time.Duration) error {
 	}
 	fmt.Printf("result:   %s\n", out)
 	return nil
-}
-
-// splitAddrs parses the -server failover list.
-func splitAddrs(s string) []string {
-	var out []string
-	for _, a := range strings.Split(s, ",") {
-		if a = strings.TrimSpace(a); a != "" {
-			out = append(out, a)
-		}
-	}
-	return out
-}
-
-func loadKey(path string, bits int) (homomorphic.PrivateKey, *paillier.PrivateKey, error) {
-	if path == "" {
-		start := time.Now()
-		sk, err := paillier.KeyGen(rand.Reader, bits)
-		if err != nil {
-			return nil, nil, err
-		}
-		fmt.Printf("generated %d-bit key in %v (use keygen + -key to reuse one)\n",
-			bits, time.Since(start).Round(time.Millisecond))
-		return paillier.SchemeKey{SK: sk}, sk, nil
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, nil, fmt.Errorf("reading key: %w", err)
-	}
-	var sk paillier.PrivateKey
-	if err := sk.UnmarshalBinary(data); err != nil {
-		return nil, nil, fmt.Errorf("parsing key: %w", err)
-	}
-	return paillier.SchemeKey{SK: &sk}, &sk, nil
 }
 
 func buildSelection(n int, frac float64, indices string, seed int64) (*database.Selection, error) {

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"privstats/internal/daemon"
 	"privstats/internal/paillier"
 )
 
@@ -71,37 +72,34 @@ func TestLoadKeyFromFile(t *testing.T) {
 	if err := os.WriteFile(path, raw, 0o600); err != nil {
 		t.Fatal(err)
 	}
-	hk, rawSK, err := loadKey(path, 0)
+	got, err := daemon.LoadKey(path, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rawSK.N.Cmp(sk.N) != 0 {
+	if got.N.Cmp(sk.N) != 0 {
 		t.Error("loaded key differs")
-	}
-	if hk == nil {
-		t.Error("nil homomorphic key")
 	}
 }
 
 func TestLoadKeyErrors(t *testing.T) {
-	if _, _, err := loadKey(filepath.Join(t.TempDir(), "missing"), 0); err == nil {
+	if _, err := daemon.LoadKey(filepath.Join(t.TempDir(), "missing"), 0); err == nil {
 		t.Error("missing file should fail")
 	}
 	path := filepath.Join(t.TempDir(), "junk.key")
 	if err := os.WriteFile(path, []byte("not a key"), 0o600); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := loadKey(path, 0); err == nil {
+	if _, err := daemon.LoadKey(path, 0); err == nil {
 		t.Error("corrupt key should fail")
 	}
 }
 
 func TestLoadKeyGeneratesFresh(t *testing.T) {
-	hk, rawSK, err := loadKey("", 128)
+	sk, err := daemon.LoadKey("", 128)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hk == nil || rawSK == nil || rawSK.N.BitLen() != 128 {
+	if sk == nil || sk.N.BitLen() != 128 {
 		t.Errorf("fresh key generation broken")
 	}
 }

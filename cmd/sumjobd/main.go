@@ -25,18 +25,16 @@ package main
 
 import (
 	"context"
-	"crypto/rand"
 	"errors"
 	"flag"
 	"fmt"
 	"log"
-	"os"
-	"os/signal"
+	"net"
 	"strings"
-	"syscall"
 	"time"
 
 	"privstats/internal/cluster"
+	"privstats/internal/daemon"
 	"privstats/internal/jobs"
 	"privstats/internal/metrics"
 	"privstats/internal/paillier"
@@ -64,10 +62,9 @@ type jobdConfig struct {
 	storeDir   string
 	chunk      int
 	traceRing  int
-	stockAddr  string
 	stockZeros int
 	stockOnes  int
-	client     cluster.ClientConfig
+	backend    daemon.Backend
 }
 
 // buildGateway validates the whole configuration — backend list, table
@@ -76,7 +73,7 @@ type jobdConfig struct {
 // Every operator mistake surfaces here as a clear error before any socket
 // is opened.
 func buildGateway(cfg jobdConfig) (*jobs.Gateway, *cluster.Client, *trace.Recorder, *stock.RemoteSource, error) {
-	backends := splitAddrs(cfg.backends)
+	backends := daemon.SplitAddrs(cfg.backends)
 	if len(backends) == 0 {
 		return nil, nil, nil, nil, errNoBackends
 	}
@@ -96,12 +93,12 @@ func buildGateway(cfg jobdConfig) (*jobs.Gateway, *cluster.Client, *trace.Record
 	if cfg.maxJobs < 0 || cfg.jobTimeout < 0 || cfg.chunk < 0 || cfg.traceRing < 0 {
 		return nil, nil, nil, nil, errors.New("sumjobd: negative -max-jobs/-job-timeout/-chunk/-trace-ring")
 	}
-	sk, err := loadKey(cfg.keyPath, cfg.keyBits)
+	sk, err := daemon.LoadKey(cfg.keyPath, cfg.keyBits)
 	if err != nil {
-		return nil, nil, nil, nil, err
+		return nil, nil, nil, nil, fmt.Errorf("sumjobd: %w", err)
 	}
 
-	client := cluster.NewClient(cfg.client)
+	client := cluster.NewClient(cfg.backend.Config())
 	var recorder *trace.Recorder
 	if cfg.traceRing > 0 {
 		recorder = trace.NewRecorder(cfg.traceRing)
@@ -111,16 +108,8 @@ func buildGateway(cfg jobdConfig) (*jobs.Gateway, *cluster.Client, *trace.Record
 	// from the stock daemon; without it (or when the daemon is down) they
 	// encrypt online as before.
 	var remote *stock.RemoteSource
-	if cfg.stockAddr != "" {
-		remote, err = stock.NewRemoteSource(stock.RemoteSourceConfig{
-			Addr:        cfg.stockAddr,
-			Key:         sk.Public(),
-			TargetZeros: cfg.stockZeros,
-			TargetOnes:  cfg.stockOnes,
-			DialTimeout: cfg.client.DialTimeout,
-			IOTimeout:   cfg.client.IOTimeout,
-			UseCRC:      cfg.client.UseCRC,
-		})
+	if cfg.backend.Stock != "" {
+		remote, err = cfg.backend.RemoteSource(sk.Public(), cfg.stockZeros, cfg.stockOnes)
 		if err != nil {
 			return nil, nil, nil, nil, fmt.Errorf("sumjobd: %w", err)
 		}
@@ -155,88 +144,33 @@ func buildGateway(cfg jobdConfig) (*jobs.Gateway, *cluster.Client, *trace.Record
 	return g, client, recorder, remote, nil
 }
 
-// loadKey reads the analyst key from keygen output, or generates a fresh
-// one when no path is given (fine for experiments: the serving side never
-// needs the private key).
-func loadKey(path string, bits int) (*paillier.PrivateKey, error) {
-	if path == "" {
-		sk, err := paillier.KeyGen(rand.Reader, bits)
-		if err != nil {
-			return nil, fmt.Errorf("sumjobd: generating key: %w", err)
-		}
-		return sk, nil
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("sumjobd: reading key: %w", err)
-	}
-	var sk paillier.PrivateKey
-	if err := sk.UnmarshalBinary(data); err != nil {
-		return nil, fmt.Errorf("sumjobd: parsing key %s: %w", path, err)
-	}
-	return &sk, nil
-}
-
-// splitAddrs parses the -backends failover list.
-func splitAddrs(s string) []string {
-	var out []string
-	for _, a := range strings.Split(s, ",") {
-		if a = strings.TrimSpace(a); a != "" {
-			out = append(out, a)
-		}
-	}
-	return out
-}
-
 func main() {
 	listen := flag.String("listen", ":7080", "HTTP address for job submission and observability")
-	backendsFlag := flag.String("backends", "", "sumproxy/sumserver address list, comma-separated failover order (required)")
-	rows := flag.Int("rows", 0, "rows in the served table (the gateway must know the schema; required)")
-	tenantPath := flag.String("tenants", "", "tenant policy file: JSON array of {name,weight,rate,burst,max_queued} (required)")
-	keyPath := flag.String("key", "", "analyst private key from keygen (generated fresh when empty)")
-	keyBits := flag.Int("bits", 512, "key size when generating a fresh key")
-	slots := flag.Int("slots", 2, "concurrently executing jobs, shared across tenants by weighted fair queueing")
-	maxJobs := flag.Int("max-jobs", 1024, "retained job statuses; oldest finished jobs are evicted past this")
-	jobTimeout := flag.Duration("job-timeout", 0, "hard cap on one job's execution (0 = none)")
-	storeDir := flag.String("store", "", "crash-safe job store directory: journal every job and recover on restart (empty = memory-only)")
-	chunk := flag.Int("chunk", 0, "batch the encrypted index vector in chunks of this size (0 = single chunk)")
-	grace := flag.Duration("grace", 30*time.Second, "drain window for in-flight jobs on SIGINT/SIGTERM")
-	timeout := flag.Duration("timeout", cluster.DefaultIOTimeout, "dial and per-frame IO deadline on backend sessions")
-	retries := flag.Int("retries", cluster.DefaultRetries, "extra attempts per query after the first, spread across -backends")
-	backoff := flag.Duration("backoff", cluster.DefaultBackoff, "base sleep before a retry, doubled each attempt and jittered")
-	dialHedge := flag.Duration("dial-hedge-after", 0, "launch a second dial if the first is still pending after this delay (0 = off)")
-	useCRC := flag.Bool("crc", false, "request CRC32 frame trailers on backend sessions")
-	stockAddr := flag.String("stock", "", "prefetch preprocessed encryptions from a stockd daemon at this address")
-	stockZeros := flag.Int("stock-zeros", 4096, "local depth of prefetched 0-bit encryptions with -stock")
-	stockOnes := flag.Int("stock-ones", 512, "local depth of prefetched 1-bit encryptions with -stock")
-	traceRing := flag.Int("trace-ring", 256, "record the last N gateway-side job traces and serve them at /traces (0 = off)")
-	pprofFlag := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
+	var cfg jobdConfig
+	flag.StringVar(&cfg.backends, "backends", "", "sumproxy/sumserver address list, comma-separated failover order (required)")
+	flag.IntVar(&cfg.rows, "rows", 0, "rows in the served table (the gateway must know the schema; required)")
+	flag.StringVar(&cfg.tenantPath, "tenants", "", "tenant policy file: JSON array of {name,weight,rate,burst,max_queued} (required)")
+	flag.StringVar(&cfg.keyPath, "key", "", "analyst private key from keygen (generated fresh when empty)")
+	flag.IntVar(&cfg.keyBits, "bits", 512, "key size when generating a fresh key")
+	flag.IntVar(&cfg.slots, "slots", 2, "concurrently executing jobs, shared across tenants by weighted fair queueing")
+	flag.IntVar(&cfg.maxJobs, "max-jobs", 1024, "retained job statuses; oldest finished jobs are evicted past this")
+	flag.DurationVar(&cfg.jobTimeout, "job-timeout", 0, "hard cap on one job's execution (0 = none)")
+	flag.StringVar(&cfg.storeDir, "store", "", "crash-safe job store directory: journal every job and recover on restart (empty = memory-only)")
+	flag.IntVar(&cfg.chunk, "chunk", 0, "batch the encrypted index vector in chunks of this size (0 = single chunk)")
+	var d daemon.Serving
+	flag.DurationVar(&d.Grace, "grace", 30*time.Second, "drain window for in-flight jobs on SIGINT/SIGTERM")
+	cfg.backend.Register(flag.CommandLine)
+	cfg.backend.RegisterStock(flag.CommandLine)
+	flag.DurationVar(&cfg.backend.Timeout, "timeout", cluster.DefaultIOTimeout, "dial and per-frame IO deadline on backend sessions")
+	flag.IntVar(&cfg.backend.Retries, "retries", cluster.DefaultRetries, "extra attempts per query after the first, spread across -backends")
+	flag.BoolVar(&cfg.backend.CRC, "crc", false, "request CRC32 frame trailers on backend sessions")
+	flag.IntVar(&cfg.stockZeros, "stock-zeros", 4096, "local depth of prefetched 0-bit encryptions with -stock")
+	flag.IntVar(&cfg.stockOnes, "stock-ones", 512, "local depth of prefetched 1-bit encryptions with -stock")
+	flag.IntVar(&cfg.traceRing, "trace-ring", 256, "record the last N gateway-side job traces and serve them at /traces (0 = off)")
+	flag.BoolVar(&d.Pprof, "pprof", false, "mount net/http/pprof under /debug/pprof/")
 	flag.Parse()
 
-	g, client, recorder, remote, err := buildGateway(jobdConfig{
-		backends:   *backendsFlag,
-		rows:       *rows,
-		tenantPath: *tenantPath,
-		keyPath:    *keyPath,
-		keyBits:    *keyBits,
-		slots:      *slots,
-		maxJobs:    *maxJobs,
-		jobTimeout: *jobTimeout,
-		storeDir:   *storeDir,
-		chunk:      *chunk,
-		traceRing:  *traceRing,
-		stockAddr:  *stockAddr,
-		stockZeros: *stockZeros,
-		stockOnes:  *stockOnes,
-		client: cluster.ClientConfig{
-			DialTimeout:    *timeout,
-			IOTimeout:      *timeout,
-			Retries:        *retries,
-			Backoff:        *backoff,
-			DialHedgeAfter: *dialHedge,
-			UseCRC:         *useCRC,
-		},
-	})
+	g, client, recorder, remote, err := buildGateway(cfg)
 	if err != nil {
 		if errors.Is(err, errNoBackends) || errors.Is(err, errNoTenants) || errors.Is(err, errNoRows) {
 			flag.Usage()
@@ -244,35 +178,19 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// The gateway's one HTTP listener carries /jobs and the observability
-	// endpoints alike.
 	if *listen == "" {
 		log.Fatal("sumjobd: -listen must not be empty")
 	}
-	httpSrv, err := server.ListenStats(*listen, server.StatsMuxConfig{
+	err = d.RunHTTP(context.Background(), "sumjobd", *listen, server.StatsMuxConfig{
 		Stats:  metrics.StatsHandler(func() any { return g.Metrics().Snapshot() }),
 		Prom:   metrics.Registry{client.Metrics(), g.Metrics()},
 		Traces: recorder,
 		Jobs:   g.Handler(),
-		Pprof:  *pprofFlag,
+	}, func(addr net.Addr) {
+		log.Printf("job gateway on http://%s/jobs (%d rows, %d slots)", addr, cfg.rows, cfg.slots)
 	})
 	if err != nil {
-		log.Fatalf("sumjobd: listen: %v", err)
-	}
-	log.Printf("job gateway on http://%s/jobs (%d rows, %d slots)", httpSrv.Addr(), *rows, *slots)
-
-	sigCtx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stopSignals()
-	select {
-	case <-httpSrv.Done():
-		log.Fatal("sumjobd: HTTP listener stopped")
-	case <-sigCtx.Done():
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), *grace)
-	defer cancel()
-	log.Printf("shutdown requested; draining up to %v", *grace)
-	if err := httpSrv.Shutdown(ctx); err != nil {
-		log.Printf("sumjobd: forced shutdown after grace period: %v", err)
+		log.Fatalf("sumjobd: %v", err)
 	}
 	g.Close()
 	if remote != nil {

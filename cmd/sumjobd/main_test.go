@@ -8,7 +8,7 @@ import (
 	"strings"
 	"testing"
 
-	"privstats/internal/cluster"
+	"privstats/internal/daemon"
 	"privstats/internal/homomorphic"
 )
 
@@ -34,7 +34,6 @@ func goodConfig(t *testing.T) jobdConfig {
 		tenantPath: writeTenants(t, goodTenants),
 		keyBits:    256,
 		slots:      2,
-		client:     cluster.ClientConfig{},
 	}
 }
 
@@ -185,12 +184,12 @@ func TestBuildGatewayBadKeyFile(t *testing.T) {
 }
 
 func TestSplitAddrs(t *testing.T) {
-	got := splitAddrs(" a:1, ,b:2,")
+	got := daemon.SplitAddrs(" a:1, ,b:2,")
 	if len(got) != 2 || got[0] != "a:1" || got[1] != "b:2" {
-		t.Fatalf("splitAddrs = %v", got)
+		t.Fatalf("SplitAddrs = %v", got)
 	}
-	if out := splitAddrs(""); out != nil {
-		t.Fatalf("splitAddrs(\"\") = %v", out)
+	if out := daemon.SplitAddrs(""); out != nil {
+		t.Fatalf("SplitAddrs(\"\") = %v", out)
 	}
 }
 
@@ -198,7 +197,7 @@ func TestBuildGatewayWiresStockSource(t *testing.T) {
 	cfg := goodConfig(t)
 	// RemoteSource does not dial until the first fetch, so any address works
 	// for construction; draws simply fall back online if nothing listens.
-	cfg.stockAddr = "localhost:1"
+	cfg.backend.Stock = "localhost:1"
 	cfg.stockZeros = 8
 	cfg.stockOnes = 4
 	g, _, _, remote, err := buildGateway(cfg)
@@ -214,7 +213,7 @@ func TestBuildGatewayWiresStockSource(t *testing.T) {
 
 func TestBuildGatewayRejectsBadStockTargets(t *testing.T) {
 	cfg := goodConfig(t)
-	cfg.stockAddr = "localhost:1"
+	cfg.backend.Stock = "localhost:1"
 	cfg.stockZeros = -1
 	if _, _, _, _, err := buildGateway(cfg); err == nil {
 		t.Fatal("negative stock target accepted")

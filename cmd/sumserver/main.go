@@ -6,8 +6,8 @@
 // Sessions run through the internal/server runtime: concurrent sessions are
 // capped (-max-sessions, overflow connections get a fast busy reply), quiet
 // clients are timed out (-idle-timeout), transient accept errors are
-// retried with backoff, and SIGINT/SIGTERM drain in-flight sessions for up
-// to -grace before exiting. Live counters are served as JSON from
+// retried with backoff, and SIGINT/SIGTERM/SIGHUP drain in-flight sessions
+// for up to -grace before exiting. Live counters are served as JSON from
 // http://<-stats-addr>/stats when set.
 //
 // Usage:
@@ -25,18 +25,16 @@ import (
 	"log"
 	"net"
 	"os"
-	"os/signal"
 	"strconv"
 	"strings"
-	"syscall"
 	"time"
 
 	"privstats/internal/colstore"
+	"privstats/internal/daemon"
 	"privstats/internal/database"
 	"privstats/internal/metrics"
 	"privstats/internal/netsim"
 	"privstats/internal/server"
-	"privstats/internal/trace"
 	"privstats/internal/wire"
 
 	// Paillier, the one accepted scheme, registers itself with the registry.
@@ -59,14 +57,13 @@ func main() {
 	shard := flag.String("shard", "", "serve only rows lo:hi of the table (a cluster backend behind sumproxy; the proxy's -shards range must match)")
 	throttle := flag.String("throttle", "", "simulate a link on each connection: 'modem' (56Kbps), 'wireless' (1Mbps), or empty for none")
 	once := flag.Bool("once", false, "serve a single session and exit (used by scripts and tests)")
-	maxSessions := flag.Int("max-sessions", server.DefaultMaxSessions, "max concurrent sessions; overflow connections get a busy error")
-	idleTimeout := flag.Duration("idle-timeout", 2*time.Minute, "fail a session whose client sends nothing for this long (0 = never)")
-	sessionTimeout := flag.Duration("session-timeout", 0, "hard cap on a whole session (0 = none)")
-	grace := flag.Duration("grace", 30*time.Second, "drain window for in-flight sessions on SIGINT/SIGTERM")
-	statsAddr := flag.String("stats-addr", "", "serve live metrics as JSON on http://<addr>/stats (empty = off)")
-	logEvery := flag.Duration("log-every", time.Minute, "interval for the periodic metrics log line (0 = off)")
-	traceRing := flag.Int("trace-ring", 0, "record the last N traced sessions and serve them at /traces on -stats-addr (0 = off)")
-	pprofFlag := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ on -stats-addr")
+	var d daemon.Serving
+	d.Register(flag.CommandLine)
+	flag.IntVar(&d.MaxSessions, "max-sessions", server.DefaultMaxSessions, "max concurrent sessions; overflow connections get a busy error")
+	flag.DurationVar(&d.IdleTimeout, "idle-timeout", 2*time.Minute, "fail a session whose client sends nothing for this long (0 = never)")
+	flag.DurationVar(&d.SessionTimeout, "session-timeout", 0, "hard cap on a whole session (0 = none)")
+	flag.StringVar(&d.StatsAddr, "stats-addr", "", "serve live metrics as JSON on http://<addr>/stats (empty = off)")
+	flag.IntVar(&d.TraceRing, "trace-ring", 0, "record the last N traced sessions and serve them at /traces on -stats-addr (0 = off)")
 	flag.Parse()
 
 	// Reject a bad throttle name now rather than on every connection —
@@ -106,18 +103,8 @@ func main() {
 		src = table
 	}
 
-	var recorder *trace.Recorder
-	if *traceRing > 0 {
-		recorder = trace.NewRecorder(*traceRing)
-	}
-	cfg := server.Config{
-		MaxSessions:    *maxSessions,
-		IdleTimeout:    *idleTimeout,
-		SessionTimeout: *sessionTimeout,
-		LogEvery:       *logEvery,
-		Traces:         recorder,
-		WrapConn:       func(c net.Conn) (*wire.Conn, error) { return wrapConn(c, *throttle) },
-	}
+	cfg := d.Config()
+	cfg.WrapConn = func(c net.Conn) (*wire.Conn, error) { return wrapConn(c, *throttle) }
 	if *once {
 		cfg.SessionLimit = 1
 	}
@@ -125,47 +112,15 @@ func main() {
 	if err != nil {
 		log.Fatalf("sumserver: %v", err)
 	}
-
-	stats, err := server.ListenStats(*statsAddr, server.StatsMuxConfig{
-		Stats:  metrics.StatsHandler(func() any { return srv.Metrics().Snapshot(time.Now()) }),
-		Prom:   metrics.Registry{srv.Metrics()},
-		Traces: recorder,
-		Pprof:  *pprofFlag,
+	err = d.Run(context.Background(), "sumserver", *listen, srv, server.StatsMuxConfig{
+		Stats: metrics.StatsHandler(func() any { return srv.Metrics().Snapshot(time.Now()) }),
+		Prom:  metrics.Registry{srv.Metrics()},
+	}, func(addr net.Addr) {
+		log.Printf("serving %d rows on %s (throttle=%q, max-sessions=%d)", src.Len(), addr, *throttle, d.MaxSessions)
 	})
 	if err != nil {
-		log.Fatalf("sumserver: -stats-addr: %v", err)
-	}
-
-	ln, err := net.Listen("tcp", *listen)
-	if err != nil {
-		log.Fatalf("sumserver: listen: %v", err)
-	}
-	log.Printf("serving %d rows on %s (throttle=%q, max-sessions=%d)", src.Len(), ln.Addr(), *throttle, *maxSessions)
-
-	// SIGINT/SIGTERM begin a graceful drain bounded by -grace.
-	sigCtx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stopSignals()
-	go func() {
-		<-sigCtx.Done()
-		ctx, cancel := context.WithTimeout(context.Background(), *grace)
-		defer cancel()
-		log.Printf("shutdown requested; draining up to %v", *grace)
-		if err := srv.Shutdown(ctx); err != nil {
-			log.Printf("sumserver: forced shutdown after grace period: %v", err)
-		}
-	}()
-
-	err = srv.Serve(ln)
-	if err != nil && err != server.ErrServerClosed {
 		log.Fatalf("sumserver: %v", err)
 	}
-	// Serve returned because shutdown began (signal or -once); finish the
-	// drain before reporting final stats.
-	ctx, cancel := context.WithTimeout(context.Background(), *grace)
-	defer cancel()
-	_ = srv.Shutdown(ctx)
-	_ = stats.Shutdown(context.Background())
-	log.Printf("final: %s", srv.Metrics().Summary())
 }
 
 // loadTable resolves the table source from flags. It returns errNoSource

@@ -77,8 +77,8 @@ func NewAggregator(shards *ShardMap, client *Client) (*Aggregator, error) {
 }
 
 // NewAggregatorWithConfig is NewAggregator with the failure policy knobs.
-// The map is wrapped in a single-epoch register; use NewEpochAggregator to
-// share the register with a Rebalancer for live resharding.
+// The map is wrapped in a single-epoch register; Epochs returns it for live
+// resharding.
 func NewAggregatorWithConfig(shards *ShardMap, client *Client, cfg AggregatorConfig) (*Aggregator, error) {
 	epochs, err := NewEpochs(shards)
 	if err != nil {
@@ -100,8 +100,8 @@ func NewEpochAggregator(epochs *Epochs, client *Client, cfg AggregatorConfig) (*
 	return &Aggregator{epochs: epochs, client: client, cfg: cfg, m: client.Metrics()}, nil
 }
 
-// Epochs returns the aggregator's shard-map register, for wiring into a
-// Rebalancer or an admin reshard endpoint.
+// Epochs returns the aggregator's shard-map register, for wiring into an
+// admin reshard endpoint.
 func (a *Aggregator) Epochs() *Epochs { return a.epochs }
 
 var _ server.Handler = (*Aggregator)(nil)

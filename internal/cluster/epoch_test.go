@@ -1,9 +1,6 @@
 package cluster
 
 import (
-	"context"
-	"errors"
-	"fmt"
 	"net"
 	"strconv"
 	"strings"
@@ -69,143 +66,13 @@ func TestEpochsAdvance(t *testing.T) {
 	}
 }
 
-func TestRebalancerProvisionsAndRetires(t *testing.T) {
-	e, err := NewEpochs(mustMap(t, "0-40=old0;40-80=old1"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var provisioned [][2]int
-	var retired []Shard
-	rb, err := NewRebalancer(RebalancerConfig{
-		Epochs: e,
-		Provision: func(_ context.Context, lo, hi int) ([]string, error) {
-			provisioned = append(provisioned, [2]int{lo, hi})
-			return []string{fmt.Sprintf("new-%d-%d", lo, hi)}, nil
-		},
-		Retire: func(old Shard) { retired = append(retired, old) },
-		Logf:   discardLogf,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Shard 0 is carried verbatim; the old shard 1 range splits in two
-	// provisioned halves.
-	epoch, nm, err := rb.Reshard(context.Background(), []Target{
-		{Lo: 0, Hi: 40, Backends: []string{"old0"}},
-		{Lo: 40, Hi: 60},
-		{Lo: 60, Hi: 80},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if epoch != 2 || nm.Len() != 3 {
-		t.Errorf("reshard -> epoch %d with %d shards, want 2 with 3", epoch, nm.Len())
-	}
-	if len(provisioned) != 2 || provisioned[0] != [2]int{40, 60} || provisioned[1] != [2]int{60, 80} {
-		t.Errorf("provisioned ranges %v, want [40,60) and [60,80)", provisioned)
-	}
-	// Only the replaced shard retires; the carried one keeps serving.
-	if len(retired) != 1 || retired[0].Lo != 40 || retired[0].Hi != 80 {
-		t.Errorf("retired %v, want only [40,80)", retired)
-	}
-	st := rb.Status()
-	if st.Phase != "done" || st.Epoch != 2 || st.Provisioned != 2 || st.ToProvision != 2 {
-		t.Errorf("status = %+v", st)
-	}
-	if liveEpoch, lm := e.Current(); liveEpoch != 2 || lm != nm {
-		t.Errorf("register not on the new map: epoch %d", liveEpoch)
-	}
-}
-
-func TestRebalancerFailureLeavesEpochUntouched(t *testing.T) {
-	e, err := NewEpochs(mustMap(t, "0-80=old"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	boom := errors.New("copy failed")
-	retireCalled := false
-	rb, err := NewRebalancer(RebalancerConfig{
-		Epochs: e,
-		Provision: func(_ context.Context, lo, hi int) ([]string, error) {
-			if lo == 40 {
-				return nil, boom
-			}
-			return []string{"new"}, nil
-		},
-		Retire: func(Shard) { retireCalled = true },
-		Logf:   discardLogf,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, _, err = rb.Reshard(context.Background(), []Target{{Lo: 0, Hi: 40}, {Lo: 40, Hi: 80}})
-	if !errors.Is(err, boom) {
-		t.Fatalf("reshard error = %v, want the provision failure", err)
-	}
-	if epoch, m := e.Current(); epoch != 1 || m.Len() != 1 {
-		t.Errorf("failed reshard moved the register: epoch %d, %d shards", epoch, m.Len())
-	}
-	if retireCalled {
-		t.Error("retire ran after a pre-cutover failure")
-	}
-	if st := rb.Status(); st.Phase != "failed" {
-		t.Errorf("status phase = %q, want failed", st.Phase)
-	}
-
-	// A bad target tiling (gap) must also die before cut-over.
-	_, _, err = rb.Reshard(context.Background(), []Target{
-		{Lo: 0, Hi: 30, Backends: []string{"a"}},
-		{Lo: 35, Hi: 80, Backends: []string{"b"}},
-	})
-	if err == nil {
-		t.Fatal("gapped target layout accepted")
-	}
-	if epoch, _ := e.Current(); epoch != 1 {
-		t.Errorf("bad layout moved the register to epoch %d", epoch)
-	}
-}
-
-func TestRebalancerSingleFlight(t *testing.T) {
-	e, err := NewEpochs(mustMap(t, "0-10=a"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	inProvision := make(chan struct{})
-	release := make(chan struct{})
-	rb, err := NewRebalancer(RebalancerConfig{
-		Epochs: e,
-		Provision: func(context.Context, int, int) ([]string, error) {
-			close(inProvision)
-			<-release
-			return []string{"b"}, nil
-		},
-		Logf: discardLogf,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 1)
-	go func() {
-		_, _, err := rb.Reshard(context.Background(), []Target{{Lo: 0, Hi: 10}})
-		done <- err
-	}()
-	<-inProvision
-	if _, _, err := rb.Reshard(context.Background(), nil); err == nil {
-		t.Error("concurrent reshard accepted")
-	}
-	close(release)
-	if err := <-done; err != nil {
-		t.Fatalf("first reshard: %v", err)
-	}
-}
-
 // TestEpochPinningEndToEnd is the live-resharding acceptance test: a k=2
-// cluster takes continuous traced queries while a Rebalancer splits it to
-// k=4. Every reply must be exact, every session must run entirely under a
-// single epoch (its trace carries one epoch attr and exactly that epoch's
-// shard fan-out), and the new backends' wiretaps must show only ciphertexts
-// scoped to their own row ranges — privacy survives the migration.
+// cluster takes continuous traced queries while Epochs.Advance, the cut-over
+// sumproxy's POST /reshard makes, splits it to k=4. Every reply must be
+// exact, every session must run entirely under a single epoch (its trace
+// carries one epoch attr and exactly that epoch's shard fan-out), and the new
+// backends' wiretaps must show only ciphertexts scoped to their own row
+// ranges — privacy survives the migration.
 func TestEpochPinningEndToEnd(t *testing.T) {
 	testutil.GuardGoroutines(t)
 	sk := testKey(t)
@@ -305,53 +172,26 @@ func TestEpochPinningEndToEnd(t *testing.T) {
 	var ids []trace.ID
 	ids = append(ids, query(), query()) // pinned to epoch 1
 
-	var retired []Shard
-	var retireMu sync.Mutex
-	rb, err := NewRebalancer(RebalancerConfig{
-		Epochs: epochs,
-		Provision: func(_ context.Context, lo, hi int) ([]string, error) {
-			a, ok := newAddr[[2]int{lo, hi}]
-			if !ok {
-				return nil, fmt.Errorf("no provisioned backend for [%d,%d)", lo, hi)
-			}
-			return []string{a}, nil
-		},
-		Retire: func(old Shard) {
-			retireMu.Lock()
-			retired = append(retired, old)
-			retireMu.Unlock()
-		},
-		Metrics: client.Metrics(),
-		Logf:    discardLogf,
-	})
+	newShards := make([]Shard, len(quarters))
+	for i, r := range quarters {
+		newShards[i] = Shard{Lo: r[0], Hi: r[1], Backends: []string{newAddr[r]}}
+	}
+	newMap, err := NewShardMap(newShards)
 	if err != nil {
 		t.Fatal(err)
 	}
-	targets := make([]Target, len(quarters))
-	for i, r := range quarters {
-		targets[i] = Target{Lo: r[0], Hi: r[1]}
-	}
-	epoch, nm, err := rb.Reshard(context.Background(), targets)
+	epoch, err := epochs.Advance(newMap)
 	if err != nil {
-		t.Fatalf("reshard: %v", err)
+		t.Fatalf("advance: %v", err)
 	}
-	if epoch != 2 || nm.Len() != 4 {
-		t.Fatalf("reshard -> epoch %d with %d shards, want 2 with 4", epoch, nm.Len())
+	if epoch != 2 {
+		t.Fatalf("advance -> epoch %d, want 2", epoch)
 	}
 
 	ids = append(ids, query(), query()) // pinned to epoch 2
 	close(stop)
 	wg.Wait()
 	ids = append(ids, bg...)
-
-	retireMu.Lock()
-	if len(retired) != 2 {
-		t.Errorf("retired %d shards, want both old halves", len(retired))
-	}
-	retireMu.Unlock()
-	if client.Metrics().Snapshot().Reshards != 1 {
-		t.Errorf("reshards counter = %d, want 1", client.Metrics().Snapshot().Reshards)
-	}
 
 	// Every session ran under exactly one epoch: its trace names that epoch
 	// and fans out to exactly that epoch's shard count.

@@ -73,32 +73,6 @@ func NewShardMap(shards []Shard) (*ShardMap, error) {
 	return &ShardMap{shards: out, rows: next}, nil
 }
 
-// UniformShardMap splits n rows as evenly as possible over the given
-// backend groups, in order (the first groups get the remainder rows).
-func UniformShardMap(n int, groups [][]string) (*ShardMap, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("cluster: non-positive row count %d", n)
-	}
-	k := len(groups)
-	if k == 0 {
-		return nil, errors.New("cluster: no backend groups")
-	}
-	if k > n {
-		return nil, fmt.Errorf("cluster: %d shards for %d rows", k, n)
-	}
-	shards := make([]Shard, k)
-	lo := 0
-	for i, g := range groups {
-		rows := n / k
-		if i < n%k {
-			rows++
-		}
-		shards[i] = Shard{Lo: lo, Hi: lo + rows, Backends: g}
-		lo += rows
-	}
-	return NewShardMap(shards)
-}
-
 // ParseShardMap parses the sumproxy -shards syntax: semicolon-separated
 // shard specs, each "lo-hi=primary[|replica...]" with hi exclusive, e.g.
 //

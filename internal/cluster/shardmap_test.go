@@ -61,36 +61,6 @@ func TestNewShardMapCopiesInput(t *testing.T) {
 	}
 }
 
-func TestUniformShardMap(t *testing.T) {
-	m, err := UniformShardMap(10, [][]string{{"a"}, {"b"}, {"c"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := make([]int, m.Len())
-	for i, s := range m.Shards() {
-		got[i] = s.Rows()
-	}
-	// Remainder rows go to the first groups: 4, 3, 3.
-	if got[0] != 4 || got[1] != 3 || got[2] != 3 {
-		t.Errorf("rows per shard = %v, want [4 3 3]", got)
-	}
-	if m.Rows() != 10 {
-		t.Errorf("rows = %d", m.Rows())
-	}
-}
-
-func TestUniformShardMapErrors(t *testing.T) {
-	if _, err := UniformShardMap(0, [][]string{{"a"}}); err == nil {
-		t.Error("zero rows accepted")
-	}
-	if _, err := UniformShardMap(10, nil); err == nil {
-		t.Error("no groups accepted")
-	}
-	if _, err := UniformShardMap(2, [][]string{{"a"}, {"b"}, {"c"}}); err == nil {
-		t.Error("more shards than rows accepted")
-	}
-}
-
 func TestParseShardMapRoundTrip(t *testing.T) {
 	spec := "0-5000=db1:7001|db1b:7001;5000-10000=db2:7001"
 	m, err := ParseShardMap(spec)
@@ -136,7 +106,7 @@ func TestParseShardMapErrors(t *testing.T) {
 }
 
 func TestShardMapStringUsable(t *testing.T) {
-	m, err := UniformShardMap(7, [][]string{{"a:1"}, {"b:1"}})
+	m, err := ParseShardMap(" 0-4 = a:1 ; 4-7 = b:1 ")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -50,18 +50,6 @@ func (s *Selection) Set(i int) {
 	}
 }
 
-// Clear unmarks position i.
-func (s *Selection) Clear(i int) {
-	if i < 0 || i >= s.n {
-		panic(fmt.Sprintf("database: selection index %d out of range [0,%d)", i, s.n))
-	}
-	w, b := i/64, uint(i%64)
-	if s.words[w]&(1<<b) != 0 {
-		s.words[w] &^= 1 << b
-		s.count--
-	}
-}
-
 // Indices returns the selected positions in increasing order.
 func (s *Selection) Indices() []int {
 	out := make([]int, 0, s.count)

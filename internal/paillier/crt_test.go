@@ -166,16 +166,13 @@ func TestFreshRandomizerCRTIsEncryptionOfZero(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ct, err := pk.EncryptWithRandomizer(big.NewInt(7), rn)
-		if err != nil {
-			t.Fatal(err)
-		}
+		ct := pk.assembleCiphertext(big.NewInt(7), rn)
 		m, err := sk.Decrypt(ct)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if m.Int64() != 7 {
-			t.Fatalf("EncryptWithRandomizer(7, crt-rn) decrypts to %v", m)
+			t.Fatalf("assembleCiphertext(7, crt-rn) decrypts to %v", m)
 		}
 		pub, err := pk.Encrypt(big.NewInt(5))
 		if err != nil {

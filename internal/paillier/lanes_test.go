@@ -123,10 +123,7 @@ func TestOwnerPoolRefillLanes(t *testing.T) {
 				t.Fatal("the owner's refills hand out the same randomizer twice")
 			}
 			seen[rn.String()] = true
-			ct, err := sk.EncryptWithRandomizer(big.NewInt(int64(i)), rn)
-			if err != nil {
-				t.Fatal(err)
-			}
+			ct := sk.assembleCiphertext(big.NewInt(int64(i)), rn)
 			if m, err := sk.Decrypt(ct); err != nil || m.Int64() != int64(i) {
 				t.Fatalf("encryption of %d decrypts to %v, %v", i, m, err)
 			}

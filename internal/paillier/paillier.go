@@ -322,19 +322,6 @@ func (pk *PublicKey) checkNonce(r *big.Int) error {
 	return nil
 }
 
-// EncryptWithRandomizer encrypts m using a precomputed randomizer
-// rn = r^N mod N², such as one from RandomizerCRT. This skips the exponentiation and
-// reduces encryption to two modular multiplications.
-func (pk *PublicKey) EncryptWithRandomizer(m, rn *big.Int) (*Ciphertext, error) {
-	if err := pk.checkMessage(m); err != nil {
-		return nil, err
-	}
-	if rn == nil || rn.Sign() <= 0 || rn.Cmp(pk.NSquared) >= 0 {
-		return nil, errors.New("paillier: randomizer must be in [1, N²)")
-	}
-	return pk.assembleCiphertext(m, rn), nil
-}
-
 // assembleCiphertext computes (1 + m·N)·rn mod N² for m in [0, N) and rn in
 // [0, N²). The pre-reduction product spans four key widths; it lives in the
 // kernel's pooled scratch, and only the reduced result lands in the

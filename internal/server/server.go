@@ -6,11 +6,10 @@
 // per-session deadlines and panic isolation, context-driven graceful
 // shutdown, and a live metrics feed (internal/metrics).
 //
-// The shape mirrors net/http.Server deliberately — New, Serve,
-// ListenAndServe, Shutdown, Close, ErrServerClosed — so operational
-// expectations transfer: Serve blocks until shutdown, Shutdown stops
-// accepting and drains in-flight sessions until its context expires, Close
-// force-closes everything.
+// The shape mirrors net/http.Server deliberately — New, Serve, Shutdown,
+// Close, ErrServerClosed — so operational expectations transfer: Serve
+// blocks until shutdown, Shutdown stops accepting and drains in-flight
+// sessions until its context expires, Close force-closes everything.
 package server
 
 import (
@@ -32,8 +31,8 @@ import (
 	"privstats/internal/wire"
 )
 
-// ErrServerClosed is returned by Serve and ListenAndServe after Shutdown or
-// Close, matching the net/http convention.
+// ErrServerClosed is returned by Serve after Shutdown or Close, matching the
+// net/http convention.
 var ErrServerClosed = errors.New("server: closed")
 
 // Defaults for zero Config fields.
@@ -225,15 +224,6 @@ func (s *Server) Traces() *trace.Recorder { return s.cfg.Traces }
 
 // ActiveSessions returns the number of sessions currently running.
 func (s *Server) ActiveSessions() int { return len(s.sem) }
-
-// ListenAndServe listens on addr (TCP) and calls Serve.
-func (s *Server) ListenAndServe(addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return fmt.Errorf("server: listen %s: %w", addr, err)
-	}
-	return s.Serve(ln)
-}
 
 // Serve accepts connections on ln until shutdown, running each admitted one
 // as a session. Transient accept errors are retried with exponential

@@ -71,7 +71,7 @@ func TestRemoteSourcePrimeAndDraw(t *testing.T) {
 	if err := src.Prime(ctx); err != nil {
 		t.Fatal(err)
 	}
-	z, o := src.Depth()
+	z, o := src.Remaining(0), src.Remaining(1)
 	if z < 32 || o < 8 {
 		t.Fatalf("primed depths = (%d,%d)", z, o)
 	}
@@ -412,7 +412,7 @@ func TestEndToEndStockedQuery(t *testing.T) {
 	if err := stockSrv.Close(); err != nil {
 		t.Fatal(err)
 	}
-	z, o := src.Depth()
+	z, o := src.Remaining(0), src.Remaining(1)
 	for i := 0; i < z; i++ {
 		if _, err := src.DrawBit(0); err != nil {
 			t.Fatal(err)

@@ -165,9 +165,6 @@ func (s *RemoteSource) DrawBit(bit uint) (homomorphic.Ciphertext, error) {
 // Remaining implements homomorphic.EncryptorPool.
 func (s *RemoteSource) Remaining(bit uint) int { return s.store.Remaining(bit) }
 
-// Depth reports the local stock levels.
-func (s *RemoteSource) Depth() (zeros, ones int) { return s.store.Depth() }
-
 // OnlineFallbacks reports draws served by online encryption — the
 // steady-state SLO is zero.
 func (s *RemoteSource) OnlineFallbacks() int { return s.store.OnlineFallbacks() }

@@ -210,12 +210,6 @@ func (c *Conn) SendErrorCode(code ErrorCode, msg string) error {
 	return c.Send(MsgError, EncodeErrorCode(code, msg))
 }
 
-// SendErrorFor reports err to the peer with the code ErrorCodeFor picks
-// (transport faults travel classified, protocol errors as plain text).
-func (c *Conn) SendErrorFor(err error) error {
-	return c.Send(MsgError, EncodeErrorCode(ErrorCodeFor(err), err.Error()))
-}
-
 // Close closes the underlying transport when it is closable.
 func (c *Conn) Close() error {
 	if c.c != nil {

@@ -164,10 +164,3 @@ func (gc *GarbledCircuit) Evaluate(inputLabels []label) ([]uint8, error) {
 	}
 	return bits, nil
 }
-
-// GarbledSize returns the bytes a garbled circuit occupies on the wire:
-// four label-sized rows per gate plus topology overhead.
-func (gc *GarbledCircuit) GarbledSize() int64 {
-	const perGateTopology = 13 // op byte + three uint32 wire ids
-	return int64(len(gc.Tables)) * (4*labelSize + perGateTopology)
-}
