@@ -158,7 +158,7 @@ func main() {
 	flag.StringVar(&cfg.storeDir, "store", "", "crash-safe job store directory: journal every job and recover on restart (empty = memory-only)")
 	flag.IntVar(&cfg.chunk, "chunk", 0, "batch the encrypted index vector in chunks of this size (0 = single chunk)")
 	var d daemon.Serving
-	flag.DurationVar(&d.Grace, "grace", 30*time.Second, "drain window for in-flight jobs on SIGINT/SIGTERM")
+	flag.DurationVar(&d.Grace, "grace", 30*time.Second, "drain window for in-flight jobs on SIGINT/SIGTERM/SIGHUP")
 	cfg.backend.Register(flag.CommandLine)
 	cfg.backend.RegisterStock(flag.CommandLine)
 	flag.DurationVar(&cfg.backend.Timeout, "timeout", cluster.DefaultIOTimeout, "dial and per-frame IO deadline on backend sessions")

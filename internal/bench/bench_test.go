@@ -48,17 +48,19 @@ func TestConfigValidate(t *testing.T) {
 }
 
 func TestFig2Shape(t *testing.T) {
-	// Sizes 8x the shared ones, same ratio: the linearity check compares two
-	// wall-clock encryptions, and at ~1 ms one preemption by a neighbouring
-	// process (make flake runs two test binaries on two cores) is enough to
-	// invert them; at ~10 ms it is not.
+	// The linearity check compares two wall-clock encryptions. At a few ms
+	// each (400 and 960 rows) a neighbouring test binary's load (make flake
+	// runs two on two cores) stretched one of them fivefold and the ratio
+	// read 14 or 0.4, while the per-row cost of a first size and a later one
+	// agree on a quiet host. So the compared sizes encrypt for ≥ 10 ms each,
+	// after a first size that warms the key's randomizer batch and the heap.
 	cfg := testConfig()
-	cfg.Sizes = []int{400, 960}
+	cfg.Sizes = []int{400, 2500, 6000}
 	rows, err := cfg.Fig2()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 2 {
+	if len(rows) != 3 {
 		t.Fatalf("%d rows", len(rows))
 	}
 	for _, r := range rows {
@@ -75,8 +77,8 @@ func TestFig2Shape(t *testing.T) {
 	}
 	// Linearity: doubling n should scale client time roughly linearly
 	// (very loose bounds; timing noise on small inputs is large).
-	ratio := float64(rows[1].ClientEncrypt) / float64(rows[0].ClientEncrypt)
-	sizeRatio := float64(rows[1].N) / float64(rows[0].N)
+	ratio := float64(rows[2].ClientEncrypt) / float64(rows[1].ClientEncrypt)
+	sizeRatio := float64(rows[2].N) / float64(rows[1].N)
 	if ratio < sizeRatio/4 || ratio > sizeRatio*4 {
 		t.Errorf("client encrypt scaling %.2f far from size ratio %.2f", ratio, sizeRatio)
 	}
@@ -237,35 +239,26 @@ func TestFig7CombinedBeatsPlainSubstantially(t *testing.T) {
 }
 
 func TestFig9MultiClientSpeedup(t *testing.T) {
-	rows, err := testConfig().Fig9()
+	// The ~k-fold speedup claim is validated at benchmark scale
+	// (BenchmarkFig9_MultiClient with 512-bit keys and n >= 1000, where it
+	// measures ≈2.8-2.9x for k=3). Here it is checked only against outright
+	// collapse, at the last size. At the shared test sizes each total is
+	// about a millisecond, the per-client fixed costs (key set-up,
+	// finalize, decrypt, hello) rival the shard work, and a neighbouring
+	// test binary's load read 0.25-0.32x; at 6000 rows the single client
+	// runs for tens of ms and each of the three shards for ≥ 10 ms, after a
+	// first size that warms the single client's key. The harness has
+	// already verified every run's sum against the oracle.
+	cfg := testConfig()
+	cfg.Sizes = []int{120, 6000}
+	rows, err := cfg.Fig9()
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The ~k-fold speedup claim is validated at benchmark scale
-	// (BenchmarkFig9_MultiClient with 512-bit keys and n >= 1000, where it
-	// measures ≈2.8-2.9x for k=3). At test sizes the per-client fixed
-	// costs (finalize, decrypt, hello) rival the shard work and a GC pause
-	// flips any single measurement — especially on single-CPU hosts — so
-	// only the largest sweep point is checked, with a retry, and only
-	// against outright collapse. The harness has already verified every
-	// run's sum against the oracle.
-	check := func(rows []ComparisonRow) bool {
-		return rows[len(rows)-1].Speedup() >= 0.5
+	if last := rows[len(rows)-1]; last.Speedup() < 0.5 {
+		t.Errorf("k=3 multi-client slower than half the single client: %.2fx (single %v, multi %v)",
+			last.Speedup(), last.Baseline, last.Variant)
 	}
-	if check(rows) {
-		return
-	}
-	for a := 0; a < 2; a++ {
-		rows, err = testConfig().Fig9()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if check(rows) {
-			return
-		}
-	}
-	t.Errorf("k=3 multi-client consistently slower than half the single client: %.2fx",
-		rows[len(rows)-1].Speedup())
 }
 
 func TestBaselinesOrdersOfMagnitudeCheaper(t *testing.T) {

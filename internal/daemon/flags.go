@@ -31,7 +31,7 @@ type Serving struct {
 
 // Register defines -grace, -log-every and -pprof on fs.
 func (s *Serving) Register(fs *flag.FlagSet) {
-	fs.DurationVar(&s.Grace, "grace", 30*time.Second, "drain window for in-flight sessions on SIGINT/SIGTERM")
+	fs.DurationVar(&s.Grace, "grace", 30*time.Second, "drain window for in-flight sessions on SIGINT/SIGTERM/SIGHUP")
 	fs.DurationVar(&s.LogEvery, "log-every", time.Minute, "interval for the periodic metrics log line (0 = off)")
 	fs.BoolVar(&s.Pprof, "pprof", false, "mount net/http/pprof under /debug/pprof/ on -stats-addr")
 }

@@ -74,11 +74,8 @@ func NewFixedBaseExp(base, m *big.Int, maxBits int, window uint) (*FixedBaseExp,
 	return f, nil
 }
 
-// MaxBits reports the largest exponent bit-length the table supports.
-func (f *FixedBaseExp) MaxBits() int { return f.maxBits }
-
 // Exp returns base^e mod m using the precomputed table. e must be
-// non-negative and at most MaxBits() bits.
+// non-negative and at most the table's maxBits bits.
 func (f *FixedBaseExp) Exp(e *big.Int) (*big.Int, error) {
 	if e.Sign() < 0 {
 		return nil, fmt.Errorf("mathx: fixed-base exponent must be non-negative")

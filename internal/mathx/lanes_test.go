@@ -338,3 +338,35 @@ func TestLaneKernelGenerated(t *testing.T) {
 		}
 	}
 }
+
+// TestToLimbsIsLimbAt: the one-pass word reader agrees with limbAt at every
+// width the lanes take, for every limb count up to the widest kernel, and
+// fromLimbs reads the words back.
+func TestToLimbsIsLimbAt(t *testing.T) {
+	rng := rand.New(rand.NewSource(52))
+	for words := 1; words <= 17; words++ {
+		xw := make([]big.Word, words)
+		for k := range xw {
+			xw[k] = big.Word(rng.Uint64())
+		}
+		for limbs := 1; limbs <= laneMaxLimbs; limbs++ {
+			got := make([]uint64, limbs)
+			for j := range got {
+				got[j] = 0xdead // overwritten, zeros included
+			}
+			toLimbs(got, xw)
+			for j := range got {
+				if want := limbAt(xw, limbBits*j); got[j] != want {
+					t.Fatalf("%d words, %d limbs: limb %d = %#x, want %#x", words, limbs, j, got[j], want)
+				}
+			}
+			back := make([]big.Word, words+1)
+			fromLimbs(back, got)
+			want := new(big.Int).SetBits(xw)
+			want.And(want, new(big.Int).Sub(new(big.Int).Lsh(One, uint(limbBits*limbs)), One))
+			if new(big.Int).SetBits(back).Cmp(want) != 0 {
+				t.Fatalf("%d words, %d limbs: fromLimbs(toLimbs(x)) = %x, want %x", words, limbs, back, want)
+			}
+		}
+	}
+}

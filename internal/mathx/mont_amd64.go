@@ -91,3 +91,14 @@ func (r *Reducer) kmul(z, x, y *big.Word) {
 		montMul32(z, x, y, &r.mw[0], r.k0)
 	}
 }
+
+// laneGather sets row j of z, lane by lane for the first lanes lanes, to the
+// uint64 at base + offs[l] bytes + 8·j, for j < limbs; laneScatter stores
+// row j of x back there. Lanes past lanes are neither read nor written in
+// memory. They need hasIFMA (lanegather_amd64.s).
+//
+//go:noescape
+func laneGather(z *laneNum, base *uint64, offs *[laneCount]int64, lanes, limbs int)
+
+//go:noescape
+func laneScatter(base *uint64, offs *[laneCount]int64, x *laneNum, lanes, limbs int)

@@ -6,8 +6,9 @@ import "math/big"
 
 // The register kernels exist on amd64 only (mont8_amd64.s, mont16_amd64.s,
 // mont32_amd64.s), and so do the lane kernels (lanes10_amd64.s,
-// lanes20_amd64.s); elsewhere the chain kernel is the addMulVVW montMul, Exp
-// is big.Int.Exp and ExpEach is Exp per element.
+// lanes20_amd64.s, lanegather_amd64.s); elsewhere the chain kernel is the
+// addMulVVW montMul, Exp is big.Int.Exp, ExpEach is Exp per element and the
+// bucket fold is montMul's.
 const (
 	hasADX  = false
 	hasIFMA = false
@@ -22,5 +23,13 @@ func laneMul10(z, x, y *laneNum, m *[laneMaxLimbs]uint64, k0 uint64) {
 }
 
 func laneMul20(z, x, y *laneNum, m *[laneMaxLimbs]uint64, k0 uint64) {
+	panic("mathx: no lane kernel")
+}
+
+func laneGather(z *laneNum, base *uint64, offs *[laneCount]int64, lanes, limbs int) {
+	panic("mathx: no lane kernel")
+}
+
+func laneScatter(base *uint64, offs *[laneCount]int64, x *laneNum, lanes, limbs int) {
 	panic("mathx: no lane kernel")
 }

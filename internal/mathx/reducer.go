@@ -44,7 +44,8 @@ import (
 // at most 1024 bits, ExpEach walks the same window over eight bases at once on
 // a lane kernel (lanes.go): ten radix-2^52 limbs per lane up to 512 bits (a
 // 512-bit key's p² and q²), twenty up to 1024 (its N², a 1024-bit key's p²
-// and q²); otherwise it is Exp per element.
+// and q²); otherwise it is Exp per element. The bucket fold multiplies eight
+// rows into eight buckets per call of the same kernel there (lanefold.go).
 //
 // A Reducer is immutable and safe for concurrent use; each concurrent caller
 // brings its own Scratch.
@@ -61,8 +62,8 @@ type Reducer struct {
 	kw  int        // the register kernel's width, n; 0 where there is none
 
 	// The lane kernel's width, 10 or 20 limbs, or 0 where none takes m; its
-	// constants are built by the first ExpEach, so that Reducers that never
-	// run one (a one-shot fold's) do not pay for them.
+	// constants are built by the first ExpEach or bucket fold, so that
+	// Reducers that run neither do not pay for them.
 	laneLimbs int
 	laneOnce  sync.Once
 	lane      *laneConsts

@@ -93,6 +93,12 @@ func TestSerializationMonotonicProperty(t *testing.T) {
 	}
 }
 
+// makespan is when the server finishes its last chunk: the end-to-end time
+// with an empty reply and no decryption, less the empty reply's latency.
+func makespan(p *Pipeline, link Link) time.Duration {
+	return p.Finish(0, 0) - link.OneWayTime(0)
+}
+
 func TestPipelineSingleChunkMatchesSequential(t *testing.T) {
 	link := Link{BitsPerSecond: 8000, Efficiency: 1, Latency: 10 * time.Millisecond}
 	p, err := NewPipeline(link)
@@ -104,7 +110,7 @@ func TestPipelineSingleChunkMatchesSequential(t *testing.T) {
 	}
 	// enc 2s + ser 1s + lat 10ms + srv 3s
 	want := 2*time.Second + time.Second + 10*time.Millisecond + 3*time.Second
-	if got := p.Makespan(); got != want {
+	if got := makespan(p, link); got != want {
 		t.Errorf("makespan = %v, want %v", got, want)
 	}
 	if seq := 2*time.Second + link.OneWayTime(1000) + 3*time.Second; seq != want {
@@ -126,7 +132,7 @@ func TestPipelineOverlapsStages(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	got := p.Makespan()
+	got := makespan(p, link)
 	// Pipelined: ~ (chunks+1)*100ms. Sequential: 2*chunks*100ms = 2s.
 	if got >= 2*time.Second {
 		t.Errorf("pipeline %v did not beat sequential 2s", got)
@@ -158,7 +164,7 @@ func TestPipelineNeverBeatsAnySingleStageSum(t *testing.T) {
 			sumSer += link.SerializationTime(int64(s.B))
 			sumSrv += srv
 		}
-		m := p.Makespan()
+		m := makespan(p, link)
 		if len(stages) == 0 {
 			return m == 0
 		}
@@ -196,7 +202,8 @@ func TestPipelineFinish(t *testing.T) {
 	p, _ := NewPipeline(link)
 	_ = p.AddChunk(time.Second, 0, time.Second)
 	total := p.Finish(1000, 50*time.Millisecond)
-	want := p.Makespan() + link.OneWayTime(1000) + 50*time.Millisecond
+	// enc 1s + lat 10ms + srv 1s, then the reply and the decryption
+	want := 2*time.Second + 10*time.Millisecond + link.OneWayTime(1000) + 50*time.Millisecond
 	if total != want {
 		t.Errorf("Finish = %v, want %v", total, want)
 	}

@@ -56,9 +56,6 @@ func (p *Pipeline) AddChunk(enc time.Duration, wireBytes int64, srv time.Duratio
 	return nil
 }
 
-// Makespan returns the time at which the server finishes its last chunk.
-func (p *Pipeline) Makespan() time.Duration { return p.srvDone }
-
 // Finish completes the protocol: the server's response of respBytes travels
 // back and the client spends decrypt decrypting it. It returns the total
 // end-to-end online time.

@@ -363,9 +363,6 @@ func (s *ServerSession) absorbRows(chunk *wire.IndexChunk) error {
 	return nil
 }
 
-// Absorbed reports how many vector positions have been folded.
-func (s *ServerSession) Absorbed() uint64 { return s.next - s.base }
-
 // Finalize checks the vector is complete and returns the rerandomized
 // encrypted sum of the session's (first) column. Optionally a blinding value
 // can be added homomorphically — the multi-client protocol passes the

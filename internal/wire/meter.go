@@ -42,13 +42,6 @@ func (m *Meter) Snapshot() (bytesOut, bytesIn, framesOut, framesIn int64) {
 	return m.bytesOut, m.bytesIn, m.framesOut, m.framesIn
 }
 
-// TotalBytes returns bytes moved in both directions.
-func (m *Meter) TotalBytes() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.bytesOut + m.bytesIn
-}
-
 // Reset zeroes all counters.
 func (m *Meter) Reset() {
 	m.mu.Lock()
@@ -220,9 +213,3 @@ func (c *Conn) Close() error {
 
 // FrameOverhead is the fixed per-frame header size in bytes.
 const FrameOverhead = 5
-
-// ChunkWireSize returns the exact on-the-wire size of a MsgIndexChunk
-// carrying count ciphertexts of the given width: header + offset + body.
-func ChunkWireSize(count, width int) int {
-	return FrameOverhead + 8 + count*width
-}

@@ -159,41 +159,3 @@ func otMask(k *big.Int, branch uint) [OTMessageSize]byte {
 	copy(out[:], h.Sum(nil))
 	return out
 }
-
-// TransferInputs runs one OT per evaluator input bit, handing the evaluator
-// the labels for its private inputs without the generator learning them.
-// It returns the labels plus the number of OTs performed; the cost model's
-// calibration divides the measured wall time by that count.
-func TransferInputs(sender *OTSender, gc *GarbledCircuit, evaluatorBits []uint8, firstWire int) ([]label, error) {
-	if gc.wires == nil {
-		return nil, errors.New("yao: only the generator side can run input transfer")
-	}
-	if firstWire < 0 || firstWire+len(evaluatorBits) > gc.Circuit.NumInputs {
-		return nil, fmt.Errorf("yao: evaluator wires [%d,%d) outside circuit inputs", firstWire, firstWire+len(evaluatorBits))
-	}
-	n, e, x0, x1 := sender.PublicParams()
-	out := make([]label, len(evaluatorBits))
-	for i, b := range evaluatorBits {
-		if b > 1 {
-			return nil, fmt.Errorf("yao: evaluator input %d is not a bit", i)
-		}
-		w := gc.wires[firstWire+i]
-		// Receiver side: blind the choice.
-		recv, req, err := NewOTRequest(n, e, x0, x1, uint(b))
-		if err != nil {
-			return nil, err
-		}
-		// Sender side: mask both labels.
-		resp, err := sender.Respond(req, w.l0, w.l1)
-		if err != nil {
-			return nil, err
-		}
-		// Receiver side: open the chosen one.
-		lbl, err := recv.Open(resp)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = lbl
-	}
-	return out, nil
-}

@@ -133,11 +133,20 @@ func TestFullTwoPartyComputation(t *testing.T) {
 	}
 	// Evaluator's selector labels come through real OTs (wires 0..n-1).
 	sender := otSender(t)
-	selLabels, err := TransferInputs(sender, gc, selector, 0)
-	if err != nil {
-		t.Fatal(err)
+	on, e, x0, x1 := sender.PublicParams()
+	for i, b := range selector {
+		recv, req, err := NewOTRequest(on, e, x0, x1, uint(b))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := sender.Respond(req, gc.wires[i].l0, gc.wires[i].l1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if allLabels[i], err = recv.Open(resp); err != nil {
+			t.Fatal(err)
+		}
 	}
-	copy(allLabels[:n], selLabels)
 
 	out, err := gc.Evaluate(allLabels)
 	if err != nil {
@@ -149,28 +158,6 @@ func TestFullTwoPartyComputation(t *testing.T) {
 	}
 	if got != 53 {
 		t.Fatalf("2PC selected sum = %d, want 53", got)
-	}
-}
-
-func TestTransferInputsValidation(t *testing.T) {
-	c, err := SelectedSumCircuit(2, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gc, err := Garble(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := otSender(t)
-	if _, err := TransferInputs(s, gc, []uint8{0, 1, 0, 1, 0, 1, 0}, 0); err == nil {
-		t.Error("too many evaluator bits should fail")
-	}
-	if _, err := TransferInputs(s, gc, []uint8{2}, 0); err == nil {
-		t.Error("non-bit input should fail")
-	}
-	eval := &GarbledCircuit{Circuit: c, Tables: gc.Tables, OutputPerm: gc.OutputPerm}
-	if _, err := TransferInputs(s, eval, []uint8{1}, 0); err == nil {
-		t.Error("evaluator-side transfer should fail")
 	}
 }
 
