@@ -26,7 +26,7 @@
 // last round one carry pass brings each back below 2^52, so the result is a
 // valid operand. With x, y < 2m and 4m < R the result (x·y + Q·m)/R is below
 // 2m: almost-Montgomery, reduced into [0, m) only by the caller, once, at the
-// end of an exponentiation.
+// end of an exponentiation or when a fold's bucket is read out.
 package main
 
 import (

@@ -2,6 +2,7 @@ package selectedsum
 
 import (
 	"crypto/rand"
+	"encoding/binary"
 	"math/big"
 	"testing"
 
@@ -19,13 +20,33 @@ import (
 // crossing. Every input runs under three keys: the 256-bit test key, whose N²
 // is 8 words, a 512-bit one, whose 16-word N² is the fold on mathx's 16-word
 // register kernel, and a 1024-bit one, whose 32-word N² is the fold on the
-// 32-word kernel. The naive fold's ScalarMul is big.Int.Exp under every key,
-// so the oracle never runs on a register kernel.
+// 32-word kernel. Where the CPU has the IFMA lanes the first two fold there
+// instead, on ten and twenty limbs. The naive fold's ScalarMul is
+// big.Int.Exp under every key, so the oracle never runs on a register or
+// lane kernel.
 func FuzzFoldEquivalence(f *testing.F) {
 	f.Add([]byte{3})
 	f.Add([]byte{17, 0xff, 0x00, 0x80, 0x7f})
 	f.Add([]byte{63, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13})
 	f.Add([]byte{16, 0xde, 0xad, 0xbe, 0xef, 0xff, 0xff, 0xff, 0xff})
+	// The lane fold's shapes: eight values that open eight buckets, then k
+	// = 1…7 rows that multiply into them, the last lane call's products
+	// when the session is one chunk.
+	for k := 1; k <= 7; k++ {
+		values := make([]uint32, 8+k)
+		for i := range values {
+			values[i] = uint32(i%8 + 1)
+		}
+		f.Add(foldSeed(values))
+	}
+	// Rows of one bucket inside one group of eight, which wait.
+	f.Add(foldSeed([]uint32{11, 1, 2, 1, 3, 1, 1, 4, 1, 5, 1, 6, 1, 7, 1, 1}))
+	// Windows between bit 4 and bit 28 that no row has a digit in.
+	values := make([]uint32, 16)
+	for i := range values {
+		values[i] = uint32(i%8+1) | 1<<28
+	}
+	f.Add(foldSeed(values))
 	sk512, err := paillier.KeyGen(rand.Reader, 512)
 	if err != nil {
 		f.Fatal(err)
@@ -63,6 +84,23 @@ func FuzzFoldEquivalence(f *testing.F) {
 			foldEquivalence(t, sk, table, sel, want)
 		}
 	})
+}
+
+// foldSeed encodes an input of FuzzFoldEquivalence with every row selected:
+// 1–16 rows of the given values, except that the low byte of values[0] is
+// the row count less one, which the input's first byte encodes.
+func foldSeed(values []uint32) []byte {
+	count := len(values)
+	data := make([]byte, 5*count)
+	for i, v := range values {
+		binary.LittleEndian.PutUint32(data[4*i:], v)
+		data[4*count+i] = 1
+	}
+	for i := range data {
+		data[i] ^= byte(i * 151) // undo byteAt's decorrelation
+	}
+	data[0] = byte(count - 1)
+	return data
 }
 
 // foldEquivalence is FuzzFoldEquivalence's check under one key: the naive
