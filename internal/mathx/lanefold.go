@@ -12,16 +12,20 @@ import "math/big"
 // later one and the buckets end up with the same residues as on the chain
 // kernel.
 //
-// The lanes leave a factor 2^(−52·limbs) on each product where montMul
-// leaves b^(−n). A bucket's first row is copied in unconverted, as on the
-// chain kernel, and every later row is multiplied in scaled by
-// 2^s = 2^(52·limbs − W·n) mod m, so each product carries b^(−n) and the
-// buckets mean what montMul's mean: combine, horner and the R^Σexp factor
-// read them through bucket and are the same code on both kernels.
+// The accumulator stays in the lanes' own Montgomery domain, R_L =
+// 2^(52·limbs), from the first row to the combined windows. A row goes in
+// as its limbs and stands for b/R_L, so every lane product is an exact
+// R_L-Montgomery product and a bucket of c rows stands for Π b_i / R_L^c.
+// Results runs the running sums of every occupied window on the lanes as
+// well (combineLanes), moves each combined window into montMul's domain
+// with one lane product by b^n mod m, and joins the windows on the chain
+// kernel in horner, whose closing factor is R_L^Σx where the chain
+// kernel's is R^Σx.
 //
-// The words "lane" and "lanes" mean two things here. AddChunk deals the
-// windows to Deal lanes, goroutines, each folding whole windows; within
-// one window a laneGroup fills the eight SIMD lanes of a ZMM register.
+// The words "lane" and "lanes" mean two things here. AddChunk and Results
+// deal windows to Deal lanes, goroutines; a laneGroup fills the eight SIMD
+// lanes of a ZMM register with products of one window, a combine with the
+// running sums of up to eight windows or pieces of windows.
 
 // laneWindow is one window's buckets on the lane kernel: bucket d−1 is
 // limbs[(d−1)·L : d·L], L = the kernel's limbs, and holds a row once full[d−1]
@@ -41,9 +45,9 @@ type lanePair struct{ bucket, row int64 }
 type laneGroup struct {
 	c       *laneConsts
 	limbs   int
-	buckets []uint64 // the window's bucket limbs
-	rows    []uint64 // the chunk's scaled rows, limbs apiece
-	x, y    laneNum
+	buckets []uint64            // the window's bucket limbs
+	rows    []uint64            // the chunk's rows, limbs apiece
+	x, y, z laneNum             // x and y are a lane call's operands; combine uses all three
 	open    [2][laneCount]int64 // the open pairs' bucket and row offsets
 	wait    [laneCount]lanePair
 	nOpen   int
@@ -113,31 +117,10 @@ func (g *laneGroup) flush() int {
 	return done
 }
 
-// scaleRows sets rows[i·L : (i+1)·L] to the limbs of row i of the chunk
-// words, times 2^s mod m (below 2m), eight rows per lane call.
-func (r *Reducer) scaleRows(rows []uint64, words []big.Word) {
-	c, L, n := r.lanes(), r.laneLimbs, r.n
-	count := len(words) / n
-	for i := range count {
-		toLimbs(rows[i*L:(i+1)*L], words[i*n:(i+1)*n])
-	}
-	var x laneNum
-	var offs [laneCount]int64
-	for lo := 0; lo < count; lo += laneCount {
-		k := min(count-lo, laneCount)
-		for l := range offs {
-			offs[l] = int64(8 * (lo + l) * L)
-		}
-		laneGather(&x, &rows[0], &offs, k, L)
-		c.mul(&x, &x, &c.scale)
-		laneScatter(&rows[0], &offs, &x, k, L)
-	}
-}
-
 // foldWindowLanes is foldWindow on the lane kernel: rows holds the chunk's
-// scaled rows (scaleRows), words its bases as AddChunk takes them.
-func (a *MultiExpAcc) foldWindowLanes(j int, words []big.Word, rows []uint64, exps []uint64, l *accLane) {
-	n, L := a.red.n, a.red.laneLimbs
+// rows as limbs, L apiece.
+func (a *MultiExpAcc) foldWindowLanes(j int, rows []uint64, exps []uint64, l *accLane) {
+	L := a.red.laneLimbs
 	shift, mask := uint(j)*a.w, uint64(1)<<a.w-1
 	win, g := &a.lwin[j], l.group
 	g.buckets, g.rows = win.limbs, rows
@@ -152,7 +135,7 @@ func (a *MultiExpAcc) foldWindowLanes(j int, words []big.Word, rows []uint64, ex
 		}
 		b := int(d - 1)
 		if !win.full[b] {
-			toLimbs(win.limbs[b*L:(b+1)*L], words[i*n:(i+1)*n])
+			copy(win.limbs[b*L:(b+1)*L], rows[i*L:(i+1)*L])
 			win.full[b] = true
 			continue
 		}
@@ -163,19 +146,160 @@ func (a *MultiExpAcc) foldWindowLanes(j int, words []big.Word, rows []uint64, ex
 	}
 }
 
-// laneBucket reads window j's bucket d−1 into buf (n+1 words) reduced into
-// [0, m) and returns its n words, or nil while the bucket is empty.
-func (a *MultiExpAcc) laneBucket(j, d int, buf []big.Word) []big.Word {
-	win, L, n := &a.lwin[j], a.red.laneLimbs, a.red.n
-	if !win.full[d-1] {
-		return nil
+// laneSeg is one running sum of the lane combine: buckets lo through hi of
+// a window whose combined value goes to dst. A window is one segment, or
+// several when that fills the lanes better (splitSegs).
+type laneSeg struct {
+	win    *laneWindow
+	lo, hi int
+	dst    []big.Word
+}
+
+// combineLanes sets each occupied window's n words of combined (every
+// accumulator's windows back to back) to Π_d bucket[d]^d in montMul's
+// domain, as combine does on the chain kernel: the running sums of eight
+// segments step side by side, one bucket per pair of lane calls, and the
+// batches of eight are dealt to up to lanes lanes. The segments, and so
+// the products, are the same on any number of lanes. It counts the
+// multiplications the chain kernel's combine executes for the same
+// buckets; the lanes' own products are not counted.
+func combineLanes(accs []*MultiExpAcc, combined []big.Word, windows, lanes int) {
+	red, n := accs[0].red, accs[0].red.n
+	segs := make([]laneSeg, 0, laneCount*((windows+laneCount-1)/laneCount))
+	for _, a := range accs {
+		for j := range a.lwin {
+			win, dst := &a.lwin[j], combined[j*n:(j+1)*n]
+			if win.full == nil {
+				continue
+			}
+			top, occupied := 0, 0
+			for d, full := range win.full {
+				if full {
+					top = d + 1
+					occupied++
+				}
+			}
+			a.lanes[0].muls += occupied - 1 + top - 1
+			segs = append(segs, laneSeg{win: win, lo: 1, hi: top, dst: dst})
+		}
+		combined = combined[a.windowCount()*n:]
 	}
-	fromLimbs(buf, win.limbs[(d-1)*L:d*L])
+	segs = splitSegs(segs)
+	batches := (len(segs) + laneCount - 1) / laneCount
+	a := accs[0]
+	a.growLanes(min(lanes, batches))
+	// out[2i·n:(2i+1)·n] is segment i's acc, the n words after it its running
+	// sum, both in montMul's domain.
+	out := make([]big.Word, 2*n*len(segs))
+	Deal(lanes, batches, func(l, b int) {
+		lo, hi := b*laneCount, min((b+1)*laneCount, len(segs))
+		a.lanes[l].group.combine(red, segs[lo:hi], out[2*n*lo:])
+	})
+	// A segment from lo joins its window as acc · running^(lo−1); a
+	// window's segments are consecutive, the one from bucket 1 first.
+	t, p := a.lanes[0].t, a.lanes[0].run
+	for i, s := range segs {
+		acc := out[2*i*n : (2*i+1)*n]
+		if s.lo == 1 {
+			copy(s.dst, acc)
+			continue
+		}
+		red.montPow(p, out[(2*i+1)*n:(2*i+2)*n], uint(s.lo-1), t)
+		red.montMul(acc, acc, p, t)
+		red.montMul(s.dst, s.dst, acc, t)
+	}
+}
+
+// splitSegs cuts the windows' segments, one per window, into pieces of at
+// most size buckets and returns them in order, a window's pieces together
+// from its bottom one up. size is the least that keeps the pieces within
+// the batches of eight the windows need anyway, laneCount·⌈windows/
+// laneCount⌉, which segs must have room for: a batch costs two lane calls
+// per bucket of its longest piece, so it shortens the batches until they
+// are full. The pieces depend on the buckets alone.
+func splitSegs(segs []laneSeg) []laneSeg {
+	longest := 0
+	for _, s := range segs {
+		longest = max(longest, s.hi)
+	}
+	room := laneCount * ((len(segs) + laneCount - 1) / laneCount)
+	best, bestPieces := longest, len(segs)
+	for size := longest - 1; size >= 1; size-- {
+		pieces := 0
+		for _, s := range segs {
+			pieces += (s.hi + size - 1) / size
+		}
+		if pieces > room {
+			break
+		}
+		best, bestPieces = size, pieces
+	}
+	// Pieces go in from the back, so a window's segment is read before its
+	// slot is written.
+	split, at := segs[:bestPieces], bestPieces
+	for i := len(segs) - 1; i >= 0; i-- {
+		s := segs[i]
+		q := (s.hi + best - 1) / best
+		for p := q - 1; p >= 0; p-- {
+			at--
+			split[at] = laneSeg{win: s.win, lo: 1 + p*s.hi/q, hi: (p + 1) * s.hi / q, dst: s.dst}
+		}
+	}
+	return split
+}
+
+// combine runs the running sums of segs, at most eight, side by side: lane
+// k of run and acc holds segs[k]'s. Every segment steps top down in step
+// with the longest, the shorter ones, and lanes with none, multiplying by
+// r1 until their buckets start, and an empty bucket multiplies by r1 too.
+// Each step multiplies run by the bucket and acc by the run of the step
+// before, so acc ends as Π_{d=lo..hi} bucket[d]^(d−lo+1). It writes segment
+// k's acc and running sum, in montMul's domain and reduced into [0, m), to
+// out[2k·n:(2k+1)·n] and the n words after.
+func (g *laneGroup) combine(red *Reducer, segs []laneSeg, out []big.Word) {
+	c, L, n := g.c, g.limbs, red.n
+	run, acc, b := &g.x, &g.y, &g.z
+	*run, *acc = c.r1, c.r1
+	// rows[k] is the bucket lane k multiplies in, or r1.
+	var rows [laneCount]*uint64
+	for k := range rows {
+		rows[k] = &c.r1Row[0]
+	}
+	steps := 0
+	for _, s := range segs {
+		steps = max(steps, s.hi-s.lo+1)
+	}
+	for t := range steps {
+		for k, s := range segs {
+			rows[k] = &c.r1Row[0]
+			if d := s.lo + steps - 1 - t; d <= s.hi && s.win.full[d-1] {
+				rows[k] = &s.win.limbs[(d-1)*L]
+			}
+		}
+		laneLoad(b, &rows, L)
+		if t > 0 {
+			c.mul(acc, acc, run)
+		}
+		c.mul(run, run, b)
+	}
+	c.mul(acc, acc, run)
+	c.mul(acc, acc, &c.toMont)
+	c.mul(run, run, &c.toMont)
+	for k := range segs {
+		red.readLane(out[2*k*n:(2*k+1)*n], acc, k)
+		red.readLane(out[(2*k+1)*n:(2*k+2)*n], run, k)
+	}
+}
+
+// readLane sets z, n words, to lane k of x, a value below 2m, reduced into
+// [0, m).
+func (r *Reducer) readLane(z []big.Word, x *laneNum, k int) {
+	var buf [maxKernelWords + 1]big.Word
+	n := r.n
+	x.get(k, buf[:n+1])
 	// Below 2m: one subtraction, when the top word or the borrow says the
 	// value is at least m.
-	var t [maxKernelWords]big.Word
-	if subVV(t[:n], buf[:n], a.red.mw) == 0 || buf[n] != 0 {
-		copy(buf, t[:n])
+	if subVV(z, buf[:n], r.mw) != 0 && buf[n] == 0 {
+		copy(z, buf[:n])
 	}
-	return buf[:n]
 }

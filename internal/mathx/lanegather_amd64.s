@@ -45,3 +45,23 @@ scatter:
 	JNZ scatter
 	VZEROUPPER
 	RET
+
+// func laneLoad(z *laneNum, rows *[laneCount]*uint64, limbs int)
+TEXT ·laneLoad(SB), NOSPLIT, $0-24
+	MOVQ z+0(FP), DI
+	MOVQ rows+8(FP), AX
+	VMOVDQU64 (AX), Z0
+	MOVQ $0xff, BX
+	KMOVW BX, K2
+	XORQ SI, SI
+	MOVQ limbs+16(FP), CX
+load:
+	KMOVW K2, K1
+	VPGATHERQQ (SI)(Z0*1), K1, Z1
+	VMOVDQU64 Z1, (DI)
+	ADDQ $8, SI
+	ADDQ $64, DI
+	DECQ CX
+	JNZ load
+	VZEROUPPER
+	RET

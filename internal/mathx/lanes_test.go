@@ -370,3 +370,46 @@ func TestToLimbsIsLimbAt(t *testing.T) {
 		}
 	}
 }
+
+// TestLaneLoad: laneLoad fills the first limbs rows of a laneNum, lane l
+// from the limbs at rows[l], eight separate slices or one slice read twice,
+// and leaves the rows past limbs alone.
+func TestLaneLoad(t *testing.T) {
+	if !hasIFMA {
+		t.Skip("no lane kernel on this CPU")
+	}
+	rng := rand.New(rand.NewSource(40))
+	vals := make([][]uint64, laneCount)
+	var rows [laneCount]*uint64
+	for l := range vals {
+		vals[l] = make([]uint64, laneMaxLimbs)
+		for j := range vals[l] {
+			vals[l][j] = rng.Uint64() & limbMask
+		}
+		rows[l] = &vals[l][0]
+	}
+	rows[5] = rows[2]
+	for _, limbs := range []int{10, laneMaxLimbs} {
+		var z laneNum
+		for j := range z {
+			for l := range z[j] {
+				z[j][l] = 0xdead
+			}
+		}
+		laneLoad(&z, &rows, limbs)
+		for j := range z {
+			for l := range z[j] {
+				want := uint64(0xdead)
+				if j < limbs {
+					want = vals[l][j]
+					if l == 5 {
+						want = vals[2][j]
+					}
+				}
+				if z[j][l] != want {
+					t.Fatalf("limbs=%d: row %d lane %d = %#x, want %#x", limbs, j, l, z[j][l], want)
+				}
+			}
+		}
+	}
+}

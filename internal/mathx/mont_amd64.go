@@ -102,3 +102,10 @@ func laneGather(z *laneNum, base *uint64, offs *[laneCount]int64, lanes, limbs i
 
 //go:noescape
 func laneScatter(base *uint64, offs *[laneCount]int64, x *laneNum, lanes, limbs int)
+
+// laneLoad sets row j of z, lane by lane, to rows[l][j] for j < limbs: eight
+// values from eight places in memory, one per lane. It needs hasIFMA
+// (lanegather_amd64.s).
+//
+//go:noescape
+func laneLoad(z *laneNum, rows *[laneCount]*uint64, limbs int)

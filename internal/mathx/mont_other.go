@@ -33,3 +33,7 @@ func laneGather(z *laneNum, base *uint64, offs *[laneCount]int64, lanes, limbs i
 func laneScatter(base *uint64, offs *[laneCount]int64, x *laneNum, lanes, limbs int) {
 	panic("mathx: no lane kernel")
 }
+
+func laneLoad(z *laneNum, rows *[laneCount]*uint64, limbs int) {
+	panic("mathx: no lane kernel")
+}

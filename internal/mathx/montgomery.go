@@ -84,6 +84,18 @@ func (r *Reducer) montMulVVW(z, x, y, t []big.Word) {
 	}
 }
 
+// montPow sets z = x^e in Montgomery form, e ≥ 1, by square and multiply
+// on montMul; z must not alias x. t is 2n words of scratch.
+func (r *Reducer) montPow(z, x []big.Word, e uint, t []big.Word) {
+	copy(z, x)
+	for i := bits.Len(e) - 2; i >= 0; i-- {
+		r.montMul(z, z, z, t)
+		if e>>i&1 == 1 {
+			r.montMul(z, z, x, t)
+		}
+	}
+}
+
 // montOut converts x out of Montgomery form in place — one montMul by 1 —
 // and returns it as the canonical residue in [0, m), sharing x's storage.
 // t is 2n words of scratch.

@@ -52,7 +52,8 @@ const maxFoldStateBytes = 4 << 20
 // Σx_i runs over every row added, whatever a row's base encrypts, so neither
 // the factor nor the time it takes says anything about a client's selection.
 // Where the Reducer has a lane kernel the buckets are radix-2^52 limbs
-// multiplied eight at a time instead, with the same meaning (lanefold.go).
+// multiplied eight at a time instead, in the lanes' Montgomery domain, and
+// the factor is the lanes' R^(Σx_i) (lanefold.go).
 type MultiExpAcc struct {
 	red *Reducer
 	w   uint
@@ -63,7 +64,7 @@ type MultiExpAcc struct {
 	// kernel the buckets are lwin's instead (lanefold.go), and windows is nil.
 	windows [][][]big.Word
 	lwin    []laneWindow
-	scaled  []uint64 // the current chunk's rows for the lane kernel (scaleRows)
+	rows    []uint64 // the current chunk's rows as limbs, on the lane kernel
 	expLo   uint64   // Σ exp over the rows added, low and high halves
 	expHi   uint64
 	reach   int       // windows the current chunk's exponents reach
@@ -71,14 +72,15 @@ type MultiExpAcc struct {
 }
 
 // accLane is what one lane owns in an accumulator: montMul's 2n words of
-// scratch, the lane kernel's group where there is one, and the
+// scratch, n more for a running sum (combine's, horner's factor, the lane
+// combine's joins), the lane kernel's group where there is one, and the
 // multiplications it performed, which tests read. The padding keeps one
 // lane's counter off its neighbour's cache line.
 type accLane struct {
-	t     []big.Word
-	group *laneGroup
-	muls  int
-	_     [64]byte
+	t, run []big.Word
+	group  *laneGroup
+	muls   int
+	_      [64]byte
 }
 
 // NewMultiExpAcc returns an accumulator mod m for about expectedRows rows;
@@ -130,7 +132,9 @@ func (r *Reducer) newAcc(w uint) *MultiExpAcc {
 // start: the slice may move.
 func (a *MultiExpAcc) growLanes(k int) {
 	for len(a.lanes) < k {
-		l := accLane{t: make([]big.Word, 2*a.red.n)}
+		n := a.red.n
+		buf := make([]big.Word, 3*n)
+		l := accLane{t: buf[: 2*n : 2*n], run: buf[2*n:]}
 		if a.lwin != nil {
 			l.group = &laneGroup{c: a.red.lanes(), limbs: a.red.laneLimbs}
 		}
@@ -147,15 +151,6 @@ func (a *MultiExpAcc) occupied(j int) bool {
 		return a.lwin[j].limbs != nil
 	}
 	return a.windows[j] != nil
-}
-
-// bucket returns window j's bucket d as n words in [0, R), nil while it is
-// empty; a lane bucket is read into buf, n+1 words.
-func (a *MultiExpAcc) bucket(j, d int, buf []big.Word) []big.Word {
-	if a.lwin != nil {
-		return a.laneBucket(j, d, buf)
-	}
-	return a.windows[j][d-1]
 }
 
 // mul sets z = x·y·R⁻¹ mod m on lane l; z may alias either operand.
@@ -204,13 +199,16 @@ func AddChunk(accs []*MultiExpAcc, limbs []big.Word, exps [][]uint64, lanes int)
 	for _, a := range accs {
 		a.growLanes(min(lanes, pairs))
 	}
-	// On the lane kernel the chunk's rows are scaled once, before the
-	// windows start, and only read while they fold.
-	var scaled []uint64
+	// On the lane kernel the chunk's rows are converted to limbs once,
+	// before the windows start, and only read while they fold.
+	var rowLimbs []uint64
 	if a := accs[0]; a.lwin != nil && pairs > 0 {
-		a.scaled = slices.Grow(a.scaled[:0], rows*a.red.laneLimbs)[:rows*a.red.laneLimbs]
-		a.red.scaleRows(a.scaled, limbs)
-		scaled = a.scaled
+		L := a.red.laneLimbs
+		a.rows = slices.Grow(a.rows[:0], rows*L)[:rows*L]
+		for i := range rows {
+			toLimbs(a.rows[i*L:(i+1)*L], limbs[i*n:(i+1)*n])
+		}
+		rowLimbs = a.rows
 	}
 	// Pair p is window p of the first accumulator while p is below its reach,
 	// then the next accumulator's windows, and so on.
@@ -218,7 +216,7 @@ func AddChunk(accs []*MultiExpAcc, limbs []big.Word, exps [][]uint64, lanes int)
 		for c, a := range accs {
 			if p < a.reach {
 				if a.lwin != nil {
-					a.foldWindowLanes(p, limbs, scaled, exps[c], &a.lanes[l])
+					a.foldWindowLanes(p, rowLimbs, exps[c], &a.lanes[l])
 				} else {
 					a.foldWindow(p, limbs, exps[c], &a.lanes[l])
 				}
@@ -301,51 +299,77 @@ func (a *MultiExpAcc) foldWindow(j int, limbs []big.Word, exps []uint64, l *accL
 }
 
 // Results returns, for every accumulator of accs, the product of everything
-// added so far, in [0, m). The running-sum combine of each occupied window is
-// dealt to up to lanes lanes, as AddChunk deals its windows; the
-// shift squarings and the R^Σexp factor, about a hundred multiplications per
-// accumulator, stay on the caller. The products and the multiplication count
-// are those of one lane. The accumulators are left unchanged, so more rows
-// may follow.
+// added so far, in [0, m). The accumulators must share one Reducer, as
+// AddChunk's do. The running-sum combine of the occupied windows is dealt to
+// up to lanes lanes, as AddChunk deals its windows; on the lane kernel it
+// runs eight running sums per lane call (combineLanes). The shift squarings
+// and the closing factor, about a hundred multiplications per accumulator,
+// stay on the caller. The products and the multiplication count are those
+// of one lane. The accumulators are left unchanged, so more rows may follow.
 func Results(accs []*MultiExpAcc, lanes int) []*big.Int {
-	type pair struct{ c, j int } // window j of accs[c]
-	var pairs []pair
-	combined := make([][]big.Word, len(accs)) // each accumulator's combined windows, n words apiece
+	out := make([]*big.Int, len(accs))
+	if len(accs) == 0 {
+		return out
+	}
+	red, windows := accs[0].red, 0
+	for _, a := range accs {
+		if a.red != red {
+			panic("mathx: Results: the accumulators do not share one Reducer")
+		}
+		windows += a.windowCount()
+	}
+	// Each accumulator's combined windows, n words apiece, back to back.
+	combined := make([]big.Word, windows*red.n)
+	base := red.rr
+	if accs[0].lwin != nil {
+		combineLanes(accs, combined, windows, lanes)
+		base = red.lanes().rlMont
+	} else {
+		combineChains(accs, combined, windows, lanes)
+	}
 	for c, a := range accs {
-		combined[c] = make([]big.Word, a.windowCount()*a.red.n)
+		k := a.windowCount() * red.n
+		out[c] = a.horner(combined[:k], base)
+		combined = combined[k:]
+	}
+	return out
+}
+
+// combineChains sets each occupied window's n words of combined to its
+// combine on the chain kernel, the windows dealt to up to lanes lanes.
+func combineChains(accs []*MultiExpAcc, combined []big.Word, windows, lanes int) {
+	type pair struct {
+		a   *MultiExpAcc
+		j   int
+		dst []big.Word
+	}
+	n := accs[0].red.n
+	pairs := make([]pair, 0, windows)
+	for _, a := range accs {
 		for j := range a.windowCount() {
 			if a.occupied(j) {
-				pairs = append(pairs, pair{c, j})
+				pairs = append(pairs, pair{a, j, combined[j*n : (j+1)*n]})
 			}
 		}
+		combined = combined[a.windowCount()*n:]
 	}
 	for _, a := range accs {
 		a.growLanes(min(lanes, len(pairs)))
 	}
 	Deal(lanes, len(pairs), func(l, p int) {
-		c, j := pairs[p].c, pairs[p].j
-		a, n := accs[c], accs[c].red.n
-		a.combine(j, combined[c][j*n:(j+1)*n], &a.lanes[l])
+		a := pairs[p].a
+		a.combine(pairs[p].j, pairs[p].dst, &a.lanes[l])
 	})
-	out := make([]*big.Int, len(accs))
-	for c, a := range accs {
-		out[c] = a.horner(combined[c])
-	}
-	return out
 }
 
 // combine sets dst to window j's Π_d bucket[d]^d by a running sum, scanning
 // from the top bucket down: one multiplication per occupied bucket and one
 // per digit below the highest occupied one.
 func (a *MultiExpAcc) combine(j int, dst []big.Word, l *accLane) {
-	running := make([]big.Word, a.red.n)
-	var buf []big.Word // a lane bucket's words
-	if a.lwin != nil {
-		buf = make([]big.Word, a.red.n+1)
-	}
+	running := l.run
 	haveRunning, haveAcc := false, false
 	for d := 1<<a.w - 1; d >= 1; d-- {
-		if b := a.bucket(j, d, buf); b != nil {
+		if b := a.windows[j][d-1]; b != nil {
 			if haveRunning {
 				a.mul(l, running, running, b)
 			} else {
@@ -366,8 +390,10 @@ func (a *MultiExpAcc) combine(j int, dst []big.Word, l *accLane) {
 }
 
 // horner joins the combined windows, top down with w squarings between them,
-// and multiplies the factor R^Σexp back in, on lane 0.
-func (a *MultiExpAcc) horner(combined []big.Word) *big.Int {
+// and multiplies the closing factor back in, on lane 0: the domain's R^Σexp,
+// raised from base, its R in montMul's form (rr on the chain kernel,
+// laneConsts.rlMont on the lanes).
+func (a *MultiExpAcc) horner(combined, base []big.Word) *big.Int {
 	n, l := a.red.n, &a.lanes[0]
 	result := make([]big.Word, n)
 	haveResult := false
@@ -393,10 +419,10 @@ func (a *MultiExpAcc) horner(combined []big.Word) *big.Int {
 		return new(big.Int).Mod(One, a.red.m)
 	}
 	// result is the Montgomery form of the product over R^Σexp. Multiply by
-	// the Montgomery form of R^Σexp — R^(Σexp+1), by square and multiply
-	// from rr down the bits of the 128-bit sum — and convert out.
-	rr, factor := a.red.rr, make([]big.Word, n)
-	copy(factor, rr)
+	// the Montgomery form of R^Σexp, by square and multiply from base down
+	// the bits of the 128-bit sum, and convert out.
+	factor := l.run
+	copy(factor, base)
 	top := bits.Len64(a.expLo)
 	if a.expHi != 0 {
 		top = 64 + bits.Len64(a.expHi)
@@ -408,7 +434,7 @@ func (a *MultiExpAcc) horner(combined []big.Word) *big.Int {
 			word, off = a.expHi, i-64
 		}
 		if word>>off&1 == 1 {
-			a.mul(l, factor, factor, rr)
+			a.mul(l, factor, factor, base)
 		}
 	}
 	a.mul(l, result, result, factor)

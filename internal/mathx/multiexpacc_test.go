@@ -36,9 +36,10 @@ func TestMultiExpAccStreaming(t *testing.T) {
 	}
 }
 
-// FuzzMultiExpAccEquivalence: any chunking of any rows through the
-// accumulator, at the narrowest window, the widest the memory cap allows and
-// the automatic one, on 1, 2, 3, 4 or 7 lanes, equals Π big.Int.Exp, and
+// FuzzMultiExpAccEquivalence: any chunking of any rows through two
+// accumulators sharing one Reducer, the second taking the high half of each
+// row's exponent, at the narrowest window, the widest the memory cap allows
+// and the automatic one, on 1, 2, 3, 4 or 7 lanes, equals Π big.Int.Exp, and
 // every lane count executes exactly the one-lane multiplications. The input
 // drives row count, chunk boundaries (chunks of 0–16 rows, 1-row and empty
 // ones included), zero and full 64-bit exponents, and bases at or above m,
@@ -73,6 +74,22 @@ func FuzzMultiExpAccEquivalence(f *testing.F) {
 	// Windows no row has a non-zero digit in: window 0 at w = 1, and the
 	// windows between bit 3 and bit 40 at every width.
 	f.Add(accSeed([]uint64{2, 6, 2, 1 << 40, 6 << 40, 2}, nil, []int{2, 4}))
+	// The lane combine's shapes. A top window narrower than w wherever w
+	// does not divide 64; one occupied bucket in each window; a window whose
+	// only bucket is digit 2^(40 mod w) beside one with up to forty, run in
+	// one batch with it.
+	f.Add(accSeed([]uint64{1 << 63, 3 << 62, 1<<63 | 1}, nil, []int{3}))
+	f.Add(accSeed([]uint64{5}, nil, []int{1}))
+	exps = seq(1, 40)
+	exps = append(exps, 1<<40, 1<<40, 1<<40)
+	f.Add(accSeed(exps, nil, []int{16, 16, 11}))
+	// 1, 7, 9 and 17 running sums at w = 1, one per bit: one batch, a batch
+	// less one, one past a batch, and three batches.
+	for _, k := range []uint{1, 7, 9, 17} {
+		f.Add(accSeed([]uint64{1<<k - 1, 1 << (k - 1), 1<<k - 1}, nil, []int{2, 1}))
+	}
+	// Both accumulators busy: exponents with both halves set.
+	f.Add(accSeed([]uint64{3<<32 | 5, 7<<32 | 1, 0xffff<<32 | 0xffff, 1 << 32}, nil, []int{4}))
 	m3, _ := new(big.Int).SetString("e95e4a5f737059dc60dfc7ad95b3d8139515620f", 16)
 	m8 := new(big.Int).Sub(new(big.Int).Lsh(One, 512), big.NewInt(569))
 	m16 := new(big.Int).Sub(new(big.Int).Lsh(One, 1024), big.NewInt(105))
@@ -160,24 +177,33 @@ func multiExpAccEquivalence(t *testing.T, data []byte, m *big.Int) {
 			exps[i] = 0 // the all-zero vector
 		}
 	}
-	want := naiveMultiExp(bases, exps, m)
+	// The second accumulator's column, as a value's square shares a fold
+	// with the value: the high halves, zero for exponents below 2^32.
+	cols := [][]uint64{exps, make([]uint64, count)}
+	for i, e := range exps {
+		cols[1][i] = e >> 32
+	}
+	want := []*big.Int{naiveMultiExp(bases, cols[0], m), naiveMultiExp(bases, cols[1], m)}
 	widest := autoWindow(m, math.MaxInt, 64)
 	for _, w := range []uint{1, widest, autoWindow(m, count, 64)} {
-		oneLane := -1
+		var oneLane [2]int
 		for _, lanes := range []int{1, 2, 3, 4, 7} {
-			acc := newMultiExpAcc(m, w)
+			first := newMultiExpAcc(m, w)
+			accs := []*MultiExpAcc{first, first.red.newAcc(w)}
 			for lo, c := 0, 0; lo < count; c++ {
 				hi := min(count, lo+int(byteAt(1+9*count+c))%17)
-				addRows(acc, bases[lo:hi], exps[lo:hi], lanes)
+				AddChunk(accs, chunkLimbs(first, bases[lo:hi]), [][]uint64{cols[0][lo:hi], cols[1][lo:hi]}, lanes)
 				lo = hi
 			}
-			if got := Results([]*MultiExpAcc{acc}, lanes)[0]; got.Cmp(want) != 0 {
-				t.Fatalf("count=%d w=%d lanes=%d: %v, want %v", count, w, lanes, got, want)
-			}
-			if oneLane < 0 {
-				oneLane = acc.mulCount()
-			} else if got := acc.mulCount(); got != oneLane {
-				t.Fatalf("count=%d w=%d lanes=%d: %d multiplications, one lane %d", count, w, lanes, got, oneLane)
+			for c, got := range Results(accs, lanes) {
+				if got.Cmp(want[c]) != 0 {
+					t.Fatalf("count=%d w=%d lanes=%d column %d: %v, want %v", count, w, lanes, c, got, want[c])
+				}
+				if lanes == 1 {
+					oneLane[c] = accs[c].mulCount()
+				} else if got := accs[c].mulCount(); got != oneLane[c] {
+					t.Fatalf("count=%d w=%d lanes=%d column %d: %d multiplications, one lane %d", count, w, lanes, c, got, oneLane[c])
+				}
 			}
 		}
 	}
@@ -214,6 +240,91 @@ func TestMultiExpAccAddDoesNotAllocate(t *testing.T) {
 		}
 		if long > float64(2*lanes) {
 			t.Errorf("lanes=%d: %v allocations per chunk, want a few per lane", lanes, long)
+		}
+	}
+}
+
+// TestResultsSameOnAnyLanes: on either kernel, the combined windows of two
+// accumulators sharing a Reducer (24 running sums at w = 4, three lane
+// batches on the lane kernel) are the same words whether their combine runs
+// on one Deal lane or two, and so are the results and the multiplication
+// counts.
+func TestResultsSameOnAnyLanes(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	m := new(big.Int).Sub(new(big.Int).Lsh(One, 1024), big.NewInt(105))
+	bases, exps := randOperands(rng, 300, 1024, ^uint64(0))
+	high := make([]uint64, len(exps))
+	for i, e := range exps {
+		high[i] = e >> 32
+	}
+	for _, kernel := range []string{"lanes", "chain"} {
+		t.Run(kernel, func(t *testing.T) {
+			fold := func() []*MultiExpAcc {
+				first := newMultiExpAcc(m, 4)
+				if kernel == "chain" {
+					first = newChainAcc(m, 4)
+				}
+				accs := []*MultiExpAcc{first, first.red.newAcc(4)}
+				AddChunk(accs, chunkLimbs(first, bases), [][]uint64{exps, high}, 1)
+				return accs
+			}
+			combined := func(accs []*MultiExpAcc, lanes int) []big.Word {
+				words := make([]big.Word, 2*accs[0].windowCount()*accs[0].red.n)
+				if accs[0].lwin != nil {
+					combineLanes(accs, words, 2*accs[0].windowCount(), lanes)
+				} else {
+					combineChains(accs, words, 2*accs[0].windowCount(), lanes)
+				}
+				return words
+			}
+			one, two := fold(), fold()
+			if kernel == "lanes" && one[0].lwin == nil {
+				t.Skip("no lane kernel on this CPU")
+			}
+			if a, b := combined(one, 1), combined(two, 2); !reflect.DeepEqual(a, b) {
+				t.Fatal("combined windows differ on one and two lanes")
+			}
+			got1, got2 := Results(one, 1), Results(two, 2)
+			for c := range got1 {
+				if !reflect.DeepEqual(got1[c].Bits(), got2[c].Bits()) {
+					t.Errorf("column %d: %v on one lane, %v on two", c, got1[c], got2[c])
+				}
+				if one[c].mulCount() != two[c].mulCount() {
+					t.Errorf("column %d: %d multiplications on one lane, %d on two", c, one[c].mulCount(), two[c].mulCount())
+				}
+			}
+		})
+	}
+}
+
+// TestResultsAllocsDoNotGrowWithWindows: on one lane, Results allocates as
+// often for an accumulator with one occupied window as for one with sixteen,
+// on either kernel: the combine's running sums and the closing factor live
+// in the lanes' scratch, not in a buffer per window.
+func TestResultsAllocsDoNotGrowWithWindows(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	rng := rand.New(rand.NewSource(42))
+	m := new(big.Int).Sub(new(big.Int).Lsh(One, 1024), big.NewInt(105))
+	bases, wide := randOperands(rng, 200, 1024, ^uint64(0))
+	narrow := make([]uint64, len(wide))
+	for i, e := range wide {
+		narrow[i] = 1 + e%15 // window 0 alone
+	}
+	for _, kernel := range []string{"lanes", "chain"} {
+		allocs := func(exps []uint64) float64 {
+			acc := newMultiExpAcc(m, 4)
+			if kernel == "chain" {
+				acc = newChainAcc(m, 4)
+			}
+			addRows(acc, bases, exps, 1)
+			accs := []*MultiExpAcc{acc}
+			Results(accs, 1)
+			return testing.AllocsPerRun(20, func() { Results(accs, 1) })
+		}
+		if one, sixteen := allocs(narrow), allocs(wide); one != sixteen {
+			t.Errorf("%s: Results allocates %v times for one window, %v for sixteen", kernel, one, sixteen)
 		}
 	}
 }
@@ -349,8 +460,9 @@ func TestAutoWindowMemoryCap(t *testing.T) {
 // count and, bucket for bucket, the same words — the kernel changes the speed
 // of the fold and nothing else. Then the same rows on the lane fold, where
 // the CPU has it (the 8- and 16-word moduli): the same result and count, and
-// the same buckets once reduced into [0, m). Their words differ, and must:
-// a lane bucket is below 2m, a montMul one anywhere in [0, R).
+// bucket for bucket the same residue once each side is read in the chain
+// kernel's meaning (reducedBuckets). Their words differ, and must: a lane
+// bucket stands for its rows over powers of the lanes' R, not montMul's.
 func TestMultiExpAccKernelOnAndOff(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for _, bitLen := range []int{512, 1024, 2048} {
@@ -389,7 +501,7 @@ func TestMultiExpAccKernelOnAndOff(t *testing.T) {
 			if lane.mulCount() != on.mulCount() {
 				t.Errorf("%d multiplications on the lanes, %d on the chain kernel", lane.mulCount(), on.mulCount())
 			}
-			if !reflect.DeepEqual(reducedBuckets(lane), reducedBuckets(on)) {
+			if !reflect.DeepEqual(reducedBuckets(lane, exps), reducedBuckets(on, exps)) {
 				t.Error("buckets differ mod m on the lanes and on the chain kernel")
 			}
 		})
@@ -408,19 +520,40 @@ func newChainAcc(m *big.Int, w uint) *MultiExpAcc {
 }
 
 // reducedBuckets is every bucket of acc reduced into [0, m), nil where empty.
-func reducedBuckets(acc *MultiExpAcc) [][]*big.Int {
+// A chain bucket of c rows stands for their product over R^c, R = b^n, and
+// a lane bucket for it over R_L^c, R_L = 2^(52·limbs), each holding its
+// first row as it came; so a lane bucket is mapped to the chain's meaning
+// by (R_L/R)^(c−1) = 2^(s·(c−1)), s = 52·limbs − W·n, with c counted from
+// the exponents exps of every row acc took.
+func reducedBuckets(acc *MultiExpAcc, exps []uint64) [][]*big.Int {
+	m, n, L := acc.red.m, acc.red.n, acc.red.laneLimbs
+	mask := uint64(1)<<acc.w - 1
 	out := make([][]*big.Int, acc.windowCount())
-	buf := make([]big.Word, acc.red.n+1)
 	for j := range out {
 		if !acc.occupied(j) {
 			continue
 		}
-		out[j] = make([]*big.Int, 1<<acc.w-1)
+		out[j] = make([]*big.Int, mask)
 		for d := range out[j] {
-			if b := acc.bucket(j, d+1, buf); b != nil {
-				v := new(big.Int).SetBits(append([]big.Word(nil), b...))
-				out[j][d] = v.Mod(v, acc.red.m)
+			v := new(big.Int)
+			switch {
+			case acc.lwin == nil && acc.windows[j][d] != nil:
+				v.SetBits(append([]big.Word(nil), acc.windows[j][d]...))
+			case acc.lwin != nil && acc.lwin[j].full[d]:
+				words := make([]big.Word, n+1)
+				fromLimbs(words, acc.lwin[j].limbs[d*L:(d+1)*L])
+				rows := 0
+				for _, e := range exps {
+					if e>>(uint(j)*acc.w)&mask == uint64(d+1) {
+						rows++
+					}
+				}
+				s := limbBits*L - bits.UintSize*n
+				v.SetBits(words).Lsh(v, uint(s*(rows-1)))
+			default:
+				continue
 			}
+			out[j][d] = v.Mod(v, m)
 		}
 	}
 	return out
@@ -449,5 +582,54 @@ func BenchmarkAccFold(b *testing.B) {
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(exps)), "ns/row")
 		})
+	}
+}
+
+// BenchmarkAccResults times Results mod a 1024-bit modulus (a 512-bit key's
+// N²) over 32-bit exponents, on the lane fold and on the chain kernel, at a
+// pooled-sharded shard session's shape (10 000 rows at w = 11, three
+// windows) and a small-sessions one (128 rows at w = 5, seven windows). The
+// session sub-benchmarks time a fresh 128-row accumulator through AddChunk
+// and Results at w = 5, the width PickMultiExpWindow picks there, and at
+// w = 8.
+func BenchmarkAccResults(b *testing.B) {
+	rng := rand.New(rand.NewSource(9))
+	m := new(big.Int).Sub(new(big.Int).Lsh(One, 1024), big.NewInt(105))
+	bases, exps := randOperands(rng, 10_000, 1024, 0xffffffff)
+	newAcc := func(kernel string, w uint) *MultiExpAcc {
+		if kernel == "chain" {
+			return newChainAcc(m, w)
+		}
+		return newMultiExpAcc(m, w)
+	}
+	for _, shape := range []struct {
+		rows int
+		w    uint
+	}{{10_000, 11}, {128, 5}} {
+		for _, kernel := range []string{"lanes", "chain"} {
+			b.Run(fmt.Sprintf("results/rows=%d/w=%d/%s", shape.rows, shape.w, kernel), func(b *testing.B) {
+				acc := newAcc(kernel, shape.w)
+				addRows(acc, bases[:shape.rows], exps[:shape.rows], 1)
+				accs := []*MultiExpAcc{acc}
+				b.ResetTimer()
+				for range b.N {
+					Results(accs, 1)
+				}
+			})
+		}
+	}
+	for _, w := range []uint{5, 8} {
+		for _, kernel := range []string{"lanes", "chain"} {
+			b.Run(fmt.Sprintf("session/rows=128/w=%d/%s", w, kernel), func(b *testing.B) {
+				chunk := chunkLimbs(newAcc(kernel, w), bases[:128])
+				e := [][]uint64{exps[:128]}
+				b.ResetTimer()
+				for range b.N {
+					accs := []*MultiExpAcc{newAcc(kernel, w)}
+					AddChunk(accs, chunk, e, 1)
+					Results(accs, 1)
+				}
+			})
+		}
 	}
 }
