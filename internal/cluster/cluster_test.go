@@ -328,10 +328,12 @@ func startTap(t *testing.T, target string, rec *recorder) string {
 }
 
 // RawFold is Π ct_i^{x_i}: what a server that did not rerandomize would
-// send. It is exported for the wiretap tests of package cluster_test.
-func RawFold(t *testing.T, pk homomorphic.PublicKey, cts [][]byte, values func(i int) uint32) homomorphic.Ciphertext {
+// send, computed one Paillier ScalarMul per row. It is exported for the
+// wiretap tests of package cluster_test.
+func RawFold(t *testing.T, key homomorphic.PublicKey, cts [][]byte, values func(i int) uint32) homomorphic.Ciphertext {
 	t.Helper()
-	var acc homomorphic.Ciphertext
+	pk := key.(paillier.Scheme).PK
+	var acc *paillier.Ciphertext
 	for i, raw := range cts {
 		ct, err := pk.ParseCiphertext(raw)
 		if err != nil {

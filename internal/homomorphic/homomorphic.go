@@ -17,6 +17,10 @@ type Ciphertext interface {
 	// suitable for the wire. The width is the owning scheme's
 	// CiphertextSize.
 	Bytes() []byte
+
+	// AppendBytes appends the Bytes encoding to dst and returns the
+	// extended slice, so a chunk body is encoded without a copy per row.
+	AppendBytes(dst []byte) []byte
 }
 
 // PublicKey is the encrypting side of an additively homomorphic scheme.
@@ -35,9 +39,19 @@ type PublicKey interface {
 	// Add returns an encryption of the sum of the two plaintexts.
 	Add(a, b Ciphertext) (Ciphertext, error)
 
-	// ScalarMul returns an encryption of k times the plaintext of c.
-	// k may be any non-negative integer.
-	ScalarMul(c Ciphertext, k *big.Int) (Ciphertext, error)
+	// AddPlain returns an encryption of m(c)+k under c's randomizer, so the
+	// result is as fresh as c is: one multiplication turns a pooled
+	// encryption of 0 into an encryption of any weight. k must lie in [0,
+	// PlaintextSpace()). Like Encrypt, it only reads k and is safe for
+	// concurrent use.
+	AddPlain(c Ciphertext, k *big.Int) (Ciphertext, error)
+
+	// OpenFold starts the server fold Π ct_i^{k_i} = E(Σ k_i·m_i) of about
+	// rows ciphertexts against columns scalar columns at once (Paillier's
+	// is a bucket multi-exponentiation, see mathx.MultiExpAcc). The fold's
+	// state lives until Sums, so fixed costs are paid per fold, not per
+	// batch of rows.
+	OpenFold(rows, columns int) ScalarFold
 
 	// Rerandomize returns a fresh encryption of the same plaintext,
 	// unlinkable to c. The server uses this (composed with an encryption
@@ -66,19 +80,13 @@ type PrivateKey interface {
 
 	// Decrypt returns the plaintext of c in [0, PlaintextSpace()).
 	Decrypt(c Ciphertext) (*big.Int, error)
-}
 
-// MultiScalarFolder is an optional capability: schemes that can compute the
-// server fold Π ct_i^{k_i} = E(Σ k_i·m_i) faster than the naive
-// ScalarMul+Add loop implement it (Paillier uses bucket
-// multi-exponentiation, see mathx.MultiExpAcc). The protocol layer
-// type-asserts for it and falls back to the loop when absent, so schemes
-// without a fast path need no changes.
-type MultiScalarFolder interface {
-	// OpenFold starts a streaming fold of about rows ciphertexts against
-	// columns scalar columns at once. The fold's state lives until Sums, so
-	// fixed costs are paid per fold, not per batch of rows.
-	OpenFold(rows, columns int) ScalarFold
+	// EncryptSelf returns a fresh randomized encryption of m, identically
+	// distributed to PublicKey().Encrypt(m), by a route the key owner alone
+	// can take (Paillier splits the randomizer exponentiation over the
+	// secret factors, see paillier.EncryptCRT). Like Encrypt, it only reads
+	// m and is safe for concurrent use.
+	EncryptSelf(m *big.Int) (Ciphertext, error)
 }
 
 // ScalarFold is one streaming fold in progress. It is not safe for
@@ -103,57 +111,6 @@ type ScalarFold interface {
 	// ciphertexts to untrusted peers must rerandomize, which the
 	// selected-sum protocol already does at finalize.
 	Sums(lanes int) []Ciphertext
-}
-
-// WithoutMultiScalarFold returns pk stripped of the MultiScalarFolder
-// capability (and any other optional capability): the returned key exposes
-// exactly the base PublicKey interface. Tests and benchmarks use it to pin
-// the naive fold as the correctness oracle.
-func WithoutMultiScalarFold(pk PublicKey) PublicKey {
-	return baseKeyOnly{pk}
-}
-
-// baseKeyOnly promotes only the embedded interface's method set, so a type
-// assertion for MultiScalarFolder (or any other capability) fails.
-type baseKeyOnly struct{ PublicKey }
-
-// SelfEncryptor is an optional capability on PrivateKey: key owners that
-// can encrypt under their own key faster than the public path implement it
-// (Paillier splits the randomizer exponentiation over the secret factors —
-// see paillier.EncryptCRT). The protocol layer type-asserts for it when the
-// encrypting party holds the private key and falls back to
-// PublicKey().Encrypt when absent, so schemes without a fast path need no
-// changes.
-type SelfEncryptor interface {
-	// EncryptSelf returns a fresh randomized encryption of m, identically
-	// distributed to PublicKey().Encrypt(m). Like Encrypt, it only reads m
-	// and is safe for concurrent use.
-	EncryptSelf(m *big.Int) (Ciphertext, error)
-}
-
-// WithoutSelfEncrypt returns sk stripped of the SelfEncryptor capability
-// (and any other optional capability): the returned key exposes exactly the
-// base PrivateKey interface. Tests and benchmarks use it to pin the
-// public-key encryption path as the correctness oracle.
-func WithoutSelfEncrypt(sk PrivateKey) PrivateKey {
-	return basePrivOnly{sk}
-}
-
-// basePrivOnly promotes only the embedded interface's method set, so a type
-// assertion for SelfEncryptor (or any other capability) fails.
-type basePrivOnly struct{ PrivateKey }
-
-// PlainAdder is an optional capability on PublicKey: schemes that can add a
-// known plaintext to a ciphertext for less than an encryption implement it
-// (Paillier multiplies by g^k = 1 + k·N, one modular multiplication). The
-// selected-sum client type-asserts for it to turn a pooled encryption of 0
-// into an encryption of any weight, and falls back to encrypting the weight
-// online when absent.
-type PlainAdder interface {
-	// AddPlain returns an encryption of m(c)+k under c's randomizer, so the
-	// result is as fresh as c is. k must lie in [0, PlaintextSpace()). Like
-	// Encrypt, it only reads k and is safe for concurrent use.
-	AddPlain(c Ciphertext, k *big.Int) (Ciphertext, error)
 }
 
 // EncryptorPool is implemented by schemes that can hand out precomputed

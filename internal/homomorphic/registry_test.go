@@ -23,9 +23,10 @@ type fakeKey struct{ raw []byte }
 func (fakeKey) SchemeName() string                      { return "fake" }
 func (fakeKey) Encrypt(*big.Int) (Ciphertext, error)    { return nil, errors.New("fake") }
 func (fakeKey) Add(_, _ Ciphertext) (Ciphertext, error) { return nil, errors.New("fake") }
-func (fakeKey) ScalarMul(Ciphertext, *big.Int) (Ciphertext, error) {
+func (fakeKey) AddPlain(Ciphertext, *big.Int) (Ciphertext, error) {
 	return nil, errors.New("fake")
 }
+func (fakeKey) OpenFold(rows, columns int) ScalarFold      { return nil }
 func (fakeKey) Rerandomize(Ciphertext) (Ciphertext, error) { return nil, errors.New("fake") }
 func (fakeKey) PlaintextSpace() *big.Int                   { return big.NewInt(2) }
 func (fakeKey) CiphertextSize() int                        { return 1 }

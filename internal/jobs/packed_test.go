@@ -398,14 +398,6 @@ func TestPackedFinishRefusesForeignPlaintext(t *testing.T) {
 	}
 }
 
-// strippedKey offers no optional capability on either half: weights are
-// encrypted by the public route even though a pool serves the zeros.
-type strippedKey struct{ homomorphic.PrivateKey }
-
-func (k strippedKey) PublicKey() homomorphic.PublicKey {
-	return homomorphic.WithoutMultiScalarFold(k.PrivateKey.PublicKey())
-}
-
 // TestPackedGroupByEncryptRoutes runs a group-by that splits into two packed
 // steps against a live server, every value 2^32−1, once per way the gateway
 // can encrypt a weight and under both key widths.
@@ -453,17 +445,15 @@ func TestPackedGroupByEncryptRoutes(t *testing.T) {
 		pool := paillier.SchemeBitStore{Store: store}
 		for _, route := range []struct {
 			name string
-			key  homomorphic.PrivateKey
 			pool homomorphic.EncryptorPool
 		}{
-			{"pool + PlainAdder", sk, pool},
-			{"no pool", sk, nil},
-			{"stripped key", strippedKey{homomorphic.WithoutSelfEncrypt(sk)}, pool},
+			{"pool + AddPlain", pool},
+			{"no pool", nil},
 		} {
 			exec := &Executor{
 				Client:    cluster.NewClient(cluster.ClientConfig{}),
 				Backends:  []string{addr},
-				Key:       route.key,
+				Key:       sk,
 				ChunkSize: 20,
 				Pool:      route.pool,
 			}

@@ -28,13 +28,6 @@ import (
 // realistic row count.
 const MaxMultiExpWindow = 16
 
-// MultiExpMinRows is the fold length from which the accumulator, at the width
-// it picks and with the fixed part of Results counted, executes fewer
-// multiplications than square-and-multiply per row; shorter folds are better
-// served by the per-row loop. TestMultiExpMinRowsIsTheCrossover pins it to
-// the counts (table in EXPERIMENTS.md).
-const MultiExpMinRows = 4
-
 // maxFoldStateBytes caps the bucket state one accumulator may grow to when
 // it picks its own window, whatever the row count: beyond a few MiB the
 // buckets fall out of cache and a wider window stops paying.

@@ -363,19 +363,6 @@ func countedMuls(count, expBits int, w uint) int {
 	return acc.mulCount()
 }
 
-// naiveMuls counts the multiplications of the per-row loop the bucket fold
-// replaces over the same exponents: square and multiply for each term, one
-// more to fold it in.
-func naiveMuls(count, expBits int) int {
-	n := -1 // the first term is copied, not multiplied in
-	for _, e := range testExps(count, expBits) {
-		if e != 0 {
-			n += bits.Len64(e) - 1 + bits.OnesCount64(e) - 1 + 1
-		}
-	}
-	return n
-}
-
 // TestPickMultiExpWindowNearBest checks the cost model against what the
 // accumulator executes: the picked width costs at most 10 % more counted
 // multiplications than the best width in [1,12], from 16-row sessions up,
@@ -407,27 +394,6 @@ func TestPickMultiExpWindowNearBest(t *testing.T) {
 				}
 			})
 		}
-	}
-}
-
-// TestMultiExpMinRowsIsTheCrossover pins MultiExpMinRows to the counts: from
-// there up the bucket fold at the width a session picks executes fewer
-// multiplications than the per-row loop, for 32- and 64-bit values; one row
-// lower it does not for at least one of them.
-func TestMultiExpMinRowsIsTheCrossover(t *testing.T) {
-	wins := func(rows, expBits int) bool {
-		return countedMuls(rows, expBits, PickMultiExpWindow(rows, 64)) < naiveMuls(rows, expBits)
-	}
-	for rows := MultiExpMinRows; rows <= 4*MultiExpMinRows; rows++ {
-		for _, expBits := range []int{32, 64} {
-			if !wins(rows, expBits) {
-				t.Errorf("%d rows of %d-bit values: bucket fold %d multiplications, per-row loop %d", rows, expBits,
-					countedMuls(rows, expBits, PickMultiExpWindow(rows, 64)), naiveMuls(rows, expBits))
-			}
-		}
-	}
-	if below := MultiExpMinRows - 1; wins(below, 32) && wins(below, 64) {
-		t.Errorf("the bucket fold already wins at %d rows: MultiExpMinRows is too high", below)
 	}
 }
 

@@ -39,10 +39,9 @@ func (pk *PublicKey) AddPlain(ct *Ciphertext, k *big.Int) (*Ciphertext, error) {
 	return &Ciphertext{c: pk.mulN2(gk, gk, ct.c), byteLen: pk.byteLen}, nil
 }
 
-// ScalarMul returns an encryption of k·m(ct) (mod N): ct^k mod N².
-// This is the server's core operation in the selected-sum protocol, where k
-// is a database value x_i. Negative k is mapped to N-|k| mod N (i.e. the
-// additive inverse), enabling homomorphic subtraction.
+// ScalarMul returns an encryption of k·m(ct) (mod N): ct^k mod N², one term
+// of the server's fold taken alone, and the reference the fold's tests check
+// against. Negative k is mapped to N-|k| mod N, the additive inverse.
 func (pk *PublicKey) ScalarMul(ct *Ciphertext, k *big.Int) (*Ciphertext, error) {
 	if err := pk.checkCiphertext(ct); err != nil {
 		return nil, err
@@ -53,29 +52,6 @@ func (pk *PublicKey) ScalarMul(ct *Ciphertext, k *big.Int) (*Ciphertext, error) 
 	km := new(big.Int).Mod(k, pk.N)
 	c := new(big.Int).Exp(ct.c, km, pk.NSquared)
 	return &Ciphertext{c: c, byteLen: pk.byteLen}, nil
-}
-
-// Neg returns an encryption of -m(ct) mod N.
-func (pk *PublicKey) Neg(ct *Ciphertext) (*Ciphertext, error) {
-	if err := pk.checkCiphertext(ct); err != nil {
-		return nil, err
-	}
-	inv, err := mathx.ModInverse(ct.c, pk.NSquared)
-	if err != nil {
-		// A non-invertible ciphertext shares a factor with N — it would
-		// factor the key. Treat as malformed input.
-		return nil, fmt.Errorf("%w: not a unit mod N²", ErrCiphertextForm)
-	}
-	return &Ciphertext{c: inv, byteLen: pk.byteLen}, nil
-}
-
-// Sub returns an encryption of m(a) - m(b) mod N.
-func (pk *PublicKey) Sub(a, b *Ciphertext) (*Ciphertext, error) {
-	nb, err := pk.Neg(b)
-	if err != nil {
-		return nil, err
-	}
-	return pk.Add(a, nb)
 }
 
 // Rerandomize returns a fresh encryption of the same plaintext,
@@ -98,34 +74,6 @@ func (pk *PublicKey) Rerandomize(ct *Ciphertext) (*Ciphertext, error) {
 func (pk *PublicKey) rerandomizeWithNonce(ct *Ciphertext, r *big.Int) *Ciphertext {
 	rn := pk.reducer().Exp(new(big.Int), r, pk.N)
 	return &Ciphertext{c: pk.mulN2(rn, rn, ct.c), byteLen: pk.byteLen}
-}
-
-// WeightedSum folds a ciphertext vector against a plaintext weight vector:
-// Π cts[i]^weights[i] = E(Σ weights[i]·m_i). It is the single-shot form of
-// the server's selected-sum loop. Vectors must have equal length.
-func (pk *PublicKey) WeightedSum(cts []*Ciphertext, weights []*big.Int) (*Ciphertext, error) {
-	if len(cts) != len(weights) {
-		return nil, fmt.Errorf("paillier: %d ciphertexts vs %d weights", len(cts), len(weights))
-	}
-	acc := new(big.Int).Set(mathx.One) // E(0; r=1); rerandomized by the folds
-	tmp, term := new(big.Int), new(big.Int)
-	red, s := pk.reducer(), mathx.GetScratch()
-	defer mathx.PutScratch(s)
-	for i, ct := range cts {
-		if err := pk.checkCiphertext(ct); err != nil {
-			return nil, fmt.Errorf("paillier: ciphertext %d: %w", i, err)
-		}
-		w := weights[i]
-		if w == nil {
-			return nil, fmt.Errorf("paillier: weight %d is nil", i)
-		}
-		if w.Sign() == 0 {
-			continue
-		}
-		wm := tmp.Mod(w, pk.N)
-		red.Mul(acc, acc, term.Exp(ct.c, wm, pk.NSquared), s)
-	}
-	return &Ciphertext{c: acc, byteLen: pk.byteLen}, nil
 }
 
 // Fold is a streaming server fold: rows arrive a chunk of encoded

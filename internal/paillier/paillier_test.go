@@ -240,34 +240,6 @@ func TestAddPlain(t *testing.T) {
 	}
 }
 
-func TestNegAndSub(t *testing.T) {
-	sk := testKey(t, 128)
-	pk := sk.Public()
-	ca, _ := pk.Encrypt(big.NewInt(300))
-	cb, _ := pk.Encrypt(big.NewInt(120))
-	diff, err := pk.Sub(ca, cb)
-	if err != nil {
-		t.Fatalf("Sub: %v", err)
-	}
-	got, err := sk.Decrypt(diff)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Int64() != 180 {
-		t.Errorf("300-120 = %v, want 180", got)
-	}
-	// Negation of zero is zero.
-	cz, _ := pk.Encrypt(mathx.Zero)
-	nz, err := pk.Neg(cz)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err = sk.Decrypt(nz)
-	if err != nil || got.Sign() != 0 {
-		t.Errorf("-0 = %v (err %v), want 0", got, err)
-	}
-}
-
 func TestRerandomizePreservesPlaintextAndUnlinks(t *testing.T) {
 	sk := testKey(t, 128)
 	pk := sk.Public()
@@ -313,57 +285,6 @@ func TestRerandomizeIsAddOfEncryptedZero(t *testing.T) {
 		if got := pk.rerandomizeWithNonce(ct, r); !bytes.Equal(got.Bytes(), want.Bytes()) {
 			t.Errorf("case %d: ct·r^N differs from Add(ct, E(0; r))", i)
 		}
-	}
-}
-
-func TestWeightedSum(t *testing.T) {
-	sk := testKey(t, 256)
-	pk := sk.Public()
-	msgs := []int64{3, 0, 7, 11, 1}
-	weights := []int64{2, 100, 0, 5, 9}
-	cts := make([]*Ciphertext, len(msgs))
-	ws := make([]*big.Int, len(msgs))
-	var want int64
-	for i := range msgs {
-		ct, err := pk.Encrypt(big.NewInt(msgs[i]))
-		if err != nil {
-			t.Fatal(err)
-		}
-		cts[i] = ct
-		ws[i] = big.NewInt(weights[i])
-		want += msgs[i] * weights[i]
-	}
-	sum, err := pk.WeightedSum(cts, ws)
-	if err != nil {
-		t.Fatalf("WeightedSum: %v", err)
-	}
-	got, err := sk.Decrypt(sum)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Int64() != want {
-		t.Errorf("weighted sum = %v, want %d", got, want)
-	}
-}
-
-func TestWeightedSumValidation(t *testing.T) {
-	sk := testKey(t, 128)
-	pk := sk.Public()
-	ct, _ := pk.Encrypt(mathx.One)
-	if _, err := pk.WeightedSum([]*Ciphertext{ct}, nil); err == nil {
-		t.Error("length mismatch should fail")
-	}
-	if _, err := pk.WeightedSum([]*Ciphertext{ct}, []*big.Int{nil}); err == nil {
-		t.Error("nil weight should fail")
-	}
-	// Empty input encrypts zero.
-	sum, err := pk.WeightedSum(nil, nil)
-	if err != nil {
-		t.Fatalf("empty WeightedSum: %v", err)
-	}
-	got, err := sk.Decrypt(sum)
-	if err != nil || got.Sign() != 0 {
-		t.Errorf("empty weighted sum = %v (err %v), want 0", got, err)
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 
 	"privstats/internal/colstore"
 	"privstats/internal/database"
-	"privstats/internal/homomorphic"
 	"privstats/internal/wire"
 )
 
@@ -105,8 +104,7 @@ func TestColstoreMatchesTableOracle(t *testing.T) {
 
 // TestChunkSizesAgree pins that how the uplink is chunked cannot change an
 // answer: the served three-column session returns the plaintext oracle's
-// sums at chunk lengths 1, 16, 100, 1024 and n, and so does the naive loop
-// (capability stripped) folding the same columns in one session.
+// sums at chunk lengths 1, 16, 100, 1024 and n.
 func TestChunkSizesAgree(t *testing.T) {
 	sk := testKey(t)
 	const n = 1100
@@ -148,32 +146,6 @@ func TestChunkSizesAgree(t *testing.T) {
 			t.Errorf("chunk %d: ServeSource: %v", chunkRows, err)
 		}
 	}
-
-	pk := sk.PublicKey()
-	width := pk.CiphertextSize()
-	body, err := EncryptRange(Online{PK: pk}, sel, 0, n, width)
-	if err != nil {
-		t.Fatal(err)
-	}
-	columns := []database.Column{store.Column(), store.SquareColumn(), database.Ones(n)}
-	srv, err := newServerSession(homomorphic.WithoutMultiScalarFold(pk), columns, n, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.Absorb(decodeChunk(t, body, 0, width)); err != nil {
-		t.Fatal(err)
-	}
-	cts, err := srv.finalize(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	naive := make([]*big.Int, len(cts))
-	for c, ct := range cts {
-		if naive[c], err = sk.Decrypt(ct); err != nil {
-			t.Fatal(err)
-		}
-	}
-	check("naive loop", naive)
 }
 
 // TestColstoreShardViewsMatchTableShards folds against block-straddling

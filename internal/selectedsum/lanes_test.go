@@ -95,9 +95,6 @@ func TestAbsorbBadChunkNamesGlobalRow(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if srv.folder == nil {
-			t.Fatal("the session is not on the streaming fold")
-		}
 		srv.lanes = lanes
 		err = srv.Absorb(decodeChunk(t, body, base, width))
 		if !errors.Is(err, paillier.ErrCiphertextForm) || !strings.Contains(err.Error(), strconv.FormatUint(base+bad, 10)) {

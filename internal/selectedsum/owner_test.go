@@ -4,39 +4,31 @@ import (
 	"math/big"
 	"testing"
 
-	"privstats/internal/homomorphic"
 	"privstats/internal/netsim"
 )
 
 // TestRunOwnerFastPathMatchesStrippedOracle: the same query must return the
-// same sum whether the client encrypts through the owner's CRT capability
-// (the default, since it holds the private key) or through the public-key
-// oracle forced by stripping SelfEncryptor.
+// plaintext sum whether the client encrypts through the owner's EncryptSelf
+// (Run's route, since it holds the private key) or through the public-key
+// encryptor a party holding only the public key would use.
 func TestRunOwnerFastPathMatchesStrippedOracle(t *testing.T) {
 	sk := testKey(t)
-	if _, ok := sk.(homomorphic.SelfEncryptor); !ok {
-		t.Fatal("paillier scheme key lost the SelfEncryptor capability")
-	}
-	stripped := homomorphic.WithoutSelfEncrypt(sk)
-	if _, ok := stripped.(homomorphic.SelfEncryptor); ok {
-		t.Fatal("WithoutSelfEncrypt did not strip the capability")
-	}
 	for _, tc := range []struct{ n, m int }{{40, 13}, {100, 100}, {64, 0}} {
 		table, sel, want := fixture(t, tc.n, tc.m)
-		fast, err := Run(sk, table, sel, Options{Link: netsim.ShortDistance, ChunkSize: 32})
+		owner, err := Run(sk, table, sel, Options{Link: netsim.ShortDistance, ChunkSize: 32})
 		if err != nil {
 			t.Fatalf("n=%d owner run: %v", tc.n, err)
 		}
-		slow, err := Run(stripped, table, sel, Options{Link: netsim.ShortDistance, ChunkSize: 32})
+		conn, errc := servePair(t, table)
+		public, err := QueryVector(conn, sk, selectionSource{sel: sel, enc: Online{PK: sk.PublicKey()}}, 32, 0)
 		if err != nil {
-			t.Fatalf("n=%d stripped run: %v", tc.n, err)
+			t.Fatalf("n=%d public-key query: %v", tc.n, err)
 		}
-		if fast.Sum.Cmp(want) != 0 || slow.Sum.Cmp(want) != 0 {
-			t.Errorf("n=%d m=%d: owner sum=%v, oracle sum=%v, want %v", tc.n, tc.m, fast.Sum, slow.Sum, want)
+		if err := <-errc; err != nil {
+			t.Fatalf("n=%d serve: %v", tc.n, err)
 		}
-		if fast.BytesUp != slow.BytesUp || fast.BytesDown != slow.BytesDown {
-			t.Errorf("n=%d: wire sizes diverge between paths: up %d vs %d, down %d vs %d",
-				tc.n, fast.BytesUp, slow.BytesUp, fast.BytesDown, slow.BytesDown)
+		if owner.Sum.Cmp(want) != 0 || public[0].Cmp(want) != 0 {
+			t.Errorf("n=%d m=%d: owner sum=%v, public-key sum=%v, want %v", tc.n, tc.m, owner.Sum, public[0], want)
 		}
 	}
 }
@@ -44,10 +36,7 @@ func TestRunOwnerFastPathMatchesStrippedOracle(t *testing.T) {
 // TestOwnerOnlineRejectsBadBit mirrors Online's input validation.
 func TestOwnerOnlineRejectsBadBit(t *testing.T) {
 	sk := testKey(t)
-	enc := onlineEncryptor(sk, sk.PublicKey())
-	if _, ok := enc.(OwnerOnline); !ok {
-		t.Fatalf("onlineEncryptor picked %T for a self-encrypting key", enc)
-	}
+	enc := OwnerOnline{SK: sk}
 	if _, err := enc.EncryptBit(2); err == nil {
 		t.Error("EncryptBit(2) should fail")
 	}

@@ -22,17 +22,10 @@ func (p *countingPool) DrawBit(bit uint) (homomorphic.Ciphertext, error) {
 	return p.EncryptorPool.DrawBit(bit)
 }
 
-// publicOnly is a key whose public half offers no optional capability, so a
-// packed source cannot shift a pooled zero and has to encrypt each weight.
-type publicOnly struct{ homomorphic.PrivateKey }
-
-func (k publicOnly) PublicKey() homomorphic.PublicKey {
-	return homomorphic.WithoutMultiScalarFold(k.PrivateKey.PublicKey())
-}
-
 // TestPackedSelectionSourceRoutes: selected row i uploads E(weight(i)) and the
-// unchanged server fold replies Σ weight(i)·x_i, whichever way the weights
-// were encrypted; the pooled route draws zeros only.
+// unchanged server fold replies Σ weight(i)·x_i, whether the weights were
+// encrypted online by the owner or shifted onto pooled zeros; the pooled
+// route draws one zero per row and no one.
 func TestPackedSelectionSourceRoutes(t *testing.T) {
 	sk := testKey(t)
 	table, sel, _ := fixture(t, 70, 31)
@@ -45,26 +38,23 @@ func TestPackedSelectionSourceRoutes(t *testing.T) {
 	}
 
 	store := paillier.NewBitStoreOwner(sk.(paillier.SchemeKey).SK)
-	if err := store.Fill(2*table.Len(), 0); err != nil {
+	if err := store.Fill(table.Len(), 0); err != nil {
 		t.Fatal(err)
 	}
 	pool := &countingPool{EncryptorPool: paillier.SchemeBitStore{Store: store}}
 
 	for _, tc := range []struct {
 		name      string
-		key       homomorphic.PrivateKey
 		pool      homomorphic.EncryptorPool
 		wantZeros int
 	}{
-		{"pool+PlainAdder", sk, pool, table.Len()},
-		{"owner online", sk, nil, 0},
-		{"public online", homomorphic.WithoutSelfEncrypt(sk), nil, 0},
-		{"pool, no PlainAdder", publicOnly{sk}, pool, table.Len() - sel.Count()},
+		{"pool+AddPlain", pool, table.Len()},
+		{"owner online", nil, 0},
 	} {
 		pool.drawn[0].Store(0)
 		pool.drawn[1].Store(0)
 		conn, errc := servePair(t, table)
-		sums, err := QueryVector(conn, tc.key, PackedSelectionSource(tc.key, sel, weight, tc.pool), 16, wire.ColValue)
+		sums, err := QueryVector(conn, sk, PackedSelectionSource(sk, sel, weight, tc.pool), 16, wire.ColValue)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}

@@ -102,7 +102,7 @@ func run(sk homomorphic.PrivateKey, table *database.Table, sel *database.Selecti
 	if chunkSize <= 0 || chunkSize > n {
 		chunkSize = n
 	}
-	enc := onlineEncryptor(sk, pk)
+	var enc BitEncryptor = OwnerOnline{SK: sk}
 	if opts.Pool != nil {
 		enc = Pooled{Pool: opts.Pool}
 	}

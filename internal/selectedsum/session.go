@@ -60,13 +60,13 @@ func (o Online) EncryptBit(bit uint) (homomorphic.Ciphertext, error) {
 	return o.PK.Encrypt(big.NewInt(int64(bit)))
 }
 
-// OwnerOnline encrypts bits on demand through the key owner's
-// self-encryption capability — same ciphertext distribution as Online, but
-// the scheme may exploit the private key (Paillier splits the randomizer
-// exponentiation over the secret factors). The selected-sum client always
-// qualifies: it holds the private key to decrypt the final sum.
+// OwnerOnline encrypts bits on demand through the key owner's EncryptSelf —
+// same ciphertext distribution as Online, but the scheme may exploit the
+// private key (Paillier splits the randomizer exponentiation over the secret
+// factors). The selected-sum client always qualifies: it holds the private
+// key to decrypt the final sum.
 type OwnerOnline struct {
-	SK homomorphic.SelfEncryptor
+	SK homomorphic.PrivateKey
 }
 
 // EncryptBit implements BitEncryptor.
@@ -75,18 +75,6 @@ func (o OwnerOnline) EncryptBit(bit uint) (homomorphic.Ciphertext, error) {
 		return nil, fmt.Errorf("selectedsum: index bit must be 0 or 1, got %d", bit)
 	}
 	return o.SK.EncryptSelf(big.NewInt(int64(bit)))
-}
-
-// onlineEncryptor picks the best online bit encryptor available to a client
-// holding sk: the owner fast path when the scheme exposes it, the plain
-// public-key path otherwise. Stripping the capability
-// (homomorphic.WithoutSelfEncrypt) forces the second branch, which tests use
-// as the correctness oracle.
-func onlineEncryptor(sk homomorphic.PrivateKey, pk homomorphic.PublicKey) BitEncryptor {
-	if se, ok := sk.(homomorphic.SelfEncryptor); ok {
-		return OwnerOnline{SK: se}
-	}
-	return Online{PK: pk}
 }
 
 // Pooled draws preprocessed bit encryptions — the §3.3 optimized client.
@@ -169,22 +157,11 @@ func encryptRows(dst []byte, src VectorSource, lo, hi, width, workers int) ([]by
 	return body, nil
 }
 
-// byteAppender is the optional allocation-relief capability on ciphertexts:
-// encode straight into the chunk body instead of through an intermediate
-// Bytes() slice. Paillier implements it; the generic path covers the rest.
-type byteAppender interface {
-	AppendBytes(dst []byte) []byte
-}
-
-// appendCiphertext appends ct's fixed-width encoding to dst, taking the
-// zero-copy path when the ciphertext offers it.
+// appendCiphertext appends ct's encoding to dst and checks it has the
+// session's width.
 func appendCiphertext(dst []byte, ct homomorphic.Ciphertext, width int) ([]byte, error) {
 	n := len(dst)
-	if ap, ok := ct.(byteAppender); ok {
-		dst = ap.AppendBytes(dst)
-	} else {
-		dst = append(dst, ct.Bytes()...)
-	}
+	dst = ct.AppendBytes(dst)
 	if len(dst)-n != width {
 		return nil, fmt.Errorf("selectedsum: ciphertext width %d, session expects %d", len(dst)-n, width)
 	}
@@ -197,13 +174,8 @@ func appendCiphertext(dst []byte, ct homomorphic.Ciphertext, width int) ([]byte,
 //
 // One session folds the client's index vector against one or more columns
 // at once (value, square, ones): every uplink ciphertext is decoded and
-// validated once and feeds each column's accumulator. When the scheme
-// implements homomorphic.MultiScalarFolder (Paillier does) and the session is
-// long enough, the accumulators are streaming bucket folds that live until
-// Finalize; otherwise they are the per-row ScalarMul+Add loop — same result,
-// many more modular multiplications. Stripping the capability
-// (homomorphic.WithoutMultiScalarFold) forces the loop, which tests use as
-// the correctness oracle.
+// validated once and feeds each column's accumulator, a streaming fold
+// (homomorphic.PublicKey.OpenFold) that lives until Finalize.
 //
 // The streaming fold runs on up to lanes goroutines, split by exponent
 // window, and finalize deals the columns' seals to the same lanes; none
@@ -212,16 +184,10 @@ func appendCiphertext(dst []byte, ct homomorphic.Ciphertext, width int) ([]byte,
 type ServerSession struct {
 	pk      homomorphic.PublicKey
 	columns []database.Column
-	folder  homomorphic.MultiScalarFolder // nil: the naive loop
-	lanes   int                           // goroutines the fold and the seals may use
+	lanes   int // goroutines the fold and the seals may use
 
-	// The fold state, opened by the first Absorb: the streaming fold, or on
-	// the naive path one product per column (nil until its first non-zero
-	// term).
-	fold   homomorphic.ScalarFold
-	accs   []homomorphic.Ciphertext
-	ks     [][]uint64 // the current chunk's scalars, one column per fold column
-	scalar big.Int
+	fold homomorphic.ScalarFold
+	ks   [][]uint64 // the current chunk's scalars, one column per fold column
 
 	base uint64 // global row offset of row 0 of the columns (shard sessions)
 	next uint64 // next expected vector offset (global coordinates)
@@ -248,11 +214,6 @@ func NewShardSession(pk homomorphic.PublicKey, col database.Column, vectorLen, r
 	return newServerSession(pk, []database.Column{col}, vectorLen, rowOffset)
 }
 
-// foldMinRows is the session length below which the naive ScalarMul loop
-// executes fewer multiplications than the bucket fold, whose shift squarings
-// and combine only amortize across enough rows.
-const foldMinRows = mathx.MultiExpMinRows
-
 // foldLaneRows is the grain of the fold's lanes: a session gets one lane per
 // foldLaneRows rows, up to GOMAXPROCS. A short session's chunks and combine
 // are a few hundred microseconds; on a server already busy with other
@@ -269,13 +230,17 @@ func newServerSession(pk homomorphic.PublicKey, columns []database.Column, vecto
 			return nil, fmt.Errorf("%w: client announces %d, table has %d rows", ErrVectorLength, vectorLen, col.Len())
 		}
 	}
-	s := &ServerSession{pk: pk, columns: columns, base: rowOffset, next: rowOffset}
+	s := &ServerSession{
+		pk:      pk,
+		columns: columns,
+		fold:    pk.OpenFold(int(vectorLen), len(columns)),
+		ks:      make([][]uint64, len(columns)),
+		base:    rowOffset,
+		next:    rowOffset,
+	}
 	s.lanes = runtime.GOMAXPROCS(0)
 	if grains := vectorLen / foldLaneRows; uint64(s.lanes) > grains {
 		s.lanes = max(int(grains), 1)
-	}
-	if folder, ok := pk.(homomorphic.MultiScalarFolder); ok && vectorLen >= foldMinRows {
-		s.folder = folder
 	}
 	return s, nil
 }
@@ -288,10 +253,9 @@ func (s *ServerSession) rows() int { return s.columns[0].Len() }
 // skipped: E(I_i)^0 = E(0) contributes nothing, and the server knows x_i,
 // so the skip leaks nothing and saves an exponentiation.
 //
-// The streaming fold validates a whole chunk before it folds any row, so a
-// malformed ciphertext leaves its accumulators untouched; the naive loop
-// folds row by row. Either way a failed chunk ends the session: it refuses
-// every later Absorb and Finalize.
+// The fold validates a whole chunk before it folds any row, so a malformed
+// ciphertext leaves its accumulators untouched. Still, a failed chunk ends
+// the session: it refuses every later Absorb and Finalize.
 func (s *ServerSession) Absorb(chunk *wire.IndexChunk) error {
 	switch {
 	case s.done:
@@ -305,14 +269,6 @@ func (s *ServerSession) Absorb(chunk *wire.IndexChunk) error {
 	if end := s.base + uint64(s.rows()); chunk.Offset+uint64(count) > end {
 		return fmt.Errorf("%w: chunk [%d,%d) exceeds rows [%d,%d)", ErrVectorLength, chunk.Offset, chunk.Offset+uint64(count), s.base, end)
 	}
-	if s.ks == nil {
-		s.ks = make([][]uint64, len(s.columns))
-		if s.folder != nil {
-			s.fold = s.folder.OpenFold(s.rows(), len(s.columns))
-		} else {
-			s.accs = make([]homomorphic.Ciphertext, len(s.columns))
-		}
-	}
 	first := int(chunk.Offset - s.base)
 	for c, col := range s.columns {
 		ks := slices.Grow(s.ks[c][:0], count)[:count]
@@ -321,45 +277,11 @@ func (s *ServerSession) Absorb(chunk *wire.IndexChunk) error {
 		}
 		s.ks[c] = ks
 	}
-	if s.fold != nil {
-		if k, err := s.fold.AddChunk(chunk.Ciphertexts, s.ks, s.lanes); err != nil {
-			s.err = fmt.Errorf("selectedsum: chunk ciphertext %d: %w", chunk.Offset+uint64(k), err)
-		}
-	} else {
-		s.err = s.absorbRows(chunk)
-	}
-	if s.err != nil {
+	if k, err := s.fold.AddChunk(chunk.Ciphertexts, s.ks, s.lanes); err != nil {
+		s.err = fmt.Errorf("selectedsum: chunk ciphertext %d: %w", chunk.Offset+uint64(k), err)
 		return s.err
 	}
 	s.next += uint64(count)
-	return nil
-}
-
-// absorbRows folds every row of chunk on the naive path.
-func (s *ServerSession) absorbRows(chunk *wire.IndexChunk) error {
-	for i := range chunk.Count() {
-		ct, err := s.pk.ParseCiphertext(chunk.At(i))
-		if err != nil {
-			return fmt.Errorf("selectedsum: chunk ciphertext %d: %w", chunk.Offset+uint64(i), err)
-		}
-		for c, ks := range s.ks {
-			x := ks[i]
-			if x == 0 {
-				continue
-			}
-			term, err := s.pk.ScalarMul(ct, s.scalar.SetUint64(x))
-			if err != nil {
-				return fmt.Errorf("selectedsum: scaling index %d: %w", chunk.Offset+uint64(i), err)
-			}
-			if s.accs[c] == nil {
-				s.accs[c] = term
-				continue
-			}
-			if s.accs[c], err = s.pk.Add(s.accs[c], term); err != nil {
-				return fmt.Errorf("selectedsum: folding index %d: %w", chunk.Offset+uint64(i), err)
-			}
-		}
-	}
 	return nil
 }
 
@@ -389,20 +311,13 @@ func (s *ServerSession) finalize(blind *big.Int) ([]homomorphic.Ciphertext, erro
 	}
 	s.done = true
 
-	raw := s.accs
-	if s.fold != nil {
-		raw = s.fold.Sums(s.lanes)
-	}
+	raw := s.fold.Sums(s.lanes)
 	sums := make([]homomorphic.Ciphertext, len(s.columns))
 	errs := make([]error, len(s.columns))
 	// Each column's seal draws its own r^N: the columns are dealt to the
 	// session's lanes like the fold's windows.
 	mathx.Deal(s.lanes, len(sums), func(_, c int) {
-		var acc homomorphic.Ciphertext // nil: no row was absorbed
-		if raw != nil {
-			acc = raw[c]
-		}
-		sums[c], errs[c] = s.seal(acc, blind)
+		sums[c], errs[c] = s.seal(raw[c], blind)
 	})
 	for _, err := range errs {
 		if err != nil {
@@ -412,9 +327,8 @@ func (s *ServerSession) finalize(blind *big.Int) ([]homomorphic.Ciphertext, erro
 	return sums, nil
 }
 
-// seal turns a raw fold product (nil: nothing was folded) into what may
-// leave the server: a fresh encryption, whose randomness is one r^N drawn
-// here.
+// seal turns a raw fold product into what may leave the server: a fresh
+// encryption, whose randomness is one r^N drawn here.
 func (s *ServerSession) seal(acc homomorphic.Ciphertext, blind *big.Int) (homomorphic.Ciphertext, error) {
 	if blind != nil {
 		bl := new(big.Int).Mod(blind, s.pk.PlaintextSpace())
@@ -422,21 +336,9 @@ func (s *ServerSession) seal(acc homomorphic.Ciphertext, blind *big.Int) (homomo
 		if err != nil {
 			return nil, fmt.Errorf("selectedsum: encrypting blinding: %w", err)
 		}
-		if acc == nil {
-			return blCt, nil
-		}
 		// The blinding encryption is fresh, so it doubles as the
 		// rerandomization.
 		return s.pk.Add(acc, blCt)
-	}
-	if acc == nil {
-		// All rows were zero: the sum is zero regardless of the selection,
-		// and a fresh E(0) is already rerandomized.
-		zero, err := s.pk.Encrypt(new(big.Int))
-		if err != nil {
-			return nil, fmt.Errorf("selectedsum: encrypting empty sum: %w", err)
-		}
-		return zero, nil
 	}
 	// Rerandomize so the response's randomness is independent of the
 	// database values (see the package comment).
