@@ -88,6 +88,11 @@ func FuzzReducerExp(f *testing.F) {
 		n.SetBit(n, bitLen-1, 1).SetBit(n, 0, 1)
 		f.Add(new(big.Int).Mul(n, n).Bytes(), new(big.Int).Rand(rng, n).Bytes(), n.Bytes())
 	}
+	// z^p mod p² of a 2048-bit key: a 32-word modulus, a 1024-bit exponent.
+	p := new(big.Int).Rand(rng, new(big.Int).Lsh(One, 1024))
+	p.SetBit(p, 1023, 1).SetBit(p, 0, 1)
+	p2 := new(big.Int).Mul(p, p)
+	f.Add(p2.Bytes(), new(big.Int).Rand(rng, p2).Bytes(), p.Bytes())
 	f.Fuzz(func(t *testing.T, mRaw, xRaw, eRaw []byte) {
 		m := new(big.Int).SetBytes(mRaw)
 		if m.Sign() == 0 || len(eRaw) > 128 {
@@ -198,11 +203,12 @@ func TestMontGenerated(t *testing.T) {
 // and the seal's and public encryption's r^N mod N² of a 512-bit key (a
 // 16-word modulus, a 512-bit exponent) and of a 1024-bit key (a 32-word
 // modulus, a 1024-bit exponent). p2xK is K z^p mod p² of a 512-bit key (K = 8
-// is the batch FreshRandomizerCRT refills) and rNxK K r^N mod N² of a 512-bit
-// key (the batch of the seal and public encryption): one lane call (the ten-
-// or twenty-limb lane kernel, where the CPU has it) against K Exps; ns/op is
-// per K. The lanes always run all eight, so K = 1, 2, 3 are the short groups
-// that place ExpEach's lanesPay.
+// is the batch FreshRandomizerCRT refills), rNxK K r^N mod N² of a 512-bit
+// key and rN1024xK of a 1024-bit key (the batch of the seal and public
+// encryption): one lane call (the ten-, twenty- or forty-limb lane kernel,
+// where the CPU has it) against K Exps; ns/op is per K. The lanes always run
+// all eight, so K = 1, 2, 3 are the short groups that place ExpEach's
+// lanesPay.
 func BenchmarkReducerExp(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	for _, shape := range []struct {
@@ -227,7 +233,7 @@ func BenchmarkReducerExp(b *testing.B) {
 	for _, shape := range []struct {
 		name           string
 		modBits, eBits int
-	}{{"p2", 512, 256}, {"rN", 1024, 512}} {
+	}{{"p2", 512, 256}, {"rN", 1024, 512}, {"rN1024", 2048, 1024}} {
 		m, e := benchShape(rng, shape.modBits, shape.eBits)
 		r, _ := NewReducer(m)
 		for _, k := range []int{1, 2, 3, laneCount} {

@@ -1,6 +1,6 @@
 #include "textflag.h"
 
-// func laneGather(z *laneNum, base *uint64, offs *[laneCount]int64, lanes, limbs int)
+// func laneGather(z *laneRow, base *uint64, offs *[laneCount]int64, lanes, limbs int)
 TEXT ·laneGather(SB), NOSPLIT, $0-40
 	MOVQ z+0(FP), DI
 	MOVQ base+8(FP), SI
@@ -23,7 +23,7 @@ gather:
 	VZEROUPPER
 	RET
 
-// func laneScatter(base *uint64, offs *[laneCount]int64, x *laneNum, lanes, limbs int)
+// func laneScatter(base *uint64, offs *[laneCount]int64, x *laneRow, lanes, limbs int)
 TEXT ·laneScatter(SB), NOSPLIT, $0-40
 	MOVQ base+0(FP), DI
 	MOVQ offs+8(FP), AX
@@ -46,7 +46,7 @@ scatter:
 	VZEROUPPER
 	RET
 
-// func laneLoad(z *laneNum, rows *[laneCount]*uint64, limbs int)
+// func laneLoad(z *laneRow, rows *[laneCount]*uint64, limbs int)
 TEXT ·laneLoad(SB), NOSPLIT, $0-24
 	MOVQ z+0(FP), DI
 	MOVQ rows+8(FP), AX

@@ -4,23 +4,27 @@ import (
 	"bytes"
 	crand "crypto/rand"
 	"math/big"
+	"math/bits"
 	"math/rand"
 	"os"
 	"os/exec"
 	"testing"
 )
 
-// laneModuli are ExpEach's shapes: odd moduli of at most 1024 bits, which a
+// laneModuli are ExpEach's shapes: odd moduli of at most 2048 bits, which a
 // lane kernel takes where the CPU has it (ten limbs up to 512 bits: all-ones
 // limbs, a low modulus whose top limbs are zero, and a random odd 300-bit
-// value; twenty above: 2^513−1 just past the ten-limb kernel, all-ones and
-// near-top 1024-bit values, and a random odd 800-bit value), and the moduli
-// they never take: an even one and an odd one over 1024 bits.
+// value; twenty up to 1024: 2^513−1 just past the ten-limb kernel, all-ones
+// and near-top 1024-bit values, and a random odd 800-bit value; forty up to
+// 2048: 2^1025−1 just past the twenty-limb kernel, all-ones and near-top
+// 2048-bit values, and a random odd 1600-bit value), and the moduli they
+// never take: an even one and an odd one over 2048 bits.
 func laneModuli() map[string]*big.Int {
 	top := new(big.Int).Lsh(One, 512)
 	rng := rand.New(rand.NewSource(34))
 	rnd := new(big.Int).Rand(rng, new(big.Int).Lsh(One, 300))
 	rnd800 := new(big.Int).Rand(rng, new(big.Int).Lsh(One, 800))
+	rnd1600 := new(big.Int).Rand(rng, new(big.Int).Lsh(One, 1600))
 	return map[string]*big.Int{
 		"2^512-1":    new(big.Int).Sub(top, One),
 		"2^512-569":  new(big.Int).Sub(top, big.NewInt(569)),
@@ -33,6 +37,10 @@ func laneModuli() map[string]*big.Int {
 		"2^1024-1":   new(big.Int).Sub(new(big.Int).Lsh(One, 1024), One),
 		"even":       new(big.Int).Sub(top, big.NewInt(2)),
 		"2^1025-1":   new(big.Int).Sub(new(big.Int).Lsh(One, 1025), One),
+		"odd1600":    rnd1600.SetBit(rnd1600, 1599, 1).SetBit(rnd1600, 0, 1),
+		"2^2048-159": new(big.Int).Sub(new(big.Int).Lsh(One, 2048), big.NewInt(159)),
+		"2^2048-1":   new(big.Int).Sub(new(big.Int).Lsh(One, 2048), One),
+		"2^2049-1":   new(big.Int).Sub(new(big.Int).Lsh(One, 2049), One),
 	}
 }
 
@@ -59,14 +67,20 @@ func wantLanes(m *big.Int, on bool) bool {
 
 // TestNewReducerLaneWidth: NewReducer puts an odd modulus of at most 512 bits
 // on the ten-limb lanes, one of at most 1024 bits (a 512-bit key's N² among
-// them) on the twenty-limb lanes, and every other modulus, or any modulus
-// under ForceFallback, on one lane.
+// them) on the twenty-limb lanes, one of at most 2048 bits (a 1024-bit key's
+// N²) on the forty-limb lanes, and every other modulus, or any modulus under
+// ForceFallback, on one lane.
 func TestNewReducerLaneWidth(t *testing.T) {
 	p, q, err := GeneratePrimePair(crand.Reader, 256)
 	if err != nil {
 		t.Fatal(err)
 	}
 	n := new(big.Int).Mul(p, q)
+	p, q, err = GeneratePrimePair(crand.Reader, 512)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n1024 := new(big.Int).Mul(p, q)
 	mods := laneModuli()
 	cases := []struct {
 		name     string
@@ -79,7 +93,10 @@ func TestNewReducerLaneWidth(t *testing.T) {
 		{"2^1024-1", mods["2^1024-1"], false, 20},
 		{"2^513-1", mods["2^513-1"], false, 20},
 		{"N² of a 512-bit key", new(big.Int).Mul(n, n), false, 20},
-		{"2^1025-1", mods["2^1025-1"], false, 0},
+		{"2^1025-1", mods["2^1025-1"], false, 40},
+		{"2^2048-1", mods["2^2048-1"], false, 40},
+		{"N² of a 1024-bit key", new(big.Int).Mul(n1024, n1024), false, 40},
+		{"2^2049-1", mods["2^2049-1"], false, 0},
 		{"even", mods["even"], false, 0},
 		{"2^512-569 under ForceFallback", mods["2^512-569"], true, 0},
 	}
@@ -155,10 +172,10 @@ func FuzzReducerExpEach(f *testing.F) {
 			t.Skip()
 		}
 		// The lanes' shapes are rare among arbitrary bytes: also try the
-		// odd moduli of at most 512 and at most 1024 bits (ten and twenty
-		// limbs) that share m's low bits.
+		// odd moduli of at most 512, 1024 and 2048 bits (ten, twenty and
+		// forty limbs) that share m's low bits.
 		mods := []*big.Int{m}
-		for _, bits := range []uint{512, laneBits} {
+		for _, bits := range []uint{512, 1024, laneBits} {
 			mk := new(big.Int).Mod(m, new(big.Int).Lsh(One, bits))
 			mods = append(mods, mk.SetBit(mk, 0, 1))
 		}
@@ -235,7 +252,7 @@ func TestLaneMulContract(t *testing.T) {
 		inv := new(big.Int).ModInverse(new(big.Int).Mod(bigR, m), m)
 		twoM := new(big.Int).Lsh(m, 1)
 		for round := 0; round < 20; round++ {
-			var x, y, z laneNum
+			x, y, z := make(laneNum, c.limbs), make(laneNum, c.limbs), make(laneNum, c.limbs)
 			xs, ys := make([]*big.Int, laneCount), make([]*big.Int, laneCount)
 			for l := range xs {
 				xs[l] = new(big.Int).Rand(rng, twoM)
@@ -247,14 +264,14 @@ func TestLaneMulContract(t *testing.T) {
 				x.set(l, xs[l].Bits())
 				y.set(l, ys[l].Bits())
 			}
-			c.mul(&z, &x, &y)
+			c.mul(z, x, y)
 			for l := range xs {
 				for j := range z {
 					if z[j][l] > limbMask {
 						t.Fatalf("%s: lane %d limb %d = %#x, not below 2^52", name, l, j, z[j][l])
 					}
 				}
-				got := laneValue(&z, l)
+				got := laneValue(z, l)
 				want := new(big.Int).Mul(xs[l], ys[l])
 				want.Mul(want, inv).Mod(want, m)
 				if got.Cmp(twoM) >= 0 || new(big.Int).Mod(got, m).Cmp(want) != 0 {
@@ -266,19 +283,20 @@ func TestLaneMulContract(t *testing.T) {
 }
 
 // laneValue reads lane l of a as an integer, limb by limb.
-func laneValue(a *laneNum, l int) *big.Int {
+func laneValue(a laneNum, l int) *big.Int {
 	v := new(big.Int)
-	for j := laneMaxLimbs - 1; j >= 0; j-- {
+	for j := len(a) - 1; j >= 0; j-- {
 		v.Lsh(v, limbBits).Add(v, new(big.Int).SetUint64(a[j][l]))
 	}
 	return v
 }
 
-// TestLaneLimbsRoundTrip: set and get move a value below 2^1024 into a lane
-// and back unchanged, on every word size, and leave the other lanes alone.
+// TestLaneLimbsRoundTrip: set and get move a value below 2^2048 into a lane
+// of a forty-limb operand and back unchanged, on every word size, and leave
+// the other lanes alone.
 func TestLaneLimbsRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	var a laneNum
+	a := make(laneNum, laneMaxLimbs)
 	vals := make([]*big.Int, laneCount)
 	for l := range vals {
 		vals[l] = new(big.Int).Rand(rng, new(big.Int).Lsh(One, uint(1+rng.Intn(laneBits))))
@@ -287,7 +305,7 @@ func TestLaneLimbsRoundTrip(t *testing.T) {
 	vals[3] = new(big.Int).Sub(new(big.Int).Lsh(One, laneBits), One)
 	a.set(3, vals[3].Bits())
 	for l, v := range vals {
-		if got := laneValue(&a, l); got.Cmp(v) != 0 {
+		if got := laneValue(a, l); got.Cmp(v) != 0 {
 			t.Fatalf("lane %d holds %v, want %v", l, got, v)
 		}
 		zw := make([]big.Word, len(vals[3].Bits()))
@@ -298,13 +316,13 @@ func TestLaneLimbsRoundTrip(t *testing.T) {
 	}
 }
 
-// TestExpEachDoesNotAllocate: on either lane kernel, bases in [0, m) and
+// TestExpEachDoesNotAllocate: on every lane kernel, bases in [0, m) and
 // destinations that already have m's words cost ExpEach no allocation.
 func TestExpEachDoesNotAllocate(t *testing.T) {
 	if !hasIFMA {
 		t.Skip("no lane kernel on this CPU")
 	}
-	for _, name := range []string{"2^512-569", "2^1024-105"} {
+	for _, name := range []string{"2^512-569", "2^1024-105", "2^2048-159"} {
 		m := laneModuli()[name]
 		r, _ := NewReducer(m)
 		rng := rand.New(rand.NewSource(8))
@@ -320,10 +338,11 @@ func TestExpEachDoesNotAllocate(t *testing.T) {
 	}
 }
 
-// TestLaneKernelGenerated: the committed lanes10_amd64.s and lanes20_amd64.s
-// are exactly gen_lanes.go's output at ten and twenty limbs.
+// TestLaneKernelGenerated: the committed lanes10_amd64.s, lanes20_amd64.s
+// and lanes40_amd64.s are exactly gen_lanes.go's output at ten, twenty and
+// forty limbs.
 func TestLaneKernelGenerated(t *testing.T) {
-	for _, limbs := range []string{"10", "20"} {
+	for _, limbs := range []string{"10", "20", "40"} {
 		out, err := exec.Command("go", "run", "gen_lanes.go", "-limbs", limbs).Output()
 		if err != nil {
 			t.Fatalf("go run gen_lanes.go -limbs %s: %v", limbs, err)
@@ -344,7 +363,7 @@ func TestLaneKernelGenerated(t *testing.T) {
 // fromLimbs reads the words back.
 func TestToLimbsIsLimbAt(t *testing.T) {
 	rng := rand.New(rand.NewSource(52))
-	for words := 1; words <= 17; words++ {
+	for words := 1; words <= 33; words++ {
 		xw := make([]big.Word, words)
 		for k := range xw {
 			xw[k] = big.Word(rng.Uint64())
@@ -389,14 +408,14 @@ func TestLaneLoad(t *testing.T) {
 		rows[l] = &vals[l][0]
 	}
 	rows[5] = rows[2]
-	for _, limbs := range []int{10, laneMaxLimbs} {
-		var z laneNum
+	for _, limbs := range []int{10, 20, laneMaxLimbs} {
+		z := make(laneNum, laneMaxLimbs)
 		for j := range z {
 			for l := range z[j] {
 				z[j][l] = 0xdead
 			}
 		}
-		laneLoad(&z, &rows, limbs)
+		laneLoad(&z[0], &rows, limbs)
 		for j := range z {
 			for l := range z[j] {
 				want := uint64(0xdead)
@@ -408,6 +427,148 @@ func TestLaneLoad(t *testing.T) {
 				}
 				if z[j][l] != want {
 					t.Fatalf("limbs=%d: row %d lane %d = %#x, want %#x", limbs, j, l, z[j][l], want)
+				}
+			}
+		}
+	}
+}
+
+// laneMulModel is the lane kernels' contract in Go, step for step as
+// gen_lanes.go emits it: for an odd m of L = len(m) radix-2^52 limbs, 4m <
+// R = 2^(52·L), and k0 = −m⁻¹ mod 2^52, each lane of z becomes (x·y + Q·m)/R,
+// Q chosen a limb per round so that the low limb cancels, with x, y < 2m
+// read limb by limb (each below 2^52), no final subtraction, and one carry
+// pass that leaves every limb below 2^52. z may alias x or y. The kernels
+// must match it bit for bit (TestLaneKernelsMatchModel).
+func laneMulModel(z, x, y laneNum, m []uint64, k0 uint64) {
+	L := len(m)
+	t := make([]uint64, L+1)
+	for l := range laneCount {
+		clear(t)
+		for i := range L {
+			// t += x·y[i], then q·m with q = t[0]·k0 mod 2^52.
+			for j := range L {
+				lo, hi := mul52(x[j][l], y[i][l])
+				t[j] += lo
+				t[j+1] += hi
+			}
+			q, _ := mul52(t[0], k0)
+			for j := range L {
+				lo, hi := mul52(q, m[j])
+				t[j] += lo
+				t[j+1] += hi
+			}
+			// t[0]'s low 52 bits are zero: its carry moves up, t down a limb.
+			t[1] += t[0] >> limbBits
+			copy(t, t[1:])
+			t[L] = 0
+		}
+		for j := range L - 1 {
+			t[j+1] += t[j] >> limbBits
+			t[j] &= limbMask
+		}
+		for j := range L {
+			z[j][l] = t[j]
+		}
+	}
+}
+
+// mul52 returns the low and the high 52 bits of the product of a's and b's
+// low 52 bits: what VPMADD52LUQ and VPMADD52HUQ add.
+func mul52(a, b uint64) (lo, hi uint64) {
+	h, l := bits.Mul64(a&limbMask, b&limbMask)
+	return l & limbMask, h<<(64-limbBits) | l>>limbBits
+}
+
+// laneMulCase is one multiply of the model tests: eight pairs of operands
+// below 2m, or every one 2m − 1 when corner is set, under the constants of
+// the kernel of limbs limbs for m.
+func laneMulCase(rng *rand.Rand, m *big.Int, limbs int, corner bool) (c *laneConsts, x, y laneNum, xs, ys []*big.Int) {
+	c = newLaneConsts(m, len(m.Bits()), limbs)
+	twoM := new(big.Int).Lsh(m, 1)
+	x, y = make(laneNum, limbs), make(laneNum, limbs)
+	xs, ys = make([]*big.Int, laneCount), make([]*big.Int, laneCount)
+	for l := range laneCount {
+		xs[l], ys[l] = new(big.Int).Rand(rng, twoM), new(big.Int).Rand(rng, twoM)
+		if corner {
+			xs[l].Sub(twoM, One)
+			ys[l].Sub(twoM, One)
+		}
+		x.set(l, xs[l].Bits())
+		y.set(l, ys[l].Bits())
+	}
+	return c, x, y, xs, ys
+}
+
+// laneModelModulus returns a random odd modulus of 2 to maxBits bits, or of
+// exactly maxBits when top is set.
+func laneModelModulus(rng *rand.Rand, maxBits int, top bool) *big.Int {
+	bitLen := maxBits
+	if !top {
+		bitLen = 2 + rng.Intn(maxBits-1)
+	}
+	m := new(big.Int).Rand(rng, new(big.Int).Lsh(One, uint(bitLen)))
+	return m.SetBit(m, bitLen-1, 1).SetBit(m, 0, 1)
+}
+
+// laneWidths are the lane kernels: limbs per lane and the widest modulus.
+var laneWidths = []struct{ limbs, maxBits int }{{10, 512}, {20, 1024}, {40, 2048}}
+
+// TestLaneMulModel holds the Go model to the kernels' contract on every
+// width: the result is congruent to x·y·R⁻¹, below 2m, with every limb below
+// 2^52, for random odd moduli up to the width's top and operands up to
+// 2m − 1, in place as well.
+func TestLaneMulModel(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for _, w := range laneWidths {
+		for i := range 12 {
+			m := laneModelModulus(rng, w.maxBits, i < 2)
+			c, x, y, xs, ys := laneMulCase(rng, m, w.limbs, i%2 == 0)
+			bigR := new(big.Int).Lsh(One, uint(limbBits*w.limbs))
+			inv := new(big.Int).ModInverse(bigR, m)
+			twoM := new(big.Int).Lsh(m, 1)
+			z := make(laneNum, w.limbs)
+			laneMulModel(z, x, y, c.m[:w.limbs], c.k0)
+			laneMulModel(x, x, y, c.m[:w.limbs], c.k0)
+			for l := range laneCount {
+				for j := range z {
+					if z[j][l] > limbMask {
+						t.Fatalf("%d limbs, m = %v: lane %d limb %d = %#x, not below 2^52", w.limbs, m, l, j, z[j][l])
+					}
+				}
+				got := laneValue(z, l)
+				want := new(big.Int).Mul(xs[l], ys[l])
+				want.Mul(want, inv).Mod(want, m)
+				if got.Cmp(twoM) >= 0 || new(big.Int).Mod(got, m).Cmp(want) != 0 {
+					t.Fatalf("%d limbs, m = %v: lane %d: model(%v, %v) = %v, want ≡ %v and below 2m", w.limbs, m, l, xs[l], ys[l], got, want)
+				}
+				if inPlace := laneValue(x, l); inPlace.Cmp(got) != 0 {
+					t.Fatalf("%d limbs: lane %d: in place %v, want %v", w.limbs, l, inPlace, got)
+				}
+			}
+		}
+	}
+}
+
+// TestLaneKernelsMatchModel pins laneMul10, laneMul20 and laneMul40 to the Go
+// model bit for bit, on random odd moduli of each width's whole range, on
+// the widest, and at x = y = 2m − 1, into a fresh operand and in place.
+func TestLaneKernelsMatchModel(t *testing.T) {
+	if !hasIFMA {
+		t.Skip("no lane kernel on this CPU")
+	}
+	rng := rand.New(rand.NewSource(18))
+	for _, w := range laneWidths {
+		for i := range 40 {
+			m := laneModelModulus(rng, w.maxBits, i < 4)
+			c, x, y, xs, ys := laneMulCase(rng, m, w.limbs, i%4 == 0)
+			want, got := make(laneNum, w.limbs), make(laneNum, w.limbs)
+			laneMulModel(want, x, y, c.m[:w.limbs], c.k0)
+			c.mul(got, x, y)
+			c.mul(x, x, y)
+			for j := range want {
+				if got[j] != want[j] || x[j] != want[j] {
+					t.Fatalf("laneMul%d, m = %v, x = %v, y = %v: limb %d = %#x (in place %#x), model %#x", w.limbs, m, xs, ys, j, got[j], x[j], want[j])
 				}
 			}
 		}

@@ -7,6 +7,7 @@ import "math/big"
 //go:generate go run gen_mont.go -words 32 -out mont32_amd64.s
 //go:generate go run gen_lanes.go -limbs 10 -out lanes10_amd64.s
 //go:generate go run gen_lanes.go -limbs 20 -out lanes20_amd64.s
+//go:generate go run gen_lanes.go -limbs 40 -out lanes40_amd64.s
 
 // hasADX reports whether the CPU has MULX (BMI2) and ADCX/ADOX (ADX), the
 // instructions the register kernels are written in: CPUID leaf 7, EBX bits 8
@@ -22,7 +23,7 @@ var hasADX = func() bool {
 // hasIFMA reports whether the CPU has AVX512F and AVX512IFMA (CPUID leaf 7,
 // EBX bits 16 and 21) and the OS saves the ZMM state across context switches
 // (leaf 1 ECX bit 27, OSXSAVE, then XCR0 bits 1, 2, 5, 6 and 7 set): what the
-// lane kernels, laneMul10 and laneMul20, run on.
+// lane kernels, laneMul10, laneMul20 and laneMul40, run on.
 var hasIFMA = func() bool {
 	if maxLeaf, _, _, _ := cpuid(0, 0); maxLeaf < 7 {
 		return false
@@ -39,20 +40,23 @@ func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 // xgetbv0 returns the low word of XCR0; it needs OSXSAVE.
 func xgetbv0() (eax uint32)
 
-// laneMul10 and laneMul20 set each lane of z to the almost-Montgomery product
-// x·y·R⁻¹ mod m of the same lanes of x and y, for an odd m held as ten or
-// twenty radix-2^52 limbs, m < 2^512 and R = 2^520 or m < 2^1024 and
-// R = 2^1040, and k0 = −m⁻¹ mod 2^52: with every limb of x and y below 2^52
-// and x, y < 2m, the result is below 2m and its limbs below 2^52. They read
-// and write only the first ten or twenty rows of each laneNum. z may alias x
-// or y. They need hasIFMA (lanes10_amd64.s and lanes20_amd64.s, from
-// gen_lanes.go).
+// laneMul10, laneMul20 and laneMul40 set each lane of z to the
+// almost-Montgomery product x·y·R⁻¹ mod m of the same lanes of x and y, for
+// an odd m held as L = 10, 20 or 40 radix-2^52 limbs (m < 2^512, 2^1024 or
+// 2^2048; R = 2^(52·L)) and k0 = −m⁻¹ mod 2^52: with every limb of x and y
+// below 2^52 and x, y < 2m, the result is below 2m and its limbs below 2^52.
+// z, x and y address L consecutive laneRows each, a laneNum's first row; z
+// may alias x or y. They need hasIFMA (lanes10_amd64.s, lanes20_amd64.s and
+// lanes40_amd64.s, from gen_lanes.go).
 //
 //go:noescape
-func laneMul10(z, x, y *laneNum, m *[laneMaxLimbs]uint64, k0 uint64)
+func laneMul10(z, x, y *laneRow, m *[laneMaxLimbs]uint64, k0 uint64)
 
 //go:noescape
-func laneMul20(z, x, y *laneNum, m *[laneMaxLimbs]uint64, k0 uint64)
+func laneMul20(z, x, y *laneRow, m *[laneMaxLimbs]uint64, k0 uint64)
+
+//go:noescape
+func laneMul40(z, x, y *laneRow, m *[laneMaxLimbs]uint64, k0 uint64)
 
 // montMul8, montMul16 and montMul32 set z = x·y·R⁻¹ mod m for an odd m of
 // 8, 16 or 32 words, R = b^words, and k0 = −m⁻¹ mod b, as Reducer.montMul
@@ -98,14 +102,14 @@ func (r *Reducer) kmul(z, x, y *big.Word) {
 // memory. They need hasIFMA (lanegather_amd64.s).
 //
 //go:noescape
-func laneGather(z *laneNum, base *uint64, offs *[laneCount]int64, lanes, limbs int)
+func laneGather(z *laneRow, base *uint64, offs *[laneCount]int64, lanes, limbs int)
 
 //go:noescape
-func laneScatter(base *uint64, offs *[laneCount]int64, x *laneNum, lanes, limbs int)
+func laneScatter(base *uint64, offs *[laneCount]int64, x *laneRow, lanes, limbs int)
 
 // laneLoad sets row j of z, lane by lane, to rows[l][j] for j < limbs: eight
 // values from eight places in memory, one per lane. It needs hasIFMA
 // (lanegather_amd64.s).
 //
 //go:noescape
-func laneLoad(z *laneNum, rows *[laneCount]*uint64, limbs int)
+func laneLoad(z *laneRow, rows *[laneCount]*uint64, limbs int)

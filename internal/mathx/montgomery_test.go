@@ -23,7 +23,9 @@ func FuzzMontMulEquivalence(f *testing.F) {
 	f.Add([]byte{15, 20, 4, 3, 3, 7}) // a 16-word modulus, both unreduced
 	f.Add([]byte{15, 63, 5, 4, 2, 8}) // R − 1 times m − 1
 	f.Add([]byte{15, 63, 1, 2, 3, 1})
-	f.Add([]byte{31, 7, 2, 4, 4, 9}) // a 32-word modulus, on montMul32
+	f.Add([]byte{31, 7, 2, 4, 4, 9})  // a 32-word modulus, on montMul32
+	f.Add([]byte{31, 63, 2, 4, 4, 5}) // 2^2048 − 1
+	f.Add([]byte{31, 63, 5, 4, 2, 8}) // R − 1 times m − 1 at 32 words
 	f.Add([]byte{69, 1, 0, 3, 2, 200})
 	f.Add([]byte{1, 0, 5, 1, 4, 3})
 	f.Add([]byte{39, 30, 3, 4, 5, 77})

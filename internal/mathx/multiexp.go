@@ -129,7 +129,7 @@ func (a *MultiExpAcc) growLanes(k int) {
 		buf := make([]big.Word, 3*n)
 		l := accLane{t: buf[: 2*n : 2*n], run: buf[2*n:]}
 		if a.lwin != nil {
-			l.group = &laneGroup{c: a.red.lanes(), limbs: a.red.laneLimbs}
+			l.group = newLaneGroup(a.red.lanes())
 		}
 		a.lanes = append(a.lanes, l)
 	}
@@ -495,16 +495,13 @@ func autoWindow(m *big.Int, count, maxBits int) uint {
 // bucketStateBytes bounds the memory of an accumulator mod m at width w with
 // every bucket of every window occupied: a slice header and the modulus'
 // words, or, for a modulus the lanes may take, its limbs and a flag if that
-// is more (161 bytes against 152 at 1024 bits), whatever the CPU.
+// is more (161 bytes against 152 at 1024 bits, 321 against 280 at 2048),
+// whatever the CPU.
 func bucketStateBytes(m *big.Int, w uint) int64 {
 	const wordBytes = bits.UintSize / 8
 	perBucket := int64((3 + len(m.Bits())) * wordBytes)
-	if m.BitLen() <= laneBits {
-		limbs := int64(laneMaxLimbs)
-		if m.BitLen() <= laneBits/2 {
-			limbs /= 2
-		}
-		perBucket = max(perBucket, 8*limbs+1)
+	if limbs := laneLimbsFor(m.BitLen()); limbs != 0 {
+		perBucket = max(perBucket, int64(8*limbs+1))
 	}
 	windows := int64((64 + w - 1) / w)
 	return windows * (int64(1)<<w - 1) * perBucket

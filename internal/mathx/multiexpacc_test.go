@@ -44,10 +44,12 @@ func TestMultiExpAccStreaming(t *testing.T) {
 // drives row count, chunk boundaries (chunks of 0–16 rows, 1-row and empty
 // ones included), zero and full 64-bit exponents, and bases at or above m,
 // ≡ 0 and ≡ −1. Every input runs mod a 3-word m, mod an 8-word and a 16-word
-// one (the shapes of a 256- and a 512-bit key's N²) and mod a 32-word one (a
-// 1024-bit key's N²), which fold on the 8-, 16- and 32-word register kernels
-// where the CPU has them, and all but the last on the ten- or twenty-limb
-// lanes where it has those.
+// one (the shapes of a 256- and a 512-bit key's N²), mod a 32-word one (a
+// 1024-bit key's N²) and mod a 1600-bit, 25-word one. The 8-, 16- and
+// 32-word moduli fold on the register kernels where the CPU has them, the
+// 25-word one on the addMulVVW montMul; on a CPU with the lanes they fold on
+// the ten-, twenty- and forty-limb lane kernels instead, the 3-word one on
+// ten limbs and the 25-word one on forty.
 func FuzzMultiExpAccEquivalence(f *testing.F) {
 	f.Add([]byte{0})
 	f.Add([]byte{1, 0xff})
@@ -94,11 +96,12 @@ func FuzzMultiExpAccEquivalence(f *testing.F) {
 	m8 := new(big.Int).Sub(new(big.Int).Lsh(One, 512), big.NewInt(569))
 	m16 := new(big.Int).Sub(new(big.Int).Lsh(One, 1024), big.NewInt(105))
 	m32 := new(big.Int).Sub(new(big.Int).Lsh(One, 2048), big.NewInt(159))
+	m25 := new(big.Int).Sub(new(big.Int).Lsh(One, 1600), big.NewInt(593))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			t.Skip()
 		}
-		for _, m := range []*big.Int{m3, m8, m16, m32} {
+		for _, m := range []*big.Int{m3, m8, m16, m32, m25} {
 			multiExpAccEquivalence(t, data, m)
 		}
 	})
@@ -525,77 +528,91 @@ func reducedBuckets(acc *MultiExpAcc, exps []uint64) [][]*big.Int {
 	return out
 }
 
+// benchModuli are the bucket benchmarks' moduli: 1024 bits (a 512-bit key's
+// N², on the twenty-limb lanes or montMul16) and 2048 bits (a 1024-bit key's
+// N², on the forty-limb lanes or montMul32).
+var benchModuli = []struct {
+	bits int
+	m    *big.Int
+}{
+	{1024, new(big.Int).Sub(new(big.Int).Lsh(One, 1024), big.NewInt(105))},
+	{2048, new(big.Int).Sub(new(big.Int).Lsh(One, 2048), big.NewInt(159))},
+}
+
 // BenchmarkAccFold times the bucket pass of a 1024-row chunk of 32-bit
-// exponents mod a 1024-bit modulus (a 512-bit key's N²) at w = 11, on the
-// lane fold and on the chain kernel (montMul16 where the CPU has it), and
-// reports ns per row. The buckets are occupied before the timer starts, so
-// every digit is a product.
+// exponents at w = 11 mod each of benchModuli, on the lane fold and on the
+// chain kernel (the register kernel where the CPU has it), and reports ns
+// per row. The buckets are occupied before the timer starts, so every digit
+// is a product.
 func BenchmarkAccFold(b *testing.B) {
 	rng := rand.New(rand.NewSource(8))
-	m := new(big.Int).Sub(new(big.Int).Lsh(One, 1024), big.NewInt(105))
-	bases, exps := randOperands(rng, 1024, 1024, 0xffffffff)
-	for _, mode := range []string{"lanes", "chain"} {
-		b.Run(mode, func(b *testing.B) {
-			acc := newMultiExpAcc(m, 11)
-			if mode == "chain" {
-				acc = newChainAcc(m, 11)
-			}
-			accs, chunk, e := []*MultiExpAcc{acc}, chunkLimbs(acc, bases), [][]uint64{exps}
-			AddChunk(accs, chunk, e, 1)
-			b.ResetTimer()
-			for range b.N {
+	for _, bm := range benchModuli {
+		m := bm.m
+		bases, exps := randOperands(rng, 1024, bm.bits, 0xffffffff)
+		for _, mode := range []string{"lanes", "chain"} {
+			b.Run(fmt.Sprintf("bits=%d/%s", bm.bits, mode), func(b *testing.B) {
+				acc := newMultiExpAcc(m, 11)
+				if mode == "chain" {
+					acc = newChainAcc(m, 11)
+				}
+				accs, chunk, e := []*MultiExpAcc{acc}, chunkLimbs(acc, bases), [][]uint64{exps}
 				AddChunk(accs, chunk, e, 1)
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(exps)), "ns/row")
-		})
+				b.ResetTimer()
+				for range b.N {
+					AddChunk(accs, chunk, e, 1)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(exps)), "ns/row")
+			})
+		}
 	}
 }
 
-// BenchmarkAccResults times Results mod a 1024-bit modulus (a 512-bit key's
-// N²) over 32-bit exponents, on the lane fold and on the chain kernel, at a
-// pooled-sharded shard session's shape (10 000 rows at w = 11, three
-// windows) and a small-sessions one (128 rows at w = 5, seven windows). The
-// session sub-benchmarks time a fresh 128-row accumulator through AddChunk
-// and Results at w = 5, the width PickMultiExpWindow picks there, and at
-// w = 8.
+// BenchmarkAccResults times Results mod each of benchModuli over 32-bit
+// exponents, on the lane fold and on the chain kernel, at a pooled-sharded
+// shard session's shape (10 000 rows at w = 11, three windows) and a
+// small-sessions one (128 rows at w = 5, seven windows). The session
+// sub-benchmarks time a fresh 128-row accumulator through AddChunk and
+// Results at w = 5, the width PickMultiExpWindow picks there, and at w = 8.
 func BenchmarkAccResults(b *testing.B) {
 	rng := rand.New(rand.NewSource(9))
-	m := new(big.Int).Sub(new(big.Int).Lsh(One, 1024), big.NewInt(105))
-	bases, exps := randOperands(rng, 10_000, 1024, 0xffffffff)
-	newAcc := func(kernel string, w uint) *MultiExpAcc {
-		if kernel == "chain" {
-			return newChainAcc(m, w)
+	for _, bm := range benchModuli {
+		m := bm.m
+		bases, exps := randOperands(rng, 10_000, bm.bits, 0xffffffff)
+		newAcc := func(kernel string, w uint) *MultiExpAcc {
+			if kernel == "chain" {
+				return newChainAcc(m, w)
+			}
+			return newMultiExpAcc(m, w)
 		}
-		return newMultiExpAcc(m, w)
-	}
-	for _, shape := range []struct {
-		rows int
-		w    uint
-	}{{10_000, 11}, {128, 5}} {
-		for _, kernel := range []string{"lanes", "chain"} {
-			b.Run(fmt.Sprintf("results/rows=%d/w=%d/%s", shape.rows, shape.w, kernel), func(b *testing.B) {
-				acc := newAcc(kernel, shape.w)
-				addRows(acc, bases[:shape.rows], exps[:shape.rows], 1)
-				accs := []*MultiExpAcc{acc}
-				b.ResetTimer()
-				for range b.N {
-					Results(accs, 1)
-				}
-			})
+		for _, shape := range []struct {
+			rows int
+			w    uint
+		}{{10_000, 11}, {128, 5}} {
+			for _, kernel := range []string{"lanes", "chain"} {
+				b.Run(fmt.Sprintf("bits=%d/results/rows=%d/w=%d/%s", bm.bits, shape.rows, shape.w, kernel), func(b *testing.B) {
+					acc := newAcc(kernel, shape.w)
+					addRows(acc, bases[:shape.rows], exps[:shape.rows], 1)
+					accs := []*MultiExpAcc{acc}
+					b.ResetTimer()
+					for range b.N {
+						Results(accs, 1)
+					}
+				})
+			}
 		}
-	}
-	for _, w := range []uint{5, 8} {
-		for _, kernel := range []string{"lanes", "chain"} {
-			b.Run(fmt.Sprintf("session/rows=128/w=%d/%s", w, kernel), func(b *testing.B) {
-				chunk := chunkLimbs(newAcc(kernel, w), bases[:128])
-				e := [][]uint64{exps[:128]}
-				b.ResetTimer()
-				for range b.N {
-					accs := []*MultiExpAcc{newAcc(kernel, w)}
-					AddChunk(accs, chunk, e, 1)
-					Results(accs, 1)
-				}
-			})
+		for _, w := range []uint{5, 8} {
+			for _, kernel := range []string{"lanes", "chain"} {
+				b.Run(fmt.Sprintf("bits=%d/session/rows=128/w=%d/%s", bm.bits, w, kernel), func(b *testing.B) {
+					chunk := chunkLimbs(newAcc(kernel, w), bases[:128])
+					e := [][]uint64{exps[:128]}
+					b.ResetTimer()
+					for range b.N {
+						accs := []*MultiExpAcc{newAcc(kernel, w)}
+						AddChunk(accs, chunk, e, 1)
+						Results(accs, 1)
+					}
+				})
+			}
 		}
 	}
 }

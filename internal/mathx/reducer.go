@@ -41,10 +41,11 @@ import (
 // mont16_amd64.s, mont32_amd64.s) with the same result bit for bit, and a
 // whole exponentiation, Exp, walks a fixed window over that kernel; otherwise
 // Exp is big.Int.Exp. On amd64 with AVX512F and IFMA, for an odd modulus of
-// at most 1024 bits, ExpEach walks the same window over eight bases at once on
+// at most 2048 bits, ExpEach walks the same window over eight bases at once on
 // a lane kernel (lanes.go): ten radix-2^52 limbs per lane up to 512 bits (a
 // 512-bit key's p² and q²), twenty up to 1024 (its N², a 1024-bit key's p²
-// and q²); otherwise it is Exp per element. The bucket fold multiplies eight
+// and q²), forty up to 2048 (a 1024-bit key's N², a 2048-bit key's p² and
+// q²); otherwise it is Exp per element. The bucket fold multiplies eight
 // rows into eight buckets per call of the same kernel there (lanefold.go).
 //
 // A Reducer is immutable and safe for concurrent use; each concurrent caller
@@ -61,7 +62,7 @@ type Reducer struct {
 	k0  big.Word   // −m⁻¹ mod b
 	kw  int        // the register kernel's width, n; 0 where there is none
 
-	// The lane kernel's width, 10 or 20 limbs, or 0 where none takes m; its
+	// The lane kernel's width, 10, 20 or 40 limbs, or 0 where none takes m; its
 	// constants are built by the first ExpEach or bucket fold, so that
 	// Reducers that run neither do not pay for them.
 	laneLimbs int
@@ -99,11 +100,8 @@ func NewReducer(m *big.Int) (*Reducer, error) {
 	r.mu, _ = new(big.Int).QuoRem(new(big.Int).Lsh(One, uint(2*n*bits.UintSize)), m, r2)
 	if m.Bit(0) == 1 {
 		r.montConstants(r2)
-		if hasIFMA && !noKernel.Load() && m.BitLen() <= laneBits {
-			r.laneLimbs = 10
-			if m.BitLen() > 512 {
-				r.laneLimbs = 20
-			}
+		if hasIFMA && !noKernel.Load() {
+			r.laneLimbs = laneLimbsFor(m.BitLen())
 		}
 	}
 	return r, nil

@@ -17,9 +17,9 @@ import (
 // and on however many lanes (1, 2, 3, 4 or 7) the fold runs. Every input runs
 // under three keys: the 256-bit test key, whose N² is 8 words, a 512-bit
 // one, whose 16-word N² is the fold on mathx's 16-word register kernel, and a
-// 1024-bit one, whose 32-word N² is the fold on the 32-word kernel. Where the
-// CPU has the IFMA lanes the first two fold there instead, on ten and twenty
-// limbs.
+// 1024-bit one, whose 32-word, 2048-bit N² is the fold on the 32-word kernel.
+// Where the CPU has the IFMA lanes all three fold there instead, on ten,
+// twenty and forty limbs.
 func FuzzFoldEquivalence(f *testing.F) {
 	f.Add([]byte{3})
 	f.Add([]byte{17, 0xff, 0x00, 0x80, 0x7f})

@@ -6,6 +6,7 @@ import (
 	"math/big"
 	"sync"
 	"testing"
+	"time"
 
 	"privstats/internal/database"
 	"privstats/internal/homomorphic"
@@ -128,37 +129,63 @@ func TestRunPipelinedTotalDoesNotExceedSequential(t *testing.T) {
 	}
 }
 
+// TestRunPreprocessedCorrectnessAndSpeed: a run that draws its bits from a
+// filled store is correct, never falls back online, and encrypts in under
+// half the client time of an online run. The comparison is of two
+// wall-clock measurements, so each is sized to ≥ 10 ms (on a 2-vCPU IFMA
+// host an online run of n rows reads ≈ 17 ms and a pooled one ≈ 0.4 ms, so
+// the pooled side sums pooledRuns runs and compares their mean), after one
+// untimed run of each kind that warms the key's randomizer batch, the
+// store's draw path and the heap: on a host that runs two test binaries at
+// once, a ~2 ms measurement reads a neighbour's preemption as the cost.
 func TestRunPreprocessedCorrectnessAndSpeed(t *testing.T) {
+	const n, pooledRuns = 2000, 30
 	sk := testKey(t)
 	pk := tkKey.Public()
-	table, sel, want := fixture(t, 200, 100)
+	table, sel, want := fixture(t, n, n/2)
 
 	store := paillier.NewBitStore(pk)
-	if err := store.Fill(200, 200); err != nil {
+	if err := store.Fill((pooledRuns+1)*n/2, (pooledRuns+1)*n/2); err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(sk, table, sel, Options{
-		Link: netsim.ShortDistance,
-		Pool: paillier.SchemeBitStore{Store: store},
-	})
-	if err != nil {
-		t.Fatal(err)
+	pooled := func() time.Duration {
+		res, err := Run(sk, table, sel, Options{
+			Link: netsim.ShortDistance,
+			Pool: paillier.SchemeBitStore{Store: store},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Sum.Cmp(want) != 0 {
+			t.Errorf("pooled sum=%v want %v", res.Sum, want)
+		}
+		return res.Timings.ClientEncrypt
 	}
-	if res.Sum.Cmp(want) != 0 {
-		t.Errorf("sum=%v want %v", res.Sum, want)
+	online := func() time.Duration {
+		res, err := Run(sk, table, sel, Options{Link: netsim.ShortDistance})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Sum.Cmp(want) != 0 {
+			t.Errorf("online sum=%v want %v", res.Sum, want)
+		}
+		return res.Timings.ClientEncrypt
+	}
+	pooled()
+	online()
+
+	var pooledSum time.Duration
+	for range pooledRuns {
+		pooledSum += pooled()
 	}
 	if store.OnlineFallbacks() != 0 {
-		t.Errorf("preprocessed run fell back online %d times", store.OnlineFallbacks())
+		t.Errorf("preprocessed runs fell back online %d times", store.OnlineFallbacks())
 	}
-
 	// Preprocessed client time should be well under online client time.
-	online, err := Run(sk, table, sel, Options{Link: netsim.ShortDistance})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Timings.ClientEncrypt*2 >= online.Timings.ClientEncrypt {
-		t.Errorf("preprocessing did not help: pooled %v vs online %v",
-			res.Timings.ClientEncrypt, online.Timings.ClientEncrypt)
+	onlineTime := online()
+	if pooledMean := pooledSum / pooledRuns; pooledMean*2 >= onlineTime {
+		t.Errorf("preprocessing did not help: pooled %v per run (%v over %d runs) vs online %v",
+			pooledMean, pooledSum, pooledRuns, onlineTime)
 	}
 }
 
