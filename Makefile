@@ -121,7 +121,7 @@ fuzz-smoke:
 	done; \
 	$(GO) test -fuzz='^FuzzParseShardMapSpec$$' -fuzztime=$(FUZZTIME) ./internal/cluster/; \
 	$(GO) test -fuzz='^FuzzReadTable$$' -fuzztime=$(FUZZTIME) ./internal/database/; \
-	for t in FuzzMultiExpAccEquivalence FuzzReducerEquivalence FuzzMontMulEquivalence FuzzReducerExp FuzzReducerExpEach; do \
+	for t in FuzzMultiExpAccEquivalence FuzzReducerEquivalence FuzzMontMulEquivalence FuzzReducerExp FuzzReducerExpEach FuzzCRTCombine; do \
 		$(GO) test -run '^$$' -fuzz="^$$t$$" -fuzztime=$(FUZZTIME) ./internal/mathx/; \
 	done; \
 	for t in FuzzParseCiphertext FuzzPrivateKeyUnmarshal FuzzReadBitStore FuzzEncryptCRTEquivalence; do \

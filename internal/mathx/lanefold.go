@@ -54,12 +54,13 @@ type laneGroup struct {
 	nWait   int
 }
 
-// newLaneGroup returns a group on the kernel of c, its operands at the
-// kernel's width and aligned to a cache line.
-func newLaneGroup(c *laneConsts) *laneGroup {
+// init puts an empty group on the kernel of c, its operands at the kernel's
+// width and aligned to a cache line: the one allocation a group makes, as
+// its accLane holds it by value.
+func (g *laneGroup) init(c *laneConsts) {
 	L := c.limbs
 	ops := alignedRows(make([]laneRow, 3*L+1), 3*L)
-	return &laneGroup{c: c, limbs: L, x: ops[:L:L], y: ops[L : 2*L : 2*L], z: ops[2*L:]}
+	*g = laneGroup{c: c, limbs: L, x: ops[:L:L], y: ops[L : 2*L : 2*L], z: ops[2*L:]}
 }
 
 // add queues a product and returns the products that multiplied meanwhile.
@@ -130,7 +131,7 @@ func (g *laneGroup) flush() int {
 func (a *MultiExpAcc) foldWindowLanes(j int, rows []uint64, exps []uint64, l *accLane) {
 	L := a.red.laneLimbs
 	shift, mask := uint(j)*a.w, uint64(1)<<a.w-1
-	win, g := &a.lwin[j], l.group
+	win, g := &a.lwin[j], &l.group
 	g.buckets, g.rows = win.limbs, rows
 	for i, e := range exps {
 		d := e >> shift & mask

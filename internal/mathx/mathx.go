@@ -115,77 +115,6 @@ func L(u, n *big.Int) (*big.Int, error) {
 	return quo, nil
 }
 
-// CRT holds precomputed values for recombining residues mod p and mod q into
-// a residue mod p·q via the Chinese Remainder Theorem.
-type CRT struct {
-	p, q *big.Int
-	// qInvP = q^-1 mod p
-	qInvP *big.Int
-	n     *big.Int
-}
-
-// NewCRT prepares CRT recombination for the coprime moduli p and q.
-func NewCRT(p, q *big.Int) (*CRT, error) {
-	if p == nil || q == nil || p.Sign() <= 0 || q.Sign() <= 0 {
-		return nil, ErrBadModulus
-	}
-	qInvP, err := ModInverse(q, p)
-	if err != nil {
-		return nil, fmt.Errorf("mathx: CRT moduli are not coprime: %w", err)
-	}
-	return &CRT{
-		p:     new(big.Int).Set(p),
-		q:     new(big.Int).Set(q),
-		qInvP: qInvP,
-		n:     new(big.Int).Mul(p, q),
-	}, nil
-}
-
-// N returns p·q.
-func (c *CRT) N() *big.Int { return new(big.Int).Set(c.n) }
-
-// Combine returns the unique x in [0, p·q) with x ≡ ap (mod p) and
-// x ≡ aq (mod q), using Garner's formula:
-//
-//	x = aq + q · ((ap - aq) · q^-1 mod p)
-func (c *CRT) Combine(ap, aq *big.Int) *big.Int {
-	h := new(big.Int).Sub(ap, aq)
-	h.Mul(h, c.qInvP)
-	h.Mod(h, c.p)
-	h.Mul(h, c.q)
-	h.Add(h, aq)
-	return h.Mod(h, c.n)
-}
-
-// ExpCRT computes base^exp mod p·q by exponentiating separately mod p and
-// mod q and recombining. For a 2k-bit modulus this is roughly 3-4x faster
-// than a direct Exp, which is the classic RSA/Paillier decryption speedup.
-func (c *CRT) ExpCRT(base, exp *big.Int) *big.Int {
-	bp := new(big.Int).Mod(base, c.p)
-	bq := new(big.Int).Mod(base, c.q)
-	// Reduce the exponent mod p-1 and q-1 (Fermat) when base is coprime to
-	// the prime modulus; when it is not (base ≡ 0 mod p), the power is 0 and
-	// the reduction is still harmless for exp > 0.
-	pm1 := new(big.Int).Sub(c.p, One)
-	qm1 := new(big.Int).Sub(c.q, One)
-	ep := new(big.Int).Mod(exp, pm1)
-	eq := new(big.Int).Mod(exp, qm1)
-	if exp.Sign() > 0 {
-		if ep.Sign() == 0 && bp.Sign() != 0 {
-			// base^k(p-1) ≡ 1; keep it explicit rather than computing Exp(.., 0).
-			bp.SetInt64(1)
-			ep.SetInt64(0)
-		}
-		if eq.Sign() == 0 && bq.Sign() != 0 {
-			bq.SetInt64(1)
-			eq.SetInt64(0)
-		}
-	}
-	ap := new(big.Int).Exp(bp, ep, c.p)
-	aq := new(big.Int).Exp(bq, eq, c.q)
-	return c.Combine(ap, aq)
-}
-
 // GeneratePrime returns a random prime with exactly bits bits. It retries
 // until crypto/rand yields a prime, mirroring crypto/rand.Prime but keeping
 // an explicit error path.

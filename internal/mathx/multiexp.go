@@ -71,7 +71,7 @@ type MultiExpAcc struct {
 // lane's counter off its neighbour's cache line.
 type accLane struct {
 	t, run []big.Word
-	group  *laneGroup
+	group  laneGroup
 	muls   int
 	_      [64]byte
 }
@@ -129,7 +129,7 @@ func (a *MultiExpAcc) growLanes(k int) {
 		buf := make([]big.Word, 3*n)
 		l := accLane{t: buf[: 2*n : 2*n], run: buf[2*n:]}
 		if a.lwin != nil {
-			l.group = newLaneGroup(a.red.lanes())
+			l.group.init(a.red.lanes())
 		}
 		a.lanes = append(a.lanes, l)
 	}

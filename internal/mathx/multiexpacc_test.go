@@ -247,6 +247,28 @@ func TestMultiExpAccAddDoesNotAllocate(t *testing.T) {
 	}
 }
 
+// TestNewAccAllocations: opening an accumulator on a lane modulus makes
+// five allocations: the accumulator, its windows, its lanes, the first
+// lane's chain scratch and that lane's aligned lane operands. Its lane
+// group lives in the lane itself.
+func TestNewAccAllocations(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	m := new(big.Int).Sub(new(big.Int).Lsh(One, 1024), big.NewInt(105))
+	red, err := NewReducer(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if red.laneLimbs == 0 {
+		t.Skip("no lane kernel on this CPU")
+	}
+	red.lanes() // built once per Reducer, not per accumulator
+	if got := testing.AllocsPerRun(100, func() { red.newAcc(4) }); got != 5 {
+		t.Errorf("newAcc on a lane modulus allocates %v times, want 5", got)
+	}
+}
+
 // TestResultsSameOnAnyLanes: on either kernel, the combined windows of two
 // accumulators sharing a Reducer (24 running sums at w = 4, three lane
 // batches on the lane kernel) are the same words whether their combine runs

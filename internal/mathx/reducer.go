@@ -113,9 +113,10 @@ func NewReducer(m *big.Int) (*Reducer, error) {
 // destination's storage overlaps an operand's, so they cannot share a
 // buffer. A Scratch may serve any Reducer, one call at a time; the zero
 // value is ready, and once its buffers have grown to the modulus a Mul
-// allocates nothing. GetScratch recycles them.
+// allocates nothing. GetScratch recycles them. h is CRT's Garner value,
+// an operand of the Mul it makes.
 type Scratch struct {
-	t, qmu, qm big.Int
+	t, qmu, qm, h big.Int
 }
 
 // Mul sets z = x·y mod m and returns z. z may alias x or y. The division-free

@@ -2,10 +2,9 @@ package paillier
 
 import (
 	"crypto/rand"
-	"fmt"
+	"io"
 	"math/big"
-
-	"privstats/internal/mathx"
+	"sync"
 )
 
 // CRT-accelerated encryption for key owners.
@@ -93,31 +92,49 @@ func (sk *PrivateKey) FreshRandomizerCRT() (*big.Int, error) {
 
 // refillRandomizers returns count fresh randomizers, all of whose
 // exponentiations run side by side: one ExpEach mod p² and one mod q², up to
-// eight lanes each where the lane kernel applies.
+// eight lanes each where the lane kernel applies, then one CombineEach, whose
+// Garner products take one lane product per eight. Every nonce of the refill
+// comes from one read of crypto/rand.
 func (sk *PrivateKey) refillRandomizers(count int) ([]*big.Int, error) {
-	// z uniform over Z*_N is, through the CRT isomorphism
-	// Z*_N ≅ Z*_p × Z*_q, the same as independent zp uniform over [1,p)
-	// and zq uniform over [1,q): the factors are prime, so every nonzero
-	// residue is a unit and the rejection-sampling gcd loop a uniform
-	// unit mod N would need disappears.
-	zp, zq := make([]*big.Int, count), make([]*big.Int, count)
-	for i := range zp {
-		var err error
-		if zp[i], err = rand.Int(rand.Reader, sk.pMinus1); err != nil {
-			return nil, fmt.Errorf("paillier: sampling encryption randomness: %w", err)
-		}
-		if zq[i], err = rand.Int(rand.Reader, sk.qMinus1); err != nil {
-			return nil, fmt.Errorf("paillier: sampling encryption randomness: %w", err)
-		}
-		zp[i].Add(zp[i], mathx.One)
-		zq[i].Add(zq[i], mathx.One)
+	w := ownerNonces.Get().(*nonces)
+	defer ownerNonces.Put(w)
+	zp, zq := w.take(count)
+	if err := sk.sampleNonces(rand.Reader, zp, zq); err != nil {
+		return nil, err
 	}
 	sk.p2.ExpEach(zp, zp, sk.P)
 	sk.q2.ExpEach(zq, zq, sk.Q)
-	for i := range zp {
-		zp[i] = sk.crt2.Combine(zp[i], zq[i])
+	rns := make([]*big.Int, count)
+	for i := range rns {
+		rns[i] = new(big.Int)
 	}
-	return zp, nil
+	sk.crt2.CombineEach(rns, zp, zq)
+	return rns, nil
+}
+
+// sampleNonces sets zp and zq to nonces read from rd: each zp[i] uniform over
+// [1, p) and each zq[i] over [1, q). z uniform over Z*_N is, through the CRT
+// isomorphism Z*_N ≅ Z*_p × Z*_q, the same as independent zp and zq uniform
+// over those ranges: the factors are prime, so every nonzero residue is a
+// unit and no gcd is taken.
+func (sk *PrivateKey) sampleNonces(rd io.Reader, zp, zq []*big.Int) error {
+	return sampleUnits(rd, unitDraw{z: zp, m: sk.P, prime: true}, unitDraw{z: zq, m: sk.Q, prime: true})
+}
+
+// nonces are a refill's zp and zq, which it samples, raises in place and
+// combines; ownerNonces recycles them, so that a refill allocates only the
+// randomizers it hands out.
+type nonces struct{ zp, zq []*big.Int }
+
+var ownerNonces = sync.Pool{New: func() any { return new(nonces) }}
+
+// take returns count values of each.
+func (w *nonces) take(count int) (zp, zq []*big.Int) {
+	for len(w.zp) < count {
+		w.zp = append(w.zp, new(big.Int))
+		w.zq = append(w.zq, new(big.Int))
+	}
+	return w.zp[:count], w.zq[:count]
 }
 
 // EncryptCRT returns a randomized encryption of m computed through the

@@ -53,6 +53,7 @@ func BenchmarkEncryptPublic(b *testing.B) {
 
 func BenchmarkEncryptCRT(b *testing.B) {
 	benchBits(func(b *testing.B, bits int) {
+		b.ReportAllocs()
 		sk := benchKey(b, bits)
 		m := big.NewInt(1)
 		b.ResetTimer()
@@ -66,6 +67,7 @@ func BenchmarkEncryptCRT(b *testing.B) {
 
 func BenchmarkFreshRandomizerCRT(b *testing.B) {
 	benchBits(func(b *testing.B, bits int) {
+		b.ReportAllocs()
 		sk := benchKey(b, bits)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

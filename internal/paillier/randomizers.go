@@ -2,6 +2,7 @@ package paillier
 
 import (
 	"crypto/rand"
+	"fmt"
 	"io"
 	"math/big"
 	"sync"
@@ -90,19 +91,95 @@ func (rs *randomizers) next() (*big.Int, error) {
 }
 
 // raiseUnits returns count randomizers r^N mod N² for units r of Z*_N read
-// from rd, raised with one ExpEach on red, the Reducer of N². Its callers are
-// a table entry's refill (lookupModulus) and a literal key's randomizer.
+// from rd, all of them with one read where none is turned away
+// (sampleUnits), raised with one ExpEach on red, the Reducer of N². Its
+// callers are a table entry's refill (lookupModulus) and a literal key's
+// randomizer.
 func raiseUnits(red *mathx.Reducer, rd io.Reader, n *big.Int, count int) ([]*big.Int, error) {
 	rs := make([]*big.Int, count)
 	for i := range rs {
-		r, err := mathx.RandUnit(rd, n)
-		if err != nil {
-			return nil, err
-		}
-		rs[i] = r
+		rs[i] = new(big.Int)
+	}
+	if err := sampleUnits(rd, unitDraw{z: rs, m: n}); err != nil {
+		return nil, err
 	}
 	red.ExpEach(rs, rs, n)
 	return rs, nil
+}
+
+// unitDraw asks sampleUnits for len(z) units of Z*_m, m > 1, into z. Where m
+// is prime every nonzero residue is a unit, and no gcd is taken.
+type unitDraw struct {
+	z     []*big.Int
+	m     *big.Int
+	prime bool
+}
+
+// maxUnitTries is how many candidates sampleUnits reads for one unit before
+// it gives up, as mathx.RandUnit does: only an overly smooth modulus turns
+// away that many.
+const maxUnitTries = 1000
+
+// sampleUnits sets every z[i] of each draw, in order, to a uniform unit of
+// Z*_m, reading rd as a run of mathx.RandUnit(rd, m) calls would: a
+// candidate is the next k bytes, big-endian, k the byte length of m − 1, its
+// top byte masked to m − 1's bit length, and it is kept if it is below m
+// (crypto/rand.Int's rule), nonzero and a unit; else the next candidate is
+// read. The first candidates of every draw come from one read of rd; only a
+// refused candidate costs another, for the bytes still to be drawn.
+func sampleUnits(rd io.Reader, draws ...unitDraw) error {
+	left := 0 // the first candidates' bytes not yet taken
+	for _, d := range draws {
+		if d.m.Cmp(mathx.One) <= 0 {
+			return fmt.Errorf("paillier: sampling a unit of Z*_%v: %w", d.m, mathx.ErrBadModulus)
+		}
+		k, _ := candidateShape(d.m)
+		left += k * len(d.z)
+	}
+	var buf []byte // read and not yet taken
+	var gcd big.Int
+	for _, d := range draws {
+		k, mask := candidateShape(d.m)
+		for _, z := range d.z {
+			for tries := 0; ; tries++ {
+				if tries == maxUnitTries {
+					return fmt.Errorf("paillier: no unit of Z*_%v after %d candidates (modulus is overly smooth)", d.m, tries)
+				}
+				if len(buf) < k {
+					more := make([]byte, left)
+					n := copy(more, buf)
+					if _, err := io.ReadFull(rd, more[n:]); err != nil {
+						return fmt.Errorf("paillier: sampling encryption randomness: %w", err)
+					}
+					buf = more
+				}
+				b := buf[:k]
+				buf = buf[k:]
+				b[0] &= mask
+				z.SetBytes(b)
+				if z.Sign() != 0 && z.Cmp(d.m) < 0 && (d.prime || gcd.GCD(nil, nil, z, d.m).Cmp(mathx.One) == 0) {
+					break
+				}
+			}
+			left -= k
+		}
+	}
+	return nil
+}
+
+// candidateShape returns crypto/rand.Int's candidate for a value below m > 1:
+// its length in bytes and the mask of its top byte, both from the bit length
+// of m − 1.
+func candidateShape(m *big.Int) (k int, mask byte) {
+	bits := m.BitLen()
+	if m.TrailingZeroBits() == uint(bits-1) { // m is a power of two
+		bits--
+	}
+	top := bits % 8
+	if top == 0 {
+		top = 8
+	}
+	return (bits + 7) / 8, byte(1<<top - 1)
 }
 
 // moduliCap is how many moduli the table holds. It bounds memory, not the

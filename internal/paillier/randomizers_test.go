@@ -1,7 +1,9 @@
 package paillier
 
 import (
+	"bytes"
 	"crypto/rand"
+	"io"
 	"math/big"
 	"slices"
 	"sync"
@@ -135,6 +137,113 @@ func TestModulusTableBounded(t *testing.T) {
 				t.Fatalf("evicted key: E(%d) rerandomized decrypts to %v, %v", i, m, err)
 			}
 		}
+	}
+}
+
+// toyKey is a key with p = 11 and q = 13, small enough that a test can draw
+// every residue.
+func toyKey(t *testing.T) *PrivateKey {
+	t.Helper()
+	sk, err := newPrivateKey(big.NewInt(11), big.NewInt(13))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sk
+}
+
+// TestSampleNoncesCoverResidues: on a toy key the owner's refill draws zp
+// over exactly [1, p) and zq over exactly [1, q), every residue of both,
+// about equally often (a chi-square statistic a uniform draw exceeds about
+// once in 10^5 runs).
+func TestSampleNoncesCoverResidues(t *testing.T) {
+	sk := toyKey(t)
+	const rounds, width = 250, 8
+	zp, zq := make([]*big.Int, width), make([]*big.Int, width)
+	for i := range zp {
+		zp[i], zq[i] = new(big.Int), new(big.Int)
+	}
+	counts := map[*big.Int][]int{sk.P: make([]int, 11), sk.Q: make([]int, 13)}
+	for r := 0; r < rounds; r++ {
+		if err := sk.sampleNonces(rand.Reader, zp, zq); err != nil {
+			t.Fatal(err)
+		}
+		for i := range zp {
+			counts[sk.P][zp[i].Int64()]++
+			counts[sk.Q][zq[i].Int64()]++
+		}
+	}
+	for m, c := range counts {
+		if c[0] != 0 {
+			t.Errorf("mod %v: 0 drawn %d times", m, c[0])
+		}
+		want := float64(rounds*width) / float64(len(c)-1)
+		chi2 := 0.0
+		for v, n := range c[1:] {
+			if n == 0 {
+				t.Errorf("mod %v: %d never drawn in %d draws", m, v+1, rounds*width)
+			}
+			chi2 += (float64(n) - want) * (float64(n) - want) / want
+		}
+		if chi2 > 45 {
+			t.Errorf("mod %v: chi-square %.1f over %d residues: %v", m, chi2, len(c)-1, c[1:])
+		}
+	}
+}
+
+// readCounter counts the reads of its reader.
+type readCounter struct {
+	r     io.Reader
+	reads int
+}
+
+func (c *readCounter) Read(b []byte) (int, error) {
+	c.reads++
+	return c.r.Read(b)
+}
+
+// TestSampleUnitsRedraws: every first candidate of a refill comes from one
+// read, and a candidate at or above the bound, zero, or (mod a composite)
+// not a unit is turned away for the next bytes of the reader, which only
+// then is read again. The toy key's candidates are one byte, masked to four
+// bits: 0xff is 15 ≥ 11, 0x10 is 0.
+func TestSampleUnitsRedraws(t *testing.T) {
+	sk := toyKey(t)
+	one := func() []*big.Int { return []*big.Int{new(big.Int)} }
+
+	rd := &readCounter{r: bytes.NewReader(bytes.Repeat([]byte{0x23}, 16))}
+	zp, zq := make([]*big.Int, 8), make([]*big.Int, 8)
+	for i := range zp {
+		zp[i], zq[i] = new(big.Int), new(big.Int)
+	}
+	if err := sk.sampleNonces(rd, zp, zq); err != nil {
+		t.Fatal(err)
+	}
+	if rd.reads != 1 || zp[7].Int64() != 3 || zq[7].Int64() != 3 {
+		t.Errorf("sixteen accepted candidates: %d reads, zp = %v, zq = %v; want 1 read of 3s", rd.reads, zp[7], zq[7])
+	}
+
+	rd = &readCounter{r: bytes.NewReader([]byte{0xff, 0x05, 0x10, 0x07})}
+	zp, zq = one(), one()
+	if err := sk.sampleNonces(rd, zp, zq); err != nil {
+		t.Fatal(err)
+	}
+	if zp[0].Int64() != 5 || zq[0].Int64() != 7 || rd.reads != 3 {
+		t.Errorf("after an out-of-range zp and a zero zq: zp = %v, zq = %v in %d reads; want 5 and 7 in 3", zp[0], zq[0], rd.reads)
+	}
+
+	z := one()
+	if err := sampleUnits(bytes.NewReader([]byte{0x03, 0x04}), unitDraw{z: z, m: big.NewInt(15)}); err != nil {
+		t.Fatal(err)
+	}
+	if z[0].Int64() != 4 {
+		t.Errorf("mod 15 from candidates 3, 4: %v, want 4 (3 is not a unit)", z[0])
+	}
+
+	if err := sk.sampleNonces(bytes.NewReader([]byte{0xff}), one(), one()); err == nil {
+		t.Error("a reader that runs dry: no error")
+	}
+	if err := sampleUnits(rand.Reader, unitDraw{z: one(), m: big.NewInt(1)}); err == nil {
+		t.Error("units of Z*_1: no error")
 	}
 }
 
