@@ -131,7 +131,7 @@ func sampleUnits(rd io.Reader, draws ...unitDraw) error {
 	left := 0 // the first candidates' bytes not yet taken
 	for _, d := range draws {
 		if d.m.Cmp(mathx.One) <= 0 {
-			return fmt.Errorf("paillier: sampling a unit of Z*_%v: %w", d.m, mathx.ErrBadModulus)
+			return fmt.Errorf("paillier: sampling a unit of Z*_m, m ≤ 1: %w", mathx.ErrBadModulus)
 		}
 		k, _ := candidateShape(d.m)
 		left += k * len(d.z)
@@ -143,7 +143,7 @@ func sampleUnits(rd io.Reader, draws ...unitDraw) error {
 		for _, z := range d.z {
 			for tries := 0; ; tries++ {
 				if tries == maxUnitTries {
-					return fmt.Errorf("paillier: no unit of Z*_%v after %d candidates (modulus is overly smooth)", d.m, tries)
+					return fmt.Errorf("paillier: no unit after %d candidates (modulus is overly smooth)", tries)
 				}
 				if len(buf) < k {
 					more := make([]byte, left)
@@ -183,12 +183,13 @@ func candidateShape(m *big.Int) (k int, mask byte) {
 }
 
 // moduliCap is how many moduli the table holds. It bounds memory, not the
-// traffic the batches serve: an entry of a 512-bit key, lane constants and a
-// part-used batch included, takes about 6 KB of heap (about 2 KB at 1024
-// bits, whose N² takes no lanes), so a full table stays under half a
-// megabyte. Traffic that cycles through more moduli finds every entry cold,
-// and a cold entry's first seal raises one r^N, as without the table
-// (BenchmarkSeal/fresh).
+// traffic the batches serve: an entry, its key's parse, lane constants and a
+// batch with seven r^N left included, takes about 9.3 KB of heap for a
+// 512-bit key and about 16.8 KB for a 1024-bit one, whose N² takes the
+// forty-limb lanes (161 rows of 64 bytes of constants), so a full table
+// holds about 0.6 MB at 512 bits and 1.1 MB at 1024. Traffic that cycles
+// through more moduli finds every entry cold, and a cold entry's first seal
+// raises one r^N, as without the table (BenchmarkSeal/fresh).
 const moduliCap = 64
 
 // modulus is what every PublicKey with one modulus N shares.
