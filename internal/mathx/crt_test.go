@@ -101,8 +101,9 @@ func crtInputs(p, q, x, y *big.Int, count int) (ap, aq []*big.Int) {
 // formula on big.Int returns, for any inputs, negative and oversized ones
 // included, at the factors and squared factors of 128-, 512- and 1024-bit
 // keys with p < q and p > q, in batches of one to eight, with the kernels
-// forced off and, where the CPU has IFMA, on the lanes; CombineEach also
-// with each z[i] being ap[i] and being aq[i].
+// forced off and, where the CPU has IFMA, on the lanes (checked, so that the
+// lane half is not the fallback twice); CombineEach also with each z[i]
+// being ap[i] and being aq[i].
 func FuzzCRTCombine(f *testing.F) {
 	for i := range crtTestPairs() {
 		f.Add(uint8(i), []byte{0x5e, 0xed}, []byte{0xc0, 0xde}, uint8(8))
@@ -128,6 +129,9 @@ func FuzzCRTCombine(f *testing.F) {
 			want[i] = combineRef(c.p, c.q, ap[i], aq[i])
 		}
 		for mode, crt := range c.crt {
+			if onLanes := crt.rp.Lanes() == laneCount; onLanes != (mode == 0 && hasIFMA) {
+				t.Fatalf("%s, kernels off = %v: on the lanes = %v", c.name, mode == 1, onLanes)
+			}
 			check := func(how string, got []*big.Int) {
 				t.Helper()
 				for i := range want {
@@ -167,20 +171,6 @@ func copyInts(xs []*big.Int) []*big.Int {
 		out[i] = new(big.Int).Set(x)
 	}
 	return out
-}
-
-// TestCombineEachLanes: the CRTs FuzzCRTCombine runs on a lane kernel are
-// there exactly where p's Reducer has one, so that the fuzz target's lane
-// half is not the fallback twice.
-func TestCombineEachLanes(t *testing.T) {
-	for _, c := range crtTestPairs() {
-		if hasIFMA && c.crt[0].rp.Lanes() != laneCount {
-			t.Errorf("%s: p of %d bits is not on the lanes", c.name, c.p.BitLen())
-		}
-		if c.crt[1].rp.Lanes() != 1 {
-			t.Errorf("%s: on the lanes under noKernel", c.name)
-		}
-	}
 }
 
 // TestCombineEachDoesNotAllocate: once its outputs have grown to p·q, a

@@ -49,16 +49,19 @@ import (
 // Fresh randomizers are independent, and all of a key's z^p mod p² share one
 // modulus and one exponent (and likewise mod q²), so FreshRandomizerCRT
 // computes them in batches: a refill samples up to Reducer.Lanes() pairs
-// (zp, zq), as many as the batch has handed out (randomizers.go), and raises
-// them with one Reducer.ExpEach per side, which on amd64 with
-// AVX512-IFMA runs eight exponentiations at once, one per 64-bit lane of a
-// ZMM register (ten radix-2^52 limbs per lane for a 512-bit key's p², twenty
-// for a 1024-bit key's). Each randomizer of a batch is handed out once
-// (randomizers.go). On a 2-vCPU Intel Xeon with AVX512-IFMA,
-// BenchmarkEncryptCRT takes ~15 µs per encryption (~68 µs without the lanes)
-// and BenchmarkFreshRandomizerCRT ~13.5 µs (~61 µs without the lanes). The
-// online cost collapses further once whole ciphertexts come out of an
-// owner-filled BitStore. The CRT arithmetic is pinned bit-exact by
+// (zp, zq), as many as the batch has handed out (randomizers.go), from one
+// read of crypto/rand, and raises them with one Reducer.ExpEach per side,
+// which on amd64 with AVX512-IFMA runs eight exponentiations at once, one per
+// 64-bit lane of a ZMM register (ten radix-2^52 limbs per lane for a 512-bit
+// key's p², twenty for a 1024-bit key's); one CRT.CombineEach recombines the
+// pairs, its Garner products eight at a time on p²'s lanes. Each randomizer
+// of a batch is handed out once (randomizers.go). On a 2-vCPU Intel Xeon
+// with AVX512-IFMA, in medians of five runs, BenchmarkEncryptCRT takes
+// ≈ 14.6 µs per encryption (~68 µs without the lanes) and
+// BenchmarkFreshRandomizerCRT ≈ 13.1 µs (~61 µs without the lanes), against
+// ≈ 15.5 and ≈ 15.3 µs in the same runs when the combine divided and each
+// nonce was its own crypto/rand.Int call. The online cost collapses further
+// once whole ciphertexts come out of an owner-filled BitStore. The CRT arithmetic is pinned bit-exact by
 // FuzzEncryptCRTEquivalence, at a 128-, a 512- and a 1024-bit key.
 //
 // The stock daemon cannot take any of these paths: it holds only public
