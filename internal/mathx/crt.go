@@ -48,6 +48,10 @@ func NewCRT(p, q *big.Int) (*CRT, error) {
 // N returns p·q.
 func (c *CRT) N() *big.Int { return new(big.Int).Set(c.n) }
 
+// ReducerP returns the Reducer mod p that Combine multiplies with, for a
+// caller that works mod p too.
+func (c *CRT) ReducerP() *Reducer { return c.rp }
+
 // Combine returns the unique x in [0, p·q) with x ≡ ap (mod p) and
 // x ≡ aq (mod q), using Garner's formula:
 //
@@ -132,8 +136,10 @@ func (c *CRT) CombineEach(z, ap, aq []*big.Int) {
 // combineLanes is CombineEach on p's lane kernel for at most eight pairs:
 // the differences d < p go into the lanes as they are, which the kernel's
 // contract (inputs below 2p) allows, one lane product by qInvP·R gives
-// d·qInvP mod p below 2p, and one conditional subtraction per lane finishes
-// it. Lanes past len(z) multiply 0.
+// d·qInvP mod p below 2p, and readLane's conditional subtraction finishes
+// it. That product can reach a word past p's own (it is h + p for a small
+// h where p is just below 2^(64·words)), which readLane reads too. Lanes
+// past len(z) multiply 0.
 func (c *CRT) combineLanes(z, ap, aq []*big.Int, s *Scratch) {
 	lc := c.rp.lanes()
 	qInv := c.qInvLane(lc)
@@ -153,12 +159,8 @@ func (c *CRT) combineLanes(z, ap, aq []*big.Int, s *Scratch) {
 			hw = make([]big.Word, n)
 		}
 		hw = hw[:n]
-		d.get(l, hw)
-		h := s.h.SetBits(hw)
-		if h.Cmp(c.p) >= 0 {
-			h.Sub(h, c.p)
-		}
-		c.join(zl, h, aqs[l], s)
+		c.rp.readLane(hw, d, l)
+		c.join(zl, s.h.SetBits(hw), aqs[l], s)
 	}
 }
 

@@ -49,21 +49,36 @@ func crtTestPairs() []crtPair {
 			for _, pq := range [][3]any{
 				{"p<q", a, b}, {"p>q", b, a}, {"p²<q²", a2, b2}, {"p²>q²", b2, a2},
 			} {
-				c := crtPair{name: fmt.Sprintf("%d-bit key %s", 2*bits, pq[0]), p: pq[1].(*big.Int), q: pq[2].(*big.Int)}
-				for i, on := range []bool{true, false} {
-					noKernel.Store(!on)
-					crt, err := NewCRT(c.p, c.q)
-					noKernel.Store(false)
-					if err != nil {
-						panic(err)
-					}
-					c.crt[i] = crt
-				}
-				crtPairs = append(crtPairs, c)
+				crtPairs = append(crtPairs, newCRTPair(fmt.Sprintf("%d-bit key %s", 2*bits, pq[0]), pq[1].(*big.Int), pq[2].(*big.Int)))
 			}
+		}
+		// p one below a word boundary, 2^512 − 1 and 2^1024 − 1 (the widest
+		// moduli of the ten- and twenty-limb lanes), with q = p + 2 and
+		// q = (p − 1)/2, both coprime to p: a lane product mod such a p
+		// comes out at or above 2^(64·words of p) when it is h + p.
+		for _, bits := range []uint{512, 1024} {
+			p := new(big.Int).Sub(new(big.Int).Lsh(One, bits), One)
+			crtPairs = append(crtPairs,
+				newCRTPair(fmt.Sprintf("p = 2^%d − 1 < q", bits), p, new(big.Int).Add(p, Two)),
+				newCRTPair(fmt.Sprintf("p = 2^%d − 1 > q", bits), p, new(big.Int).Rsh(p, 1)))
 		}
 	})
 	return crtPairs
+}
+
+// newCRTPair builds p and q's CRT with the kernels on and with them off.
+func newCRTPair(name string, p, q *big.Int) crtPair {
+	c := crtPair{name: name, p: p, q: q}
+	for i, on := range []bool{true, false} {
+		noKernel.Store(!on)
+		crt, err := NewCRT(c.p, c.q)
+		noKernel.Store(false)
+		if err != nil {
+			panic(err)
+		}
+		c.crt[i] = crt
+	}
+	return c
 }
 
 // combineRef is Garner's formula on big.Int, reducing at every step: what
@@ -80,7 +95,9 @@ func combineRef(p, q, ap, aq *big.Int) *big.Int {
 
 // crtInputs returns count residue pairs for p and q from x and y: in range,
 // at the edges (0, p − 1, q − 1), at and above the moduli, and negative,
-// cycled with an offset.
+// cycled with an offset. Of two or more, the last pair's answer is
+// aq mod q + q·h with a small h, 1 + x mod 4: CombineEach's lane product
+// is then h + p wherever p² is well above the lanes' R.
 func crtInputs(p, q, x, y *big.Int, count int) (ap, aq []*big.Int) {
 	special := func(m, v *big.Int) []*big.Int {
 		return []*big.Int{
@@ -93,6 +110,13 @@ func crtInputs(p, q, x, y *big.Int, count int) (ap, aq []*big.Int) {
 		off := big.NewInt(int64(i / len(sp)))
 		ap = append(ap, new(big.Int).Add(sp[i%len(sp)], off))
 		aq = append(aq, new(big.Int).Add(sq[(i*3+1)%len(sq)], off))
+	}
+	if count > 1 {
+		h := new(big.Int).Mod(x, big.NewInt(4))
+		h.Add(h, One)
+		last := new(big.Int).Mod(aq[count-1], q)
+		last.Add(last, h.Mul(h, q))
+		ap[count-1] = last.Mod(last, p)
 	}
 	return ap, aq
 }

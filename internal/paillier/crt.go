@@ -4,7 +4,6 @@ import (
 	"crypto/rand"
 	"io"
 	"math/big"
-	"sync"
 )
 
 // CRT-accelerated encryption for key owners.
@@ -99,20 +98,17 @@ func (sk *PrivateKey) FreshRandomizerCRT() (*big.Int, error) {
 // Garner products take one lane product per eight. Every nonce of the refill
 // comes from one read of crypto/rand.
 func (sk *PrivateKey) refillRandomizers(count int) ([]*big.Int, error) {
-	w := ownerNonces.Get().(*nonces)
-	defer ownerNonces.Put(w)
-	zp, zq := w.take(count)
+	zp, zq := make([]*big.Int, count), make([]*big.Int, count)
+	for i := range zp {
+		zp[i], zq[i] = new(big.Int), new(big.Int)
+	}
 	if err := sk.sampleNonces(rand.Reader, zp, zq); err != nil {
 		return nil, err
 	}
 	sk.p2.ExpEach(zp, zp, sk.P)
 	sk.q2.ExpEach(zq, zq, sk.Q)
-	rns := make([]*big.Int, count)
-	for i := range rns {
-		rns[i] = new(big.Int)
-	}
-	sk.crt2.CombineEach(rns, zp, zq)
-	return rns, nil
+	sk.crt2.CombineEach(zp, zp, zq)
+	return zp, nil
 }
 
 // sampleNonces sets zp and zq to nonces read from rd: each zp[i] uniform over
@@ -122,22 +118,6 @@ func (sk *PrivateKey) refillRandomizers(count int) ([]*big.Int, error) {
 // unit and no gcd is taken.
 func (sk *PrivateKey) sampleNonces(rd io.Reader, zp, zq []*big.Int) error {
 	return sampleUnits(rd, unitDraw{z: zp, m: sk.P, prime: true}, unitDraw{z: zq, m: sk.Q, prime: true})
-}
-
-// nonces are a refill's zp and zq, which it samples, raises in place and
-// combines; ownerNonces recycles them, so that a refill allocates only the
-// randomizers it hands out.
-type nonces struct{ zp, zq []*big.Int }
-
-var ownerNonces = sync.Pool{New: func() any { return new(nonces) }}
-
-// take returns count values of each.
-func (w *nonces) take(count int) (zp, zq []*big.Int) {
-	for len(w.zp) < count {
-		w.zp = append(w.zp, new(big.Int))
-		w.zq = append(w.zq, new(big.Int))
-	}
-	return w.zp[:count], w.zq[:count]
 }
 
 // EncryptCRT returns a randomized encryption of m computed through the

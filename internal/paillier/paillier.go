@@ -87,7 +87,7 @@ type PrivateKey struct {
 
 	// p2 and q2 exponentiate mod p² and q²: every owner exponentiation,
 	// decryption's and encryption's, goes through them (mathx.Reducer.Exp
-	// and ExpEach).
+	// and ExpEach). p2 is crt2's own Reducer mod p².
 	p2, q2 *mathx.Reducer
 
 	// fresh holds FreshRandomizerCRT's refills (crt.go). It is a pointer
@@ -141,10 +141,7 @@ func newPrivateKey(p, q *big.Int) (*PrivateKey, error) {
 	if err != nil {
 		return nil, fmt.Errorf("paillier: building CRT² state: %w", err)
 	}
-	p2, err := mathx.NewReducer(pSquared)
-	if err != nil {
-		return nil, fmt.Errorf("paillier: p²: %w", err)
-	}
+	p2 := crt2.ReducerP()
 	q2, err := mathx.NewReducer(qSquared)
 	if err != nil {
 		return nil, fmt.Errorf("paillier: q²: %w", err)
