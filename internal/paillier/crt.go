@@ -56,9 +56,9 @@ import (
 // pairs, its Garner products eight at a time on p²'s lanes. Each randomizer
 // of a batch is handed out once (randomizers.go). On a 2-vCPU Intel Xeon
 // with AVX512-IFMA, in medians of five runs, BenchmarkEncryptCRT takes
-// ≈ 14.6 µs per encryption (~68 µs without the lanes) and
-// BenchmarkFreshRandomizerCRT ≈ 13.1 µs (~61 µs without the lanes), against
-// ≈ 15.5 and ≈ 15.3 µs in the same runs when the combine divided and each
+// ≈ 13.6 µs per encryption (~68 µs without the lanes) and
+// BenchmarkFreshRandomizerCRT ≈ 12.8 µs (~61 µs without the lanes), against
+// ≈ 15.2 and ≈ 14.5 µs in the same runs when the combine divided and each
 // nonce was its own crypto/rand.Int call. The online cost collapses further
 // once whole ciphertexts come out of an owner-filled BitStore. The CRT arithmetic is pinned bit-exact by
 // FuzzEncryptCRTEquivalence, at a 128-, a 512- and a 1024-bit key.
