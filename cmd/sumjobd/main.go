@@ -193,6 +193,7 @@ func main() {
 		log.Fatalf("sumjobd: %v", err)
 	}
 	g.Close()
+	client.CloseIdle()
 	if remote != nil {
 		remote.Close()
 	}

@@ -106,6 +106,10 @@ func (a *Aggregator) Epochs() *Epochs { return a.epochs }
 
 var _ server.Handler = (*Aggregator)(nil)
 
+// CloseIdle closes the backend connections the aggregator keeps between
+// sessions. The hosting server calls it when it stops.
+func (a *Aggregator) CloseIdle() { a.client.CloseIdle() }
+
 // shardBuffer hands a shard's chunk slices to its fan-out worker. It
 // retains everything so a failed backend attempt can be replayed against a
 // replica from the start: the first attempt streams through the buffer as

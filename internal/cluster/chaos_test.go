@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/big"
 	"net"
+	"sync"
 	"testing"
 	"time"
 
@@ -36,11 +37,53 @@ func classified(err error) bool {
 		errors.Is(err, context.DeadlineExceeded)
 }
 
+// connLog counts the sessions each backend connection served and keeps the
+// fault-wrapped connection itself, keyed by the connection's two addresses.
+type connLog struct {
+	mu       sync.Mutex
+	sessions map[string]int
+	conns    map[string]*faultnet.Conn
+}
+
+func newConnLog() *connLog {
+	return &connLog{sessions: make(map[string]int), conns: make(map[string]*faultnet.Conn)}
+}
+
+// wrap is the backends' server.Config.WrapConn: called once per session.
+// A connection's first session gets the accepted faultnet.Conn itself.
+func (l *connLog) wrap(c net.Conn) (*wire.Conn, error) {
+	key := c.LocalAddr().String() + "|" + c.RemoteAddr().String()
+	l.mu.Lock()
+	l.sessions[key]++
+	if fc, ok := c.(*faultnet.Conn); ok {
+		l.conns[key] = fc
+	}
+	l.mu.Unlock()
+	return wire.NewConn(c), nil
+}
+
+// kept reports how many connections served more than one session, and the
+// resets injected on them. A reset kills its connection, so every one of
+// those landed after the connection's first session.
+func (l *connLog) kept() (conns int, resets int64) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for key, n := range l.sessions {
+		if n > 1 {
+			conns++
+			if fc := l.conns[key]; fc != nil {
+				resets += fc.Stats().Resets
+			}
+		}
+	}
+	return conns, resets
+}
+
 // startFaultBackend serves shard through the stock server runtime behind a
 // fault-injecting listener and returns its address plus the injector.
-func startFaultBackend(t *testing.T, shard *database.Table, plan faultnet.Plan) (string, *faultnet.Listener) {
+func startFaultBackend(t *testing.T, shard *database.Table, plan faultnet.Plan, log *connLog) (string, *faultnet.Listener) {
 	t.Helper()
-	srv, err := server.New(shard, server.Config{Logf: discardLogf, IdleTimeout: time.Second})
+	srv, err := server.New(shard, server.Config{Logf: discardLogf, IdleTimeout: time.Second, WrapConn: log.wrap})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,6 +114,10 @@ type chaosCluster struct {
 	fanout    *Client        // the proxy's backend client (metrics)
 	proxy     *server.Server // the hosting runtime (/stats)
 	listeners []*faultnet.Listener
+	backends  *connLog // sessions per backend connection
+	// freshDials closes the fan-out's kept connections before every
+	// query, so that every query's fan-out dials its backends.
+	freshDials bool
 }
 
 // injected sums fault accounting across every backend injector.
@@ -105,7 +152,7 @@ func (cc *chaosCluster) reconcile(t *testing.T) {
 // with acfg in front fanning out through a client built from ccfg.
 func startChaosCluster(t *testing.T, table *database.Table, k, r int, planFor func(shard, replica int) faultnet.Plan, ccfg ClientConfig, acfg AggregatorConfig) *chaosCluster {
 	t.Helper()
-	cc := &chaosCluster{}
+	cc := &chaosCluster{backends: newConnLog()}
 	ranges := make([]Shard, k)
 	lo := 0
 	for i := 0; i < k; i++ {
@@ -122,7 +169,7 @@ func startChaosCluster(t *testing.T, table *database.Table, k, r int, planFor fu
 			t.Fatal(err)
 		}
 		for rep := 0; rep < r; rep++ {
-			addr, fl := startFaultBackend(t, shardTable, planFor(i, rep))
+			addr, fl := startFaultBackend(t, shardTable, planFor(i, rep), cc.backends)
 			ranges[i].Backends = append(ranges[i].Backends, addr)
 			cc.listeners = append(cc.listeners, fl)
 		}
@@ -160,6 +207,9 @@ func runChaosQueries(t *testing.T, cc *chaosCluster, outer ClientConfig, n int) 
 	_, sel, want := chaosFixture(t)
 	client := NewClient(outer)
 	for q := 0; q < n; q++ {
+		if cc.freshDials {
+			cc.fanout.CloseIdle()
+		}
 		ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
 		got, err := client.Query(ctx, []string{cc.addr}, sk, sel, 8, nil)
 		cancel()
@@ -230,6 +280,39 @@ func TestChaosResets(t *testing.T) {
 	}
 	if inj := cc.injected(); inj.Resets == 0 {
 		t.Error("fault plan injected no resets — test is vacuous, adjust seed or rates")
+	}
+	cc.reconcile(t)
+}
+
+// TestChaosReusedConnResets: the backend links of TestChaosResets, with
+// the fan-out keeping its connections between queries, so that resets land
+// on a kept connection's second and later sessions. Each must be retried or
+// classified exactly as a reset on a new connection is.
+func TestChaosReusedConnResets(t *testing.T) {
+	testutil.GuardGoroutines(t)
+	table, _, _ := chaosFixture(t)
+	plan := func(shard, rep int) faultnet.Plan {
+		return faultnet.Plan{
+			Seed:  int64(9500 + shard*10 + rep),
+			Read:  faultnet.Spec{Reset: 0.05},
+			Write: faultnet.Spec{Reset: 0.05},
+		}
+	}
+	cc := startChaosCluster(t, table, 2, 2, plan, chaosFanoutConfig(), AggregatorConfig{ShardTimeout: 5 * time.Second})
+	correct, failed := runChaosQueries(t, cc, chaosOuterConfig(), 60)
+	kept, late := cc.backends.kept()
+	cs := cc.fanout.Metrics().Snapshot()
+	t.Logf("reused resets: %d correct, %d classified failures, injected %+v", correct, failed, cc.injected())
+	t.Logf("%d backend connections served more than one session; %d resets landed on them after their first; fanout retries=%d failovers=%d",
+		kept, late, cs.Retries, cs.Failovers)
+	if correct == 0 {
+		t.Fatal("no query succeeded under 5% resets on kept connections")
+	}
+	if kept == 0 {
+		t.Error("no backend connection served a second session — nothing was reused")
+	}
+	if late == 0 {
+		t.Error("no reset landed on a kept connection's later session — test is vacuous")
 	}
 	cc.reconcile(t)
 }
@@ -340,7 +423,8 @@ func TestChaosMidFrameKill(t *testing.T) {
 
 // TestChaosDialRefusals routes the proxy's fan-out through a
 // faultnet.Dialer that refuses 10% of dials: refusals must convert to
-// retries/failovers, never to wrong answers or unclassified errors.
+// retries/failovers, never to wrong answers or unclassified errors. A
+// refusal can only meet a dial, so every query's fan-out dials afresh.
 func TestChaosDialRefusals(t *testing.T) {
 	testutil.GuardGoroutines(t)
 	table, _, _ := chaosFixture(t)
@@ -349,6 +433,7 @@ func TestChaosDialRefusals(t *testing.T) {
 	ccfg := chaosFanoutConfig()
 	ccfg.Dial = d.DialContext
 	cc := startChaosCluster(t, table, 2, 2, clean, ccfg, AggregatorConfig{ShardTimeout: 5 * time.Second})
+	cc.freshDials = true
 
 	correct, failed := runChaosQueries(t, cc, chaosOuterConfig(), 40)
 	t.Logf("refusals: %d correct, %d classified failures, dialer %+v", correct, failed, d.Stats())

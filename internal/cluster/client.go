@@ -10,6 +10,7 @@ import (
 	"net"
 	"strings"
 	"sync"
+	"syscall"
 	"time"
 
 	"privstats/internal/database"
@@ -37,7 +38,8 @@ type ClientConfig struct {
 	DialTimeout time.Duration
 	// IOTimeout is the per-frame idle/write deadline on backend sessions:
 	// a backend that stalls longer than this mid-session fails the attempt
-	// (and the attempt fails over).
+	// (and the attempt fails over). It also bounds how long a kept
+	// connection may idle: one idle longer is closed, not reused.
 	IOTimeout time.Duration
 	// Retries is the extra attempts after the first, spread across the
 	// candidate backends. Negative means no retries at all.
@@ -47,11 +49,11 @@ type ClientConfig struct {
 	Backoff time.Duration
 	// MaxBackoff caps the exponential growth.
 	MaxBackoff time.Duration
-	// MaxConnsPerBackend bounds concurrent sessions per backend. The
-	// protocol is one session per connection (the server closes the
-	// connection after the sum), so the pool manages connection slots, not
-	// idle sockets: holding warm idle connections would pin server
-	// admission slots and be reaped by its idle timeout.
+	// MaxConnsPerBackend bounds concurrent sessions per backend, and the
+	// idle connections kept per backend between sessions. An idle
+	// connection takes no session slot here and no admission slot at the
+	// server, which admits each session on a kept connection when its
+	// first frame arrives.
 	MaxConnsPerBackend int
 	// ProbeAfter is how long a backend marked down is skipped before one
 	// attempt is let through as a probe; the penalty doubles (capped at
@@ -98,12 +100,12 @@ func (c ClientConfig) withDefaults() ClientConfig {
 	return c
 }
 
-// Client is the production client runtime: per-backend connection slots,
-// dial/IO timeouts, bounded retry with exponential backoff and jitter, and
-// failover across a candidate list steered by per-backend health. One
-// Client is meant to be shared: the aggregator uses one for all shards,
-// and cmd/sumclient builds one from its flags. All methods are safe for
-// concurrent use.
+// Client is the production client runtime: per-backend session slots,
+// connections kept open across sessions, dial/IO timeouts, bounded retry
+// with exponential backoff and jitter, and failover across a candidate
+// list steered by per-backend health. One Client is meant to be shared:
+// the aggregator uses one for all shards, and cmd/sumclient builds one
+// from its flags. All methods are safe for concurrent use.
 type Client struct {
 	cfg ClientConfig
 	m   *metrics.ClusterMetrics
@@ -111,6 +113,7 @@ type Client struct {
 	mu     sync.Mutex
 	health map[string]*backendHealth
 	slots  map[string]chan struct{}
+	idle   map[string]*idlePool
 
 	// now and sleep are stubbed in tests.
 	now   func() time.Time
@@ -129,6 +132,7 @@ func NewClient(cfg ClientConfig) *Client {
 		m:      m,
 		health: make(map[string]*backendHealth),
 		slots:  make(map[string]chan struct{}),
+		idle:   make(map[string]*idlePool),
 		now:    time.Now,
 		sleep:  sleepCtx,
 	}
@@ -312,44 +316,130 @@ func (c *Client) hedgedDial(ctx context.Context, addr string) (net.Conn, error) 
 	}
 }
 
-// dial opens a framed session to addr with deadlines armed. It consumes a
-// connection slot; Close the session to release it.
-func (c *Client) dial(ctx context.Context, addr string) (*Session, error) {
-	release, err := c.slot(ctx, addr)
-	if err != nil {
-		return nil, err
+// idlePool is one backend's connections kept between sessions, newest
+// last, and the end of a window in which it keeps none.
+type idlePool struct {
+	conns    []idleConn
+	offUntil time.Time
+}
+
+type idleConn struct {
+	conn  net.Conn
+	since time.Time
+}
+
+// poolOf returns addr's idle pool; c.mu must be held.
+func (c *Client) poolOf(addr string) *idlePool {
+	p := c.idle[addr]
+	if p == nil {
+		p = &idlePool{}
+		c.idle[addr] = p
 	}
-	conn, err := c.hedgedDial(ctx, addr)
-	if err != nil {
-		release()
-		return nil, fmt.Errorf("cluster: dial %s: %w", addr, err)
+	return p
+}
+
+// takeIdle returns addr's most recently kept connection, or nil. A
+// connection idle longer than IOTimeout is closed instead, and with it
+// every older one.
+func (c *Client) takeIdle(addr string) net.Conn {
+	now := c.now()
+	c.mu.Lock()
+	p := c.poolOf(addr)
+	if len(p.conns) == 0 {
+		c.mu.Unlock()
+		return nil
 	}
+	last := p.conns[len(p.conns)-1]
+	if now.Sub(last.since) <= c.cfg.IOTimeout {
+		p.conns = p.conns[:len(p.conns)-1]
+		c.mu.Unlock()
+		return last.conn
+	}
+	stale := p.conns
+	p.conns = nil
+	c.mu.Unlock()
+	for _, ic := range stale {
+		ic.conn.Close()
+	}
+	return nil
+}
+
+// keep puts conn, whose session completed, on addr's idle list; it closes
+// conn instead when the list is full or pooling is paused for addr.
+func (c *Client) keep(addr string, conn net.Conn) {
+	now := c.now()
+	c.mu.Lock()
+	p := c.poolOf(addr)
+	if now.Before(p.offUntil) || len(p.conns) >= c.cfg.MaxConnsPerBackend {
+		c.mu.Unlock()
+		conn.Close()
+		return
+	}
+	p.conns = append(p.conns, idleConn{conn: conn, since: now})
+	c.mu.Unlock()
+}
+
+// pausePooling keeps no connection to addr for one ProbeAfter window: its
+// server closed a kept one, as a restarted server or one that closes after
+// every reply does.
+func (c *Client) pausePooling(addr string) {
+	until := c.now().Add(c.cfg.ProbeAfter)
+	c.mu.Lock()
+	p := c.poolOf(addr)
+	p.offUntil = until
+	stale := p.conns
+	p.conns = nil
+	c.mu.Unlock()
+	for _, ic := range stale {
+		ic.conn.Close()
+	}
+}
+
+// CloseIdle closes every connection kept between sessions. Sessions in
+// flight are untouched, and later ones keep their connections again; a
+// daemon calls it on shutdown.
+func (c *Client) CloseIdle() {
+	c.mu.Lock()
+	var stale []idleConn
+	for _, p := range c.idle {
+		stale = append(stale, p.conns...)
+		p.conns = nil
+	}
+	c.mu.Unlock()
+	for _, ic := range stale {
+		ic.conn.Close()
+	}
+}
+
+// newSession frames one session on conn with deadlines armed. Every
+// session gets its own wire.Conn, so CRC, trace ID, frame ceiling and meter
+// start clean on a kept connection.
+func (c *Client) newSession(addr string, conn net.Conn) *Session {
 	wc := wire.NewConn(conn)
 	wc.SetIdleTimeout(c.cfg.IOTimeout)
 	wc.SetWriteTimeout(c.cfg.IOTimeout)
 	if c.cfg.UseCRC {
 		wc.EnableCRC()
 	}
-	return &Session{Addr: addr, Conn: wc, raw: conn, release: release}, nil
+	return &Session{Addr: addr, Conn: wc}
 }
 
-// Session is one framed backend connection plus its pool slot.
+// Session is one framed backend session: a fresh framing on a new or kept
+// connection.
 type Session struct {
 	Addr string
 	Conn *wire.Conn
-
-	raw       net.Conn
-	release   func()
-	closeOnce sync.Once
 }
 
-// Close closes the connection and releases the pool slot. Safe to call
-// more than once.
-func (s *Session) Close() {
-	s.closeOnce.Do(func() {
-		s.raw.Close()
-		s.release()
-	})
+// closedUnread reports whether a session failed the way one on a
+// connection its server had already closed fails: EOF, reset or broken
+// pipe before the first reply frame.
+func closedUnread(s *Session, err error) bool {
+	if _, _, _, framesIn := s.Conn.Meter.Snapshot(); framesIn > 0 {
+		return false
+	}
+	return errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) ||
+		errors.Is(err, syscall.ECONNRESET) || errors.Is(err, syscall.EPIPE)
 }
 
 // IsBusy reports whether err is a server admission-control busy rejection
@@ -457,8 +547,10 @@ type DoStats struct {
 
 // Do runs fn against the candidate backends (primary first) with bounded
 // retry, backoff, and failover. fn receives a fresh session and must
-// complete one protocol exchange on it; Do closes the session afterwards.
-// It returns the address that served the successful attempt.
+// complete one protocol exchange on it, reading every reply frame before it
+// returns nil: Do then keeps the session's connection for a later session,
+// and closes it after any error. It returns the address that served the
+// successful attempt.
 func (c *Client) Do(ctx context.Context, backends []string, fn func(s *Session) error) (string, error) {
 	addr, _, err := c.DoStats(ctx, backends, fn)
 	return addr, err
@@ -510,17 +602,13 @@ func (c *Client) DoStats(ctx context.Context, backends []string, fn func(s *Sess
 	return "", st, &ExhaustedError{Attempts: attempts, Last: lastErr}
 }
 
-// attempt runs one dial + fn cycle against addr with metrics and health
+// attempt runs one session of fn against addr with metrics and health
 // bookkeeping.
 func (c *Client) attempt(ctx context.Context, addr string, fn func(s *Session) error) error {
 	bm := c.m.Backend(addr)
 	bm.Sessions.Inc()
 	start := c.now()
-	s, err := c.dial(ctx, addr)
-	if err == nil {
-		err = fn(s)
-		s.Close()
-	}
+	err := c.run(ctx, addr, fn)
 	if err != nil {
 		bm.Errors.Inc()
 		if IsBusy(err) {
@@ -535,6 +623,41 @@ func (c *Client) attempt(ctx context.Context, addr string, fn func(s *Session) e
 	bm.FanoutNanos.ObserveDuration(c.now().Sub(start))
 	c.noteSuccess(addr)
 	return nil
+}
+
+// run holds one of addr's session slots while fn runs on a kept connection,
+// or on a new one when none is idle. A kept connection that its server had
+// already closed costs one rerun of fn on a new connection, which counts as
+// neither a retry nor a failure, and pauses pooling for addr. The
+// connection is kept again only after a session that completed and was not
+// cancelled.
+func (c *Client) run(ctx context.Context, addr string, fn func(s *Session) error) error {
+	release, err := c.slot(ctx, addr)
+	if err != nil {
+		return err
+	}
+	defer release()
+	conn := c.takeIdle(addr)
+	for kept := conn != nil; ; kept = false {
+		if conn == nil {
+			if conn, err = c.hedgedDial(ctx, addr); err != nil {
+				return fmt.Errorf("cluster: dial %s: %w", addr, err)
+			}
+		}
+		s := c.newSession(addr, conn)
+		if err = fn(s); err == nil || !kept || !closedUnread(s, err) {
+			break
+		}
+		conn.Close()
+		conn = nil
+		c.pausePooling(addr)
+	}
+	if err == nil && ctx.Err() == nil {
+		c.keep(addr, conn)
+	} else {
+		conn.Close()
+	}
+	return err
 }
 
 // Query runs one selected-sum query with the runtime's full retry/failover

@@ -16,7 +16,6 @@ import (
 	"privstats/internal/paillier"
 	"privstats/internal/selectedsum"
 	"privstats/internal/server"
-	"privstats/internal/testutil"
 	"privstats/internal/wire"
 )
 
@@ -60,7 +59,7 @@ func fixture(t testing.TB, n, m int, seed int64) (*database.Table, *database.Sel
 
 // startBackend serves one shard table on loopback TCP through the stock
 // server runtime and returns its address.
-func startBackend(t *testing.T, shard *database.Table) string {
+func startBackend(t testing.TB, shard *database.Table) string {
 	t.Helper()
 	srv, err := server.New(shard, server.Config{Logf: discardLogf})
 	if err != nil {
@@ -71,7 +70,7 @@ func startBackend(t *testing.T, shard *database.Table) string {
 
 // startProxy hosts an aggregator over sm on the server runtime and returns
 // its address plus the hosting server (for /stats assertions).
-func startProxy(t *testing.T, sm *ShardMap, client *Client) (string, *server.Server) {
+func startProxy(t testing.TB, sm *ShardMap, client *Client) (string, *server.Server) {
 	t.Helper()
 	agg, err := NewAggregator(sm, client)
 	if err != nil {
@@ -84,12 +83,19 @@ func startProxy(t *testing.T, sm *ShardMap, client *Client) (string, *server.Ser
 	return serveOn(t, srv), srv
 }
 
-func serveOn(t *testing.T, srv *server.Server) string {
+func serveOn(t testing.TB, srv *server.Server) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
+	serveListener(t, srv, ln)
+	return ln.Addr().String()
+}
+
+// serveListener serves srv on ln until the test ends.
+func serveListener(t testing.TB, srv *server.Server, ln net.Listener) {
+	t.Helper()
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
 	t.Cleanup(func() {
@@ -102,13 +108,12 @@ func serveOn(t *testing.T, srv *server.Server) string {
 			t.Error("Serve did not return after Shutdown")
 		}
 	})
-	return ln.Addr().String()
 }
 
 // startCluster shards table over k backends (1 node per shard) and starts
 // an aggregator in front; it returns the proxy address, the hosting
 // server, and the fan-out client.
-func startCluster(t *testing.T, table *database.Table, k int) (string, *server.Server, *Client) {
+func startCluster(t testing.TB, table *database.Table, k int) (string, *server.Server, *Client) {
 	t.Helper()
 	groups := make([][]string, k)
 	// Compute the ranges first, then start one backend per range.
@@ -244,10 +249,10 @@ func TestClusterFailover(t *testing.T) {
 		t.Errorf("live replica sessions = %d, want >= 1", bs.Sessions)
 	}
 	// The hosting runtime completed the session despite the mid-run death
-	// (it counts the completion after flushing the reply we already hold).
-	testutil.Eventually(t, 5*time.Second, "the proxy to count its completed session", func() bool {
-		return srv.Metrics().SessionsCompleted.Value() == 1
-	})
+	// (it counts the completion before writing the reply we already hold).
+	if got := srv.Metrics().SessionsCompleted.Value(); got != 1 {
+		t.Errorf("proxy completed sessions = %d, want 1", got)
+	}
 
 	// A second query skips the dead primary without burning an attempt on
 	// it (health window is a minute): no new errors against it.

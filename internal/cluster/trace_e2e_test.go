@@ -116,19 +116,17 @@ func TestTracePropagationEndToEnd(t *testing.T) {
 		t.Errorf("sum = %v, want %v", sum, want)
 	}
 
-	// The aggregator finishes its trace after replying, so wait for the
-	// trace to land in every ring before asserting.
-	testutil.Eventually(t, 2*time.Second, "the trace in every ring", func() bool {
-		if len(aggRec.Find(id)) != 1 {
-			return false
+	// Every runtime hands its trace to its ring before it writes its last
+	// reply frame, so the trace is in every ring once the client has its
+	// sum.
+	if n := len(aggRec.Find(id)); n != 1 {
+		t.Fatalf("aggregator ring holds %d traces of the query, want 1", n)
+	}
+	for i, r := range shardRecs {
+		if n := len(r.Find(id)); n != 1 {
+			t.Fatalf("shard%d ring holds %d traces of the query, want 1", i, n)
 		}
-		for _, r := range shardRecs {
-			if len(r.Find(id)) != 1 {
-				return false
-			}
-		}
-		return true
-	})
+	}
 
 	agg := aggRec.Find(id)[0]
 	if agg.Role != "aggregator" {
@@ -174,11 +172,20 @@ func TestTracePropagationEndToEnd(t *testing.T) {
 		t.Errorf("/traces?id= returned %d traces, want the one", len(doc.Traces))
 	}
 
+	// The aggregator counted its session before it wrote the reply.
+	if got := srv.Metrics().SessionsCompleted.Value(); got != 1 {
+		t.Fatalf("aggregator completed sessions = %d, want 1", got)
+	}
 	// /metrics and /stats must tell the same story: scrape both off the
-	// proxy's metric sets and compare the shared counters.
-	testutil.Eventually(t, 2*time.Second, "the aggregator to count its session", func() bool {
-		return srv.Metrics().SessionsCompleted.Value() > 0
-	})
+	// proxy's metric sets and compare the shared counters. A session's
+	// byte counts move once its last write has returned, after the client
+	// holds the reply, so drain the proxy first: after Shutdown returns no
+	// counter moves.
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := srv.Shutdown(ctx); err != nil {
+		t.Fatalf("draining the proxy: %v", err)
+	}
 	prr := httptest.NewRecorder()
 	metrics.Registry{srv.Metrics(), aggClient.Metrics()}.ServeHTTP(prr, httptest.NewRequest("GET", "/metrics", nil))
 	vals, err := testutil.ParseProm(prr.Body.String())
@@ -245,16 +252,14 @@ func TestUntracedQueryLeavesRingsEmpty(t *testing.T) {
 		t.Errorf("sum = %v, want %v", got, want)
 	}
 	// A runtime hands a session's trace to its ring before it counts the
-	// session complete, and both happen after the reply: once every runtime
-	// has counted its session, any trace it was going to keep is in a ring.
-	testutil.Eventually(t, 2*time.Second, "every runtime to count its session", func() bool {
-		for _, s := range append([]*server.Server{aggSrv}, shardSrvs...) {
-			if s.Metrics().SessionsCompleted.Value() == 0 {
-				return false
-			}
+	// session complete, and both happen before its last reply frame: once
+	// the client has its sum, every runtime has counted its session and any
+	// trace it was going to keep is in a ring.
+	for i, s := range append([]*server.Server{aggSrv}, shardSrvs...) {
+		if got := s.Metrics().SessionsCompleted.Value(); got != 1 {
+			t.Fatalf("runtime %d completed sessions = %d, want 1", i, got)
 		}
-		return true
-	})
+	}
 	if n := aggRec.Len(); n != 0 {
 		t.Errorf("aggregator ring holds %d traces from an untraced query", n)
 	}

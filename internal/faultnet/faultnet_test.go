@@ -154,7 +154,9 @@ func TestStallFaultDelays(t *testing.T) {
 	go io.Copy(io.Discard, b)
 	fa := WrapConn(a, Plan{Write: Spec{Stall: 1, StallFor: 50 * time.Millisecond}}, 5)
 	start := time.Now()
-	for i := 0; i < maxFaultOp+1; i++ {
+	// One window of writes: its one armed stall fires, the next window's
+	// has not begun.
+	for i := 0; i < maxFaultOp; i++ {
 		if _, err := fa.Write([]byte("x")); err != nil {
 			t.Fatal(err)
 		}

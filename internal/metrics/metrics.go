@@ -204,14 +204,20 @@ func clampBucket(v, min, max int64) int64 {
 type ServerMetrics struct {
 	// Session lifecycle counters. The reconciliation invariant — checked by
 	// tests and worth alerting on in production — is
-	// Started == Completed + Failed + Active. Rejected sessions never start.
+	// Started == Completed + Failed + Active once the server is idle.
+	// Rejected sessions never start. Completed and Failed move before the
+	// session's last reply frame is written, so a peer holding its reply
+	// already sees its session counted; a final write that then fails is
+	// logged, and is not a second outcome. Active counts sessions, not
+	// connections: a kept connection idling between sessions is not one.
 	SessionsStarted   Counter
 	SessionsCompleted Counter
 	SessionsFailed    Counter
 	SessionsRejected  Counter
 	ActiveSessions    Gauge
 
-	// Transport volume, summed over finished sessions from the wire meter.
+	// Transport volume, summed over finished sessions from the wire meter;
+	// a session's bytes are added once its last write has returned.
 	BytesIn  Counter
 	BytesOut Counter
 

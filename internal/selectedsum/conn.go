@@ -41,6 +41,20 @@ type PhaseTimings struct {
 	// a trace recorder is configured; handlers record into it
 	// unconditionally (all trace methods are nil-safe).
 	Trace *trace.Trace
+
+	// Settle, when non-nil, records the session's outcome. A handler calls
+	// it just before it writes the session's last reply frame, with the
+	// error that reply reports (nil before the sums), so that a peer
+	// holding the reply already sees the session counted. The server
+	// runtime sets it and settles whatever the handler left unsettled.
+	Settle func(err error)
+}
+
+// settle reports the session's outcome through timings.Settle, if set.
+func (t *PhaseTimings) settle(err error) {
+	if t.Settle != nil {
+		t.Settle(err)
+	}
 }
 
 // Sink is the half of a server session that differs between deployments: a
@@ -153,6 +167,7 @@ func ServeSink(conn *wire.Conn, sink Sink, timings *PhaseTimings) error {
 	// without parsing prose.
 	fail := func(err error) error {
 		abort()
+		timings.settle(err)
 		code := wire.ErrorCodeFor(err)
 		if code == wire.CodeNone {
 			// Everything the serve loop rejects that is not a transport
@@ -299,6 +314,7 @@ func ServeSink(conn *wire.Conn, sink Sink, timings *PhaseTimings) error {
 			}
 			timings.Finalize = time.Since(finStart)
 			tr.Observe(finishSpan, finStart, timings.Finalize, nil)
+			timings.settle(nil)
 			for _, body := range bodies {
 				if err := conn.Send(wire.MsgSum, body); err != nil {
 					return fmt.Errorf("selectedsum: sending sum: %w", err)

@@ -9,7 +9,10 @@
 // The shape mirrors net/http.Server deliberately — New, Serve, Shutdown,
 // Close, ErrServerClosed — so operational expectations transfer: Serve
 // blocks until shutdown, Shutdown stops accepting and drains in-flight
-// sessions until its context expires, Close force-closes everything.
+// sessions until its context expires, Close force-closes everything. Like
+// an HTTP keep-alive connection, a connection outlives its session: after a
+// clean reply the server waits for the peer's next session on it, holding
+// no admission slot while it waits.
 package server
 
 import (
@@ -58,9 +61,12 @@ const (
 // logger.
 type Config struct {
 	// MaxSessions is the admission cap: at most this many sessions run
-	// concurrently; connections beyond it receive an immediate MsgError
-	// busy reply and are closed. Zero means DefaultMaxSessions; negative
-	// is rejected by New.
+	// concurrently. A new connection takes its first session's slot when
+	// it is accepted; a kept connection takes the next session's slot when
+	// that session's first frame arrives, and holds none while it idles in
+	// between. A session beyond the cap receives an immediate MsgError busy
+	// reply and its connection is closed. Zero means DefaultMaxSessions;
+	// negative is rejected by New.
 	MaxSessions int
 
 	// SessionLimit, when positive, shuts the server down (gracefully) after
@@ -70,16 +76,18 @@ type Config struct {
 
 	// IdleTimeout bounds the wait for each client frame: a session whose
 	// client goes quiet longer than this is failed with a best-effort
-	// MsgError and its slot released. Zero means wait forever.
+	// MsgError and its slot released. A kept connection that stays quiet
+	// this long between sessions is closed without a reply and counts no
+	// session. Zero means wait forever.
 	IdleTimeout time.Duration
 
 	// WriteTimeout bounds each frame write to a client. Zero means no
 	// bound.
 	WriteTimeout time.Duration
 
-	// SessionTimeout is an absolute cap on a whole session, enforced as a
-	// connection deadline that idle extensions cannot move past. Zero
-	// means no cap.
+	// SessionTimeout is an absolute cap on each whole session, enforced as
+	// a connection deadline that idle extensions cannot move past and
+	// re-armed for every session on a kept connection. Zero means no cap.
 	SessionTimeout time.Duration
 
 	// RejectTimeout bounds the busy reply to an over-admission client.
@@ -90,9 +98,11 @@ type Config struct {
 	// this interval while the server runs.
 	LogEvery time.Duration
 
-	// WrapConn frames an accepted connection, e.g. through a netsim
-	// throttle. Nil means plain wire.NewConn. The server installs its
-	// deadline policy on the raw net.Conn regardless of wrapping.
+	// WrapConn frames one session on an accepted connection, e.g. through
+	// a netsim throttle; it is called again for every session on a kept
+	// connection, so no framing state outlives its session. Nil means plain
+	// wire.NewConn. The server installs its deadline policy on the raw
+	// net.Conn regardless of wrapping.
 	WrapConn func(net.Conn) (*wire.Conn, error)
 
 	// Metrics receives the server's counters; nil allocates a fresh set
@@ -113,10 +123,14 @@ type Config struct {
 // handler is the selected-sum fold over a table; the cluster aggregator
 // installs its fan-out session instead and inherits the whole runtime —
 // admission control, deadlines, panic isolation, graceful shutdown, /stats.
+// A handler that returns nil leaves the connection at a session boundary:
+// the runtime then waits on it for the peer's next session.
 //
 // timings is never nil; handlers fill in whatever phases they measure (a
 // handler observing a failed session still reports the phases that
-// completed).
+// completed). A handler that writes a reply calls timings.Settle just
+// before its last reply frame, so that the peer holding the reply already
+// sees the session counted; the runtime settles any session it did not.
 type Handler interface {
 	ServeSession(conn *wire.Conn, timings *selectedsum.PhaseTimings) error
 }
@@ -146,14 +160,14 @@ type Server struct {
 	m       *metrics.ServerMetrics
 	logf    func(format string, args ...any)
 
-	sem    chan struct{} // admission slots; len == active admitted sessions
+	sem    chan struct{} // admission slots; len == running sessions
 	served atomic.Int64  // finished sessions, for SessionLimit
 
 	mu        sync.Mutex
 	listeners map[net.Listener]struct{}
-	active    map[net.Conn]struct{}
+	conns     map[net.Conn]bool // open connections; true while idle between sessions
 	closing   bool
-	wg        sync.WaitGroup // in-flight admitted sessions
+	wg        sync.WaitGroup // connection goroutines
 
 	done     chan struct{} // closed when shutdown begins
 	doneOnce sync.Once
@@ -210,7 +224,7 @@ func NewHandler(h Handler, cfg Config) (*Server, error) {
 		logf:      logf,
 		sem:       make(chan struct{}, cfg.MaxSessions),
 		listeners: make(map[net.Listener]struct{}),
-		active:    make(map[net.Conn]struct{}),
+		conns:     make(map[net.Conn]bool),
 		done:      make(chan struct{}),
 	}, nil
 }
@@ -222,7 +236,8 @@ func (s *Server) Metrics() *metrics.ServerMetrics { return s.m }
 // Traces returns the trace recorder from Config; nil when tracing is off.
 func (s *Server) Traces() *trace.Recorder { return s.cfg.Traces }
 
-// ActiveSessions returns the number of sessions currently running.
+// ActiveSessions returns the number of sessions currently running; a kept
+// connection idling between sessions is not one.
 func (s *Server) ActiveSessions() int { return len(s.sem) }
 
 // Serve accepts connections on ln until shutdown, running each admitted one
@@ -278,12 +293,10 @@ func (s *Server) Serve(ln net.Listener) error {
 	}
 }
 
-// dispatch admits conn into a session slot or rejects it with a busy reply.
+// dispatch admits a new connection's first session or rejects it with a
+// busy reply.
 func (s *Server) dispatch(conn net.Conn) {
-	select {
-	case s.sem <- struct{}{}:
-	default:
-		s.m.SessionsRejected.Inc()
+	if !s.admit() {
 		go s.rejectBusy(conn)
 		return
 	}
@@ -295,13 +308,23 @@ func (s *Server) dispatch(conn net.Conn) {
 		conn.Close()
 		return
 	}
-	s.active[conn] = struct{}{}
+	s.conns[conn] = false
 	s.wg.Add(1)
 	s.mu.Unlock()
 
-	s.m.SessionsStarted.Inc()
-	s.m.ActiveSessions.Inc()
-	go s.runSession(conn)
+	go s.serveConn(conn)
+}
+
+// admit takes an admission slot for one session, or counts the rejection
+// when every slot is in use.
+func (s *Server) admit() bool {
+	select {
+	case s.sem <- struct{}{}:
+		return true
+	default:
+		s.m.SessionsRejected.Inc()
+		return false
+	}
 }
 
 // rejectBusy tells an over-admission client the server is full, quickly and
@@ -320,39 +343,118 @@ func (s *Server) rejectBusy(conn net.Conn) {
 	_, _ = io.Copy(io.Discard, conn)
 }
 
-// runSession owns one admitted connection: framing, deadlines, the protocol
-// exchange, metrics, and cleanup. Panics are isolated to the session.
-func (s *Server) runSession(conn net.Conn) {
+// serveConn owns one admitted connection: it runs its first session, then
+// every later session the peer opens on it, one at a time. A failed session
+// closes the connection; so do a hang-up or an idle timeout between
+// sessions, a full server (after its busy reply) and shutdown.
+func (s *Server) serveConn(conn net.Conn) {
 	defer s.wg.Done()
-	defer func() { <-s.sem }()
-	defer s.m.ActiveSessions.Dec()
 	defer func() {
 		s.mu.Lock()
-		delete(s.active, conn)
+		delete(s.conns, conn)
 		s.mu.Unlock()
 		conn.Close()
-		s.noteServed()
 	}()
-
-	start := time.Now()
-	err := s.serveSession(conn)
-	s.m.SessionNanos.ObserveDuration(time.Since(start))
-	if err != nil {
-		s.m.SessionsFailed.Inc()
-		s.logf("server: session from %s failed: %v", conn.RemoteAddr(), err)
-		return
+	session := conn
+	for {
+		s.m.SessionsStarted.Inc()
+		s.m.ActiveSessions.Inc()
+		start := time.Now()
+		err := s.serveSession(session)
+		s.m.SessionNanos.ObserveDuration(time.Since(start))
+		s.m.ActiveSessions.Dec()
+		<-s.sem
+		s.noteServed()
+		if err != nil {
+			return
+		}
+		if session = s.nextSession(conn); session == nil {
+			return
+		}
 	}
-	s.m.SessionsCompleted.Inc()
 }
 
-// serveSession runs the protocol on conn and converts panics into errors so
-// one poisoned session cannot take down the server.
+// nextSession waits on conn, holding no admission slot, for the header of
+// the first frame of the peer's next session, and admits that session. It
+// returns the connection to serve it on (the header read ahead put back in
+// front), or nil when the connection is to close: the peer hung up or
+// stayed quiet past IdleTimeout, shutdown began, or the server is full and
+// has sent its busy reply.
+func (s *Server) nextSession(conn net.Conn) net.Conn {
+	if !s.markIdle(conn, true) {
+		return nil
+	}
+	// The session's deadlines (and its SessionTimeout cap) end with it.
+	_ = conn.SetDeadline(time.Time{})
+	if s.cfg.IdleTimeout > 0 {
+		_ = conn.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout))
+	}
+	// Every session opens with a frame, so a whole header is there to
+	// read; reading it in one call keeps the reads of a session on a kept
+	// connection the same as on a new one.
+	var hdr [wire.FrameOverhead]byte
+	if _, err := io.ReadFull(conn, hdr[:]); err != nil || !s.markIdle(conn, false) {
+		return nil
+	}
+	next := &aheadConn{Conn: conn, ahead: hdr[:]}
+	if !s.admit() {
+		s.rejectBusy(next)
+		return nil
+	}
+	return next
+}
+
+// markIdle records conn idling between sessions (or leaving that state).
+// It reports false once shutdown has begun: an idle connection is then
+// closed, not kept.
+func (s *Server) markIdle(conn net.Conn, idle bool) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closing {
+		return false
+	}
+	s.conns[conn] = idle
+	return true
+}
+
+// aheadConn is a kept connection whose first frame header the server read
+// ahead while it waited for the session; Read returns those bytes first.
+type aheadConn struct {
+	net.Conn
+	ahead []byte
+}
+
+func (c *aheadConn) Read(p []byte) (int, error) {
+	if len(c.ahead) == 0 {
+		return c.Conn.Read(p)
+	}
+	n := copy(p, c.ahead)
+	c.ahead = c.ahead[n:]
+	return n, nil
+}
+
+// serveSession runs one session on conn: framing, deadlines, the protocol
+// exchange and its metrics. It converts panics into errors so one poisoned
+// session cannot take down the server. The session's outcome is counted at
+// most once: when the handler settles it before its last reply frame, or
+// else here once it returns.
 func (s *Server) serveSession(conn net.Conn) (err error) {
+	var phases selectedsum.PhaseTimings
+	var settled sync.Once
+	phases.Settle = func(err error) {
+		settled.Do(func() { s.settle(phases.Trace, err) })
+	}
 	defer func() {
 		if r := recover(); r != nil {
 			s.m.SessionPanics.Inc()
 			s.logf("server: session from %s panicked: %v\n%s", conn.RemoteAddr(), r, debug.Stack())
 			err = fmt.Errorf("server: session panic: %v", r)
+		}
+		phases.Settle(err)
+		if err != nil {
+			// A failed write after the handler settled the session is
+			// logged here but is not a second outcome.
+			s.logf("server: session from %s failed: %v", conn.RemoteAddr(), err)
 		}
 	}()
 
@@ -380,18 +482,10 @@ func (s *Server) serveSession(conn net.Conn) (err error) {
 	wc.SetIdleTimeout(s.cfg.IdleTimeout)
 	wc.SetWriteTimeout(s.cfg.WriteTimeout)
 
-	var phases selectedsum.PhaseTimings
 	if s.cfg.Traces != nil {
 		phases.Trace = trace.New(conn.RemoteAddr().String())
 	}
 	err = s.handler.ServeSession(wc, &phases)
-
-	if phases.Trace != nil {
-		phases.Trace.Finish(err)
-		// Add drops ID-less traces: a client that sent no trace trailer
-		// asked for no trace, and gets none.
-		s.cfg.Traces.Add(phases.Trace)
-	}
 
 	s.m.HelloNanos.ObserveDuration(phases.Hello)
 	s.m.AbsorbNanos.ObserveDuration(phases.Absorb)
@@ -401,15 +495,32 @@ func (s *Server) serveSession(conn net.Conn) (err error) {
 	s.m.BytesOut.Add(out)
 
 	if err != nil && wire.IsTimeout(err) {
+		err = fmt.Errorf("server: session idle timeout: %w", err)
+		phases.Settle(err)
 		// Tell the quiet client why it is being hung up on. Best effort:
 		// give the write its own short deadline (the expired one was the
 		// read side's, but a passed SessionTimeout cap fails this fast,
 		// which is fine).
 		_ = conn.SetWriteDeadline(time.Now().Add(DefaultRejectTimeout))
 		_ = wc.SendErrorCode(wire.CodeTimeout, "session timed out waiting for client")
-		return fmt.Errorf("server: session idle timeout: %w", err)
 	}
 	return err
+}
+
+// settle records a session's outcome: its trace goes to the ring, then the
+// completed or failed counter moves.
+func (s *Server) settle(tr *trace.Trace, err error) {
+	if tr != nil {
+		tr.Finish(err)
+		// Add drops ID-less traces: a client that sent no trace trailer
+		// asked for no trace, and gets none.
+		s.cfg.Traces.Add(tr)
+	}
+	if err != nil {
+		s.m.SessionsFailed.Inc()
+		return
+	}
+	s.m.SessionsCompleted.Inc()
 }
 
 // noteServed triggers self-shutdown once SessionLimit sessions finished.
@@ -432,8 +543,10 @@ func (s *Server) shuttingDown() bool {
 	}
 }
 
-// beginShutdown stops admission: marks the server closing and closes every
-// registered listener. In-flight sessions keep running.
+// beginShutdown stops admission: marks the server closing, closes every
+// registered listener and every connection idling between sessions.
+// In-flight sessions keep running; each one's connection closes when it
+// ends.
 func (s *Server) beginShutdown() {
 	s.doneOnce.Do(func() {
 		s.mu.Lock()
@@ -445,14 +558,19 @@ func (s *Server) beginShutdown() {
 		for ln := range s.listeners {
 			ln.Close()
 		}
+		for conn, idle := range s.conns {
+			if idle {
+				conn.Close()
+			}
+		}
 		s.mu.Unlock()
 	})
 }
 
 // Shutdown gracefully stops the server: no new connections are accepted,
-// and in-flight sessions are drained. If ctx expires first, remaining
-// sessions are force-closed and ctx's error returned; a clean drain returns
-// nil.
+// connections idling between sessions are closed at once, and in-flight
+// sessions are drained. If ctx expires first, remaining sessions are
+// force-closed and ctx's error returned; a clean drain returns nil.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.beginShutdown()
 	drained := make(chan struct{})
@@ -462,27 +580,39 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}()
 	select {
 	case <-drained:
+		s.closeHandlerIdle()
 		return nil
 	case <-ctx.Done():
 		s.closeActive()
 		<-drained // sessions unblock promptly once their conns are closed
+		s.closeHandlerIdle()
 		return ctx.Err()
 	}
 }
 
-// Close force-stops the server: listeners and all in-flight session
-// connections are closed immediately.
+// Close force-stops the server: listeners and all connections, idle or in
+// a session, are closed immediately.
 func (s *Server) Close() error {
 	s.beginShutdown()
 	s.closeActive()
 	s.wg.Wait()
+	s.closeHandlerIdle()
 	return nil
 }
 
-// closeActive force-closes every in-flight session connection.
+// closeHandlerIdle closes the connections a handler keeps of its own
+// between sessions, as the cluster aggregator keeps its backend
+// connections, once no session of this server can use them any more.
+func (s *Server) closeHandlerIdle() {
+	if h, ok := s.handler.(interface{ CloseIdle() }); ok {
+		h.CloseIdle()
+	}
+}
+
+// closeActive force-closes every open connection.
 func (s *Server) closeActive() {
 	s.mu.Lock()
-	for conn := range s.active {
+	for conn := range s.conns {
 		conn.Close()
 	}
 	s.mu.Unlock()

@@ -43,9 +43,10 @@ func GuardGoroutines(t *testing.T) {
 }
 
 // Eventually polls cond until it holds or d elapses, failing the test on
-// timeout. Server runtimes bump their counters and record their timings
-// after the reply frame is flushed, so a test that reads them the instant
-// its client has the reply must wait for the event, not assume it.
+// timeout. Server runtimes count a session's outcome before its last reply
+// frame, but release its slot and record its timings and bytes after the
+// reply is flushed, so a test that reads those the instant its client has
+// the reply must wait for the event, not assume it.
 func Eventually(t testing.TB, d time.Duration, what string, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(d)

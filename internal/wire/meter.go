@@ -81,8 +81,9 @@ type Conn struct {
 	rmu sync.Mutex // serialize frame reads
 
 	// rbuf, under rmu, is the payload buffer RecvReused reads into. It
-	// belongs to this connection alone, so whatever it holds is this
-	// session's.
+	// belongs to this Conn alone, and a Conn frames one session: the
+	// runtimes that keep a net.Conn across sessions wrap it in a fresh Conn
+	// for each, so whatever rbuf holds is this session's.
 	rbuf []byte
 }
 
