@@ -112,26 +112,18 @@ chaos-restart:
 	CHAOS_RESTARTS=$(CHAOS_RESTARTS) $(GO) test -race -timeout 45m -run 'TestRestartChaos' -count=1 ./internal/chaos/
 
 # Fuzz smoke: a short live-fuzz burst per target (the seed corpus alone runs
-# in `make test`). Go runs one fuzz target per invocation, hence the loop.
+# in `make test`). Go runs one fuzz target per invocation, hence the loop;
+# `go test -list` names every package's targets, so a new one is never left
+# out.
 FUZZTIME ?= 5s
 fuzz-smoke:
 	@set -e; \
-	for t in FuzzReadFrame FuzzRecvReused FuzzDecodeErrorPayload FuzzDecodeHello FuzzDecodeIndexChunk; do \
-		$(GO) test -fuzz="^$$t$$" -fuzztime=$(FUZZTIME) ./internal/wire/; \
-	done; \
-	$(GO) test -fuzz='^FuzzParseShardMapSpec$$' -fuzztime=$(FUZZTIME) ./internal/cluster/; \
-	$(GO) test -fuzz='^FuzzReadTable$$' -fuzztime=$(FUZZTIME) ./internal/database/; \
-	for t in FuzzMultiExpAccEquivalence FuzzReducerEquivalence FuzzMontMulEquivalence FuzzReducerExp FuzzReducerExpEach FuzzCRTCombine; do \
-		$(GO) test -run '^$$' -fuzz="^$$t$$" -fuzztime=$(FUZZTIME) ./internal/mathx/; \
-	done; \
-	for t in FuzzParseCiphertext FuzzPrivateKeyUnmarshal FuzzReadBitStore FuzzEncryptCRTEquivalence; do \
-		$(GO) test -fuzz="^$$t$$" -fuzztime=$(FUZZTIME) ./internal/paillier/; \
-	done; \
-	$(GO) test -fuzz='^FuzzFoldEquivalence$$' -fuzztime=$(FUZZTIME) ./internal/selectedsum/; \
-	$(GO) test -fuzz='^FuzzDecodeJobSpec$$' -fuzztime=$(FUZZTIME) ./internal/jobs/; \
-	$(GO) test -fuzz='^FuzzReplayJournal$$' -fuzztime=$(FUZZTIME) ./internal/durable/; \
-	$(GO) test -fuzz='^FuzzReadBlock$$' -fuzztime=$(FUZZTIME) ./internal/colstore/; \
-	$(GO) test -fuzz='^FuzzStockProtocol$$' -fuzztime=$(FUZZTIME) ./internal/stock/
+	for p in $$($(GO) list ./...); do \
+		targets=$$($(GO) test -list '^Fuzz' $$p); \
+		for t in $$(echo "$$targets" | grep '^Fuzz' || true); do \
+			$(GO) test -run '^$$' -fuzz="^$$t$$" -fuzztime=$(FUZZTIME) $$p; \
+		done; \
+	done
 
 # Coverage gate: profile ./internal/..., print per-package percentages, and
 # fail if the total drops below the committed floor. The floor is the

@@ -8,6 +8,7 @@ import (
 	"math/big"
 	"math/rand"
 	"net"
+	"slices"
 	"strings"
 	"sync"
 	"syscall"
@@ -39,7 +40,7 @@ type ClientConfig struct {
 	// IOTimeout is the per-frame idle/write deadline on backend sessions:
 	// a backend that stalls longer than this mid-session fails the attempt
 	// (and the attempt fails over). It also bounds how long a kept
-	// connection may idle: one idle longer is closed, not reused.
+	// connection may idle: once it has idled this long it is closed.
 	IOTimeout time.Duration
 	// Retries is the extra attempts after the first, spread across the
 	// candidate backends. Negative means no retries at all.
@@ -319,13 +320,14 @@ func (c *Client) hedgedDial(ctx context.Context, addr string) (net.Conn, error) 
 // idlePool is one backend's connections kept between sessions, newest
 // last, and the end of a window in which it keeps none.
 type idlePool struct {
-	conns    []idleConn
+	conns    []*idleConn
 	offUntil time.Time
 }
 
 type idleConn struct {
-	conn  net.Conn
-	since time.Time
+	conn net.Conn
+	// reap closes conn once it has idled IOTimeout on the list.
+	reap *time.Timer
 }
 
 // poolOf returns addr's idle pool; c.mu must be held.
@@ -338,34 +340,41 @@ func (c *Client) poolOf(addr string) *idlePool {
 	return p
 }
 
-// takeIdle returns addr's most recently kept connection, or nil. A
-// connection idle longer than IOTimeout is closed instead, and with it
-// every older one.
-func (c *Client) takeIdle(addr string) net.Conn {
-	now := c.now()
-	c.mu.Lock()
-	p := c.poolOf(addr)
-	if len(p.conns) == 0 {
-		c.mu.Unlock()
-		return nil
-	}
-	last := p.conns[len(p.conns)-1]
-	if now.Sub(last.since) <= c.cfg.IOTimeout {
-		p.conns = p.conns[:len(p.conns)-1]
-		c.mu.Unlock()
-		return last.conn
-	}
+// drain empties p and stops the reapers of what it held, which the caller
+// closes; c.mu must be held.
+func (p *idlePool) drain() []*idleConn {
 	stale := p.conns
 	p.conns = nil
-	c.mu.Unlock()
+	for _, ic := range stale {
+		ic.reap.Stop()
+	}
+	return stale
+}
+
+func closeAll(stale []*idleConn) {
 	for _, ic := range stale {
 		ic.conn.Close()
 	}
-	return nil
 }
 
-// keep puts conn, whose session completed, on addr's idle list; it closes
-// conn instead when the list is full or pooling is paused for addr.
+// takeIdle returns addr's most recently kept connection, or nil.
+func (c *Client) takeIdle(addr string) net.Conn {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	p := c.poolOf(addr)
+	if len(p.conns) == 0 {
+		return nil
+	}
+	last := p.conns[len(p.conns)-1]
+	p.conns = p.conns[:len(p.conns)-1]
+	// A reaper already under way finds last gone: the session has it.
+	last.reap.Stop()
+	return last.conn
+}
+
+// keep puts conn, whose session completed, on addr's idle list, to be
+// closed after IOTimeout unless a session takes it first; it closes conn
+// instead when the list is full or pooling is paused for addr.
 func (c *Client) keep(addr string, conn net.Conn) {
 	now := c.now()
 	c.mu.Lock()
@@ -375,8 +384,25 @@ func (c *Client) keep(addr string, conn net.Conn) {
 		conn.Close()
 		return
 	}
-	p.conns = append(p.conns, idleConn{conn: conn, since: now})
+	ic := &idleConn{conn: conn}
+	ic.reap = time.AfterFunc(c.cfg.IOTimeout, func() { c.reapIdle(addr, ic) })
+	p.conns = append(p.conns, ic)
 	c.mu.Unlock()
+}
+
+// reapIdle closes ic if it is still on addr's idle list. A reaper that
+// fires as a session takes ic finds it gone and leaves it be.
+func (c *Client) reapIdle(addr string, ic *idleConn) {
+	c.mu.Lock()
+	p := c.poolOf(addr)
+	i := slices.Index(p.conns, ic)
+	if i >= 0 {
+		p.conns = slices.Delete(p.conns, i, i+1)
+	}
+	c.mu.Unlock()
+	if i >= 0 {
+		ic.conn.Close()
+	}
 }
 
 // pausePooling keeps no connection to addr for one ProbeAfter window: its
@@ -387,12 +413,9 @@ func (c *Client) pausePooling(addr string) {
 	c.mu.Lock()
 	p := c.poolOf(addr)
 	p.offUntil = until
-	stale := p.conns
-	p.conns = nil
+	stale := p.drain()
 	c.mu.Unlock()
-	for _, ic := range stale {
-		ic.conn.Close()
-	}
+	closeAll(stale)
 }
 
 // CloseIdle closes every connection kept between sessions. Sessions in
@@ -400,15 +423,12 @@ func (c *Client) pausePooling(addr string) {
 // daemon calls it on shutdown.
 func (c *Client) CloseIdle() {
 	c.mu.Lock()
-	var stale []idleConn
+	var stale []*idleConn
 	for _, p := range c.idle {
-		stale = append(stale, p.conns...)
-		p.conns = nil
+		stale = append(stale, p.drain()...)
 	}
 	c.mu.Unlock()
-	for _, ic := range stale {
-		ic.conn.Close()
-	}
+	closeAll(stale)
 }
 
 // newSession frames one session on conn with deadlines armed. Every

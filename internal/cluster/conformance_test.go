@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"encoding/binary"
 	"net"
 	"strings"
 	"testing"
@@ -116,9 +117,16 @@ func TestSessionConformance(t *testing.T) {
 			code: wire.CodeProtocol,
 		},
 		{
-			name:   "bad version",
-			script: helloThen(func(h *wire.Hello) { h.Version = 99 }, nil),
-			code:   wire.CodeProtocol, mentions: "version 99",
+			// Encode writes the current version, so the script patches it.
+			name: "bad version",
+			script: func(t *testing.T, c *wire.Conn, _ net.Conn) error {
+				h := goodHello()
+				b := h.Encode()
+				binary.BigEndian.PutUint32(b, 99)
+				send(t, c, wire.MsgHello, b)
+				return peerError(t, c)
+			},
+			code: wire.CodeProtocol, mentions: "version 99",
 		},
 		{
 			name:   "unknown scheme",

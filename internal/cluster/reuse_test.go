@@ -159,6 +159,69 @@ func TestConcurrentQueriesShareKeptConnections(t *testing.T) {
 	client.CloseIdle()
 }
 
+// closeSignal is a connection that reports its first Close on closed.
+type closeSignal struct {
+	net.Conn
+	once   sync.Once
+	closed chan struct{}
+}
+
+func (c *closeSignal) Close() error {
+	c.once.Do(func() { close(c.closed) })
+	return c.Conn.Close()
+}
+
+// TestKeptConnectionReapedAfterIOTimeout: a kept connection that no session
+// takes is closed once it has idled IOTimeout, and leaves the idle list.
+func TestKeptConnectionReapedAfterIOTimeout(t *testing.T) {
+	sk := testKey(t)
+	table, sel, want := fixture(t, 16, 6, 95)
+	srv, err := server.New(table, server.Config{Logf: discardLogf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr, _ := serveCounted(t, srv)
+	var mu sync.Mutex
+	var dialed []*closeSignal
+	client := NewClient(ClientConfig{
+		IOTimeout: 100 * time.Millisecond,
+		Dial: func(ctx context.Context, network, addr string) (net.Conn, error) {
+			var d net.Dialer
+			conn, err := d.DialContext(ctx, network, addr)
+			if err != nil {
+				return nil, err
+			}
+			c := &closeSignal{Conn: conn, closed: make(chan struct{})}
+			mu.Lock()
+			dialed = append(dialed, c)
+			mu.Unlock()
+			return c, nil
+		},
+	})
+	got, err := client.Query(context.Background(), []string{addr}, sk, sel, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Cmp(want) != 0 {
+		t.Fatalf("sum = %v, want %v", got, want)
+	}
+	// The connection of the session that completed is the last one dialed.
+	mu.Lock()
+	conn := dialed[len(dialed)-1]
+	mu.Unlock()
+	select {
+	case <-conn.closed:
+	case <-time.After(time.Minute):
+		t.Fatal("the kept connection was not closed after idling IOTimeout")
+	}
+	client.mu.Lock()
+	idle := len(client.idle[addr].conns)
+	client.mu.Unlock()
+	if idle != 0 {
+		t.Errorf("%d connections left on the idle list", idle)
+	}
+}
+
 // oneShotServer answers one session per connection and then closes it, as
 // a server from before connections were kept does.
 func oneShotServer(t *testing.T, table *database.Table) *countingListener {

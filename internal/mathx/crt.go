@@ -12,7 +12,6 @@ type CRT struct {
 	p, q *big.Int
 	// qInvP = q^-1 mod p
 	qInvP *big.Int
-	n     *big.Int
 	// rp multiplies mod p: Garner's product by qInvP without a division.
 	rp *Reducer
 
@@ -40,13 +39,9 @@ func NewCRT(p, q *big.Int) (*CRT, error) {
 		p:     new(big.Int).Set(p),
 		q:     new(big.Int).Set(q),
 		qInvP: qInvP,
-		n:     new(big.Int).Mul(p, q),
 		rp:    rp,
 	}, nil
 }
-
-// N returns p·q.
-func (c *CRT) N() *big.Int { return new(big.Int).Set(c.n) }
 
 // ReducerP returns the Reducer mod p that Combine multiplies with, for a
 // caller that works mod p too.

@@ -169,24 +169,3 @@ func GeneratePrimePair(r io.Reader, bits int) (p, q *big.Int, err error) {
 	}
 	return nil, nil, errors.New("mathx: failed to generate a usable prime pair after 1000 attempts")
 }
-
-// Jacobi returns the Jacobi symbol (a/n) for odd n > 0. It is a thin wrapper
-// over math/big with an explicit error instead of a panic for even moduli,
-// used by the Goldwasser-Micali scheme.
-func Jacobi(a, n *big.Int) (int, error) {
-	if n.Sign() <= 0 || n.Bit(0) == 0 {
-		return 0, fmt.Errorf("mathx: Jacobi symbol requires odd positive n, got %v", n)
-	}
-	return big.Jacobi(a, n), nil
-}
-
-// CeilDiv returns ceil(a/b) for positive int64 operands.
-func CeilDiv(a, b int64) int64 {
-	if b <= 0 {
-		panic("mathx: CeilDiv divisor must be positive")
-	}
-	if a <= 0 {
-		return 0
-	}
-	return (a + b - 1) / b
-}

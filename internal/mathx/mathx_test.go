@@ -166,7 +166,7 @@ func TestExpCRTMatchesDirect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := crt.N()
+	n := new(big.Int).Mul(p, q)
 	for i := 0; i < 50; i++ {
 		base, _ := RandInt(rand.Reader, n)
 		exp, _ := RandInt(rand.Reader, n)
@@ -237,43 +237,6 @@ func TestGeneratePrimePairRejectsTinyBits(t *testing.T) {
 	if _, _, err := GeneratePrimePair(rand.Reader, 8); err == nil {
 		t.Fatal("should reject 8-bit request")
 	}
-}
-
-func TestJacobi(t *testing.T) {
-	// (a/7) for quadratic residues 1,2,4 is +1; for 3,5,6 is -1.
-	n := big.NewInt(7)
-	for a, want := range map[int64]int{1: 1, 2: 1, 3: -1, 4: 1, 5: -1, 6: -1} {
-		got, err := Jacobi(big.NewInt(a), n)
-		if err != nil {
-			t.Fatalf("Jacobi(%d,7): %v", a, err)
-		}
-		if got != want {
-			t.Errorf("Jacobi(%d,7) = %d, want %d", a, got, want)
-		}
-	}
-	if _, err := Jacobi(big.NewInt(3), big.NewInt(8)); err == nil {
-		t.Error("Jacobi with even modulus should error")
-	}
-}
-
-func TestCeilDiv(t *testing.T) {
-	cases := []struct{ a, b, want int64 }{
-		{0, 5, 0}, {1, 5, 1}, {5, 5, 1}, {6, 5, 2}, {10, 3, 4}, {-3, 5, 0},
-	}
-	for _, c := range cases {
-		if got := CeilDiv(c.a, c.b); got != c.want {
-			t.Errorf("CeilDiv(%d,%d) = %d, want %d", c.a, c.b, got, c.want)
-		}
-	}
-}
-
-func TestCeilDivPanicsOnBadDivisor(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("CeilDiv(1,0) should panic")
-		}
-	}()
-	CeilDiv(1, 0)
 }
 
 func TestFixedBaseExpMatchesDirect(t *testing.T) {
@@ -371,7 +334,7 @@ func BenchmarkExpCRT(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	n := crt.N()
+	n := new(big.Int).Mul(p, q)
 	base, _ := RandUnit(rand.Reader, n)
 	exp, _ := RandInt(rand.Reader, n)
 	b.ResetTimer()

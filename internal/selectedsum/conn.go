@@ -197,14 +197,17 @@ func ServeSink(conn *wire.Conn, sink Sink, timings *PhaseTimings) error {
 	}
 	helloStart := time.Now()
 	if f.Type != wire.MsgHello {
-		return fail(fmt.Errorf("selectedsum: expected hello, got message type %#x", byte(f.Type)))
+		err := fmt.Errorf("selectedsum: expected hello, got message type %#x", byte(f.Type))
+		if !f.Type.Defined() {
+			err = fmt.Errorf("%w: %w", err, wire.ErrFrameCorrupt)
+		}
+		return fail(err)
 	}
+	// DecodeHello refuses every version but the current one and the legacy
+	// Version 1 layout.
 	hello, err := wire.DecodeHello(f.Payload)
 	if err != nil {
 		return fail(err)
-	}
-	if hello.Version != wire.Version {
-		return fail(fmt.Errorf("selectedsum: unsupported protocol version %d", hello.Version))
 	}
 	if hello.Flags&wire.HelloFlagFrameCRC != 0 {
 		// The client asked for CRC-trailed frames; everything we send from
@@ -226,7 +229,7 @@ func ServeSink(conn *wire.Conn, sink Sink, timings *PhaseTimings) error {
 	abort = sink.Abort
 	timings.Hello = time.Since(helloStart)
 
-	// Trace recording: the ID arrives in the hello trailer (zero = no
+	// Trace recording: the ID arrives in the hello (zero = no
 	// trace requested, and the recorder drops ID-less traces). Only
 	// timings, counts, and topology are recorded — never chunk contents,
 	// the partial sum, or anything else under the client's key (§12).
@@ -450,8 +453,7 @@ func Query(conn *wire.Conn, sk homomorphic.PrivateKey, sel *database.Selection, 
 // arrive — and the server folds it against every column in cols, replying
 // with one sum per set bit in ascending bit order. The returned slice has
 // that many decrypted sums in that same order. An empty (or value-only) set
-// is the classic single-sum session, byte-identical on the wire to a
-// pre-columns client.
+// is the classic single-sum session, which sends no column set.
 func QueryVector(conn *wire.Conn, sk homomorphic.PrivateKey, src VectorSource, chunkSize int, cols wire.ColumnSet) ([]*big.Int, error) {
 	if sk == nil {
 		return nil, errors.New("selectedsum: nil private key")
@@ -527,8 +529,8 @@ const rejectGrace = 200 * time.Millisecond
 // MsgDone, and returns the server's reply ciphertexts, one per requested
 // column. The caller describes the session in hello (scheme, key, rows, row
 // offset, chunk length, columns); Upload sets what the connection decides
-// (version, CRC flag, trace ID). Query encrypts the chunks as they are asked
-// for; the cluster aggregator replays a shard's slice of its client's.
+// (CRC flag, trace ID). Query encrypts the chunks as they are asked for; the
+// cluster aggregator replays a shard's slice of its client's.
 //
 // The response is watched concurrently with the upload (the 100-continue
 // pattern): a server that rejects the session early — busy, protocol error,
@@ -537,18 +539,17 @@ const rejectGrace = 200 * time.Millisecond
 // client only notices via a broken-pipe write error once the server hangs
 // up, and the RST that follows can destroy the unread explanation.
 func Upload(conn *wire.Conn, hello wire.Hello, pk homomorphic.PublicKey, next func() (*wire.IndexChunk, error)) ([]homomorphic.Ciphertext, error) {
-	hello.Version = wire.Version
 	if conn.CRCEnabled() {
 		// Ask the server to trail its sums with a CRC too: without this the
 		// reply direction is unprotected and a flipped ciphertext byte would
 		// silently poison the result.
 		hello.Flags |= wire.HelloFlagFrameCRC
 	}
-	// An armed (non-zero) conn trace ID travels in the hello trailer; the
-	// zero default emits no trailer, so old servers still parse.
+	// An armed (non-zero) conn trace ID travels in the hello; the zero
+	// default is not sent.
 	hello.TraceID = conn.TraceID()
 	if hello.Columns == wire.ColValue {
-		// Value-only is the wire default; omit the trailer for interop.
+		// Value-only is the wire default, which costs no bytes.
 		hello.Columns = 0
 	}
 	if err := conn.Send(wire.MsgHello, hello.Encode()); err != nil {

@@ -151,3 +151,38 @@ func TestQueryVectorValidation(t *testing.T) {
 		t.Error("nil key should fail")
 	}
 }
+
+// TestServeSinkClassifiesFirstFrameType: a first frame whose type byte names
+// no message was damaged in flight, so the server reports a corrupt frame,
+// which the client may retry; a defined type other than the hello is the
+// client's protocol error.
+func TestServeSinkClassifiesFirstFrameType(t *testing.T) {
+	table, _, _ := fixture(t, 8, 4)
+	for _, c := range []struct {
+		typ  wire.MsgType
+		code wire.ErrorCode
+	}{
+		// A CRC client's hello, 0x81, with its type byte xor 0xA5.
+		{0x24, wire.CodeCorruptFrame},
+		{wire.MsgIndexChunk, wire.CodeProtocol},
+	} {
+		conn, errc := servePair(t, table)
+		if err := conn.Send(c.typ, make([]byte, 16)); err != nil {
+			t.Fatal(err)
+		}
+		f, err := conn.Recv()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f.Type != wire.MsgError {
+			t.Fatalf("type %#x: reply is frame %#x, want MsgError", byte(c.typ), byte(f.Type))
+		}
+		if got := wire.ErrorCodeOf(wire.DecodeError(f.Payload)); got != c.code {
+			t.Errorf("type %#x: code %q, want %q", byte(c.typ), got, c.code)
+		}
+		conn.Close()
+		if err := <-errc; err == nil {
+			t.Errorf("type %#x: the server reported a clean session", byte(c.typ))
+		}
+	}
+}

@@ -2,6 +2,7 @@ package stock
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"net"
 	"strings"
@@ -218,13 +219,22 @@ func TestHandlerRejectsBadHellos(t *testing.T) {
 	t.Run("garbage hello", func(t *testing.T) {
 		expectReject(t, wire.MsgStockHello, []byte{1, 2, 3}, "")
 	})
+	t.Run("undefined message type", func(t *testing.T) {
+		// A type byte that names no message was damaged in flight.
+		expectReject(t, 0x24, []byte{1, 2, 3}, "corrupt-frame")
+	})
 	t.Run("wrong version", func(t *testing.T) {
-		h := Hello{Version: 99, Scheme: paillier.SchemeID, PublicKey: keyBytes, Fingerprint: fp}
-		expectReject(t, wire.MsgStockHello, h.Encode(), "version")
+		b := (&wire.Hello{Scheme: paillier.SchemeID, PublicKey: keyBytes, KeyFingerprint: fp}).Encode()
+		binary.BigEndian.PutUint32(b, 99)
+		expectReject(t, wire.MsgStockHello, b, "version")
 	})
 	t.Run("wrong scheme", func(t *testing.T) {
-		h := Hello{Version: Version, Scheme: "rot13", PublicKey: keyBytes, Fingerprint: fp}
+		h := wire.Hello{Scheme: "rot13", PublicKey: keyBytes, KeyFingerprint: fp}
 		expectReject(t, wire.MsgStockHello, h.Encode(), "scheme")
+	})
+	t.Run("missing fingerprint", func(t *testing.T) {
+		h := wire.Hello{Scheme: paillier.SchemeID, PublicKey: keyBytes}
+		expectReject(t, wire.MsgStockHello, h.Encode(), "fingerprint")
 	})
 	t.Run("stale fingerprint", func(t *testing.T) {
 		// The fingerprint of a rotated (different) key with the old key's
@@ -233,7 +243,7 @@ func TestHandlerRejectsBadHellos(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		h := Hello{Version: Version, Scheme: paillier.SchemeID, PublicKey: keyBytes, Fingerprint: staleFP}
+		h := wire.Hello{Scheme: paillier.SchemeID, PublicKey: keyBytes, KeyFingerprint: staleFP}
 		expectReject(t, wire.MsgStockHello, h.Encode(), "fingerprint")
 	})
 	t.Run("inventory full", func(t *testing.T) {
@@ -248,12 +258,12 @@ func TestHandlerRejectsBadHellos(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		h := Hello{Version: Version, Scheme: paillier.SchemeID, PublicKey: otherBytes, Fingerprint: otherFP}
+		h := wire.Hello{Scheme: paillier.SchemeID, PublicKey: otherBytes, KeyFingerprint: otherFP}
 		expectReject(t, wire.MsgStockHello, h.Encode(), "busy")
 	})
 
-	if rejects := inv.Metrics().HelloRejects.Value(); rejects < 6 {
-		t.Errorf("HelloRejects = %d, want >= 6", rejects)
+	if rejects := inv.Metrics().HelloRejects.Value(); rejects < 8 {
+		t.Errorf("HelloRejects = %d, want >= 8", rejects)
 	}
 }
 
@@ -274,7 +284,7 @@ func TestHandlerRefusesRetiredKind(t *testing.T) {
 		t.Fatal(err)
 	}
 	conn := rawStockConn(t, addr)
-	hello := Hello{Version: Version, Scheme: paillier.SchemeID, PublicKey: keyBytes, Fingerprint: fp}
+	hello := wire.Hello{Scheme: paillier.SchemeID, PublicKey: keyBytes, KeyFingerprint: fp}
 	if err := conn.Send(wire.MsgStockHello, hello.Encode()); err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package stock
 
 import (
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"io"
@@ -86,22 +87,24 @@ func (h *Handler) hello(conn *wire.Conn) (*keyStock, wire.ErrorCode, error) {
 		return nil, wire.CodeNone, fmt.Errorf("stock: reading hello: %w", err)
 	}
 	if f.Type != wire.MsgStockHello {
-		return nil, wire.CodeProtocol, fmt.Errorf("stock: expected stock hello, got %#x", byte(f.Type))
-	}
-	hello, err := DecodeHello(f.Payload)
-	if err != nil {
+		err := fmt.Errorf("stock: expected stock hello, got %#x", byte(f.Type))
+		if !f.Type.Defined() {
+			return nil, wire.CodeCorruptFrame, fmt.Errorf("%w: %w", err, wire.ErrFrameCorrupt)
+		}
 		return nil, wire.CodeProtocol, err
 	}
-	if hello.Version != Version {
-		return nil, wire.CodeProtocol, fmt.Errorf("stock: unsupported version %d", hello.Version)
+	// DecodeHello refuses an unknown version.
+	hello, err := wire.DecodeHello(f.Payload)
+	if err != nil {
+		return nil, wire.CodeProtocol, err
 	}
 	if hello.Scheme != paillier.SchemeID {
 		return nil, wire.CodeProtocol, fmt.Errorf("stock: unsupported scheme %q", hello.Scheme)
 	}
-	if !hello.CheckFingerprint() {
-		// A stale fingerprint means the client rotated its key (or the
-		// hello was corrupted en route): refuse outright rather than mint
-		// stock the client would reject.
+	if sha256.Sum256(hello.PublicKey) != hello.KeyFingerprint {
+		// The fingerprint is missing (a Version 1 hello has none) or stale:
+		// the client rotated its key, or the hello was corrupted en route.
+		// Refuse outright rather than mint stock the client would reject.
 		return nil, wire.CodeProtocol, errors.New("stock: hello fingerprint does not match key bytes")
 	}
 	var pk paillier.PublicKey

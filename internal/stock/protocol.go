@@ -10,31 +10,30 @@
 // had (the ciphertexts are valid encryptions of 0/1 or they fail the
 // server-side fold; correctness of the sum is checked end to end by tests).
 //
-// Wire protocol (framing, CRC trailers, and MsgError conventions shared with
-// internal/wire):
+// Wire protocol (framing, CRC trailers, MsgError conventions and the hello
+// codec shared with internal/wire):
 //
-//	client → MsgStockHello   {version, scheme, public key, fingerprint, flags}
+//	client → MsgStockHello   wire.Hello {scheme, public key, flags, fingerprint}
 //	daemon → MsgStockHello   {version, fingerprint}   (ack; or MsgError)
 //	client → MsgStockRequest {kind, count}            (repeated)
 //	daemon → MsgStockBatch   {kind, width, items}     (≤ count items, maybe 0)
 //	client → MsgDone                                  (optional, then close)
 //
-// The fingerprint in the hello is the SHA-256 of the key encoding; the
-// daemon verifies it against the key bytes it received and keys its
+// The hello's KeyFingerprint is the SHA-256 of the key encoding; the daemon
+// requires it, verifies it against the key bytes it received and keys its
 // inventories by it, so stock generated for a rotated key can never be
 // served against the new one — restores from disk enforce the same binding
 // through the storepersist format.
 package stock
 
 import (
-	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
 
 	"privstats/internal/wire"
 )
 
-// Version of the stock protocol.
+// Version is the version the daemon's hello ack carries.
 const Version = 1
 
 // Kind names one stock inventory.
@@ -64,73 +63,6 @@ func (k Kind) String() string {
 // 1024-bit modulus are 1 MB — far below wire.MaxFrame, and a sane prefetch
 // unit; clients wanting more issue more requests.
 const MaxBatchItems = 4096
-
-// Hello opens a stock session.
-type Hello struct {
-	Version uint32
-	// Scheme names the cryptosystem ("paillier").
-	Scheme string
-	// PublicKey is the scheme-specific key encoding the daemon mints under.
-	PublicKey []byte
-	// Fingerprint is the SHA-256 of PublicKey; the daemon recomputes and
-	// compares, rejecting a mismatched (stale or corrupted) hello outright.
-	Fingerprint [32]byte
-	// Flags carries session options (wire.HelloFlag* bits; only
-	// HelloFlagFrameCRC is meaningful here).
-	Flags uint32
-}
-
-// Encode serializes h.
-func (h *Hello) Encode() []byte {
-	b := make([]byte, 0, 4+4+len(h.Scheme)+4+len(h.PublicKey)+32+4)
-	b = binary.BigEndian.AppendUint32(b, h.Version)
-	b = binary.BigEndian.AppendUint32(b, uint32(len(h.Scheme)))
-	b = append(b, h.Scheme...)
-	b = binary.BigEndian.AppendUint32(b, uint32(len(h.PublicKey)))
-	b = append(b, h.PublicKey...)
-	b = append(b, h.Fingerprint[:]...)
-	b = binary.BigEndian.AppendUint32(b, h.Flags)
-	return b
-}
-
-// DecodeHello parses a MsgStockHello payload.
-func DecodeHello(b []byte) (*Hello, error) {
-	var h Hello
-	if len(b) < 8 {
-		return nil, fmt.Errorf("%w: stock hello too short", wire.ErrBadMessage)
-	}
-	h.Version = binary.BigEndian.Uint32(b)
-	b = b[4:]
-	schemeLen := binary.BigEndian.Uint32(b)
-	b = b[4:]
-	if schemeLen > 255 || uint32(len(b)) < schemeLen {
-		return nil, fmt.Errorf("%w: bad scheme length %d", wire.ErrBadMessage, schemeLen)
-	}
-	h.Scheme = string(b[:schemeLen])
-	b = b[schemeLen:]
-	if len(b) < 4 {
-		return nil, fmt.Errorf("%w: stock hello truncated before key", wire.ErrBadMessage)
-	}
-	keyLen := binary.BigEndian.Uint32(b)
-	b = b[4:]
-	if uint32(len(b)) < keyLen {
-		return nil, fmt.Errorf("%w: stock hello truncated key", wire.ErrBadMessage)
-	}
-	h.PublicKey = append([]byte(nil), b[:keyLen]...)
-	b = b[keyLen:]
-	if len(b) != 32+4 {
-		return nil, fmt.Errorf("%w: stock hello has %d trailing bytes, want 36", wire.ErrBadMessage, len(b))
-	}
-	copy(h.Fingerprint[:], b)
-	h.Flags = binary.BigEndian.Uint32(b[32:])
-	return &h, nil
-}
-
-// CheckFingerprint reports whether the hello's fingerprint matches its key
-// bytes.
-func (h *Hello) CheckFingerprint() bool {
-	return sha256.Sum256(h.PublicKey) == h.Fingerprint
-}
 
 // HelloAck is the daemon's MsgStockHello reply.
 type HelloAck struct {

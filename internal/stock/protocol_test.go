@@ -8,43 +8,48 @@ import (
 	"testing"
 
 	"privstats/internal/paillier"
+	"privstats/internal/wire"
 )
+
+// stockHello is the hello RemoteSource sends: a wire.Hello with the key's
+// fingerprint and, on a CRC session, the CRC flag.
+func stockHello(key []byte) *wire.Hello {
+	return &wire.Hello{
+		Scheme:         paillier.SchemeID,
+		PublicKey:      key,
+		Flags:          wire.HelloFlagFrameCRC,
+		KeyFingerprint: sha256.Sum256(key),
+	}
+}
 
 func TestHelloRoundTrip(t *testing.T) {
 	key := []byte("not-a-real-key-but-bytes-suffice")
-	h := Hello{
-		Version:     Version,
-		Scheme:      paillier.SchemeID,
-		PublicKey:   key,
-		Fingerprint: sha256.Sum256(key),
-		Flags:       0x80000001,
-	}
-	back, err := DecodeHello(h.Encode())
+	h := stockHello(key)
+	b := h.Encode()
+	back, err := wire.DecodeHello(b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.Version != h.Version || back.Scheme != h.Scheme ||
+	if back.Version != wire.Version || back.Scheme != h.Scheme ||
 		!bytes.Equal(back.PublicKey, h.PublicKey) ||
-		back.Fingerprint != h.Fingerprint || back.Flags != h.Flags {
+		back.KeyFingerprint != h.KeyFingerprint || back.Flags != h.Flags {
 		t.Fatalf("round trip: %+v != %+v", back, h)
 	}
-	if !back.CheckFingerprint() {
-		t.Error("CheckFingerprint rejects a matching fingerprint")
-	}
-	back.PublicKey[0] ^= 1
-	if back.CheckFingerprint() {
-		t.Error("CheckFingerprint accepts tampered key bytes")
+	// Prefix, the 12-byte core, the presence byte, flags and fingerprint.
+	if want := 4 + 4 + len(h.Scheme) + 4 + len(key) + 12 + 1 + 4 + 32; len(b) != want {
+		t.Errorf("stock hello is %d bytes, want %d", len(b), want)
 	}
 }
 
 func TestDecodeHelloRejectsMalformed(t *testing.T) {
-	good := (&Hello{Version: 1, Scheme: "paillier", PublicKey: []byte("key"), Flags: 0}).Encode()
+	good := stockHello([]byte("key")).Encode()
 	cases := map[string][]byte{
-		"empty":            {},
-		"short header":     good[:6],
-		"truncated key":    good[:len(good)-37],
-		"missing trailer":  good[:len(good)-1],
-		"trailing garbage": append(append([]byte{}, good...), 0xFF),
+		"empty":               {},
+		"short header":        good[:6],
+		"truncated key":       good[:4+4+len(paillier.SchemeID)+4+2],
+		"truncated fp":        good[:len(good)-1],
+		"missing fingerprint": good[:len(good)-32],
+		"trailing garbage":    append(append([]byte{}, good...), 0xFF),
 	}
 	// Scheme length far past the buffer.
 	huge := append([]byte{}, good...)
@@ -52,7 +57,7 @@ func TestDecodeHelloRejectsMalformed(t *testing.T) {
 	cases["absurd scheme length"] = huge
 
 	for name, b := range cases {
-		if _, err := DecodeHello(b); err == nil {
+		if _, err := wire.DecodeHello(b); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}
@@ -158,12 +163,12 @@ func TestKindString(t *testing.T) {
 }
 
 // FuzzStockProtocol feeds arbitrary bytes to the three decoders that parse
-// frames straight off the network. Whatever a decoder accepts re-encodes to
+// a stock session's frames straight off the network. Whatever a decoder accepts re-encodes to
 // exactly the bytes it was given, and no kind but the two bit kinds gets
 // through.
 func FuzzStockProtocol(f *testing.F) {
 	key := []byte("not-a-real-key-but-bytes-suffice")
-	f.Add((&Hello{Version: Version, Scheme: paillier.SchemeID, PublicKey: key, Fingerprint: sha256.Sum256(key), Flags: 0x80000001}).Encode())
+	f.Add(stockHello(key).Encode())
 	f.Add((&HelloAck{Version: Version, Fingerprint: sha256.Sum256(key)}).Encode())
 	for _, k := range []Kind{KindZeroBits, KindOneBits, 2, 9} {
 		f.Add((&Request{Kind: k, Count: 17}).Encode())
@@ -171,7 +176,9 @@ func FuzzStockProtocol(f *testing.F) {
 	}
 	f.Add((&Batch{Kind: KindZeroBits, Width: 4}).Encode())
 	f.Fuzz(func(t *testing.T, b []byte) {
-		if h, err := DecodeHello(b); err == nil && !bytes.Equal(h.Encode(), b) {
+		// A Version 1 hello re-encodes as Version 2; any other that decodes
+		// has one encoding.
+		if h, err := wire.DecodeHello(b); err == nil && h.Version == wire.Version && !bytes.Equal(h.Encode(), b) {
 			t.Fatalf("hello %x re-encodes as %x", b, h.Encode())
 		}
 		if r, err := DecodeRequest(b); err == nil {

@@ -364,11 +364,10 @@ func (s *RemoteSource) ensureConnLocked() error {
 		raw.Close()
 		return err
 	}
-	hello := Hello{
-		Version:     Version,
-		Scheme:      paillier.SchemeID,
-		PublicKey:   keyBytes,
-		Fingerprint: fp,
+	hello := wire.Hello{
+		Scheme:         paillier.SchemeID,
+		PublicKey:      keyBytes,
+		KeyFingerprint: fp,
 	}
 	if s.cfg.UseCRC {
 		hello.Flags |= wire.HelloFlagFrameCRC

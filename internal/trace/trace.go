@@ -112,7 +112,7 @@ func New(peer string) *Trace {
 	return &Trace{peer: peer, begin: time.Now()}
 }
 
-// SetID installs the request's trace ID (from the Hello trailer).
+// SetID installs the request's trace ID (from the Hello).
 func (t *Trace) SetID(id ID) {
 	if t == nil {
 		return

@@ -2,10 +2,8 @@ package wire
 
 import "testing"
 
-// Column-set trailer wire behavior: the 44-byte hello trailer appends a
-// uint32 column bitmask; the trailer is only emitted when a non-default set
-// was requested, so a value-only hello stays parseable by pre-columns
-// decoders, mirroring the RowOffset/Flags/TraceID extensions.
+// Column sets: a hello carries the set as one extension, sent only when a
+// non-default set was requested.
 
 func TestColumnSetHelpers(t *testing.T) {
 	cases := []struct {
@@ -56,54 +54,5 @@ func TestHelloColumnsRoundTrip(t *testing.T) {
 	}
 	if got.TraceID != h.TraceID || got.Flags != h.Flags || got.RowOffset != h.RowOffset {
 		t.Fatalf("co-travelling fields damaged: %+v", got)
-	}
-}
-
-// TestMixedVersionColumnsInterop mirrors TestMixedVersionTraceInterop: a new
-// client asking for the default column set emits a trailer an old decoder
-// still accepts, a columns hello without a trace forces the trace (and
-// flags) words out as zeros, and every legacy trailer form decodes with the
-// zero set, which EffectiveColumns resolves to the value column.
-func TestMixedVersionColumnsInterop(t *testing.T) {
-	base := &Hello{Version: Version, Scheme: "paillier", PublicKey: []byte{1}, VectorLen: 10, ChunkLen: 5}
-
-	plain := base.Encode()
-	multi := *base
-	multi.Columns = ColValue | ColSquare | ColOnes
-	multiEnc := multi.Encode()
-	// +4 flags word, +16 trace ID (zero), +4 columns word.
-	if len(multiEnc) != len(plain)+4+16+4 {
-		t.Fatalf("columns hello is %d bytes, plain %d; want +24", len(multiEnc), len(plain))
-	}
-	keyEnd := 4 + 4 + len(base.Scheme) + 4 + len(base.PublicKey)
-	trailer := len(plain) - keyEnd
-	if trailer != 12 && trailer != 20 && trailer != 24 && trailer != 40 {
-		t.Fatalf("default-columns hello trailer is %d bytes; an old peer would reject it", trailer)
-	}
-
-	for _, h := range []*Hello{
-		base,
-		{Version: Version, Scheme: "paillier", PublicKey: []byte{1}, VectorLen: 10, ChunkLen: 5, RowOffset: 3},
-		{Version: Version, Scheme: "paillier", PublicKey: []byte{1}, VectorLen: 10, ChunkLen: 5, Flags: HelloFlagFrameCRC},
-		{Version: Version, Scheme: "paillier", PublicKey: []byte{1}, VectorLen: 10, ChunkLen: 5, TraceID: [16]byte{7}},
-	} {
-		got, err := DecodeHello(h.Encode())
-		if err != nil {
-			t.Fatalf("legacy hello rejected: %v", err)
-		}
-		if got.Columns != 0 {
-			t.Fatalf("legacy hello sprouted columns: %v", got.Columns)
-		}
-		if got.EffectiveColumns() != ColValue {
-			t.Fatalf("EffectiveColumns() = %v, want value", got.EffectiveColumns())
-		}
-	}
-
-	got, err := DecodeHello(multiEnc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Columns != multi.Columns || got.Flags != 0 || got.HasTraceID() {
-		t.Fatalf("columns decode: %+v", got)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"reflect"
 	"testing"
 )
 
@@ -128,36 +129,47 @@ func FuzzDecodeErrorPayload(f *testing.F) {
 }
 
 func FuzzDecodeHello(f *testing.F) {
-	h := Hello{Version: 1, Scheme: "paillier", PublicKey: []byte{1, 2}, VectorLen: 9, ChunkLen: 3}
+	h := Hello{Scheme: "paillier", PublicKey: []byte{1, 2}, VectorLen: 9, ChunkLen: 3}
 	f.Add(h.Encode())
 	f.Add([]byte{})
-	f.Add(make([]byte, 24))
-	traced := h
-	traced.TraceID = [16]byte{1, 2, 3, 4}
-	f.Add(traced.Encode())
-	multi := h
-	multi.Columns = ColValue | ColSquare
-	f.Add(multi.Encode())
+	// One seed per presence bit, then all of them.
+	all := h
+	for _, set := range []func(*Hello){
+		func(h *Hello) { h.RowOffset = 7 },
+		func(h *Hello) { h.Flags = HelloFlagFrameCRC },
+		func(h *Hello) { h.TraceID = [16]byte{1, 2, 3, 4} },
+		func(h *Hello) { h.Columns = ColValue | ColSquare },
+		func(h *Hello) { h.KeyFingerprint = [32]byte{5, 6} },
+	} {
+		one := h
+		set(&one)
+		set(&all)
+		f.Add(one.Encode())
+	}
+	f.Add(all.Encode())
+	f.Add(versionOneHello(&h, make([]byte, 12)))
+	unknown := h.Encode()
+	unknown[len(unknown)-1] = 1 << 5
+	f.Add(unknown)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := DecodeHello(data)
 		if err != nil {
 			return
 		}
-		// Anything that decodes must survive a semantic round trip. Byte
-		// identity only holds for the canonical (20-byte-trailer) form —
-		// a legacy 12-byte-trailer hello re-encodes with an explicit zero
-		// RowOffset — so compare decoded values, then check the canonical
-		// encoding is a fixed point.
+		// Anything that decodes must survive a value round trip, with the
+		// version normalized: a Version 1 hello re-encodes as Version 2. A
+		// Version 2 hello has exactly one encoding, the one it came in.
 		enc := got.Encode()
+		if got.Version == Version && !bytes.Equal(enc, data) {
+			t.Fatalf("hello %x re-encodes as %x", data, enc)
+		}
 		again, err := DecodeHello(enc)
 		if err != nil {
 			t.Fatalf("re-encoded hello does not decode: %v", err)
 		}
-		if again.Version != got.Version || again.Scheme != got.Scheme ||
-			!bytes.Equal(again.PublicKey, got.PublicKey) ||
-			again.VectorLen != got.VectorLen || again.ChunkLen != got.ChunkLen ||
-			again.RowOffset != got.RowOffset || again.Flags != got.Flags ||
-			again.TraceID != got.TraceID || again.Columns != got.Columns {
+		want := *got
+		want.Version = Version
+		if !reflect.DeepEqual(*again, want) {
 			t.Fatal("hello round trip not value-preserving")
 		}
 		if !bytes.Equal(again.Encode(), enc) {

@@ -117,10 +117,9 @@ func (c *Conn) CRCEnabled() bool { return c.crc.Load() }
 func (c *Conn) SetMaxFrame(n int) { c.maxFrame.Store(int64(n)) }
 
 // SetTraceID arms the session's end-to-end trace ID: the protocol client
-// includes it in the Hello it sends on this connection (the trace trailer),
-// so every component the query touches records its costs under one ID. The
-// zero ID (the default) means no trace is requested and no trailer is sent,
-// which keeps pre-trace servers interoperable.
+// includes it in the Hello it sends on this connection, so every component
+// the query touches records its costs under one ID. The zero ID (the
+// default) means no trace is requested, and the hello carries none.
 func (c *Conn) SetTraceID(id [16]byte) {
 	c.traceMu.Lock()
 	c.traceID = id

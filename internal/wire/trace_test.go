@@ -5,10 +5,8 @@ import (
 	"testing"
 )
 
-// Trace trailer wire behavior: the 40-byte hello trailer appends a 16-byte
-// trace ID; the trailer is only emitted when a trace was requested, so an
-// untraced hello stays parseable by pre-trace decoders (which reject
-// unknown trailer lengths), mirroring the RowOffset and Flags extensions.
+// Trace IDs: a hello carries the 16-byte ID as one extension, sent only
+// when a trace was requested.
 
 func TestHelloTraceIDRoundTrip(t *testing.T) {
 	h := &Hello{
@@ -33,59 +31,6 @@ func TestHelloTraceIDRoundTrip(t *testing.T) {
 	}
 	if got.Flags != h.Flags || got.RowOffset != h.RowOffset || got.VectorLen != h.VectorLen {
 		t.Fatalf("co-travelling fields damaged: %+v", got)
-	}
-}
-
-// TestMixedVersionTraceInterop mirrors TestMixedVersionCRCInterop for the
-// trace trailer: a new client not requesting a trace emits a trailer an old
-// DecodeHello (which rejects the 40-byte form) still accepts, and a new
-// server decoding an old (trace-less) hello sees the zero ID — no trace,
-// never a protocol error.
-func TestMixedVersionTraceInterop(t *testing.T) {
-	base := &Hello{Version: Version, Scheme: "paillier", PublicKey: []byte{1}, VectorLen: 10, ChunkLen: 5}
-
-	// New client, tracing off: the encoding is byte-identical to the
-	// pre-trace encoding, so an old decoder cannot tell the difference.
-	untraced := base.Encode()
-	traced := *base
-	traced.TraceID = [16]byte{1}
-	tracedEnc := traced.Encode()
-	if len(tracedEnc) != len(untraced)+4+16 {
-		// +4: the trace trailer forces the flags word out; +16: the ID.
-		t.Fatalf("traced hello is %d bytes, untraced %d; want +20", len(tracedEnc), len(untraced))
-	}
-	// oldDecodeHello emulation: the pre-trace decoder accepted exactly the
-	// 12/20/24-byte trailers. Verify the untraced hello uses one of them.
-	keyEnd := 4 + 4 + len(base.Scheme) + 4 + len(base.PublicKey)
-	trailer := len(untraced) - keyEnd
-	if trailer != 12 && trailer != 20 && trailer != 24 {
-		t.Fatalf("untraced hello trailer is %d bytes; an old peer would reject it", trailer)
-	}
-
-	// Old client → new server: every legacy trailer form decodes with the
-	// zero trace ID (no trace), never an error.
-	for _, h := range []*Hello{
-		base, // shortest legacy form
-		{Version: Version, Scheme: "paillier", PublicKey: []byte{1}, VectorLen: 10, ChunkLen: 5, RowOffset: 3},
-		{Version: Version, Scheme: "paillier", PublicKey: []byte{1}, VectorLen: 10, ChunkLen: 5, Flags: HelloFlagFrameCRC},
-	} {
-		got, err := DecodeHello(h.Encode())
-		if err != nil {
-			t.Fatalf("legacy hello rejected: %v", err)
-		}
-		if got.HasTraceID() {
-			t.Fatalf("legacy hello sprouted a trace ID: %x", got.TraceID)
-		}
-	}
-
-	// New server → traced hello: the full form decodes and the co-sent
-	// flags word survives even when zero.
-	got, err := DecodeHello(tracedEnc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.TraceID != traced.TraceID || got.Flags != 0 {
-		t.Fatalf("traced decode: %+v", got)
 	}
 }
 

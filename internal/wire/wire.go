@@ -45,14 +45,16 @@ const (
 
 // Stock-service message types (internal/stock). They live in a distinct
 // range so a stock frame can never be mistaken for a selected-sum frame, and
-// the 0x80 bit stays reserved for the CRC flag. Payload codecs live in
-// internal/stock; the framing, CRC trailers, and MsgError conventions are
-// shared with the selected-sum protocol.
+// the 0x80 bit stays reserved for the CRC flag. The hello is this package's
+// Hello; the other payload codecs live in internal/stock. The framing, CRC
+// trailers, and MsgError conventions are shared with the selected-sum
+// protocol.
 const (
-	// MsgStockHello opens a stock session: the client sends its public key
-	// (and its fingerprint, which the daemon verifies) so the daemon can
-	// select — or create — the matching inventory. The daemon echoes a
-	// MsgStockHello ack carrying the fingerprint it admitted.
+	// MsgStockHello opens a stock session: the client sends a Hello with
+	// its scheme, public key, flags and KeyFingerprint (which the daemon
+	// verifies) so the daemon can select — or create — the matching
+	// inventory. The daemon answers with a MsgStockHello ack (stock's
+	// HelloAck) carrying the fingerprint it admitted.
 	MsgStockHello MsgType = 0x10
 	// MsgStockRequest asks for up to Count items of one stock kind.
 	MsgStockRequest MsgType = 0x11
@@ -61,6 +63,13 @@ const (
 	// waiting for generation.
 	MsgStockBatch MsgType = 0x12
 )
+
+// Defined reports whether t names a message of either protocol. A frame
+// whose type byte names none was damaged in flight: its receiver reports
+// ErrFrameCorrupt, which the peer may retry, not a protocol error.
+func (t MsgType) Defined() bool {
+	return t >= MsgHello && t <= MsgDone || t >= MsgStockHello && t <= MsgStockBatch
+}
 
 // MaxFrame bounds a frame payload. A 100,000-element chunk of 1024-bit-
 // modulus ciphertexts is ~25.6 MB; 64 MB leaves generous headroom while
@@ -79,18 +88,23 @@ const frameFlagCRC = 0x80
 // crcTrailerSize is the length of the CRC32 frame trailer.
 const crcTrailerSize = 4
 
-// Protocol version for MsgHello.
-const Version = 1
+// Hello versions. Encode writes Version; DecodeHello reads it and the one
+// legacy layout, versionLegacy's bare 12-byte trailer.
+const (
+	Version       = 2
+	versionLegacy = 1
+)
 
 var (
 	// ErrFrameTooLarge is returned when a declared payload exceeds MaxFrame.
 	ErrFrameTooLarge = errors.New("wire: frame exceeds maximum size")
 	// ErrBadMessage is returned when a payload does not parse.
 	ErrBadMessage = errors.New("wire: malformed message")
-	// ErrFrameCorrupt is returned when a CRC-trailed frame fails its
-	// checksum: the bytes were damaged in flight. Unlike ErrBadMessage it
-	// is a transport fault, so the cluster client treats it as retryable.
-	ErrFrameCorrupt = errors.New("wire: frame corrupt (CRC mismatch)")
+	// ErrFrameCorrupt is returned when the bytes of a frame were damaged in
+	// flight: a CRC-trailed frame fails its checksum, or a type byte names
+	// no message. Unlike ErrBadMessage it is a transport fault, so the
+	// cluster client treats it as retryable.
+	ErrFrameCorrupt = errors.New("wire: frame corrupt")
 )
 
 // Frame is one decoded wire frame.
@@ -229,8 +243,8 @@ const (
 // per set bit, in ascending bit order.
 type ColumnSet uint32
 
-// Column bits. The zero value means "value column only", which keeps the
-// hello parseable by (and equivalent for) pre-columns peers.
+// Column bits. The zero value means "value column only", and a hello with
+// it sends no column set.
 const (
 	// ColValue folds against the raw value column x_i.
 	ColValue ColumnSet = 1 << 0
@@ -285,8 +299,15 @@ func (c ColumnSet) String() string {
 	return strings.Join(parts, "|")
 }
 
-// Hello is the session-opening message.
+// Hello is the session-opening message of both protocols (MsgHello and
+// MsgStockHello). A Version 2 hello is the version, the scheme and the key
+// (each a 4-byte length and its bytes), the 12-byte core (VectorLen,
+// ChunkLen), a presence byte, and the extensions it announces, in field
+// order from RowOffset to KeyFingerprint. An extension is sent only when it
+// is non-zero, so a hello has one encoding. A Version 1 hello has the core
+// alone after the key.
 type Hello struct {
+	// Version is the layout the hello arrived in; Encode writes Version.
 	Version uint32
 	// Scheme names the homomorphic cryptosystem ("paillier", ...).
 	Scheme string
@@ -298,28 +319,33 @@ type Hello struct {
 	// single chunk carrying the whole vector).
 	ChunkLen uint32
 	// RowOffset scopes the session to rows [RowOffset, RowOffset+VectorLen)
-	// of a larger logical database: index-chunk offsets stay in the global
-	// coordinate system and the server translates them by RowOffset. The
-	// cluster aggregator uses this to fan one logical query out to sharded
-	// backends without rewriting chunk framing. Zero (the single-server
-	// default) leaves offsets untranslated.
+	// of a larger logical database: chunk offsets stay global and the server
+	// translates them. The cluster aggregator sets it on each shard's
+	// session; zero (a single server) leaves offsets untranslated.
 	RowOffset uint64
 	// Flags carries session option bits (HelloFlag*). Unknown bits are
 	// ignored by the receiver, so new options stay backward compatible.
 	Flags uint32
-	// TraceID, when non-zero, is the 16-byte request identifier the client
-	// minted for end-to-end tracing (internal/trace): every component the
-	// query touches records its per-phase costs under this ID, and the
-	// aggregator forwards it to each backend shard so one ID stitches the
-	// whole fan-out together. The all-zero value means "no trace" and is
-	// not sent on the wire, keeping the hello parseable by pre-trace peers.
+	// TraceID, when non-zero, is the request's end-to-end trace ID
+	// (internal/trace): every component the query touches, each shard
+	// behind the aggregator included, records its costs under it.
 	TraceID [16]byte
-	// Columns selects which derived columns the session folds against
-	// (Col* bits); the server replies with one MsgSum per column in
-	// ascending bit order. Zero means "value column only" and is not sent
-	// on the wire, keeping the hello parseable by pre-columns peers.
+	// Columns selects the derived columns the session folds against (Col*
+	// bits), one MsgSum each in ascending bit order; zero means the value
+	// column.
 	Columns ColumnSet
+	// KeyFingerprint is the SHA-256 of PublicKey, which the stock daemon
+	// requires and checks; the selected-sum client sends none.
+	KeyFingerprint [32]byte
 }
+
+// extLens are the sizes of a Version 2 hello's extensions, in wire order:
+// RowOffset, Flags, TraceID, Columns, KeyFingerprint.
+var extLens = [...]int{8, 4, 16, 4, 32}
+
+// helloCoreLen is VectorLen and ChunkLen, the whole trailer of a Version 1
+// hello.
+const helloCoreLen = 8 + 4
 
 // HasTraceID reports whether the hello carries a (non-zero) trace ID.
 func (h *Hello) HasTraceID() bool { return h.TraceID != [16]byte{} }
@@ -333,40 +359,68 @@ func (h *Hello) EffectiveColumns() ColumnSet {
 	return h.Columns
 }
 
-// Encode serializes h. The trailer is emitted in its shortest accepted
-// form — flags are appended only when set — so a flagless hello stays
-// parseable by pre-flags peers.
+// extensions returns h's extensions in wire order, encoded, with nil for
+// each zero field, which is not sent.
+func (h *Hello) extensions() (e [len(extLens)][]byte) {
+	if h.RowOffset != 0 {
+		e[0] = binary.BigEndian.AppendUint64(nil, h.RowOffset)
+	}
+	if h.Flags != 0 {
+		e[1] = binary.BigEndian.AppendUint32(nil, h.Flags)
+	}
+	if h.HasTraceID() {
+		e[2] = h.TraceID[:]
+	}
+	if h.Columns != 0 {
+		e[3] = binary.BigEndian.AppendUint32(nil, uint32(h.Columns))
+	}
+	if h.KeyFingerprint != [32]byte{} {
+		e[4] = h.KeyFingerprint[:]
+	}
+	return e
+}
+
+// presence is the presence byte announcing the extensions e sends.
+func presence(e [len(extLens)][]byte) (p byte) {
+	for i := range e {
+		if e[i] != nil {
+			p |= 1 << i
+		}
+	}
+	return p
+}
+
+// Encode serializes h as a Version 2 hello, whatever h.Version says.
 func (h *Hello) Encode() []byte {
-	b := make([]byte, 0, 4+4+len(h.Scheme)+4+len(h.PublicKey)+8+4+8+4+16+4)
-	b = binary.BigEndian.AppendUint32(b, h.Version)
+	e := h.extensions()
+	b := make([]byte, 0, 4+4+len(h.Scheme)+4+len(h.PublicKey)+helloCoreLen+1+8+4+16+4+32)
+	b = binary.BigEndian.AppendUint32(b, Version)
 	b = binary.BigEndian.AppendUint32(b, uint32(len(h.Scheme)))
 	b = append(b, h.Scheme...)
 	b = binary.BigEndian.AppendUint32(b, uint32(len(h.PublicKey)))
 	b = append(b, h.PublicKey...)
 	b = binary.BigEndian.AppendUint64(b, h.VectorLen)
 	b = binary.BigEndian.AppendUint32(b, h.ChunkLen)
-	b = binary.BigEndian.AppendUint64(b, h.RowOffset)
-	if h.Flags != 0 || h.HasTraceID() || h.Columns != 0 {
-		// A trace ID or column set forces the flags word out too (even when
-		// zero): the trailer forms are distinguished by length alone.
-		b = binary.BigEndian.AppendUint32(b, h.Flags)
-	}
-	if h.HasTraceID() || h.Columns != 0 {
-		b = append(b, h.TraceID[:]...)
-	}
-	if h.Columns != 0 {
-		b = binary.BigEndian.AppendUint32(b, uint32(h.Columns))
+	b = append(b, presence(e))
+	for _, ext := range e {
+		b = append(b, ext...)
 	}
 	return b
 }
 
-// DecodeHello parses a Hello payload.
+// DecodeHello parses a Hello payload: a Version 2 hello, or a Version 1
+// hello with its 12-byte trailer. Any other version, an unknown presence
+// bit, a present extension that is zero or a trailer of the wrong length is
+// ErrBadMessage.
 func DecodeHello(b []byte) (*Hello, error) {
 	var h Hello
 	if len(b) < 8 {
 		return nil, fmt.Errorf("%w: hello too short", ErrBadMessage)
 	}
 	h.Version = binary.BigEndian.Uint32(b)
+	if h.Version != Version && h.Version != versionLegacy {
+		return nil, fmt.Errorf("%w: unsupported hello version %d", ErrBadMessage, h.Version)
+	}
 	b = b[4:]
 	schemeLen := binary.BigEndian.Uint32(b)
 	b = b[4:]
@@ -385,32 +439,43 @@ func DecodeHello(b []byte) (*Hello, error) {
 	}
 	h.PublicKey = append([]byte(nil), b[:keyLen]...)
 	b = b[keyLen:]
-	// Five accepted trailers: the original 12-byte form (vector length +
-	// chunk length), the 20-byte shard-scoped form that appends RowOffset,
-	// the 24-byte form that appends session Flags, the 40-byte form that
-	// appends a 16-byte trace ID, and the 44-byte form that appends a
-	// column-set word. Accepting all keeps earlier clients interoperable —
-	// a missing row offset means "rows start at zero", missing flags mean
-	// "no options", a missing trace ID means "no trace", a missing column
-	// set means "value column only".
-	switch len(b) {
-	case 12, 20, 24, 40, 44:
-	default:
-		return nil, fmt.Errorf("%w: hello has %d trailing bytes, want 12, 20, 24, 40, or 44", ErrBadMessage, len(b))
+	core := helloCoreLen + 1 // and the presence byte
+	if h.Version == versionLegacy {
+		core = helloCoreLen
+	}
+	if len(b) < core {
+		return nil, fmt.Errorf("%w: version %d hello truncated in its core", ErrBadMessage, h.Version)
 	}
 	h.VectorLen = binary.BigEndian.Uint64(b)
 	h.ChunkLen = binary.BigEndian.Uint32(b[8:])
-	if len(b) >= 20 {
-		h.RowOffset = binary.BigEndian.Uint64(b[12:])
+	var p byte // a Version 1 hello announces no extensions
+	if core > helloCoreLen {
+		p = b[helloCoreLen]
 	}
-	if len(b) >= 24 {
-		h.Flags = binary.BigEndian.Uint32(b[20:])
+	b = b[core:]
+	for i, n := range extLens {
+		if p&(1<<i) == 0 || len(b) < n {
+			continue // absent, or truncated: zero, which the check below refuses
+		}
+		v := b[:n]
+		b = b[n:]
+		switch i {
+		case 0:
+			h.RowOffset = binary.BigEndian.Uint64(v)
+		case 1:
+			h.Flags = binary.BigEndian.Uint32(v)
+		case 2:
+			copy(h.TraceID[:], v)
+		case 3:
+			h.Columns = ColumnSet(binary.BigEndian.Uint32(v))
+		case 4:
+			copy(h.KeyFingerprint[:], v)
+		}
 	}
-	if len(b) >= 40 {
-		copy(h.TraceID[:], b[24:])
-	}
-	if len(b) == 44 {
-		h.Columns = ColumnSet(binary.BigEndian.Uint32(b[40:]))
+	// Unknown bits, a zero or truncated extension, or bytes left over: not
+	// an encoding Encode makes.
+	if len(b) != 0 || presence(h.extensions()) != p {
+		return nil, fmt.Errorf("%w: hello presence %#x does not match its extensions", ErrBadMessage, p)
 	}
 	return &h, nil
 }

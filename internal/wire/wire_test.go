@@ -2,10 +2,12 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"net"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -149,7 +151,7 @@ func TestHelloRoundTripProperty(t *testing.T) {
 }
 
 func TestDecodeHelloRejectsCorruption(t *testing.T) {
-	h := &Hello{Version: 1, Scheme: "paillier", PublicKey: []byte{9}, VectorLen: 5, ChunkLen: 1}
+	h := &Hello{Scheme: "paillier", PublicKey: []byte{9}, VectorLen: 5, ChunkLen: 1}
 	good := h.Encode()
 	cases := [][]byte{
 		nil,
@@ -167,6 +169,27 @@ func TestDecodeHelloRejectsCorruption(t *testing.T) {
 	bad[4], bad[5], bad[6], bad[7] = 0xFF, 0xFF, 0xFF, 0xFF
 	if _, err := DecodeHello(bad); err == nil {
 		t.Error("giant scheme length should fail")
+	}
+	// good ends in its presence byte (no extensions).
+	edits := map[string]func(b []byte) []byte{
+		"unknown version": func(b []byte) []byte { binary.BigEndian.PutUint32(b, 3); return b },
+		"unknown presence bit": func(b []byte) []byte {
+			b[len(b)-1] = 1 << 5
+			return b
+		},
+		"present but missing": func(b []byte) []byte {
+			b[len(b)-1] = 1 << 1
+			return b
+		},
+		"present but zero": func(b []byte) []byte {
+			b[len(b)-1] = 1 << 1
+			return append(b, 0, 0, 0, 0)
+		},
+	}
+	for name, edit := range edits {
+		if _, err := DecodeHello(edit(append([]byte{}, good...))); !errors.Is(err, ErrBadMessage) {
+			t.Errorf("%s: err = %v, want ErrBadMessage", name, err)
+		}
 	}
 }
 
@@ -302,18 +325,83 @@ func TestHelloRowOffsetRoundTrip(t *testing.T) {
 	}
 }
 
-// A pre-cluster hello (12-byte trailer, no RowOffset field) must still
-// decode, with the offset defaulting to zero.
+// versionOneHello is h as a Version 1 client sent it: the key and scheme
+// prefix, then trailer.
+func versionOneHello(h *Hello, trailer []byte) []byte {
+	b := binary.BigEndian.AppendUint32(nil, 1)
+	b = binary.BigEndian.AppendUint32(b, uint32(len(h.Scheme)))
+	b = append(b, h.Scheme...)
+	b = binary.BigEndian.AppendUint32(b, uint32(len(h.PublicKey)))
+	b = append(b, h.PublicKey...)
+	return append(b, trailer...)
+}
+
+// TestDecodeHelloLegacyTrailer is the one interop test between hello
+// versions. A Version 1 hello with its original 12-byte trailer (vector and
+// chunk length) decodes with every extension absent: no row offset, no
+// flags, no trace, the value column. The later Version 1 trailers (20, 24,
+// 40 and 44 bytes) are refused. The same hello from a current client is
+// Version 2 and one presence byte longer.
 func TestDecodeHelloLegacyTrailer(t *testing.T) {
-	h := &Hello{Version: Version, Scheme: "paillier", PublicKey: []byte{1}, VectorLen: 42, ChunkLen: 7}
-	legacy := h.Encode()
-	legacy = legacy[:len(legacy)-8] // strip the RowOffset trailer
+	h := &Hello{Scheme: "paillier", PublicKey: []byte{1}, VectorLen: 42, ChunkLen: 7}
+	core := binary.BigEndian.AppendUint64(nil, h.VectorLen)
+	core = binary.BigEndian.AppendUint32(core, h.ChunkLen)
+	legacy := versionOneHello(h, core)
 	got, err := DecodeHello(legacy)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.RowOffset != 0 || got.VectorLen != 42 || got.ChunkLen != 7 {
-		t.Errorf("legacy decode got %+v", got)
+	want := *h
+	want.Version = 1
+	if !reflect.DeepEqual(*got, want) {
+		t.Errorf("legacy decode got %+v, want %+v", got, want)
+	}
+	if got.EffectiveColumns() != ColValue || got.HasTraceID() {
+		t.Errorf("legacy hello sprouted columns %v or a trace", got.EffectiveColumns())
+	}
+	for _, n := range []int{20, 24, 40, 44} {
+		if _, err := DecodeHello(versionOneHello(h, make([]byte, n))); !errors.Is(err, ErrBadMessage) {
+			t.Errorf("version 1 hello with a %d-byte trailer: err = %v, want ErrBadMessage", n, err)
+		}
+	}
+	current := h.Encode()
+	if binary.BigEndian.Uint32(current) != Version || len(current) != len(legacy)+1 {
+		t.Fatalf("current hello is version %d, %d bytes; want version %d, %d bytes",
+			binary.BigEndian.Uint32(current), len(current), Version, len(legacy)+1)
+	}
+	again, err := DecodeHello(current)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want.Version = Version
+	if !reflect.DeepEqual(*again, want) {
+		t.Errorf("current decode got %+v, want %+v", again, want)
+	}
+}
+
+// TestHelloSizes pins the bytes after the key of each hello shape the
+// workloads send: the 12-byte core, the presence byte and the extensions
+// the shape sets.
+func TestHelloSizes(t *testing.T) {
+	trace := [16]byte{1}
+	for _, c := range []struct {
+		name    string
+		h       Hello
+		trailer int
+	}{
+		{"value-only", Hello{}, 13},
+		{"CRC", Hello{Flags: HelloFlagFrameCRC}, 17},
+		{"CRC plus columns", Hello{Flags: HelloFlagFrameCRC, Columns: ColValue | ColSquare}, 21},
+		{"sharded", Hello{RowOffset: 10000}, 21},
+		{"traced", Hello{TraceID: trace}, 29},
+		{"traced CRC shard with columns", Hello{RowOffset: 1, Flags: HelloFlagFrameCRC, TraceID: trace, Columns: ColOnes}, 45},
+		{"stock", Hello{KeyFingerprint: [32]byte{1}}, 45},
+	} {
+		c.h.Scheme, c.h.PublicKey, c.h.VectorLen = "paillier", make([]byte, 256), 20000
+		prefix := 4 + 4 + len(c.h.Scheme) + 4 + len(c.h.PublicKey)
+		if got := len(c.h.Encode()) - prefix; got != c.trailer {
+			t.Errorf("%s: %d bytes after the key, want %d", c.name, got, c.trailer)
+		}
 	}
 }
 
@@ -358,7 +446,8 @@ func TestReadFrameLimitCeiling(t *testing.T) {
 // Mixed-version interop: a new (CRC-capable) peer talking to an old one.
 // Old peers never set HelloFlagFrameCRC and never send CRC trailers; a new
 // receiver must accept their plain frames, and a new sender must not send
-// CRC frames unless the flag was negotiated.
+// CRC frames unless the flag was negotiated. (The hello versions have their
+// own test, TestDecodeHelloLegacyTrailer.)
 func TestMixedVersionCRCInterop(t *testing.T) {
 	// Old sender -> new receiver: plain frames pass through, CRC=false.
 	var plain bytes.Buffer
@@ -368,26 +457,6 @@ func TestMixedVersionCRCInterop(t *testing.T) {
 	f, _, err := ReadFrame(&plain)
 	if err != nil || f.CRC {
 		t.Fatalf("plain frame through new reader: %+v, %v", f, err)
-	}
-
-	// A hello without the flag encodes WITHOUT the flags trailer, so an
-	// old DecodeHello (which rejects unknown trailer lengths) still parses
-	// it. The flagged form uses the extended trailer.
-	h := &Hello{Version: Version, Scheme: "paillier", PublicKey: []byte{1}, VectorLen: 10, ChunkLen: 5}
-	unflagged := h.Encode()
-	h2 := *h
-	h2.Flags = HelloFlagFrameCRC
-	flagged := h2.Encode()
-	if len(flagged) != len(unflagged)+4 {
-		t.Fatalf("flagged hello is %d bytes, unflagged %d; want +4", len(flagged), len(unflagged))
-	}
-	got, err := DecodeHello(unflagged)
-	if err != nil || got.Flags != 0 {
-		t.Fatalf("unflagged decode: %+v, %v", got, err)
-	}
-	got, err = DecodeHello(flagged)
-	if err != nil || got.Flags != HelloFlagFrameCRC {
-		t.Fatalf("flagged decode: %+v, %v", got, err)
 	}
 
 	// New Conn without EnableCRC behaves exactly like an old peer on the
