@@ -93,8 +93,8 @@ func TestServeWithoutTraceTrailerStaysIDless(t *testing.T) {
 	if timings.Trace.HasID() {
 		t.Errorf("untraced session sprouted trace ID %s", timings.Trace.ID())
 	}
-	// The recorder contract: an ID-less trace is dropped, so "no trace
-	// trailer" means "no trace retained".
+	// The recorder contract: an ID-less trace is dropped, so "no trace ID
+	// in the hello" means "no trace retained".
 	rec := trace.NewRecorder(4)
 	timings.Trace.Finish(nil)
 	rec.Add(timings.Trace)

@@ -512,7 +512,7 @@ func (s *Server) serveSession(conn net.Conn) (err error) {
 func (s *Server) settle(tr *trace.Trace, err error) {
 	if tr != nil {
 		tr.Finish(err)
-		// Add drops ID-less traces: a client that sent no trace trailer
+		// Add drops ID-less traces: a client whose hello carried no trace ID
 		// asked for no trace, and gets none.
 		s.cfg.Traces.Add(tr)
 	}

@@ -33,7 +33,7 @@ func NewRecorder(capacity int) *Recorder {
 }
 
 // Add snapshots t into the ring, evicting the oldest entry when full.
-// Traces without an ID are ignored: no trace trailer means no trace.
+// Traces without an ID are ignored: no trace ID in the hello means no trace.
 func (r *Recorder) Add(t *Trace) {
 	if r == nil || !t.HasID() {
 		return

@@ -133,7 +133,7 @@ func (t *Trace) ID() ID {
 }
 
 // HasID reports whether the request opted into tracing. A Recorder only
-// keeps traces with an ID: no trace trailer in the Hello means no trace.
+// keeps traces with an ID: no trace ID in the Hello means no trace.
 func (t *Trace) HasID() bool { return !t.ID().IsZero() }
 
 // SetRole names the component recording this trace ("server",
