@@ -163,9 +163,9 @@ func TestKindString(t *testing.T) {
 }
 
 // FuzzStockProtocol feeds arbitrary bytes to the three decoders that parse
-// a stock session's frames straight off the network. Whatever a decoder accepts re-encodes to
-// exactly the bytes it was given, and no kind but the two bit kinds gets
-// through.
+// a stock session's frames straight off the network. Whatever a decoder
+// accepts re-encodes to exactly the bytes it was given, but for a Version 1
+// hello, and no kind but the two bit kinds gets through.
 func FuzzStockProtocol(f *testing.F) {
 	key := []byte("not-a-real-key-but-bytes-suffice")
 	f.Add(stockHello(key).Encode())
@@ -176,8 +176,7 @@ func FuzzStockProtocol(f *testing.F) {
 	}
 	f.Add((&Batch{Kind: KindZeroBits, Width: 4}).Encode())
 	f.Fuzz(func(t *testing.T, b []byte) {
-		// A Version 1 hello re-encodes as Version 2; any other that decodes
-		// has one encoding.
+		// A Version 1 hello re-encodes as Version 2.
 		if h, err := wire.DecodeHello(b); err == nil && h.Version == wire.Version && !bytes.Equal(h.Encode(), b) {
 			t.Fatalf("hello %x re-encodes as %x", b, h.Encode())
 		}
