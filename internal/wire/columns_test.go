@@ -1,6 +1,9 @@
 package wire
 
-import "testing"
+import (
+	"encoding/binary"
+	"testing"
+)
 
 // Column sets: a hello carries the set as one extension, sent only when a
 // non-default set was requested.
@@ -54,5 +57,50 @@ func TestHelloColumnsRoundTrip(t *testing.T) {
 	}
 	if got.TraceID != h.TraceID || got.Flags != h.Flags || got.RowOffset != h.RowOffset {
 		t.Fatalf("co-travelling fields damaged: %+v", got)
+	}
+}
+
+// TestMixedVersionColumnsInterop mirrors TestMixedVersionTraceInterop: a
+// hello asking for the default column set sends no column bytes, a columns
+// hello adds exactly the 4-byte set and forces neither flags nor a trace
+// out, and every hello without the extension, the Version 1 12-byte form
+// included, decodes with the zero set, which EffectiveColumns resolves to
+// the value column.
+func TestMixedVersionColumnsInterop(t *testing.T) {
+	base := &Hello{Version: Version, Scheme: "paillier", PublicKey: []byte{1}, VectorLen: 10, ChunkLen: 5}
+
+	plain := base.Encode()
+	multi := *base
+	multi.Columns = ColValue | ColSquare | ColOnes
+	multiEnc := multi.Encode()
+	if len(multiEnc) != len(plain)+4 {
+		t.Fatalf("columns hello is %d bytes, plain %d; want +4", len(multiEnc), len(plain))
+	}
+
+	for _, b := range [][]byte{
+		versionOneHello(base, binary.BigEndian.AppendUint32(binary.BigEndian.AppendUint64(nil, base.VectorLen), base.ChunkLen)),
+		plain,
+		(&Hello{Scheme: "paillier", PublicKey: []byte{1}, VectorLen: 10, ChunkLen: 5, RowOffset: 3}).Encode(),
+		(&Hello{Scheme: "paillier", PublicKey: []byte{1}, VectorLen: 10, ChunkLen: 5, Flags: HelloFlagFrameCRC}).Encode(),
+		(&Hello{Scheme: "paillier", PublicKey: []byte{1}, VectorLen: 10, ChunkLen: 5, TraceID: [16]byte{7}}).Encode(),
+	} {
+		got, err := DecodeHello(b)
+		if err != nil {
+			t.Fatalf("hello without columns rejected: %v", err)
+		}
+		if got.Columns != 0 {
+			t.Fatalf("hello without columns sprouted columns: %v", got.Columns)
+		}
+		if got.EffectiveColumns() != ColValue {
+			t.Fatalf("EffectiveColumns() = %v, want value", got.EffectiveColumns())
+		}
+	}
+
+	got, err := DecodeHello(multiEnc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Columns != multi.Columns || got.Flags != 0 || got.HasTraceID() {
+		t.Fatalf("columns decode: %+v", got)
 	}
 }
