@@ -106,7 +106,9 @@ type ScalarFold interface {
 	// the sums.
 	AddChunk(cts []byte, ks [][]uint64, lanes int) (int, error)
 	// Sums folds what a batch still holds and returns one encryption of
-	// Σ k·m per column, computed on up to lanes goroutines. A column that only saw zero scalars yields a
+	// Σ k·m per column, computed on up to lanes goroutines. It is the fold's
+	// last call: the fold may give its storage back for reuse, and any later
+	// call panics. A column that only saw zero scalars yields a
 	// (possibly deterministic) encryption of 0 — callers that return
 	// ciphertexts to untrusted peers must rerandomize, which the
 	// selected-sum protocol already does at finalize.

@@ -29,10 +29,28 @@ import "math/big"
 
 // laneWindow is one window's buckets on the lane kernel: bucket d−1 is
 // limbs[(d−1)·L : d·L], L = the kernel's limbs, and holds a row once full[d−1]
-// is set. Both are nil until the window's first non-zero digit.
+// is set. A window is taken from its Reducer's pool at its first non-zero
+// digit (getWindow) and given back by Release. full is cleared when it is
+// taken; the limbs are not, as full guards every read of them.
 type laneWindow struct {
 	limbs []uint64
 	full  []bool
+}
+
+// getWindow returns a window of buckets buckets on r's lane kernel, every one
+// empty: one from the pool where it has one, and room for its buckets where
+// the window has too little.
+func (r *Reducer) getWindow(buckets int) *laneWindow {
+	win, _ := r.windows.Get().(*laneWindow)
+	if win == nil {
+		win = new(laneWindow)
+	}
+	if L := r.laneLimbs; cap(win.limbs) < buckets*L || cap(win.full) < buckets {
+		win.limbs, win.full = make([]uint64, buckets*L), make([]bool, buckets)
+	}
+	win.limbs, win.full = win.limbs[:buckets*r.laneLimbs], win.full[:buckets]
+	clear(win.full)
+	return win
 }
 
 // lanePair is a product waiting for a lane: a row of the chunk into a bucket
@@ -131,16 +149,19 @@ func (g *laneGroup) flush() int {
 func (a *MultiExpAcc) foldWindowLanes(j int, rows []uint64, exps []uint64, l *accLane) {
 	L := a.red.laneLimbs
 	shift, mask := uint(j)*a.w, uint64(1)<<a.w-1
-	win, g := &a.lwin[j], &l.group
-	g.buckets, g.rows = win.limbs, rows
+	win, g := a.lwin[j], &l.group
+	g.rows = rows
+	if win != nil {
+		g.buckets = win.limbs
+	}
 	for i, e := range exps {
 		d := e >> shift & mask
 		if d == 0 {
 			continue
 		}
-		if win.limbs == nil {
-			win.limbs, win.full = make([]uint64, int(mask)*L), make([]bool, mask)
-			g.buckets = win.limbs
+		if win == nil {
+			win = a.red.getWindow(int(mask))
+			a.lwin[j], g.buckets = win, win.limbs
 		}
 		b := int(d - 1)
 		if !win.full[b] {
@@ -176,11 +197,11 @@ func combineLanes(accs []*MultiExpAcc, combined []big.Word, windows, lanes int) 
 	red, n := accs[0].red, accs[0].red.n
 	segs := make([]laneSeg, 0, laneCount*((windows+laneCount-1)/laneCount))
 	for _, a := range accs {
-		for j := range a.lwin {
-			win, dst := &a.lwin[j], combined[j*n:(j+1)*n]
-			if win.full == nil {
+		for j, win := range a.lwin {
+			if win == nil {
 				continue
 			}
+			dst := combined[j*n : (j+1)*n]
 			top, occupied := 0, 0
 			for d, full := range win.full {
 				if full {

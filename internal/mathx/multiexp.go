@@ -56,9 +56,8 @@ type MultiExpAcc struct {
 	// exponents never pay for the upper windows. Where the Reducer has a lane
 	// kernel the buckets are lwin's instead (lanefold.go), and windows is nil.
 	windows [][][]big.Word
-	lwin    []laneWindow
-	rows    []uint64 // the current chunk's rows as limbs, on the lane kernel
-	expLo   uint64   // Σ exp over the rows added, low and high halves
+	lwin    []*laneWindow
+	expLo   uint64 // Σ exp over the rows added, low and high halves
 	expHi   uint64
 	reach   int       // windows the current chunk's exponents reach
 	lanes   []accLane // lanes[0] also runs the serial part of Results
@@ -113,7 +112,7 @@ func newOddReducer(m *big.Int) (*Reducer, error) {
 func (r *Reducer) newAcc(w uint) *MultiExpAcc {
 	a := &MultiExpAcc{red: r, w: w}
 	if r.laneLimbs != 0 {
-		a.lwin = make([]laneWindow, a.windowCount())
+		a.lwin = make([]*laneWindow, a.windowCount())
 	} else {
 		a.windows = make([][][]big.Word, a.windowCount())
 	}
@@ -141,7 +140,7 @@ func (a *MultiExpAcc) windowCount() int { return int(64+a.w-1) / int(a.w) }
 // occupied reports whether a row has landed in window j.
 func (a *MultiExpAcc) occupied(j int) bool {
 	if a.lwin != nil {
-		return a.lwin[j].limbs != nil
+		return a.lwin[j] != nil
 	}
 	return a.windows[j] != nil
 }
@@ -157,7 +156,8 @@ func (a *MultiExpAcc) mul(l *accLane, z, x, y []big.Word) {
 // in [0, m) and laid out by Reducer.Limbs, and its exponent in accs[c] is
 // exps[c][i]. A zero exponent contributes nothing and costs nothing; a row
 // costs one multiplication per non-zero digit that lands in an occupied
-// bucket, and nothing else.
+// bucket, and nothing else. Rows that arrive as bytes go in through a Batch
+// instead, which skips the words.
 //
 // The (accumulator, window) bucket arrays the chunk's exponents reach are
 // dealt to up to lanes lanes (Deal), each taken whole by one lane, which walks
@@ -170,11 +170,36 @@ func AddChunk(accs []*MultiExpAcc, limbs []big.Word, exps [][]uint64, lanes int)
 	if len(accs) == 0 {
 		return
 	}
-	n := accs[0].red.n
+	red := accs[0].red
+	n := red.n
 	rows := len(limbs) / n
 	if len(limbs) != rows*n || len(exps) != len(accs) {
 		panic("mathx: AddChunk: limbs are not whole rows, or not one exponent column per accumulator")
 	}
+	L := red.laneLimbs
+	if L == 0 {
+		foldRows(accs, limbs, nil, exps, rows, lanes)
+		return
+	}
+	// The lane kernel reads the rows as limbs: converted once, before the
+	// windows start, into a batch's storage.
+	b := red.getBatch()
+	b.limbs = slices.Grow(b.limbs, rows*L)[:rows*L]
+	for i := range rows {
+		toLimbs(b.limbs[i*L:(i+1)*L], limbs[i*n:(i+1)*n])
+	}
+	foldRows(accs, nil, b.limbs, exps, rows, lanes)
+	b.Release()
+}
+
+// foldRows folds rows rows into accs, AddChunk's fold: on the chain kernel
+// their bases are words, n apiece, on the lane kernel rowLimbs, laneLimbs
+// apiece.
+func foldRows(accs []*MultiExpAcc, words []big.Word, rowLimbs []uint64, exps [][]uint64, rows, lanes int) {
+	if len(accs) == 0 {
+		return
+	}
+	n := accs[0].red.n
 	pairs := 0
 	for c, a := range accs {
 		if a.red.n != n || len(exps[c]) != rows {
@@ -192,17 +217,6 @@ func AddChunk(accs []*MultiExpAcc, limbs []big.Word, exps [][]uint64, lanes int)
 	for _, a := range accs {
 		a.growLanes(min(lanes, pairs))
 	}
-	// On the lane kernel the chunk's rows are converted to limbs once,
-	// before the windows start, and only read while they fold.
-	var rowLimbs []uint64
-	if a := accs[0]; a.lwin != nil && pairs > 0 {
-		L := a.red.laneLimbs
-		a.rows = slices.Grow(a.rows[:0], rows*L)[:rows*L]
-		for i := range rows {
-			toLimbs(a.rows[i*L:(i+1)*L], limbs[i*n:(i+1)*n])
-		}
-		rowLimbs = a.rows
-	}
 	// Pair p is window p of the first accumulator while p is below its reach,
 	// then the next accumulator's windows, and so on.
 	Deal(lanes, pairs, func(l, p int) {
@@ -211,13 +225,30 @@ func AddChunk(accs []*MultiExpAcc, limbs []big.Word, exps [][]uint64, lanes int)
 				if a.lwin != nil {
 					a.foldWindowLanes(p, rowLimbs, exps[c], &a.lanes[l])
 				} else {
-					a.foldWindow(p, limbs, exps[c], &a.lanes[l])
+					a.foldWindow(p, words, exps[c], &a.lanes[l])
 				}
 				return
 			}
 			p -= a.reach
 		}
 	})
+}
+
+// Release gives the accumulators' lane windows back to their Reducer, for
+// the next fold's accumulators to take. It is their last call: every
+// goroutine that read the windows has returned by then, as AddChunk and
+// Results return only after their lanes have, and any later call panics. An
+// accumulator that is dropped without it leaves its windows to the garbage
+// collector.
+func Release(accs []*MultiExpAcc) {
+	for _, a := range accs {
+		for _, win := range a.lwin {
+			if win != nil {
+				a.red.windows.Put(win)
+			}
+		}
+		a.lwin, a.windows = nil, nil
+	}
 }
 
 // Deal calls do(l, p) once for every p in [0, pairs) on up to

@@ -68,6 +68,16 @@ type Reducer struct {
 	laneLimbs int
 	laneOnce  sync.Once
 	lane      *laneConsts
+
+	// mbe is m big-endian in (bitLen+7)/8 bytes, the width of its
+	// encodings: InRange compares against it.
+	mbe []byte
+	// The bucket fold's reused storage (batch.go): batches of rows and, on
+	// the lane kernel, windows of buckets. A sync.Pool gives back what no
+	// fold has asked for across two collections, so a Reducer that stops
+	// folding holds nothing.
+	batches sync.Pool // *Batch
+	windows sync.Pool // *laneWindow
 }
 
 // maxKernelWords is the widest register kernel's width.
@@ -96,6 +106,7 @@ func NewReducer(m *big.Int) (*Reducer, error) {
 	}
 	n := len(m.Bits())
 	r := &Reducer{m: new(big.Int).Set(m), n: n}
+	r.mbe = m.FillBytes(make([]byte, (m.BitLen()+7)/8))
 	r2 := new(big.Int)
 	r.mu, _ = new(big.Int).QuoRem(new(big.Int).Lsh(One, uint(2*n*bits.UintSize)), m, r2)
 	if m.Bit(0) == 1 {

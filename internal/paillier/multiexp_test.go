@@ -279,7 +279,7 @@ func TestFoldBatches(t *testing.T) {
 			if _, err := f.AddChunk(body[lo*width:hi*width], [][]uint64{ks[lo:hi]}, 2); err != nil {
 				t.Fatal(err)
 			}
-			held := len(f.limbs) / f.red.Words()
+			held := f.batch.Len()
 			switch {
 			case lo == 0 && held != hi:
 				t.Errorf("sized %d: %d rows held after the first chunk of %d", sized, held, hi)

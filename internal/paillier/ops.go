@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math/big"
-	"slices"
 
 	"privstats/internal/mathx"
 )
@@ -81,19 +80,19 @@ func (pk *PublicKey) rerandomizeWithNonce(ct *Ciphertext, r *big.Int) *Ciphertex
 // per-column products Π ct_i^{k_i} mod N² = E(Σ k_i·m_i) come out at the end.
 // The state is one bucket multi-exponentiation accumulator per column
 // (mathx.MultiExpAcc), so the bucket combine and the shift squarings are paid
-// once per fold however the rows were chunked on the wire, and a row in
-// steady state allocates nothing. A Fold is not safe for concurrent use; it
-// spreads a batch over lanes itself.
+// once per fold however the rows were chunked on the wire. A ciphertext's
+// bytes are checked as bytes and converted once, straight into the layout
+// the fold's kernel reads (mathx.Batch). The batch and the accumulators'
+// buckets are storage the N² Reducer lends out and Sums gives back, so a
+// fold in steady state allocates nothing per row or per session for them. A
+// Fold is not safe for concurrent use; it spreads a batch over lanes itself.
 type Fold struct {
 	pk   *PublicKey
 	red  *mathx.Reducer
 	accs []*mathx.MultiExpAcc
-	row  big.Int // one ciphertext, decoded into reused storage
-	// The batch: rows decoded and validated but not folded yet, in the
-	// accumulators' layout row after row, and their scalars, one column per
-	// accumulator.
-	limbs []big.Word
-	ks    [][]uint64
+	// The rows checked but not folded yet, and their scalars, one column per
+	// accumulator; nil once Sums has run.
+	batch *mathx.Batch
 	left  int // rows the fold was sized for and has not seen yet
 }
 
@@ -109,30 +108,35 @@ const foldBatchRows = 1024
 // columns. It panics on a key whose N is even: KeyGen and UnmarshalBinary
 // never produce one, so only a hand-written literal can get here with it.
 func (pk *PublicKey) NewFold(rows, columns int) *Fold {
-	f := &Fold{pk: pk, red: pk.reducer(), accs: make([]*mathx.MultiExpAcc, columns), ks: make([][]uint64, columns), left: rows}
-	batch := max(0, min(rows, foldBatchRows))
-	f.limbs = make([]big.Word, 0, batch*f.red.Words())
+	f := &Fold{pk: pk, red: pk.reducer(), accs: make([]*mathx.MultiExpAcc, columns), left: rows}
 	for c := range f.accs {
 		acc, err := f.red.NewMultiExpAcc(rows)
 		if err != nil {
 			panic(fmt.Sprintf("paillier: fold mod N²: %v", err))
 		}
 		f.accs[c] = acc
-		f.ks[c] = make([]uint64, 0, batch)
 	}
+	f.batch = f.red.NewBatch(columns)
 	return f
 }
 
-// AddChunk decodes and validates every ciphertext of a chunk as
-// ParseCiphertext does, even those whose scalars are all zero, and adds the
-// chunk to the batch; cts holds the chunk's encodings back to back and ks one
-// scalar column per fold column, one scalar per row. Once the batch holds
-// foldBatchRows rows, or every row the fold was sized for has come, it folds
-// ct_i^{ks[c][i]} into column c, on up to lanes goroutines split by exponent
-// window (mathx.AddChunk). A bad ciphertext leaves the fold as it was:
-// AddChunk returns its row within the chunk and the error. The sums are the
-// same on any number of lanes and for any batching.
+// errFoldDone is the panic of a Fold called after Sums.
+const errFoldDone = "paillier: Fold called after Sums, its last call"
+
+// AddChunk validates every ciphertext of a chunk as ParseCiphertext does,
+// even those whose scalars are all zero, and adds the chunk to the batch;
+// cts holds the chunk's encodings back to back and ks one scalar column per
+// fold column, one scalar per row. A ciphertext is checked on its bytes:
+// non-zero and below N²'s fixed-width big-endian encoding. Once the batch
+// holds foldBatchRows rows, or every row the fold was sized for has come, it
+// folds ct_i^{ks[c][i]} into column c, on up to lanes goroutines split by
+// exponent window (mathx.AddChunk). A bad ciphertext leaves the fold as it
+// was: AddChunk returns its row within the chunk and the error. The sums are
+// the same on any number of lanes and for any batching.
 func (f *Fold) AddChunk(cts []byte, ks [][]uint64, lanes int) (int, error) {
+	if f.batch == nil {
+		panic(errFoldDone)
+	}
 	if len(ks) != len(f.accs) {
 		panic(fmt.Sprintf("paillier: %d scalar columns for a %d-column fold", len(ks), len(f.accs)))
 	}
@@ -143,48 +147,40 @@ func (f *Fold) AddChunk(cts []byte, ks [][]uint64, lanes int) (int, error) {
 	if len(cts) != rows*width {
 		return min(rows, len(cts)/width), fmt.Errorf("%w: %d bytes for %d ciphertexts of %d", ErrCiphertextForm, len(cts), rows, width)
 	}
-	n := f.red.Words()
-	held := len(f.limbs) / n
-	f.limbs = slices.Grow(f.limbs, rows*n)[:(held+rows)*n]
 	for i := range rows {
-		if err := f.pk.decodeCiphertext(&f.row, cts[i*width:(i+1)*width]); err != nil {
-			f.limbs = f.limbs[:held*n]
-			return i, err
+		if !f.red.InRange(cts[i*width : (i+1)*width]) {
+			return i, fmt.Errorf("%w: value outside (0, N²)", ErrCiphertextForm)
 		}
-		f.red.Limbs(f.limbs[(held+i)*n:(held+i+1)*n], &f.row)
 	}
-	for c := range f.ks {
-		f.ks[c] = append(f.ks[c], ks[c]...)
-	}
+	f.batch.Add(cts, ks)
 	f.left -= rows
-	if held+rows >= foldBatchRows || f.left <= 0 {
-		f.flush(lanes)
+	if f.batch.Len() >= foldBatchRows || f.left <= 0 {
+		f.batch.Fold(f.accs, lanes)
 	}
 	return 0, nil
 }
 
-// flush folds the batch.
-func (f *Fold) flush(lanes int) {
-	mathx.AddChunk(f.accs, f.limbs, f.ks, lanes)
-	f.limbs = f.limbs[:0]
-	for c := range f.ks {
-		f.ks[c] = f.ks[c][:0]
-	}
-}
-
 // Sums folds what the batch still holds and returns the per-column results,
-// their bucket combines on up to lanes goroutines. A column that saw only
-// zero scalars yields E(0) with unit randomness, the multiplicative identity
-// — fine as a fold accumulator, but callers exposing it to a peer must
-// rerandomize first.
+// their bucket combines on up to lanes goroutines. It is the fold's last
+// call: it gives the batch and the buckets back to the N² Reducer for the
+// next fold, and any later call panics. A fold dropped without it leaves
+// them to the garbage collector. A column that saw only zero scalars yields
+// E(0) with unit randomness, the multiplicative identity — fine as a fold
+// accumulator, but callers exposing it to a peer must rerandomize first.
 func (f *Fold) Sums(lanes int) []*Ciphertext {
-	if len(f.limbs) > 0 {
-		f.flush(lanes)
+	if f.batch == nil {
+		panic(errFoldDone)
+	}
+	if f.batch.Len() > 0 {
+		f.batch.Fold(f.accs, lanes)
 	}
 	sums := make([]*Ciphertext, len(f.accs))
 	for c, v := range mathx.Results(f.accs, lanes) {
 		sums[c] = &Ciphertext{c: v, byteLen: f.pk.byteLen}
 	}
+	mathx.Release(f.accs)
+	f.batch.Release()
+	f.batch = nil
 	return sums
 }
 
