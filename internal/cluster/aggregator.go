@@ -1,12 +1,12 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"privstats/internal/homomorphic"
@@ -68,6 +68,50 @@ type Aggregator struct {
 	client *Client
 	cfg    AggregatorConfig
 	m      *metrics.ClusterMetrics
+
+	// free is the relay buffers finished sessions gave back, for the next
+	// sessions' chunks; freeBytes is their capacity, at most maxFreeBytes.
+	freeMu    sync.Mutex
+	free      [][]byte
+	freeBytes int
+}
+
+// maxFreeBytes bounds the relay buffers an aggregator keeps between
+// sessions: a few sessions' worth of chunks (a 20 000-row upload under a
+// 512-bit key is 2.5 MiB). Buffers past it are left to the garbage
+// collector.
+const maxFreeBytes = 16 << 20
+
+// takeBody returns a buffer of n bytes for a relayed chunk: one from the
+// free list that has room, or a new one.
+func (a *Aggregator) takeBody(n int) []byte {
+	a.freeMu.Lock()
+	for i := len(a.free) - 1; i >= 0; i-- {
+		if b := a.free[i]; cap(b) >= n {
+			last := len(a.free) - 1
+			a.free[i], a.free[last] = a.free[last], nil
+			a.free = a.free[:last]
+			a.freeBytes -= cap(b)
+			a.freeMu.Unlock()
+			return b[:n]
+		}
+	}
+	a.freeMu.Unlock()
+	return make([]byte, n)
+}
+
+// giveBodies puts a session's relay buffers on the free list, as far as
+// maxFreeBytes allows. No one may read them any more.
+func (a *Aggregator) giveBodies(bodies [][]byte) {
+	a.freeMu.Lock()
+	defer a.freeMu.Unlock()
+	for _, b := range bodies {
+		if a.freeBytes+cap(b) > maxFreeBytes {
+			return
+		}
+		a.free = append(a.free, b)
+		a.freeBytes += cap(b)
+	}
 }
 
 // NewAggregator builds an aggregator over the shard map, fanning out
@@ -210,6 +254,15 @@ type fanout struct {
 	results  chan shardResult
 	pending  int
 	partials [][]homomorphic.Ciphertext
+
+	// bodies are the relay buffers the session's chunks were copied into.
+	// readers counts the shard dispatches that may still read them, plus
+	// one that Finish drops once the session has its combined reply; the
+	// one that brings it to zero gives the buffers back (unread). A session
+	// that fails or aborts never drops Finish's, and leaves its buffers to
+	// the garbage collector: a dispatch may still be reading them.
+	bodies  [][]byte
+	readers atomic.Int32
 }
 
 // Open pins the session to the shard-map epoch current at its hello. Every
@@ -242,6 +295,7 @@ func (f *fanout) Open(hello *wire.Hello, pk homomorphic.PublicKey, tr *trace.Tra
 	f.bufs = make([]*shardBuffer, len(f.shards))
 	f.partials = make([][]homomorphic.Ciphertext, len(f.shards))
 	f.results = make(chan shardResult, len(f.shards))
+	f.readers.Store(1)
 	for i := range f.shards {
 		f.bufs[i] = newShardBuffer()
 		go func() {
@@ -293,15 +347,18 @@ func (f *fanout) poll() error {
 }
 
 // Absorb slices the chunk along shard boundaries. The chunk's bytes are the
-// session's receive buffer, so they are copied once, here: the shard buffers
-// keep their slices for a failover replay long after Absorb returns. A shard
-// already known dead fails the session now, not after the client uploads the
-// rest of the vector.
+// session's receive buffer, so they are copied once, here, into a relay
+// buffer of the aggregator's: the shard buffers keep their slices for a
+// failover replay long after Absorb returns. A shard already known dead
+// fails the session now, not after the client uploads the rest of the
+// vector.
 func (f *fanout) Absorb(chunk *wire.IndexChunk) error {
 	if err := f.poll(); err != nil {
 		return err
 	}
-	cts := bytes.Clone(chunk.Ciphertexts)
+	cts := f.a.takeBody(len(chunk.Ciphertexts))
+	copy(cts, chunk.Ciphertexts)
+	f.bodies = append(f.bodies, cts)
 	width := uint64(chunk.Width)
 	first, last := chunk.Offset, chunk.Offset+uint64(chunk.Count())
 	for i, s := range f.shards {
@@ -350,7 +407,21 @@ func (f *fanout) Finish() ([]homomorphic.Ciphertext, error) {
 		replies[c] = acc
 	}
 	f.a.m.CombineNanos.ObserveDuration(time.Since(start))
+	f.unread()
 	return replies, nil
+}
+
+// read counts a shard dispatch that is about to read the relay buffers. It
+// runs before the dispatch starts, so the count cannot reach zero while the
+// dispatch is still to come.
+func (f *fanout) read() { f.readers.Add(1) }
+
+// unread drops a reader of the relay buffers; the last gives them back.
+func (f *fanout) unread() {
+	if f.readers.Add(-1) == 0 {
+		f.a.giveBodies(f.bodies)
+		f.bodies = nil
+	}
 }
 
 func (f *fanout) Spans() (absorb, finish string) { return "split", "combine" }
@@ -369,6 +440,8 @@ func (f *fanout) queryShard(ctx context.Context, idx int) ([]homomorphic.Ciphert
 		defer cancel()
 	}
 	if a.cfg.HedgeAfter <= 0 || len(s.Backends) < 2 {
+		f.read()
+		defer f.unread()
 		return f.dispatchShard(ctx, idx, s.Backends, false)
 	}
 
@@ -380,10 +453,15 @@ func (f *fanout) queryShard(ctx context.Context, idx int) ([]homomorphic.Ciphert
 		hedge bool
 	}
 	outc := make(chan outcome, 2)
+	// A dispatch may outlive queryShard: the loser of a hedge replays the
+	// relay buffers until its backend answers or fails. So each counts as a
+	// reader from before it starts until it returns.
 	launch := func(backends []string, hedge bool) {
+		defer f.unread()
 		cts, err := f.dispatchShard(rctx, idx, backends, hedge)
 		outc <- outcome{cts, err, hedge}
 	}
+	f.read()
 	go launch(s.Backends, false)
 
 	// The hedge clock starts when the upload completes: before that the
@@ -433,6 +511,7 @@ func (f *fanout) queryShard(ctx context.Context, idx int) ([]homomorphic.Ciphert
 		case <-hedgec:
 			a.m.ShardHedges.Inc()
 			launched++
+			f.read()
 			go launch(rotated, true)
 		}
 	}
