@@ -352,6 +352,48 @@ func (s *Store) Value(i int) (uint32, error) {
 	return vals[i-b*br], nil
 }
 
+// fill sets dst[k] to visible row lo+k, squared if square is set, a block at
+// a time: one cache lookup, and one lock, per full block the rows span.
+func (s *Store) fill(dst []uint64, lo int, square bool) error {
+	s.mu.RLock()
+	fb, tod := s.fullBlocks, s.tailOnDisk
+	br := s.h.BlockRows
+	end := lo + len(dst)
+	if n := fb*br + tod; lo < 0 || lo > n || len(dst) > n-lo {
+		s.mu.RUnlock()
+		return fmt.Errorf("colstore: rows [%d,%d) out of range [0,%d)", lo, end, n)
+	}
+	if tailStart := fb * br; end > tailStart {
+		// The tail block's rows are read under the lock that keeps them.
+		from := max(lo, tailStart)
+		widen(dst[from-lo:], s.tail[from-tailStart:end-tailStart], square)
+		end = from
+	}
+	s.mu.RUnlock()
+	for i := lo; i < end; {
+		b := i / br
+		vals, err := s.block(b)
+		if err != nil {
+			return err
+		}
+		stop := min(end, (b+1)*br)
+		widen(dst[i-lo:stop-lo], vals[i-b*br:stop-b*br], square)
+		i = stop
+	}
+	return nil
+}
+
+// widen sets dst[k] to vals[k], or to its square if square is set.
+func widen(dst []uint64, vals []uint32, square bool) {
+	for k, v := range vals {
+		u := uint64(v)
+		if square {
+			u *= u
+		}
+		dst[k] = u
+	}
+}
+
 // block returns the decoded rows of full block b, via the LRU cache.
 func (s *Store) block(b int) ([]uint32, error) {
 	s.cacheMu.Lock()
@@ -387,9 +429,10 @@ func (s *Store) readFullBlock(b int, buf []byte) ([]uint32, error) {
 	return vals, nil
 }
 
-// column adapts rows [lo, lo+n) of a store to database.Column. At panics on
-// I/O errors or on-disk corruption — the server runtime's per-session panic
-// isolation turns that into one failed session, not a crashed process.
+// column adapts rows [lo, lo+n) of a store to database.Column. At and Fill
+// panic on I/O errors or on-disk corruption — the server runtime's
+// per-session panic isolation turns that into one failed session, not a
+// crashed process.
 type column struct {
 	s      *Store
 	lo, n  int
@@ -411,6 +454,15 @@ func (c column) At(i int) uint64 {
 		return u * u
 	}
 	return u
+}
+
+func (c column) Fill(dst []uint64, first int) {
+	if first < 0 || first > c.n || len(dst) > c.n-first {
+		panic(fmt.Sprintf("colstore: column rows [%d,%d) out of range [0,%d)", first, first+len(dst), c.n))
+	}
+	if err := c.s.fill(dst, c.lo+first, c.square); err != nil {
+		panic(err)
+	}
 }
 
 // Column returns the value column over the rows visible now. Later appends

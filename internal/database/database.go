@@ -64,6 +64,17 @@ type Column interface {
 	Len() int
 	// At returns row i as an unsigned 64-bit value.
 	At(i int) uint64
+	// Fill sets dst[k] to row first+k for every k, as At would return it,
+	// in one call for the whole range. It panics if the range is not within
+	// [0, Len()).
+	Fill(dst []uint64, first int)
+}
+
+// checkFill panics unless [first, first+rows) is within a column of n rows.
+func checkFill(first, rows, n int) {
+	if first < 0 || first > n || rows > n-first {
+		panic(fmt.Sprintf("database: column rows [%d,%d) out of range [0,%d)", first, first+rows, n))
+	}
 }
 
 type valueColumn struct{ t *Table }
@@ -71,10 +82,22 @@ type valueColumn struct{ t *Table }
 func (c valueColumn) Len() int        { return len(c.t.values) }
 func (c valueColumn) At(i int) uint64 { return uint64(c.t.values[i]) }
 
+func (c valueColumn) Fill(dst []uint64, first int) {
+	checkFill(first, len(dst), len(c.t.values))
+	for k, v := range c.t.values[first : first+len(dst)] {
+		dst[k] = uint64(v)
+	}
+}
+
 type squareColumn struct{ sq []uint64 }
 
 func (c squareColumn) Len() int        { return len(c.sq) }
 func (c squareColumn) At(i int) uint64 { return c.sq[i] }
+
+func (c squareColumn) Fill(dst []uint64, first int) {
+	checkFill(first, len(dst), len(c.sq))
+	copy(dst, c.sq[first:])
+}
 
 // Column returns the table's value column.
 func (t *Table) Column() Column { return valueColumn{t} }
@@ -102,6 +125,13 @@ type onesColumn struct{ n int }
 
 func (c onesColumn) Len() int    { return c.n }
 func (onesColumn) At(int) uint64 { return 1 }
+
+func (c onesColumn) Fill(dst []uint64, first int) {
+	checkFill(first, len(dst), c.n)
+	for k := range dst {
+		dst[k] = 1
+	}
+}
 
 // Ones returns the constant-1 column of length n. Folding the encrypted
 // index vector against it yields the selected count m without revealing

@@ -271,11 +271,8 @@ func (s *ServerSession) Absorb(chunk *wire.IndexChunk) error {
 	}
 	first := int(chunk.Offset - s.base)
 	for c, col := range s.columns {
-		ks := slices.Grow(s.ks[c][:0], count)[:count]
-		for i := range ks {
-			ks[i] = col.At(first + i)
-		}
-		s.ks[c] = ks
+		s.ks[c] = slices.Grow(s.ks[c][:0], count)[:count]
+		col.Fill(s.ks[c], first)
 	}
 	if k, err := s.fold.AddChunk(chunk.Ciphertexts, s.ks, s.lanes); err != nil {
 		s.err = fmt.Errorf("selectedsum: chunk ciphertext %d: %w", chunk.Offset+uint64(k), err)
