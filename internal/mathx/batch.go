@@ -27,20 +27,27 @@ type Batch struct {
 func (r *Reducer) NewBatch(columns int) *Batch {
 	b := r.getBatch()
 	b.exps = slices.Grow(b.exps[:0], columns)[:columns]
-	for c := range b.exps {
-		b.exps[c] = b.exps[c][:0]
-	}
+	b.reset()
 	return b
 }
 
-// getBatch returns an empty batch of r with no exponent columns.
+// getBatch returns a batch of r from its pool, its rows empty.
 func (r *Reducer) getBatch() *Batch {
 	b, _ := r.batches.Get().(*Batch)
 	if b == nil {
 		b = &Batch{red: r}
 	}
-	b.words, b.limbs, b.exps = b.words[:0], b.limbs[:0], b.exps[:0]
+	b.words, b.limbs = b.words[:0], b.limbs[:0]
 	return b
+}
+
+// reset empties the batch's rows and exponent columns, keeping their
+// storage.
+func (b *Batch) reset() {
+	b.words, b.limbs = b.words[:0], b.limbs[:0]
+	for c := range b.exps {
+		b.exps[c] = b.exps[c][:0]
+	}
 }
 
 // Release returns the batch to its Reducer's pool. It is the batch's last
@@ -55,12 +62,8 @@ func (b *Batch) Len() int {
 	return len(b.words) / b.red.n
 }
 
-// ByteLen returns the width of the modulus' big-endian encoding, the width of
-// every row Batch.Add takes.
-func (r *Reducer) ByteLen() int { return len(r.mbe) }
-
-// InRange reports whether be is ByteLen() bytes encoding, big-endian, a value
-// in (0, m). It reads the bytes alone: nothing is decoded.
+// InRange reports whether be is the (bitLen+7)/8-byte big-endian encoding
+// of a value in (0, m). It reads the bytes alone: nothing is decoded.
 func (r *Reducer) InRange(be []byte) bool {
 	if len(be) != len(r.mbe) || bytes.Compare(be, r.mbe) >= 0 {
 		return false
@@ -74,7 +77,7 @@ func (r *Reducer) InRange(be []byte) bool {
 }
 
 // Add appends a chunk of rows to the batch: rows holds their big-endian
-// encodings back to back, ByteLen() bytes apiece, each a value below m
+// encodings back to back, (bitLen+7)/8 bytes apiece, each a value below m
 // (InRange), and exps one exponent column per accumulator, one exponent per
 // row. Neither is read after the call.
 func (b *Batch) Add(rows []byte, exps [][]uint64) {
@@ -117,10 +120,7 @@ func (b *Batch) Fold(accs []*MultiExpAcc, lanes int) {
 		}
 	}
 	foldRows(accs, b.words, b.limbs, b.exps, b.Len(), lanes)
-	b.words, b.limbs = b.words[:0], b.limbs[:0]
-	for c := range b.exps {
-		b.exps[c] = b.exps[c][:0]
-	}
+	b.reset()
 }
 
 // beWord returns bits [64k, 64k+64) of the big-endian be, zero past its top.
@@ -137,30 +137,30 @@ func beWord(be []byte, k int) uint64 {
 }
 
 // bytesToLimbs sets dst to the low len(dst) radix-2^52 limbs of the
-// big-endian be: toLimbs of its words, read eight bytes at a time from the
-// end of be.
+// big-endian be, two limbs from each 13 bytes, read from the end of be.
 func bytesToLimbs(dst []uint64, be []byte) {
-	// acc holds the have < 52 bits of be read and not yet in a limb.
-	var acc uint64
-	have, j := 0, 0
-	for k := range (len(be) + 7) / 8 {
-		if j == len(dst) {
-			return
-		}
-		v := beWord(be, k)
-		dst[j] = (acc | v<<have) & limbMask
-		j++
-		acc, have = v>>(limbBits-have), have+64-limbBits
-		if have >= limbBits && j < len(dst) {
-			dst[j] = acc & limbMask
+	end, j := len(be), 0
+	for ; j+1 < len(dst) && end >= 13; j, end = j+2, end-13 {
+		lo := binary.BigEndian.Uint64(be[end-8 : end])
+		hi := uint64(be[end-13])<<32 | uint64(binary.BigEndian.Uint32(be[end-12:end-8]))
+		dst[j], dst[j+1] = lo&limbMask, (lo>>limbBits|hi<<(64-limbBits))&limbMask
+	}
+	// What is left: fewer than 13 bytes, or room for one limb.
+	rest := be[max(end-13, 0):end]
+	var lo, hi uint64
+	for _, c := range rest[:max(len(rest)-8, 0)] {
+		hi = hi<<8 | uint64(c)
+	}
+	for _, c := range rest[max(len(rest)-8, 0):] {
+		lo = lo<<8 | uint64(c)
+	}
+	for _, limb := range [2]uint64{lo & limbMask, (lo>>limbBits | hi<<(64-limbBits)) & limbMask} {
+		if j < len(dst) {
+			dst[j] = limb
 			j++
-			acc, have = acc>>limbBits, have-limbBits
 		}
 	}
-	if j < len(dst) {
-		dst[j] = acc
-		clear(dst[j+1:])
-	}
+	clear(dst[j:])
 }
 
 // bytesToWords sets dst to the low len(dst) words of the big-endian be.

@@ -25,13 +25,13 @@ func batchModuli() []*big.Int {
 
 // checkBatchRow compares the batch's handling of be, as one row of a chunk,
 // with SetBytes, Cmp and the words the fold read before rows arrived as
-// bytes: InRange against (0, m) on a ByteLen()-byte encoding, and Add
+// bytes: InRange against (0, m) on an encoding of the modulus' width, and Add
 // against toLimbs of the value's words on the lane kernel and against
 // Reducer.Limbs on the chain kernel, row after row.
 func checkBatchRow(t *testing.T, red *Reducer, be []byte) {
 	t.Helper()
 	v := new(big.Int).SetBytes(be)
-	want := len(be) == red.ByteLen() && v.Sign() > 0 && v.Cmp(red.m) < 0
+	want := len(be) == len(red.mbe) && v.Sign() > 0 && v.Cmp(red.m) < 0
 	if got := red.InRange(be); got != want {
 		t.Fatalf("%d-bit modulus, %d bytes %x: InRange = %v, want %v", red.m.BitLen(), len(be), be, got, want)
 	}
@@ -43,7 +43,7 @@ func checkBatchRow(t *testing.T, red *Reducer, be []byte) {
 	first := new(big.Int).Sub(red.m, One)
 	b := red.NewBatch(1)
 	defer b.Release()
-	b.Add(append(first.FillBytes(make([]byte, red.ByteLen())), be...), [][]uint64{{1, 2}})
+	b.Add(append(first.FillBytes(make([]byte, len(red.mbe))), be...), [][]uint64{{1, 2}})
 	if b.Len() != 2 {
 		t.Fatalf("batch holds %d rows, want 2", b.Len())
 	}
@@ -130,7 +130,7 @@ func TestBatchBytesEdges(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			width := red.ByteLen()
+			width := len(red.mbe)
 			edges := [][]byte{
 				make([]byte, width),
 				bytes.Repeat([]byte{0xff}, width),
@@ -172,7 +172,7 @@ func TestBatchFoldMatchesAddChunk(t *testing.T) {
 			hi := min(len(bases), lo+step)
 			var body []byte
 			for _, x := range bases[lo:hi] {
-				body = append(body, new(big.Int).Mod(x, m).FillBytes(make([]byte, red.ByteLen()))...)
+				body = append(body, new(big.Int).Mod(x, m).FillBytes(make([]byte, len(red.mbe)))...)
 			}
 			b.Add(body, [][]uint64{exps[lo:hi]})
 		}
@@ -180,7 +180,7 @@ func TestBatchFoldMatchesAddChunk(t *testing.T) {
 		if b.Len() != 0 {
 			t.Fatalf("%s: %d rows left in the batch after Fold", kernel, b.Len())
 		}
-		b.Add(make([]byte, red.ByteLen()), [][]uint64{{0}})
+		b.Add(make([]byte, len(red.mbe)), [][]uint64{{0}})
 		b.Release()
 		if b = red.NewBatch(1); b.Len() != 0 {
 			t.Fatalf("%s: a batch from the pool holds %d rows", kernel, b.Len())

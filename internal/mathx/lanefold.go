@@ -45,10 +45,11 @@ func (r *Reducer) getWindow(buckets int) *laneWindow {
 	if win == nil {
 		win = new(laneWindow)
 	}
-	if L := r.laneLimbs; cap(win.limbs) < buckets*L || cap(win.full) < buckets {
+	L := r.laneLimbs
+	if cap(win.limbs) < buckets*L || cap(win.full) < buckets {
 		win.limbs, win.full = make([]uint64, buckets*L), make([]bool, buckets)
 	}
-	win.limbs, win.full = win.limbs[:buckets*r.laneLimbs], win.full[:buckets]
+	win.limbs, win.full = win.limbs[:buckets*L], win.full[:buckets]
 	clear(win.full)
 	return win
 }
